@@ -1,7 +1,10 @@
 """TCP sweep coordinator: lease-based point distribution across hosts.
 
-The coordinator owns a sweep's pending-point queue (journal- and
-cache-prefiltered by :func:`~repro.harness.parallel.run_points`) and
+The coordinator drives a sweep's pending points (journal- and
+cache-prefiltered by :func:`~repro.harness.parallel.run_points`) through
+the same scheduler core as the local pipe fleet
+(:class:`~repro.harness.parallel._Scheduler`: affinity queue, backoff,
+requeue, first-wins resolution), with TCP leases as its slots, and
 serves the fleet protocol (:mod:`repro.fleet.protocol`) to any number of
 remote workers.  The design goal is the same silent-divergence-is-failure
 contract as the rest of the harness: every point's statistics are a pure
@@ -16,8 +19,8 @@ committed, which the protocol enforces structurally:
   defense);
 * a **lease** carries a deadline; heartbeats extend it, and a missed
   deadline (worker killed, partitioned, or just stalled) requeues the
-  point for someone else — at most ``retries`` re-leases before the
-  point is reported failed;
+  point for someone else after the usual retry backoff — at most
+  ``retries`` re-leases before the point is reported failed;
 * a **result upload is verified, then committed**: the frame CRC, the
   SHA-256 body digest and a full ``stats_from_dict`` round-trip must all
   pass before anything reaches the journal or cache; a truncated or
@@ -37,12 +40,13 @@ import socket
 import socketserver
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.fleet import protocol
 from repro.fleet.cas import CasError, ContentStore, blob_digest, verify_digest
+from repro.harness.parallel import _Lease, _Scheduler, _run_local
+from repro.pipeline.stats import stats_from_dict
 
 #: delay (seconds) suggested to an idle worker before its next lease ask
 IDLE_DELAY = 0.2
@@ -115,14 +119,6 @@ class FleetEvents:
             return {"counters": dict(self.counters), "log": list(self.log)}
 
 
-@dataclass
-class _Lease:
-    index: int
-    attempt: int
-    worker: str
-    deadline: float  # monotonic
-
-
 class _FleetServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
@@ -186,7 +182,8 @@ class _FleetHandler(socketserver.BaseRequestHandler):
 
 
 class FleetCoordinator:
-    """Owns the point queue, leases, commits and the TCP server."""
+    """Serves a sweep's scheduler core over TCP: leases, commits, the
+    server, and the local degrade."""
 
     def __init__(
         self,
@@ -197,6 +194,7 @@ class FleetCoordinator:
         *,
         timeout: Optional[float] = None,
         retries: int = 0,
+        retry_delay: float = 0.0,
         store: Optional[ContentStore] = None,
         fingerprint: Optional[str] = None,
         events: Optional[FleetEvents] = None,
@@ -206,18 +204,14 @@ class FleetCoordinator:
         self.points = points
         self.config = config
         self.timeout = timeout
-        self.retries = retries
         self.events = events if events is not None else FleetEvents()
         self.store = store if store is not None else ContentStore()
         self.fingerprint = fingerprint if fingerprint is not None \
             else code_fingerprint()
-        self._finish = finish
         self._lock = threading.RLock()
-        self._queue: deque[tuple[int, int]] = deque(
-            (index, 1) for index in pending)
-        self._leases: dict[str, _Lease] = {}
-        self._lease_seq = 0
-        self._unresolved: set[int] = set(pending)
+        #: queue, backoff, leases and resolution — driven under ``_lock``
+        self.scheduler = _Scheduler(points, pending, finish, retries,
+                                    retry_delay)
         self._stop = threading.Event()
         self._server: Optional[_FleetServer] = None
         self._serve_thread: Optional[threading.Thread] = None
@@ -310,10 +304,6 @@ class FleetCoordinator:
         with self._lock:
             self._last_remote = time.monotonic()
 
-    def live_workers(self) -> int:
-        with self._lock:
-            return sum(1 for conns in self._connections.values() if conns)
-
     def drop_connections(self, count: int = 1, rng=None) -> int:
         """Hard-close ``count`` live worker connections (chaos partition).
 
@@ -360,24 +350,21 @@ class FleetCoordinator:
     def _handle_lease(self, worker: str) -> dict:
         with self._lock:
             self._expire_leases()
-            if self._queue:
-                index, attempt = self._queue.popleft()
-                self._lease_seq += 1
-                lease_id = f"L{self._lease_seq}-{index}.{attempt}"
-                self._leases[lease_id] = _Lease(
-                    index=index, attempt=attempt, worker=worker,
-                    deadline=time.monotonic() + self.config.lease_deadline)
+            lease = self.scheduler.lease(worker, self.config.lease_deadline)
+            if lease is not None:
                 self.events.incr("leases_granted")
-                return {"type": "point", "lease": lease_id, "index": index,
+                return {"type": "point", "lease": lease.key,
+                        "index": lease.index,
                         "deadline": self.config.lease_deadline,
-                        "point": protocol.point_to_dict(self.points[index])}
-            if self._unresolved:
+                        "point": protocol.point_to_dict(
+                            self.points[lease.index])}
+            if self.scheduler.unresolved:
                 return {"type": "idle", "delay": IDLE_DELAY}
             return {"type": "done"}
 
     def _handle_heartbeat(self, msg: dict) -> dict:
         with self._lock:
-            lease = self._leases.get(msg.get("lease"))
+            lease = self.scheduler.leases.get(msg.get("lease"))
             if lease is None:
                 # expired (and maybe already re-leased): tell the worker
                 # its execution is moot so it can abandon the point
@@ -387,33 +374,27 @@ class FleetCoordinator:
             return {"type": "ok", "known": True}
 
     def _handle_result(self, worker: str, msg: dict, body: bytes) -> dict:
-        from repro.harness.parallel import PointResult, _bound_error
-        from repro.pipeline.stats import stats_from_dict
-
         with self._lock:
-            lease = self._leases.get(msg.get("lease"))
+            lease = self.scheduler.leases.get(msg.get("lease"))
             if lease is None:
                 # lease expired: the point was (or will be) re-leased and
                 # re-run to the identical result — discard, don't commit
                 self.events.note("stale_uploads", worker=worker)
                 return {"type": "error", "fatal": False, "stale": True,
                         "reason": "unknown or expired lease"}
-            index = lease.index
-            if msg.get("index") != index:
-                del self._leases[msg["lease"]]
+            if msg.get("index") != lease.index:
                 self.events.note("uploads_rejected", worker=worker,
                                  reason="index mismatch")
-                self._requeue(index, lease.attempt,
-                              "result upload named the wrong point index")
+                self._settle(lease, error="result upload named the wrong "
+                                          "point index")
                 return {"type": "error", "fatal": False,
                         "reason": "index does not match the lease"}
             error = msg.get("error")
             if error is not None:
                 # the worker ran the point and it failed in simulation:
                 # consume the lease, retry or report like any crash
-                del self._leases[msg["lease"]]
                 self.events.note("point_failures", worker=worker)
-                self._requeue(index, lease.attempt, _bound_error(str(error)))
+                self._settle(lease, error=str(error))
                 return {"type": "ok"}
             try:
                 verify_digest(body, msg.get("digest", ""))
@@ -430,10 +411,8 @@ class FleetCoordinator:
                 return {"type": "error", "fatal": False,
                         "reason": f"upload rejected: "
                                   f"{type(exc).__name__}: {exc}"[:400]}
-            del self._leases[msg["lease"]]
             self.events.incr("uploads_committed")
-            self._resolve(index, PointResult(
-                self.points[index], stats=stats, attempts=lease.attempt))
+            self._settle(lease, stats)
             return {"type": "ok"}
 
     def _handle_blob_get(self, msg: dict) -> tuple[dict, bytes]:
@@ -461,33 +440,19 @@ class FleetCoordinator:
     # ----------------------------------------------------------- lease state
     def _expire_leases(self) -> None:
         """Requeue every lease past its deadline (caller holds the lock)."""
-        now = time.monotonic()
-        for lease_id in [lid for lid, lease in self._leases.items()
-                         if now >= lease.deadline]:
-            lease = self._leases.pop(lease_id)
+        for lease in self.scheduler.expire(time.monotonic()):
             self.events.note("leases_expired", worker=lease.worker,
                              index=lease.index, attempt=lease.attempt)
-            self._requeue(
-                lease.index, lease.attempt,
-                f"lease expired after {self.config.lease_deadline}s "
-                f"without a heartbeat (worker {lease.worker})")
+            self._settle(lease, error=f"lease expired after "
+                                      f"{self.config.lease_deadline}s without "
+                                      f"a heartbeat (worker {lease.worker})")
 
-    def _requeue(self, index: int, attempt: int, error: str) -> None:
-        from repro.harness.parallel import PointResult, _bound_error
-
-        if attempt > self.retries:
-            self._resolve(index, PointResult(
-                self.points[index], error=_bound_error(error),
-                attempts=attempt))
-            return
-        self.events.incr("requeues")
-        self._queue.append((index, attempt + 1))
-
-    def _resolve(self, index: int, result) -> None:
-        if index not in self._unresolved:
-            return  # stale duplicate; first resolution won
-        self._unresolved.discard(index)
-        self._finish(index, result)
+    def _settle(self, lease: _Lease, stats=None,
+                error: Optional[str] = None) -> None:
+        """Report an attempt's outcome to the scheduler core (caller
+        holds the lock), counting the requeue when it grants a retry."""
+        if self.scheduler.settle(lease, stats, error):
+            self.events.incr("requeues")
 
     # ------------------------------------------------------------- execution
     def _local_should_run(self) -> bool:
@@ -513,37 +478,27 @@ class FleetCoordinator:
         watchdogged serial runner as a degraded local sweep.  Returns
         True when everything resolved.
         """
-        from repro.harness.parallel import (PointResult, _worker_with_timeout,
-                                            stats_from_dict)
-
         while True:
             with self._lock:
-                if not self._unresolved:
+                if not self.scheduler.unresolved:
                     return True
                 self._expire_leases()
-                task = None
-                if self._queue and self._local_should_run():
-                    task = self._queue.popleft()
-            if self._stop.is_set() or (stop is not None and stop.is_set()):
-                if task is not None:
-                    with self._lock:
-                        self._queue.appendleft(task)
+                stopping = self._stop.is_set() \
+                    or (stop is not None and stop.is_set())
+                lease = None
+                if not stopping and self._local_should_run():
+                    # worker None: the coordinator's own, unbounded lease
+                    lease = self.scheduler.lease(None, None)
+            if stopping:
                 return False
-            if task is None:
+            if lease is None:
                 time.sleep(0.05)
                 continue
-            index, attempt = task
             self.events.incr("local_points")
-            _, stats_dict, error = _worker_with_timeout(
-                (index, self.points[index]), self.timeout)
+            outcome = _run_local(lease.index, self.points[lease.index],
+                                 self.timeout)
             with self._lock:
-                if error is not None:
-                    self._requeue(index, attempt, error)
-                else:
-                    self._resolve(index, PointResult(
-                        self.points[index],
-                        stats=stats_from_dict(stats_dict),
-                        attempts=attempt))
+                self._settle(lease, *outcome)
 
 
 def fleet_execute(
@@ -554,10 +509,7 @@ def fleet_execute(
     *,
     timeout: Optional[float] = None,
     retries: int = 0,
-    store: Optional[ContentStore] = None,
-    events: Optional[FleetEvents] = None,
-    stop: Optional[threading.Event] = None,
-    on_bound: Optional[Callable[[tuple], None]] = None,
+    retry_delay: float = 0.0,
 ) -> FleetCoordinator:
     """Serve ``pending`` points over TCP until resolved; returns the
     coordinator (stopped) for event introspection.
@@ -565,20 +517,14 @@ def fleet_execute(
     The :func:`~repro.harness.parallel.run_points` backend for
     ``remote=...``: ``finish`` is the engine's usual commit callback, so
     journal/cache writes and progress reporting behave identically to
-    every other execution mode.  ``on_bound`` fires with the (host,
-    port) actually bound — useful with an ephemeral port.  ``stop`` lets
-    a caller (the chaos harness) abort mid-sweep, modelling a
-    coordinator crash; unresolved points stay unresolved.
+    every other execution mode.
     """
     coordinator = FleetCoordinator(points, pending, finish, config,
                                    timeout=timeout, retries=retries,
-                                   store=store, events=events)
+                                   retry_delay=retry_delay)
     coordinator.start()
-    if on_bound is not None:
-        on_bound(coordinator.address)
     try:
-        completed = coordinator.run(stop=stop)
-        if completed:
+        if coordinator.run():
             coordinator.drain()
     finally:
         coordinator.stop()

@@ -10,9 +10,8 @@ Measures the two things PR 8's data plane promises:
   warm worker pays per pass).
 * **grids** — end-to-end ``run_points`` wall-clock on a standard figure
   grid at ``jobs=4``, comparing the full data plane (binary codec +
-  shared-memory broadcast + affinity scheduling) against the legacy
-  path (gzip JSON-lines, no broadcast, FIFO dispatch), cold-cache and
-  warm-cache, for both exact and interval-sampled grids.  Both sides of
+  shared-memory broadcast) against the legacy path (gzip JSON-lines, no
+  broadcast), cold-cache and warm-cache, for both exact and interval-sampled grids.  Both sides of
   each comparison run in the same process on the same machine, so the
   speedups are self-relative — no committed-reference drift.
 
@@ -145,7 +144,7 @@ def bench_decode(profile: str = "hmmer", insts: int = GRID_INSTS,
 
 
 def _run_grid(points: list, jobs: int, trace_dir: str, fmt: str,
-              shm: bool, affinity: bool) -> tuple[float, list]:
+              shm: bool) -> tuple[float, list]:
     """One ``run_points`` execution under a controlled data-plane config;
     returns (wall seconds, per-point stats dicts)."""
     from repro.harness.cache import reset_trace_memo
@@ -154,7 +153,6 @@ def _run_grid(points: list, jobs: int, trace_dir: str, fmt: str,
     with _env(REPRO_TRACE_DIR=trace_dir,
               REPRO_TRACE_FORMAT=fmt,
               REPRO_NO_SHM=None if shm else "1",
-              REPRO_NO_AFFINITY=None if affinity else "1",
               REPRO_NO_TRACE_CACHE=None):
         reset_trace_memo()  # a bench run never inherits a warm memo
         start = time.perf_counter()
@@ -168,8 +166,8 @@ def _run_grid(points: list, jobs: int, trace_dir: str, fmt: str,
 
 #: the two data-plane configurations under comparison
 _MODES = {
-    "legacy": {"fmt": "jsonl", "shm": False, "affinity": False},
-    "dataplane": {"fmt": "binary", "shm": True, "affinity": True},
+    "legacy": {"fmt": "jsonl", "shm": False},
+    "dataplane": {"fmt": "binary", "shm": True},
 }
 
 
@@ -205,7 +203,7 @@ def run_bench(quick: bool = False, jobs: int = 4, seed: int = 1) -> dict:
             # determinism cross-check: serial, binary codec, no broadcast
             with tempfile.TemporaryDirectory(prefix="bench-sweep-") as root:
                 _, reference = _run_grid(points, 1, root, "binary",
-                                         shm=False, affinity=False)
+                                         shm=False)
             if reference != modes["dataplane"]["stats"]:
                 identical = False
         for mode in modes.values():

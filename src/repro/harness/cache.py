@@ -27,7 +27,7 @@ gzipped JSON-lines container (:mod:`repro.workloads.trace_io` format,
 measured legacy comparison path (``REPRO_TRACE_FORMAT=jsonl``).  Both
 live under ``REPRO_TRACE_DIR``, else ``REPRO_CACHE_DIR``/traces, else
 ``~/.cache/repro/traces``.  :func:`cached_stream` is the harness entry
-point: cold ProcessPool workers decode a trace from disk (or from the
+point: cold sweep workers decode a trace from disk (or from the
 parent's shared-memory broadcast, :mod:`repro.harness.parallel`) instead
 of re-running the generator; a process-local LRU (:class:`TraceMemo`,
 sized by ``REPRO_TRACE_MEMO``) keeps the parsed columns of recently
@@ -174,12 +174,11 @@ class ResultCache:
                          sampling=sampling)
 
     def key_for_point(self, point) -> str:
-        """Key for a :class:`~repro.harness.parallel.SweepPoint`."""
-        from repro.harness.runner import make_config  # avoid import cycle
+        """Key for a :class:`~repro.harness.parallel.SweepPoint` — the
+        same key function the sweep journal uses."""
+        from repro.harness.parallel import _key_for_point  # import cycle
 
-        config = make_config(point.profile, point.scheme, point.size)
-        return self.key_for(config, point.profile, point.insts, point.seed,
-                            sampling=getattr(point, "sampling", None))
+        return _key_for_point(point, self.fingerprint)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"

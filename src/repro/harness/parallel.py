@@ -3,43 +3,48 @@
 Every paper figure is a grid of fully independent simulations.  This
 module turns that grid into data: a sweep is a list of
 :class:`SweepPoint` values (benchmark profile x scheme x register-file
-size x instruction count x seed) which :func:`run_points` executes —
-serially for ``jobs=1``, over a
-:class:`~concurrent.futures.ProcessPoolExecutor` for the plain parallel
-case, or (when per-point ``timeout``/``retries`` are requested) over a
-self-healing worker fleet that kills and requeues stragglers, retries
-crashed points with exponential backoff, and respawns dead workers.
+size x instruction count x seed) which :func:`run_points` executes by
+one of three routes, picked from its arguments:
+
+* **in-process serial** for ``jobs=1`` without a ``timeout``;
+* the **pipe fleet** (:func:`_run_fleet`) for ``jobs > 1`` or any
+  ``timeout``: forked workers fed over pipes, a wall-clock deadline per
+  in-flight point, kill-and-requeue for stragglers, respawn for dead
+  workers, bounded retries with exponential backoff;
+* the **TCP coordinator** (:mod:`repro.fleet`) for ``remote=...``.
+
+All three drive one scheduler core (:class:`_Scheduler`) whose slots
+are this process, forked pipe workers or TCP leases: one requeue rule
+(retry with backoff, or fail with a bounded error) and first-wins
+resolution.  A worker death consumes one attempt, like a crash.
+
 Results cross the process boundary as plain
 :meth:`~repro.pipeline.stats.SimStats.to_dict` dicts (cheap to pickle); a
 crashed simulation is captured as a per-point error — with its full
 worker-side traceback — instead of killing the sweep.
 
-Three layers of persistence/recovery:
+Two layers of persistence:
 
 * an optional :class:`~repro.harness.cache.ResultCache` serves previously
   computed points without re-simulating;
 * an optional :class:`SweepJournal` appends one fsync'd JSON line per
   completed point (with periodic atomic compaction), so a sweep killed
   mid-flight (SIGKILL, OOM, power) resumes exactly where it stopped —
-  only incomplete points are re-simulated;
-* a :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
-  taken out by the OOM killer hard enough to poison the pool) rebuilds
-  the pool and requeues the in-flight points, degrading to serial
-  execution after ``POOL_FAILURE_LIMIT`` consecutive failures.
+  only incomplete points are re-simulated.
 
 The sweep data plane: before forking workers, the parent publishes each
 distinct workload's binary trace blob into
 :mod:`multiprocessing.shared_memory` (:class:`WorkloadBroadcast`,
 refcounted and unlinked by the parent alone, so worker deaths never
-leak segments), and fleet dispatch is affinity-aware
-(:class:`_AffinityQueue`): a freed worker preferentially receives points
-sharing its warm trace memo and loaded cycle kernel.  ``REPRO_NO_SHM=1``
-and ``REPRO_NO_AFFINITY=1`` disable either layer.
+leak segments), and dispatch is affinity-aware (:class:`_AffinityQueue`):
+a freed worker preferentially receives points sharing its warm trace
+memo and loaded cycle kernel.  ``REPRO_NO_SHM=1`` disables the
+broadcast.
 
 Determinism: a point's result does not depend on how it was executed —
-``jobs=1``, ``jobs=N``, the fleet, the cached and the journaled path,
-shared-memory or disk, all reproduce bit-identical counters, which the
-tests assert.  Retries, backoff jitter, broadcast and affinity only
+serial, the pipe fleet, the TCP fleet, the cached and the journaled
+path, shared-memory or disk, all reproduce bit-identical counters, which
+the tests assert.  Retries, backoff jitter, broadcast and affinity only
 affect *when and where* a point runs, never its result.
 """
 
@@ -50,8 +55,6 @@ import os
 import random
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -61,9 +64,6 @@ from repro.workloads.profiles import WorkloadProfile
 
 #: environment default for ``jobs`` when the caller passes None
 JOBS_ENV = "REPRO_JOBS"
-
-#: consecutive BrokenProcessPool failures before degrading to jobs=1
-POOL_FAILURE_LIMIT = 3
 
 #: characters of a per-point failure message kept when journaling or
 #: uploading — a recursive traceback must not bloat every journal line,
@@ -150,7 +150,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def simulate_point(point: SweepPoint):
     """Execute one sweep point (pure function of the point).
 
-    Workloads come from the pregenerated-trace cache: a cold pool worker
+    Workloads come from the pregenerated-trace cache: a cold fleet worker
     attaches the parent's shared-memory broadcast of the trace blob (or
     decodes from disk when no broadcast covers the point) instead of
     re-running the generator, and every execution path (jobs=1, warm or
@@ -182,7 +182,7 @@ _POINT_RUNNER: Callable = simulate_point
 
 
 def _worker(payload: tuple[int, SweepPoint]) -> tuple[int, Optional[dict], Optional[str]]:
-    """Process-pool entry point: never raises, ships results as dicts.
+    """Worker entry point: never raises, ships results as dicts.
 
     Failures carry the full traceback, not just ``repr(exc)`` — a sweep
     failure must be debuggable from the parent process alone, without
@@ -203,12 +203,15 @@ def _bound_error(text: Optional[str]) -> Optional[str]:
     tail (the innermost frames, where the actual failure site is) and
     drops the middle — the two ends are what a debugging session reads
     first, and a pathological message (recursion tracebacks, a repr of a
-    huge structure) must stay journal- and wire-sized.
+    huge structure) must stay journal- and wire-sized.  The result,
+    truncation marker included, fits in :data:`ERROR_LIMIT`, so bounding
+    an already-bounded message is a no-op.
     """
     if text is None or len(text) <= ERROR_LIMIT:
         return text
-    head = ERROR_LIMIT * 5 // 8
-    tail = ERROR_LIMIT - head
+    kept = ERROR_LIMIT - 64  # room for the marker line
+    head = kept * 5 // 8
+    tail = kept - head
     dropped = len(text) - head - tail
     return (f"{text[:head]}\n"
             f"... [{dropped} characters truncated] ...\n"
@@ -231,9 +234,6 @@ def _backoff(base: float, attempt: int, salt: int) -> float:
 # ------------------------------------------------------- workload broadcast
 #: kill switch for the shared-memory workload broadcast
 NO_SHM_ENV = "REPRO_NO_SHM"
-
-#: kill switch for affinity-aware fleet scheduling (FIFO dispatch instead)
-NO_AFFINITY_ENV = "REPRO_NO_AFFINITY"
 
 #: workload key -> (shared-memory segment name, blob size).  The parent
 #: populates this before forking workers; fork-started children inherit
@@ -326,14 +326,14 @@ class WorkloadBroadcast:
         if trace_format() != "binary":
             return
         refs: dict[tuple, int] = {}
+        profiles: dict[tuple, WorkloadProfile] = {}
         for index in pending:
-            refs[_workload_key(points[index])] = \
-                refs.get(_workload_key(points[index]), 0) + 1
+            wkey = _workload_key(points[index])
+            refs[wkey] = refs.get(wkey, 0) + 1
+            profiles.setdefault(wkey, points[index].profile)
         for wkey, count in refs.items():
-            profile = next(points[i].profile for i in pending
-                           if _workload_key(points[i]) == wkey)
             try:
-                stream = cached_stream(profile, wkey[1], wkey[2], wkey[3])
+                stream = cached_stream(profiles[wkey], *wkey[1:])
                 if not isinstance(stream, TraceStream):
                     continue  # legacy-format entry: disk path still works
                 blob = stream.blob
@@ -404,27 +404,8 @@ def _kernel_key(point: SweepPoint) -> Optional[str]:
     return fingerprint
 
 
-def _affinity_order(points: list, pending: list[int]) -> list[int]:
-    """Pending indices grouped by workload key, then kernel key.
-
-    Workers consuming an ordered stream of tasks then see long runs of
-    the same workload (memo hits) and the same kernel (no module
-    reload); grouping is stable, so equal-key points keep their index
-    order.  ``REPRO_NO_AFFINITY=1`` preserves plain index order.
-    """
-    if os.environ.get(NO_AFFINITY_ENV):
-        return list(pending)
-    order: dict[tuple, int] = {}
-    for index in pending:
-        group = (_workload_key(points[index]),
-                 _kernel_key(points[index]) or "")
-        order.setdefault(group, len(order))
-    return sorted(pending, key=lambda i: (
-        order[(_workload_key(points[i]), _kernel_key(points[i]) or "")], i))
-
-
 class _AffinityQueue:
-    """Fleet dispatch queue that maximizes worker-side reuse.
+    """Dispatch queue that maximizes worker-side reuse.
 
     Tasks are grouped by workload key, then kernel key.  ``pop`` prefers,
     in order: a task matching the worker's last (workload, kernel) pair
@@ -432,24 +413,20 @@ class _AffinityQueue:
     hit), then the largest workload group no other busy worker currently
     owns (spreads distinct workloads across the fleet), then the largest
     group outright.  Ties break by insertion order, keeping dispatch
-    deterministic for a fixed fleet state.  With ``REPRO_NO_AFFINITY=1``
-    it degrades to plain FIFO.
+    deterministic for a fixed fleet state.
     """
 
     def __init__(self, points: list) -> None:
         self._points = points
-        self._fifo = bool(os.environ.get(NO_AFFINITY_ENV))
         #: wkey -> kkey -> list of (index, attempt); dicts keep insertion
         #: order, lists serve as FIFO queues within a kernel group
         self._groups: dict[tuple, dict[Optional[str], list]] = {}
-        self._order: list[tuple[int, int]] = []  # FIFO fallback view
         self._size = 0
 
     def push(self, index: int, attempt: int) -> None:
         point = self._points[index]
         kernels = self._groups.setdefault(_workload_key(point), {})
         kernels.setdefault(_kernel_key(point), []).append((index, attempt))
-        self._order.append((index, attempt))
         self._size += 1
 
     def __len__(self) -> int:
@@ -462,7 +439,6 @@ class _AffinityQueue:
             del kernels[kkey]
         if not kernels:
             del self._groups[wkey]
-        self._order.remove(task)
         self._size -= 1
         return task
 
@@ -477,18 +453,6 @@ class _AffinityQueue:
         busy workers are executing right now."""
         if self._size == 0:
             return None
-        if self._fifo:
-            task = self._order.pop(0)
-            index, attempt = task
-            point = self._points[index]
-            kernels = self._groups[_workload_key(point)]
-            kernels[_kernel_key(point)].remove(task)
-            if not kernels[_kernel_key(point)]:
-                del kernels[_kernel_key(point)]
-            if not kernels:
-                del self._groups[_workload_key(point)]
-            self._size -= 1
-            return task
         if last_wkey is not None and last_wkey in self._groups:
             kernels = self._groups[last_wkey]
             if last_kkey in kernels:
@@ -498,6 +462,128 @@ class _AffinityQueue:
             or list(self._groups)
         best = max(candidates, key=self._group_size)
         return self._take(best, next(iter(self._groups[best])))
+
+
+# ---------------------------------------------------------------- scheduler
+@dataclass
+class _Lease:
+    """One in-flight execution of a point."""
+
+    key: str
+    index: int
+    attempt: int
+    #: who runs it: a pipe-fleet slot position, a TCP worker name, or
+    #: None for a TCP coordinator's own local run
+    worker: object
+    #: monotonic wall-clock bound; None means unbounded
+    deadline: Optional[float] = None
+
+
+class _Scheduler:
+    """The queue/retry core behind both sweep transports.
+
+    Owns the affinity-ordered ready queue, the backoff-delayed retries,
+    the in-flight leases and the unresolved set.  A transport leases
+    points to its slots — this process in :func:`_run_serial`, forked
+    pipe workers in :func:`_run_fleet`, TCP workers in
+    :class:`~repro.fleet.coordinator.FleetCoordinator` — and reports
+    every attempt's outcome through :meth:`settle`; ``finish`` fires
+    exactly once per point.  Not thread-safe: each transport drives it
+    under its own locking.
+    """
+
+    def __init__(self, points: list, pending: list[int],
+                 finish: Callable[[int, PointResult], None],
+                 retries: int, retry_delay: float) -> None:
+        self.points = points
+        self.retries = retries
+        self.retry_delay = retry_delay
+        self.queue = _AffinityQueue(points)
+        for index in pending:
+            self.queue.push(index, 1)
+        #: (ready-at monotonic time, index, attempt) backing off
+        self.delayed: list[tuple[float, int, int]] = []
+        self.leases: dict[str, _Lease] = {}
+        self.unresolved = set(pending)
+        self._finish = finish
+        self._seq = 0
+        #: worker -> (workload key, kernel key) of its latest lease, kept
+        #: across completions (and respawns: affinity is only a hint)
+        self._last: dict[object, tuple] = {}
+
+    def lease(self, worker, ttl: Optional[float]) -> Optional[_Lease]:
+        """Lease the best ready point to ``worker`` for ``ttl`` seconds
+        (None: unbounded); returns None when nothing is ready."""
+        now = time.monotonic()
+        if self.delayed:
+            ready = sorted(entry for entry in self.delayed if entry[0] <= now)
+            if ready:
+                self.delayed = [e for e in self.delayed if e[0] > now]
+                for _, index, attempt in ready:
+                    self.queue.push(index, attempt)
+        owned = frozenset(_workload_key(self.points[lease.index])
+                          for lease in self.leases.values()
+                          if lease.worker != worker)
+        task = self.queue.pop(*self._last.get(worker, (None, None)), owned)
+        if task is None:
+            return None
+        index, attempt = task
+        point = self.points[index]
+        self._last[worker] = (_workload_key(point), _kernel_key(point))
+        self._seq += 1
+        lease = _Lease(f"L{self._seq}-{index}.{attempt}", index, attempt,
+                       worker, None if ttl is None else now + ttl)
+        self.leases[lease.key] = lease
+        return lease
+
+    def settle(self, lease: _Lease, stats=None,
+               error: Optional[str] = None) -> bool:
+        """Report a leased attempt's outcome: ``stats`` commits the
+        point, ``error`` requeues it.  Returns True when a retry was
+        granted."""
+        self.leases.pop(lease.key, None)
+        if error is not None:
+            return self.requeue(lease.index, lease.attempt, error)
+        self.resolve(lease.index, PointResult(
+            self.points[lease.index], stats=stats, attempts=lease.attempt))
+        return False
+
+    def expire(self, now: float) -> list[_Lease]:
+        """Release and return every lease past its deadline."""
+        expired = [lease for lease in self.leases.values()
+                   if lease.deadline is not None and now >= lease.deadline]
+        for lease in expired:
+            del self.leases[lease.key]
+        return expired
+
+    def next_wake(self) -> Optional[float]:
+        """The soonest lease deadline or backoff expiry, or None."""
+        return min([lease.deadline for lease in self.leases.values()
+                    if lease.deadline is not None]
+                   + [entry[0] for entry in self.delayed], default=None)
+
+    def requeue(self, index: int, attempt: int, error: str) -> bool:
+        """An attempt failed (crash, worker death, timeout, lost lease):
+        schedule a retry after backoff and return True, or — retries
+        spent — resolve the point as failed (with the bounded error) and
+        return False."""
+        if attempt > self.retries:
+            self.resolve(index, PointResult(self.points[index],
+                                            error=_bound_error(error),
+                                            attempts=attempt))
+            return False
+        delay = _backoff(self.retry_delay, attempt, index)
+        self.delayed.append((time.monotonic() + delay, index, attempt + 1))
+        return True
+
+    def resolve(self, index: int, result: PointResult) -> bool:
+        """Commit ``result`` unless the point already resolved (first
+        resolution wins; later duplicates are stale)."""
+        if index not in self.unresolved:
+            return False
+        self.unresolved.discard(index)
+        self._finish(index, result)
+        return True
 
 
 # ------------------------------------------------------------------ journal
@@ -630,7 +716,6 @@ def _prewarm_kernels(points: list[SweepPoint], pending: list[int]) -> None:
     """
     try:
         from repro.codegen import kernels_enabled, load_kernel
-        from repro.codegen.fingerprint import kernel_fingerprint
         from repro.harness.runner import make_config
     except Exception:
         return
@@ -639,14 +724,13 @@ def _prewarm_kernels(points: list[SweepPoint], pending: list[int]) -> None:
     seen: set[str] = set()
     for index in pending:
         point = points[index]
+        fingerprint = _kernel_key(point)
+        if fingerprint is None or fingerprint in seen:
+            continue
+        seen.add(fingerprint)
         try:
-            config = make_config(point.profile, point.scheme, point.size,
-                                 port_scheme=point.port_scheme)
-            fingerprint = kernel_fingerprint(config)
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            load_kernel(config)
+            load_kernel(make_config(point.profile, point.scheme, point.size,
+                                    port_scheme=point.port_scheme))
         except Exception:
             continue
 
@@ -673,7 +757,9 @@ def run_points(
     same journal resumes from the last completed point.
     ``progress(done, total, result)`` fires once per resolved point.
 
-    Resilience knobs (all off by default):
+    ``jobs=1`` without a ``timeout`` runs in-process; ``jobs > 1`` or a
+    ``timeout`` runs the pipe fleet of ``min(jobs, pending)`` forked
+    workers.  Resilience knobs (all off by default):
 
     * ``timeout`` — per-point wall-clock seconds; a straggler's worker is
       killed and the point requeued (consuming a retry) until ``retries``
@@ -685,8 +771,8 @@ def run_points(
       :class:`repro.fleet.FleetConfig`: serve the pending points to TCP
       fleet workers instead of executing them here (the coordinator
       still degrades to local execution when no workers show up).
-      ``retries`` then bounds lease re-grants and ``timeout`` bounds the
-      coordinator's own local runs.
+      ``retries`` and ``retry_delay`` then govern lease re-grants and
+      ``timeout`` bounds the coordinator's own local runs.
     """
     points = list(points)
     total = len(points)
@@ -728,191 +814,95 @@ def run_points(
         return results  # type: ignore[return-value]
 
     _prewarm_kernels(points, pending)
-    multiprocess = remote is None and (timeout is not None or
-                                       min(jobs, len(pending)) > 1)
-
     try:
-        if multiprocess:
-            # publish each distinct workload blob to shared memory once,
-            # before any worker forks, so cold workers attach instead of
-            # re-reading disk per point
-            broadcast.publish(points, pending)
         if remote is not None:
             from repro.fleet.coordinator import (fleet_execute,
                                                  resolve_fleet_config)
 
             fleet_execute(points, pending, finish,
-                          resolve_fleet_config(remote),
-                          timeout=timeout, retries=retries)
-        elif timeout is not None:
-            # enforcing a wall-clock bound needs killable workers, even
-            # for jobs=1: run a fleet of (at least) one
-            _run_fleet(points, pending, finish,
-                       max(1, min(jobs, len(pending))),
-                       timeout, retries, retry_delay)
-        elif jobs > 1 and retries > 0:
-            # retries with jobs>1 also imply process isolation (a point
-            # that takes its worker down must not take the sweep down),
-            # so the fleet runs even for a single pending point
-            _run_fleet(points, pending, finish, min(jobs, len(pending)),
-                       None, retries, retry_delay)
-        elif jobs == 1 or len(pending) == 1:
+                          resolve_fleet_config(remote), timeout=timeout,
+                          retries=retries, retry_delay=retry_delay)
+        elif jobs == 1 and timeout is None:
             _run_serial(points, pending, finish, retries, retry_delay)
         else:
-            _run_executor(points, pending, finish,
-                          min(jobs, len(pending)))
+            # a wall-clock bound needs killable workers, even for jobs=1.
+            # Publish each distinct workload blob to shared memory once,
+            # before any worker forks, so cold workers attach instead of
+            # re-reading disk per point
+            broadcast.publish(points, pending)
+            _run_fleet(points, pending, finish, min(jobs, len(pending)),
+                       timeout, retries, retry_delay)
     finally:
         broadcast.close()
     return results  # type: ignore[return-value]
 
 
-class PointTimeout(Exception):
-    """A serially-executed point exceeded its wall-clock budget."""
-
-
-def _subprocess_child(conn, payload) -> None:
-    """Child side of the subprocess watchdog: run one point, ship the
-    result tuple back over the pipe."""
-    try:
-        conn.send(_worker(payload))
-    finally:
-        conn.close()
-
-
-def _worker_subprocess(payload, timeout: float):
-    """Run one point in a killable child process with a wall-clock bound.
-
-    The fallback watchdog for serial execution off the main thread
-    (where SIGALRM is unavailable): a straggler's child is killed, and
-    the parent reports the timeout as an ordinary per-point error.
-    """
-    import multiprocessing
-
-    index, _point = payload
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        ctx = multiprocessing.get_context()
-    parent_conn, child_conn = ctx.Pipe()
-    process = ctx.Process(target=_subprocess_child,
-                          args=(child_conn, payload), daemon=True)
-    process.start()
-    child_conn.close()
-    try:
-        if parent_conn.poll(timeout):
-            try:
-                result = parent_conn.recv()
-            except (EOFError, OSError):
-                result = (index, None,
-                          "worker process died while running the point")
-            process.join()
-            return result
-    finally:
-        parent_conn.close()
-    process.kill()
-    process.join()
-    return (index, None,
-            f"TimeoutError: point exceeded the {timeout}s wall-clock "
-            f"budget (serial watchdog)")
-
-
-def _worker_with_timeout(payload, timeout: Optional[float]):
-    """:func:`_worker` with the wall-clock watchdog still enforced.
-
-    Serial (in-process) execution is the degrade path of every other
-    mode, so it must honour ``timeout`` too — a sweep that fell back to
-    jobs=1 must not hang forever on the very straggler that broke the
-    pool.  On the main thread a SIGALRM itimer interrupts the point
-    in-process; off the main thread (or without SIGALRM) the point runs
-    in a killable child process instead.
-    """
-    if timeout is None:
-        return _worker(payload)
+def _alarm_usable() -> bool:
+    """Whether the SIGALRM watchdog can run here (POSIX, main thread)."""
     import signal
     import threading
 
-    if not hasattr(signal, "SIGALRM") \
-            or threading.current_thread() is not threading.main_thread():
-        return _worker_subprocess(payload, timeout)
-    index, _point = payload
-    armed = [True]
+    return hasattr(signal, "SIGALRM") \
+        and threading.current_thread() is threading.main_thread()
 
-    def _alarm(signum, frame):
-        if armed[0]:
-            raise PointTimeout(
-                f"point exceeded the {timeout}s wall-clock budget "
-                f"(serial watchdog)")
 
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return _worker(payload)
-    except PointTimeout as exc:
-        return index, None, f"TimeoutError: {exc}"
-    finally:
-        armed[0] = False
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+def _run_local(index: int, point: SweepPoint, timeout: Optional[float]):
+    """Run one point in this process: ``(stats, error)``.
+
+    In-process execution is the serial route and the degrade path of
+    both transports (a pipe fleet that cannot fork, a TCP coordinator
+    without workers), so it must honour ``timeout`` too.  On the main
+    thread a SIGALRM itimer interrupts the point in-process; off the
+    main thread the point runs in a one-worker :func:`_run_fleet`, whose
+    watchdog kills it.
+    """
+    if timeout is None:
+        _, stats, error = _worker((index, point))
+    elif not _alarm_usable():
+        box: dict[int, PointResult] = {}
+        _run_fleet([point], [0], box.__setitem__, 1, timeout, 0, 0.0)
+        return box[0].stats, box[0].error
+    else:
+        import signal
+
+        armed = [True]
+
+        def _alarm(signum, frame):
+            if armed[0]:
+                raise TimeoutError(
+                    f"point exceeded the {timeout}s wall-clock budget "
+                    f"(serial watchdog)")
+
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.setitimer(signal.ITIMER_REAL, timeout)
+        try:
+            _, stats, error = _worker((index, point))
+        except TimeoutError as exc:  # fired outside _worker's own handler
+            stats, error = None, f"TimeoutError: {exc}"
+        finally:
+            armed[0] = False
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+    return (None if stats is None else stats_from_dict(stats)), error
 
 
 def _run_serial(points, pending, finish, retries: int,
                 retry_delay: float, timeout: Optional[float] = None) -> None:
-    """In-process execution with bounded retry + backoff.
+    """In-process execution: the :class:`_Scheduler` core with this
+    process as its only slot (bounded retries, backoff, affinity order).
 
     ``timeout`` keeps the per-point wall-clock bound alive on the
-    degrade paths (broken pool, failed fleet spawn, fleet coordinator
-    running points locally) — serial mode enforces it via SIGALRM or a
-    killable child process, never silently drops it.
+    degrade path of a pipe fleet that cannot fork — enforced by
+    :func:`_run_local`, never silently dropped.
     """
-    for index in pending:
-        attempt = 0
-        while True:
-            attempt += 1
-            _, stats_dict, error = _worker_with_timeout(
-                (index, points[index]), timeout)
-            if error is None or attempt > retries:
-                break
-            time.sleep(_backoff(retry_delay, attempt, index))
-        stats = None if stats_dict is None else stats_from_dict(stats_dict)
-        finish(index, PointResult(points[index], stats=stats, error=error,
-                                  attempts=attempt))
-
-
-def _run_executor(points, pending, finish, workers: int,
-                  timeout: Optional[float] = None) -> None:
-    """Plain ProcessPoolExecutor fan-out with BrokenProcessPool recovery.
-
-    A worker killed hard (OOM killer, SIGKILL) poisons the whole pool:
-    every outstanding future raises :class:`BrokenProcessPool`.  Recovery
-    rebuilds the pool and requeues exactly the unresolved points; after
-    ``POOL_FAILURE_LIMIT`` consecutive breakages the remaining points
-    degrade to in-process serial execution — slower, but immune — with
-    any per-point ``timeout`` still enforced there.
-    """
-    remaining = set(pending)
-    breakages = 0
-    while remaining:
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(remaining))) as pool:
-                # affinity ordering: grouped submission gives each worker
-                # long runs of one workload/kernel (memo + kernel reuse)
-                futures = {pool.submit(_worker, (index, points[index])): index
-                           for index in _affinity_order(points,
-                                                        sorted(remaining))}
-                for future in as_completed(futures):
-                    index, stats_dict, error = future.result()
-                    remaining.discard(index)
-                    stats = None if stats_dict is None \
-                        else stats_from_dict(stats_dict)
-                    finish(index, PointResult(points[index], stats=stats,
-                                              error=error))
-            breakages = 0
-        except BrokenProcessPool:
-            breakages += 1
-            if breakages >= POOL_FAILURE_LIMIT:
-                _run_serial(points, sorted(remaining), finish, 0, 0.0,
-                            timeout=timeout)
-                return
+    core = _Scheduler(points, pending, finish, retries, retry_delay)
+    while core.unresolved:
+        lease = core.lease(None, None)
+        if lease is None:  # only backoff-delayed retries remain
+            time.sleep(max(0.0, core.next_wake() - time.monotonic()))
+            continue
+        core.settle(lease, *_run_local(lease.index, points[lease.index],
+                                       timeout))
 
 
 def _fleet_child(conn) -> None:
@@ -934,39 +924,32 @@ def _fleet_child(conn) -> None:
 
 @dataclass
 class _Slot:
-    """One fleet worker: a process, its pipe, and its current assignment."""
+    """One fleet worker: a process, its pipe, and its current lease."""
 
     process: object
     conn: object
-    index: Optional[int] = None  # point index in flight, or None (idle)
-    attempt: int = 0
-    deadline: Optional[float] = None
-    #: affinity state: workload/kernel keys of the most recent dispatch —
-    #: kept across completions so an idle worker's warm memo is known
-    wkey: Optional[tuple] = None
-    kkey: Optional[str] = None
-
-    @property
-    def busy(self) -> bool:
-        return self.index is not None
+    lease: Optional[_Lease] = None  # None while idle
 
 
 def _run_fleet(points, pending, finish, workers: int,
                timeout: Optional[float], retries: int,
                retry_delay: float) -> None:
-    """Self-healing worker fleet: direct task dispatch over pipes, a
-    wall-clock watchdog per in-flight point, kill-and-requeue for
-    stragglers and dead workers, bounded retries with backoff.
+    """Self-healing worker fleet: the :class:`_Scheduler` core with
+    forked pipe workers as its slots.
 
-    Dispatch is affinity-aware (:class:`_AffinityQueue`): a freed worker
-    preferentially receives a point sharing its previous workload (warm
-    trace memo) and kernel (loaded module), while distinct workloads
-    spread across distinct workers.  Scheduling never affects results —
-    a point is a pure function of itself — only wall-clock.
+    Each dispatched point is a lease whose deadline is ``timeout`` after
+    dispatch; a straggler past it is killed and requeued, and a worker
+    that dies (pipe EOF) is respawned and its point requeued — either
+    way the attempt is consumed, and :meth:`_Scheduler.requeue` retries
+    with backoff or fails the point.  Dispatch is affinity-aware, so a
+    freed worker preferentially receives a point sharing its previous
+    workload (warm trace memo) and kernel (loaded module).  Scheduling
+    never affects results — a point is a pure function of itself — only
+    wall-clock.
 
     Workers are forked (where available) so test doubles installed on
-    :data:`_POINT_RUNNER` propagate; each worker owns a dedicated
-    duplex pipe, and the parent multiplexes completions with
+    :data:`_POINT_RUNNER` propagate; each worker owns a dedicated duplex
+    pipe, and the parent multiplexes completions with
     :func:`multiprocessing.connection.wait`.
     """
     import multiprocessing
@@ -993,135 +976,105 @@ def _run_fleet(points, pending, finish, workers: int,
         slot.process.kill()
         slot.process.join()
 
-    # affinity queue of (point index, attempt) ready to dispatch now;
-    # delayed holds (ready-at monotonic time, index, attempt) backing off
-    queue = _AffinityQueue(points)
-    for index in pending:
-        queue.push(index, 1)
-    delayed: list[tuple[float, int, int]] = []
-    unresolved = set(pending)
-    slots = []
+    slots: list[_Slot] = []
     try:
         for _ in range(workers):
             slots.append(spawn())
     except OSError:
         pass  # fork refused (rlimit, memory): run with what we got
     if not slots:
-        # cannot fork at all — degrade to in-process serial execution,
-        # with the wall-clock watchdog still enforced rather than
-        # silently dropped
-        _run_serial(points, sorted(unresolved), finish, retries,
-                    retry_delay, timeout=timeout)
+        # cannot fork at all: degrade to in-process serial execution.  A
+        # wall-clock bound then needs SIGALRM; off the main thread the
+        # only other watchdog is this very fleet, so the points fail
+        # rather than run unbounded
+        if timeout is None or _alarm_usable():
+            _run_serial(points, pending, finish, retries, retry_delay,
+                        timeout=timeout)
+            return
+        for index in pending:
+            finish(index, PointResult(points[index], attempts=0, error=(
+                f"RuntimeError: cannot enforce the {timeout}s wall-clock "
+                f"budget: fork was refused and SIGALRM is unavailable off "
+                f"the main thread")))
         return
 
-    def requeue(index: int, attempt: int, error: str) -> None:
-        """A point crashed/timed out/lost its worker: retry or fail."""
-        if attempt > retries:
-            finish(index, PointResult(points[index], error=error,
-                                      attempts=attempt))
-            unresolved.discard(index)
-            return
-        delay = _backoff(retry_delay, attempt, index)
-        delayed.append((time.monotonic() + delay, index, attempt + 1))
+    # finished points commit (cache put, journal fsync, progress callback)
+    # only after the freed workers have been sent their next point, so
+    # the commit overlaps simulation instead of idling the fleet
+    resolved: list[tuple[int, PointResult]] = []
+    core = _Scheduler(points, pending,
+                      lambda index, result: resolved.append((index, result)),
+                      retries, retry_delay)
+
+    def commit() -> None:
+        while resolved:
+            finish(*resolved.pop(0))
+
+    def replace(position: int) -> None:
+        """Kill the worker in ``position`` and start a cold one there."""
+        retire(slots[position])
+        slots[position] = spawn()
 
     try:
-        while unresolved:
-            now = time.monotonic()
-            # move backoff-expired tasks into the ready queue
-            if delayed:
-                ready = [entry for entry in delayed if entry[0] <= now]
-                if ready:
-                    delayed[:] = [e for e in delayed if e[0] > now]
-                    for _, index, attempt in sorted(ready):
-                        queue.push(index, attempt)
-            # dispatch ready tasks to idle slots, best-affinity first
-            for slot in slots:
-                if not len(queue):
+        while core.unresolved:
+            # dispatch ready points to idle slots, best-affinity first
+            for position, slot in enumerate(slots):
+                if slot.lease is not None:
+                    continue
+                lease = core.lease(position, timeout)
+                if lease is None:
                     break
-                if slot.busy:
-                    continue
-                owned = frozenset(s.wkey for s in slots
-                                  if s is not slot and s.busy
-                                  and s.wkey is not None)
-                index, attempt = queue.pop(slot.wkey, slot.kkey, owned)
-                slot.index, slot.attempt = index, attempt
-                slot.wkey = _workload_key(points[index])
-                slot.kkey = _kernel_key(points[index])
-                slot.deadline = (now + timeout) if timeout is not None \
-                    else None
+                slot.lease = lease
                 try:
-                    slot.conn.send((index, points[index]))
-                except (BrokenPipeError, OSError):
+                    slot.conn.send((lease.index, points[lease.index]))
+                except OSError:
                     # worker died between tasks: respawn and requeue
-                    retire(slot)
-                    fresh = spawn()
-                    slots[slots.index(slot)] = fresh
-                    requeue(index, attempt,
-                            "worker process died before accepting the point")
+                    replace(position)
+                    core.settle(lease, error="worker process died before "
+                                             "accepting the point")
+            commit()
 
-            busy = [slot for slot in slots if slot.busy]
+            busy = [position for position, slot in enumerate(slots)
+                    if slot.lease is not None]
+            wake = core.next_wake()  # a deadline or a backoff expiry
             if not busy:
-                if queue:
-                    continue
-                if delayed:
-                    time.sleep(max(0.0, min(e[0] for e in delayed)
-                                   - time.monotonic()))
-                    continue
-                break  # unresolved but nothing queued: all accounted for
+                if wake is None:
+                    break  # nothing in flight or backing off
+                time.sleep(max(0.0, wake - time.monotonic()))
+                continue
+            ready = conn_wait([slots[position].conn for position in busy],
+                              timeout=None if wake is None
+                              else max(0.0, wake - time.monotonic()))
 
-            # wake on the next completion, deadline, or backoff expiry
-            wait_until = min((slot.deadline for slot in busy
-                              if slot.deadline is not None),
-                             default=None)
-            if delayed:
-                soonest = min(entry[0] for entry in delayed)
-                wait_until = soonest if wait_until is None \
-                    else min(wait_until, soonest)
-            wait_timeout = None if wait_until is None \
-                else max(0.0, wait_until - time.monotonic())
-            ready_conns = conn_wait([slot.conn for slot in busy],
-                                    timeout=wait_timeout)
-
-            for slot in [s for s in busy if s.conn in ready_conns]:
-                index, attempt = slot.index, slot.attempt
+            for position in busy:
+                slot = slots[position]
+                if slot.conn not in ready:
+                    continue
+                lease, slot.lease = slot.lease, None
                 try:
-                    result_index, stats_dict, error = slot.conn.recv()
+                    _, stats, error = slot.conn.recv()
                 except (EOFError, OSError):
                     # the worker died mid-point (segfault, OOM kill)
-                    retire(slot)
-                    slots[slots.index(slot)] = spawn()
-                    requeue(index, attempt,
-                            "worker process died while running the point")
+                    replace(position)
+                    core.settle(lease, error="worker process died while "
+                                             "running the point")
                     continue
-                slot.index, slot.attempt, slot.deadline = None, 0, None
-                if error is not None and attempt <= retries:
-                    requeue(index, attempt, error)
-                    continue
-                stats = None if stats_dict is None \
-                    else stats_from_dict(stats_dict)
-                finish(result_index, PointResult(
-                    points[result_index], stats=stats, error=error,
-                    attempts=attempt))
-                unresolved.discard(result_index)
+                core.settle(lease, None if stats is None
+                            else stats_from_dict(stats), error)
 
             # timeout watchdog: kill stragglers past their deadline
-            now = time.monotonic()
-            for position, slot in enumerate(slots):
-                if (slot.busy and slot.deadline is not None
-                        and now >= slot.deadline
-                        and slot.conn not in ready_conns):
-                    index, attempt = slot.index, slot.attempt
-                    retire(slot)
-                    slots[position] = spawn()
-                    requeue(index, attempt,
-                            f"TimeoutError: point exceeded the {timeout}s "
-                            f"wall-clock budget (attempt {attempt})")
+            for lease in core.expire(time.monotonic()):
+                replace(lease.worker)
+                core.settle(lease, error=f"TimeoutError: point exceeded the "
+                                         f"{timeout}s wall-clock budget "
+                                         f"(attempt {lease.attempt})")
+        commit()
     finally:
         for slot in slots:
-            if not slot.busy:
+            if slot.lease is None:
                 try:
                     slot.conn.send(None)
-                except (BrokenPipeError, OSError):
+                except OSError:
                     pass
             retire(slot)
 

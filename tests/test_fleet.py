@@ -20,6 +20,7 @@ from repro.fleet.cas import ContentStore, blob_digest
 from repro.fleet.coordinator import (FleetConfig, FleetCoordinator,
                                      resolve_fleet_config)
 from repro.fleet.worker import FleetWorker, WorkerChaos, WorkerConfig
+from repro.harness import parallel
 from repro.harness.cache import ResultCache, TraceCache
 from repro.harness.parallel import SweepJournal, SweepPoint, run_points
 from repro.workloads.profiles import BENCHMARKS
@@ -293,6 +294,55 @@ def test_stale_upload_discarded_not_committed(tmp_path):
         fleet.stop()
     assert fleet.counters().get("stale_uploads", 0) >= 1
     assert fleet.results[0].stats.to_dict() == expected[0]
+
+
+def test_requeued_lease_waits_out_the_retry_backoff(tmp_path):
+    # a failed lease goes back through the shared scheduler core, so its
+    # re-grant waits out the same retry_delay backoff as the pipe fleet
+    points = _points(1)
+    coordinator = FleetCoordinator(
+        points, [0], lambda index, result: None,
+        FleetConfig(host="127.0.0.1", port=0, local=False),
+        retries=1, retry_delay=0.4, store=_store(tmp_path, "coordinator"))
+    host, port = coordinator.start()
+    try:
+        sock = _hello(host, port, "flaky")
+        lease, _ = protocol.request(sock, {"type": "lease"})
+        assert lease["type"] == "point"
+        failed_at = time.monotonic()
+        reply, _ = protocol.request(sock, {
+            "type": "result", "lease": lease["lease"],
+            "index": lease["index"], "error": "injected failure"})
+        assert reply["type"] == "ok"
+        reply, _ = protocol.request(sock, {"type": "lease"})
+        assert reply["type"] == "idle"  # still backing off
+        time.sleep(failed_at + parallel._backoff(0.4, 1, 0)
+                   - time.monotonic() + 0.05)
+        reply, _ = protocol.request(sock, {"type": "lease"})
+        assert reply["type"] == "point" and reply["lease"].endswith("-0.2")
+        sock.close()
+    finally:
+        coordinator.stop()
+    assert coordinator.events.get("requeues") == 1
+
+
+def test_run_points_remote_honours_retry_delay(monkeypatch):
+    # run_points(remote=...) must hand retry_delay to the coordinator;
+    # its local degrade then backs off before the second attempt
+    started = []
+
+    def flaky(point):
+        started.append(time.monotonic())
+        if len(started) == 1:
+            raise RuntimeError("transient failure")
+        return parallel.simulate_point(point)
+
+    monkeypatch.setattr(parallel, "_POINT_RUNNER", flaky)
+    results = run_points(_points(1), jobs=1, retries=1, retry_delay=0.5,
+                         remote=FleetConfig(host="127.0.0.1", port=0,
+                                            local_fallback_after=0))
+    assert results[0].ok and results[0].attempts == 2
+    assert started[1] - started[0] >= parallel._backoff(0.5, 1, 0)
 
 
 def test_heartbeat_keeps_a_slow_point_leased(tmp_path):

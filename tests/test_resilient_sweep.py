@@ -1,8 +1,8 @@
 """Resilient sweep execution: timeouts, retries, crash-safe resume.
 
 Worker behaviour is controlled by monkeypatching
-:data:`repro.harness.parallel._POINT_RUNNER`; on Linux the pool and the
-fleet fork their workers, so the patched runner propagates into children.
+:data:`repro.harness.parallel._POINT_RUNNER`; on Linux the fleet forks
+its workers, so the patched runner propagates into children.
 Cross-process side effects (crash-once counters) go through files, the
 only channel that survives the process boundary.
 """
@@ -172,8 +172,9 @@ def test_serial_watchdog_sigalrm_on_main_thread(runner):
 
 
 def test_serial_watchdog_subprocess_off_main_thread(runner):
-    # no SIGALRM off the main thread: the watchdog must fall back to a
-    # killable child process instead of silently dropping the bound
+    # no SIGALRM off the main thread: the point must run in a one-worker
+    # fleet, whose watchdog kills it, instead of silently dropping the
+    # bound
     import threading
 
     def hang(point):
@@ -191,7 +192,7 @@ def test_serial_watchdog_subprocess_off_main_thread(runner):
     assert not worker.is_alive()
     assert time.monotonic() - start < 30
     assert not collected[0].ok
-    assert "serial watchdog" in collected[0].error
+    assert "wall-clock budget" in collected[0].error
 
 
 def test_serial_watchdog_clears_after_fast_point():
@@ -206,10 +207,9 @@ def test_serial_watchdog_clears_after_fast_point():
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
-def test_fleet_spawn_failure_degrades_serial_with_timeout(
-        runner, monkeypatch):
-    # fork refused entirely: the fleet degrades to in-process serial
-    # execution and the wall-clock bound must survive the degrade
+@pytest.fixture()
+def no_fork(monkeypatch):
+    """Make every fleet spawn fail as if fork were refused."""
     import multiprocessing
 
     real = multiprocessing.get_context
@@ -227,6 +227,10 @@ def test_fleet_spawn_failure_degrades_serial_with_timeout(
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda kind=None: _NoForkCtx(real("fork")))
 
+
+def test_fleet_spawn_failure_degrades_serial_with_timeout(runner, no_fork):
+    # fork refused entirely: the fleet degrades to in-process serial
+    # execution and the wall-clock bound must survive the degrade
     def hang(point):
         time.sleep(60)
 
@@ -239,6 +243,26 @@ def test_fleet_spawn_failure_degrades_serial_with_timeout(
     assert time.monotonic() - start < 30
     assert not collected[0].ok
     assert "wall-clock budget" in collected[0].error
+
+
+def test_fleet_spawn_failure_off_main_thread_fails_clearly(runner, no_fork):
+    # off the main thread the serial degrade has no SIGALRM, and its
+    # watchdog route is the one-worker fleet that just failed to fork:
+    # the point must fail with a clear error, not recurse or run unbounded
+    import threading
+
+    calls = []
+    runner(lambda point: calls.append(point))
+    collected = {}
+    worker = threading.Thread(target=lambda: parallel._run_fleet(
+        _points(1), [0], collected.__setitem__, workers=1, timeout=5.0,
+        retries=0, retry_delay=0.01))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert not calls  # never executed unbounded
+    assert not collected[0].ok
+    assert "fork was refused" in collected[0].error
 
 
 # ------------------------------------------------------- bounded errors
@@ -256,6 +280,7 @@ def test_bound_error_keeps_head_and_tail():
     assert bounded.startswith("HEAD!")
     assert bounded.endswith("!TAIL")
     assert "characters truncated" in bounded
+    assert parallel._bound_error(bounded) == bounded  # idempotent
 
 
 def test_pathological_failure_message_is_bounded(runner):
@@ -300,20 +325,38 @@ def test_worker_death_without_retries_fails_the_point(runner):
     assert "died" in results[0].error
 
 
-def test_executor_broken_pool_degrades_to_serial(runner):
-    """The plain executor path (no timeout/retries) survives pool
-    breakage: every pool worker dies instantly, so the pool breaks
-    POOL_FAILURE_LIMIT times and the remainder runs in-process."""
-    parent = os.getpid()
+def test_worker_death_consumes_one_attempt_on_the_plain_path(runner):
+    # no timeout, no retries: a dead worker fails its point (one attempt
+    # consumed) while the rest of the sweep runs on respawned workers
+    marker = os.getpid()
 
-    def die_in_children(point):
-        if os.getpid() != parent:
-            os._exit(17)  # only ever in a pool worker, never in pytest
+    def die_on_seed_one(point):
+        if point.seed == 1 and os.getpid() != marker:
+            os._exit(17)  # only ever in a fleet worker, never in pytest
         return parallel.simulate_point(point)
 
-    runner(die_in_children)
-    results = run_points(_points(2), jobs=2)
+    runner(die_on_seed_one)
+    results = run_points(_points(3), jobs=2)
+    assert not results[0].ok and "died" in results[0].error
+    assert results[0].attempts == 1
+    assert results[1].ok and results[2].ok
+
+
+# ------------------------------------------------------------- routing
+def test_plain_parallel_sweep_runs_the_pipe_fleet(monkeypatch):
+    calls = []
+    real = parallel._run_fleet
+
+    def spy(points, pending, finish, workers, *args):
+        calls.append(workers)
+        return real(points, pending, finish, workers, *args)
+
+    monkeypatch.setattr(parallel, "_run_fleet", spy)
+    results = run_points(_points(3), jobs=2)
     assert all(r.ok for r in results)
+    assert calls == [2]
+    run_points(_points(1), jobs=1)  # jobs=1 without a timeout: in-process
+    assert calls == [2]
 
 
 # ------------------------------------------------------------- determinism
@@ -321,8 +364,8 @@ def test_fleet_results_bit_identical_to_serial():
     points = _points(3)
     serial = run_points(points, jobs=1)
     fleet = run_points(points, jobs=2, timeout=120.0, retries=2)
-    executor = run_points(points, jobs=2)
-    for a, b, c in zip(serial, fleet, executor):
+    plain = run_points(points, jobs=2)
+    for a, b, c in zip(serial, fleet, plain):
         assert a.ok and b.ok and c.ok
         assert a.stats.to_dict() == b.stats.to_dict() == c.stats.to_dict()
 

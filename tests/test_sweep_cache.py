@@ -69,6 +69,27 @@ def test_key_changes_with_config_fields():
                      PROFILE, 800, 1, fp) == base
 
 
+def test_point_keys_separate_port_schemes_and_match_journal(cache):
+    from repro.harness.parallel import SweepJournal, SweepPoint
+
+    def point(scheme, port_scheme="none"):
+        return SweepPoint(PROFILE, scheme, 48, 800, 1,
+                          port_scheme=port_scheme)
+
+    keys = {cache.key_for_point(point(scheme, ports))
+            for scheme in ("conventional", "sharing")
+            for ports in ("none", "bypass_filter", "banked_arbiter")}
+    assert len(keys) == 6  # a port-reduced point never aliases plain
+    # port_scheme="none" keys are unchanged, so existing caches stay warm
+    plain = point("conventional")
+    assert cache.key_for_point(plain) == cache.key_for(
+        make_config(PROFILE, "conventional", 48), PROFILE, 800, 1)
+    # one key function for the result cache and the sweep journal
+    journal = SweepJournal(cache.root / "journal.jsonl", fingerprint="testfp")
+    ported = point("conventional", "banked_arbiter")
+    assert cache.key_for_point(ported) == journal.key_for_point(ported)
+
+
 def test_code_fingerprint_invalidates(tmp_path):
     stats = _stats()
     config = make_config(PROFILE, "sharing", 48)

@@ -2,7 +2,7 @@
 
 These pin the three mechanisms behind the sweep data plane at the unit
 level — the O(1) fsync'd journal append (with bounded compaction), the
-affinity dispatch order/queue, and the shared-memory workload broadcast
+affinity dispatch queue, and the shared-memory workload broadcast
 lifecycle — plus a pytest-level bit-identity matrix across jobs, codec
 format and broadcast on/off.  End-to-end wall-clock is covered by
 ``tools/sweep_smoke.py`` and ``repro bench sweep``.
@@ -10,13 +10,14 @@ format and broadcast on/off.  End-to-end wall-clock is covered by
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.harness import cache as cache_mod
 from repro.harness import parallel
 from repro.harness.cache import reset_trace_memo
-from repro.harness.parallel import (SweepJournal, SweepPoint,
+from repro.harness.parallel import (PointResult, SweepJournal, SweepPoint,
                                     WorkloadBroadcast, run_points)
 from repro.workloads.profiles import BENCHMARKS
 
@@ -116,27 +117,7 @@ def _mixed_points():
             mk("adpcm", "conventional")]
 
 
-def test_affinity_order_groups_stably(monkeypatch, scheme_kernels):
-    monkeypatch.delenv(parallel.NO_AFFINITY_ENV, raising=False)
-    points = _mixed_points()
-    # groups in first-seen order: (gsm, sharing) -> 0 and 3,
-    # (adpcm, sharing) -> 1, (gsm, conventional) -> 2, (adpcm, conv) -> 4
-    assert parallel._affinity_order(points, [0, 1, 2, 3, 4]) == \
-        [0, 3, 1, 2, 4]
-    # only the pending subset is ordered
-    assert parallel._affinity_order(points, [1, 2, 3]) == [1, 2, 3]
-
-
-def test_affinity_order_fifo_under_kill_switch(monkeypatch, scheme_kernels):
-    monkeypatch.setenv(parallel.NO_AFFINITY_ENV, "1")
-    points = _mixed_points()
-    assert parallel._affinity_order(points, [0, 1, 2, 3, 4]) == \
-        [0, 1, 2, 3, 4]
-
-
-def test_affinity_queue_prefers_same_workload_then_kernel(
-        monkeypatch, scheme_kernels):
-    monkeypatch.delenv(parallel.NO_AFFINITY_ENV, raising=False)
+def test_affinity_queue_prefers_same_workload_then_kernel(scheme_kernels):
     points = _mixed_points()
     gsm = parallel._workload_key(points[0])
     adpcm = parallel._workload_key(points[1])
@@ -158,9 +139,7 @@ def test_affinity_queue_prefers_same_workload_then_kernel(
     assert queue.pop() is None and len(queue) == 0
 
 
-def test_affinity_queue_spreads_distinct_workloads(
-        monkeypatch, scheme_kernels):
-    monkeypatch.delenv(parallel.NO_AFFINITY_ENV, raising=False)
+def test_affinity_queue_spreads_distinct_workloads(scheme_kernels):
     points = _mixed_points()
     gsm = parallel._workload_key(points[0])
     adpcm = parallel._workload_key(points[1])
@@ -176,20 +155,34 @@ def test_affinity_queue_spreads_distinct_workloads(
     assert parallel._workload_key(points[index]) == adpcm
 
 
-def test_affinity_queue_fifo_under_kill_switch(monkeypatch, scheme_kernels):
-    monkeypatch.setenv(parallel.NO_AFFINITY_ENV, "1")
-    points = _mixed_points()
-    queue = parallel._AffinityQueue(points)
-    for index in range(5):
-        queue.push(index, attempt=index % 2)
-    gsm = parallel._workload_key(points[0])
-    popped = [queue.pop(gsm, "sharing") for _ in range(5)]
-    assert popped == [(0, 0), (1, 1), (2, 0), (3, 1), (4, 0)]
-    assert queue.pop() is None
+def test_scheduler_core_retries_expires_and_resolves_once(scheme_kernels):
+    points = _mixed_points()[:2]  # gsm/sharing, adpcm/sharing
+    finished = []
+    core = parallel._Scheduler(points, [0, 1],
+                               lambda i, r: finished.append((i, r)),
+                               retries=1, retry_delay=0.0)
+    first = core.lease("w0", ttl=None)
+    second = core.lease("w1", ttl=0.0)  # steered off w0's workload
+    assert (first.index, first.attempt, second.index) == (0, 1, 1)
+    assert core.lease("w2", ttl=None) is None  # nothing ready
+
+    assert core.expire(time.monotonic()) == [second]  # only bounded leases
+    assert core.settle(first, error="crash")  # retry granted
+    retry = core.lease("w0", ttl=None)
+    assert (retry.index, retry.attempt) == (0, 2)
+    huge = "x" * (4 * parallel.ERROR_LIMIT)
+    assert not core.settle(retry, error=huge)  # retries spent
+    (index, failed), = finished
+    assert index == 0 and failed.attempts == 2
+    assert len(failed.error) <= parallel.ERROR_LIMIT
+    assert not core.leases
+
+    assert not core.resolve(0, PointResult(points[0]))  # first wins
+    assert core.resolve(1, PointResult(points[1]))
+    assert not core.unresolved and len(finished) == 2
 
 
-def test_affinity_queue_carries_retry_attempts(monkeypatch, scheme_kernels):
-    monkeypatch.delenv(parallel.NO_AFFINITY_ENV, raising=False)
+def test_affinity_queue_carries_retry_attempts(scheme_kernels):
     points = _mixed_points()
     queue = parallel._AffinityQueue(points)
     queue.push(0, attempt=0)
@@ -203,8 +196,7 @@ def test_affinity_queue_carries_retry_attempts(monkeypatch, scheme_kernels):
 def trace_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_TRACE_FORMAT", "binary")
-    for env in (parallel.NO_SHM_ENV, parallel.NO_AFFINITY_ENV,
-                "REPRO_NO_TRACE_CACHE"):
+    for env in (parallel.NO_SHM_ENV, "REPRO_NO_TRACE_CACHE"):
         monkeypatch.delenv(env, raising=False)
     reset_trace_memo()
     yield
@@ -334,31 +326,29 @@ def test_broadcast_survives_worker_killed_right_after_attach(trace_env):
 
 
 # ------------------------------------------------------- end-to-end identity
-@pytest.mark.parametrize("jobs,fmt,shm,affinity", [
-    (2, "binary", True, True),    # full data plane
-    (2, "binary", False, False),  # binary codec, broadcast off
-    (2, "jsonl", False, False),   # legacy interchange path
-    (1, "jsonl", False, False),   # serial legacy
+@pytest.mark.parametrize("jobs,fmt,shm", [
+    (2, "binary", True),    # full data plane
+    (2, "binary", False),   # binary codec, broadcast off
+    (2, "jsonl", False),    # legacy interchange path
+    (1, "jsonl", False),    # serial legacy
 ], ids=["dataplane", "binary-noshm", "legacy-jobs2", "legacy-serial"])
 def test_results_identical_across_data_plane_configs(
-        tmp_path, monkeypatch, jobs, fmt, shm, affinity):
+        tmp_path, monkeypatch, jobs, fmt, shm):
     points = _points(2, insts=800) + _points(2, insts=800, scheme="sharing")
 
-    def run(jobs, fmt, shm, affinity, subdir):
+    def run(jobs, fmt, shm, subdir):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / subdir))
         monkeypatch.setenv("REPRO_TRACE_FORMAT", fmt)
-        for env, on in ((parallel.NO_SHM_ENV, not shm),
-                        (parallel.NO_AFFINITY_ENV, not affinity)):
-            if on:
-                monkeypatch.setenv(env, "1")
-            else:
-                monkeypatch.delenv(env, raising=False)
+        if shm:
+            monkeypatch.delenv(parallel.NO_SHM_ENV, raising=False)
+        else:
+            monkeypatch.setenv(parallel.NO_SHM_ENV, "1")
         monkeypatch.delenv("REPRO_NO_TRACE_CACHE", raising=False)
         reset_trace_memo()
         results = run_points(points, jobs=jobs)
         assert all(r.ok for r in results)
         return [r.stats.to_dict() for r in results]
 
-    reference = run(1, "binary", False, False, "ref")
-    assert run(jobs, fmt, shm, affinity, "case") == reference
+    reference = run(1, "binary", False, "ref")
+    assert run(jobs, fmt, shm, "case") == reference
     assert not parallel._SHM_WORKLOADS  # nothing leaked either way

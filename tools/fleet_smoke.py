@@ -123,9 +123,9 @@ def main() -> None:
         deadline = time.monotonic() + 20.0
         while time.monotonic() < deadline:
             with coordinator._lock:
-                holding = any(lease.worker == f"smoke-w{KILLED_SLOT}"
-                              for lease in coordinator._leases.values())
-            if holding:
+                leases = list(coordinator.scheduler.leases.values())
+            if any(lease.worker == f"smoke-w{KILLED_SLOT}"
+                   for lease in leases):
                 os.kill(processes[KILLED_SLOT].pid, signal.SIGKILL)
                 kill_done.set()
                 return

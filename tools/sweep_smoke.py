@@ -5,9 +5,8 @@ Drives a small figure grid through every data-plane configuration and
 asserts the determinism contract end to end:
 
 * serial (jobs=1), parallel with the full data plane (binary codec +
-  shared-memory broadcast + affinity scheduling) and parallel with the
-  legacy path (gzip JSON-lines, no broadcast, FIFO dispatch) all produce
-  bit-identical per-point stats;
+  shared-memory broadcast) and parallel with the legacy path (gzip
+  JSON-lines, no broadcast) all produce bit-identical per-point stats;
 * the shared-memory broadcast actually engages (one segment per distinct
   workload) and leaves nothing behind after the sweep;
 * the binary trace cache is populated cold and served warm.
@@ -43,10 +42,9 @@ def _grid() -> list[SweepPoint]:
             for size in (48, 96)]
 
 
-def _run(points, jobs, trace_dir, fmt, shm, affinity):
+def _run(points, jobs, trace_dir, fmt, shm):
     env = {"REPRO_TRACE_DIR": str(trace_dir), "REPRO_TRACE_FORMAT": fmt,
-           "REPRO_NO_SHM": "" if shm else "1",
-           "REPRO_NO_AFFINITY": "" if affinity else "1"}
+           "REPRO_NO_SHM": "" if shm else "1"}
     saved = {key: os.environ.get(key) for key in env}
     try:
         for key, value in env.items():
@@ -86,11 +84,11 @@ def main() -> int:
     try:
         with tempfile.TemporaryDirectory(prefix="repro-sweep-smoke-") as tmp:
             serial_wall, serial = _run(points, 1, tmp + "/s", "binary",
-                                       shm=False, affinity=False)
+                                       shm=False)
             plane_wall, plane = _run(points, 2, tmp + "/p", "binary",
-                                     shm=True, affinity=True)
+                                     shm=True)
             legacy_wall, legacy = _run(points, 2, tmp + "/l", "jsonl",
-                                       shm=False, affinity=False)
+                                       shm=False)
 
             if not (serial == plane == legacy):
                 print("FAIL: serial / data-plane / legacy results diverge")
