@@ -3,11 +3,10 @@
 PYTHON ?= python
 JOBS ?= 4
 
-.PHONY: install test bench bench-parallel bench-full bench-floor \
-	bench-sweep-floor sample-bench repro examples cache-smoke \
-	sampling-smoke kernel-smoke ports-smoke sweep-smoke verify fuzz \
-	fuzz-smoke faults-smoke faults fleet-smoke fleet-chaos golden \
-	lint-goldens clean
+.PHONY: install test bench bench-parallel bench-full repro examples \
+	cache-smoke sampling-smoke kernel-smoke ports-smoke sweep-smoke \
+	verify fuzz fuzz-smoke faults-smoke faults fleet-smoke fleet-chaos \
+	golden lint-goldens clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -43,7 +42,7 @@ ports-smoke:
 	$(PYTHON) tools/ports_smoke.py
 
 # sweep data plane: small grid bit-identical across serial, shared-memory
-# parallel and legacy jsonl paths; broadcast engages and leaks nothing
+# parallel and no-broadcast parallel runs; broadcast engages, leaks nothing
 sweep-smoke:
 	$(PYTHON) tools/sweep_smoke.py
 
@@ -102,23 +101,6 @@ golden:
 	PYTHONPATH=src $(PYTHON) tests/test_golden.py regen
 
 lint-goldens: golden
-
-# cycle-loop throughput gate: fail if the sharing scheme drops >25% below
-# the committed BENCH_cycleloop.json record, or if interval sampling no
-# longer runs >= 3x faster than exact simulation
-bench-floor:
-	PYTHONPATH=src $(PYTHON) -m repro bench --quick --out bench-quick.json
-
-# sweep data-plane gate: binary decode must stay >= 5x JSON-lines per
-# pass, the sampled grid's cold-cache wall-clock >= 2x the legacy path,
-# and results bit-identical across jobs/shm/codec configurations
-bench-sweep-floor:
-	PYTHONPATH=src $(PYTHON) -m repro bench sweep --quick --out bench-sweep.json
-
-# sampled-simulation gate: columnar skim >= 5x the per-inst path, no
-# scheme's end-to-end sampled run slower than materializing everything
-sample-bench:
-	PYTHONPATH=src $(PYTHON) -m repro bench sample --quick --out bench-sampling.json
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

@@ -4,9 +4,6 @@ Usage::
 
     python -m repro run PROGRAM.s [--scheme sharing] [--int-regs 64] ...
     python -m repro bench NAME [--scheme ...] [--insts 20000] ...
-    python -m repro bench [--quick]    # cycle-loop throughput benchmark
-    python -m repro bench sweep [--quick] [--jobs 4]  # sweep data plane
-    python -m repro bench sample [--quick]  # sampled-simulation throughput
     python -m repro profile sharing:hmmer:10000 [--top 15] [--out p.pstats]
     python -m repro profile sharing:hmmer:20000 --sampled  # phase breakdown
     python -m repro compare NAME [--sizes 48,64,96] [--insts 10000]
@@ -19,16 +16,12 @@ Usage::
     python -m repro faults [--injections 200] [--seed 0] [--out REPORT.json]
 
 ``run`` executes an assembly file through the timing pipeline; ``bench``
-runs one synthetic benchmark profile — or, with no name, the cycle-loop
-throughput benchmark behind ``BENCH_cycleloop.json``, or, with the name
-``sweep``, the sweep data-plane benchmark behind ``BENCH_sweep.json``
-(:mod:`repro.harness.bench_sweep`), or, with the name ``sample``, the
-sampled-simulation benchmark behind ``BENCH_sampling.json``
-(:mod:`repro.harness.bench_sampling`); ``compare`` sweeps
-register-file sizes for baseline vs proposed; ``figures`` regenerates the
-paper's tables/figures; ``motivation`` prints the dataflow analysis;
-``profile`` wraps one simulation point in cProfile (``run`` and ``verify``
-also take ``--profile PATH``).
+runs one synthetic benchmark profile (the performance benchmark of the
+paper-figure job lives in the repository's ``bench/`` directory);
+``compare`` sweeps register-file sizes for baseline vs proposed;
+``figures`` regenerates the paper's tables/figures; ``motivation``
+prints the dataflow analysis; ``profile`` wraps one simulation point in
+cProfile (``run`` and ``verify`` also take ``--profile PATH``).
 
 ``verify`` runs every kernel through the pipeline in lockstep with the
 in-order golden model (the commit-time differential oracle,
@@ -230,12 +223,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.name is None:
-        return _cmd_bench_cycleloop(args)
-    if args.name == "sweep":
-        return _cmd_bench_sweep(args)
-    if args.name == "sample":
-        return _cmd_bench_sample(args)
     if args.name not in BENCHMARKS:
         print(f"unknown benchmark {args.name!r}; use one of: "
               f"{', '.join(sorted(BENCHMARKS))}", file=sys.stderr)
@@ -247,118 +234,6 @@ def cmd_bench(args) -> int:
                      max_insts=args.insts if sampling else None,
                      sampling=sampling, sampling_seed=args.seed)
     _print_stats(stats, args.detailed)
-    return 0
-
-
-def _cmd_bench_cycleloop(args) -> int:
-    """``repro bench`` with no profile name: the cycle-loop throughput
-    benchmark behind BENCH_cycleloop.json (see repro.harness.bench)."""
-    import json
-    from pathlib import Path
-
-    from repro.harness import bench
-
-    record = bench.load_record()
-    current = bench.run_bench(quick=args.quick, seed=args.seed)
-    for line in bench.diff_against(record, current):
-        print(line)
-
-    if args.quick:
-        # quick mode (CI): never touch the committed record; write the
-        # artifact elsewhere and enforce the throughput floor
-        out = Path(args.out or "bench-quick.json")
-        out.write_text(json.dumps({"current": current}, indent=2,
-                                  sort_keys=True) + "\n")
-        print(f"results written to {out}", file=sys.stderr)
-        if not args.no_floor:
-            ok, message = bench.check_floor(record, current,
-                                            tolerance=args.floor_tolerance)
-            print(message)
-            sampled_ok, sampled_message = bench.check_sampled_floor(
-                current, floor=args.sampled_floor)
-            print(sampled_message)
-            if not (ok and sampled_ok):
-                return 1
-        return 0
-
-    out = Path(args.out) if args.out else bench.DEFAULT_PATH
-    bench.write_record(current, path=out)
-    print(f"results written to {out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_sweep(args) -> int:
-    """``repro bench sweep``: the sweep data-plane benchmark behind
-    BENCH_sweep.json (see repro.harness.bench_sweep)."""
-    import json
-    from pathlib import Path
-
-    from repro.harness import bench_sweep
-
-    record = bench_sweep.load_record()
-    current = bench_sweep.run_bench(quick=args.quick, jobs=args.jobs,
-                                    seed=args.seed)
-    for line in bench_sweep.diff_against(record, current):
-        print(line)
-
-    if args.quick:
-        # quick mode (CI): never touch the committed record; write the
-        # artifact elsewhere and enforce the data-plane floors
-        out = Path(args.out or "bench-sweep.json")
-        out.write_text(json.dumps({"current": current}, indent=2,
-                                  sort_keys=True) + "\n")
-        print(f"results written to {out}", file=sys.stderr)
-        if not args.no_floor:
-            decode_ok, decode_message = bench_sweep.check_decode_floor(
-                current, floor=args.decode_floor)
-            print(decode_message)
-            sweep_ok, sweep_message = bench_sweep.check_sweep_floor(
-                current, floor=args.sweep_floor)
-            print(sweep_message)
-            if not (decode_ok and sweep_ok):
-                return 1
-        return 0
-
-    out = Path(args.out) if args.out else bench_sweep.DEFAULT_PATH
-    bench_sweep.write_record(current, path=out)
-    print(f"results written to {out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_sample(args) -> int:
-    """``repro bench sample``: the sampled-simulation benchmark behind
-    BENCH_sampling.json (see repro.harness.bench_sampling)."""
-    import json
-    from pathlib import Path
-
-    from repro.harness import bench_sampling
-
-    record = bench_sampling.load_record()
-    current = bench_sampling.run_bench(quick=args.quick, seed=args.seed)
-    for line in bench_sampling.diff_against(record, current):
-        print(line)
-
-    if args.quick:
-        # quick mode (CI): never touch the committed record; write the
-        # artifact elsewhere and enforce the columnar floors
-        out = Path(args.out or "bench-sampling.json")
-        out.write_text(json.dumps({"current": current}, indent=2,
-                                  sort_keys=True) + "\n")
-        print(f"results written to {out}", file=sys.stderr)
-        if not args.no_floor:
-            skim_ok, skim_message = bench_sampling.check_skim_floor(
-                current, floor=args.skim_floor)
-            print(skim_message)
-            e2e_ok, e2e_message = bench_sampling.check_e2e_floor(
-                current, floor=args.e2e_floor)
-            print(e2e_message)
-            if not (skim_ok and e2e_ok):
-                return 1
-        return 0
-
-    out = Path(args.out) if args.out else bench_sampling.DEFAULT_PATH
-    bench_sampling.write_record(current, path=out)
-    print(f"results written to {out}", file=sys.stderr)
     return 0
 
 
@@ -858,49 +733,10 @@ def build_parser() -> argparse.ArgumentParser:
     _sampling_args(p_run)
     p_run.set_defaults(fn=cmd_run)
 
-    p_bench = sub.add_parser(
-        "bench", help="run one benchmark profile; with no name, run the "
-        "cycle-loop throughput benchmark (BENCH_cycleloop.json); with "
-        "'sweep', run the sweep data-plane benchmark (BENCH_sweep.json); "
-        "with 'sample', run the sampled-simulation benchmark "
-        "(BENCH_sampling.json)")
-    p_bench.add_argument("name", nargs="?", default=None)
+    p_bench = sub.add_parser("bench", help="run one benchmark profile")
+    p_bench.add_argument("name")
     p_bench.add_argument("--insts", type=int, default=20_000)
     p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--quick", action="store_true",
-                         help="cycle-loop bench: smaller run, write the "
-                              "artifact to --out and enforce the "
-                              "throughput floor (CI mode)")
-    p_bench.add_argument("--out", default=None, metavar="PATH",
-                         help="cycle-loop bench: output JSON path")
-    p_bench.add_argument("--no-floor", action="store_true",
-                         help="cycle-loop bench: skip the floor check in "
-                              "--quick mode")
-    p_bench.add_argument("--floor-tolerance", type=float, default=0.35,
-                         help="allowed sharing-scheme throughput drop vs "
-                              "the committed record (default 0.35; the "
-                              "committed numbers come from the 20k-inst "
-                              "full run, and the generated kernel's "
-                              "skip amortisation makes the 8k-inst quick "
-                              "run ~20%% slower per instruction)")
-    p_bench.add_argument("--jobs", type=int, default=4,
-                         help="sweep bench: worker count for the grid "
-                              "measurements (default 4)")
-    p_bench.add_argument("--decode-floor", type=float, default=5.0,
-                         help="sweep bench --quick: minimum binary/jsonl "
-                              "per-pass decode speedup before CI fails")
-    p_bench.add_argument("--sweep-floor", type=float, default=2.0,
-                         help="sweep bench --quick: minimum cold-cache "
-                              "sampled-grid speedup before CI fails")
-    p_bench.add_argument("--sampled-floor", type=float, default=3.0,
-                         help="cycle-loop bench --quick: minimum sampled/"
-                              "exact sharing-scheme speedup (default 3.0)")
-    p_bench.add_argument("--skim-floor", type=float, default=5.0,
-                         help="sample bench --quick: minimum columnar/"
-                              "per-inst skim speedup before CI fails")
-    p_bench.add_argument("--e2e-floor", type=float, default=1.0,
-                         help="sample bench --quick: minimum worst-scheme "
-                              "end-to-end columnar speedup before CI fails")
     _machine_args(p_bench)
     _sampling_args(p_bench)
     p_bench.set_defaults(fn=cmd_bench)

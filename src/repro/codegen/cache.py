@@ -156,7 +156,8 @@ def kernel_for(config, renamer) -> Optional[Callable]:
     virtual dispatch honours their overrides), when the *instance* shadows
     a class method in its ``__dict__`` (monkeypatched hooks like
     ``renamer.write = spy`` would be bypassed by the kernel's inlined
-    fast paths), or when generation/compilation fails for any reason.
+    fast paths).  Generation and compile errors propagate: a broken
+    generator must fail loudly, not silently halve simulation speed.
     """
     if not kernels_enabled():
         return None
@@ -167,7 +168,4 @@ def kernel_for(config, renamer) -> Optional[Callable]:
         for name in vars(renamer):
             if callable(getattr(renamer_cls, name, None)):
                 return None
-    try:
-        return load_kernel(config)
-    except Exception:
-        return None
+    return load_kernel(config)

@@ -52,8 +52,7 @@ class ContentStore:
     """(kind, key) ↔ validated blob bytes, backed by the existing caches.
 
     ``trace`` blobs live in a :class:`~repro.harness.cache.TraceCache`
-    (binary ``.rtc`` entries only — the JSON-lines interchange format is
-    not served over the wire); ``result`` blobs live in a
+    as binary ``.rtc`` entries; ``result`` blobs live in a
     :class:`~repro.harness.cache.ResultCache` as the exact stored JSON
     bytes.  Both sides of a fleet hold one of these over their local
     cache directories; the coordinator's store is what ``blob_get`` /

@@ -21,17 +21,16 @@ one-JSON-file-per-entry under the cache root:
 (profile, insts, seed, body_iters) plus a *generator fingerprint* that
 hashes only the workload-generation modules, so simulator changes do not
 invalidate traces.  Entries are stored in the binary columnar codec
-(:mod:`repro.workloads.trace_codec`, ``.rtc`` files) by default; the
-gzipped JSON-lines container (:mod:`repro.workloads.trace_io` format,
-``.jsonl.gz``) remains as the human-readable interchange and the
-measured legacy comparison path (``REPRO_TRACE_FORMAT=jsonl``).  Both
-live under ``REPRO_TRACE_DIR``, else ``REPRO_CACHE_DIR``/traces, else
-``~/.cache/repro/traces``.  :func:`cached_stream` is the harness entry
-point: cold sweep workers decode a trace from disk (or from the
-parent's shared-memory broadcast, :mod:`repro.harness.parallel`) instead
-of re-running the generator; a process-local LRU (:class:`TraceMemo`,
-sized by ``REPRO_TRACE_MEMO``) keeps the parsed columns of recently
-used workloads so repeat points pay only re-materialization.
+(:mod:`repro.workloads.trace_codec`, ``.rtc`` files) under
+``REPRO_TRACE_DIR``, else ``REPRO_CACHE_DIR``/traces, else
+``~/.cache/repro/traces``; the gzipped JSON-lines format of
+:mod:`repro.workloads.trace_io` is the human-readable interchange, not a
+storage format.  :func:`cached_stream` is the harness entry point: cold
+sweep workers decode a trace from disk (or from the parent's
+shared-memory broadcast, :mod:`repro.harness.parallel`) instead of
+re-running the generator; a process-local LRU (:class:`TraceMemo`, 32
+entries) keeps the parsed columns of recently used workloads so repeat
+points pay only re-materialization.
 
 Corrupted or truncated entries are treated as misses (and removed), never
 as errors.  There is no automatic eviction — result entries are a few KB
@@ -41,9 +40,7 @@ bound, and deleting either directory is always safe.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
-import io
 import json
 import os
 import tempfile
@@ -290,22 +287,6 @@ def generator_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-#: trace storage format: "binary" (columnar codec) | "jsonl" (legacy)
-TRACE_FORMAT_ENV = "REPRO_TRACE_FORMAT"
-
-#: entry bound of the process-local trace memo
-TRACE_MEMO_ENV = "REPRO_TRACE_MEMO"
-
-
-def trace_format() -> str:
-    """``REPRO_TRACE_FORMAT`` env, validated; default ``binary``."""
-    fmt = os.environ.get(TRACE_FORMAT_ENV, "").strip() or "binary"
-    if fmt not in ("binary", "jsonl"):
-        raise ValueError(f"{TRACE_FORMAT_ENV}={fmt!r}: expected "
-                         f"'binary' or 'jsonl'")
-    return fmt
-
-
 def trace_key(profile: WorkloadProfile, insts: int, seed: int,
               body_iters: int = 50,
               fingerprint: Optional[str] = None) -> str:
@@ -349,41 +330,15 @@ class TraceStream:
         return iter(self.columns().materialize())
 
 
-class JsonTraceStream:
-    """Re-iterable JSON-lines trace (legacy/interchange path): every
-    iteration re-decodes the text, so each pass yields fresh
-    :class:`~repro.isa.dyninst.DynInst` objects."""
-
-    def __init__(self, text: str, total_insts: int) -> None:
-        self._text = text
-        self.total_insts = total_insts
-
-    def __iter__(self):
-        from repro.workloads.trace_io import load_trace
-
-        return load_trace(io.StringIO(self._text))
-
-
 class TraceCache:
-    """On-disk pregenerated-trace cache.
-
-    One entry per trace key, stored either as a binary columnar blob
-    (``.rtc``, the default) or as a gzipped JSON-lines container
-    (``.jsonl.gz``, the interchange/legacy format); ``format`` defaults
-    to :func:`trace_format` (``REPRO_TRACE_FORMAT``).  Reads probe the
-    cache's own format first, then fall back to the other, so a cache
-    directory written by the legacy path keeps working after the switch.
-    """
+    """On-disk pregenerated-trace cache: one binary columnar blob
+    (``.rtc``) per trace key."""
 
     def __init__(self, root: Optional[os.PathLike] = None,
-                 fingerprint: Optional[str] = None,
-                 format: Optional[str] = None) -> None:
+                 fingerprint: Optional[str] = None) -> None:
         self.root = Path(root) if root is not None else default_trace_dir()
         self.fingerprint = fingerprint if fingerprint is not None \
             else generator_fingerprint()
-        self.format = format if format is not None else trace_format()
-        if self.format not in ("binary", "jsonl"):
-            raise ValueError(f"unknown trace format {self.format!r}")
         self.hits = 0
         self.misses = 0
 
@@ -391,12 +346,9 @@ class TraceCache:
                 body_iters: int = 50) -> str:
         return trace_key(profile, insts, seed, body_iters, self.fingerprint)
 
-    def _path(self, key: str, format: Optional[str] = None) -> Path:
-        suffix = ".rtc" if (format or self.format) == "binary" \
-            else ".jsonl.gz"
-        return self.root / key[:2] / f"{key}{suffix}"
+    def _path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}.rtc"
 
-    # ------------------------------------------------------------ binary
     def get_blob(self, key: str) -> Optional[bytes]:
         """The stored binary trace blob, or ``None`` on a miss.
 
@@ -407,7 +359,7 @@ class TraceCache:
         """
         from repro.workloads.trace_codec import TraceCodecError, trace_count
 
-        path = self._path(key, "binary")
+        path = self._path(key)
         try:
             blob = path.read_bytes()
             trace_count(blob)  # full header + checksum validation
@@ -422,100 +374,30 @@ class TraceCache:
         return blob
 
     def put_blob(self, key: str, blob: bytes) -> None:
-        atomic_write_bytes(self._path(key, "binary"), blob)
+        atomic_write_bytes(self._path(key), blob)
 
-    # ------------------------------------------------------------- jsonl
-    def get_text(self, key: str) -> Optional[str]:
-        """The stored trace as JSON-lines text, or ``None`` on a miss.
-
-        The first line is a ``{"count": N}`` header; a mismatch between
-        the header and the body (a truncated write that survived
-        compression framing) reads as a miss, like any other corruption.
-        """
-        path = self._path(key, "jsonl")
-        try:
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                header = json.loads(handle.readline())
-                body = handle.read()
-            count = header["count"]
-            if body.count("\n") != count:
-                raise ValueError("trace line count mismatch")
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
-            self.misses += 1
-            _unlink_quietly(path)
-            return None
-        self.hits += 1
-        return body
-
-    def put_text(self, key: str, text: str, count: int) -> None:
-        buffer = io.BytesIO()
-        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
-            handle.write(json.dumps({"count": count}).encode("utf-8"))
-            handle.write(b"\n")
-            handle.write(text.encode("utf-8"))
-        atomic_write_bytes(self._path(key, "jsonl"), buffer.getvalue())
-
-    # ----------------------------------------------------------- streams
-    def get_stream(self, key: str,
-                   insts: int) -> Optional[Union[TraceStream,
-                                                 JsonTraceStream]]:
-        """The cached trace as a re-iterable stream, or ``None``.
-
-        Probes the cache's own format first, then the other format, so
-        mixed-format cache directories never force regeneration.  Only
-        the first probe's miss is counted (the fallback is opportunistic).
-        """
-        if self.format == "binary":
-            blob = self.get_blob(key)
-            if blob is not None:
-                return TraceStream(blob, insts)
-            text = self.get_text(key)
-            if text is not None:
-                self.misses -= 1  # fallback hit, not a real miss
-                return JsonTraceStream(text, insts)
-            self.misses -= 1
-            return None
-        text = self.get_text(key)
-        if text is not None:
-            return JsonTraceStream(text, insts)
+    def get_stream(self, key: str, insts: int) -> Optional[TraceStream]:
+        """The cached trace as a re-iterable stream, or ``None``."""
         blob = self.get_blob(key)
-        if blob is not None:
-            self.misses -= 1
-            return TraceStream(blob, insts)
-        self.misses -= 1
-        return None
+        return None if blob is None else TraceStream(blob, insts)
 
     def put_insts(self, key: str, insts_list: list,
-                  total_insts: int) -> Union[TraceStream, JsonTraceStream]:
-        """Serialize a generated instruction list per the cache format,
-        store it, and return the stream decoded from the stored bytes."""
-        if self.format == "binary":
-            from repro.workloads.trace_codec import TraceCodecError, encode
+                  total_insts: int) -> TraceStream:
+        """Encode a generated instruction list, store it, and return the
+        stream decoded from the stored bytes.  An instruction the codec
+        cannot represent raises
+        :class:`~repro.workloads.trace_codec.TraceCodecError`."""
+        from repro.workloads.trace_codec import encode
 
-            try:
-                blob = encode(insts_list)
-            except TraceCodecError:
-                pass  # unrepresentable trace: fall back to jsonl below
-            else:
-                self.put_blob(key, blob)
-                return TraceStream(blob, total_insts)
-        from repro.workloads.trace_io import save_trace
-
-        buffer = io.StringIO()
-        count = save_trace(iter(insts_list), buffer)
-        text = buffer.getvalue()
-        self.put_text(key, text, count)
-        return JsonTraceStream(text, total_insts)
+        blob = encode(insts_list)
+        self.put_blob(key, blob)
+        return TraceStream(blob, total_insts)
 
     # ------------------------------------------------------- maintenance
     def _entries(self) -> list[Path]:
         if not self.root.is_dir():
             return []
-        return list(self.root.glob("??/*.jsonl.gz")) \
-            + list(self.root.glob("??/*.rtc"))
+        return list(self.root.glob("??/*.rtc"))
 
     def __len__(self) -> int:
         return len(self._entries())
@@ -530,21 +412,17 @@ class TraceCache:
 class TraceMemo:
     """Process-local LRU of decoded trace streams.
 
-    Keyed by (profile, insts, seed, body_iters, format); bounded by
-    ``REPRO_TRACE_MEMO`` (default 32 entries, 0 disables).  Holding the
-    stream object — not just its bytes — keeps a binary stream's parsed
-    columns warm, so a worker revisiting a workload pays only
-    re-materialization.  Hit/miss counters feed the bench report.
+    Keyed by (profile, insts, seed, body_iters); bounded by ``limit``
+    entries (default 32, 0 disables).  Holding the stream object — not
+    just its bytes — keeps a binary stream's parsed columns warm, so a
+    worker revisiting a workload pays only re-materialization.
     """
 
     DEFAULT_LIMIT = 32
 
-    def __init__(self, limit: Optional[int] = None) -> None:
-        if limit is None:
-            raw = os.environ.get(TRACE_MEMO_ENV, "").strip()
-            limit = int(raw) if raw else self.DEFAULT_LIMIT
+    def __init__(self, limit: int = DEFAULT_LIMIT) -> None:
         if limit < 0:
-            raise ValueError(f"{TRACE_MEMO_ENV} must be >= 0, got {limit}")
+            raise ValueError(f"trace memo limit must be >= 0, got {limit}")
         self.limit = limit
         self.hits = 0
         self.misses = 0
@@ -585,10 +463,9 @@ class TraceMemo:
 TRACE_MEMO = TraceMemo()
 
 
-def reset_trace_memo(limit: Optional[int] = None) -> TraceMemo:
-    """Install a fresh :class:`TraceMemo` (re-reading ``REPRO_TRACE_MEMO``
-    unless ``limit`` is given) and return it.  Used by tests and by the
-    bench harness to start from a cold memo."""
+def reset_trace_memo(limit: int = TraceMemo.DEFAULT_LIMIT) -> TraceMemo:
+    """Install a fresh :class:`TraceMemo` and return it.  Used by tests
+    to start from a cold memo."""
     global TRACE_MEMO
     TRACE_MEMO = TraceMemo(limit)
     return TRACE_MEMO
@@ -599,10 +476,10 @@ def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,
     """The workload stream for one sweep point, via the trace cache.
 
     Resolution order: process-local :class:`TraceMemo` -> on-disk trace
-    cache (binary ``.rtc`` by default; see ``REPRO_TRACE_FORMAT``) ->
-    generate (and populate both).  Every path returns a stream decoded
-    from the serialized bytes — never the raw generator — so jobs=1,
-    warm-worker and cold-worker runs all consume byte-identical streams.
+    cache -> generate (and populate both).  Every path returns a stream
+    decoded from the serialized bytes — never the raw generator — so
+    jobs=1, warm-worker and cold-worker runs all consume byte-identical
+    streams.
     Set ``REPRO_NO_TRACE_CACHE=1`` to bypass the cache and use the
     in-memory generator directly.
     """
@@ -611,7 +488,7 @@ def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,
 
         return shared_workload(profile, insts, seed, body_iters)
     trace_cache = cache if cache is not None else TraceCache()
-    memo_key = (profile.name, insts, seed, body_iters, trace_cache.format)
+    memo_key = (profile.name, insts, seed, body_iters)
     stream = TRACE_MEMO.get(memo_key)
     if stream is None:
         key = trace_cache.key_for(profile, insts, seed, body_iters)

@@ -264,7 +264,7 @@ def _attach_shared_workload(point: SweepPoint) -> None:
         return
     from repro.harness.cache import TRACE_MEMO, TraceStream
 
-    memo_key = (point.profile.name, point.insts, point.seed, 50, "binary")
+    memo_key = (point.profile.name, point.insts, point.seed, 50)
     if TRACE_MEMO.get(memo_key) is not None:
         return
     name, size = entry
@@ -313,18 +313,16 @@ class WorkloadBroadcast:
 
     def publish(self, points: list, pending: list[int]) -> None:
         """Publish every distinct pending workload; silently does nothing
-        when disabled (``REPRO_NO_SHM=1``), when traces are bypassed or
-        non-binary, or where shared memory is unavailable."""
+        when disabled (``REPRO_NO_SHM=1``), when traces are bypassed, or
+        where shared memory is unavailable."""
         if os.environ.get(NO_SHM_ENV) or os.environ.get("REPRO_NO_TRACE_CACHE"):
             return
         try:
             from multiprocessing.shared_memory import SharedMemory
         except Exception:  # pragma: no cover - platform without shm
             return
-        from repro.harness.cache import TraceStream, cached_stream, trace_format
+        from repro.harness.cache import cached_stream
 
-        if trace_format() != "binary":
-            return
         refs: dict[tuple, int] = {}
         profiles: dict[tuple, WorkloadProfile] = {}
         for index in pending:
@@ -333,10 +331,7 @@ class WorkloadBroadcast:
             profiles.setdefault(wkey, points[index].profile)
         for wkey, count in refs.items():
             try:
-                stream = cached_stream(profiles[wkey], *wkey[1:])
-                if not isinstance(stream, TraceStream):
-                    continue  # legacy-format entry: disk path still works
-                blob = stream.blob
+                blob = cached_stream(profiles[wkey], *wkey[1:]).blob
                 segment = SharedMemory(create=True, size=max(1, len(blob)))
                 segment.buf[:len(blob)] = blob
             except Exception:

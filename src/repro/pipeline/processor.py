@@ -294,12 +294,12 @@ class Processor:
     def _run_generated(self, max_insts: Optional[int]) -> None:
         """Run the code-generated kernel for this (scheme, config) pair.
 
-        Fallback ladder: generated -> event -> naive.  Kernel *resolution*
-        failures (unknown scheme, subclassed renamer, generation or compile
-        errors) silently fall back to the event loop — same semantics,
-        just slower.  Exceptions raised while a kernel is *running*
-        propagate: simulated state may be mid-cycle, so retrying on a
-        different loop would be wrong.
+        Falls back to the event loop — same semantics, just slower — only
+        for the documented reasons :func:`repro.codegen.kernel_for` gives
+        (kernels disabled, a renamer subclass, a shadowed method).
+        Generation and compile errors propagate, and so do exceptions
+        raised while a kernel is *running*: simulated state may be
+        mid-cycle, so retrying on a different loop would be wrong.
         """
         kernel = self._load_kernel()
         if kernel is None:
@@ -321,10 +321,8 @@ class Processor:
                 gc.enable()
 
     def _load_kernel(self):
-        try:
-            from repro.codegen import kernel_for
-        except Exception:
-            return None
+        from repro.codegen import kernel_for
+
         return kernel_for(self.config, self.renamer)
 
     def _run_event(self, max_insts: Optional[int]) -> None:

@@ -223,7 +223,7 @@ def encode(insts: Iterable[DynInst]) -> bytes:
     """Serialize a trace to the columnar binary format.
 
     Raises :class:`TraceCodecError` for streams the fixed-width columns
-    cannot represent (callers fall back to the JSON-lines container).
+    cannot represent.
     """
     ops = bytearray()
     flags = bytearray()

@@ -17,6 +17,19 @@ def test_bench_unknown_benchmark(capsys):
     assert "unknown benchmark" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["sweep", "sample"])
+def test_bench_retired_harness_names_are_unknown(name, capsys):
+    assert main(["bench", name]) == 1
+    assert "unknown benchmark" in capsys.readouterr().err
+
+
+def test_bench_requires_a_profile_name(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_run_command(tmp_path, capsys):
     program = tmp_path / "prog.s"
     program.write_text(

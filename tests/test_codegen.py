@@ -187,6 +187,23 @@ def test_monkeypatched_renamer_method_falls_back_to_event_loop():
     assert seen, "the patched write hook must actually be exercised"
 
 
+def test_generator_error_propagates(monkeypatch):
+    """Only the documented reasons fall back to the event loop; a broken
+    generator must fail the simulation instead of silently halving its
+    speed."""
+    import repro.codegen.cache as codegen_cache
+    from repro.pipeline.processor import simulate
+
+    def broken(config):
+        raise AssertionError("generator bug")
+
+    monkeypatch.setattr(codegen_cache, "generate_kernel_source", broken)
+    program = generate(0, size=30).build()
+    config = MachineConfig(scheme="sharing", verify_values=False)
+    with pytest.raises(AssertionError, match="generator bug"):
+        simulate(config, program)
+
+
 def test_generated_matches_event_without_hooks():
     """No on_commit hook => the kernel takes its inline fast-commit path;
     it must still report identical stats to the event loop."""

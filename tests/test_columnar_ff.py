@@ -13,7 +13,7 @@ fast-forward calls.  Hypothesis drives random traces and random
 interleavings at that contract; separate pins check
 :class:`~repro.pipeline.stats.SampledStats` equality end-to-end through
 :func:`~repro.sampling.engine.sampled_simulate` for every scheme,
-including the JSON-lines fallback stream and the NumPy kill switch.
+including a column-less instruction list and the NumPy kill switch.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.frontend.branch_predictor import BranchUnit
-from repro.harness.cache import JsonTraceStream, TraceStream
+from repro.harness.cache import TraceStream
 from repro.harness.runner import make_config
 from repro.sampling import as_schedule, sampled_simulate
 from repro.sampling.engine import _ColumnarSource, _SampledSource
@@ -31,7 +31,7 @@ from repro.sampling.warmer import FunctionalWarmer
 from repro.workloads import trace_codec
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import BENCHMARKS
-from repro.workloads.trace_io import save_trace
+from repro.workloads.trace_io import load_trace, save_trace
 
 _SCHEMES = ("conventional", "early", "sharing", "hinted")
 
@@ -167,14 +167,16 @@ def test_sampled_stats_identical_columnar_vs_per_inst(scheme):
 
 
 def test_jsonl_fallback_stream_matches_columnar():
-    """A JSON-lines stream has no columns — it must run the per-inst
+    """A plain instruction list (here decoded from the JSON-lines
+    interchange format) has no columns — it must run the per-inst
     fallback and still produce the identical estimate."""
     profile = BENCHMARKS["gsm"]
     n = 5000
     insts = list(SyntheticWorkload(profile, total_insts=n, seed=2))
     text = io.StringIO()
     save_trace(iter(insts), text)
-    jsonl = JsonTraceStream(text.getvalue(), n)
+    text.seek(0)
+    jsonl = list(load_trace(text))
     binary = TraceStream(trace_codec.encode(insts), n)
 
     config = make_config(profile, "sharing", 64)

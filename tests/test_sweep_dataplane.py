@@ -3,9 +3,9 @@
 These pin the three mechanisms behind the sweep data plane at the unit
 level — the O(1) fsync'd journal append (with bounded compaction), the
 affinity dispatch queue, and the shared-memory workload broadcast
-lifecycle — plus a pytest-level bit-identity matrix across jobs, codec
-format and broadcast on/off.  End-to-end wall-clock is covered by
-``tools/sweep_smoke.py`` and ``repro bench sweep``.
+lifecycle — plus a pytest-level bit-identity matrix across jobs and
+broadcast on/off.  End-to-end identity is also covered by
+``tools/sweep_smoke.py``; wall-clock by the ``bench/`` suite.
 """
 
 import json
@@ -195,7 +195,6 @@ def test_affinity_queue_carries_retry_attempts(scheme_kernels):
 @pytest.fixture()
 def trace_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-    monkeypatch.setenv("REPRO_TRACE_FORMAT", "binary")
     for env in (parallel.NO_SHM_ENV, "REPRO_NO_TRACE_CACHE"):
         monkeypatch.delenv(env, raising=False)
     reset_trace_memo()
@@ -236,8 +235,7 @@ def test_attach_seeds_trace_memo_from_segment(trace_env):
         assert len(parallel._SHM_WORKLOADS) == 1
         reset_trace_memo()  # simulate a cold fork-started worker
         parallel._attach_shared_workload(point)
-        memo_key = (point.profile.name, point.insts, point.seed, 50,
-                    "binary")
+        memo_key = (point.profile.name, point.insts, point.seed, 50)
         stream = cache_mod.TRACE_MEMO.get(memo_key)
         assert stream is not None
         assert sum(1 for _ in stream) == point.insts
@@ -250,7 +248,7 @@ def test_attach_without_publication_is_a_noop(trace_env):
     point = _points(1, insts=800)[0]
     assert not parallel._SHM_WORKLOADS
     parallel._attach_shared_workload(point)
-    memo_key = (point.profile.name, point.insts, point.seed, 50, "binary")
+    memo_key = (point.profile.name, point.insts, point.seed, 50)
     # falls back to the disk path
     assert cache_mod.TRACE_MEMO.get(memo_key) is None
 
@@ -263,14 +261,6 @@ def test_kill_switches_disable_publish(trace_env, monkeypatch, env):
     broadcast.publish([point], [0])
     assert not parallel._SHM_WORKLOADS
     assert broadcast.stats() == {"segments": 0, "published_bytes": 0}
-
-
-def test_jsonl_format_disables_publish(trace_env, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_FORMAT", "jsonl")
-    point = _points(1, insts=800)[0]
-    broadcast = WorkloadBroadcast()
-    broadcast.publish([point], [0])
-    assert not parallel._SHM_WORKLOADS
 
 
 def _attach_then_hang(point, conn):
@@ -326,19 +316,17 @@ def test_broadcast_survives_worker_killed_right_after_attach(trace_env):
 
 
 # ------------------------------------------------------- end-to-end identity
-@pytest.mark.parametrize("jobs,fmt,shm", [
-    (2, "binary", True),    # full data plane
-    (2, "binary", False),   # binary codec, broadcast off
-    (2, "jsonl", False),    # legacy interchange path
-    (1, "jsonl", False),    # serial legacy
-], ids=["dataplane", "binary-noshm", "legacy-jobs2", "legacy-serial"])
+@pytest.mark.parametrize("jobs,shm", [
+    (2, True),    # full data plane
+    (2, False),   # broadcast off: workers read the trace cache
+    (1, True),    # serial: the broadcast never engages
+], ids=["dataplane", "binary-noshm", "binary-serial"])
 def test_results_identical_across_data_plane_configs(
-        tmp_path, monkeypatch, jobs, fmt, shm):
+        tmp_path, monkeypatch, jobs, shm):
     points = _points(2, insts=800) + _points(2, insts=800, scheme="sharing")
 
-    def run(jobs, fmt, shm, subdir):
+    def run(jobs, shm, subdir):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / subdir))
-        monkeypatch.setenv("REPRO_TRACE_FORMAT", fmt)
         if shm:
             monkeypatch.delenv(parallel.NO_SHM_ENV, raising=False)
         else:
@@ -349,6 +337,6 @@ def test_results_identical_across_data_plane_configs(
         assert all(r.ok for r in results)
         return [r.stats.to_dict() for r in results]
 
-    reference = run(1, "binary", False, "ref")
-    assert run(jobs, fmt, shm, "case") == reference
+    reference = run(1, False, "ref")
+    assert run(jobs, shm, "case") == reference
     assert not parallel._SHM_WORKLOADS  # nothing leaked either way

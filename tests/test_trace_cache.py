@@ -3,8 +3,8 @@
 import pytest
 
 import repro.harness.cache as cache_mod
-from repro.harness.cache import (JsonTraceStream, TraceCache, TraceMemo,
-                                 TraceStream, cached_stream)
+from repro.harness.cache import (TraceCache, TraceMemo, TraceStream,
+                                 cached_stream)
 from repro.harness.runner import make_config
 from repro.pipeline.processor import simulate
 from repro.workloads.generator import SyntheticWorkload, shared_workload
@@ -54,9 +54,8 @@ def test_stream_yields_fresh_objects_each_pass(tmp_path):
     assert all(a is not b for a, b in zip(first, second))
 
 
-@pytest.mark.parametrize("fmt", ["binary", "jsonl"])
-def test_roundtrip_simulation_is_bit_identical(tmp_path, fmt):
-    cache = TraceCache(tmp_path, fingerprint="fp", format=fmt)
+def test_roundtrip_simulation_is_bit_identical(tmp_path):
+    cache = TraceCache(tmp_path, fingerprint="fp")
     config = make_config(PROFILE, "sharing", 48)
     via_trace = simulate(
         config, iter(cached_stream(PROFILE, 2000, seed=1, cache=cache)))
@@ -65,35 +64,8 @@ def test_roundtrip_simulation_is_bit_identical(tmp_path, fmt):
     assert via_trace.to_dict() == via_generator.to_dict()
 
 
-def test_binary_and_jsonl_streams_are_equivalent(tmp_path):
-    binary = TraceCache(tmp_path / "b", fingerprint="fp", format="binary")
-    jsonl = TraceCache(tmp_path / "j", fingerprint="fp", format="jsonl")
-    via_binary = cached_stream(PROFILE, 800, seed=3, cache=binary)
-    cache_mod.TRACE_MEMO.clear()
-    via_jsonl = cached_stream(PROFILE, 800, seed=3, cache=jsonl)
-    assert isinstance(via_binary, TraceStream)
-    assert isinstance(via_jsonl, JsonTraceStream)
-    for a, b in zip(via_binary, via_jsonl):
-        assert (a.seq, a.pc, a.op, a.dest, a.srcs, a.imm, a.result) == \
-            (b.seq, b.pc, b.op, b.dest, b.srcs, b.imm, b.result)
-
-
-def test_format_fallback_reads_other_formats_entry(tmp_path):
-    # a cache dir written by the legacy jsonl path keeps serving after
-    # the default switches to binary — no forced regeneration
-    jsonl = TraceCache(tmp_path, fingerprint="fp", format="jsonl")
-    cached_stream(PROFILE, 300, seed=1, cache=jsonl)
-    cache_mod.TRACE_MEMO.clear()
-
-    binary = TraceCache(tmp_path, fingerprint="fp", format="binary")
-    stream = cached_stream(PROFILE, 300, seed=1, cache=binary)
-    assert isinstance(stream, JsonTraceStream)
-    assert binary.hits == 1 and binary.misses == 0
-    assert len(binary._entries()) == 1  # nothing regenerated
-
-
 def test_corrupt_binary_entry_is_a_miss_and_removed(tmp_path):
-    cache = TraceCache(tmp_path, fingerprint="fp", format="binary")
+    cache = TraceCache(tmp_path, fingerprint="fp")
     key = cache.key_for(PROFILE, 400, 1)
     cached_stream(PROFILE, 400, seed=1, cache=cache)
     path = cache._path(key)
@@ -110,30 +82,34 @@ def test_corrupt_binary_entry_is_a_miss_and_removed(tmp_path):
     assert sum(1 for _ in stream) == 400
 
 
-def test_corrupt_jsonl_entry_is_a_miss_and_removed(tmp_path):
-    cache = TraceCache(tmp_path, fingerprint="fp", format="jsonl")
-    key = cache.key_for(PROFILE, 400, 1)
-    cached_stream(PROFILE, 400, seed=1, cache=cache)
-    path = cache._path(key)
-    assert path.is_file()
-
-    path.write_bytes(b"not gzip at all")
-    assert cache.get_text(key) is None
-    assert not path.exists()
-
-
 def test_truncated_body_is_a_miss(tmp_path):
-    cache = TraceCache(tmp_path, fingerprint="fp", format="jsonl")
+    cache = TraceCache(tmp_path, fingerprint="fp")
     key = cache.key_for(PROFILE, 100, 1)
     cached_stream(PROFILE, 100, seed=1, cache=cache)
-    text = cache.get_text(key)
-    assert text is not None
+    blob = cache.get_blob(key)
+    assert blob is not None
 
-    # header claims more lines than the body carries -> stale/truncated
-    half = "".join(text.splitlines(keepends=True)[:50])
-    cache.put_text(key, half, count=100)
-    assert cache.get_text(key) is None
+    # a torn write that kept the header but lost part of the payload
+    cache.put_blob(key, blob[:len(blob) // 2])
+    assert cache.get_blob(key) is None
     assert not cache._path(key).exists()
+
+
+def test_jsonl_entry_is_neither_served_nor_counted(tmp_path):
+    # a gzip JSON-lines file left by an older version of the cache is
+    # not a trace-cache entry: the binary entry is generated beside it
+    cache = TraceCache(tmp_path, fingerprint="fp")
+    key = cache.key_for(PROFILE, 300, 1)
+    stale = tmp_path / key[:2] / f"{key}.jsonl.gz"
+    stale.parent.mkdir(parents=True)
+    stale.write_bytes(b"\x1f\x8b legacy entry")
+    assert len(cache) == 0
+
+    stream = cached_stream(PROFILE, 300, seed=1, cache=cache)
+    assert isinstance(stream, TraceStream)
+    assert cache.hits == 0 and cache.misses == 1
+    assert cache._path(key).is_file()
+    assert len(cache) == 1
 
 
 def test_env_kill_switch_bypasses_cache(tmp_path, monkeypatch):
@@ -143,19 +119,6 @@ def test_env_kill_switch_bypasses_cache(tmp_path, monkeypatch):
     assert not isinstance(stream, TraceStream)
     assert stream is shared_workload(PROFILE, 200, 1, 50)
     assert len(TraceCache(tmp_path)) == 0
-
-
-def test_env_format_selects_jsonl(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_FORMAT", "jsonl")
-    cache = TraceCache(tmp_path, fingerprint="fp")
-    assert cache.format == "jsonl"
-    stream = cached_stream(PROFILE, 200, seed=1, cache=cache)
-    assert isinstance(stream, JsonTraceStream)
-    assert cache._path(cache.key_for(PROFILE, 200, 1)).is_file()
-
-    monkeypatch.setenv("REPRO_TRACE_FORMAT", "sideways")
-    with pytest.raises(ValueError):
-        TraceCache(tmp_path, fingerprint="fp")
 
 
 def test_memo_serves_repeat_lookups_without_disk(tmp_path):
@@ -168,7 +131,7 @@ def test_memo_serves_repeat_lookups_without_disk(tmp_path):
     assert cache_mod.TRACE_MEMO.misses == 1
 
 
-def test_memo_is_a_bounded_lru(monkeypatch, tmp_path):
+def test_memo_is_a_bounded_lru():
     memo = TraceMemo(limit=2)
     memo.put(("a",), "A")
     memo.put(("b",), "B")
@@ -178,8 +141,7 @@ def test_memo_is_a_bounded_lru(monkeypatch, tmp_path):
     assert len(memo) == 2
     assert memo.stats()["hits"] == 1
 
-    monkeypatch.setenv("REPRO_TRACE_MEMO", "7")
-    assert TraceMemo().limit == 7
+    assert TraceMemo().limit == TraceMemo.DEFAULT_LIMIT
     with pytest.raises(ValueError):
         TraceMemo(limit=-1)
 

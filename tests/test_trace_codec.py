@@ -175,7 +175,7 @@ def test_version_skew_is_loud():
     bytes(len(_BASE_BLOB)),
 ], ids=["empty", "garbage", "truncated", "version-skew", "zeroed"])
 def test_bad_blobs_read_as_cache_misses(tmp_path, blob):
-    cache = TraceCache(tmp_path, fingerprint="fp", format="binary")
+    cache = TraceCache(tmp_path, fingerprint="fp")
     key = cache.key_for(BENCHMARKS["gsm"], 16, 1)
     path = cache._path(key)
     path.parent.mkdir(parents=True, exist_ok=True)

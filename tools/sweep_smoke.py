@@ -4,16 +4,16 @@
 Drives a small figure grid through every data-plane configuration and
 asserts the determinism contract end to end:
 
-* serial (jobs=1), parallel with the full data plane (binary codec +
-  shared-memory broadcast) and parallel with the legacy path (gzip
-  JSON-lines, no broadcast) all produce bit-identical per-point stats;
+* serial (jobs=1), parallel with the full data plane (shared-memory
+  broadcast) and parallel with the broadcast off (workers read the
+  binary trace cache) all produce bit-identical per-point stats;
 * the shared-memory broadcast actually engages (one segment per distinct
   workload) and leaves nothing behind after the sweep;
 * the binary trace cache is populated cold and served warm.
 
-Writes a small bench JSON (decode + grid timings, for the CI artifact)
-to the path given as argv[1], if any.  Exits non-zero with a diagnostic
-on any violation.
+Writes a small JSON report (grid timings, for the CI artifact) to the
+path given as argv[1], if any.  Exits non-zero with a diagnostic on any
+violation.
 """
 
 import json
@@ -29,7 +29,6 @@ except ImportError:  # fall back to a source checkout
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import repro.harness.parallel as parallel_mod
-from repro.harness.bench_sweep import bench_decode
 from repro.harness.cache import TraceCache, reset_trace_memo
 from repro.harness.parallel import SweepPoint, WorkloadBroadcast, run_points
 from repro.workloads.profiles import BENCHMARKS
@@ -42,8 +41,8 @@ def _grid() -> list[SweepPoint]:
             for size in (48, 96)]
 
 
-def _run(points, jobs, trace_dir, fmt, shm):
-    env = {"REPRO_TRACE_DIR": str(trace_dir), "REPRO_TRACE_FORMAT": fmt,
+def _run(points, jobs, trace_dir, shm):
+    env = {"REPRO_TRACE_DIR": str(trace_dir),
            "REPRO_NO_SHM": "" if shm else "1"}
     saved = {key: os.environ.get(key) for key in env}
     try:
@@ -83,19 +82,16 @@ def main() -> int:
     WorkloadBroadcast.publish = spying_publish
     try:
         with tempfile.TemporaryDirectory(prefix="repro-sweep-smoke-") as tmp:
-            serial_wall, serial = _run(points, 1, tmp + "/s", "binary",
-                                       shm=False)
-            plane_wall, plane = _run(points, 2, tmp + "/p", "binary",
-                                     shm=True)
-            legacy_wall, legacy = _run(points, 2, tmp + "/l", "jsonl",
-                                       shm=False)
+            serial_wall, serial = _run(points, 1, tmp + "/s", shm=False)
+            plane_wall, plane = _run(points, 2, tmp + "/p", shm=True)
+            noshm_wall, noshm = _run(points, 2, tmp + "/n", shm=False)
 
-            if not (serial == plane == legacy):
-                print("FAIL: serial / data-plane / legacy results diverge")
+            if not (serial == plane == noshm):
+                print("FAIL: serial / data-plane / no-shm results diverge")
                 return 1
             # publish fires once per multi-process run: the data-plane
-            # run broadcasts one segment per workload, the legacy run
-            # (shm disabled) correctly broadcasts none
+            # run broadcasts one segment per workload, the no-shm run
+            # correctly broadcasts none
             if published != [len(workloads), 0]:
                 print(f"FAIL: broadcast published {published} segments "
                       f"across runs, expected [{len(workloads)}, 0]")
@@ -113,14 +109,12 @@ def main() -> int:
     finally:
         WorkloadBroadcast.publish = original_publish
 
-    decode = bench_decode(insts=2_000, reps=2)
     report = {
         "points": len(points),
         "workloads": len(workloads),
         "serial_seconds": round(serial_wall, 3),
         "dataplane_seconds": round(plane_wall, 3),
-        "legacy_seconds": round(legacy_wall, 3),
-        "decode": decode,
+        "noshm_seconds": round(noshm_wall, 3),
         "identical": True,
     }
     if len(sys.argv) > 1:
@@ -129,8 +123,7 @@ def main() -> int:
 
     print(f"sweep smoke OK: {len(points)} points bit-identical across "
           f"serial, 2-job data plane (shm broadcast: {published[0]} "
-          f"segments, 0 leaked) and 2-job legacy jsonl; binary decode "
-          f"{decode['speedup_per_pass']:.1f}x per pass")
+          f"segments, 0 leaked) and 2-job without the broadcast")
     return 0
 
 
