@@ -4,7 +4,7 @@ PYTHON ?= python
 JOBS ?= 4
 
 .PHONY: install test bench bench-parallel bench-full repro examples \
-	cache-smoke sampling-smoke kernel-smoke ports-smoke sweep-smoke \
+	sampling-smoke kernel-smoke ports-smoke sweep-smoke \
 	verify fuzz fuzz-smoke faults-smoke faults fleet-smoke fleet-chaos \
 	golden lint-goldens clean
 
@@ -19,13 +19,10 @@ bench:
 
 # sweep grids fan out over $(JOBS) worker processes, warm runs hit the cache
 bench-parallel:
-	REPRO_JOBS=$(JOBS) REPRO_CACHE=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_JOBS=$(JOBS) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-full:
 	REPRO_SCALE=full $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-cache-smoke:
-	$(PYTHON) tools/cache_smoke.py
 
 # interval-sampling engine: sampled sweep determinism, CI fields, trace cache
 sampling-smoke:
@@ -61,7 +58,7 @@ fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --count $(FUZZ_COUNT) --seed $(FUZZ_SEED)
 
 # fault-injection gate: 200 seeded injections fully classified with zero
-# silent corruption, plus the SIGKILL-and-resume sweep-journal check
+# silent corruption, plus the SIGKILL-and-resume result-cache check
 faults-smoke:
 	$(PYTHON) tools/faults_smoke.py
 

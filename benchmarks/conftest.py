@@ -10,8 +10,9 @@ in minutes; set REPRO_SCALE=full for the full benchmark lists.
 
 Execution: the simulation-heavy benches enumerate their sweep grids
 declaratively and run them through the sweep engine — set REPRO_JOBS=N
-to fan points out over N worker processes and REPRO_CACHE=1 to serve
-repeated runs from the persistent result cache (REPRO_CACHE_DIR).
+to fan points out over N worker processes.  Like the CLI, every run uses
+the persistent result cache (REPRO_CACHE_DIR), so repeated runs are
+served from it; its keys include the code fingerprint.
 """
 
 import os
@@ -30,12 +31,12 @@ def scale() -> Scale:
 
 @pytest.fixture(scope="session")
 def engine() -> dict:
-    """Sweep-engine kwargs (jobs, cache) resolved from the environment."""
+    """Sweep-engine kwargs: jobs from the environment, the default
+    result cache."""
     from repro.harness.cache import ResultCache
     from repro.harness.parallel import resolve_jobs
 
-    cache = ResultCache() if os.environ.get("REPRO_CACHE") == "1" else None
-    return {"jobs": resolve_jobs(None), "cache": cache}
+    return {"jobs": resolve_jobs(None), "cache": ResultCache()}
 
 
 @pytest.fixture(scope="session")

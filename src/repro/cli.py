@@ -36,9 +36,10 @@ persistent result cache (``REPRO_CACHE_DIR``, default
 ``~/.cache/repro/sweeps``) unless ``--no-cache`` is given.  The engine is
 resilient on demand: ``--timeout`` bounds each point's wall clock (the
 straggler's worker is killed and the point requeued), ``--retries``
-grants bounded re-execution with exponential backoff, and
-``--journal PATH`` / ``--resume`` record completed points crash-safely so
-an interrupted sweep picks up where it stopped (docs/RESILIENCE.md).
+grants bounded re-execution with exponential backoff.  Every finished
+point is published to the result cache crash-safely, so rerunning an
+interrupted sweep resumes where it stopped; a ``--no-cache`` sweep does
+not resume (docs/RESILIENCE.md).
 
 ``faults`` runs the seeded fault-injection campaign
 (:mod:`repro.faults`): transient PRF bit flips, PRT metadata corruption,
@@ -116,7 +117,8 @@ def _sweep_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the sweep "
                              "(default: REPRO_JOBS env, else 1)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the persistent result cache")
+                        help="bypass the persistent result cache (the "
+                             "sweep then does not resume)")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-point wall-clock budget; a straggler's "
@@ -128,14 +130,6 @@ def _sweep_args(parser: argparse.ArgumentParser) -> None:
                         metavar="SECONDS",
                         help="base backoff between retry attempts "
                              "(exponential with jitter; default 0.25)")
-    parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="record every completed point in a crash-safe "
-                             "journal at PATH; re-running with the same "
-                             "journal resumes after an interruption")
-    parser.add_argument("--resume", action="store_true",
-                        help="shorthand for --journal at the default "
-                             "location (REPRO_JOURNAL_DIR, else "
-                             "~/.cache/repro/journals/<command>.jsonl)")
     parser.add_argument("--fleet", default=None, metavar="HOST:PORT",
                         help="serve the sweep's pending points to TCP "
                              "fleet workers at HOST:PORT instead of "
@@ -370,27 +364,9 @@ def _sweep_cache(args):
     return ResultCache()
 
 
-def _sweep_journal(args, command: str):
-    """SweepJournal from --journal/--resume, or None."""
-    path = getattr(args, "journal", None)
-    if path is None and getattr(args, "resume", False):
-        from repro.harness.cache import default_journal_dir
-
-        path = default_journal_dir() / f"{command}.jsonl"
-    if path is None:
-        return None
-    from repro.harness.parallel import SweepJournal
-
-    journal = SweepJournal(path)
-    if len(journal):
-        print(f"resuming from journal {journal.path} "
-              f"({len(journal)} completed point(s))", file=sys.stderr)
-    return journal
-
-
-def _sweep_engine(args, command: str) -> dict:
+def _sweep_engine(args) -> dict:
     """Keyword arguments for run_points / the figure helpers, resolved
-    from the shared --jobs/--no-cache/--timeout/--retries/--journal
+    from the shared --jobs/--no-cache/--timeout/--retries/--fleet
     options."""
     return {
         "jobs": args.jobs,
@@ -398,7 +374,6 @@ def _sweep_engine(args, command: str) -> dict:
         "timeout": getattr(args, "timeout", None),
         "retries": getattr(args, "retries", 0),
         "retry_delay": getattr(args, "retry_delay", 0.25),
-        "journal": _sweep_journal(args, command),
         "remote": getattr(args, "fleet", None),
     }
 
@@ -415,7 +390,7 @@ def cmd_compare(args) -> int:
     points = [SweepPoint(profile=profile, scheme=scheme, size=size,
                          insts=args.insts, seed=args.seed, sampling=sampling)
               for size in sizes for scheme in ("conventional", "sharing")]
-    engine = _sweep_engine(args, "compare")
+    engine = _sweep_engine(args)
     cache = engine["cache"]
     stats = collect_stats(run_points(points, **engine))
     suffix = f", sampled [{sampling}]" if sampling else ""
@@ -446,7 +421,7 @@ def cmd_figures(args) -> int:
     # --exact/--sampling override whatever REPRO_SAMPLING put in the Scale
     scale = replace(Scale.from_env(), sampling=_resolve_sampling(args))
     wanted = set(args.which) or {"all"}
-    engine = _sweep_engine(args, "figures")
+    engine = _sweep_engine(args)
     cache = engine["cache"]
 
     def want(key):
@@ -625,7 +600,6 @@ def cmd_fleet_serve(args) -> int:
           f"{args.host}:{args.port})", file=sys.stderr)
     results = run_points(points, jobs=1, cache=_sweep_cache(args),
                          timeout=args.timeout, retries=args.retries,
-                         journal=_sweep_journal(args, "fleet-serve"),
                          remote=config)
     failures = 0
     for point, result in zip(points, results):
@@ -860,7 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "coordinator starts running points itself "
                               "(default 3)")
     p_serve.add_argument("--no-cache", action="store_true",
-                         help="bypass the persistent result cache")
+                         help="bypass the persistent result cache (the "
+                              "sweep then does not resume)")
     p_serve.add_argument("--timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="wall-clock budget for the coordinator's "
@@ -868,12 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--retries", type=int, default=3,
                          help="lease re-grants per point after worker "
                               "loss (default 3)")
-    p_serve.add_argument("--journal", default=None, metavar="PATH",
-                         help="crash-safe journal; re-serving with the "
-                              "same journal resumes after interruption")
-    p_serve.add_argument("--resume", action="store_true",
-                         help="shorthand for --journal at the default "
-                              "location")
     p_serve.set_defaults(fn=cmd_fleet_serve)
 
     p_worker = fleet_sub.add_parser(

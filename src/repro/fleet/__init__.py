@@ -1,7 +1,7 @@
 """Distributed sweep fleet: TCP coordinator, remote workers, chaos harness.
 
 Extends the self-healing local sweep fleet (``repro.harness.parallel``)
-across hosts.  A coordinator owns the journal-backed point queue and a
+across hosts.  A coordinator owns the cache-backed point queue and a
 content-addressed blob store over the existing result/trace caches;
 remote workers lease points under heartbeat deadlines and upload
 digest-verified results.  Because every point is a pure function of its

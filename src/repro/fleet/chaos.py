@@ -13,7 +13,8 @@ did, and gates on the taxonomy:
   version-skewed worker's fingerprint rejected at ``hello``);
 * **recovered** — the fault cost work that the fleet re-leased,
   re-ran or re-uploaded to the same final bits (an expired lease, a
-  rejected upload, a coordinator restart resumed from its journal);
+  rejected upload, a coordinator restart resumed from its result
+  cache);
 * **silent** — the fault changed the sweep's results, or a corruption
   passed a checkpoint that must have caught it.  **Never acceptable.**
 
@@ -38,7 +39,7 @@ import signal
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -125,7 +126,7 @@ class ChaosConfig:
     round_timeout: float = 90.0
     shrink: bool = True
     #: scratch root (tempdir when empty); every round isolates its own
-    #: journal, result cache and per-worker trace dirs under it
+    #: result cache and per-worker trace dirs under it
     workdir: str = ""
 
 
@@ -212,7 +213,8 @@ def _merge_counters(into: dict, counters: dict) -> None:
 def _run_round(config: ChaosConfig, round_index: int,
                specs: list[ChaosSpec], workdir: Path) -> RoundResult:
     """Execute one chaos round: sweep + injections + bit-identity check."""
-    from repro.harness.parallel import SweepJournal, run_points
+    from repro.harness.cache import ResultCache
+    from repro.harness.parallel import PointResult, run_points
 
     outcome = RoundResult()
     points = _round_points(config, round_index)
@@ -230,16 +232,16 @@ def _run_round(config: ChaosConfig, round_index: int,
 
     round_dir = workdir / f"round{round_index:03d}"
     round_dir.mkdir(parents=True, exist_ok=True)
-    journal = SweepJournal(round_dir / "journal.jsonl")
+    cache = ResultCache(round_dir / "results")
     store = ContentStore()  # parent-default caches: shared traces
     results: dict[int, object] = {}
     lock = threading.Lock()
 
     def finish(index: int, result) -> None:
+        if result.ok:
+            cache.put(cache.key_for_point(result.point), result.stats)
         with lock:
             results[index] = result
-        if result.ok:
-            journal.record(result.point, result.stats)
 
     fleet_cfg = FleetConfig(
         host="127.0.0.1", port=0,
@@ -362,56 +364,39 @@ def _run_round(config: ChaosConfig, round_index: int,
     if not completed and abort.is_set() and not hard_stop.is_set():
         # ------------------------------------------------- the restart
         # a new coordinator process-equivalent: same port, fresh state,
-        # resumed from the journal exactly as `--resume` would
-        journal2 = SweepJournal(round_dir / "journal.jsonl")
+        # resumed from the round's result cache exactly as a rerun would
         pending2 = []
         for i, point in enumerate(points):
-            if i in results:
-                continue
-            stats = journal2.get(journal2.key_for_point(point))
-            if stats is not None:
-                from repro.harness.parallel import PointResult
-                results[i] = PointResult(point, stats=stats,
-                                         journaled=True, attempts=0)
-                continue
-            pending2.append(i)
+            stats = cache.get(cache.key_for_point(point))
+            if stats is None:
+                pending2.append(i)
+            else:
+                results[i] = PointResult(point, stats=stats, cached=True,
+                                         attempts=0)
         outcome.restart_pending = len(pending2)
+        completed = not pending2
         if pending2:
-            def finish2(index: int, result) -> None:
-                with lock:
-                    results[index] = result
-                if result.ok:
-                    journal2.record(result.point, result.stats)
-
-            coordinator2 = FleetCoordinator(
-                points, pending2, finish2,
-                FleetConfig(host=host, port=port,
-                            lease_deadline=config.lease_deadline,
-                            local_fallback_after=fleet_cfg
-                            .local_fallback_after,
-                            socket_timeout=30.0),
-                retries=config.retries, store=store)
-            try:
-                coordinator2.start()
-            except OSError:
-                # port still draining a half-closed socket: give it a
-                # beat and retry once before falling back local-only
-                time.sleep(0.5)
+            for retry, fallback_after in enumerate(
+                    (fleet_cfg.local_fallback_after, 1.0)):
                 coordinator2 = FleetCoordinator(
-                    points, pending2, finish2,
-                    FleetConfig(host=host, port=port,
-                                lease_deadline=config.lease_deadline,
-                                local_fallback_after=1.0,
-                                socket_timeout=30.0),
+                    points, pending2, finish,
+                    replace(fleet_cfg, port=port,
+                            local_fallback_after=fallback_after),
                     retries=config.retries, store=store)
-                coordinator2.start()
+                try:
+                    coordinator2.start()
+                    break
+                except OSError:
+                    # port still draining a half-closed socket: give it
+                    # a beat and retry once, with a shorter local fallback
+                    if retry:
+                        raise
+                    time.sleep(0.5)
             completed = coordinator2.run(stop=hard_stop)
             if completed:
                 coordinator2.drain()
             coordinator2.stop()
             snapshot_coordinator(coordinator2)
-        else:
-            completed = True
 
     watchdog.cancel()
     injector_stop.set()
@@ -548,7 +533,7 @@ def _classify_round(specs: list[ChaosSpec],
             elif outcome.restart_pending > 0:
                 # the coordinator restart discarded all lease state, so
                 # the expiry this stall would have caused is unprovable;
-                # the journal resume re-ran whatever was outstanding
+                # the cache resume re-ran whatever was outstanding
                 verdicts.append((spec, "masked",
                                  "lease state lost to the coordinator "
                                  "restart before the stall could expire"))
@@ -560,7 +545,7 @@ def _classify_round(specs: list[ChaosSpec],
             if outcome.restart_pending > 0:
                 verdicts.append((spec, "recovered",
                                  f"resumed {outcome.restart_pending} "
-                                 f"point(s) from the journal"))
+                                 f"point(s) from the result cache"))
             else:
                 verdicts.append((spec, "masked",
                                  "sweep finished before the restart"))

@@ -1,8 +1,8 @@
 """TCP sweep coordinator: lease-based point distribution across hosts.
 
-The coordinator drives a sweep's pending points (journal- and
-cache-prefiltered by :func:`~repro.harness.parallel.run_points`) through
-the same scheduler core as the local pipe fleet
+The coordinator drives a sweep's pending points (cache-prefiltered by
+:func:`~repro.harness.parallel.run_points`) through the same scheduler
+core as the local pipe fleet
 (:class:`~repro.harness.parallel._Scheduler`: affinity queue, backoff,
 requeue, first-wins resolution), with TCP leases as its slots, and
 serves the fleet protocol (:mod:`repro.fleet.protocol`) to any number of
@@ -23,7 +23,7 @@ committed, which the protocol enforces structurally:
   ``retries`` re-leases before the point is reported failed;
 * a **result upload is verified, then committed**: the frame CRC, the
   SHA-256 body digest and a full ``stats_from_dict`` round-trip must all
-  pass before anything reaches the journal or cache; a truncated or
+  pass before anything reaches the result cache; a truncated or
   bit-flipped upload is rejected (the worker re-uploads) and a stale
   upload for an expired lease is discarded — the re-leased execution
   produces the identical result;
@@ -256,7 +256,7 @@ class FleetCoordinator:
 
         Safe to call at any moment — this is also how the chaos harness
         models a coordinator crash.  Unresolved points stay unresolved;
-        a new coordinator over the same journal resumes them.
+        a new coordinator over the same result cache resumes them.
         """
         self._stop.set()
         if self._server is not None:
@@ -516,7 +516,7 @@ def fleet_execute(
 
     The :func:`~repro.harness.parallel.run_points` backend for
     ``remote=...``: ``finish`` is the engine's usual commit callback, so
-    journal/cache writes and progress reporting behave identically to
+    cache writes and progress reporting behave identically to
     every other execution mode.
     """
     coordinator = FleetCoordinator(points, pending, finish, config,

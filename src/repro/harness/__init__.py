@@ -29,8 +29,6 @@ from repro.harness.parallel import (
 from repro.harness.runner import (
     Scale,
     enumerate_pair_points,
-    run_point,
-    run_pair,
     sweep_speedups,
 )
 from repro.harness.figures import (
@@ -57,8 +55,6 @@ __all__ = [
     "resolve_jobs",
     "run_points",
     "enumerate_pair_points",
-    "run_point",
-    "run_pair",
     "sweep_speedups",
     "figure1",
     "figure2",

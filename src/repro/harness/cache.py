@@ -62,17 +62,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "sweeps"
 
 
-def default_journal_dir() -> Path:
-    """Where ``--resume`` sweep journals live by default."""
-    env = os.environ.get("REPRO_JOURNAL_DIR")
-    if env:
-        return Path(env)
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env) / "journals"
-    return Path.home() / ".cache" / "repro" / "journals"
-
-
 def _unlink_quietly(path: Union[str, os.PathLike]) -> None:
     """Best-effort unlink: a concurrent writer/reader may already have
     removed (or be replacing) the entry — never an error."""
@@ -171,11 +160,13 @@ class ResultCache:
                          sampling=sampling)
 
     def key_for_point(self, point) -> str:
-        """Key for a :class:`~repro.harness.parallel.SweepPoint` — the
-        same key function the sweep journal uses."""
-        from repro.harness.parallel import _key_for_point  # import cycle
+        """Key for a :class:`~repro.harness.parallel.SweepPoint`."""
+        from repro.harness.runner import make_config  # avoid import cycle
 
-        return _key_for_point(point, self.fingerprint)
+        config = make_config(point.profile, point.scheme, point.size,
+                             port_scheme=point.port_scheme)
+        return self.key_for(config, point.profile, point.insts, point.seed,
+                            sampling=point.sampling)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"

@@ -23,14 +23,14 @@ Results cross the process boundary as plain
 crashed simulation is captured as a per-point error — with its full
 worker-side traceback — instead of killing the sweep.
 
-Two layers of persistence:
-
-* an optional :class:`~repro.harness.cache.ResultCache` serves previously
-  computed points without re-simulating;
-* an optional :class:`SweepJournal` appends one fsync'd JSON line per
-  completed point (with periodic atomic compaction), so a sweep killed
-  mid-flight (SIGKILL, OOM, power) resumes exactly where it stopped —
-  only incomplete points are re-simulated.
+Persistence is one cache-backed store: an optional
+:class:`~repro.harness.cache.ResultCache` serves previously computed
+points without re-simulating, and every fresh success is published to it
+crash-safely (temp file, fsync, atomic rename) before ``progress`` fires
+for that point.  A sweep killed mid-flight (SIGKILL, OOM, power) is
+resumed by rerunning it against the same cache: finished points are
+served as hits and only incomplete points are re-simulated.  A sweep
+without a cache (``--no-cache``) does not resume.
 
 The sweep data plane: before forking workers, the parent publishes each
 distinct workload's binary trace blob into
@@ -42,21 +42,19 @@ memo and loaded cycle kernel.  ``REPRO_NO_SHM=1`` disables the
 broadcast.
 
 Determinism: a point's result does not depend on how it was executed —
-serial, the pipe fleet, the TCP fleet, the cached and the journaled
-path, shared-memory or disk, all reproduce bit-identical counters, which
-the tests assert.  Retries, backoff jitter, broadcast and affinity only
-affect *when and where* a point runs, never its result.
+serial, the pipe fleet, the TCP fleet, the cached path, shared-memory
+or disk, all reproduce bit-identical counters, which the tests assert.
+Retries, backoff jitter, broadcast and affinity only affect *when and
+where* a point runs, never its result.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
 import traceback
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from repro.pipeline.stats import SimStats, stats_from_dict
@@ -65,9 +63,9 @@ from repro.workloads.profiles import WorkloadProfile
 #: environment default for ``jobs`` when the caller passes None
 JOBS_ENV = "REPRO_JOBS"
 
-#: characters of a per-point failure message kept when journaling or
-#: uploading — a recursive traceback must not bloat every journal line,
-#: result frame and final report it passes through
+#: characters of a per-point failure message kept when uploading — a
+#: recursive traceback must not bloat every result frame and final
+#: report it passes through
 ERROR_LIMIT = 8192
 
 
@@ -106,11 +104,10 @@ class PointResult:
     point: SweepPoint
     stats: Optional[SimStats] = None
     error: Optional[str] = None
+    #: served from the result cache (a warm or resumed sweep)
     cached: bool = False
-    #: served from a :class:`SweepJournal` (a resumed sweep)
-    journaled: bool = False
     #: execution attempts this result took (1 = first try; 0 = not run,
-    #: i.e. cache/journal hit)
+    #: i.e. a cache hit)
     attempts: int = 1
 
     @property
@@ -203,9 +200,9 @@ def _bound_error(text: Optional[str]) -> Optional[str]:
     tail (the innermost frames, where the actual failure site is) and
     drops the middle — the two ends are what a debugging session reads
     first, and a pathological message (recursion tracebacks, a repr of a
-    huge structure) must stay journal- and wire-sized.  The result,
-    truncation marker included, fits in :data:`ERROR_LIMIT`, so bounding
-    an already-bounded message is a no-op.
+    huge structure) must stay wire-sized.  The result, truncation marker
+    included, fits in :data:`ERROR_LIMIT`, so bounding an already-bounded
+    message is a no-op.
     """
     if text is None or len(text) <= ERROR_LIMIT:
         return text
@@ -581,123 +578,6 @@ class _Scheduler:
         return True
 
 
-# ------------------------------------------------------------------ journal
-def _key_for_point(point: SweepPoint, fingerprint: Optional[str]) -> str:
-    from repro.harness.cache import point_key
-    from repro.harness.runner import make_config  # avoid import cycle
-
-    config = make_config(point.profile, point.scheme, point.size,
-                         port_scheme=point.port_scheme)
-    return point_key(config, point.profile, point.insts, point.seed,
-                     fingerprint, sampling=point.sampling)
-
-
-class SweepJournal:
-    """Crash-safe record of completed sweep points (``--resume`` support).
-
-    A JSON-lines file: one ``{"key", "label", "stats"}`` object per
-    completed point.  Each :meth:`record` *appends* one fsync'd line —
-    O(1) per point, not the O(n) whole-file rewrite (O(n²) per sweep)
-    it replaced.  A crash can tear at most the final line, which the
-    loader skips (counted in ``skipped_lines``) like any corrupt or
-    alien line — never fatal.  Re-recorded keys append duplicate lines
-    (last one wins on load); when duplicates pile past
-    ``COMPACT_SLACK``, the journal compacts itself through an atomic
-    temp-file + rename rewrite, so readers still never observe a torn
-    file.
-
-    Keys are the result-cache point keys, which fold in the simulator
-    code fingerprint: a journal written by a stale checkout silently
-    serves nothing, rather than resuming with wrong numbers.
-    """
-
-    #: excess file lines (duplicates from re-records) tolerated before an
-    #: atomic compaction rewrite
-    COMPACT_SLACK = 256
-
-    def __init__(self, path: os.PathLike,
-                 fingerprint: Optional[str] = None) -> None:
-        from repro.harness.cache import code_fingerprint
-
-        self.path = Path(path)
-        self.fingerprint = (fingerprint if fingerprint is not None
-                            else code_fingerprint())
-        self._entries: dict[str, dict] = {}
-        self._file_lines = 0  # lines in the file, duplicates included
-        self.skipped_lines = 0
-        self.compactions = 0
-        self._load()
-
-    # ------------------------------------------------------------------ io
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            self._file_lines += 1
-            try:
-                raw = json.loads(line)
-                key = raw["key"]
-                if not isinstance(raw["stats"], dict):
-                    raise TypeError("stats must be a dict")
-            except Exception:
-                self.skipped_lines += 1
-                continue
-            self._entries[key] = raw
-
-    def _flush(self) -> None:
-        """Atomic whole-file rewrite (compaction): one line per live key."""
-        from repro.harness.cache import atomic_write_text
-
-        body = "".join(json.dumps(entry, sort_keys=True) + "\n"
-                       for entry in self._entries.values())
-        atomic_write_text(self.path, body)
-        self._file_lines = len(self._entries)
-
-    def _append(self, entry: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._file_lines += 1
-
-    # ------------------------------------------------------------------ access
-    def key_for_point(self, point: SweepPoint) -> str:
-        return _key_for_point(point, self.fingerprint)
-
-    def get(self, key: str) -> Optional[SimStats]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        try:
-            return stats_from_dict(entry["stats"])
-        except Exception:
-            # schema drift in an old journal: a miss, not a crash
-            del self._entries[key]
-            return None
-
-    def record(self, point: SweepPoint, stats) -> None:
-        key = self.key_for_point(point)
-        self._entries[key] = {"key": key, "label": point.label(),
-                              "stats": stats.to_dict()}
-        self._append(self._entries[key])
-        if self._file_lines > len(self._entries) + self.COMPACT_SLACK:
-            self._flush()
-            self.compactions += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-
 # ------------------------------------------------------------------ execution
 def _prewarm_kernels(points: list[SweepPoint], pending: list[int]) -> None:
     """Generate and cache each distinct cycle kernel once, in the parent.
@@ -739,18 +619,16 @@ def run_points(
     timeout: Optional[float] = None,
     retries: int = 0,
     retry_delay: float = 0.25,
-    journal: Optional[SweepJournal] = None,
     remote=None,
 ) -> list[PointResult]:
     """Execute a sweep; returns one :class:`PointResult` per point, in order.
 
     ``cache`` is a :class:`~repro.harness.cache.ResultCache` (or None);
-    cached points are served without simulating and fresh results are
-    written back.  ``journal`` is a :class:`SweepJournal` (or None):
-    points it already holds are served from it, and every fresh success
-    is recorded — kill the process at any moment and a rerun with the
-    same journal resumes from the last completed point.
-    ``progress(done, total, result)`` fires once per resolved point.
+    cached points are served without simulating and every fresh success
+    is written back before its ``progress`` call — kill the process at
+    any moment and a rerun with the same cache resumes from the last
+    completed point.  ``progress(done, total, result)`` fires once per
+    resolved point.
 
     ``jobs=1`` without a ``timeout`` runs in-process; ``jobs > 1`` or a
     ``timeout`` runs the pipe fleet of ``min(jobs, pending)`` forked
@@ -780,23 +658,14 @@ def run_points(
         nonlocal done
         results[index] = result
         done += 1
-        if result.ok and not result.cached and not result.journaled:
-            if cache is not None:
-                cache.put(cache.key_for_point(result.point), result.stats)
-            if journal is not None:
-                journal.record(result.point, result.stats)
+        if result.ok and not result.cached and cache is not None:
+            cache.put(cache.key_for_point(result.point), result.stats)
         broadcast.release(result.point)
         if progress is not None:
             progress(done, total, result)
 
     pending: list[int] = []
     for index, point in enumerate(points):
-        if journal is not None:
-            stats = journal.get(journal.key_for_point(point))
-            if stats is not None:
-                finish(index, PointResult(point, stats=stats, journaled=True,
-                                          attempts=0))
-                continue
         cached = cache.get(cache.key_for_point(point)) if cache is not None \
             else None
         if cached is not None:
@@ -993,7 +862,7 @@ def _run_fleet(points, pending, finish, workers: int,
                 f"the main thread")))
         return
 
-    # finished points commit (cache put, journal fsync, progress callback)
+    # finished points commit (cache put, progress callback)
     # only after the freed workers have been sent their next point, so
     # the commit overlaps simulation instead of idling the fleet
     resolved: list[tuple[int, PointResult]] = []

@@ -8,9 +8,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.harness.parallel import SweepPoint, collect_stats, run_points
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import simulate
-from repro.pipeline.stats import SimStats
-from repro.workloads.generator import shared_workload
 from repro.workloads.profiles import BENCHMARKS, WorkloadProfile, suite
 
 #: Register-file sizes swept in Figures 10 and 11 (paper: 48..112).
@@ -98,26 +95,6 @@ def make_config(profile: WorkloadProfile, scheme: str, size: int,
     return config
 
 
-def run_point(profile: WorkloadProfile, scheme: str, size: int,
-              scale: Scale, seed: int | None = None) -> SimStats:
-    """One simulation: benchmark x scheme x register-file size."""
-    workload = shared_workload(
-        profile, scale.insts, seed if seed is not None else scale.seed)
-    return simulate(make_config(profile, scheme, size), iter(workload))
-
-
-def run_pair(profile: WorkloadProfile, size: int, scale: Scale,
-             seed: int | None = None) -> tuple[SimStats, SimStats]:
-    """(baseline, proposed) at equal area, on the identical workload.
-
-    Both runs iterate the *same* shared workload object, so the streams
-    are identical by construction (see
-    :func:`repro.workloads.generator.shared_workload`).
-    """
-    return (run_point(profile, "conventional", size, scale, seed),
-            run_point(profile, "sharing", size, scale, seed))
-
-
 @dataclass
 class SpeedupRow:
     benchmark: str
@@ -141,7 +118,7 @@ def sweep_speedups(profiles, scale: Scale, *, jobs: int | None = None,
     """Speedup rows for Figure 10-style sweeps, via the sweep engine.
 
     ``jobs``/``cache``/``progress`` — and any further resilience knobs
-    (``timeout``, ``retries``, ``retry_delay``, ``journal``) — are
+    (``timeout``, ``retries``, ``retry_delay``, ``remote``) — are
     forwarded to :func:`repro.harness.parallel.run_points`; the default
     (``jobs=None``, no cache) resolves ``REPRO_JOBS`` and simulates
     in-process, producing bit-identical results to any parallel/cached/

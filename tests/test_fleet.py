@@ -22,7 +22,7 @@ from repro.fleet.coordinator import (FleetConfig, FleetCoordinator,
 from repro.fleet.worker import FleetWorker, WorkerChaos, WorkerConfig
 from repro.harness import parallel
 from repro.harness.cache import ResultCache, TraceCache
-from repro.harness.parallel import SweepJournal, SweepPoint, run_points
+from repro.harness.parallel import SweepPoint, run_points
 from repro.workloads.profiles import BENCHMARKS
 
 def _points(count=4, insts=800):
@@ -48,17 +48,16 @@ class _Fleet:
     """A coordinator plus thread workers, torn down reliably."""
 
     def __init__(self, points, tmp_path, *, config=None, retries=3,
-                 journal=None):
+                 cache=None):
         self.points = points
         self.results = {}
         self._lock = threading.Lock()
-        self.journal = journal
 
         def finish(index, result):
+            if cache is not None and result.ok:
+                cache.put(cache.key_for_point(result.point), result.stats)
             with self._lock:
                 self.results[index] = result
-            if self.journal is not None and result.ok:
-                self.journal.record(result.point, result.stats)
 
         self.coordinator = FleetCoordinator(
             points, list(range(len(points))), finish,
@@ -365,16 +364,16 @@ def test_heartbeat_keeps_a_slow_point_leased(tmp_path):
         assert fleet.results[i].stats.to_dict() == expected[i]
 
 
-def test_coordinator_restart_resumes_from_journal(tmp_path):
+def test_coordinator_restart_resumes_from_cache(tmp_path):
     points = _points(4, insts=3_000)
     expected = _reference(points)
-    journal = SweepJournal(tmp_path / "journal.jsonl")
+    cache = ResultCache(tmp_path / "results")
 
-    # phase 1: serve until half the sweep is journaled, then "crash" —
+    # phase 1: serve until half the sweep is cached, then "crash" —
     # the abort fires synchronously with the second commit, well before
     # the remaining two points can resolve
     abort = threading.Event()
-    fleet = _Fleet(points, tmp_path, journal=journal)
+    fleet = _Fleet(points, tmp_path, cache=cache)
 
     class _AbortAfterTwo(dict):
         def __setitem__(self, key, value):
@@ -390,14 +389,14 @@ def test_coordinator_restart_resumes_from_journal(tmp_path):
     finally:
         fleet.stop()
 
-    # phase 2: a fresh coordinator resumes from the journal on disk,
-    # exactly as `repro fleet serve --journal` would after a restart
-    journal2 = SweepJournal(tmp_path / "journal.jsonl")
-    assert len(journal2) >= 2
+    # phase 2: a fresh coordinator resumes from the cache on disk,
+    # exactly as rerunning `repro fleet serve` would after a restart
+    cache2 = ResultCache(tmp_path / "results")
+    assert len(cache2) >= 2
     results2 = {}
     pending = []
     for i, point in enumerate(points):
-        stats = journal2.get(journal2.key_for_point(point))
+        stats = cache2.get(cache2.key_for_point(point))
         if stats is None:
             pending.append(i)
         else:

@@ -2,13 +2,12 @@
 
 import pytest
 
+from repro.harness.parallel import SweepPoint, simulate_point
 from repro.harness.render import pct, text_table
 from repro.harness.runner import (
     Scale,
     class_sizes,
     geomean,
-    run_pair,
-    run_point,
     sweep_speedups,
 )
 from repro.harness.tables import table1, table2_result, table3
@@ -65,10 +64,10 @@ def test_class_sizes_by_suite():
 
 
 def test_run_point_and_pair():
-    profile = BENCHMARKS["adpcm"]
-    stats = run_point(profile, "sharing", 64, TINY)
-    assert stats.committed == TINY.insts
-    baseline, proposed = run_pair(profile, 64, TINY)
+    baseline, proposed = (
+        simulate_point(SweepPoint(BENCHMARKS["adpcm"], scheme, 64,
+                                  TINY.insts, TINY.seed))
+        for scheme in ("conventional", "sharing"))
     assert baseline.committed == proposed.committed == TINY.insts
 
 

@@ -1,4 +1,4 @@
-"""Resilient sweep execution: timeouts, retries, crash-safe resume.
+"""Resilient sweep execution: timeouts, retries, resume from the cache.
 
 Worker behaviour is controlled by monkeypatching
 :data:`repro.harness.parallel._POINT_RUNNER`; on Linux the fleet forks
@@ -7,7 +7,6 @@ Cross-process side effects (crash-once counters) go through files, the
 only channel that survives the process boundary.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -15,9 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness import parallel
-from repro.harness.cache import (ResultCache, atomic_write_text,
-                                 default_journal_dir)
-from repro.harness.parallel import (PointResult, SweepError, SweepJournal,
+from repro.harness.cache import ResultCache, atomic_write_text
+from repro.harness.parallel import (PointResult, SweepError,
                                     SweepPoint, collect_stats, run_points)
 from repro.workloads.profiles import BENCHMARKS
 
@@ -285,7 +283,7 @@ def test_bound_error_keeps_head_and_tail():
 
 def test_pathological_failure_message_is_bounded(runner):
     # a repr-of-a-huge-structure exception must reach the PointResult
-    # journal- and wire-sized, head and tail intact
+    # wire-sized, head and tail intact
     def boom(point):
         raise ValueError("A" * 200_000 + "needle-at-the-end")
 
@@ -370,119 +368,53 @@ def test_fleet_results_bit_identical_to_serial():
         assert a.stats.to_dict() == b.stats.to_dict() == c.stats.to_dict()
 
 
-# ------------------------------------------------------------- journal
-def test_journal_records_and_resumes(tmp_path):
+# ------------------------------------------------------------- resume
+def test_rerun_resumes_from_the_result_cache(tmp_path, runner):
     points = _points(3)
-    path = tmp_path / "sweep.jsonl"
-    first = run_points(points[:2], jobs=1, journal=SweepJournal(path))
-    assert all(r.ok and not r.journaled for r in first)
+    first = run_points(points[:2], jobs=1, cache=ResultCache(root=tmp_path))
+    assert all(r.ok and not r.cached for r in first)
 
     calls = []
-    original = parallel._POINT_RUNNER
 
     def counting(point):
         calls.append(point.seed)
-        return original(point)
+        return parallel.simulate_point(point)
 
-    parallel._POINT_RUNNER = counting
-    try:
-        resumed = run_points(points, jobs=1, journal=SweepJournal(path))
-    finally:
-        parallel._POINT_RUNNER = original
-    assert [r.journaled for r in resumed] == [True, True, False]
+    runner(counting)
+    resumed = run_points(points, jobs=1, cache=ResultCache(root=tmp_path))
     assert calls == [3]  # only the incomplete point re-simulated
+    assert [r.cached for r in resumed] == [True, True, False]
+    assert [r.attempts for r in resumed] == [0, 0, 1]
     for a, b in zip(first, resumed):
         assert a.stats.to_dict() == b.stats.to_dict()
 
 
-def test_journal_served_points_have_zero_attempts(tmp_path):
-    points = _points(1)
-    path = tmp_path / "sweep.jsonl"
-    run_points(points, jobs=1, journal=SweepJournal(path))
-    resumed = run_points(points, jobs=1, journal=SweepJournal(path))
-    assert resumed[0].journaled and resumed[0].attempts == 0
-
-
-def test_journal_tolerates_corrupt_and_alien_lines(tmp_path):
-    points = _points(1)
-    path = tmp_path / "sweep.jsonl"
-    run_points(points, jobs=1, journal=SweepJournal(path))
-    text = path.read_text()
-    path.write_text('{"not json\n' + text + '{"key": 1}\ngarbage\n')
-    journal = SweepJournal(path)
-    assert journal.skipped_lines == 3
-    assert len(journal) == 1
-    resumed = run_points(points, jobs=1, journal=journal)
-    assert resumed[0].journaled
-
-
-def test_journal_resume_with_torn_final_record_reruns_identically(tmp_path):
-    # simulate the coordinator dying mid-append: the last *real* record
-    # is cut short on disk.  Resume must drop exactly the torn record,
-    # serve the intact ones, and re-run the torn point to the same bits
-    points = _points(3)
-    path = tmp_path / "sweep.jsonl"
-    complete = run_points(points, jobs=1, journal=SweepJournal(path))
-    assert all(r.ok for r in complete)
-
-    raw = path.read_bytes()
-    torn_at = raw.rstrip(b"\n").rfind(b"\n")  # start of the final record
-    path.write_bytes(raw[:torn_at + 30])  # 29 bytes of record 3, no \n
-
-    journal = SweepJournal(path)
-    assert journal.skipped_lines == 1
-    assert len(journal) == 2
-
-    resumed = run_points(points, jobs=1, journal=journal)
-    assert [r.journaled for r in resumed] == [True, True, False]
-    assert resumed[2].attempts >= 1  # genuinely re-simulated
-    for before, after in zip(complete, resumed):
-        assert after.ok
-        assert after.stats.to_dict() == before.stats.to_dict()
-
-
-def test_journal_from_stale_code_fingerprint_serves_nothing(tmp_path):
-    points = _points(1)
-    path = tmp_path / "sweep.jsonl"
-    run_points(points, jobs=1, journal=SweepJournal(path, fingerprint="old"))
-    fresh = SweepJournal(path, fingerprint="new")
-    assert len(fresh) == 1  # the entry is there...
-    results = run_points(points, jobs=1, journal=fresh)
-    assert not results[0].journaled  # ...but its key no longer matches
-
-
-def test_journal_file_is_valid_json_lines_after_every_point(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cache_entry_is_published_before_progress_fires(tmp_path, jobs):
+    # a kill right after a progress report must never lose that point
     points = _points(2)
-    path = tmp_path / "sweep.jsonl"
+    cache = ResultCache(root=tmp_path)
     seen = []
 
     def check(done, total, result):
-        # the journal on disk must be complete and parseable mid-sweep
-        lines = [json.loads(line) for line in
-                 path.read_text().splitlines() if line]
-        seen.append(len(lines))
-        assert all("stats" in entry for entry in lines)
+        key = cache.key_for_point(result.point)
+        assert cache._path(key).is_file()
+        seen.append(len(cache))
 
-    run_points(points, jobs=1, journal=SweepJournal(path), progress=check)
+    run_points(points, jobs=jobs, cache=cache, progress=check)
     assert seen == [1, 2]
 
 
-def test_journal_and_cache_compose(tmp_path):
-    """Cache hits are not journaled (they were never run), journal hits
-    skip the cache — and every path yields identical stats."""
-    points = _points(2)
-    cache = ResultCache(root=tmp_path / "cache")
-    jpath = tmp_path / "sweep.jsonl"
-    first = run_points(points, jobs=1, cache=cache,
-                       journal=SweepJournal(jpath))
-    assert len(SweepJournal(jpath)) == 2
-    cached = run_points(points, jobs=1, cache=cache)
-    assert all(r.cached for r in cached)
-    journaled = run_points(points, jobs=1, cache=cache,
-                           journal=SweepJournal(jpath))
-    assert all(r.journaled for r in journaled)
-    for a, b, c in zip(first, cached, journaled):
-        assert a.stats.to_dict() == b.stats.to_dict() == c.stats.to_dict()
+@pytest.mark.parametrize("flag", ["journal", "resume"])
+@pytest.mark.parametrize("command", [["compare", "gsm"], ["figures", "fig12"],
+                                     ["fleet", "serve", "gsm"]])
+def test_cli_rejects_retired_journal_flags(command, flag, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, f"--{flag}"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- cache writes
@@ -507,11 +439,3 @@ def test_result_cache_corruption_reads_as_miss_and_unlinks(tmp_path):
     assert not path.exists()
     # a second reader racing the unlink sees a plain miss, not an error
     assert cache.get(key) is None
-
-
-def test_default_journal_dir_honours_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "j"))
-    assert default_journal_dir() == tmp_path / "j"
-    monkeypatch.delenv("REPRO_JOURNAL_DIR")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-    assert default_journal_dir() == tmp_path / "c" / "journals"

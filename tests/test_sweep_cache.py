@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from repro.harness.cache import ResultCache, code_fingerprint, point_key
-from repro.harness.runner import Scale, make_config, run_point
+from repro.harness.parallel import SweepPoint, simulate_point
+from repro.harness.runner import Scale, make_config
 from repro.pipeline.stats import SimStats
 from repro.workloads.profiles import BENCHMARKS
 
@@ -20,7 +21,8 @@ def cache(tmp_path) -> ResultCache:
 
 
 def _stats() -> SimStats:
-    return run_point(PROFILE, "sharing", 48, TINY)
+    return simulate_point(SweepPoint(PROFILE, "sharing", 48, TINY.insts,
+                                     TINY.seed))
 
 
 # ------------------------------------------------------------------ round trip
@@ -69,9 +71,7 @@ def test_key_changes_with_config_fields():
                      PROFILE, 800, 1, fp) == base
 
 
-def test_point_keys_separate_port_schemes_and_match_journal(cache):
-    from repro.harness.parallel import SweepJournal, SweepPoint
-
+def test_point_keys_separate_port_schemes(cache):
     def point(scheme, port_scheme="none"):
         return SweepPoint(PROFILE, scheme, 48, 800, 1,
                           port_scheme=port_scheme)
@@ -84,10 +84,6 @@ def test_point_keys_separate_port_schemes_and_match_journal(cache):
     plain = point("conventional")
     assert cache.key_for_point(plain) == cache.key_for(
         make_config(PROFILE, "conventional", 48), PROFILE, 800, 1)
-    # one key function for the result cache and the sweep journal
-    journal = SweepJournal(cache.root / "journal.jsonl", fingerprint="testfp")
-    ported = point("conventional", "banked_arbiter")
-    assert cache.key_for_point(ported) == journal.key_for_point(ported)
 
 
 def test_code_fingerprint_invalidates(tmp_path):

@@ -1,14 +1,12 @@
-"""Sweep data-plane engine tests: journal appends, affinity, broadcast.
+"""Sweep data-plane engine tests: affinity, broadcast.
 
-These pin the three mechanisms behind the sweep data plane at the unit
-level — the O(1) fsync'd journal append (with bounded compaction), the
-affinity dispatch queue, and the shared-memory workload broadcast
-lifecycle — plus a pytest-level bit-identity matrix across jobs and
+These pin the two mechanisms behind the sweep data plane at the unit
+level — the affinity dispatch queue and the shared-memory workload
+broadcast lifecycle — plus a pytest-level bit-identity matrix across jobs and
 broadcast on/off.  End-to-end identity is also covered by
 ``tools/sweep_smoke.py``; wall-clock by the ``bench/`` suite.
 """
 
-import json
 import os
 import time
 
@@ -17,87 +15,15 @@ import pytest
 from repro.harness import cache as cache_mod
 from repro.harness import parallel
 from repro.harness.cache import reset_trace_memo
-from repro.harness.parallel import (PointResult, SweepJournal, SweepPoint,
+from repro.harness.parallel import (PointResult, SweepPoint,
                                     WorkloadBroadcast, run_points)
 from repro.workloads.profiles import BENCHMARKS
-
-
-class _Stats:
-    """Minimal stats stand-in: the journal only calls ``to_dict``."""
-
-    def __init__(self, ipc: float) -> None:
-        self._ipc = ipc
-
-    def to_dict(self) -> dict:
-        return {"ipc": self._ipc}
 
 
 def _points(count=3, profile="gsm", scheme="conventional", insts=1500):
     return [SweepPoint(profile=BENCHMARKS[profile], scheme=scheme, size=48,
                        insts=insts, seed=seed + 1)
             for seed in range(count)]
-
-
-# ------------------------------------------------------------------ journal
-def test_record_appends_exactly_one_line(tmp_path):
-    journal = SweepJournal(tmp_path / "journal.jsonl", fingerprint="fp")
-    points = _points(3)
-    snapshots = []
-    for n, point in enumerate(points, start=1):
-        journal.record(point, _Stats(n * 1.0))
-        text = journal.path.read_text()
-        assert len(text.splitlines()) == n
-        snapshots.append(text)
-    # pure appends: every earlier file state is a byte prefix of the next
-    for earlier, later in zip(snapshots, snapshots[1:]):
-        assert later.startswith(earlier)
-    assert len(journal) == 3 and journal.compactions == 0
-
-
-def test_rerecord_appends_duplicate_and_last_wins(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    journal = SweepJournal(path, fingerprint="fp")
-    point = _points(1)[0]
-    journal.record(point, _Stats(1.0))
-    journal.record(point, _Stats(2.0))
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(lines) == 2 and len(journal) == 1
-    assert lines[0]["key"] == lines[1]["key"]
-
-    reloaded = SweepJournal(path, fingerprint="fp")
-    assert len(reloaded) == 1 and reloaded.skipped_lines == 0
-    key = reloaded.key_for_point(point)
-    assert reloaded._entries[key]["stats"] == {"ipc": 2.0}  # last line won
-
-
-def test_duplicates_past_slack_trigger_atomic_compaction(tmp_path, monkeypatch):
-    monkeypatch.setattr(SweepJournal, "COMPACT_SLACK", 4)
-    path = tmp_path / "journal.jsonl"
-    journal = SweepJournal(path, fingerprint="fp")
-    point = _points(1)[0]
-    for n in range(8):
-        journal.record(point, _Stats(float(n)))
-    assert journal.compactions == 1
-    # the 6th record tripped a rewrite down to one line per live key;
-    # records since then appended again, so the file stays bounded by
-    # live keys + slack rather than growing one line per record forever
-    assert len(journal) == 1
-    assert len(path.read_text().splitlines()) == 3  # compacted line + 2
-    reloaded = SweepJournal(path, fingerprint="fp")
-    key = reloaded.key_for_point(point)
-    assert reloaded._entries[key]["stats"] == {"ipc": 7.0}
-
-
-def test_torn_final_line_is_skipped_on_load(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    journal = SweepJournal(path, fingerprint="fp")
-    for point in _points(2):
-        journal.record(point, _Stats(1.0))
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"key": "torn-by-a-cra')  # no newline, invalid JSON
-    reloaded = SweepJournal(path, fingerprint="fp")
-    assert len(reloaded) == 2
-    assert reloaded.skipped_lines == 1
 
 
 # ----------------------------------------------------------------- affinity

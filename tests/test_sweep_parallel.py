@@ -95,15 +95,16 @@ def test_collect_stats_keys():
 
 
 # ------------------------------------------------------------------ cache integration
-def test_warm_run_is_all_hits_and_identical(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_warm_run_is_all_hits_and_identical(tmp_path, jobs):
     points = _points()
     cold_cache = ResultCache(tmp_path, fingerprint="fp")
-    cold = run_points(points, jobs=1, cache=cold_cache)
+    cold = run_points(points, jobs=jobs, cache=cold_cache)
     assert cold_cache.misses == len(points) and cold_cache.hits == 0
     assert not any(r.cached for r in cold)
 
     warm_cache = ResultCache(tmp_path, fingerprint="fp")
-    warm = run_points(points, jobs=1, cache=warm_cache)
+    warm = run_points(points, jobs=jobs, cache=warm_cache)
     assert warm_cache.hits == len(points) and warm_cache.misses == 0
     assert all(r.cached for r in warm)
     for c, w in zip(cold, warm):

@@ -175,15 +175,16 @@ def test_shared_workload_iterations_are_identical():
     assert _stream_signature(fresh) == first
 
 
-def test_run_pair_sees_identical_streams():
-    """The two sides of run_pair must observe the same instructions: same
-    PCs, values and branch outcomes (commit counts prove the stream length;
-    the verified src_values prove the dataflow)."""
-    from repro.harness.runner import Scale, run_pair
+def test_conventional_sharing_pair_sees_identical_streams():
+    """The two sides of a conventional/sharing pair must observe the same
+    instructions: same PCs, values and branch outcomes (commit counts prove
+    the stream length; the verified src_values prove the dataflow)."""
+    from repro.harness.parallel import SweepPoint, simulate_point
 
-    scale = Scale(insts=800, sizes=(48,))
-    baseline, proposed = run_pair(BENCHMARKS["adpcm"], 48, scale)
-    assert baseline.committed == proposed.committed == scale.insts
+    baseline, proposed = (
+        simulate_point(SweepPoint(BENCHMARKS["adpcm"], scheme, 48, 800, 1))
+        for scheme in ("conventional", "sharing"))
+    assert baseline.committed == proposed.committed == 800
     assert baseline.loads == proposed.loads
     assert baseline.stores == proposed.stores
     assert baseline.branch_stats.branches == proposed.branch_stats.branches

@@ -9,10 +9,11 @@ Two independent gates:
   report zero silent data corruption (an injection that completes with a
   commit stream differing from the fault-free reference).
 
-* **Resume gate** — a journaled sweep is started in a child process and
-  SIGKILLed mid-flight; re-running with the same journal must re-simulate
-  only the points the journal does not hold, and the resumed results must
-  be bit-identical to an uninterrupted serial run.
+* **Resume gate** — a sweep against a fresh result cache is started in a
+  child process and SIGKILLed mid-flight; re-running with the same cache
+  must re-simulate only the points the cache does not hold, serve the
+  rest as cache hits, and be bit-identical to an uninterrupted serial
+  run.
 
 Writes a JSON artifact (outcome counts, resume accounting) for CI upload;
 exits non-zero with a diagnostic on violation.
@@ -43,13 +44,14 @@ RESUME_INSTS = 8_000
 _CHILD_SCRIPT = """\
 import sys
 sys.path.insert(0, {src!r})
-from repro.harness.parallel import SweepJournal, SweepPoint, run_points
+from repro.harness.cache import ResultCache
+from repro.harness.parallel import SweepPoint, run_points
 from repro.workloads.profiles import BENCHMARKS
 
 points = [SweepPoint(profile=BENCHMARKS["gsm"], scheme="conventional",
                      size=48, insts={insts}, seed=seed + 1)
           for seed in range({count})]
-run_points(points, jobs=1, journal=SweepJournal({journal!r}))
+run_points(points, jobs=1, cache=ResultCache({root!r}))
 """
 
 
@@ -94,25 +96,24 @@ def run_campaign_gate(artifact: dict) -> int:
 
 def run_resume_gate(tmp: pathlib.Path, artifact: dict) -> int:
     from repro.harness import parallel
-    from repro.harness.parallel import SweepJournal, SweepPoint, run_points
+    from repro.harness.cache import ResultCache
+    from repro.harness.parallel import SweepPoint, run_points
     from repro.workloads.profiles import BENCHMARKS
 
-    journal_path = tmp / "resume.jsonl"
+    root = tmp / "results"
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     script = _CHILD_SCRIPT.format(src=src, insts=RESUME_INSTS,
-                                  count=RESUME_POINTS,
-                                  journal=str(journal_path))
+                                  count=RESUME_POINTS, root=str(root))
     env = dict(os.environ)
     child = subprocess.Popen([sys.executable, "-c", script], env=env,
                              stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL)
 
-    # wait until the child has journaled some — but not all — points,
-    # then SIGKILL it mid-sweep (no cleanup, no atexit, nothing)
+    # wait until the child has cached some — but not all — points, then
+    # SIGKILL it mid-sweep (no cleanup, no atexit, nothing)
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
-        if journal_path.exists() and \
-                0 < len(SweepJournal(journal_path)) < RESUME_POINTS:
+        if 0 < len(ResultCache(root)) < RESUME_POINTS:
             break
         if child.poll() is not None:
             break
@@ -121,10 +122,10 @@ def run_resume_gate(tmp: pathlib.Path, artifact: dict) -> int:
         child.send_signal(signal.SIGKILL)
         child.wait()
 
-    journaled = len(SweepJournal(journal_path))
-    if not 0 < journaled < RESUME_POINTS:
+    stored = len(ResultCache(root))
+    if not 0 < stored < RESUME_POINTS:
         print(f"FAIL: could not interrupt the child mid-sweep "
-              f"({journaled}/{RESUME_POINTS} points journaled — "
+              f"({stored}/{RESUME_POINTS} points cached — "
               f"tune RESUME_INSTS)")
         return 1
 
@@ -141,20 +142,19 @@ def run_resume_gate(tmp: pathlib.Path, artifact: dict) -> int:
 
     parallel._POINT_RUNNER = counting
     try:
-        resumed = run_points(points, jobs=1,
-                             journal=SweepJournal(journal_path))
+        resumed = run_points(points, jobs=1, cache=ResultCache(root))
     finally:
         parallel._POINT_RUNNER = original
 
-    if len(simulated) != RESUME_POINTS - journaled:
+    if len(simulated) != RESUME_POINTS - stored:
         print(f"FAIL: resume re-simulated {len(simulated)} point(s), "
-              f"expected {RESUME_POINTS - journaled} "
-              f"({journaled} already journaled)")
+              f"expected {RESUME_POINTS - stored} "
+              f"({stored} already cached)")
         return 1
-    served = sum(1 for r in resumed if r.journaled)
-    if served != journaled:
-        print(f"FAIL: resume served {served} point(s) from the journal, "
-              f"expected {journaled}")
+    served = sum(1 for r in resumed if r.cached and r.attempts == 0)
+    if served != stored:
+        print(f"FAIL: resume served {served} point(s) from the cache, "
+              f"expected {stored}")
         return 1
 
     # the resumed sweep must be bit-identical to an uninterrupted run
@@ -167,12 +167,12 @@ def run_resume_gate(tmp: pathlib.Path, artifact: dict) -> int:
 
     artifact["resume"] = {
         "points": RESUME_POINTS,
-        "journaled_at_kill": journaled,
+        "cached_at_kill": stored,
         "resimulated": len(simulated),
         "bit_identical": True,
     }
-    print(f"resume gate OK: child SIGKILLed with {journaled}/{RESUME_POINTS} "
-          f"points journaled; resume re-simulated exactly "
+    print(f"resume gate OK: child SIGKILLed with {stored}/{RESUME_POINTS} "
+          f"points cached; resume re-simulated exactly "
           f"{len(simulated)} and matched the uninterrupted run bit-for-bit")
     return 0
 
