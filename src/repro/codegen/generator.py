@@ -8,9 +8,13 @@ replays :meth:`repro.pipeline.processor.Processor._run_event` with
   version-counter saturation point) inlined as literals,
 * the functional-unit dispatch table resolved into a per-kind unrolled
   ``if/elif`` chain with literal counts and latencies,
-* the renamer hot path — ``can_rename``, ``rename``, free-list pop, PRT
-  update, commit-time release bookkeeping — fused directly into the
+* the renamer hot path — ``can_rename`` (including the sharing
+  register-pressure check), ``rename``, free-list pop, PRT update,
+  commit-time release bookkeeping — fused directly into the
   rename/dispatch, writeback and commit stages for the concrete scheme,
+* ``MemoryHierarchy.data_access`` (load issue, store commit) fused for
+  its TLB-hit / L1-D-hit / stride-training case, and
+  ``Processor._verify_operands`` fused as direct register-file reads,
 * config-dead code (interrupt delivery, register-file port limits,
   operand verification, wrong-path squash) dropped entirely when the
   config disables it,
@@ -38,15 +42,28 @@ make that safe:
   loop would have.  After any delegated call that may mutate them they
   are re-read.
 * **slow-path delegation**: anything cold or stateful-in-a-subtle-way
-  (repair µop injection on stale sources, sharing ``_release`` predictor
-  training, wrong-path squash, flush/replay) calls the original bound
-  method, so there is exactly one implementation of the tricky parts.
+  (repair µop injection on stale sources, TLB and L1-D misses, new
+  stride-table entries, prefetches of absent lines, operand mismatches,
+  wrong-path squash, flush/replay, ``fetch.tick``) calls the original
+  bound method, so there is exactly one implementation of the tricky
+  parts.
 
 Renamer subclasses that override hot-path methods (e.g. ad-hoc oracle
 renamers in tests) are rejected at dispatch time by the exact-class
 ``codegen_id`` check in :func:`repro.codegen.kernel_for` — the generated
 code inlines *this* scheme's methods, so only the class that declares the
 matching ``codegen_id`` in its own ``__dict__`` may run it.
+
+The inlined data access reads these ``repro.mem`` internals, so
+``kernel_for`` also admits only the exact stock hierarchy classes:
+
+* ``TLB._lru`` (the LRU ``OrderedDict``), ``TLB.page_bits``, ``TLB.stats``;
+* ``Cache._sets`` (each ``_Set``'s ``tags``/``dirty`` lists, MRU last),
+  ``Cache._prefetched``, ``Cache.line_bytes``/``num_sets``/
+  ``hit_latency``, ``Cache.stats`` (re-read per access: ``reset_stats``
+  rebinds it);
+* ``StridePrefetcher.table`` (its ``_Entry`` fields), ``mask``,
+  ``threshold``, ``degree``, ``issued``.
 """
 
 from __future__ import annotations
@@ -59,7 +76,7 @@ _FU_ORDER = ("alu", "mem", "fpu", "branch", "mul", "div", "fpdiv")
 
 #: bump when the generated code's shape or its contract with the
 #: simulator internals changes, so stale cached kernels read as misses
-GENERATOR_VERSION = 3
+GENERATOR_VERSION = 4
 
 
 class KernelUnavailable(RuntimeError):
@@ -381,6 +398,118 @@ else:
     return _reindent(block, pad)
 
 
+# --------------------------------------------------------------------- memory access
+#: hoists for the inlined MemoryHierarchy.data_access (kernel_for only
+#: admits the exact mem/ classes whose internals these read)
+_MEM_HOISTS = """
+hierarchy = proc.hierarchy
+tlb = hierarchy.tlb
+tlb_lru = tlb._lru
+tlb_page_bits = tlb.page_bits
+tlb_translate = tlb.translate
+l1d = hierarchy.l1d
+l1d_sets = l1d._sets
+l1d_line = l1d.line_bytes
+l1d_nsets = l1d.num_sets
+l1d_hit = l1d.hit_latency
+l1d_prefetched = l1d._prefetched
+l1d_access = l1d.access
+l1d_prefetch = l1d.prefetch
+pf = hierarchy.prefetcher
+if pf is not None:
+    pf_table = pf.table
+    pf_mask = pf.mask
+    pf_threshold = pf.threshold
+    pf_degree = pf.degree
+    pf_observe = pf.observe
+"""
+
+
+def _data_access_block(is_write: bool, pad: str) -> str:
+    """Inline of ``hierarchy.data_access(_mpc, _maddr, is_write, cycle)``
+    into ``_mlat``.
+
+    TLB and L1-D hits, and stride-table training, run inline; a TLB miss,
+    an L1-D miss, a new prefetcher entry and a prefetch of an absent line
+    call the bound methods.  ``l1d.stats`` is read per access because
+    ``Cache.reset_stats`` rebinds it.
+    """
+    dirty = "\n    _mset.dirty[-1] = True" if is_write else ""
+    block = f"""
+_mpage = _maddr >> tlb_page_bits
+if _mpage in tlb_lru:
+    tlb.stats.accesses += 1
+    tlb_lru.move_to_end(_mpage)
+    _mlat = 0
+else:
+    _mlat = tlb_translate(_maddr)
+_mblk = _maddr // l1d_line
+_mset = l1d_sets[_mblk % l1d_nsets]
+_mtags = _mset.tags
+_mtag = _mblk // l1d_nsets
+if _mtag in _mtags:
+    _mst = l1d.stats
+    _mst.accesses += 1
+    _mst.hits += 1
+    if _mblk in l1d_prefetched:
+        l1d_prefetched.discard(_mblk)
+        _mst.prefetch_hits += 1
+    if _mtags[-1] != _mtag:
+        _mway = _mtags.index(_mtag)
+        _mtags.append(_mtags.pop(_mway))
+        _mdirty = _mset.dirty
+        _mdirty.append(_mdirty.pop(_mway)){dirty}
+    _mlat += l1d_hit
+else:
+    _mlat += l1d_access(_maddr, {is_write}, cycle)
+"""
+    if not is_write:
+        block += """
+if pf is not None:
+    _mpe = pf_table.get(_mpc & pf_mask)
+    if _mpe is None:
+        pf_observe(_mpc, _maddr, l1d, cycle)
+    else:
+        _mstride = _maddr - _mpe.last_addr
+        if _mstride != 0 and _mstride == _mpe.stride:
+            _mconf = _mpe.confidence + 1
+            _mpe.confidence = _mconf if _mconf < 3 else 3
+        else:
+            _mpe.confidence = 0
+            _mpe.stride = _mstride
+        _mpe.last_addr = _maddr
+        if _mpe.confidence >= pf_threshold and _mstride != 0:
+            for _mk in range(1, pf_degree + 1):
+                _mpaddr = _maddr + _mk * _mstride
+                _mblk = _mpaddr // l1d_line
+                _mset = l1d_sets[_mblk % l1d_nsets]
+                if _mblk // l1d_nsets not in _mset.tags:
+                    l1d_prefetch(_mpaddr, cycle)
+                pf.issued += 1
+"""
+    return _reindent(block, pad)
+
+
+# --------------------------------------------------------------------- operand verification
+#: inline of Processor._verify_operands: register-file reads compared
+#: with _values_equal's NaN rule; a missing version or a mismatch calls
+#: the bound method, so the error and its message come from one place
+_VERIFY = """
+if not dyn.wrong_path:
+    for _tag, _exp in zip(dyn.src_tags, dyn.src_values):
+        if _exp is None:
+            continue
+        try:
+            _act = (int_rfv if _tag[0] == 0 else fp_rfv)[_tag[1]][_tag[2]]
+        except KeyError:
+            proc_verify(dyn)
+            break
+        if not (_act == _exp or (_act != _act and _exp != _exp)):
+            proc_verify(dyn)
+            break
+"""
+
+
 # --------------------------------------------------------------------- rename bodies
 def _sharing_single_use_pred(scheme: str, pad: str) -> str:
     if scheme == "hinted":
@@ -394,6 +523,23 @@ su_stats.predictions += 1
 _pred = su_table[(_pc ^ (_pc >> 9)) & su_mask] >= 2
 if _pred:
     su_stats.predicted_yes += 1
+"""
+    return _reindent(block, pad)
+
+
+def _sharing_single_use_dry(scheme: str, pad: str) -> str:
+    """``_single_use_prediction(dry_run=True)``: ``continue`` on a no."""
+    if scheme == "hinted":
+        block = """
+_hints = dyn.hint_src_single_use
+if _i >= len(_hints) or not _hints[_i]:
+    continue
+"""
+    else:
+        block = """
+_pc = dyn.pc
+if su_table[(_pc ^ (_pc >> 9)) & su_mask] < 2:
+    continue
 """
     return _reindent(block, pad)
 
@@ -432,11 +578,30 @@ def _rename_body(config, pad: str) -> str:
     SQ = config.sq_size
     MAXV = (1 << config.counter_bits) - 1
 
-    head = f"""
+    head = """
 if not fetch_queue:
     break
 dyn = fetch_queue[0]
 _srcs = dyn.srcs
+"""
+    if scheme in ("sharing", "hinted"):
+        # one staleness scan per instruction, shared by the slot check,
+        # the register-pressure check and the repair delegation below
+        head += """
+_stale = False
+for _s in _srcs:
+    if _s[0] is _RC_INT:
+        _t = int_map[_s[1]]
+        if _t[1] < int_prt[_t[0]].version:
+            _stale = True
+            break
+    else:
+        _t = fp_map[_s[1]]
+        if _t[1] < fp_prt[_t[0]].version:
+            _stale = True
+            break
+"""
+    head += f"""
 if {ROB} - len(rob_entries) >= 7 and {IQS} - iq._size >= 7:
     pass
 else:
@@ -454,21 +619,9 @@ else:
 """.format(ROB=ROB, IQS=IQS)
     else:
         # uops_needed() is only non-zero when a source is stale (repair
-        # µops); scan for staleness inline and price the group with the
-        # bound method only in that rare case
+        # µops): price the group with the bound method only in that case
         head += f"""
-    _slots = 1
-    for _s in _srcs:
-        if _s[0] is _RC_INT:
-            _t = int_map[_s[1]]
-            if _t[1] < int_prt[_t[0]].version:
-                _slots = renamer_uops_needed(dyn, is_ready) + 1
-                break
-        else:
-            _t = fp_map[_s[1]]
-            if _t[1] < fp_prt[_t[0]].version:
-                _slots = renamer_uops_needed(dyn, is_ready) + 1
-                break
+    _slots = renamer_uops_needed(dyn, is_ready) + 1 if _stale else 1
     if {ROB} - len(rob_entries) < _slots:
         stats.rename_stall_rob += 1
         rename_stall = 1
@@ -509,16 +662,48 @@ fetch_queue.popleft()
 ren_stats.insts += 1
 """
     else:
+        # SharingRenamer.can_rename (Section IV-A4: block only when no
+        # register is free *and* no reuse is possible).  Without a stale
+        # source only the destination can need a register, so rename
+        # stalls iff its file is empty and no same-class source passes
+        # _reusable_via(dry_run=True); the scan below is that check,
+        # side-effect free.  Stale sources (repairs) delegate.
         can_rename = """
 _wc = len(_srcs) + 1
 if int_flist._count >= _wc and fp_flist._count >= _wc:
     pass
-elif not renamer_can_rename(dyn):
-    stats.rename_stall_regs += 1
-    rename_stall = 4
-    break
+elif _stale:
+    if not renamer_can_rename(dyn):
+        stats.rename_stall_regs += 1
+        rename_stall = 4
+        break
+elif dest is not None and (int_flist if dest[0] is _RC_INT
+                           else fp_flist)._count == 0:
+    if dest[0] is _RC_INT:
+        _map = int_map; _prt = int_prt; _shadow = int_shadow
+    else:
+        _map = fp_map; _prt = fp_prt; _shadow = fp_shadow
+    for _i in range(len(_srcs)):
+        _s = _srcs[_i]
+        if _s[0] is not dest[0]:
+            continue
+        _t = _map[_s[1]]
+        _e = _prt[_t[0]]
+        if _e.version != _t[1] or _e.read_bit:
+            continue
+        if _s != dest:
+$SINGLE_USE_DRY
+        if _t[1] < $MAXV and _t[1] < _shadow[_t[0]]:
+            break
+    else:
+        stats.rename_stall_regs += 1
+        rename_stall = 4
+        break
 fetch_queue.popleft()
 """
+        can_rename = can_rename.replace(
+            "$SINGLE_USE_DRY", _sharing_single_use_dry(scheme, " " * 12))
+        can_rename = can_rename.replace("$MAXV", str(MAXV))
 
     if scheme == "conventional":
         rename_core = """
@@ -615,18 +800,6 @@ if dest is not None:
         # allocations): delegate the whole instruction to the bound
         # rename() *before* any inline mutation, so nothing double-applies
         rename_core = """
-_stale = False
-for _s in _srcs:
-    if _s[0] is _RC_INT:
-        _t = int_map[_s[1]]
-        if _t[1] < int_prt[_t[0]].version:
-            _stale = True
-            break
-    else:
-        _t = fp_map[_s[1]]
-        if _t[1] < fp_prt[_t[0]].version:
-            _stale = True
-            break
 if _stale:
     group = renamer_rename(dyn, is_ready)
     for renamed in group:
@@ -909,7 +1082,6 @@ fus = proc.fus
 fus_used = fus._used
 completion = proc.completion
 ticket = proc._ticket
-data_access = proc.hierarchy.data_access
 on_cycle = proc.on_cycle
 interval = proc.on_cycle_interval
 slow_commit = (proc.oracle is not None or proc.on_commit is not None
@@ -925,6 +1097,7 @@ occ_free = stats.free_regs_sum
 occ_samples = stats.occupancy_samples
 last_progress = proc._last_progress
 """, "    "))
+    L.append(_reindent(_MEM_HOISTS, "    "))
     if VV:
         L.append("    proc_verify = proc._verify_operands")
     if PS != "none":
@@ -1008,7 +1181,8 @@ if rob_entries and rob_entries[0].completed:
                 info = OPCODES[head.op]
                 head._info = info
             if info.is_store:
-                data_access(head.pc, head.mem_addr, True, cycle)
+                _maddr = head.mem_addr
+{_data_access_block(True, "                ")}
                 lsq_retire(head)
                 stats.stores += 1
             elif info.is_load:
@@ -1156,8 +1330,10 @@ if rob_entries and rob_entries[0].completed:
     iss.append("                    total = latency + 1")
     iss.append("                    stats.store_forwards += 1")
     iss.append("                else:")
-    iss.append("                    total = latency + data_access(")
-    iss.append("                        dyn.pc, dyn.mem_addr, False, cycle)")
+    iss.append("                    _mpc = dyn.pc")
+    iss.append("                    _maddr = dyn.mem_addr")
+    iss.append(_data_access_block(False, "                    "))
+    iss.append("                    total = latency + _mlat")
     iss.append("                _le = dyn.lsq_entry")
     iss.append("                if _le is None:")
     iss.append('                    raise AssertionError("instruction not in LSQ")')
@@ -1169,7 +1345,7 @@ if rob_entries and rob_entries[0].completed:
     iss.append("            else:")
     iss.append("                total = latency")
     if VV:
-        iss.append("            proc_verify(dyn)")
+        iss.append(_reindent(_VERIFY, "            "))
     if track_reads:
         iss.append("            for _tag in dyn.src_tags:")
         iss.append("                if _tag[0] == 0:")

@@ -296,7 +296,8 @@ class Processor:
 
         Falls back to the event loop — same semantics, just slower — only
         for the documented reasons :func:`repro.codegen.kernel_for` gives
-        (kernels disabled, a renamer subclass, a shadowed method).
+        (kernels disabled, a renamer subclass, a shadowed method, a
+        memory hierarchy other than the stock ``MemoryHierarchy``).
         Generation and compile errors propagate, and so do exceptions
         raised while a kernel is *running*: simulated state may be
         mid-cycle, so retrying on a different loop would be wrong.
@@ -323,7 +324,7 @@ class Processor:
     def _load_kernel(self):
         from repro.codegen import kernel_for
 
-        return kernel_for(self.config, self.renamer)
+        return kernel_for(self.config, self.renamer, self.hierarchy)
 
     def _run_event(self, max_insts: Optional[int]) -> None:
         """Event-driven cycle loop: skip runs of provably-quiet cycles.

@@ -5,7 +5,9 @@ three-way oracle in ``test_event_loop.py`` and by ``tools/kernel_smoke``;
 this module tests the machinery *around* them — that the fingerprint
 tracks everything a kernel depends on, that a damaged cache entry is a
 miss rather than a crash, and that every opt-out path really lands on
-the event loop.
+the event loop — plus an oracle for the inlined register-pressure check,
+L1-D/TLB/prefetcher path and operand verification, whose delegated cold
+paths the streams below are sized to reach.
 """
 
 import dataclasses
@@ -23,9 +25,12 @@ from repro.codegen import (
 from repro.codegen.cache import _KERNEL_MEMO
 from repro.core.conventional import ConventionalRenamer
 from repro.isa.executor import FunctionalExecutor
+from repro.mem import Cache, MemoryHierarchy
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import IterSource, Processor
+from repro.pipeline.processor import IterSource, Processor, VerificationError
 from repro.verify.fuzz import generate
+from repro.workloads import BENCHMARKS
+from repro.workloads.generator import SyntheticWorkload
 
 
 @pytest.fixture(autouse=True)
@@ -187,6 +192,34 @@ def test_monkeypatched_renamer_method_falls_back_to_event_loop():
     assert seen, "the patched write hook must actually be exercised"
 
 
+def test_foreign_memory_hierarchy_falls_back_to_event_loop():
+    """The kernel inlines data_access and reads TLB/L1-D/prefetcher
+    internals, so only the exact stock classes may run it."""
+
+    class CountingHierarchy(MemoryHierarchy):
+        pass
+
+    class CountingCache(Cache):
+        pass
+
+    config = MachineConfig(scheme="conventional", verify_values=False)
+    assert kernel_for(config, ConventionalRenamer,
+                      config.make_hierarchy()) is not None
+    assert kernel_for(config, ConventionalRenamer,
+                      CountingHierarchy(config.hierarchy)) is None
+    subclassed_l1d = config.make_hierarchy()
+    subclassed_l1d.l1d = CountingCache("L1D", 32 * 1024, 2, 64, 1)
+    assert kernel_for(config, ConventionalRenamer, subclassed_l1d) is None
+    patched_tlb = config.make_hierarchy()
+    patched_tlb.tlb.translate = lambda addr: 0
+    assert kernel_for(config, ConventionalRenamer, patched_tlb) is None
+
+    proc = _processor("conventional",
+                      hierarchy=CountingHierarchy(config.hierarchy))
+    proc.run()
+    assert proc.loop_used == "event"
+
+
 def test_generator_error_propagates(monkeypatch):
     """Only the documented reasons fall back to the event loop; a broken
     generator must fail the simulation instead of silently halving its
@@ -214,3 +247,82 @@ def test_generated_matches_event_without_hooks():
     assert gen.loop_used == "generated"
     assert dataclasses.asdict(gen.stats) == dataclasses.asdict(event.stats)
     assert gen.renamer.stats == event.renamer.stats
+
+
+# --------------------------------------------------------------------------
+# inlined hot paths vs the event loop
+
+def _synthetic(profile, insts=3000):
+    return list(SyntheticWorkload(BENCHMARKS[profile], total_insts=insts,
+                                  seed=1))
+
+
+def _full_snapshot(proc):
+    renamer = proc.renamer
+    snap = {
+        "stats": proc.stats.to_dict(),
+        "renamer": dataclasses.asdict(renamer.stats),
+        "prefetches_issued": proc.hierarchy.prefetcher.issued,
+        "arch": proc.architectural_state(),
+    }
+    if hasattr(renamer, "single_use"):
+        snap["single_use"] = dataclasses.asdict(renamer.single_use.stats)
+        snap["predictor"] = dataclasses.asdict(renamer.predictor.stats)
+    return snap
+
+
+@pytest.mark.parametrize("profile", ["mcf", "h264ref"])
+@pytest.mark.parametrize("verify", [True, False])
+@pytest.mark.parametrize("scheme,counter_bits", [
+    ("sharing", 2), ("hinted", 2), ("conventional", 2),
+    # 1-bit counters saturate below the shadow-cell count, so the
+    # pressure check's counter bound is the one that denies reuse
+    ("sharing", 1),
+])
+def test_inlined_paths_match_event_loop(scheme, counter_bits, verify,
+                                        profile):
+    """No hooks (the inline store-commit path runs) and 48 registers (the
+    register-pressure check runs): full SimStats, cache stats, renamer and
+    predictor stats and prefetch counts must match the event loop, and the
+    stream must reach every delegated cold path."""
+    config = MachineConfig(scheme=scheme, int_regs=48, verify_values=verify,
+                           counter_bits=counter_bits)
+    event = Processor(config, IterSource(iter(_synthetic(profile))),
+                      kernel=False)
+    event.run()
+    gen = Processor(config, IterSource(iter(_synthetic(profile))))
+    gen.run()
+    assert gen.loop_used == "generated"
+    assert _full_snapshot(gen) == _full_snapshot(event)
+
+    caches = event.stats.cache_stats
+    assert event.stats.rename_stall_regs > 0
+    assert caches["tlb"].misses > 0
+    assert caches["l1d"].writebacks > 0
+    assert caches["l1d"].prefetch_hits > 0
+
+
+def _corrupted_stream():
+    stream = _synthetic("h264ref", insts=1500)
+    victim = next(d for d in stream[500:]
+                  if d.src_values and d.src_values[0] is not None)
+    bad = list(victim.src_values)
+    bad[0] = bad[0] + 1
+    victim.src_values = tuple(bad)
+    return stream
+
+
+def test_operand_mismatch_raises_same_error_in_both_loops():
+    """The inline verification delegates a mismatch to
+    Processor._verify_operands, so the error and its message are shared."""
+    config = MachineConfig(scheme="sharing", verify_values=True)
+    messages = {}
+    for kernel in (False, True):
+        proc = Processor(config, IterSource(iter(_corrupted_stream())),
+                         kernel=kernel)
+        with pytest.raises(VerificationError) as info:
+            proc.run()
+        messages[proc.loop_used] = str(info.value)
+    assert set(messages) == {"event", "generated"}
+    assert "operand mismatch" in messages["generated"]
+    assert messages["generated"] == messages["event"]

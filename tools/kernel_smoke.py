@@ -2,7 +2,9 @@
 """CI smoke test for the code-generated cycle kernels.
 
 For every rename scheme the generator supports, runs the same workload
-through the generated kernel and the interpreted event loop and asserts
+through the generated kernel and the interpreted event loop — in the
+default configuration, with operand verification on, and with a
+48-register integer file (register pressure) — and asserts
 
 * the kernel actually engaged (``loop_used == "generated"`` — a silent
   fallback to the event loop would make the bit-identity check
@@ -37,6 +39,12 @@ SEED = 1
 PROFILE = "mcf"  # pointer-chasing profile with the widest kernel/event gap
 REPS = 3
 SPEEDUP_FLOOR = 2.0  # sharing kernel vs event loop, same process
+#: identity-pass variants: label -> MachineConfig overrides
+VARIANTS = {
+    "default": {},
+    "verify": {"verify_values": True},
+    "48-regs": {"int_regs": 48},
+}
 
 
 def _stream():
@@ -84,27 +92,40 @@ def main() -> int:
                   "speedup_floor": SPEEDUP_FLOOR, "schemes": {}}
 
         for scheme in SCHEMES:
+            identical = {}
+            for label, overrides in VARIANTS.items():
+                config = MachineConfig(scheme=scheme, **{
+                    "verify_values": False, **overrides})
+                gen_proc, gen_commits, _ = _run(config, kernel=True)
+                if gen_proc.loop_used != "generated":
+                    print(f"FAIL: {scheme}/{label}: kernel did not engage "
+                          f"(loop_used={gen_proc.loop_used!r})")
+                    return 1
+                ev_proc, ev_commits, _ = _run(config, kernel=False)
+                assert ev_proc.loop_used == "event"
+
+                gen_snap, ev_snap = _snapshot(gen_proc), _snapshot(ev_proc)
+                if gen_snap != ev_snap:
+                    diverged = [k for k in gen_snap
+                                if gen_snap[k] != ev_snap[k]]
+                    print(f"FAIL: {scheme}/{label}: generated kernel "
+                          f"diverged from the event loop in {diverged}")
+                    return 1
+                if gen_commits != ev_commits:
+                    print(f"FAIL: {scheme}/{label}: commit streams diverged "
+                          f"({len(gen_commits)} vs {len(ev_commits)} "
+                          f"commits)")
+                    return 1
+                identical[label] = {
+                    "commits": len(gen_commits),
+                    "cycles": gen_snap["cycles"],
+                    "cycles_skipped": gen_proc.cycles_skipped,
+                }
+                print(f"ok: {scheme:12s} {label:8s} identical over "
+                      f"{len(gen_commits)} commits / {gen_snap['cycles']} "
+                      f"cycles")
+
             config = MachineConfig(scheme=scheme, verify_values=False)
-
-            gen_proc, gen_commits, _ = _run(config, kernel=True)
-            if gen_proc.loop_used != "generated":
-                print(f"FAIL: {scheme}: kernel did not engage "
-                      f"(loop_used={gen_proc.loop_used!r})")
-                return 1
-            ev_proc, ev_commits, _ = _run(config, kernel=False)
-            assert ev_proc.loop_used == "event"
-
-            gen_snap, ev_snap = _snapshot(gen_proc), _snapshot(ev_proc)
-            if gen_snap != ev_snap:
-                diverged = [k for k in gen_snap if gen_snap[k] != ev_snap[k]]
-                print(f"FAIL: {scheme}: generated kernel diverged from the "
-                      f"event loop in {diverged}")
-                return 1
-            if gen_commits != ev_commits:
-                print(f"FAIL: {scheme}: commit streams diverged "
-                      f"({len(gen_commits)} vs {len(ev_commits)} commits)")
-                return 1
-
             # timing pass: no hooks, so the kernel takes its fast-commit
             # path (the configuration `Processor.run` uses by default)
             gen_best = ev_best = float("inf")
@@ -116,18 +137,13 @@ def main() -> int:
             speedup = ev_best / gen_best
 
             report["schemes"][scheme] = {
-                "identical": True,
-                "commits": len(gen_commits),
-                "cycles": gen_snap["cycles"],
-                "cycles_skipped": gen_proc.cycles_skipped,
+                "identical": identical,
                 "kernel": kernel_fingerprint(config),
                 "generated_insts_per_sec": round(INSTS / gen_best, 1),
                 "event_insts_per_sec": round(INSTS / ev_best, 1),
                 "speedup": round(speedup, 2),
             }
-            print(f"ok: {scheme:12s} identical over {len(gen_commits)} "
-                  f"commits / {gen_snap['cycles']} cycles, "
-                  f"kernel {speedup:.2f}x event loop")
+            print(f"ok: {scheme:12s} kernel {speedup:.2f}x event loop")
 
         sharing = report["schemes"]["sharing"]["speedup"]
         if sharing < SPEEDUP_FLOOR:
