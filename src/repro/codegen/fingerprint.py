@@ -6,7 +6,7 @@ cache key folds together:
 
 * a generator ABI version (bumped when the generated-code shape changes),
 * the scheme and the full machine configuration
-  (:meth:`MachineConfig.kernel_payload`),
+  (:meth:`MachineConfig.canonical_json`),
 * the repo-wide source fingerprint from :func:`harness.cache.code_fingerprint`
   — editing any ``repro`` module invalidates every cached kernel, which is
   deliberately conservative: the generator copies stage semantics from
@@ -17,7 +17,6 @@ cache key folds together:
 from __future__ import annotations
 
 import hashlib
-import json
 
 from repro.codegen.generator import GENERATOR_VERSION
 
@@ -25,9 +24,9 @@ from repro.codegen.generator import GENERATOR_VERSION
 def kernel_fingerprint(config) -> str:
     """Stable hex key identifying the kernel for ``config``.
 
-    Memoised on the config instance (configs are treated as immutable —
-    edits go through ``dataclasses.replace``, which builds a new
-    instance): the sampling engine constructs one short-lived window
+    Memoised on the config instance (``MachineConfig`` is frozen — edits
+    go through ``dataclasses.replace``, which builds a new instance): the
+    sampling engine constructs one short-lived window
     processor per measured window, and recomputing ``asdict`` + JSON +
     SHA-256 per ``run()`` call was a measurable slice of sampled wall
     time.  Same pattern as :meth:`MachineConfig.opcode_table`.
@@ -35,15 +34,11 @@ def kernel_fingerprint(config) -> str:
     cached = getattr(config, "_kernel_fp", None)
     if cached is not None:
         return cached
-    from repro.harness.cache import code_fingerprint
+    from repro.harness.cache import code_fingerprint, payload_json
 
-    payload = {
-        "abi": GENERATOR_VERSION,
-        "scheme": config.scheme,
-        "config": config.kernel_payload(),
-        "code": code_fingerprint(),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=repr)
+    blob = payload_json({"abi": GENERATOR_VERSION, "scheme": config.scheme,
+                         "code": code_fingerprint()},
+                        config=config.canonical_json())
     key = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
     object.__setattr__(config, "_kernel_fp", key)
     return key

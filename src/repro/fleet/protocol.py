@@ -147,7 +147,7 @@ def point_from_dict(raw: dict):
     """Rebuild a :class:`~repro.harness.parallel.SweepPoint`.
 
     The profile is matched back to the canonical ``BENCHMARKS`` instance
-    when the field values agree (so identity-based memo keys stay warm);
+    when the field values agree (so its memoised canonical JSON is reused);
     an unknown or diverged profile is reconstructed field by field —
     JSON stringifies the ``consumer_dist`` int keys, which must be
     converted back before the dataclass round-trips.

@@ -45,7 +45,6 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
-from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
@@ -119,6 +118,19 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
+def payload_json(plain: dict, **canonical: str) -> str:
+    """``json.dumps(payload, sort_keys=True, default=repr)`` for a payload
+    whose ``canonical`` entries are already canonical JSON texts (a
+    profile's or a config's memoised :meth:`canonical_json`): those are
+    spliced in verbatim instead of being re-serialised, and the result is
+    byte-identical to serialising the whole payload."""
+    items = [(name, json.dumps(value, sort_keys=True, default=repr))
+             for name, value in plain.items()]
+    items += canonical.items()
+    return "{" + ", ".join(f"{json.dumps(name)}: {text}"
+                           for name, text in sorted(items)) + "}"
+
+
 def point_key(config: MachineConfig, profile: WorkloadProfile, insts: int,
               seed: int, fingerprint: Optional[str] = None,
               sampling: Optional[str] = None) -> str:
@@ -127,17 +139,14 @@ def point_key(config: MachineConfig, profile: WorkloadProfile, insts: int,
     ``sampling`` is the ``PERIOD:WINDOW:WARMUP`` spec for interval-sampled
     runs and ``None`` for exact runs — the two must never share a cache
     entry (a sampled estimate silently standing in for an exact result
-    would corrupt golden comparisons).
+    would corrupt golden comparisons).  The config and profile enter as
+    their memoised canonical JSON, so a key costs one SHA-256.
     """
-    payload = {
-        "config": asdict(config),
-        "profile": asdict(profile),
-        "insts": insts,
-        "seed": seed,
-        "sampling": sampling,
-        "code": fingerprint if fingerprint is not None else code_fingerprint(),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=repr)
+    blob = payload_json(
+        {"insts": insts, "seed": seed, "sampling": sampling,
+         "code": fingerprint if fingerprint is not None
+         else code_fingerprint()},
+        config=config.canonical_json(), profile=profile.canonical_json())
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -151,6 +160,10 @@ class ResultCache:
             else code_fingerprint()
         self.hits = 0
         self.misses = 0
+        #: SweepPoint -> key: a sweep looks each point up before running
+        #: it and again when publishing its result, and a figure job
+        #: revisits the same points across several sweeps
+        self._point_keys: dict = {}
 
     # ------------------------------------------------------------------ keys
     def key_for(self, config: MachineConfig, profile: WorkloadProfile,
@@ -160,13 +173,18 @@ class ResultCache:
                          sampling=sampling)
 
     def key_for_point(self, point) -> str:
-        """Key for a :class:`~repro.harness.parallel.SweepPoint`."""
-        from repro.harness.runner import make_config  # avoid import cycle
+        """Key for a :class:`~repro.harness.parallel.SweepPoint`, computed
+        once per point per cache instance."""
+        key = self._point_keys.get(point)
+        if key is None:
+            from repro.harness.runner import make_config  # avoid import cycle
 
-        config = make_config(point.profile, point.scheme, point.size,
-                             port_scheme=point.port_scheme)
-        return self.key_for(config, point.profile, point.insts, point.seed,
-                            sampling=point.sampling)
+            config = make_config(point.profile, point.scheme, point.size,
+                                 port_scheme=point.port_scheme)
+            key = self.key_for(config, point.profile, point.insts,
+                               point.seed, sampling=point.sampling)
+            self._point_keys[point] = key
+        return key
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -282,15 +300,11 @@ def trace_key(profile: WorkloadProfile, insts: int, seed: int,
               body_iters: int = 50,
               fingerprint: Optional[str] = None) -> str:
     """Stable content hash of one pregenerated trace's inputs."""
-    payload = {
-        "profile": asdict(profile),
-        "insts": insts,
-        "seed": seed,
-        "body_iters": body_iters,
-        "generator": fingerprint if fingerprint is not None
-        else generator_fingerprint(),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=repr)
+    blob = payload_json(
+        {"insts": insts, "seed": seed, "body_iters": body_iters,
+         "generator": fingerprint if fingerprint is not None
+         else generator_fingerprint()},
+        profile=profile.canonical_json())
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -403,7 +417,8 @@ class TraceCache:
 class TraceMemo:
     """Process-local LRU of decoded trace streams.
 
-    Keyed by (profile, insts, seed, body_iters); bounded by ``limit``
+    Keyed by (profile, insts, seed, body_iters) — the profile itself, which
+    hashes and compares by content, not its name; bounded by ``limit``
     entries (default 32, 0 disables).  Holding the stream object — not
     just its bytes — keeps a binary stream's parsed columns warm, so a
     worker revisiting a workload pays only re-materialization.
@@ -479,7 +494,7 @@ def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,
 
         return shared_workload(profile, insts, seed, body_iters)
     trace_cache = cache if cache is not None else TraceCache()
-    memo_key = (profile.name, insts, seed, body_iters)
+    memo_key = (profile, insts, seed, body_iters)
     stream = TRACE_MEMO.get(memo_key)
     if stream is None:
         key = trace_cache.key_for(profile, insts, seed, body_iters)

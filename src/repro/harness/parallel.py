@@ -240,8 +240,11 @@ _SHM_WORKLOADS: dict[tuple, tuple[str, int]] = {}
 
 
 def _workload_key(point: SweepPoint) -> tuple:
-    """Identity of the workload a point consumes (cached_stream inputs)."""
-    return (point.profile.name, point.insts, point.seed, 50)
+    """Identity of the workload a point consumes: the
+    :func:`~repro.harness.cache.cached_stream` arguments, which are also
+    its trace-memo key.  The profile enters by content, so a same-name
+    variant of a benchmark is a different workload."""
+    return (point.profile, point.insts, point.seed, 50)
 
 
 def _attach_shared_workload(point: SweepPoint) -> None:
@@ -261,8 +264,7 @@ def _attach_shared_workload(point: SweepPoint) -> None:
         return
     from repro.harness.cache import TRACE_MEMO, TraceStream
 
-    memo_key = (point.profile.name, point.insts, point.seed, 50)
-    if TRACE_MEMO.get(memo_key) is not None:
+    if TRACE_MEMO.get(wkey) is not None:
         return
     name, size = entry
     try:
@@ -281,7 +283,7 @@ def _attach_shared_workload(point: SweepPoint) -> None:
         # once; unregistering here would strip the parent's entry and
         # make that unlink KeyError inside the tracker.
         segment.close()
-    TRACE_MEMO.put(memo_key, TraceStream(blob, point.insts))
+    TRACE_MEMO.put(wkey, TraceStream(blob, point.insts))
 
 
 class WorkloadBroadcast:
@@ -321,14 +323,12 @@ class WorkloadBroadcast:
         from repro.harness.cache import cached_stream
 
         refs: dict[tuple, int] = {}
-        profiles: dict[tuple, WorkloadProfile] = {}
         for index in pending:
             wkey = _workload_key(points[index])
             refs[wkey] = refs.get(wkey, 0) + 1
-            profiles.setdefault(wkey, points[index].profile)
         for wkey, count in refs.items():
             try:
-                blob = cached_stream(profiles[wkey], *wkey[1:]).blob
+                blob = cached_stream(*wkey).blob
                 segment = SharedMemory(create=True, size=max(1, len(blob)))
                 segment.buf[:len(blob)] = blob
             except Exception:
@@ -369,31 +369,23 @@ class WorkloadBroadcast:
 
 
 # --------------------------------------------------------------- affinity
-#: memoized kernel fingerprints; (profile, scheme, size, port_scheme) ->
-#: fingerprint string or None when codegen is unavailable/disabled
-_KERNEL_KEYS: dict[tuple, Optional[str]] = {}
-
-
 def _kernel_key(point: SweepPoint) -> Optional[str]:
-    """The compiled-kernel identity a point will execute under, or None."""
-    cache_key = (point.profile.name, point.scheme, point.size,
-                 point.port_scheme)
-    if cache_key in _KERNEL_KEYS:
-        return _KERNEL_KEYS[cache_key]
-    fingerprint: Optional[str] = None
+    """The compiled-kernel identity a point will execute under, or None
+    when codegen is unavailable or disabled.  Cheap to repeat:
+    ``make_config`` returns a shared instance per distinct configuration
+    and the fingerprint is memoised on it."""
     try:
         from repro.codegen import kernels_enabled
         from repro.codegen.fingerprint import kernel_fingerprint
         from repro.harness.runner import make_config
 
-        if kernels_enabled():
-            config = make_config(point.profile, point.scheme, point.size,
-                                 port_scheme=point.port_scheme)
-            fingerprint = kernel_fingerprint(config)
+        if not kernels_enabled():
+            return None
+        return kernel_fingerprint(make_config(
+            point.profile, point.scheme, point.size,
+            port_scheme=point.port_scheme))
     except Exception:
-        fingerprint = None
-    _KERNEL_KEYS[cache_key] = fingerprint
-    return fingerprint
+        return None
 
 
 class _AffinityQueue:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from repro.harness.parallel import SweepPoint, collect_stats, run_points
 from repro.pipeline.config import MachineConfig
@@ -75,7 +76,18 @@ def class_sizes(profile: WorkloadProfile, size: int) -> tuple[int, int]:
 
 def make_config(profile: WorkloadProfile, scheme: str, size: int,
                 port_scheme: str = "none") -> MachineConfig:
-    int_regs, fp_regs = class_sizes(profile, size)
+    """The sweep configuration of one point.
+
+    Returns one shared (frozen) instance per distinct configuration, so
+    its memoised canonical JSON and kernel fingerprint are computed once
+    per process rather than once per point.
+    """
+    return _sweep_config(scheme, *class_sizes(profile, size), port_scheme)
+
+
+@lru_cache(maxsize=1024)
+def _sweep_config(scheme: str, int_regs: int, fp_regs: int,
+                  port_scheme: str) -> MachineConfig:
     if port_scheme != "none" and scheme == "conventional":
         # equal-area conversion: a port-reduced file's smaller bit cells
         # buy the conventional baseline extra rename registers at the

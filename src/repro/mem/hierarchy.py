@@ -17,7 +17,7 @@ from repro.mem.prefetcher import StridePrefetcher
 from repro.mem.tlb import TLB
 
 
-@dataclass
+@dataclass(frozen=True)
 class HierarchyConfig:
     line_bytes: int = 64
     l1i_size: int = 48 * 1024

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -67,9 +68,16 @@ def rf_config_for(baseline_regs: int, bits: int = 64) -> RegisterFileConfig:
     return RegisterFileConfig(bank_sizes=equal_area_banks(baseline_regs, bits))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineConfig:
-    """Everything the processor model needs; defaults follow Table I."""
+    """Everything the processor model needs; defaults follow Table I.
+
+    Frozen: edits go through ``dataclasses.replace`` (or
+    :meth:`with_scheme`), which builds a new instance, so the per-instance
+    memos (:meth:`opcode_table`, :meth:`canonical_json`, the kernel
+    fingerprint) can never describe a stale configuration and one
+    instance can be shared by every sweep point that uses it.
+    """
 
     # widths
     fetch_width: int = 3
@@ -179,14 +187,16 @@ class MachineConfig:
             object.__setattr__(self, "_opcode_table", table)
         return table
 
-    def kernel_payload(self) -> dict:
-        """Every config field, as plain data, for kernel fingerprinting.
-
-        ``dataclasses.asdict`` recurses into the hierarchy config and
-        copies the fu_config dict, so any field edit — including nested
-        ones — changes the generated-kernel cache key.
-        """
-        return asdict(self)
+    def canonical_json(self) -> str:
+        """Sorted-key JSON of every field, nested hierarchy included: the
+        configuration's identity in result-cache keys and kernel
+        fingerprints, so any field edit changes both.  Cached on the
+        instance."""
+        text = self.__dict__.get("_canonical_json")
+        if text is None:
+            text = json.dumps(asdict(self), sort_keys=True, default=repr)
+            object.__setattr__(self, "_canonical_json", text)
+        return text
 
     # ------------------------------------------------------------------ factories
     def make_renamer(self) -> BaseRenamer:

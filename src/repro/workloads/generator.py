@@ -424,10 +424,9 @@ def shared_workload(profile: WorkloadProfile, total_insts: int, seed: int = 1,
     instance yields the identical dynamic stream — baseline and proposed
     runs of a sweep point provably see the same instructions, and the
     skeleton (the expensive part of construction) is built once.  Profiles
-    are keyed by name: two profiles sharing a name must be the same
-    benchmark (true for everything in ``BENCHMARKS``).
+    are keyed by content, so a same-name variant is its own workload.
     """
-    key = (profile.name, profile.suite, total_insts, seed, body_iters)
+    key = (profile, total_insts, seed, body_iters)
     workload = _shared_workloads.get(key)
     if workload is not None:
         _shared_workloads.move_to_end(key)

@@ -20,12 +20,20 @@ memory-bound, libquantum streams, gcc/gobmk are branchy, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkloadProfile:
-    """Statistical description of one benchmark."""
+    """Statistical description of one benchmark.
+
+    A profile is identified by its content: :meth:`canonical_json`, the
+    sorted-key JSON of every field, is what equality, hashing, the result
+    and trace cache keys and every process-local memo key on.  Two
+    profiles that share a ``name`` but differ in any field are different
+    workloads.
+    """
 
     name: str
     suite: str  # 'specint' | 'specfp' | 'mediabench' | 'cognitive'
@@ -63,6 +71,28 @@ class WorkloadProfile:
     locality: float = 0.6
     #: number of loop-carried accumulator chains per register class
     accumulators: int = 1
+
+    def canonical_json(self) -> str:
+        """Sorted-key JSON of every field, memoised on the instance.
+
+        ``dataclasses.replace`` builds a new instance, so the memo can
+        never describe a stale profile.
+        """
+        text = self.__dict__.get("_canonical_json")
+        if text is None:
+            text = json.dumps(asdict(self), sort_keys=True, default=repr)
+            object.__setattr__(self, "_canonical_json", text)
+        return text
+
+    # equality and hashing both use the canonical JSON, so they agree (the
+    # generated __hash__ would hash the consumer_dist dict and raise)
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.canonical_json() == other.canonical_json()
+
+    def __hash__(self) -> int:
+        return hash(self.canonical_json())
 
 
 def _p(name, suite, one, two, three, chain, **kw) -> WorkloadProfile:
