@@ -5,7 +5,7 @@ JOBS ?= 4
 
 .PHONY: install test bench bench-parallel bench-full repro examples \
 	sampling-smoke kernel-smoke ports-smoke sweep-smoke \
-	verify fuzz fuzz-smoke faults-smoke faults fleet-smoke fleet-chaos \
+	verify fuzz fuzz-smoke faults-smoke faults \
 	golden lint-goldens clean
 
 install:
@@ -67,22 +67,6 @@ FAULT_COUNT ?= 1000
 FAULT_SEED ?= 0
 faults:
 	PYTHONPATH=src $(PYTHON) -m repro faults --injections $(FAULT_COUNT) --seed $(FAULT_SEED)
-
-# distributed-fleet gate: localhost coordinator + 3 forked workers, one
-# SIGKILLed mid-point, one truncating an upload; results must stay
-# bit-identical to the serial reference
-fleet-smoke:
-	$(PYTHON) tools/fleet_smoke.py fleet-smoke.json
-
-# fleet chaos campaign: seeded kills/partitions/mangled uploads/stalls/
-# coordinator restarts, every fault classified, zero silent corruption
-# (CHAOS_FAULTS and CHAOS_SEED are overridable)
-CHAOS_FAULTS ?= 100
-CHAOS_SEED ?= 0
-fleet-chaos:
-	PYTHONPATH=src $(PYTHON) -m repro fleet chaos \
-		--faults $(CHAOS_FAULTS) --seed $(CHAOS_SEED) \
-		--out fleet-chaos.json
 
 repro:
 	$(PYTHON) examples/reproduce_paper.py

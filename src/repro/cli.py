@@ -130,11 +130,6 @@ def _sweep_args(parser: argparse.ArgumentParser) -> None:
                         metavar="SECONDS",
                         help="base backoff between retry attempts "
                              "(exponential with jitter; default 0.25)")
-    parser.add_argument("--fleet", default=None, metavar="HOST:PORT",
-                        help="serve the sweep's pending points to TCP "
-                             "fleet workers at HOST:PORT instead of "
-                             "running them in local processes (start "
-                             "workers with 'repro fleet worker')")
 
 
 def _config(args) -> MachineConfig:
@@ -366,7 +361,7 @@ def _sweep_cache(args):
 
 def _sweep_engine(args) -> dict:
     """Keyword arguments for run_points / the figure helpers, resolved
-    from the shared --jobs/--no-cache/--timeout/--retries/--fleet
+    from the shared --jobs/--no-cache/--timeout/--retries/--retry-delay
     options."""
     return {
         "jobs": args.jobs,
@@ -374,7 +369,6 @@ def _sweep_engine(args) -> dict:
         "timeout": getattr(args, "timeout", None),
         "retries": getattr(args, "retries", 0),
         "retry_delay": getattr(args, "retry_delay", 0.25),
-        "remote": getattr(args, "fleet", None),
     }
 
 
@@ -578,96 +572,6 @@ def cmd_faults(args) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_fleet_serve(args) -> int:
-    """Coordinate a benchmark sweep for TCP fleet workers."""
-    from repro.fleet import FleetConfig
-    from repro.harness.parallel import SweepPoint, run_points
-
-    if args.name not in BENCHMARKS:
-        print(f"unknown benchmark {args.name!r}", file=sys.stderr)
-        return 1
-    profile = BENCHMARKS[args.name]
-    sizes = [int(s) for s in args.sizes.split(",")]
-    schemes = args.schemes.split(",")
-    points = [SweepPoint(profile=profile, scheme=scheme, size=size,
-                         insts=args.insts, seed=args.seed)
-              for scheme in schemes for size in sizes]
-    config = FleetConfig(host=args.host, port=args.port,
-                         lease_deadline=args.lease_deadline,
-                         local_fallback_after=args.local_after)
-    print(f"serving {len(points)} point(s) at {args.host}:{args.port} "
-          f"(connect workers with: repro fleet worker "
-          f"{args.host}:{args.port})", file=sys.stderr)
-    results = run_points(points, jobs=1, cache=_sweep_cache(args),
-                         timeout=args.timeout, retries=args.retries,
-                         remote=config)
-    failures = 0
-    for point, result in zip(points, results):
-        if result.error:
-            failures += 1
-            line = f"FAILED after {result.attempts} attempt(s)"
-        else:
-            line = (f"ipc={result.stats.ipc:.4f} "
-                    f"attempts={result.attempts}")
-        print(f"{point.scheme:<14} {args.name} rf={point.size:<4} {line}")
-    if failures:
-        print(f"{failures} point(s) failed", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def cmd_fleet_worker(args) -> int:
-    """Run one fleet worker against a coordinator."""
-    from repro.fleet import WorkerConfig, worker_main
-
-    host, _, port = args.address.rpartition(":")
-    try:
-        port_num = int(port)
-    except ValueError:
-        print(f"fleet address {args.address!r}: expected HOST:PORT",
-              file=sys.stderr)
-        return 2
-    config = WorkerConfig(host=host or "127.0.0.1", port=port_num,
-                          name=args.name, seed=args.seed,
-                          heartbeat_interval=args.heartbeat,
-                          reconnect_attempts=args.reconnect_attempts,
-                          trace_dir=args.trace_dir or "",
-                          cache_dir=args.cache_dir or "",
-                          events_path=args.events_out or "")
-    summary = worker_main(config)
-    print(f"worker {summary['worker']}: {summary['points_done']} point(s) "
-          + ("done" if summary["finished"]
-             else f"then stopped: {summary['fatal']}"))
-    return 0 if summary["finished"] else 1
-
-
-def cmd_fleet_chaos(args) -> int:
-    """Seeded chaos campaign against a live localhost fleet."""
-    from repro.fleet import run_campaign
-
-    overrides = {"faults": args.faults, "seed": args.seed,
-                 "workers": args.workers, "points": args.points,
-                 "insts": args.insts, "shrink": not args.no_shrink}
-    if args.schemes:
-        overrides["schemes"] = tuple(args.schemes.split(","))
-    if args.workdir:
-        overrides["workdir"] = args.workdir
-
-    def progress(record):
-        if args.verbose:
-            print(f"[{record.index + 1}/{args.faults}] "
-                  f"{record.spec.kind:<18} round {record.spec.round_index} "
-                  f"-> {record.outcome}"
-                  + ("" if record.expected else "  UNEXPECTED"))
-
-    report = run_campaign(progress=progress, **overrides)
-    for line in report.summary_lines():
-        print(line)
-    if args.out:
-        report.save(args.out)
-        print(f"report written to {args.out}", file=sys.stderr)
-    return 0 if report.clean else 1
-
-
 def cmd_motivation(args) -> int:
     if args.name not in BENCHMARKS:
         print(f"unknown benchmark {args.name!r}", file=sys.stderr)
@@ -807,94 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--verbose", action="store_true",
                           help="print every injection as it classifies")
     p_faults.set_defaults(fn=cmd_faults)
-
-    p_fleet = sub.add_parser(
-        "fleet", help="distributed sweep fleet over TCP: coordinator, "
-        "workers, chaos campaign")
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-
-    p_serve = fleet_sub.add_parser(
-        "serve", help="coordinate a benchmark sweep for fleet workers "
-        "(degrades to local execution when no workers connect)")
-    p_serve.add_argument("name", help="benchmark profile to sweep")
-    p_serve.add_argument("--sizes", default="48,56,64,80,96")
-    p_serve.add_argument("--insts", type=int, default=10_000)
-    p_serve.add_argument("--seed", type=int, default=1)
-    p_serve.add_argument("--schemes", default="conventional,sharing",
-                         help="comma-separated scheme list "
-                              "(default conventional,sharing)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=9461)
-    p_serve.add_argument("--lease-deadline", type=float, default=30.0,
-                         help="seconds a worker may hold a point without "
-                              "heartbeating before it is requeued "
-                              "(default 30)")
-    p_serve.add_argument("--local-after", type=float, default=3.0,
-                         help="seconds of remote silence before the "
-                              "coordinator starts running points itself "
-                              "(default 3)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="bypass the persistent result cache (the "
-                              "sweep then does not resume)")
-    p_serve.add_argument("--timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="wall-clock budget for the coordinator's "
-                              "own local runs")
-    p_serve.add_argument("--retries", type=int, default=3,
-                         help="lease re-grants per point after worker "
-                              "loss (default 3)")
-    p_serve.set_defaults(fn=cmd_fleet_serve)
-
-    p_worker = fleet_sub.add_parser(
-        "worker", help="lease and simulate points from a coordinator")
-    p_worker.add_argument("address", help="coordinator HOST:PORT")
-    p_worker.add_argument("--name", default="",
-                          help="worker name shown in coordinator events")
-    p_worker.add_argument("--seed", type=int, default=0,
-                          help="reconnect-backoff jitter seed")
-    p_worker.add_argument("--heartbeat", type=float, default=5.0,
-                          help="heartbeat interval ceiling in seconds "
-                               "(default 5; clamped to the lease "
-                               "deadline)")
-    p_worker.add_argument("--reconnect-attempts", type=int, default=10,
-                          help="consecutive connection failures before "
-                               "giving up (default 10)")
-    p_worker.add_argument("--trace-dir", default=None, metavar="DIR",
-                          help="private trace-cache directory")
-    p_worker.add_argument("--cache-dir", default=None, metavar="DIR",
-                          help="private result-cache directory")
-    p_worker.add_argument("--events-out", default=None, metavar="PATH",
-                          help="write the worker's event summary JSON "
-                               "to PATH on exit")
-    p_worker.set_defaults(fn=cmd_fleet_worker)
-
-    p_chaos = fleet_sub.add_parser(
-        "chaos", help="seeded fault campaign against a live localhost "
-        "fleet: worker kills, partitions, mangled uploads, stalls, "
-        "coordinator restarts — every round must end bit-identical to "
-        "a serial reference")
-    p_chaos.add_argument("--faults", type=int, default=100,
-                         help="fault budget for the campaign (default 100)")
-    p_chaos.add_argument("--seed", type=int, default=0,
-                         help="campaign seed (default 0)")
-    p_chaos.add_argument("--workers", type=int, default=3,
-                         help="fleet workers per round (default 3)")
-    p_chaos.add_argument("--points", type=int, default=6,
-                         help="sweep points per round (default 6)")
-    p_chaos.add_argument("--insts", type=int, default=800,
-                         help="instructions per point (default 800)")
-    p_chaos.add_argument("--schemes", default=None,
-                         help="comma-separated scheme subset")
-    p_chaos.add_argument("--workdir", default=None, metavar="DIR",
-                         help="keep round artifacts under DIR instead of "
-                              "a temporary directory")
-    p_chaos.add_argument("--out", default=None, metavar="PATH",
-                         help="write the JSON campaign report to PATH")
-    p_chaos.add_argument("--no-shrink", action="store_true",
-                         help="skip ddmin shrinking of unexpected rounds")
-    p_chaos.add_argument("--verbose", action="store_true",
-                         help="print every fault as it classifies")
-    p_chaos.set_defaults(fn=cmd_fleet_chaos)
 
     p_mot = sub.add_parser("motivation", help="Figures 1-3 stats for a benchmark")
     p_mot.add_argument("name")

@@ -13,14 +13,10 @@ from repro.faults.injectors import KINDS
 class CampaignReport:
     """Aggregated result of one fault-injection campaign.
 
-    Shared between the microarchitectural campaign (:mod:`repro.faults`)
-    and the fleet chaos campaign (:mod:`repro.fleet.chaos`): both
-    classify every injection into the same
-    masked/detected/recovered/silent/error/skipped taxonomy, and both
-    gate on the same invariant — zero unexpected outcomes, ``silent``
-    never acceptable.  ``title`` distinguishes them in human output;
-    fault kinds outside :data:`repro.faults.injectors.KINDS` (the chaos
-    kinds) render after the built-in ones.
+    Every injection is classified into the
+    masked/detected/recovered/silent/error/skipped taxonomy, and the
+    campaign gates on one invariant — zero unexpected outcomes,
+    ``silent`` never acceptable.
     """
 
     seed: int
@@ -32,7 +28,6 @@ class CampaignReport:
     unexpected: list = field(default_factory=list)
     #: ddmin-shrunk reproducers for the unexpected records
     reproducers: list = field(default_factory=list)
-    title: str = "fault campaign"
 
     @classmethod
     def from_records(cls, config, records) -> "CampaignReport":
@@ -64,7 +59,7 @@ class CampaignReport:
     # ------------------------------------------------------------------ output
     def to_dict(self) -> dict:
         return {
-            "title": self.title,
+            "title": "fault campaign",
             "seed": self.seed,
             "injections": self.injections,
             "schemes": list(self.schemes),
@@ -82,15 +77,14 @@ class CampaignReport:
 
     def summary_lines(self) -> list[str]:
         lines = [
-            f"{self.title}: seed {self.seed}, {self.injections} injections "
+            f"fault campaign: seed {self.seed}, {self.injections} injections "
             f"across {', '.join(self.schemes)}",
             f"  {'kind':<20} " + " ".join(
                 f"{o:>10}" for o in
                 ("masked", "detected", "recovered", "silent", "error",
                  "skipped")),
         ]
-        extra = sorted(kind for kind in self.counts if kind not in KINDS)
-        for kind in (*KINDS, *extra):
+        for kind in KINDS:
             by = self.counts.get(kind)
             if not by:
                 continue

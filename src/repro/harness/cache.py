@@ -210,33 +210,6 @@ class ResultCache:
     def put(self, key: str, stats: Union[SimStats, SampledStats]) -> None:
         atomic_write_text(self._path(key), json.dumps(stats.to_dict()))
 
-    # ------------------------------------------------------------- raw bytes
-    def get_bytes(self, key: str) -> Optional[bytes]:
-        """The entry's exact stored JSON bytes, validated — or ``None``.
-
-        Used by the fleet's content-addressed store: shipping the stored
-        bytes verbatim keeps the transfer digest stable across hops.
-        Corrupt entries read as misses and are unlinked, same as
-        :meth:`get`.
-        """
-        path = self._path(key)
-        try:
-            blob = path.read_bytes()
-            stats_from_dict(json.loads(blob.decode("utf-8")))
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
-            self.misses += 1
-            _unlink_quietly(path)
-            return None
-        self.hits += 1
-        return blob
-
-    def put_bytes(self, key: str, blob: bytes) -> None:
-        """Store an entry from its serialized bytes (caller validates)."""
-        atomic_write_bytes(self._path(key), blob)
-
     # ------------------------------------------------------------------ maintenance
     def _entries(self) -> list[Path]:
         if not self.root.is_dir():

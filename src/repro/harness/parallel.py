@@ -4,19 +4,18 @@ Every paper figure is a grid of fully independent simulations.  This
 module turns that grid into data: a sweep is a list of
 :class:`SweepPoint` values (benchmark profile x scheme x register-file
 size x instruction count x seed) which :func:`run_points` executes by
-one of three routes, picked from its arguments:
+one of two routes, picked from its arguments:
 
 * **in-process serial** for ``jobs=1`` without a ``timeout``;
 * the **pipe fleet** (:func:`_run_fleet`) for ``jobs > 1`` or any
   ``timeout``: forked workers fed over pipes, a wall-clock deadline per
   in-flight point, kill-and-requeue for stragglers, respawn for dead
-  workers, bounded retries with exponential backoff;
-* the **TCP coordinator** (:mod:`repro.fleet`) for ``remote=...``.
+  workers, bounded retries with exponential backoff.
 
-All three drive one scheduler core (:class:`_Scheduler`) whose slots
-are this process, forked pipe workers or TCP leases: one requeue rule
-(retry with backoff, or fail with a bounded error) and first-wins
-resolution.  A worker death consumes one attempt, like a crash.
+Both drive one scheduler core (:class:`_Scheduler`) whose slots are
+this process or forked pipe workers: one requeue rule (retry with
+backoff, or fail with a bounded error) and first-wins resolution.  A
+worker death consumes one attempt, like a crash.
 
 Results cross the process boundary as plain
 :meth:`~repro.pipeline.stats.SimStats.to_dict` dicts (cheap to pickle); a
@@ -42,8 +41,8 @@ memo and loaded cycle kernel.  ``REPRO_NO_SHM=1`` disables the
 broadcast.
 
 Determinism: a point's result does not depend on how it was executed —
-serial, the pipe fleet, the TCP fleet, the cached path, shared-memory
-or disk, all reproduce bit-identical counters, which the tests assert.
+serial, the pipe fleet, the cached path, shared-memory or disk, all
+reproduce bit-identical counters, which the tests assert.
 Retries, backoff jitter, broadcast and affinity only affect *when and
 where* a point runs, never its result.
 """
@@ -63,9 +62,9 @@ from repro.workloads.profiles import WorkloadProfile
 #: environment default for ``jobs`` when the caller passes None
 JOBS_ENV = "REPRO_JOBS"
 
-#: characters of a per-point failure message kept when uploading — a
-#: recursive traceback must not bloat every result frame and final
-#: report it passes through
+#: characters of a per-point failure message kept — a recursive
+#: traceback must not bloat every pipe message and final report it
+#: passes through
 ERROR_LIMIT = 8192
 
 
@@ -449,31 +448,30 @@ class _AffinityQueue:
 
 
 # ---------------------------------------------------------------- scheduler
-@dataclass
+@dataclass(frozen=True)
 class _Lease:
     """One in-flight execution of a point."""
 
     key: str
     index: int
     attempt: int
-    #: who runs it: a pipe-fleet slot position, a TCP worker name, or
-    #: None for a TCP coordinator's own local run
-    worker: object
-    #: monotonic wall-clock bound; None means unbounded
+    #: who runs it: a pipe-fleet slot position, or None for the serial
+    #: route's in-process run
+    worker: Optional[int]
+    #: monotonic wall-clock bound, fixed at lease time; None means
+    #: unbounded
     deadline: Optional[float] = None
 
 
 class _Scheduler:
-    """The queue/retry core behind both sweep transports.
+    """The queue/retry core behind both sweep routes.
 
     Owns the affinity-ordered ready queue, the backoff-delayed retries,
-    the in-flight leases and the unresolved set.  A transport leases
-    points to its slots — this process in :func:`_run_serial`, forked
-    pipe workers in :func:`_run_fleet`, TCP workers in
-    :class:`~repro.fleet.coordinator.FleetCoordinator` — and reports
-    every attempt's outcome through :meth:`settle`; ``finish`` fires
-    exactly once per point.  Not thread-safe: each transport drives it
-    under its own locking.
+    the in-flight leases and the unresolved set.  A route leases points
+    to its slots — this process in :func:`_run_serial`, forked pipe
+    workers in :func:`_run_fleet` — and reports every attempt's outcome
+    through :meth:`settle`; ``finish`` fires exactly once per point.
+    Not thread-safe.
     """
 
     def __init__(self, points: list, pending: list[int],
@@ -493,9 +491,10 @@ class _Scheduler:
         self._seq = 0
         #: worker -> (workload key, kernel key) of its latest lease, kept
         #: across completions (and respawns: affinity is only a hint)
-        self._last: dict[object, tuple] = {}
+        self._last: dict[Optional[int], tuple] = {}
 
-    def lease(self, worker, ttl: Optional[float]) -> Optional[_Lease]:
+    def lease(self, worker: Optional[int],
+              ttl: Optional[float]) -> Optional[_Lease]:
         """Lease the best ready point to ``worker`` for ``ttl`` seconds
         (None: unbounded); returns None when nothing is ready."""
         now = time.monotonic()
@@ -547,10 +546,10 @@ class _Scheduler:
                    + [entry[0] for entry in self.delayed], default=None)
 
     def requeue(self, index: int, attempt: int, error: str) -> bool:
-        """An attempt failed (crash, worker death, timeout, lost lease):
-        schedule a retry after backoff and return True, or — retries
-        spent — resolve the point as failed (with the bounded error) and
-        return False."""
+        """An attempt failed (crash, worker death, timeout): schedule a
+        retry after backoff and return True, or — retries spent —
+        resolve the point as failed (with the bounded error) and return
+        False."""
         if attempt > self.retries:
             self.resolve(index, PointResult(self.points[index],
                                             error=_bound_error(error),
@@ -611,7 +610,6 @@ def run_points(
     timeout: Optional[float] = None,
     retries: int = 0,
     retry_delay: float = 0.25,
-    remote=None,
 ) -> list[PointResult]:
     """Execute a sweep; returns one :class:`PointResult` per point, in order.
 
@@ -632,12 +630,6 @@ def run_points(
     * ``retries`` — re-executions granted per point after a crash, a
       worker death, or a timeout; waits ``retry_delay * 2**(attempt-1)``
       plus deterministic jitter between attempts.
-    * ``remote`` — a ``"HOST:PORT"`` string or
-      :class:`repro.fleet.FleetConfig`: serve the pending points to TCP
-      fleet workers instead of executing them here (the coordinator
-      still degrades to local execution when no workers show up).
-      ``retries`` and ``retry_delay`` then govern lease re-grants and
-      ``timeout`` bounds the coordinator's own local runs.
     """
     points = list(points)
     total = len(points)
@@ -671,14 +663,7 @@ def run_points(
 
     _prewarm_kernels(points, pending)
     try:
-        if remote is not None:
-            from repro.fleet.coordinator import (fleet_execute,
-                                                 resolve_fleet_config)
-
-            fleet_execute(points, pending, finish,
-                          resolve_fleet_config(remote), timeout=timeout,
-                          retries=retries, retry_delay=retry_delay)
-        elif jobs == 1 and timeout is None:
+        if jobs == 1 and timeout is None:
             _run_serial(points, pending, finish, retries, retry_delay)
         else:
             # a wall-clock bound needs killable workers, even for jobs=1.
@@ -705,19 +690,13 @@ def _alarm_usable() -> bool:
 def _run_local(index: int, point: SweepPoint, timeout: Optional[float]):
     """Run one point in this process: ``(stats, error)``.
 
-    In-process execution is the serial route and the degrade path of
-    both transports (a pipe fleet that cannot fork, a TCP coordinator
-    without workers), so it must honour ``timeout`` too.  On the main
-    thread a SIGALRM itimer interrupts the point in-process; off the
-    main thread the point runs in a one-worker :func:`_run_fleet`, whose
-    watchdog kills it.
+    In-process execution is the serial route and the degrade path of a
+    pipe fleet that cannot fork, so it must honour ``timeout`` too: a
+    SIGALRM itimer interrupts the point in-process.  A ``timeout`` is
+    only passed where :func:`_alarm_usable` holds.
     """
     if timeout is None:
         _, stats, error = _worker((index, point))
-    elif not _alarm_usable():
-        box: dict[int, PointResult] = {}
-        _run_fleet([point], [0], box.__setitem__, 1, timeout, 0, 0.0)
-        return box[0].stats, box[0].error
     else:
         import signal
 
@@ -840,9 +819,9 @@ def _run_fleet(points, pending, finish, workers: int,
         pass  # fork refused (rlimit, memory): run with what we got
     if not slots:
         # cannot fork at all: degrade to in-process serial execution.  A
-        # wall-clock bound then needs SIGALRM; off the main thread the
-        # only other watchdog is this very fleet, so the points fail
-        # rather than run unbounded
+        # wall-clock bound then needs SIGALRM; off the main thread there
+        # is no watchdog left, so the points fail rather than run
+        # unbounded
         if timeout is None or _alarm_usable():
             _run_serial(points, pending, finish, retries, retry_delay,
                         timeout=timeout)

@@ -130,7 +130,7 @@ def sweep_speedups(profiles, scale: Scale, *, jobs: int | None = None,
     """Speedup rows for Figure 10-style sweeps, via the sweep engine.
 
     ``jobs``/``cache``/``progress`` — and any further resilience knobs
-    (``timeout``, ``retries``, ``retry_delay``, ``remote``) — are
+    (``timeout``, ``retries``, ``retry_delay``) — are
     forwarded to :func:`repro.harness.parallel.run_points`; the default
     (``jobs=None``, no cache) resolves ``REPRO_JOBS`` and simulates
     in-process, producing bit-identical results to any parallel/cached/

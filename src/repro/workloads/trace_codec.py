@@ -365,17 +365,6 @@ def trace_count(data: bytes) -> int:
     return count
 
 
-def validate_blob(data: bytes) -> int:
-    """Validate a trace blob end to end; returns its instruction count.
-
-    The canonical acceptance check for ``.rtc`` bytes arriving from an
-    untrusted hop (the fleet's content-addressed store): magic, version,
-    schema digest and the whole-payload crc32 must all hold, or
-    :class:`TraceCodecError` is raised and the blob must be discarded.
-    """
-    return trace_count(data)
-
-
 class _Reader:
     __slots__ = ("data", "pos")
 

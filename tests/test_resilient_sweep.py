@@ -169,30 +169,6 @@ def test_serial_watchdog_sigalrm_on_main_thread(runner):
     assert "wall-clock budget" in collected[0].error
 
 
-def test_serial_watchdog_subprocess_off_main_thread(runner):
-    # no SIGALRM off the main thread: the point must run in a one-worker
-    # fleet, whose watchdog kills it, instead of silently dropping the
-    # bound
-    import threading
-
-    def hang(point):
-        time.sleep(60)
-
-    runner(hang)
-    collected = {}
-    worker = threading.Thread(
-        target=lambda: parallel._run_serial(
-            _points(1), [0], collected.__setitem__,
-            retries=0, retry_delay=0.01, timeout=0.3))
-    start = time.monotonic()
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive()
-    assert time.monotonic() - start < 30
-    assert not collected[0].ok
-    assert "wall-clock budget" in collected[0].error
-
-
 def test_serial_watchdog_clears_after_fast_point():
     # the itimer must be disarmed once the point returns: a fast point
     # followed by a slow stretch of non-point work must not blow up
@@ -244,9 +220,9 @@ def test_fleet_spawn_failure_degrades_serial_with_timeout(runner, no_fork):
 
 
 def test_fleet_spawn_failure_off_main_thread_fails_clearly(runner, no_fork):
-    # off the main thread the serial degrade has no SIGALRM, and its
-    # watchdog route is the one-worker fleet that just failed to fork:
-    # the point must fail with a clear error, not recurse or run unbounded
+    # off the main thread the serial degrade has no SIGALRM, so no
+    # watchdog is left: the point must fail with a clear error, not run
+    # unbounded
     import threading
 
     calls = []
@@ -406,8 +382,7 @@ def test_cache_entry_is_published_before_progress_fires(tmp_path, jobs):
 
 
 @pytest.mark.parametrize("flag", ["journal", "resume"])
-@pytest.mark.parametrize("command", [["compare", "gsm"], ["figures", "fig12"],
-                                     ["fleet", "serve", "gsm"]])
+@pytest.mark.parametrize("command", [["compare", "gsm"], ["figures", "fig12"]])
 def test_cli_rejects_retired_journal_flags(command, flag, capsys):
     from repro.cli import main
 
@@ -415,6 +390,26 @@ def test_cli_rejects_retired_journal_flags(command, flag, capsys):
         main([*command, f"--{flag}"])
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["compare", "gsm"], ["figures", "fig12"]])
+def test_cli_rejects_retired_fleet_flag(command, capsys):
+    from repro.cli import main
+
+    flag = "fleet"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, f"--{flag}", "H:P"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: --{flag} H:P" in capsys.readouterr().err
+
+
+def test_cli_rejects_retired_fleet_command(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fleet", "serve", "gsm"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'fleet'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- cache writes
