@@ -5,7 +5,7 @@ JOBS ?= 4
 
 .PHONY: install test bench bench-parallel bench-full repro examples \
 	sampling-smoke kernel-smoke ports-smoke sweep-smoke \
-	verify fuzz fuzz-smoke faults-smoke faults \
+	verify fuzz fuzz-smoke faults-smoke faults importtime \
 	golden lint-goldens clean
 
 install:
@@ -67,6 +67,10 @@ FAULT_COUNT ?= 1000
 FAULT_SEED ?= 0
 faults:
 	PYTHONPATH=src $(PYTHON) -m repro faults --injections $(FAULT_COUNT) --seed $(FAULT_SEED)
+
+# what a warm figure run imports: the 20 largest self-time imports
+importtime:
+	$(PYTHON) tools/importtime.py importtime.txt
 
 repro:
 	$(PYTHON) examples/reproduce_paper.py

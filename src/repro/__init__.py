@@ -14,21 +14,24 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.isa import (
-    DynInst,
-    FirstTouchFaults,
-    FunctionalExecutor,
-    Program,
-    RegClass,
-    RegRef,
-    assemble,
-)
-from repro.pipeline import MachineConfig, Processor, SimStats, simulate
-from repro.core import (
-    ConventionalRenamer,
-    RegisterFileConfig,
-    SharingRenamer,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "DynInst": ".isa.dyninst",
+    "FirstTouchFaults": ".isa.executor",
+    "FunctionalExecutor": ".isa.executor",
+    "Program": ".isa.program",
+    "RegClass": ".isa.registers",
+    "RegRef": ".isa.registers",
+    "assemble": ".isa.assembler",
+    "MachineConfig": ".pipeline.config",
+    "Processor": ".pipeline.processor",
+    "SimStats": ".pipeline.stats",
+    "simulate": ".pipeline.processor",
+    "ConventionalRenamer": ".core.conventional",
+    "RegisterFileConfig": ".core.register_file",
+    "SharingRenamer": ".core.sharing",
+})
 
 __version__ = "1.0.0"
 

@@ -60,14 +60,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from repro.analysis import analyze_chains, analyze_stream
-from repro.harness.runner import Scale
-from repro.isa import assemble
-from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import simulate
-from repro.workloads import ALL_KERNELS as KERNELS
-from repro.workloads import BENCHMARKS, SyntheticWorkload
+# each command imports what it runs: parsing the command line, or a
+# command that only reads cached results, loads no simulator code
+if TYPE_CHECKING:
+    from repro.pipeline.config import MachineConfig
 
 
 def _machine_args(parser: argparse.ArgumentParser) -> None:
@@ -133,6 +131,8 @@ def _sweep_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> MachineConfig:
+    from repro.pipeline.config import MachineConfig
+
     return MachineConfig(
         scheme=args.scheme,
         int_regs=args.int_regs,
@@ -167,6 +167,8 @@ def _print_stats(stats, detailed: bool = False) -> None:
 def _simulate_program(args, program, budget=10_000_000, max_insts=None,
                       sampling=None, sampling_seed=1):
     """Run a program; the hinted scheme gets lookahead hint annotation."""
+    from repro.pipeline.processor import simulate
+
     if args.scheme == "hinted":
         from repro.frontend.fetch import IterSource
         from repro.isa.executor import FunctionalExecutor
@@ -201,6 +203,8 @@ def _profiled(args, fn):
 
 
 def cmd_run(args) -> int:
+    from repro.isa.assembler import assemble
+
     with open(args.program) as handle:
         program = assemble(handle.read())
     sampling = _resolve_sampling(args)
@@ -212,6 +216,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from repro.pipeline.processor import simulate
+    from repro.workloads.generator import SyntheticWorkload
+    from repro.workloads.profiles import BENCHMARKS
+
     if args.name not in BENCHMARKS:
         print(f"unknown benchmark {args.name!r}; use one of: "
               f"{', '.join(sorted(BENCHMARKS))}", file=sys.stderr)
@@ -232,6 +240,8 @@ def cmd_profile(args) -> int:
     import cProfile
     import pstats
 
+    from repro.workloads.profiles import BENCHMARKS
+
     parts = args.point.split(":")
     scheme = parts[0]
     profile_name = parts[1] if len(parts) > 1 else "hmmer"
@@ -246,7 +256,9 @@ def cmd_profile(args) -> int:
     if args.sampled is not None:
         return _cmd_profile_sampled(args, scheme, profile_name, insts)
 
+    from repro.pipeline.config import MachineConfig
     from repro.pipeline.processor import IterSource, Processor
+    from repro.workloads.generator import SyntheticWorkload
 
     stream = list(SyntheticWorkload(BENCHMARKS[profile_name],
                                     total_insts=insts, seed=args.seed))
@@ -286,9 +298,12 @@ def _cmd_profile_sampled(args, scheme: str, profile_name: str,
     import time
 
     from repro.harness.cache import TraceStream
+    from repro.pipeline.config import MachineConfig
     from repro.pipeline.processor import Processor
     from repro.sampling import as_schedule, sampled_simulate
     from repro.sampling.warmer import FunctionalWarmer
+    from repro.workloads.generator import SyntheticWorkload
+    from repro.workloads.profiles import BENCHMARKS
     from repro.workloads.trace_codec import encode
 
     stream_insts = list(SyntheticWorkload(BENCHMARKS[profile_name],
@@ -374,6 +389,7 @@ def _sweep_engine(args) -> dict:
 
 def cmd_compare(args) -> int:
     from repro.harness.parallel import SweepPoint, collect_stats, run_points
+    from repro.workloads.profiles import BENCHMARKS
 
     if args.name not in BENCHMARKS:
         print(f"unknown benchmark {args.name!r}", file=sys.stderr)
@@ -409,9 +425,10 @@ def _print_cache_summary(cache) -> None:
 def cmd_figures(args) -> int:
     from dataclasses import replace
 
-    from repro.harness import (figure1, figure2, figure3, figure9, figure10,
-                               figure11, figure12, figure_ports, headline,
-                               table1, table2_result, table3)
+    from repro.harness import (Scale, figure1, figure2, figure3, figure9,
+                               figure10, figure11, figure12, figure_ports,
+                               headline, table1, table2_result, table3)
+
     # --exact/--sampling override whatever REPRO_SAMPLING put in the Scale
     scale = replace(Scale.from_env(), sampling=_resolve_sampling(args))
     wanted = set(args.which) or {"all"}
@@ -444,6 +461,8 @@ def cmd_figures(args) -> int:
 
 
 def cmd_kernels(args) -> int:
+    from repro.workloads import ALL_KERNELS as KERNELS
+
     if args.list or not args.name:
         print("available kernels:", ", ".join(sorted(KERNELS)))
         return 0
@@ -465,8 +484,10 @@ def cmd_verify(args) -> int:
 
 def _cmd_verify_body(args) -> int:
     from repro.isa.executor import FirstTouchFaults
+    from repro.pipeline.config import MachineConfig
     from repro.pipeline.debug import check_invariants
     from repro.verify.oracle import lockstep_run
+    from repro.workloads import ALL_KERNELS as KERNELS
 
     schemes = (["conventional", "sharing", "hinted", "early"]
                if args.all_schemes else [args.scheme])
@@ -573,6 +594,10 @@ def cmd_faults(args) -> int:
 
 
 def cmd_motivation(args) -> int:
+    from repro.analysis import analyze_chains, analyze_stream
+    from repro.workloads.generator import SyntheticWorkload
+    from repro.workloads.profiles import BENCHMARKS
+
     if args.name not in BENCHMARKS:
         print(f"unknown benchmark {args.name!r}", file=sys.stderr)
         return 1

@@ -15,14 +15,21 @@ Both expose the same interface to the pipeline (:class:`~repro.core.renamer.Base
 so the processor is scheme-agnostic.
 """
 
-from repro.core.free_list import BankedFreeList
-from repro.core.map_table import MapTable
-from repro.core.prt import PhysicalRegisterTable
-from repro.core.register_file import BankedRegisterFile, RegisterFileConfig
-from repro.core.type_predictor import RegisterTypePredictor
-from repro.core.renamer import BaseRenamer, RenameStats, Tag
-from repro.core.conventional import ConventionalRenamer
-from repro.core.sharing import SharingRenamer
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BankedFreeList": ".free_list",
+    "MapTable": ".map_table",
+    "PhysicalRegisterTable": ".prt",
+    "BankedRegisterFile": ".register_file",
+    "RegisterFileConfig": ".register_file",
+    "RegisterTypePredictor": ".type_predictor",
+    "BaseRenamer": ".renamer",
+    "RenameStats": "repro.pipeline.stats",
+    "Tag": ".renamer",
+    "ConventionalRenamer": ".conventional",
+    "SharingRenamer": ".sharing",
+})
 
 __all__ = [
     "BankedFreeList",

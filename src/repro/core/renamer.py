@@ -8,11 +8,11 @@ version)``; the conventional scheme always uses version 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.isa.dyninst import DynInst
 from repro.isa.registers import RegClass
+from repro.pipeline.stats import RenameStats
 
 #: Global rename tag: (register class value, physical register id, version).
 Tag = tuple[int, int, int]
@@ -21,36 +21,6 @@ Value = Union[int, float]
 
 #: Scoreboard readiness callback provided by the pipeline.
 ReadyFn = Callable[[Tag], bool]
-
-
-@dataclass
-class RenameStats:
-    """Counters shared by both schemes (sharing-specific ones stay zero
-    for the conventional renamer)."""
-
-    insts: int = 0
-    dest_insts: int = 0
-    allocations: int = 0
-    allocations_per_bank: list = field(default_factory=lambda: [0, 0, 0, 0])
-    fallback_allocations: int = 0  # predicted bank was empty
-    reuses: int = 0
-    reuses_guaranteed: int = 0  # consumer redefines the single-use register
-    reuses_predicted: int = 0  # consumer relied on the single-use prediction
-    lost_reuse_no_shadow: int = 0
-    lost_reuse_saturated: int = 0
-    lost_reuse_not_first_use: int = 0
-    lost_reuse_not_predicted: int = 0  # single-use predictor said no
-    repairs: int = 0  # single-use mispredictions needing value evacuation
-    repair_uops: int = 0
-    multi_use_detected: int = 0  # second consumer seen on a shadow-bank register
-    releases: int = 0
-    recoveries: int = 0
-    recovered_map_entries: int = 0
-
-    @property
-    def reuse_fraction(self) -> float:
-        """Fraction of destination renames that avoided an allocation."""
-        return self.reuses / self.dest_insts if self.dest_insts else 0.0
 
 
 class BaseRenamer:

@@ -21,18 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-@dataclass
-class PredictorStats:
-    predictions: int = 0
-    releases: int = 0
-    exact_hits: int = 0  # predicted reuse count == actual reuse count
-    # Figure 12 categories (classified at release):
-    reuse_correct: int = 0  # predicted reused, was reused, no extra consumer
-    reuse_incorrect: int = 0  # reused but an extra consumer appeared (repair)
-    no_reuse_correct: int = 0  # predicted not reused, no reuse opportunity lost
-    no_reuse_incorrect: int = 0  # reuse opportunity lost for lack of shadow cells
-    reuse_unused: int = 0  # shadow cells allocated but never used (harmless)
+from repro.pipeline.stats import PredictorStats
 
 
 class RegisterTypePredictor:

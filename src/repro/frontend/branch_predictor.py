@@ -10,10 +10,10 @@ renaming scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.isa.dyninst import DynInst
+from repro.pipeline.stats import BranchStats
 
 
 class _SaturatingCounterTable:
@@ -133,17 +133,6 @@ class ReturnAddressStack:
 
     def pop(self) -> Optional[int]:
         return self.stack.pop() if self.stack else None
-
-
-@dataclass
-class BranchStats:
-    branches: int = 0
-    mispredicted: int = 0
-    btb_misses: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        return 1.0 - self.mispredicted / self.branches if self.branches else 1.0
 
 
 class BranchUnit:

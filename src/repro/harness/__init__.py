@@ -18,31 +18,33 @@ worker processes (``jobs``/``REPRO_JOBS``) and memoized in the
 persistent :class:`~repro.harness.cache.ResultCache`.
 """
 
-from repro.harness.cache import ResultCache, code_fingerprint, point_key
-from repro.harness.parallel import (
-    PointResult,
-    SweepError,
-    SweepPoint,
-    resolve_jobs,
-    run_points,
-)
-from repro.harness.runner import (
-    Scale,
-    enumerate_pair_points,
-    sweep_speedups,
-)
-from repro.harness.figures import (
-    figure1,
-    figure2,
-    figure3,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure_ports,
-)
-from repro.harness.tables import table1, table2_result, table3
-from repro.harness.headline import headline
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Scale": ".runner",
+    "ResultCache": ".cache",
+    "PointResult": ".parallel",
+    "SweepError": ".parallel",
+    "SweepPoint": ".parallel",
+    "code_fingerprint": ".cache",
+    "point_key": ".cache",
+    "resolve_jobs": ".parallel",
+    "run_points": ".parallel",
+    "enumerate_pair_points": ".runner",
+    "sweep_speedups": ".runner",
+    "figure1": ".figures",
+    "figure2": ".figures",
+    "figure3": ".figures",
+    "figure9": ".figures",
+    "figure10": ".figures",
+    "figure11": ".figures",
+    "figure12": ".figures",
+    "figure_ports": ".figures",
+    "table1": ".tables",
+    "table2_result": ".tables",
+    "table3": ".tables",
+    "headline": ".headline",
+})
 
 __all__ = [
     "Scale",

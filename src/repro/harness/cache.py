@@ -156,6 +156,9 @@ class ResultCache:
     def __init__(self, root: Optional[os.PathLike] = None,
                  fingerprint: Optional[str] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        #: entry paths are built as strings on every lookup: a figure job
+        #: makes hundreds, and each pathlib join builds two objects
+        self._root = str(self.root)
         self.fingerprint = fingerprint if fingerprint is not None \
             else code_fingerprint()
         self.hits = 0
@@ -186,12 +189,15 @@ class ResultCache:
             self._point_keys[point] = key
         return key
 
+    def _file(self, key: str) -> str:
+        return f"{self._root}/{key[:2]}/{key}.json"
+
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
 
     # ------------------------------------------------------------------ access
     def get(self, key: str) -> Optional[Union[SimStats, SampledStats]]:
-        path = self._path(key)
+        path = self._file(key)
         try:
             with open(path) as handle:
                 stats = stats_from_dict(json.load(handle))
@@ -208,7 +214,7 @@ class ResultCache:
         return stats
 
     def put(self, key: str, stats: Union[SimStats, SampledStats]) -> None:
-        atomic_write_text(self._path(key), json.dumps(stats.to_dict()))
+        atomic_write_text(self._file(key), json.dumps(stats.to_dict()))
 
     # ------------------------------------------------------------------ maintenance
     def _entries(self) -> list[Path]:
@@ -315,6 +321,7 @@ class TraceCache:
     def __init__(self, root: Optional[os.PathLike] = None,
                  fingerprint: Optional[str] = None) -> None:
         self.root = Path(root) if root is not None else default_trace_dir()
+        self._root = str(self.root)  # see ResultCache
         self.fingerprint = fingerprint if fingerprint is not None \
             else generator_fingerprint()
         self.hits = 0
@@ -324,8 +331,11 @@ class TraceCache:
                 body_iters: int = 50) -> str:
         return trace_key(profile, insts, seed, body_iters, self.fingerprint)
 
+    def _file(self, key: str) -> str:
+        return f"{self._root}/{key[:2]}/{key}.rtc"
+
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.rtc"
+        return Path(self._file(key))
 
     def get_blob(self, key: str) -> Optional[bytes]:
         """The stored binary trace blob, or ``None`` on a miss.
@@ -337,9 +347,10 @@ class TraceCache:
         """
         from repro.workloads.trace_codec import TraceCodecError, trace_count
 
-        path = self._path(key)
+        path = self._file(key)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                blob = handle.read()
             trace_count(blob)  # full header + checksum validation
         except FileNotFoundError:
             self.misses += 1
@@ -352,7 +363,7 @@ class TraceCache:
         return blob
 
     def put_blob(self, key: str, blob: bytes) -> None:
-        atomic_write_bytes(self._path(key), blob)
+        atomic_write_bytes(self._file(key), blob)
 
     def get_stream(self, key: str, insts: int) -> Optional[TraceStream]:
         """The cached trace as a re-iterable stream, or ``None``."""

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis import analyze_chains, analyze_stream, measure_shadow_demand
 from repro.harness.parallel import (SweepPoint, SweepError, collect_stats,
                                     run_points)
 from repro.harness.render import pct, text_table
 from repro.harness.runner import Scale, geomean, sweep_speedups
-from repro.workloads.generator import SyntheticWorkload
+
+# Figures 1-3 and 9 import the analysis passes and the workload generator
+# themselves, so the sweep figures render from cached results without them.
 
 _SUITE_LABELS = {
     "specint": "SPECint",
@@ -67,6 +68,9 @@ class Figure1Result:
 
 
 def figure1(scale: Scale | None = None) -> Figure1Result:
+    from repro.analysis import analyze_stream
+    from repro.workloads.generator import SyntheticWorkload
+
     scale = scale or Scale.from_env()
     result = Figure1Result()
     for suite in ("specint", "specfp", "media+cog"):
@@ -101,6 +105,9 @@ class Figure2Result:
 
 
 def figure2(scale: Scale | None = None) -> Figure2Result:
+    from repro.analysis import analyze_stream
+    from repro.workloads.generator import SyntheticWorkload
+
     scale = scale or Scale.from_env()
     result = Figure2Result()
     for suite in ("specint", "specfp", "media+cog"):
@@ -147,6 +154,9 @@ class Figure3Result:
 
 
 def figure3(scale: Scale | None = None) -> Figure3Result:
+    from repro.analysis import analyze_chains
+    from repro.workloads.generator import SyntheticWorkload
+
     scale = scale or Scale.from_env()
     result = Figure3Result()
     for suite in ("specint", "specfp", "media+cog"):
@@ -178,6 +188,9 @@ class Figure9Result:
 
 
 def figure9(scale: Scale | None = None) -> Figure9Result:
+    from repro.analysis import measure_shadow_demand
+    from repro.workloads.generator import SyntheticWorkload
+
     scale = scale or Scale.from_env()
     profiles = scale.profiles("specfp")[:4]
     merged = {1: [], 2: [], 3: []}

@@ -662,6 +662,11 @@ def run_points(
         return results  # type: ignore[return-value]
 
     _prewarm_kernels(points, pending)
+    # import the simulator here, before any worker forks: the workers
+    # inherit it instead of each importing it for its first point
+    import repro.pipeline.processor  # noqa: F401
+    if any(points[index].sampling is not None for index in pending):
+        import repro.sampling.engine  # noqa: F401
     try:
         if jobs == 1 and timeout is None:
             _run_serial(points, pending, finish, retries, retry_delay)

@@ -10,20 +10,31 @@ exception testing.  Programs are assembled from text with
 stream (:class:`repro.isa.DynInst`) consumed by the timing pipeline.
 """
 
-from repro.isa.registers import RegClass, RegRef, INT_REGS, FP_REGS, reg, xreg, freg
-from repro.isa.opcodes import Op, OpInfo, OPCODES
-from repro.isa.instruction import Instruction
-from repro.isa.program import Program
-from repro.isa.assembler import assemble, AssemblerError
-from repro.isa.dyninst import DynInst
-from repro.isa.memory import SparseMemory
-from repro.isa.executor import (
-    FunctionalExecutor,
-    ArchState,
-    FaultModel,
-    NoFaults,
-    FirstTouchFaults,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "RegClass": ".registers",
+    "RegRef": ".registers",
+    "INT_REGS": ".registers",
+    "FP_REGS": ".registers",
+    "reg": ".registers",
+    "xreg": ".registers",
+    "freg": ".registers",
+    "Op": ".opcodes",
+    "OpInfo": ".opcodes",
+    "OPCODES": ".opcodes",
+    "Instruction": ".instruction",
+    "Program": ".program",
+    "assemble": ".assembler",
+    "AssemblerError": ".assembler",
+    "DynInst": ".dyninst",
+    "SparseMemory": ".memory",
+    "FunctionalExecutor": ".executor",
+    "ArchState": ".executor",
+    "FaultModel": ".executor",
+    "NoFaults": ".executor",
+    "FirstTouchFaults": ".executor",
+})
 
 __all__ = [
     "RegClass",

@@ -2,22 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-
-@dataclass
-class CacheStats:
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    writebacks: int = 0
-    prefetches: int = 0
-    prefetch_hits: int = 0
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
+from repro.pipeline.stats import CacheStats
 
 
 class _Set:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.pipeline.stats import DRAMStats
+
 
 @dataclass(frozen=True)
 class DRAMTimings:
@@ -34,13 +36,6 @@ class DRAMTimings:
     @property
     def row_miss_latency(self) -> int:
         return self.cycles(self.trp_ns + self.trcd_ns + self.tcas_ns + self.bus_ns)
-
-
-@dataclass
-class DRAMStats:
-    accesses: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
 
 
 class DRAM:

@@ -3,17 +3,8 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
-
-@dataclass
-class TLBStats:
-    accesses: int = 0
-    misses: int = 0
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
+from repro.pipeline.stats import TLBStats
 
 
 class TLB:

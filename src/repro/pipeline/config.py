@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.conventional import ConventionalRenamer
-from repro.core.register_file import RegisterFileConfig
-from repro.core.renamer import BaseRenamer
-from repro.core.sharing import SharingRenamer
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
+
+if TYPE_CHECKING:
+    from repro.core.register_file import RegisterFileConfig
+    from repro.core.renamer import BaseRenamer
 
 #: Paper Table I, kept verbatim for the Table I bench.
 TABLE_I: dict[str, dict[str, str]] = {
@@ -63,7 +63,10 @@ def rf_config_for(baseline_regs: int, bits: int = 64) -> RegisterFileConfig:
     EXPERIMENTS.md), so the performance experiments use the area-model
     result, exactly as the paper's method prescribes.
     """
-    from repro.area.equal_area import equal_area_banks  # avoid import cycle
+    # imported here: a configuration is built (and hashed) without
+    # loading the simulator
+    from repro.area.equal_area import equal_area_banks
+    from repro.core.register_file import RegisterFileConfig
 
     return RegisterFileConfig(bank_sizes=equal_area_banks(baseline_regs, bits))
 
@@ -200,7 +203,11 @@ class MachineConfig:
 
     # ------------------------------------------------------------------ factories
     def make_renamer(self) -> BaseRenamer:
+        from repro.core.register_file import RegisterFileConfig
+
         if self.scheme == "conventional":
+            from repro.core.conventional import ConventionalRenamer
+
             return ConventionalRenamer(self.int_regs, self.fp_regs)
         if self.scheme == "early":
             from repro.core.early_release import EarlyReleaseRenamer
@@ -224,6 +231,8 @@ class MachineConfig:
                 predictor_entries=self.type_predictor_entries,
             )
         if self.scheme == "sharing":
+            from repro.core.sharing import SharingRenamer
+
             int_cfg = (
                 RegisterFileConfig(bank_sizes=tuple(self.int_banks))
                 if self.int_banks

@@ -6,10 +6,107 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-#: SimStats fields that hold component-stats objects rather than counters.
-_COMPONENT_FIELDS = ("renamer_stats", "branch_stats", "predictor_stats")
+# ====================================================================== component stats
+# The counters each simulator component keeps.  They live here, not next
+# to their components, so that rebuilding a result (:meth:`SimStats.
+# from_dict`) needs no simulator code; each component's module imports
+# its class from here.
+@dataclass
+class RenameStats:
+    """Counters shared by both schemes (sharing-specific ones stay zero
+    for the conventional renamer)."""
+
+    insts: int = 0
+    dest_insts: int = 0
+    allocations: int = 0
+    allocations_per_bank: list = field(default_factory=lambda: [0, 0, 0, 0])
+    fallback_allocations: int = 0  # predicted bank was empty
+    reuses: int = 0
+    reuses_guaranteed: int = 0  # consumer redefines the single-use register
+    reuses_predicted: int = 0  # consumer relied on the single-use prediction
+    lost_reuse_no_shadow: int = 0
+    lost_reuse_saturated: int = 0
+    lost_reuse_not_first_use: int = 0
+    lost_reuse_not_predicted: int = 0  # single-use predictor said no
+    repairs: int = 0  # single-use mispredictions needing value evacuation
+    repair_uops: int = 0
+    multi_use_detected: int = 0  # second consumer seen on a shadow-bank register
+    releases: int = 0
+    recoveries: int = 0
+    recovered_map_entries: int = 0
+
+    @property
+    def reuse_fraction(self) -> float:
+        """Fraction of destination renames that avoided an allocation."""
+        return self.reuses / self.dest_insts if self.dest_insts else 0.0
 
 
+@dataclass
+class PredictorStats:
+    predictions: int = 0
+    releases: int = 0
+    exact_hits: int = 0  # predicted reuse count == actual reuse count
+    # Figure 12 categories (classified at release):
+    reuse_correct: int = 0  # predicted reused, was reused, no extra consumer
+    reuse_incorrect: int = 0  # reused but an extra consumer appeared (repair)
+    no_reuse_correct: int = 0  # predicted not reused, no reuse opportunity lost
+    no_reuse_incorrect: int = 0  # reuse opportunity lost for lack of shadow cells
+    reuse_unused: int = 0  # shadow cells allocated but never used (harmless)
+
+
+@dataclass
+class BranchStats:
+    branches: int = 0
+    mispredicted: int = 0
+    btb_misses: int = 0
+
+    @property
+    def accuracy(self) -> float:
+        return 1.0 - self.mispredicted / self.branches if self.branches else 1.0
+
+
+@dataclass
+class CacheStats:
+    accesses: int = 0
+    hits: int = 0
+    misses: int = 0
+    writebacks: int = 0
+    prefetches: int = 0
+    prefetch_hits: int = 0
+
+    @property
+    def miss_rate(self) -> float:
+        return self.misses / self.accesses if self.accesses else 0.0
+
+
+@dataclass
+class TLBStats:
+    accesses: int = 0
+    misses: int = 0
+
+    @property
+    def miss_rate(self) -> float:
+        return self.misses / self.accesses if self.accesses else 0.0
+
+
+@dataclass
+class DRAMStats:
+    accesses: int = 0
+    row_hits: int = 0
+    row_misses: int = 0
+
+
+#: SimStats fields that hold component-stats objects rather than
+#: counters, and the class each is rebuilt as
+_COMPONENT_TYPES = {"renamer_stats": RenameStats,
+                    "branch_stats": BranchStats,
+                    "predictor_stats": PredictorStats}
+_COMPONENT_FIELDS = tuple(_COMPONENT_TYPES)
+_CACHE_TYPES = {"l1i": CacheStats, "l1d": CacheStats, "l2": CacheStats,
+                "tlb": TLBStats, "dram": DRAMStats}
+
+
+# ====================================================================== whole-run stats
 @dataclass
 class SimStats:
     """Counters collected by one simulation run."""
@@ -96,29 +193,16 @@ class SimStats:
     def from_dict(cls, payload: dict) -> "SimStats":
         """Inverse of :meth:`to_dict`; rebuilds the component-stats
         dataclasses so properties (``ipc``, ``miss_rate``, ...) work."""
-        # lazy imports: stats is a leaf module and must stay cheap to import
-        from repro.core.renamer import RenameStats
-        from repro.core.type_predictor import PredictorStats
-        from repro.frontend.branch_predictor import BranchStats
-        from repro.mem.cache import CacheStats
-        from repro.mem.dram import DRAMStats
-        from repro.mem.tlb import TLBStats
-
-        component_types = {"renamer_stats": RenameStats,
-                           "branch_stats": BranchStats,
-                           "predictor_stats": PredictorStats}
-        cache_types = {"l1i": CacheStats, "l1d": CacheStats, "l2": CacheStats,
-                       "tlb": TLBStats, "dram": DRAMStats}
         data = dict(payload)
         components = {name: data.pop(name, None) for name in _COMPONENT_FIELDS}
         caches = data.pop("cache_stats", {}) or {}
         stats = cls(**data)
         for name, fields_dict in components.items():
             if fields_dict is not None:
-                setattr(stats, name, component_types[name](**fields_dict))
+                setattr(stats, name, _COMPONENT_TYPES[name](**fields_dict))
         stats.cache_stats = {
-            name: cache_types[name](**fields_dict)
-            for name, fields_dict in caches.items() if name in cache_types
+            name: _CACHE_TYPES[name](**fields_dict)
+            for name, fields_dict in caches.items() if name in _CACHE_TYPES
         }
         return stats
 

@@ -15,30 +15,30 @@ Two kinds of workloads drive the simulator:
   functionally end-to-end.
 """
 
-from repro.workloads.profiles import (
-    WorkloadProfile,
-    BENCHMARKS,
-    SPECINT,
-    SPECFP,
-    MEDIABENCH,
-    COGNITIVE,
-    suite,
-)
-from repro.workloads.generator import SyntheticWorkload, shared_workload
-from repro.workloads.kernels import KERNELS, Kernel
-from repro.workloads.kernels_extra import EXTRA_KERNELS
-from repro.workloads.lookahead import annotate_hints
-from repro.workloads.microbench import MICROBENCHES
-from repro.workloads.programs import PROGRAMS
-from repro.workloads.trace_io import (
-    load_trace,
-    load_trace_file,
-    save_trace,
-    save_trace_file,
-)
+from repro._lazy import lazy_exports
 
-#: every real kernel, both waves
-ALL_KERNELS: dict = {**KERNELS, **EXTRA_KERNELS}
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Kernel": ".kernels",
+    "KERNELS": ".kernels",
+    "EXTRA_KERNELS": ".kernels_extra",
+    "ALL_KERNELS": ".kernels_extra",
+    "MICROBENCHES": ".microbench",
+    "PROGRAMS": ".programs",
+    "annotate_hints": ".lookahead",
+    "save_trace": ".trace_io",
+    "load_trace": ".trace_io",
+    "save_trace_file": ".trace_io",
+    "load_trace_file": ".trace_io",
+    "WorkloadProfile": ".profiles",
+    "BENCHMARKS": ".profiles",
+    "SPECINT": ".profiles",
+    "SPECFP": ".profiles",
+    "MEDIABENCH": ".profiles",
+    "COGNITIVE": ".profiles",
+    "suite": ".profiles",
+    "SyntheticWorkload": ".generator",
+    "shared_workload": ".generator",
+})
 
 __all__ = [
     "Kernel",

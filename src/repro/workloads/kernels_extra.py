@@ -14,7 +14,7 @@ from typing import Callable
 
 from repro.isa import assemble
 from repro.isa.program import DATA_BASE
-from repro.workloads.kernels import Kernel, _fmt
+from repro.workloads.kernels import KERNELS, Kernel, _fmt
 
 
 # ------------------------------------------------------------------- SAD
@@ -255,3 +255,6 @@ EXTRA_KERNELS: dict[str, Callable[[], Kernel]] = {
     "histogram": histogram_kernel,
     "sort": sort_kernel,
 }
+
+#: every real kernel, both waves
+ALL_KERNELS: dict[str, Callable[[], Kernel]] = {**KERNELS, **EXTRA_KERNELS}
