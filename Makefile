@@ -38,8 +38,8 @@ kernel-smoke:
 ports-smoke:
 	$(PYTHON) tools/ports_smoke.py
 
-# sweep data plane: small grid bit-identical across serial, shared-memory
-# parallel and no-broadcast parallel runs; broadcast engages, leaks nothing
+# sweep data plane: small grid bit-identical across serial and 2-job fleet
+# runs; fleet workers start warm (no trace generated or read from disk)
 sweep-smoke:
 	$(PYTHON) tools/sweep_smoke.py
 

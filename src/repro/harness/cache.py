@@ -25,12 +25,12 @@ invalidate traces.  Entries are stored in the binary columnar codec
 ``REPRO_TRACE_DIR``, else ``REPRO_CACHE_DIR``/traces, else
 ``~/.cache/repro/traces``; the gzipped JSON-lines format of
 :mod:`repro.workloads.trace_io` is the human-readable interchange, not a
-storage format.  :func:`cached_stream` is the harness entry point: cold
-sweep workers decode a trace from disk (or from the parent's
-shared-memory broadcast, :mod:`repro.harness.parallel`) instead of
-re-running the generator; a process-local LRU (:class:`TraceMemo`, 32
-entries) keeps the parsed columns of recently used workloads so repeat
-points pay only re-materialization.
+storage format.  :func:`cached_stream` is the harness entry point: sweep
+workers find a trace in the memo they inherit from the parent, which
+warms it before forking (:mod:`repro.harness.parallel`), or decode it
+from disk, instead of re-running the generator; a process-local LRU
+(:class:`TraceMemo`, 32 entries) keeps the parsed columns of recently
+used workloads so repeat points pay only re-materialization.
 
 Corrupted or truncated entries are treated as misses (and removed), never
 as errors.  There is no automatic eviction — result entries are a few KB

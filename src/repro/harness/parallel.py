@@ -31,20 +31,19 @@ resumed by rerunning it against the same cache: finished points are
 served as hits and only incomplete points are re-simulated.  A sweep
 without a cache (``--no-cache``) does not resume.
 
-The sweep data plane: before forking workers, the parent publishes each
-distinct workload's binary trace blob into
-:mod:`multiprocessing.shared_memory` (:class:`WorkloadBroadcast`,
-refcounted and unlinked by the parent alone, so worker deaths never
-leak segments), and dispatch is affinity-aware (:class:`_AffinityQueue`):
-a freed worker preferentially receives points sharing its warm trace
-memo and loaded cycle kernel.  ``REPRO_NO_SHM=1`` disables the
-broadcast.
+The sweep data plane is fork itself: before the pipe fleet forks, the
+parent warms its trace memo with every distinct pending workload and its
+kernel memo with every distinct cycle kernel
+(:meth:`WorkloadBroadcast.publish`), and every worker inherits both.
+Dispatch is workload-affine (:class:`_AffinityQueue`): a freed worker
+preferentially receives a point of the workload it ran last, whose trace
+columns it has already parsed.
 
 Determinism: a point's result does not depend on how it was executed —
-serial, the pipe fleet, the cached path, shared-memory or disk, all
-reproduce bit-identical counters, which the tests assert.
-Retries, backoff jitter, broadcast and affinity only affect *when and
-where* a point runs, never its result.
+serial, the pipe fleet or the cached path, its trace from the memo or
+from disk — all reproduce bit-identical counters, which the tests
+assert.  Retries, backoff jitter, warming and affinity only affect
+*when and where* a point runs, never its result.
 """
 
 from __future__ import annotations
@@ -146,18 +145,16 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def simulate_point(point: SweepPoint):
     """Execute one sweep point (pure function of the point).
 
-    Workloads come from the pregenerated-trace cache: a cold fleet worker
-    attaches the parent's shared-memory broadcast of the trace blob (or
-    decodes from disk when no broadcast covers the point) instead of
-    re-running the generator, and every execution path (jobs=1, warm or
-    cold worker, shared-memory or disk) consumes the identical
-    serialized stream.
+    Workloads come from the pregenerated-trace cache: a fleet worker
+    finds the trace in the memo it inherited from the parent (or decodes
+    it from disk when the memo has evicted it) instead of re-running the
+    generator, and every execution path (jobs=1 or a fleet worker, memo
+    or disk) consumes the identical serialized stream.
     """
     from repro.harness.cache import cached_stream  # avoid import cycle
     from repro.harness.runner import make_config
     from repro.pipeline.processor import simulate
 
-    _attach_shared_workload(point)
     workload = cached_stream(point.profile, point.insts, point.seed)
     config = make_config(point.profile, point.scheme, point.size,
                          port_scheme=point.port_scheme)
@@ -227,17 +224,7 @@ def _backoff(base: float, attempt: int, salt: int) -> float:
     return base * (2 ** (attempt - 1)) + jitter
 
 
-# ------------------------------------------------------- workload broadcast
-#: kill switch for the shared-memory workload broadcast
-NO_SHM_ENV = "REPRO_NO_SHM"
-
-#: workload key -> (shared-memory segment name, blob size).  The parent
-#: populates this before forking workers; fork-started children inherit
-#: it and attach instead of hitting disk.  Spawn-started children see an
-#: empty dict and fall back to the on-disk trace cache — same bytes.
-_SHM_WORKLOADS: dict[tuple, tuple[str, int]] = {}
-
-
+# ------------------------------------------------------------------ warm-up
 def _workload_key(point: SweepPoint) -> tuple:
     """Identity of the workload a point consumes: the
     :func:`~repro.harness.cache.cached_stream` arguments, which are also
@@ -246,205 +233,92 @@ def _workload_key(point: SweepPoint) -> tuple:
     return (point.profile, point.insts, point.seed, 50)
 
 
-def _attach_shared_workload(point: SweepPoint) -> None:
-    """Worker side: seed the trace memo from the parent's broadcast.
-
-    If the parent published this point's workload blob before forking,
-    copy it out of shared memory into a :class:`TraceStream` and install
-    it in the process-local memo, so the subsequent
-    :func:`~repro.harness.cache.cached_stream` call is a memo hit —
-    no disk read, no gunzip, no generation.  Any failure (segment
-    already unlinked, platform quirks) silently falls back to the
-    normal disk path: the stream bytes are identical either way.
-    """
-    wkey = _workload_key(point)
-    entry = _SHM_WORKLOADS.get(wkey)
-    if entry is None:
-        return
-    from repro.harness.cache import TRACE_MEMO, TraceStream
-
-    if TRACE_MEMO.get(wkey) is not None:
-        return
-    name, size = entry
-    try:
-        from multiprocessing.shared_memory import SharedMemory
-
-        segment = SharedMemory(name=name)
-    except Exception:
-        return
-    try:
-        blob = bytes(segment.buf[:size])
-    finally:
-        # Attaching re-registers the name with the resource tracker
-        # (CPython < 3.13 has no track=False).  Fork-started workers
-        # share the parent's tracker process, so that register is a
-        # set-add no-op and the parent's unlink() unregisters exactly
-        # once; unregistering here would strip the parent's entry and
-        # make that unlink KeyError inside the tracker.
-        segment.close()
-    TRACE_MEMO.put(wkey, TraceStream(blob, point.insts))
-
-
 class WorkloadBroadcast:
-    """Parent-side shared-memory publication of distinct workload blobs.
+    """The pipe fleet's pre-fork warm step: fork inheritance is the
+    broadcast.
 
-    Each distinct ``(profile, insts, seed)`` workload among the pending
-    points is encoded **once** in the parent — generating it if the trace
-    cache is cold, which also moves generation out of the workers — and
-    its binary-codec blob is copied into one
-    :class:`~multiprocessing.shared_memory.SharedMemory` segment.
-    Fork-started workers inherit the name map (:data:`_SHM_WORKLOADS`)
-    and attach instead of re-reading disk per point.
-
-    Leak-proofing: segments are refcounted by pending-point count and
-    unlinked the moment the last consumer point resolves (crashed,
-    timed-out and requeued points all resolve exactly once through
-    ``finish``), and :meth:`close` unlinks everything left as the sweep's
-    ``finally`` — worker deaths never strand a segment, because only the
-    parent owns unlinking.
+    :meth:`publish` runs in the parent before any worker forks.  It
+    resolves each distinct pending workload once through
+    :func:`~repro.harness.cache.cached_stream` (generating a cold trace
+    and writing its ``.rtc`` file) and loads each distinct cycle kernel
+    into the kernel memo, so every forked worker inherits both memos and
+    starts warm.  A sweep with more distinct workloads than the trace
+    memo holds (32) keeps the most recent ones; workers read the rest
+    from the ``.rtc`` files just written.  Stateless: the class only
+    gives the step a stable name to time.
     """
-
-    def __init__(self) -> None:
-        self._segments: dict[tuple, object] = {}
-        self._refs: dict[tuple, int] = {}
-        self.published_bytes = 0
 
     def publish(self, points: list, pending: list[int]) -> None:
-        """Publish every distinct pending workload; silently does nothing
-        when disabled (``REPRO_NO_SHM=1``), when traces are bypassed, or
-        where shared memory is unavailable."""
-        if os.environ.get(NO_SHM_ENV) or os.environ.get("REPRO_NO_TRACE_CACHE"):
-            return
-        try:
-            from multiprocessing.shared_memory import SharedMemory
-        except Exception:  # pragma: no cover - platform without shm
-            return
+        """Warm the parent's trace and kernel memos for ``pending``.  A
+        failure here is left for the point's own run to report."""
+        from repro.codegen import kernels_enabled, load_kernel
+        from repro.codegen.fingerprint import kernel_fingerprint
         from repro.harness.cache import cached_stream
+        from repro.harness.runner import make_config
 
-        refs: dict[tuple, int] = {}
-        for index in pending:
-            wkey = _workload_key(points[index])
-            refs[wkey] = refs.get(wkey, 0) + 1
-        for wkey, count in refs.items():
+        tasks = [points[index] for index in pending]
+        for wkey in dict.fromkeys(map(_workload_key, tasks)):
             try:
-                blob = cached_stream(*wkey).blob
-                segment = SharedMemory(create=True, size=max(1, len(blob)))
-                segment.buf[:len(blob)] = blob
+                cached_stream(*wkey)
             except Exception:
-                continue  # /dev/shm exhausted etc.: disk path still works
-            self._segments[wkey] = segment
-            self._refs[wkey] = count
-            self.published_bytes += len(blob)
-            _SHM_WORKLOADS[wkey] = (segment.name, len(blob))
-
-    def release(self, point: SweepPoint) -> None:
-        """One consumer point resolved: unlink its segment at refcount 0."""
-        wkey = _workload_key(point)
-        if wkey not in self._refs:
+                continue
+        if not kernels_enabled():
             return
-        self._refs[wkey] -= 1
-        if self._refs[wkey] <= 0:
-            self._unlink(wkey)
-
-    def _unlink(self, wkey: tuple) -> None:
-        segment = self._segments.pop(wkey, None)
-        self._refs.pop(wkey, None)
-        _SHM_WORKLOADS.pop(wkey, None)
-        if segment is not None:
+        loaded: set[str] = set()
+        for point in tasks:
             try:
-                segment.close()
-                segment.unlink()
-            except Exception:  # pragma: no cover - double-unlink race
-                pass
-
-    def close(self) -> None:
-        """Unlink every remaining segment (sweep ``finally``)."""
-        for wkey in list(self._segments):
-            self._unlink(wkey)
-
-    def stats(self) -> dict:
-        return {"segments": len(self._segments),
-                "published_bytes": self.published_bytes}
+                config = make_config(point.profile, point.scheme, point.size,
+                                     port_scheme=point.port_scheme)
+                fingerprint = kernel_fingerprint(config)
+                if fingerprint not in loaded:
+                    loaded.add(fingerprint)
+                    load_kernel(config)
+            except Exception:
+                continue
 
 
 # --------------------------------------------------------------- affinity
-def _kernel_key(point: SweepPoint) -> Optional[str]:
-    """The compiled-kernel identity a point will execute under, or None
-    when codegen is unavailable or disabled.  Cheap to repeat:
-    ``make_config`` returns a shared instance per distinct configuration
-    and the fingerprint is memoised on it."""
-    try:
-        from repro.codegen import kernels_enabled
-        from repro.codegen.fingerprint import kernel_fingerprint
-        from repro.harness.runner import make_config
-
-        if not kernels_enabled():
-            return None
-        return kernel_fingerprint(make_config(
-            point.profile, point.scheme, point.size,
-            port_scheme=point.port_scheme))
-    except Exception:
-        return None
-
-
 class _AffinityQueue:
-    """Dispatch queue that maximizes worker-side reuse.
+    """Dispatch queue that keeps a workload on the worker that parsed it.
 
-    Tasks are grouped by workload key, then kernel key.  ``pop`` prefers,
-    in order: a task matching the worker's last (workload, kernel) pair
-    (memo hit + loaded kernel), then the worker's last workload (memo
-    hit), then the largest workload group no other busy worker currently
-    owns (spreads distinct workloads across the fleet), then the largest
-    group outright.  Ties break by insertion order, keeping dispatch
-    deterministic for a fixed fleet state.
+    Every fleet worker inherits every warm trace, but a trace's columns
+    are parsed lazily in each process (``TraceStream.columns()``), so a
+    worker that stays on one workload parses it once.  Tasks are grouped
+    by workload key; ``pop`` prefers the worker's last workload, then the
+    largest group no other busy worker currently owns (spreads distinct
+    workloads across the fleet), then the largest group outright.  Ties
+    break by insertion order, keeping dispatch deterministic for a fixed
+    fleet state.
     """
 
     def __init__(self, points: list) -> None:
         self._points = points
-        #: wkey -> kkey -> list of (index, attempt); dicts keep insertion
-        #: order, lists serve as FIFO queues within a kernel group
-        self._groups: dict[tuple, dict[Optional[str], list]] = {}
-        self._size = 0
+        #: wkey -> FIFO list of (index, attempt); dicts keep insertion order
+        self._groups: dict[tuple, list[tuple[int, int]]] = {}
 
     def push(self, index: int, attempt: int) -> None:
-        point = self._points[index]
-        kernels = self._groups.setdefault(_workload_key(point), {})
-        kernels.setdefault(_kernel_key(point), []).append((index, attempt))
-        self._size += 1
+        self._groups.setdefault(_workload_key(self._points[index]),
+                                []).append((index, attempt))
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self._groups.values()))
 
-    def _take(self, wkey: tuple, kkey: Optional[str]) -> tuple[int, int]:
-        kernels = self._groups[wkey]
-        task = kernels[kkey].pop(0)
-        if not kernels[kkey]:
-            del kernels[kkey]
-        if not kernels:
-            del self._groups[wkey]
-        self._size -= 1
-        return task
-
-    def _group_size(self, wkey: tuple) -> int:
-        return sum(len(tasks) for tasks in self._groups[wkey].values())
-
-    def pop(self, last_wkey: Optional[tuple] = None,
-            last_kkey: Optional[str] = None,
+    def pop(self, last: Optional[tuple] = None,
             owned: frozenset = frozenset()) -> Optional[tuple[int, int]]:
-        """Next (index, attempt) for a worker whose previous task had
-        ``(last_wkey, last_kkey)``; ``owned`` holds workload keys other
-        busy workers are executing right now."""
-        if self._size == 0:
+        """Next (index, attempt) for a worker whose previous task ran
+        workload ``last``; ``owned`` holds workload keys other busy
+        workers are executing right now."""
+        if not self._groups:
             return None
-        if last_wkey is not None and last_wkey in self._groups:
-            kernels = self._groups[last_wkey]
-            if last_kkey in kernels:
-                return self._take(last_wkey, last_kkey)
-            return self._take(last_wkey, next(iter(kernels)))
-        candidates = [wkey for wkey in self._groups if wkey not in owned] \
-            or list(self._groups)
-        best = max(candidates, key=self._group_size)
-        return self._take(best, next(iter(self._groups[best])))
+        if last not in self._groups:
+            last = max([wkey for wkey in self._groups if wkey not in owned]
+                       or self._groups,
+                       key=lambda wkey: len(self._groups[wkey]))
+        tasks = self._groups[last]
+        task = tasks.pop(0)
+        if not tasks:
+            del self._groups[last]
+        return task
 
 
 # ---------------------------------------------------------------- scheduler
@@ -466,7 +340,7 @@ class _Lease:
 class _Scheduler:
     """The queue/retry core behind both sweep routes.
 
-    Owns the affinity-ordered ready queue, the backoff-delayed retries,
+    Owns the workload-affine ready queue, the backoff-delayed retries,
     the in-flight leases and the unresolved set.  A route leases points
     to its slots — this process in :func:`_run_serial`, forked pipe
     workers in :func:`_run_fleet` — and reports every attempt's outcome
@@ -489,8 +363,8 @@ class _Scheduler:
         self.unresolved = set(pending)
         self._finish = finish
         self._seq = 0
-        #: worker -> (workload key, kernel key) of its latest lease, kept
-        #: across completions (and respawns: affinity is only a hint)
+        #: worker -> workload key of its latest lease, kept across
+        #: completions (and respawns: affinity is only a hint)
         self._last: dict[Optional[int], tuple] = {}
 
     def lease(self, worker: Optional[int],
@@ -507,12 +381,11 @@ class _Scheduler:
         owned = frozenset(_workload_key(self.points[lease.index])
                           for lease in self.leases.values()
                           if lease.worker != worker)
-        task = self.queue.pop(*self._last.get(worker, (None, None)), owned)
+        task = self.queue.pop(self._last.get(worker), owned)
         if task is None:
             return None
         index, attempt = task
-        point = self.points[index]
-        self._last[worker] = (_workload_key(point), _kernel_key(point))
+        self._last[worker] = _workload_key(self.points[index])
         self._seq += 1
         lease = _Lease(f"L{self._seq}-{index}.{attempt}", index, attempt,
                        worker, None if ttl is None else now + ttl)
@@ -570,37 +443,6 @@ class _Scheduler:
 
 
 # ------------------------------------------------------------------ execution
-def _prewarm_kernels(points: list[SweepPoint], pending: list[int]) -> None:
-    """Generate and cache each distinct cycle kernel once, in the parent.
-
-    Sweep workers share kernels through the fingerprint-keyed on-disk
-    cache; generating up front means N workers hitting the same
-    (scheme, config) pair load one compiled module instead of each
-    paying generation, and a cold pool does no generation at all.
-    Resolution failures are ignored — the affected points simply fall
-    back to the event loop in their workers, same semantics.
-    """
-    try:
-        from repro.codegen import kernels_enabled, load_kernel
-        from repro.harness.runner import make_config
-    except Exception:
-        return
-    if not kernels_enabled():
-        return
-    seen: set[str] = set()
-    for index in pending:
-        point = points[index]
-        fingerprint = _kernel_key(point)
-        if fingerprint is None or fingerprint in seen:
-            continue
-        seen.add(fingerprint)
-        try:
-            load_kernel(make_config(point.profile, point.scheme, point.size,
-                                    port_scheme=point.port_scheme))
-        except Exception:
-            continue
-
-
 def run_points(
     points: Iterable[SweepPoint],
     jobs: Optional[int] = None,
@@ -636,7 +478,6 @@ def run_points(
     jobs = resolve_jobs(jobs)
     results: list[Optional[PointResult]] = [None] * total
     done = 0
-    broadcast = WorkloadBroadcast()
 
     def finish(index: int, result: PointResult) -> None:
         nonlocal done
@@ -644,7 +485,6 @@ def run_points(
         done += 1
         if result.ok and not result.cached and cache is not None:
             cache.put(cache.key_for_point(result.point), result.stats)
-        broadcast.release(result.point)
         if progress is not None:
             progress(done, total, result)
 
@@ -661,25 +501,20 @@ def run_points(
     if not pending:
         return results  # type: ignore[return-value]
 
-    _prewarm_kernels(points, pending)
     # import the simulator here, before any worker forks: the workers
     # inherit it instead of each importing it for its first point
     import repro.pipeline.processor  # noqa: F401
     if any(points[index].sampling is not None for index in pending):
         import repro.sampling.engine  # noqa: F401
-    try:
-        if jobs == 1 and timeout is None:
-            _run_serial(points, pending, finish, retries, retry_delay)
-        else:
-            # a wall-clock bound needs killable workers, even for jobs=1.
-            # Publish each distinct workload blob to shared memory once,
-            # before any worker forks, so cold workers attach instead of
-            # re-reading disk per point
-            broadcast.publish(points, pending)
-            _run_fleet(points, pending, finish, min(jobs, len(pending)),
-                       timeout, retries, retry_delay)
-    finally:
-        broadcast.close()
+    if jobs == 1 and timeout is None:
+        _run_serial(points, pending, finish, retries, retry_delay)
+    else:
+        # a wall-clock bound needs killable workers, even for jobs=1.
+        # Warm every workload and kernel before the fork, so each worker
+        # inherits them instead of loading its own
+        WorkloadBroadcast().publish(points, pending)
+        _run_fleet(points, pending, finish, min(jobs, len(pending)),
+                   timeout, retries, retry_delay)
     return results  # type: ignore[return-value]
 
 
@@ -729,7 +564,8 @@ def _run_local(index: int, point: SweepPoint, timeout: Optional[float]):
 def _run_serial(points, pending, finish, retries: int,
                 retry_delay: float, timeout: Optional[float] = None) -> None:
     """In-process execution: the :class:`_Scheduler` core with this
-    process as its only slot (bounded retries, backoff, affinity order).
+    process as its only slot (bounded retries, backoff, workload order).
+    Workloads and kernels load lazily, at their first point.
 
     ``timeout`` keeps the per-point wall-clock bound alive on the
     degrade path of a pipe fleet that cannot fork — enforced by
@@ -781,11 +617,12 @@ def _run_fleet(points, pending, finish, workers: int,
     dispatch; a straggler past it is killed and requeued, and a worker
     that dies (pipe EOF) is respawned and its point requeued — either
     way the attempt is consumed, and :meth:`_Scheduler.requeue` retries
-    with backoff or fails the point.  Dispatch is affinity-aware, so a
-    freed worker preferentially receives a point sharing its previous
-    workload (warm trace memo) and kernel (loaded module).  Scheduling
-    never affects results — a point is a pure function of itself — only
-    wall-clock.
+    with backoff or fails the point.  Workers start warm: they inherit
+    the trace and kernel memos :meth:`WorkloadBroadcast.publish` filled
+    before the fork.  Dispatch is workload-affine, so a freed worker
+    preferentially receives a point of its previous workload, whose
+    trace columns it has already parsed.  Scheduling never affects
+    results — a point is a pure function of itself — only wall-clock.
 
     Workers are forked (where available) so test doubles installed on
     :data:`_POINT_RUNNER` propagate; each worker owns a dedicated duplex

@@ -1,14 +1,13 @@
 #!/usr/bin/env python
 """CI smoke test for the sweep data plane.
 
-Drives a small figure grid through every data-plane configuration and
-asserts the determinism contract end to end:
+Drives a small figure grid through both sweep routes and asserts the
+determinism contract end to end:
 
-* serial (jobs=1), parallel with the full data plane (shared-memory
-  broadcast) and parallel with the broadcast off (workers read the
-  binary trace cache) all produce bit-identical per-point stats;
-* the shared-memory broadcast actually engages (one segment per distinct
-  workload) and leaves nothing behind after the sweep;
+* serial (jobs=1) and the 2-job pipe fleet produce bit-identical
+  per-point stats;
+* fleet workers start warm: no worker generates or reads from disk the
+  trace of a workload the parent warmed before forking;
 * the binary trace cache is populated cold and served warm;
 * a same-name variant of a benchmark profile is its own workload: every
   point's stats equal that point's standalone run from a cold trace memo
@@ -38,8 +37,7 @@ except ImportError:  # fall back to a source checkout
 
 import repro.harness.parallel as parallel_mod
 from repro.harness.cache import ResultCache, TraceCache, reset_trace_memo
-from repro.harness.parallel import (SweepPoint, WorkloadBroadcast,
-                                    run_points, simulate_point)
+from repro.harness.parallel import SweepPoint, run_points, simulate_point
 from repro.workloads.profiles import BENCHMARKS
 
 #: gsm under its own name, with a different memory mix: a distinct workload
@@ -56,28 +54,48 @@ def _grid() -> list[SweepPoint]:
 
 
 @contextmanager
-def _env(trace_dir, shm=False):
-    env = {"REPRO_TRACE_DIR": str(trace_dir),
-           "REPRO_NO_SHM": "" if shm else "1"}
-    saved = {key: os.environ.get(key) for key in env}
+def _env(trace_dir):
+    saved = os.environ.get("REPRO_TRACE_DIR")
     try:
-        for key, value in env.items():
-            if value:
-                os.environ[key] = value
-            else:
-                os.environ.pop(key, None)
+        os.environ["REPRO_TRACE_DIR"] = str(trace_dir)
         reset_trace_memo()
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_TRACE_DIR", None)
+        else:
+            os.environ["REPRO_TRACE_DIR"] = saved
 
 
-def _run(points, jobs, trace_dir, shm, cache=None):
-    with _env(trace_dir, shm):
+@contextmanager
+def _workers_start_warm():
+    """Fail any point whose fleet worker generates a trace or reads one
+    from disk: every workload of the grid (fewer than the trace memo's 32
+    entries) is warmed in the parent before the fork, so a worker must
+    find it in the memo it inherited."""
+    parent = os.getpid()
+    saved = {name: vars(TraceCache)[name]
+             for name in ("get_stream", "put_insts")}
+
+    def parent_only(name, method):
+        def guarded(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError(f"fleet worker called TraceCache.{name}"
+                                     f" for a workload warmed before fork")
+            return method(*args, **kwargs)
+        return guarded
+
+    try:
+        for name, method in saved.items():
+            setattr(TraceCache, name, parent_only(name, method))
+        yield
+    finally:
+        for name, method in saved.items():
+            setattr(TraceCache, name, method)
+
+
+def _run(points, jobs, trace_dir, cache=None):
+    with _env(trace_dir):
         start = time.perf_counter()
         results = run_points(points, jobs=jobs, cache=cache)
         wall = time.perf_counter() - start
@@ -101,70 +119,49 @@ def main() -> int:
     points = _grid()
     workloads = {parallel_mod._workload_key(p) for p in points}
 
-    # observe the broadcast engaging without changing its behaviour
-    published: list[int] = []
-    original_publish = WorkloadBroadcast.publish
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-smoke-") as tmp:
+        cache = ResultCache(tmp + "/results")
+        serial_wall, serial, _ = _run(points, 1, tmp + "/s", cache=cache)
+        try:
+            with _workers_start_warm():
+                fleet_wall, fleet, _ = _run(points, 2, tmp + "/p")
+        except RuntimeError as exc:
+            print(f"FAIL: 2-job fleet run: {exc}")
+            return 1
 
-    def spying_publish(self, pts, pending):
-        original_publish(self, pts, pending)
-        published.append(len(self._segments))
+        if serial != fleet:
+            print("FAIL: serial / 2-job fleet results diverge")
+            return 1
+        alone = _standalone(points, tmp + "/a")
+        wrong = [p.label() for p, swept, own in zip(points, serial, alone)
+                 if swept != own]
+        if wrong:
+            print(f"FAIL: swept stats differ from the standalone run "
+                  f"for {wrong}")
+            return 1
 
-    WorkloadBroadcast.publish = spying_publish
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-sweep-smoke-") as tmp:
-            cache = ResultCache(tmp + "/results")
-            serial_wall, serial, _ = _run(points, 1, tmp + "/s", shm=False,
-                                          cache=cache)
-            plane_wall, plane, _ = _run(points, 2, tmp + "/p", shm=True)
-            noshm_wall, noshm, _ = _run(points, 2, tmp + "/n", shm=False)
+        _, warm, warm_results = _run(points, 1, tmp + "/s", cache=cache)
+        if (cache.hits, cache.misses) != (len(points), len(points)) \
+                or not all(r.cached for r in warm_results) \
+                or warm != serial:
+            print(f"FAIL: warm rerun served {cache.hits} hit(s) and "
+                  f"{cache.misses} miss(es) over two runs of "
+                  f"{len(points)} points, or its stats changed")
+            return 1
 
-            if not (serial == plane == noshm):
-                print("FAIL: serial / data-plane / no-shm results diverge")
-                return 1
-            alone = _standalone(points, tmp + "/a")
-            wrong = [p.label() for p, swept, own in zip(points, serial, alone)
-                     if swept != own]
-            if wrong:
-                print(f"FAIL: swept stats differ from the standalone run "
-                      f"for {wrong}")
-                return 1
-
-            _, warm, warm_results = _run(points, 1, tmp + "/s", shm=False,
-                                         cache=cache)
-            if (cache.hits, cache.misses) != (len(points), len(points)) \
-                    or not all(r.cached for r in warm_results) \
-                    or warm != serial:
-                print(f"FAIL: warm rerun served {cache.hits} hit(s) and "
-                      f"{cache.misses} miss(es) over two runs of "
-                      f"{len(points)} points, or its stats changed")
-                return 1
-            # publish fires once per multi-process run: the data-plane
-            # run broadcasts one segment per workload, the no-shm run
-            # correctly broadcasts none
-            if published != [len(workloads), 0]:
-                print(f"FAIL: broadcast published {published} segments "
-                      f"across runs, expected [{len(workloads)}, 0]")
-                return 1
-            if parallel_mod._SHM_WORKLOADS:
-                print(f"FAIL: shared-memory segments leaked: "
-                      f"{parallel_mod._SHM_WORKLOADS}")
-                return 1
-
-            cache = TraceCache(tmp + "/p", fingerprint=None)
-            if len(cache) != len(workloads):
-                print(f"FAIL: trace cache holds {len(cache)} entries, "
-                      f"expected {len(workloads)}")
-                return 1
-    finally:
-        WorkloadBroadcast.publish = original_publish
+        cache = TraceCache(tmp + "/p", fingerprint=None)
+        if len(cache) != len(workloads):
+            print(f"FAIL: trace cache holds {len(cache)} entries, "
+                  f"expected {len(workloads)}")
+            return 1
 
     report = {
         "points": len(points),
         "workloads": len(workloads),
         "serial_seconds": round(serial_wall, 3),
-        "dataplane_seconds": round(plane_wall, 3),
-        "noshm_seconds": round(noshm_wall, 3),
+        "fleet_seconds": round(fleet_wall, 3),
         "identical": True,
+        "workers_start_warm": True,
         "standalone_identical": True,
         "warm_hits": len(points),
     }
@@ -173,10 +170,9 @@ def main() -> int:
             json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     print(f"sweep smoke OK: {len(points)} points bit-identical across "
-          f"serial, 2-job data plane (shm broadcast: {published[0]} "
-          f"segments, 0 leaked), 2-job without the broadcast and "
-          f"standalone runs (same-name variant included); warm rerun all "
-          f"hits")
+          f"serial, 2-job fleet ({len(workloads)} workloads, every worker "
+          f"started warm) and standalone runs (same-name variant "
+          f"included); warm rerun all hits")
     return 0
 
 
