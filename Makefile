@@ -40,6 +40,7 @@ ports-smoke:
 
 # sweep data plane: small grid bit-identical across serial and 2-job fleet
 # runs; fleet workers start warm (no trace generated or read from disk)
+# and materialize each workload at most once
 sweep-smoke:
 	$(PYTHON) tools/sweep_smoke.py
 

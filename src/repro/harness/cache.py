@@ -30,7 +30,9 @@ workers find a trace in the memo they inherit from the parent, which
 warms it before forking (:mod:`repro.harness.parallel`), or decode it
 from disk, instead of re-running the generator; a process-local LRU
 (:class:`TraceMemo`, 32 entries) keeps the parsed columns of recently
-used workloads so repeat points pay only re-materialization.
+used workloads, and one resident instruction list per process
+(:meth:`TraceStream.replay`) lets repeat points of a workload rewind its
+instructions instead of materializing them again.
 
 Corrupted or truncated entries are treated as misses (and removed), never
 as errors.  There is no automatic eviction — result entries are a few KB
@@ -287,15 +289,29 @@ def trace_key(profile: WorkloadProfile, insts: int, seed: int,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+class _Insts(list):
+    """A materialized instruction list; a list subclass only so it can be
+    weakly referenced, which lets a caller observe its release."""
+
+
+#: the one workload this process keeps materialized for
+#: :meth:`TraceStream.replay`: ``(stream, instructions)``, or None
+_resident: Optional[tuple] = None
+
+
 class TraceStream:
     """Re-iterable binary-codec trace.
 
     The blob is parsed into :class:`~repro.workloads.trace_codec.
-    TraceColumns` once (lazily, checksum-validated); every iteration
-    re-materializes fresh :class:`~repro.isa.dyninst.DynInst` objects,
-    because the pipeline mutates instructions in place.  Holding the
-    stream (e.g. in :class:`TraceMemo`) therefore amortizes the parse
-    across passes — repeat points pay only materialization.
+    TraceColumns` once (lazily, checksum-validated).  The pipeline
+    mutates instructions in place, so a pass needs instructions in their
+    just-decoded state, which come two ways:
+
+    * iterating materializes fresh :class:`~repro.isa.dyninst.DynInst`
+      objects every time;
+    * :meth:`replay` keeps one workload's instructions resident per
+      process and rewinds them between passes, so a sweep worker that
+      runs many points of one workload materializes it once.
     """
 
     def __init__(self, blob: bytes, total_insts: int) -> None:
@@ -312,6 +328,26 @@ class TraceStream:
 
     def __iter__(self):
         return iter(self.columns().materialize())
+
+    def replay(self):
+        """An iterator over this trace's instructions in their
+        just-decoded state, from the process's resident list.
+
+        The resident list is this stream's when the previous replay was
+        this stream's: it is rewound, not rebuilt.  Otherwise the old
+        list is dropped before this stream's columns are parsed and its
+        instructions materialized, so a process holds at most one
+        workload's instructions and the new workload reuses the old one's
+        memory.  The instructions stay the resident's: a caller must
+        finish with them before the next replay.
+        """
+        global _resident
+        if _resident is not None and _resident[0] is self:
+            return iter(self.columns().rewind(_resident[1]))
+        _resident = None
+        insts = _Insts(self.columns().materialize())
+        _resident = (self, insts)
+        return iter(insts)
 
 
 class TraceCache:
@@ -404,8 +440,10 @@ class TraceMemo:
     Keyed by (profile, insts, seed, body_iters) — the profile itself, which
     hashes and compares by content, not its name; bounded by ``limit``
     entries (default 32, 0 disables).  Holding the stream object — not
-    just its bytes — keeps a binary stream's parsed columns warm, so a
-    worker revisiting a workload pays only re-materialization.
+    just its bytes — keeps a binary stream's parsed columns warm: a
+    worker revisiting a workload skips the read and the parse, and
+    materializes it again only if another workload became resident in
+    between (:meth:`TraceStream.replay`).
     """
 
     DEFAULT_LIMIT = 32

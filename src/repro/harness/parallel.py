@@ -37,7 +37,8 @@ kernel memo with every distinct cycle kernel
 (:meth:`WorkloadBroadcast.publish`), and every worker inherits both.
 Dispatch is workload-affine (:class:`_AffinityQueue`): a freed worker
 preferentially receives a point of the workload it ran last, whose trace
-columns it has already parsed.
+columns it has already parsed and whose instructions it keeps resident,
+rewinding them between points instead of materializing them again.
 
 Determinism: a point's result does not depend on how it was executed —
 serial, the pipe fleet or the cached path, its trace from the memo or
@@ -48,6 +49,7 @@ assert.  Retries, backoff jitter, warming and affinity only affect
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import time
@@ -149,9 +151,13 @@ def simulate_point(point: SweepPoint):
     finds the trace in the memo it inherited from the parent (or decodes
     it from disk when the memo has evicted it) instead of re-running the
     generator, and every execution path (jobs=1 or a fleet worker, memo
-    or disk) consumes the identical serialized stream.
+    or disk) consumes the identical serialized stream.  An exact point
+    replays the process's resident instructions
+    (:meth:`~repro.harness.cache.TraceStream.replay`), so consecutive
+    points of one workload materialize it once.
     """
-    from repro.harness.cache import cached_stream  # avoid import cycle
+    # imported here to avoid an import cycle
+    from repro.harness.cache import TraceStream, cached_stream
     from repro.harness.runner import make_config
     from repro.pipeline.processor import simulate
 
@@ -165,7 +171,9 @@ def simulate_point(point: SweepPoint):
         # and only materializes DynInsts for warm zones and windows.
         return simulate(config, workload, max_insts=point.insts,
                         sampling=point.sampling, sampling_seed=point.seed)
-    return simulate(config, iter(workload))
+    if isinstance(workload, TraceStream):
+        return simulate(config, workload.replay())
+    return simulate(config, iter(workload))  # REPRO_NO_TRACE_CACHE
 
 
 #: the function workers run for each point — a module-level indirection so
@@ -282,8 +290,10 @@ class _AffinityQueue:
     """Dispatch queue that keeps a workload on the worker that parsed it.
 
     Every fleet worker inherits every warm trace, but a trace's columns
-    are parsed lazily in each process (``TraceStream.columns()``), so a
-    worker that stays on one workload parses it once.  Tasks are grouped
+    are parsed lazily in each process (``TraceStream.columns()``) and a
+    process keeps one workload's instructions resident
+    (``TraceStream.replay()``), so a worker that stays on one workload
+    parses and materializes it once.  Tasks are grouped
     by workload key; ``pop`` prefers the worker's last workload, then the
     largest group no other busy worker currently owns (spreads distinct
     workloads across the fleet), then the largest group outright.  Ties
@@ -587,7 +597,12 @@ def _fleet_child(conn) -> None:
     Runs :func:`_worker` (which never raises), so the only exits are the
     ``None`` sentinel, a closed pipe, or being killed by the parent's
     timeout watchdog.
+
+    The heap inherited from the parent (modules, kernels, the trace
+    memo) is frozen on entry: the worker's garbage collections then skip
+    it instead of walking it over and over.
     """
+    gc.freeze()
     try:
         while True:
             task = conn.recv()
@@ -621,7 +636,8 @@ def _run_fleet(points, pending, finish, workers: int,
     the trace and kernel memos :meth:`WorkloadBroadcast.publish` filled
     before the fork.  Dispatch is workload-affine, so a freed worker
     preferentially receives a point of its previous workload, whose
-    trace columns it has already parsed.  Scheduling never affects
+    trace columns it has already parsed and whose instructions are
+    still resident.  Scheduling never affects
     results — a point is a pure function of itself — only wall-clock.
 
     Workers are forked (where available) so test doubles installed on

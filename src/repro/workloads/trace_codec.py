@@ -8,9 +8,11 @@ a workload is a handful of C-level ``struct.unpack`` calls plus one
 tight materialization loop, rather than per-line ``json.loads`` + dict
 lookups + register-name parsing.  Measured on the synthetic benchmark
 traces this decodes >5x faster than gzipped JSON lines, and the parsed
-columns can be kept and re-materialized per pass (every simulation needs
-fresh :class:`~repro.isa.dyninst.DynInst` objects because the pipeline
-mutates them in place), which is another ~3x on top.
+columns can be kept and re-materialized per pass, which is another ~3x
+on top.  The pipeline mutates instructions in place, so a pass needs
+either fresh :class:`~repro.isa.dyninst.DynInst` objects or a list put
+back to its just-decoded state (:meth:`TraceColumns.rewind`, which
+builds no objects).
 
 Layout (all little-endian)::
 
@@ -129,10 +131,11 @@ _T_BOOL = 3
 _T_BIG = 4
 
 #: flag -> translate table marking instructions carrying that flag bit,
-#: for O(1)-per-query prefix counts over the packed flags column
+#: for O(1)-per-query prefix counts over the packed flags column and for
+#: finding the faulting instructions a rewind re-arms
 _FLAG_MARKS = {
     flag: bytes(1 if b & flag else 0 for b in range(256))
-    for flag in (_F_HDEST, _F_TARGET, _F_HSRCS, _F_HDEPTH)
+    for flag in (_F_FAULTS, _F_HDEST, _F_TARGET, _F_HSRCS, _F_HDEPTH)
 }
 
 
@@ -444,10 +447,10 @@ class TraceColumns:
     """A fully parsed (but not yet materialized) trace.
 
     Parsing happens once; :meth:`materialize` then builds fresh
-    :class:`~repro.isa.dyninst.DynInst` objects per call — the pipeline
-    mutates instructions in place, so every simulation pass needs its
-    own copies.  Keeping the parsed columns between passes is what makes
-    re-running many sweep points on one workload cheap.
+    :class:`~repro.isa.dyninst.DynInst` objects per call.  The pipeline
+    mutates instructions in place, so a simulation pass needs either its
+    own copies or a materialized list that :meth:`rewind` has put back
+    to its just-decoded state.
     """
 
     __slots__ = ("count", "ops", "op_bytes", "flags", "seqs", "pcs",
@@ -676,6 +679,41 @@ class TraceColumns:
                     dyn.hint_reuse_depth = next(hdepths)
             append(dyn)
         return out
+
+    def rewind(self, insts: List[DynInst]) -> List[DynInst]:
+        """Put a :meth:`materialize` list back to its just-decoded state.
+
+        Resets every field the pipeline writes — the rename and timing
+        bookkeeping, ``squashed`` and the LSQ back-reference — and
+        re-arms ``faults`` from the flags column, because servicing a
+        precise exception clears it.  The trace facts are never written,
+        so they are left alone; the result compares equal to a fresh
+        :meth:`materialize` without building any instruction.
+        """
+        for dyn in insts:
+            dyn.dest_tag = None
+            dyn.src_tags = []
+            dyn.prev_map = None
+            dyn.allocated_new = False
+            dyn.reused_src = None
+            dyn.alloc_bank = None
+            dyn.completed = False
+            dyn.exception_raised = False
+            dyn.mispredicted = False
+            dyn.squashed = False
+            dyn.fetch_cycle = -1
+            dyn.rename_cycle = -1
+            dyn.issue_cycle = -1
+            dyn.complete_cycle = -1
+            dyn.commit_cycle = -1
+            dyn.lsq_entry = None
+        faulting = self.flags.translate(_FLAG_MARKS[_F_FAULTS])
+        # synthetic sweep traces carry no faults: skip the index scan,
+        # whose first numpy call grows a fresh worker's RSS by about 1 MB
+        if _ONE in faulting:
+            for index in _mark_indices(faulting):
+                insts[index].faults = True
+        return insts
 
     def __iter__(self) -> Iterator[DynInst]:
         return iter(self.materialize())

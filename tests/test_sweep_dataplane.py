@@ -1,12 +1,15 @@
 """Sweep data-plane engine tests: warm workers, workload affinity.
 
-These pin the two mechanisms behind the sweep data plane — the pre-fork
-warm step every fleet worker inherits and the workload-affine dispatch
-queue — plus a pytest-level bit-identity matrix across jobs.  End-to-end
+These pin the mechanisms behind the sweep data plane — the pre-fork
+warm step every fleet worker inherits, the workload-affine dispatch
+queue and the workload each worker keeps resident — plus a pytest-level
+bit-identity matrix across jobs.  End-to-end
 identity is also covered by ``tools/sweep_smoke.py``; wall-clock by the
 ``bench/`` suite.
 """
 
+import gc
+import os
 import time
 
 import pytest
@@ -20,6 +23,7 @@ from repro.harness.parallel import (PointResult, SweepPoint, run_points,
                                     simulate_point)
 from repro.harness.runner import make_config
 from repro.workloads.profiles import BENCHMARKS
+from repro.workloads.trace_codec import TraceColumns
 
 
 def _points(count=3, profile="gsm", scheme="conventional", insts=1500):
@@ -143,6 +147,54 @@ def test_fleet_workers_start_warm(tmp_path, monkeypatch, jobs, timeout):
     reset_trace_memo()
     monkeypatch.setattr(codegen_cache, "_KERNEL_MEMO", {})
     monkeypatch.setattr(parallel, "_POINT_RUNNER", _warm_runner)
+    results = run_points(points, jobs=jobs, timeout=timeout)
+    assert [r.error for r in results] == [None] * len(points)
+    assert [r.stats.to_dict() for r in results] == reference
+    reset_trace_memo()
+
+
+# ------------------------------------------------------ resident workloads
+#: (pid, columns id) -> materializations; each forked worker counts in
+#: its own copy
+_MATERIALIZED: dict = {}
+
+
+def _decode_once_runner(point):
+    """Fleet-worker runner: after the point, the worker has materialized
+    each workload at most once, and its inherited heap is frozen."""
+    stats = simulate_point(point)
+    pid = os.getpid()
+    counts = [n for (owner, _), n in _MATERIALIZED.items() if owner == pid]
+    assert counts and max(counts) == 1, \
+        f"{point.label()}: materializations per workload {counts}"
+    assert gc.get_freeze_count() > 0, f"{point.label()}: heap not frozen"
+    return stats
+
+
+@pytest.mark.parametrize("jobs,timeout", [(2, None), (1, 300.0)],
+                         ids=["jobs2", "jobs1-timeout"])
+def test_fleet_workers_decode_once(tmp_path, monkeypatch, jobs, timeout):
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
+    monkeypatch.delenv("REPRO_NO_TRACE_CACHE", raising=False)
+    # several points per workload, workloads interleaved in the grid
+    points = [SweepPoint(BENCHMARKS[profile], scheme, 48, 800, seed)
+              for seed in (1, 2) for scheme in ("sharing", "conventional")
+              for profile in ("gsm", "adpcm")]
+    reset_trace_memo()
+    reference = [r.stats.to_dict() for r in run_points(points, jobs=1)]
+
+    original = vars(TraceColumns)["materialize_range"]
+
+    def counted(self, lo, hi):
+        key = (os.getpid(), id(self))
+        _MATERIALIZED[key] = _MATERIALIZED.get(key, 0) + 1
+        return original(self, lo, hi)
+
+    reset_trace_memo()
+    _MATERIALIZED.clear()
+    monkeypatch.setattr(TraceColumns, "materialize_range", counted)
+    monkeypatch.setattr(parallel, "_POINT_RUNNER", _decode_once_runner)
     results = run_points(points, jobs=jobs, timeout=timeout)
     assert [r.error for r in results] == [None] * len(points)
     assert [r.stats.to_dict() for r in results] == reference

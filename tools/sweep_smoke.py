@@ -8,6 +8,8 @@ determinism contract end to end:
   per-point stats;
 * fleet workers start warm: no worker generates or reads from disk the
   trace of a workload the parent warmed before forking;
+* fleet workers decode once: no worker materializes a workload twice
+  (it keeps the workload resident and rewinds it between points);
 * the binary trace cache is populated cold and served warm;
 * a same-name variant of a benchmark profile is its own workload: every
   point's stats equal that point's standalone run from a cold trace memo
@@ -16,8 +18,9 @@ determinism contract end to end:
 * a warm rerun against the same result cache is all hits with identical
   stats.
 
-Writes a small JSON report (grid timings, for the CI artifact) to the
-path given as argv[1], if any.  Exits non-zero with a diagnostic on any
+Writes a small JSON report (grid timings and the fleet workers'
+materialization count, for the CI artifact) to the path given as
+argv[1], if any.  Exits non-zero with a diagnostic on any
 violation.
 """
 
@@ -39,6 +42,7 @@ import repro.harness.parallel as parallel_mod
 from repro.harness.cache import ResultCache, TraceCache, reset_trace_memo
 from repro.harness.parallel import SweepPoint, run_points, simulate_point
 from repro.workloads.profiles import BENCHMARKS
+from repro.workloads.trace_codec import TraceColumns
 
 #: gsm under its own name, with a different memory mix: a distinct workload
 GSM_VARIANT = replace(BENCHMARKS["gsm"], load_frac=0.05, store_frac=0.02,
@@ -94,6 +98,29 @@ def _workers_start_warm():
             setattr(TraceCache, name, method)
 
 
+@contextmanager
+def _worker_materializations(log):
+    """Append one "pid columns-id" line to the file ``log`` per trace
+    materialization in a fleet worker.  A worker keeps its current
+    workload resident and rewinds it between points, and affine dispatch
+    never sends a worker back to a workload it has left in a
+    failure-free sweep, so no line may repeat."""
+    parent = os.getpid()
+    original = vars(TraceColumns)["materialize_range"]
+
+    def counted(self, lo, hi):
+        if os.getpid() != parent:
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {id(self)}\n")
+        return original(self, lo, hi)
+
+    try:
+        TraceColumns.materialize_range = counted
+        yield
+    finally:
+        TraceColumns.materialize_range = original
+
+
 def _run(points, jobs, trace_dir, cache=None):
     with _env(trace_dir):
         start = time.perf_counter()
@@ -122,11 +149,22 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-sweep-smoke-") as tmp:
         cache = ResultCache(tmp + "/results")
         serial_wall, serial, _ = _run(points, 1, tmp + "/s", cache=cache)
+        log = pathlib.Path(tmp, "materializations.log")
+        log.touch()
         try:
-            with _workers_start_warm():
+            with _workers_start_warm(), _worker_materializations(log):
                 fleet_wall, fleet, _ = _run(points, 2, tmp + "/p")
         except RuntimeError as exc:
             print(f"FAIL: 2-job fleet run: {exc}")
+            return 1
+        materialized = log.read_text().splitlines()
+        materializations = len(materialized)
+        if len(set(materialized)) != materializations:
+            print("FAIL: a fleet worker materialized a workload twice")
+            return 1
+        if materializations < len(workloads):
+            print(f"FAIL: fleet workers materialized {materializations} "
+                  f"time(s) for {len(workloads)} workloads")
             return 1
 
         if serial != fleet:
@@ -162,6 +200,7 @@ def main() -> int:
         "fleet_seconds": round(fleet_wall, 3),
         "identical": True,
         "workers_start_warm": True,
+        "materializations": materializations,
         "standalone_identical": True,
         "warm_hits": len(points),
     }
@@ -171,8 +210,9 @@ def main() -> int:
 
     print(f"sweep smoke OK: {len(points)} points bit-identical across "
           f"serial, 2-job fleet ({len(workloads)} workloads, every worker "
-          f"started warm) and standalone runs (same-name variant "
-          f"included); warm rerun all hits")
+          f"started warm, {materializations} materializations) and "
+          f"standalone runs (same-name variant included); warm rerun all "
+          f"hits")
     return 0
 
 
