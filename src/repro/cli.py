@@ -304,11 +304,11 @@ def _cmd_profile_sampled(args, scheme: str, profile_name: str,
     from repro.sampling.warmer import FunctionalWarmer
     from repro.workloads.generator import SyntheticWorkload
     from repro.workloads.profiles import BENCHMARKS
-    from repro.workloads.trace_codec import encode
 
-    stream_insts = list(SyntheticWorkload(BENCHMARKS[profile_name],
-                                          total_insts=insts, seed=args.seed))
-    stream = TraceStream(encode(stream_insts), insts)
+    stream = TraceStream(SyntheticWorkload(BENCHMARKS[profile_name],
+                                           total_insts=insts,
+                                           seed=args.seed).trace_bytes(),
+                         insts)
     stream.columns()  # parse outside the profiled region
     config = MachineConfig(scheme=scheme, verify_values=False)
 

@@ -815,7 +815,9 @@ if _stale:
     continue
 ren_stats.insts += 1
 src_tags = []
-first_use = {}
+# first_use[i]: source i's value was unread before this instruction; a
+# repeated tag shares its first occurrence's answer
+first_use = []
 for _s in _srcs:
     if _s[0] is _RC_INT:
         _cv = 0; _map = int_map; _prt = int_prt
@@ -826,9 +828,11 @@ for _s in _srcs:
     _ver = _t[1]
     _e = _prt[_ph]
     _key = (_cv, _ph, _ver)
-    if _key not in first_use:
+    if _key in src_tags:
+        first_use.append(first_use[src_tags.index(_key)])
+    else:
         _rb = _e.read_bit
-        first_use[_key] = not _rb
+        first_use.append(not _rb)
         if _rb and _e.version == _ver:
             _e.multi_use_versions.add(_ver)
             if _e.predicted_single_use:
@@ -849,9 +853,16 @@ if dest is not None:
         _shadow = fp_shadow; _rfv = fp_rfv; _last_bank = fp_last_bank
     _didx = dest[1]
     dyn.prev_map = _map[_didx]
+    # sources naming the destination first (guaranteed reuse), then the
+    # rest, each group in operand order
     _n = len(_srcs)
-    order = [_i for _i in range(_n) if _srcs[_i] == dest]
-    order += [_i for _i in range(_n) if _srcs[_i] != dest]
+    if _n == 2:
+        order = (1, 0) if _srcs[1] == dest and _srcs[0] != dest else (0, 1)
+    elif _n < 2:
+        order = (0,) if _n else ()
+    else:
+        order = [_i for _i in range(_n) if _srcs[_i] == dest]
+        order += [_i for _i in range(_n) if _srcs[_i] != dest]
     _pc = dyn.pc
     _reused = False
     for _i in order:
@@ -864,7 +875,7 @@ if dest is not None:
         _e = _prt[_ph]
         if _e.version != _ver:
             continue
-        if not first_use[(_cv, _ph, _ver)]:
+        if not first_use[_i]:
             if _s == dest:
                 ren_stats.lost_reuse_not_first_use += 1
             continue

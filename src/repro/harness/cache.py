@@ -411,7 +411,12 @@ class TraceCache:
         """Encode a generated instruction list, store it, and return the
         stream decoded from the stored bytes.  An instruction the codec
         cannot represent raises
-        :class:`~repro.workloads.trace_codec.TraceCodecError`."""
+        :class:`~repro.workloads.trace_codec.TraceCodecError`.
+
+        :func:`cached_stream` no longer calls this (it stores the
+        workload's :meth:`~repro.workloads.generator.SyntheticWorkload.
+        trace_bytes`); it stays for callers holding instruction objects
+        and because the benchmark's traced run wraps it by name."""
         from repro.workloads.trace_codec import encode
 
         blob = encode(insts_list)
@@ -504,10 +509,14 @@ def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,
     """The workload stream for one sweep point, via the trace cache.
 
     Resolution order: process-local :class:`TraceMemo` -> on-disk trace
-    cache -> generate (and populate both).  Every path returns a stream
-    decoded from the serialized bytes — never the raw generator — so
-    jobs=1, warm-worker and cold-worker runs all consume byte-identical
-    streams.
+    cache -> generate (and populate both).  A miss writes the ``.rtc``
+    bytes straight from the generator's column emitter
+    (:meth:`~repro.workloads.generator.SyntheticWorkload.trace_bytes`),
+    so no instruction object is built to be encoded; the emitter's bytes
+    equal ``encode`` of the generator's instructions.  Every path
+    returns a stream decoded from the serialized bytes — never the raw
+    generator — so jobs=1, warm-worker and cold-worker runs all consume
+    byte-identical streams.
     Set ``REPRO_NO_TRACE_CACHE=1`` to bypass the cache and use the
     in-memory generator directly.
     """
@@ -524,8 +533,9 @@ def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,
         if stream is None:
             from repro.workloads.generator import SyntheticWorkload
 
-            workload = SyntheticWorkload(profile, total_insts=insts,
-                                         seed=seed, body_iters=body_iters)
-            stream = trace_cache.put_insts(key, list(iter(workload)), insts)
+            blob = SyntheticWorkload(profile, total_insts=insts, seed=seed,
+                                     body_iters=body_iters).trace_bytes()
+            trace_cache.put_blob(key, blob)
+            stream = TraceStream(blob, insts)
         TRACE_MEMO.put(memo_key, stream)
     return stream

@@ -247,13 +247,15 @@ class WorkloadBroadcast:
 
     :meth:`publish` runs in the parent before any worker forks.  It
     resolves each distinct pending workload once through
-    :func:`~repro.harness.cache.cached_stream` (generating a cold trace
-    and writing its ``.rtc`` file) and loads each distinct cycle kernel
+    :func:`~repro.harness.cache.cached_stream` (a cold trace goes from
+    the generator's column emitter straight to its ``.rtc`` file, with no
+    instruction objects built) and loads each distinct cycle kernel
     into the kernel memo, so every forked worker inherits both memos and
     starts warm.  A sweep with more distinct workloads than the trace
     memo holds (32) keeps the most recent ones; workers read the rest
     from the ``.rtc`` files just written.  Stateless: the class only
-    gives the step a stable name to time.
+    gives the step a stable name to time, and the benchmark's traced run
+    wraps :meth:`publish` by that name, so both stay.
     """
 
     def publish(self, points: list, pending: list[int]) -> None:

@@ -31,7 +31,7 @@ import random
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.isa.dyninst import DynInst
 from repro.isa.opcodes import Op
@@ -291,6 +291,94 @@ class _BodyBuilder:
             slot.dest_depth = depth[index]
 
 
+class _BodyColumns(NamedTuple):
+    """One loop body's static trace columns, computed once per skeleton.
+
+    ``flags``/``next_pcs`` are for an iteration whose back-edge is taken;
+    ``last_flags``/``last_next_pcs`` for the body's last iteration.  The
+    ``*_end`` lists map a slot count ``k`` to the length of the sparse
+    column's first ``k`` slots, so every body iteration appends a
+    ``k``-slot prefix of the same columns (all of them but a stream's
+    last).  ``slots`` holds each slot's dynamic
+    facts: (source register bytes, dest register byte or -1, memory
+    pattern, is-store, hammock taken probability or None); ``zeros`` maps
+    each source register byte to the value of an unwritten register.
+    """
+
+    ops: bytes
+    flags: bytes
+    last_flags: bytes
+    pcs: list
+    next_pcs: list
+    last_next_pcs: list
+    dests: bytes
+    src_counts: bytes
+    src_regs: bytes
+    src_end: list
+    targets: list
+    target_end: list
+    hsrcs: bytes
+    hsrc_end: list
+    hdepths: list
+    hdepth_end: list
+    imm_offsets: list
+    slots: list
+    zeros: dict
+
+
+def _body_columns(body: list) -> _BodyColumns:
+    from repro.workloads import trace_codec as codec
+
+    ops, flags, last_flags, dests = (bytearray() for _ in range(4))
+    src_counts, src_regs, hsrcs = bytearray(), bytearray(), bytearray()
+    pcs, next_pcs, last_next_pcs, targets, hdepths = [], [], [], [], []
+    src_end, target_end, hsrc_end, hdepth_end = [0], [0], [0], [0]
+    imm_offsets, slots, zeros = [], [], {}
+    for offset, slot in enumerate(body):
+        op, flag, dest, sources, pair = codec.static_columns(
+            slot.op, slot.dest, slot.srcs, slot.src_single, slot.dest_single,
+            slot.dest_depth, slot.branch is not None)
+        ops.append(op)
+        dests.append(dest)
+        src_counts.append(len(sources))
+        src_regs += sources
+        hsrcs += pair
+        if slot.dest_depth:
+            hdepths.append(slot.dest_depth)
+        fall_through = slot.pc + 1
+        pcs.append(slot.pc)
+        last_flags.append(flag)
+        last_next_pcs.append(fall_through)
+        p_taken = None
+        if slot.branch is None:
+            flags.append(flag)
+            next_pcs.append(fall_through)
+        elif slot.branch[0] == "hammock":
+            p_taken = slot.branch[1]
+            flags.append(flag)
+            next_pcs.append(fall_through)
+            targets.append(fall_through)
+        else:  # backedge: taken on every iteration but the last
+            flags.append(flag | codec.F_TAKEN)
+            next_pcs.append(slot.target)
+            targets.append(slot.target)
+        if slot.op is Op.ADDI:
+            imm_offsets.append(offset)
+        src_end.append(len(src_regs))
+        target_end.append(len(targets))
+        hsrc_end.append(len(hsrcs))
+        hdepth_end.append(len(hdepths))
+        slots.append((sources, -1 if slot.dest is None else dest, slot.mem,
+                      slot.op in (Op.ST, Op.FST), p_taken))
+        for ref, byte in zip(slot.srcs, sources):
+            zeros[byte] = 0 if ref.cls is RegClass.INT else 0.0
+    return _BodyColumns(bytes(ops), bytes(flags), bytes(last_flags), pcs,
+                        next_pcs, last_next_pcs, bytes(dests),
+                        bytes(src_counts), bytes(src_regs), src_end, targets,
+                        target_end, bytes(hsrcs), hsrc_end, hdepths,
+                        hdepth_end, imm_offsets, slots, zeros)
+
+
 class SyntheticWorkload:
     """Iterable of DynInst implementing one benchmark profile.
 
@@ -307,6 +395,10 @@ class SyntheticWorkload:
         body_iters: int = 50,
         pool=None,
     ) -> None:
+        """Build the skeleton (the loop bodies); the stream itself is
+        produced by :meth:`__iter__` or :meth:`trace_bytes`.  The
+        benchmark's traced run wraps this method by name as skeleton
+        generation time."""
         self.profile = profile
         self.total_insts = total_insts
         self.seed = seed
@@ -325,6 +417,14 @@ class SyntheticWorkload:
         self.wrap_pc = pc  # final jump back to pc 0
 
     def __iter__(self) -> Iterator[DynInst]:
+        """Stream the instructions one :class:`DynInst` at a time.
+
+        The streaming producer for uncached runs (``repro bench``,
+        ``REPRO_NO_TRACE_CACHE``, the analysis figures); the trace cache
+        uses :meth:`trace_bytes`, which must stay byte-identical to
+        encoding this stream (``tests/test_workload_generator.py`` pins
+        the two loops together).  The benchmark's traced run wraps this
+        method by name."""
         rng = random.Random(self.seed ^ 0x5EED)
         reg_values: dict[RegRef, object] = {}
         seq = 0
@@ -401,6 +501,132 @@ class SyntheticWorkload:
                     seq += 1
                     emitted += 1
                     yield wrap
+
+    def trace_bytes(self) -> bytes:
+        """The stream's columnar trace, built without instruction objects.
+
+        Byte-identical to ``trace_codec.encode(list(self))``: it walks
+        the skeleton as :meth:`__iter__` does, draws from the same RNG in
+        the same order (a random address's ``randrange``, a hammock's
+        ``random``, slot by slot) and stops at the same instruction,
+        including the wrap jump after the last body.  Each body's static
+        columns are computed once (:func:`_body_columns`) and appended a
+        body iteration at a time; only operand values, results, addresses
+        and hammock directions are produced per instruction.  The trace
+        cache stores these bytes when it misses.
+        """
+        # the codec imports numpy when present: a streaming run, which
+        # never emits columns, must not pay its import time and memory
+        from repro.workloads import trace_codec as codec
+
+        out = codec.ColumnWriter()
+        ops, flags, seqs, pcs = out.ops, out.flags, out.seqs, out.pcs
+        next_pcs, dests, targets = out.next_pcs, out.dests, out.targets
+        src_counts, src_regs = out.src_counts, out.src_regs
+        hsrcs, hdepths, sv_counts = out.hsrcs, out.hdepths, out.sv_counts
+        imm_index, imm_tags, imm_values = out.imms[:3]
+        mem_index, mem_tags, mem_values = out.mem_addrs[:3]
+        store_index, store_tags, store_i64s, store_f64s = out.store_values[:4]
+        result_index, result_tags, result_values = out.results[:3]
+        sv_tags, sv_i64s, sv_f64s = out.src_values[1:4]
+        sv_tag, sv_i64, sv_f64 = sv_tags.append, sv_i64s.append, sv_f64s.append
+        i64, f64, taken_bit = codec.T_I64, codec.T_F64, codec.F_TAKEN
+        working_set = self.profile.working_set
+        body_iters = self.body_iters
+        columns = [_body_columns(body) for body in self.bodies]
+        last_body = len(columns) - 1
+        wrap_op, wrap_flag, no_reg = codec.static_columns(
+            Op.JMP, None, (), (), False, 0, True)[:3]
+        rng = random.Random(self.seed ^ 0x5EED)
+        draw, randrange = rng.random, rng.randrange
+        # value by register byte: an unwritten register reads as its
+        # class's zero, a written one as its producer's token
+        values: list = [None] * 256
+        for body in columns:
+            for reg, zero in body.zeros.items():
+                values[reg] = zero
+        remaining = self.total_insts
+        seq = 0
+        stream_iter = 0
+        while remaining > 0:
+            for body_index, body in enumerate(columns):
+                n = len(body.ops)
+                for iteration in range(body_iters):
+                    last = iteration == body_iters - 1
+                    k = n if remaining >= n else remaining
+                    base = seq
+                    ops += body.ops[:k]
+                    flags += (body.last_flags if last else body.flags)[:k]
+                    pcs += body.pcs[:k]
+                    next_pcs += (body.last_next_pcs if last
+                                 else body.next_pcs)[:k]
+                    dests += body.dests[:k]
+                    src_counts += body.src_counts[:k]
+                    src_regs += body.src_regs[:body.src_end[k]]
+                    targets += body.targets[:body.target_end[k]]
+                    hsrcs += body.hsrcs[:body.hsrc_end[k]]
+                    hdepths += body.hdepths[:body.hdepth_end[k]]
+                    seqs += range(base, base + k)
+                    sv_counts += body.src_counts[:k]
+                    for offset in body.imm_offsets:
+                        if offset < k:
+                            imm_index.append(base + offset)
+                    for sources, dest, mem, store, p_taken in body.slots[:k]:
+                        for reg in sources:
+                            value = values[reg]
+                            if value.__class__ is float:
+                                sv_tag(f64)
+                                sv_f64(value)
+                            else:
+                                sv_tag(i64)
+                                sv_i64(value)
+                        if mem is not None:
+                            mem_index.append(seq)
+                            if mem[0] == "stream":
+                                mem_values.append(
+                                    (mem[1] + stream_iter * mem[2]) % working_set)
+                            else:
+                                mem_values.append(randrange(0, working_set, 8))
+                            if store:
+                                value = values[sources[0]]
+                                store_index.append(seq)
+                                if value.__class__ is float:
+                                    store_tags.append(f64)
+                                    store_f64s.append(value)
+                                else:
+                                    store_tags.append(i64)
+                                    store_i64s.append(value)
+                        elif p_taken is not None and draw() < p_taken:
+                            flags[seq] |= taken_bit
+                        seq += 1
+                        if dest >= 0:
+                            values[dest] = seq  # unique token
+                            result_index.append(seq - 1)
+                            result_values.append(seq)
+                    remaining -= k
+                    if remaining == 0:
+                        break
+                    stream_iter += 1
+                if remaining == 0:
+                    break
+                # wrap jump after the last body falls through
+                if body_index == last_body:
+                    ops.append(wrap_op)
+                    flags.append(wrap_flag | taken_bit)
+                    seqs.append(seq)
+                    pcs.append(self.wrap_pc)
+                    next_pcs.append(0)
+                    targets.append(0)
+                    dests.append(no_reg)
+                    src_counts.append(0)
+                    sv_counts.append(0)
+                    seq += 1
+                    remaining -= 1
+        imm_tags += bytes((i64,)) * len(imm_index)
+        imm_values += [-1] * len(imm_index)
+        mem_tags += bytes((i64,)) * len(mem_index)
+        result_tags += bytes((i64,)) * len(result_index)
+        return out.pack()
 
     def _address(self, slot: _Slot, stream_iter: int, rng: random.Random) -> int:
         if slot.mem[0] == "stream":

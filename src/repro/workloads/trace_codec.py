@@ -14,6 +14,15 @@ either fresh :class:`~repro.isa.dyninst.DynInst` objects or a list put
 back to its just-decoded state (:meth:`TraceColumns.rewind`, which
 builds no objects).
 
+Who writes ``.rtc`` bytes: :class:`ColumnWriter` is the one place the
+payload layout is written, and two producers fill it.
+:func:`encode` walks instruction objects (functional-mode programs,
+tests, tools); the synthetic workload generator's column emitter
+(:meth:`~repro.workloads.generator.SyntheticWorkload.trace_bytes`)
+appends straight from its loop bodies without building any, and is what
+the trace cache stores on a miss.  Both produce identical bytes for the
+same stream.
+
 Layout (all little-endian)::
 
     header   magic "RTRC" | version u16 | schema digest 8B | count u32
@@ -130,6 +139,10 @@ _T_F64 = 2
 _T_BOOL = 3
 _T_BIG = 4
 
+#: public aliases for column producers: the tags of int and float values
+T_I64 = _T_I64
+T_F64 = _T_F64
+
 #: flag -> translate table marking instructions carrying that flag bit,
 #: for O(1)-per-query prefix counts over the packed flags column and for
 #: finding the faulting instructions a rewind re-arms
@@ -215,11 +228,115 @@ def _pack_tagged(indices: list, tags: bytearray, i64s: list, f64s: list,
         parts.append(blob)
 
 
+def _hint_pair(hints) -> bytes:
+    """The (hint count, hint mask) byte pair the ``hsrcs`` column stores
+    for one instruction's per-source single-use hints."""
+    mask = 0
+    for bit, hint in enumerate(hints):
+        if hint:
+            mask |= 1 << bit
+    return bytes((len(hints), mask))
+
+
+def static_columns(op: Op, dest: Optional[RegRef], srcs: tuple,
+                   src_hints: tuple, dest_hint: bool, reuse_depth: int,
+                   has_target: bool) -> tuple:
+    """One instruction's fixed facts in column form, for producers that
+    emit a static instruction many times: ``(op byte, flag bits, dest
+    byte, source register bytes, hsrcs entry)``.  The flag bits cover the
+    hints, ``F_TARGET`` and ``F_HDEPTH`` — never ``F_TAKEN`` or
+    ``F_FAULTS``; the hsrcs entry is ``b""`` when no hint bit is set.  The
+    producer still appends the target and the reuse depth themselves."""
+    flag = _F_HDEST if dest_hint else 0
+    pair = b""
+    if any(src_hints):
+        flag |= _F_HSRCS
+        pair = _hint_pair(src_hints)
+    if reuse_depth:
+        flag |= _F_HDEPTH
+    if has_target:
+        flag |= _F_TARGET
+    return (_OP_INDEX[op], flag,
+            _NO_REG if dest is None else _REG_INDEX[dest],
+            bytes(_REG_INDEX[ref] for ref in srcs), pair)
+
+
 def _u32_column(values: list, what: str) -> bytes:
     for value in values:
         if not 0 <= value <= _U32_MAX:
             raise TraceCodecError(f"{what} {value!r} out of u32 range")
     return struct.pack(f"<{len(values)}I", *values)
+
+
+def _tagged_column() -> tuple:
+    """Empty (indices, tags, i64s, f64s, bools, bigs) streams."""
+    return ([], bytearray(), [], [], bytearray(), [])
+
+
+class ColumnWriter:
+    """The payload's columns, filled by a producer and packed once.
+
+    This is the one place the column layout is written.  Producers
+    append to the attributes directly — a method call per value would
+    cost as much as the appends — and call :meth:`pack` at the end.
+    Two producers fill it: :func:`encode` from instruction objects, and
+    :meth:`~repro.workloads.generator.SyntheticWorkload.trace_bytes`
+    straight from the generator's loop bodies.
+
+    ``hsrcs`` holds one (hint count, hint mask) byte pair per
+    instruction flagged ``F_HSRCS``; ``targets`` and ``hdepths`` hold one
+    entry per instruction flagged ``F_TARGET`` / ``F_HDEPTH``.  The four
+    value columns are :func:`_tagged_column` tuples whose indices are
+    instruction positions; ``src_values`` is positional (``sv_counts``
+    gives each instruction's share), so its indices stay empty.
+    """
+
+    __slots__ = ("ops", "flags", "seqs", "pcs", "next_pcs", "dests",
+                 "src_counts", "src_regs", "targets", "hsrcs", "hdepths",
+                 "imms", "mem_addrs", "store_values", "results",
+                 "sv_counts", "src_values")
+
+    def __init__(self) -> None:
+        self.ops = bytearray()
+        self.flags = bytearray()
+        self.seqs: list = []
+        self.pcs: list = []
+        self.next_pcs: list = []
+        self.dests = bytearray()
+        self.src_counts = bytearray()
+        self.src_regs = bytearray()
+        self.targets: list = []
+        self.hsrcs = bytearray()
+        self.hdepths: list = []
+        self.imms = _tagged_column()
+        self.mem_addrs = _tagged_column()
+        self.store_values = _tagged_column()
+        self.results = _tagged_column()
+        self.sv_counts = bytearray()
+        self.src_values = _tagged_column()
+
+    def pack(self) -> bytes:
+        """Header plus payload.  Raises :class:`TraceCodecError` for a
+        u32 column value out of range."""
+        parts = [bytes(self.ops), bytes(self.flags),
+                 _u32_column(self.seqs, "seq"), _u32_column(self.pcs, "pc"),
+                 _u32_column(self.next_pcs, "next_pc"), bytes(self.dests),
+                 bytes(self.src_counts),
+                 struct.pack("<I", len(self.src_regs)), bytes(self.src_regs),
+                 struct.pack("<I", len(self.targets)),
+                 _u32_column(self.targets, "target"),
+                 struct.pack("<I", len(self.hsrcs) // 2), bytes(self.hsrcs),
+                 struct.pack("<I", len(self.hdepths)),
+                 _u32_column(self.hdepths, "hint_reuse_depth")]
+        for column in (self.imms, self.mem_addrs, self.store_values,
+                       self.results):
+            _pack_tagged(*column, parts)
+        parts.append(bytes(self.sv_counts))
+        _pack_tagged(*self.src_values, parts)
+        payload = b"".join(parts)
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, _SCHEMA, len(self.ops),
+                              zlib.crc32(payload), len(payload))
+        return header + payload
 
 
 def encode(insts: Iterable[DynInst]) -> bytes:
@@ -228,28 +345,13 @@ def encode(insts: Iterable[DynInst]) -> bytes:
     Raises :class:`TraceCodecError` for streams the fixed-width columns
     cannot represent.
     """
-    ops = bytearray()
-    flags = bytearray()
-    seqs: list = []
-    pcs: list = []
-    next_pcs: list = []
-    dests = bytearray()
-    src_counts = bytearray()
-    src_regs = bytearray()
-    targets: list = []
-    hsrc_bytes = bytearray()
-    hdepths: list = []
-    # tagged columns: (indices, tags, i64s, f64s, bools, bigs)
-    imm_c = ([], bytearray(), [], [], bytearray(), [])
-    mem_c = ([], bytearray(), [], [], bytearray(), [])
-    store_c = ([], bytearray(), [], [], bytearray(), [])
-    result_c = ([], bytearray(), [], [], bytearray(), [])
-    sv_counts = bytearray()
-    sv_tags = bytearray()
-    sv_i64s: list = []
-    sv_f64s: list = []
-    sv_bools = bytearray()
-    sv_bigs: list = []
+    out = ColumnWriter()
+    ops, flags, seqs, pcs = out.ops, out.flags, out.seqs, out.pcs
+    next_pcs, dests, targets = out.next_pcs, out.dests, out.targets
+    src_counts, src_regs = out.src_counts, out.src_regs
+    hsrc_bytes, hdepths, sv_counts = out.hsrcs, out.hdepths, out.sv_counts
+    value_columns = (out.imms, out.mem_addrs, out.store_values, out.results)
+    sv_tags, sv_i64s, sv_f64s, sv_bools, sv_bigs = out.src_values[1:]
 
     count = 0
     for dyn in insts:
@@ -278,12 +380,7 @@ def encode(insts: Iterable[DynInst]) -> bytes:
             if len(hints) > 8:
                 raise TraceCodecError("more than 8 source hints")
             flag |= _F_HSRCS
-            mask = 0
-            for bit, hint in enumerate(hints):
-                if hint:
-                    mask |= 1 << bit
-            hsrc_bytes.append(len(hints))
-            hsrc_bytes.append(mask)
+            hsrc_bytes += _hint_pair(hints)
         if dyn.hint_reuse_depth:
             flag |= _F_HDEPTH
             hdepths.append(dyn.hint_reuse_depth)
@@ -303,9 +400,8 @@ def encode(insts: Iterable[DynInst]) -> bytes:
             except (KeyError, TypeError):
                 raise TraceCodecError(f"unencodable register {ref!r}")
         # value fields follow trace_io's "None or False is elided" rule
-        for value, column in ((dyn.imm, imm_c), (dyn.mem_addr, mem_c),
-                              (dyn.store_value, store_c),
-                              (dyn.result, result_c)):
+        for value, column in zip((dyn.imm, dyn.mem_addr, dyn.store_value,
+                                  dyn.result), value_columns):
             if value is None or value is False:
                 continue
             column[0].append(index)
@@ -321,26 +417,7 @@ def encode(insts: Iterable[DynInst]) -> bytes:
                 continue
             _encode_value(value, sv_tags, sv_i64s, sv_f64s, sv_bools,
                           sv_bigs)
-
-    parts = [bytes(ops), bytes(flags),
-             _u32_column(seqs, "seq"), _u32_column(pcs, "pc"),
-             _u32_column(next_pcs, "next_pc"), bytes(dests),
-             bytes(src_counts),
-             struct.pack("<I", len(src_regs)), bytes(src_regs),
-             struct.pack("<I", len(targets)),
-             _u32_column(targets, "target"),
-             struct.pack("<I", len(hsrc_bytes) // 2), bytes(hsrc_bytes),
-             struct.pack("<I", len(hdepths)),
-             _u32_column(hdepths, "hint_reuse_depth")]
-    for column in (imm_c, mem_c, store_c, result_c):
-        _pack_tagged(*column, parts)
-    parts.append(bytes(sv_counts))
-    # src_values stream is positional (counts column above): no indices
-    _pack_tagged([], sv_tags, sv_i64s, sv_f64s, sv_bools, sv_bigs, parts)
-    payload = b"".join(parts)
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, _SCHEMA, count,
-                          zlib.crc32(payload), len(payload))
-    return header + payload
+    return out.pack()
 
 
 # ---------------------------------------------------------------------- decode

@@ -121,6 +121,19 @@ def test_cli_parser_loads_no_simulator(tmp_path):
     _assert_no_simulator(modules)
 
 
+def test_streaming_run_loads_no_trace_codec(tmp_path):
+    # ``repro bench`` streams the generator straight into the simulator;
+    # the trace codec, which imports numpy when present (about 12 MB of
+    # RSS), is for cached traces only
+    lines, modules = _run(
+        "from repro.cli import main\n"
+        "main(['bench', 'gsm', '--scheme', 'sharing', '--insts', '300'])\n",
+        tmp_path)
+    assert lines and lines[0].startswith("cycles")
+    assert "repro.workloads.generator" in modules
+    assert "repro.workloads.trace_codec" not in modules
+
+
 def test_rebuilding_stats_loads_no_simulator(tmp_path):
     payload = _sim_stats().to_dict()
     assert payload["renamer_stats"] and payload["cache_stats"]

@@ -33,6 +33,25 @@ def test_cold_generates_warm_hits(tmp_path):
     assert [d.pc for d in warm] == [d.pc for d in stream]
 
 
+def test_cold_path_builds_no_instruction_objects(tmp_path, monkeypatch):
+    """A miss stores the generator's column emitter output: the streaming
+    generator never runs, and the stored bytes equal encoding it."""
+    from repro.workloads.trace_codec import encode
+
+    expected = encode(list(SyntheticWorkload(PROFILE, total_insts=700,
+                                             seed=3)))
+
+    def no_objects(self):
+        raise AssertionError("cold cached_stream iterated the generator")
+
+    monkeypatch.setattr(SyntheticWorkload, "__iter__", no_objects)
+    cache = TraceCache(tmp_path, fingerprint="fp")
+    stream = cached_stream(PROFILE, 700, seed=3, cache=cache)
+    assert cache.misses == 1
+    assert stream.blob == expected
+    assert cache.get_blob(cache.key_for(PROFILE, 700, 3)) == expected
+
+
 def test_distinct_inputs_distinct_entries(tmp_path):
     cache = TraceCache(tmp_path, fingerprint="fp")
     assert cache.key_for(PROFILE, 500, 1) != cache.key_for(PROFILE, 500, 2)

@@ -188,3 +188,43 @@ def test_conventional_sharing_pair_sees_identical_streams():
     assert baseline.loads == proposed.loads
     assert baseline.stores == proposed.stores
     assert baseline.branch_stats.branches == proposed.branch_stats.branches
+
+
+# ---------------------------------------------------------------- column emitter
+def _emitter_cases(profile):
+    """(seed, insts, body_iters) cases for one profile: the figure
+    configuration, streams ending mid-body, and one ending exactly at the
+    wrap jump after the last body (``body_iters=1`` reaches it fastest)."""
+    round_len = profile.n_bodies * profile.body_size
+    cases = [(1, 8000, 50)]
+    for seed in (1, 2, 7):
+        cases += [(seed, round_len + 1, 1),            # ends at the wrap jump
+                  (seed, 3 * (round_len + 1) + 37, 1),  # mid-body, 3 wraps in
+                  (seed, 2 * profile.body_size + 41, 50)]  # mid-body
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_trace_bytes_equal_encoded_stream(name):
+    """The column emitter and the streaming generator are two loops over
+    one skeleton; any reordered RNG draw or misplaced column value breaks
+    the byte identity."""
+    from repro.workloads.trace_codec import encode
+
+    profile = BENCHMARKS[name]
+    for seed, insts, body_iters in _emitter_cases(profile):
+        workload = SyntheticWorkload(profile, total_insts=insts, seed=seed,
+                                     body_iters=body_iters)
+        insts_list = list(workload)
+        assert len(insts_list) == insts
+        if insts == profile.n_bodies * profile.body_size + 1:
+            assert insts_list[-1].op is Op.JMP
+        assert workload.trace_bytes() == encode(insts_list), \
+            (name, seed, insts, body_iters)
+
+
+def test_trace_bytes_of_an_empty_stream():
+    from repro.workloads.trace_codec import encode
+
+    workload = SyntheticWorkload(BENCHMARKS["gsm"], total_insts=0)
+    assert workload.trace_bytes() == encode([])

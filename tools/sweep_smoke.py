@@ -41,6 +41,7 @@ except ImportError:  # fall back to a source checkout
 import repro.harness.parallel as parallel_mod
 from repro.harness.cache import ResultCache, TraceCache, reset_trace_memo
 from repro.harness.parallel import SweepPoint, run_points, simulate_point
+from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import BENCHMARKS
 from repro.workloads.trace_codec import TraceColumns
 
@@ -78,24 +79,26 @@ def _workers_start_warm():
     entries) is warmed in the parent before the fork, so a worker must
     find it in the memo it inherited."""
     parent = os.getpid()
-    saved = {name: vars(TraceCache)[name]
-             for name in ("get_stream", "put_insts")}
+    saved = {(cls, name): vars(cls)[name]
+             for cls, name in ((TraceCache, "get_stream"),
+                               (SyntheticWorkload, "trace_bytes"))}
 
-    def parent_only(name, method):
+    def parent_only(cls, name, method):
         def guarded(*args, **kwargs):
             if os.getpid() != parent:
-                raise AssertionError(f"fleet worker called TraceCache.{name}"
-                                     f" for a workload warmed before fork")
+                raise AssertionError(
+                    f"fleet worker called {cls.__name__}.{name}"
+                    f" for a workload warmed before fork")
             return method(*args, **kwargs)
         return guarded
 
     try:
-        for name, method in saved.items():
-            setattr(TraceCache, name, parent_only(name, method))
+        for (cls, name), method in saved.items():
+            setattr(cls, name, parent_only(cls, name, method))
         yield
     finally:
-        for name, method in saved.items():
-            setattr(TraceCache, name, method)
+        for (cls, name), method in saved.items():
+            setattr(cls, name, method)
 
 
 @contextmanager
