@@ -64,6 +64,9 @@ The inlined data access reads these ``repro.mem`` internals, so
   rebinds it);
 * ``StridePrefetcher.table`` (its ``_Entry`` fields), ``mask``,
   ``threshold``, ``degree``, ``issued``.
+
+``MemoryHierarchy.data_access``/``inst_fetch`` read the same internals
+for their own flat hit paths, so a change to any of them changes both.
 """
 
 from __future__ import annotations

@@ -2,47 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.pipeline.stats import CacheStats
 
 
 class _Set:
-    """One cache set: list of (tag, dirty) kept in LRU order (MRU last)."""
+    """One cache set: parallel tag and dirty-bit lists in LRU order (MRU
+    last).  Plain lists, read and reordered in place by ``Cache``, by
+    ``MemoryHierarchy``'s inlined L1 hits and by the generated kernel."""
 
     __slots__ = ("tags", "dirty")
 
     def __init__(self) -> None:
         self.tags: list[int] = []
         self.dirty: list[bool] = []
-
-    def find(self, tag: int) -> int:
-        try:
-            return self.tags.index(tag)
-        except ValueError:
-            return -1
-
-    def touch(self, way: int) -> None:
-        tag = self.tags.pop(way)
-        dirty = self.dirty.pop(way)
-        self.tags.append(tag)
-        self.dirty.append(dirty)
-
-    def insert(self, tag: int, dirty: bool, assoc: int) -> Optional[tuple[int, bool]]:
-        """Insert; returns the evicted (tag, dirty) if any."""
-        victim = None
-        if len(self.tags) >= assoc:
-            victim = (self.tags.pop(0), self.dirty.pop(0))
-        self.tags.append(tag)
-        self.dirty.append(dirty)
-        return victim
-
-    def remove(self, tag: int) -> Optional[bool]:
-        way = self.find(tag)
-        if way < 0:
-            return None
-        self.tags.pop(way)
-        return self.dirty.pop(way)
 
 
 class Cache:
@@ -54,6 +26,10 @@ class Cache:
     signature.  Writes are write-back/write-allocate; evicted dirty lines
     charge a writeback at the next level (latency not added to the critical
     path, as with a write buffer).
+
+    Every access is one flat call: the set lookup, the LRU reorder and the
+    fill work on local names (a hit on the MRU way reorders nothing), and
+    only a miss calls the next level.
     """
 
     def __init__(
@@ -81,64 +57,76 @@ class Cache:
         #: lines brought in by the prefetcher and not yet demanded
         self._prefetched: set[int] = set()
 
-    # ------------------------------------------------------------------ layout
-    def _index_tag(self, addr: int) -> tuple[int, int]:
-        block = addr // self.line_bytes
-        return block % self.num_sets, block // self.num_sets
-
-    def _block(self, addr: int) -> int:
-        return addr // self.line_bytes
-
     # ------------------------------------------------------------------ access
-    def access(self, addr: int, is_write: bool, cycle: int, _prefetch: bool = False) -> int:
-        index, tag = self._index_tag(addr)
-        cache_set = self._sets[index]
-        way = cache_set.find(tag)
-
-        if not _prefetch:
-            self.stats.accesses += 1
-
-        if way >= 0:
-            if not _prefetch:
-                self.stats.hits += 1
-                block = self._block(addr)
-                if block in self._prefetched:
-                    self._prefetched.discard(block)
-                    self.stats.prefetch_hits += 1
-            cache_set.touch(way)
+    def access(self, addr: int, is_write: bool, cycle: int) -> int:
+        block = addr // self.line_bytes
+        nsets = self.num_sets
+        cache_set = self._sets[block % nsets]
+        tags = cache_set.tags
+        tag = block // nsets
+        stats = self.stats
+        stats.accesses += 1
+        if tag in tags:
+            stats.hits += 1
+            prefetched = self._prefetched
+            if block in prefetched:
+                prefetched.discard(block)
+                stats.prefetch_hits += 1
+            if tags[-1] != tag:
+                way = tags.index(tag)
+                tags.append(tags.pop(way))
+                dirty = cache_set.dirty
+                dirty.append(dirty.pop(way))
             if is_write:
                 cache_set.dirty[-1] = True
             return self.hit_latency
-
-        # miss: fill from below
-        if not _prefetch:
-            self.stats.misses += 1
-        lower_latency = 0
-        if self.next_level is not None:
-            lower_latency = self.next_level.access(addr, False, cycle)
-        victim = cache_set.insert(tag, is_write, self.assoc)
-        if victim is not None and victim[1]:
-            self.stats.writebacks += 1
-            if self.next_level is not None:
-                self.next_level.access(self._victim_addr(index, victim[0]), True, cycle)
-        if _prefetch:
-            self._prefetched.add(self._block(addr))
-        return self.hit_latency + lower_latency
+        stats.misses += 1
+        return self.hit_latency + self._fill(cache_set, tag, addr, is_write,
+                                             cycle)
 
     def prefetch(self, addr: int, cycle: int) -> None:
         """Bring a line in without charging a demand access."""
-        index, tag = self._index_tag(addr)
-        if self._sets[index].find(tag) >= 0:
+        block = addr // self.line_bytes
+        nsets = self.num_sets
+        cache_set = self._sets[block % nsets]
+        tag = block // nsets
+        if tag in cache_set.tags:
             return
         self.stats.prefetches += 1
-        self.access(addr, False, cycle, _prefetch=True)
+        self._fill(cache_set, tag, addr, False, cycle)
+        self._prefetched.add(block)
+
+    def _fill(self, cache_set: _Set, tag: int, addr: int, is_write: bool,
+              cycle: int) -> int:
+        """Install ``tag`` as MRU of ``cache_set`` after a miss on ``addr``;
+        returns the next level's latency.  A full set evicts its LRU way,
+        and a dirty victim is written back below."""
+        next_level = self.next_level
+        lower_latency = 0
+        if next_level is not None:
+            lower_latency = next_level.access(addr, False, cycle)
+        tags = cache_set.tags
+        dirty = cache_set.dirty
+        if len(tags) >= self.assoc:
+            victim_tag = tags.pop(0)
+            victim_dirty = dirty.pop(0)
+        else:
+            victim_dirty = False
+        tags.append(tag)
+        dirty.append(is_write)
+        if victim_dirty:
+            self.stats.writebacks += 1
+            if next_level is not None:
+                line_bytes = self.line_bytes
+                nsets = self.num_sets
+                index = (addr // line_bytes) % nsets
+                next_level.access((victim_tag * nsets + index) * line_bytes,
+                                  True, cycle)
+        return lower_latency
 
     def contains(self, addr: int) -> bool:
-        index, tag = self._index_tag(addr)
-        return self._sets[index].find(tag) >= 0
-
-    def _victim_addr(self, index: int, tag: int) -> int:
-        return (tag * self.num_sets + index) * self.line_bytes
+        block = addr // self.line_bytes
+        return block // self.num_sets in self._sets[block % self.num_sets].tags
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()

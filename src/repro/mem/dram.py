@@ -39,26 +39,32 @@ class DRAMTimings:
 
 
 class DRAM:
-    """Open-page DRAM with one row buffer per (rank, bank)."""
+    """Open-page DRAM with one row buffer per (rank, bank).
+
+    The timings are frozen, so the two latencies and the bank count are
+    converted once here rather than on every access.
+    """
 
     def __init__(self, timings: DRAMTimings | None = None) -> None:
-        self.timings = timings or DRAMTimings()
-        total_banks = self.timings.ranks * self.timings.banks_per_rank
-        self._open_rows: list[int | None] = [None] * total_banks
+        self.timings = t = timings or DRAMTimings()
+        self._banks = t.ranks * t.banks_per_rank
+        self._row_bytes = t.row_bytes
+        self._hit_latency = t.row_hit_latency
+        self._miss_latency = t.row_miss_latency
+        self._open_rows: list[int | None] = [None] * self._banks
         self.stats = DRAMStats()
 
-    def _bank_row(self, addr: int) -> tuple[int, int]:
-        t = self.timings
-        row = addr // t.row_bytes
-        total_banks = t.ranks * t.banks_per_rank
-        return row % total_banks, row // total_banks
-
     def access(self, addr: int, is_write: bool, cycle: int) -> int:
-        bank, row = self._bank_row(addr)
-        self.stats.accesses += 1
-        if self._open_rows[bank] == row:
-            self.stats.row_hits += 1
-            return self.timings.row_hit_latency
-        self.stats.row_misses += 1
-        self._open_rows[bank] = row
-        return self.timings.row_miss_latency
+        row = addr // self._row_bytes
+        banks = self._banks
+        bank = row % banks
+        row //= banks
+        stats = self.stats
+        stats.accesses += 1
+        open_rows = self._open_rows
+        if open_rows[bank] == row:
+            stats.row_hits += 1
+            return self._hit_latency
+        stats.row_misses += 1
+        open_rows[bank] = row
+        return self._miss_latency

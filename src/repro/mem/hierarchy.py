@@ -36,7 +36,17 @@ class HierarchyConfig:
 
 
 class MemoryHierarchy:
-    """Single-core cache hierarchy + TLB + prefetcher + DRAM."""
+    """Single-core cache hierarchy + TLB + prefetcher + DRAM.
+
+    ``data_access`` and ``inst_fetch`` run the common case flat: a TLB
+    hit, an L1 hit and the stride-table update read the stock ``TLB``,
+    ``Cache`` and ``StridePrefetcher`` internals directly, as the
+    generated kernel's inlined data access does (see the contract in
+    ``repro.codegen.generator``).  A TLB miss, an L1 miss, a new stride
+    entry and a prefetch of an absent line call the members' methods, so
+    every fill, eviction and writeback has one implementation.  A
+    different memory model replaces the hierarchy, not its members.
+    """
 
     def __init__(self, config: Optional[HierarchyConfig] = None) -> None:
         self.config = config or HierarchyConfig()
@@ -54,10 +64,63 @@ class MemoryHierarchy:
 
     def data_access(self, pc: int, addr: int, is_write: bool, cycle: int) -> int:
         """Latency of a demand data access (TLB + caches)."""
-        latency = self.tlb.translate(addr)
-        latency += self.l1d.access(addr, is_write, cycle)
-        if self.prefetcher is not None and not is_write:
-            self.prefetcher.observe(pc, addr, self.l1d, cycle)
+        tlb = self.tlb
+        page = addr >> tlb.page_bits
+        lru = tlb._lru
+        if page in lru:
+            tlb.stats.accesses += 1
+            lru.move_to_end(page)
+            latency = 0
+        else:
+            latency = tlb.translate(addr)
+        l1d = self.l1d
+        line_bytes = l1d.line_bytes
+        nsets = l1d.num_sets
+        sets = l1d._sets
+        block = addr // line_bytes
+        cache_set = sets[block % nsets]
+        tags = cache_set.tags
+        tag = block // nsets
+        if tag in tags:
+            stats = l1d.stats
+            stats.accesses += 1
+            stats.hits += 1
+            prefetched = l1d._prefetched
+            if block in prefetched:
+                prefetched.discard(block)
+                stats.prefetch_hits += 1
+            if tags[-1] != tag:
+                way = tags.index(tag)
+                tags.append(tags.pop(way))
+                dirty = cache_set.dirty
+                dirty.append(dirty.pop(way))
+            if is_write:
+                cache_set.dirty[-1] = True
+            latency += l1d.hit_latency
+        else:
+            latency += l1d.access(addr, is_write, cycle)
+        pf = self.prefetcher
+        if pf is None or is_write:
+            return latency
+        entry = pf.table.get(pc & pf.mask)
+        if entry is None:
+            pf.observe(pc, addr, l1d, cycle)
+            return latency
+        stride = addr - entry.last_addr
+        if stride != 0 and stride == entry.stride:
+            confidence = entry.confidence + 1
+            entry.confidence = confidence if confidence < 3 else 3
+        else:
+            entry.confidence = 0
+            entry.stride = stride
+        entry.last_addr = addr
+        if entry.confidence >= pf.threshold and stride != 0:
+            for k in range(1, pf.degree + 1):
+                target = addr + k * stride
+                block = target // line_bytes
+                if block // nsets not in sets[block % nsets].tags:
+                    l1d.prefetch(target, cycle)
+                pf.issued += 1
         return latency
 
     def inst_fetch(self, addr: int, is_write: bool, cycle: int) -> int:
@@ -66,7 +129,25 @@ class MemoryHierarchy:
         Signature matches ``Cache.access`` so the fetch unit can use either
         a raw cache or the hierarchy.
         """
-        return self.l1i.access(addr, False, cycle)
+        l1i = self.l1i
+        nsets = l1i.num_sets
+        block = addr // l1i.line_bytes
+        cache_set = l1i._sets[block % nsets]
+        tags = cache_set.tags
+        tag = block // nsets
+        if tag not in tags:
+            return l1i.access(addr, False, cycle)
+        # the stride prefetcher fills only the L1-D, so an L1-I hit is
+        # never a prefetch hit
+        stats = l1i.stats
+        stats.accesses += 1
+        stats.hits += 1
+        if tags[-1] != tag:
+            way = tags.index(tag)
+            tags.append(tags.pop(way))
+            dirty = cache_set.dirty
+            dirty.append(dirty.pop(way))
+        return l1i.hit_latency
 
     # Allow the FetchUnit to treat the hierarchy as its "icache".
     access = inst_fetch

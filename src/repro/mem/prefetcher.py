@@ -38,12 +38,14 @@ class StridePrefetcher:
             return
         stride = addr - entry.last_addr
         if stride != 0 and stride == entry.stride:
-            entry.confidence = min(entry.confidence + 1, 3)
+            confidence = entry.confidence + 1
+            entry.confidence = confidence if confidence < 3 else 3
         else:
             entry.confidence = 0
             entry.stride = stride
         entry.last_addr = addr
-        if entry.confidence >= self.threshold and entry.stride != 0:
+        # entry.stride == stride from here on
+        if entry.confidence >= self.threshold and stride != 0:
             for i in range(1, self.degree + 1):
-                cache.prefetch(addr + i * entry.stride, cycle)
+                cache.prefetch(addr + i * stride, cycle)
                 self.issued += 1

@@ -251,29 +251,23 @@ class FunctionalWarmer:
     def _warm_columns(self, cols, lo: int, hi: int) -> None:
         """Untracked full warming for ``[lo, hi)`` from the columns.
 
-        Walks a three-way merge of the branch / fetch-line-start / memory
-        event indexes instead of every instruction.  Event order within
-        one instruction is branch, then i-fetch line check, then data
-        access — the same order as the per-inst path, which matters
-        because the hierarchy's LRU, prefetcher and writeback state are
-        order-dependent.
+        Two passes over event indexes instead of every instruction: the
+        branch pass (the same scan as :meth:`_skim_columns`), then a
+        two-way merge of the fetch-line-start and memory event indexes.
+        The branch unit and the hierarchy share no state and neither
+        reads the other's, so running them as separate passes leaves both
+        bit-identical to the per-inst interleaved order.  Within the
+        hierarchy pass the per-inst order is kept — an instruction's
+        i-fetch line check before its data access — because the
+        hierarchy's LRU, prefetcher and writeback state are
+        order-dependent (L1-I and L1-D share the L2).
         """
-        observe = self.branch_unit.observe_packed
-        infos = OP_INFO_TABLE
-        ops = cols.op_bytes
-        flags = cols.flags
-        pcs = cols.pcs
-        next_pcs = cols.next_pcs
-        bidx = cols.branch_indices()
-        blist = bidx[bisect_left(bidx, lo):bisect_left(bidx, hi)]
+        self._skim_columns(cols, lo, hi)
         hierarchy = self.hierarchy
         if hierarchy is None:
-            for i in blist:
-                observe(infos[ops[i]], pcs[i], (flags[i] & F_TAKEN) != 0,
-                        next_pcs[i])
             return
         line_bytes = self._line_bytes
-        mem_addrs = cols.mem_addrs
+        pcs = cols.pcs
         fidx = cols.fetch_line_starts(line_bytes)
         flist = fidx[bisect_left(fidx, lo):bisect_left(fidx, hi)]
         if not flist or flist[0] != lo:
@@ -282,44 +276,40 @@ class FunctionalWarmer:
             flist.insert(0, lo)
         midx = cols.mem_indices()
         mlist = midx[bisect_left(midx, lo):bisect_left(midx, hi)]
+        infos = OP_INFO_TABLE
+        ops = cols.op_bytes
+        mem_addrs = cols.mem_addrs
         inst_fetch = hierarchy.inst_fetch
         data_access = hierarchy.data_access
         last_line = self._last_fetch_line
-        nb, nf, nm = len(blist), len(flist), len(mlist)
-        ib = jf = km = 0
+        nf, nm = len(flist), len(mlist)
+        jf = km = 0
+        f = flist[0]
+        m = mlist[0] if nm else hi
         while True:
-            b = blist[ib] if ib < nb else hi
-            f = flist[jf] if jf < nf else hi
-            m = mlist[km] if km < nm else hi
-            i = b if b <= f else f
-            if m < i:
-                i = m
-            if i >= hi:
-                break
-            if b == i:
-                observe(infos[ops[i]], pcs[i], (flags[i] & F_TAKEN) != 0,
-                        next_pcs[i])
-                ib += 1
-            if f == i:
+            if f <= m:
+                if f >= hi:
+                    break
                 # conditional for every event: a run start always differs
                 # from the previous line, so this only ever filters the
                 # synthetic event at lo — exactly the per-inst behaviour
-                line = pcs[i] // line_bytes
+                line = pcs[f] // line_bytes
                 if line != last_line:
                     last_line = line
-                    inst_fetch(pcs[i], False, 0)
+                    inst_fetch(pcs[f], False, 0)
                 jf += 1
-            if m == i:
-                data_access(pcs[i], mem_addrs[i],
-                            infos[ops[i]].is_store, 0)
+                f = flist[jf] if jf < nf else hi
+            else:
+                data_access(pcs[m], mem_addrs[m], infos[ops[m]].is_store, 0)
                 km += 1
+                m = mlist[km] if km < nm else hi
         self._last_fetch_line = last_line
 
     def _warm_columns_tracked(self, cols, lo: int, hi: int) -> None:
         """Tracked (sharing/hinted) full warming for ``[lo, hi)``.
 
-        Branch and hierarchy warming go through the same event merge as
-        the untracked path; the def-use model — which needs every
+        Branch and hierarchy warming go through the same passes as the
+        untracked path; the def-use model — which needs every
         instruction's sources and destination — runs as a second,
         tracking-only pass.  The two passes mutate disjoint state
         (branch unit / caches / fetch-line tracking vs. live set /

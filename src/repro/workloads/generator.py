@@ -393,7 +393,6 @@ class SyntheticWorkload:
         total_insts: int = 50_000,
         seed: int = 1,
         body_iters: int = 50,
-        pool=None,
     ) -> None:
         """Build the skeleton (the loop bodies); the stream itself is
         produced by :meth:`__iter__` or :meth:`trace_bytes`.  The
@@ -403,8 +402,6 @@ class SyntheticWorkload:
         self.total_insts = total_insts
         self.seed = seed
         self.body_iters = body_iters
-        #: optional DynInstPool shared with the consuming processor
-        self.pool = pool
         # stable across processes (str hash is salted; crc32 is not)
         rng = random.Random(seed * 1_000_003 + zlib.crc32(profile.name.encode()))
         self.bodies: list[list[_Slot]] = []
@@ -430,7 +427,6 @@ class SyntheticWorkload:
         seq = 0
         emitted = 0
         stream_iter = 0
-        pool = self.pool
 
         def value_of(ref: RegRef):
             zero = 0 if ref.cls is RegClass.INT else 0.0
@@ -442,28 +438,16 @@ class SyntheticWorkload:
                 for iteration in range(self.body_iters):
                     last_iteration = iteration == self.body_iters - 1
                     for slot in body:
-                        if pool is not None:
-                            dyn = pool.acquire(
-                                seq=seq,
-                                pc=slot.pc,
-                                op=slot.op,
-                                dest=slot.dest,
-                                srcs=slot.srcs,
-                                src_values=tuple(value_of(s) for s in slot.srcs),
-                                hint_src_single_use=slot.src_single,
-                                hint_dest_single_use=slot.dest_single,
-                            )
-                        else:
-                            dyn = DynInst(
-                                seq=seq,
-                                pc=slot.pc,
-                                op=slot.op,
-                                dest=slot.dest,
-                                srcs=slot.srcs,
-                                src_values=tuple(value_of(s) for s in slot.srcs),
-                                hint_src_single_use=slot.src_single,
-                                hint_dest_single_use=slot.dest_single,
-                            )
+                        dyn = DynInst(
+                            seq=seq,
+                            pc=slot.pc,
+                            op=slot.op,
+                            dest=slot.dest,
+                            srcs=slot.srcs,
+                            src_values=tuple(value_of(s) for s in slot.srcs),
+                            hint_src_single_use=slot.src_single,
+                            hint_dest_single_use=slot.dest_single,
+                        )
                         dyn.hint_reuse_depth = slot.dest_depth
                         if slot.dest is not None:
                             dyn.result = seq + 1  # unique token
@@ -515,8 +499,8 @@ class SyntheticWorkload:
         and hammock directions are produced per instruction.  The trace
         cache stores these bytes when it misses.
         """
-        # the codec imports numpy when present: a streaming run, which
-        # never emits columns, must not pay its import time and memory
+        # imported here: a streaming run, which never emits columns,
+        # does not load the codec
         from repro.workloads import trace_codec as codec
 
         out = codec.ColumnWriter()

@@ -58,7 +58,6 @@ reconstructed, bit for bit — the hypothesis property in
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import zlib
 from typing import Iterable, Iterator, List, Optional
@@ -66,25 +65,6 @@ from typing import Iterable, Iterator, List, Optional
 from repro.isa.dyninst import DynInst
 from repro.isa.opcodes import OPCODES, Op
 from repro.isa.registers import INT_REGS, RegClass, RegRef
-
-try:  # optional acceleration only; the codec itself is stdlib-only
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
-
-
-def numpy_backend():
-    """The numpy module, or ``None`` when absent or disabled.
-
-    Checked at use time (not import time) so ``REPRO_NO_NUMPY=1`` can be
-    flipped per call site in tests; every numpy result is converted back
-    to plain Python ints (``.tolist()``) so the accelerated and stdlib
-    paths are indistinguishable downstream.
-    """
-    if _np is not None and os.environ.get("REPRO_NO_NUMPY", "") in ("", "0"):
-        return _np
-    return None
-
 
 MAGIC = b"RTRC"
 FORMAT_VERSION = 1
@@ -154,9 +134,6 @@ _FLAG_MARKS = {
 
 def _mark_indices(marks: bytes) -> list:
     """Indices of the set bytes in a 0/1 marks string."""
-    np = numpy_backend()
-    if np is not None:
-        return np.flatnonzero(np.frombuffer(marks, dtype=np.uint8)).tolist()
     out: list = []
     append = out.append
     find = marks.find
@@ -533,7 +510,7 @@ class TraceColumns:
     __slots__ = ("count", "ops", "op_bytes", "flags", "seqs", "pcs",
                  "next_pcs", "dests", "srcss", "targets", "hsrcs",
                  "hdepths", "imms", "mem_addrs", "store_values", "results",
-                 "src_valuess", "_pc_raw", "_branch_idx", "_mem_idx",
+                 "src_valuess", "_branch_idx", "_mem_idx",
                  "_fetch_runs", "_flag_mark_cache")
 
     def __init__(self, data: bytes) -> None:
@@ -548,8 +525,7 @@ class TraceColumns:
             raise TraceCodecError("opcode index out of range")
         self.flags = reader.bytes_(count)
         self.seqs = reader.array("I", count, 4)
-        self._pc_raw = reader.bytes_(count * 4)
-        self.pcs = struct.unpack(f"<{count}I", self._pc_raw)
+        self.pcs = struct.unpack(f"<{count}I", reader.bytes_(count * 4))
         # range-scan caches, built lazily on first query
         self._branch_idx: Optional[list] = None
         self._mem_idx: Optional[list] = None
@@ -666,22 +642,15 @@ class TraceColumns:
         if starts is not None:
             return starts
         count = self.count
-        np = numpy_backend()
-        if np is not None:
-            lines = np.frombuffer(self._pc_raw, dtype="<u4") // line_bytes
-            starts = (np.flatnonzero(lines[1:] != lines[:-1]) + 1).tolist()
-            if count:
-                starts.insert(0, 0)
-        else:
-            starts = [0] if count else []
-            append = starts.append
-            pcs = self.pcs
-            last = pcs[0] // line_bytes if count else 0
-            for i in range(1, count):
-                line = pcs[i] // line_bytes
-                if line != last:
-                    last = line
-                    append(i)
+        starts = [0] if count else []
+        append = starts.append
+        pcs = self.pcs
+        last = pcs[0] // line_bytes if count else 0
+        for i in range(1, count):
+            line = pcs[i] // line_bytes
+            if line != last:
+                last = line
+                append(i)
         self._fetch_runs[line_bytes] = starts
         return starts
 
@@ -785,8 +754,7 @@ class TraceColumns:
             dyn.commit_cycle = -1
             dyn.lsq_entry = None
         faulting = self.flags.translate(_FLAG_MARKS[_F_FAULTS])
-        # synthetic sweep traces carry no faults: skip the index scan,
-        # whose first numpy call grows a fresh worker's RSS by about 1 MB
+        # synthetic sweep traces carry no faults: skip the index scan
         if _ONE in faulting:
             for index in _mark_indices(faulting):
                 insts[index].faults = True

@@ -123,8 +123,7 @@ def test_cli_parser_loads_no_simulator(tmp_path):
 
 def test_streaming_run_loads_no_trace_codec(tmp_path):
     # ``repro bench`` streams the generator straight into the simulator;
-    # the trace codec, which imports numpy when present (about 12 MB of
-    # RSS), is for cached traces only
+    # the trace codec is for cached traces only
     lines, modules = _run(
         "from repro.cli import main\n"
         "main(['bench', 'gsm', '--scheme', 'sharing', '--insts', '300'])\n",

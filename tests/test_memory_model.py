@@ -1,11 +1,18 @@
 """Unit tests for SparseMemory and the cache/TLB/DRAM/prefetcher models."""
 
+import dataclasses
+import random
+from collections import OrderedDict
+
+import pytest
+
 from repro.isa.memory import SparseMemory
 from repro.mem.cache import Cache
 from repro.mem.dram import DRAM, DRAMTimings
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.mem.prefetcher import StridePrefetcher
 from repro.mem.tlb import TLB
+from repro.pipeline.stats import CacheStats, DRAMStats, TLBStats
 
 
 # --------------------------------------------------------------------- memory
@@ -162,3 +169,298 @@ def test_hierarchy_inst_fetch_uses_l1i():
     h.inst_fetch(0x0, False, 0)
     assert h.l1i.stats.accesses == 1
     assert h.l1d.stats.accesses == 0
+
+
+# --------------------------------------------------------------------- differential
+# The hierarchy's hit paths are flat: ``MemoryHierarchy`` reads the TLB,
+# L1 and stride-table internals directly, and ``Cache``/``DRAM`` inline
+# their set and row lookups.  The classes below are the plain
+# method-per-step model they replaced; a seeded mixed stream must leave
+# both with equal latencies and equal state, bit for bit.
+
+
+class _RefSet:
+    def __init__(self):
+        self.tags = []
+        self.dirty = []
+
+    def find(self, tag):
+        try:
+            return self.tags.index(tag)
+        except ValueError:
+            return -1
+
+    def touch(self, way):
+        tag = self.tags.pop(way)
+        dirty = self.dirty.pop(way)
+        self.tags.append(tag)
+        self.dirty.append(dirty)
+
+    def insert(self, tag, dirty, assoc):
+        victim = None
+        if len(self.tags) >= assoc:
+            victim = (self.tags.pop(0), self.dirty.pop(0))
+        self.tags.append(tag)
+        self.dirty.append(dirty)
+        return victim
+
+
+class _RefCache:
+    def __init__(self, size_bytes, assoc, line_bytes, hit_latency,
+                 next_level=None):
+        self.assoc = assoc
+        self.line_bytes = line_bytes
+        self.hit_latency = hit_latency
+        self.next_level = next_level
+        self.num_sets = size_bytes // (assoc * line_bytes)
+        self._sets = [_RefSet() for _ in range(self.num_sets)]
+        self.stats = CacheStats()
+        self._prefetched = set()
+
+    def _index_tag(self, addr):
+        block = addr // self.line_bytes
+        return block % self.num_sets, block // self.num_sets
+
+    def access(self, addr, is_write, cycle, _prefetch=False):
+        index, tag = self._index_tag(addr)
+        cache_set = self._sets[index]
+        way = cache_set.find(tag)
+        if not _prefetch:
+            self.stats.accesses += 1
+        if way >= 0:
+            if not _prefetch:
+                self.stats.hits += 1
+                block = addr // self.line_bytes
+                if block in self._prefetched:
+                    self._prefetched.discard(block)
+                    self.stats.prefetch_hits += 1
+            cache_set.touch(way)
+            if is_write:
+                cache_set.dirty[-1] = True
+            return self.hit_latency
+        if not _prefetch:
+            self.stats.misses += 1
+        lower_latency = 0
+        if self.next_level is not None:
+            lower_latency = self.next_level.access(addr, False, cycle)
+        victim = cache_set.insert(tag, is_write, self.assoc)
+        if victim is not None and victim[1]:
+            self.stats.writebacks += 1
+            if self.next_level is not None:
+                self.next_level.access(
+                    (victim[0] * self.num_sets + index) * self.line_bytes,
+                    True, cycle)
+        if _prefetch:
+            self._prefetched.add(addr // self.line_bytes)
+        return self.hit_latency + lower_latency
+
+    def prefetch(self, addr, cycle):
+        index, tag = self._index_tag(addr)
+        if self._sets[index].find(tag) >= 0:
+            return
+        self.stats.prefetches += 1
+        self.access(addr, False, cycle, _prefetch=True)
+
+
+class _RefDRAM:
+    def __init__(self, timings):
+        self.timings = timings
+        self._open_rows = [None] * (timings.ranks * timings.banks_per_rank)
+        self.stats = DRAMStats()
+
+    def access(self, addr, is_write, cycle):
+        t = self.timings
+        row = addr // t.row_bytes
+        total_banks = t.ranks * t.banks_per_rank
+        bank, row = row % total_banks, row // total_banks
+        self.stats.accesses += 1
+        if self._open_rows[bank] == row:
+            self.stats.row_hits += 1
+            return t.row_hit_latency
+        self.stats.row_misses += 1
+        self._open_rows[bank] = row
+        return t.row_miss_latency
+
+
+class _RefTLB:
+    def __init__(self, entries, page_bits=12, miss_penalty=30):
+        self.entries = entries
+        self.page_bits = page_bits
+        self.miss_penalty = miss_penalty
+        self._lru = OrderedDict()
+        self.stats = TLBStats()
+
+    def translate(self, addr):
+        page = addr >> self.page_bits
+        self.stats.accesses += 1
+        if page in self._lru:
+            self._lru.move_to_end(page)
+            return 0
+        self.stats.misses += 1
+        self._lru[page] = None
+        if len(self._lru) > self.entries:
+            self._lru.popitem(last=False)
+        return self.miss_penalty
+
+
+class _RefEntry:
+    def __init__(self, last_addr):
+        self.last_addr = last_addr
+        self.stride = 0
+        self.confidence = 0
+
+
+class _RefPrefetcher:
+    def __init__(self, table_size=256, degree=1, threshold=2):
+        self.mask = table_size - 1
+        self.degree = degree
+        self.threshold = threshold
+        self.table = {}
+        self.issued = 0
+
+    def observe(self, pc, addr, cache, cycle):
+        index = pc & self.mask
+        entry = self.table.get(index)
+        if entry is None:
+            self.table[index] = _RefEntry(addr)
+            return
+        stride = addr - entry.last_addr
+        if stride != 0 and stride == entry.stride:
+            entry.confidence = min(entry.confidence + 1, 3)
+        else:
+            entry.confidence = 0
+            entry.stride = stride
+        entry.last_addr = addr
+        if entry.confidence >= self.threshold and entry.stride != 0:
+            for i in range(1, self.degree + 1):
+                cache.prefetch(addr + i * entry.stride, cycle)
+                self.issued += 1
+
+
+class _RefHierarchy:
+    def __init__(self, cfg):
+        self.dram = _RefDRAM(DRAMTimings())
+        self.l2 = _RefCache(cfg.l2_size, cfg.l2_assoc, cfg.line_bytes,
+                            cfg.l2_latency, next_level=self.dram)
+        self.l1d = _RefCache(cfg.l1d_size, cfg.l1d_assoc, cfg.line_bytes,
+                             cfg.l1d_latency, next_level=self.l2)
+        self.l1i = _RefCache(cfg.l1i_size, cfg.l1i_assoc, cfg.line_bytes,
+                             cfg.l1i_latency, next_level=self.l2)
+        self.tlb = _RefTLB(cfg.tlb_entries, miss_penalty=cfg.tlb_miss_penalty)
+        self.prefetcher = _RefPrefetcher(degree=cfg.prefetcher_degree) \
+            if cfg.enable_prefetcher else None
+
+    def data_access(self, pc, addr, is_write, cycle):
+        latency = self.tlb.translate(addr)
+        latency += self.l1d.access(addr, is_write, cycle)
+        if self.prefetcher is not None and not is_write:
+            self.prefetcher.observe(pc, addr, self.l1d, cycle)
+        return latency
+
+    def inst_fetch(self, addr, is_write, cycle):
+        return self.l1i.access(addr, False, cycle)
+
+
+def _cache_state(cache):
+    return ([(list(s.tags), list(s.dirty)) for s in cache._sets],
+            sorted(cache._prefetched), dataclasses.asdict(cache.stats))
+
+
+def _full_state(h):
+    pf = h.prefetcher
+    return (_cache_state(h.l1i), _cache_state(h.l1d), _cache_state(h.l2),
+            list(h.tlb._lru), dataclasses.asdict(h.tlb.stats),
+            list(h.dram._open_rows), dataclasses.asdict(h.dram.stats),
+            None if pf is None else (
+                {k: (e.last_addr, e.stride, e.confidence)
+                 for k, e in pf.table.items()}, pf.issued))
+
+
+def _mixed_stream(seed: int, n: int):
+    """(kind, pc, addr) events: strided load/store streams with their own
+    pcs, random data accesses over 64 MB (TLB and L2 pressure, pcs that
+    alias in the stride table), a hot region and sequential i-fetch runs
+    with jumps."""
+    rng = random.Random(seed)
+    streams = [[rng.randrange(1 << 26) & ~7, rng.choice((8, 64, 192, -64,
+                                                         4096)), 0x1000 + s]
+               for s in range(12)]
+    fetch_pc = 0
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.30:
+            fetch_pc = (fetch_pc + rng.randrange(1, 24)) if rng.random() < .9 \
+                else rng.randrange(1 << 20)
+            yield "fetch", 0, fetch_pc
+        elif r < 0.60:
+            stream = rng.choice(streams)
+            stream[0] = (stream[0] + stream[1]) % (1 << 26)
+            yield ("store" if rng.random() < 0.25 else "load"), stream[2], \
+                stream[0]
+        elif r < 0.80:
+            yield ("store" if rng.random() < 0.4 else "load"), \
+                rng.randrange(600), rng.randrange(1 << 26) & ~7
+        else:
+            yield ("store" if rng.random() < 0.3 else "load"), \
+                rng.randrange(40), 0x200000 + rng.randrange(32 * 1024)
+
+
+@pytest.mark.parametrize("cfg", [
+    HierarchyConfig(),
+    HierarchyConfig(l1i_size=3 * 1024, l1d_size=2 * 1024, l2_size=32 * 1024,
+                    l2_assoc=4, tlb_entries=8, prefetcher_degree=2),
+    HierarchyConfig(l2_size=64 * 1024, enable_prefetcher=False),
+], ids=["table1", "small", "no-prefetcher"])
+def test_flat_hierarchy_matches_reference_model(cfg):
+    fast, ref = MemoryHierarchy(cfg), _RefHierarchy(cfg)
+    for cycle, (kind, pc, addr) in enumerate(_mixed_stream(11, 20_000)):
+        if kind == "fetch":
+            got = fast.access(addr, False, cycle)  # the FetchUnit's entry
+            want = ref.inst_fetch(addr, False, cycle)
+        else:
+            is_write = kind == "store"
+            got = fast.data_access(pc, addr, is_write, cycle)
+            want = ref.data_access(pc, addr, is_write, cycle)
+        assert got == want, (cycle, kind, pc, addr)
+        if cycle % 5000 == 0:
+            assert _full_state(fast) == _full_state(ref), cycle
+    assert _full_state(fast) == _full_state(ref)
+    # the stream reached every slow path it is meant to cover
+    assert fast.l2.stats.writebacks > 0 and fast.l1d.stats.writebacks > 0
+    assert sum(len(s.tags) == fast.l2.assoc for s in fast.l2._sets) > 0
+    assert fast.tlb.stats.misses > cfg.tlb_entries
+    assert fast.dram.stats.row_hits > 0 and fast.dram.stats.row_misses > 0
+    if cfg.enable_prefetcher:
+        assert fast.l1d.stats.prefetch_hits > 0
+        assert len(fast.prefetcher.table) == 256
+
+
+def test_flat_cache_matches_reference_model():
+    """A bare two-level ``Cache`` stack (no hierarchy in front) and its
+    ``prefetch``/``contains`` against the reference."""
+    rng = random.Random(5)
+    fast = Cache("L1", 1024, 2, 64, 1,
+                 next_level=Cache("L2", 4096, 4, 64, 10,
+                                  next_level=DRAM(DRAMTimings())))
+    ref = _RefCache(1024, 2, 64, 1,
+                    next_level=_RefCache(4096, 4, 64, 10,
+                                         next_level=_RefDRAM(DRAMTimings())))
+    for cycle in range(20_000):
+        addr = rng.randrange(1 << 16)
+        r = rng.random()
+        if r < 0.2:
+            fast.prefetch(addr, cycle)
+            ref.prefetch(addr, cycle)
+        else:
+            is_write = r > 0.7
+            assert fast.access(addr, is_write, cycle) == \
+                ref.access(addr, is_write, cycle)
+        assert fast.contains(addr)
+    for f, r in ((fast, ref), (fast.next_level, ref.next_level)):
+        assert _cache_state(f) == _cache_state(r)
+    assert fast.next_level.next_level._open_rows == \
+        ref.next_level.next_level._open_rows
+    assert dataclasses.asdict(fast.next_level.next_level.stats) == \
+        dataclasses.asdict(ref.next_level.next_level.stats)
+    assert fast.stats.writebacks > 0 and fast.next_level.stats.writebacks > 0
+    assert fast.stats.prefetch_hits > 0
