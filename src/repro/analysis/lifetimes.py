@@ -59,12 +59,6 @@ class LifetimeAnalysis:
         return sum(values) / len(values) if values else 0.0
 
     @property
-    def mean_live_interval(self) -> float:
-        values = [lt.live_interval for lt in self.lifetimes
-                  if lt.live_interval is not None]
-        return sum(values) / len(values) if values else 0.0
-
-    @property
     def dead_fraction(self) -> float:
         """Share of the total allocated register-cycles that are dead."""
         dead = sum(lt.dead_interval for lt in self.lifetimes

@@ -60,10 +60,12 @@ The inlined data access reads these ``repro.mem`` internals, so
 * ``TLB._lru`` (the LRU ``OrderedDict``), ``TLB.page_bits``, ``TLB.stats``;
 * ``Cache._sets`` (each ``_Set``'s ``tags``/``dirty`` lists, MRU last),
   ``Cache._prefetched``, ``Cache.line_bytes``/``num_sets``/
-  ``hit_latency``, ``Cache.stats`` (re-read per access: ``reset_stats``
-  rebinds it);
+  ``hit_latency``, ``Cache.stats``;
 * ``StridePrefetcher.table`` (its ``_Entry`` fields), ``mask``,
   ``threshold``, ``degree``, ``issued``.
+
+The kernel binds the containers and stats objects among them once, when
+it starts, so none of them may be rebound during a run.
 
 ``MemoryHierarchy.data_access``/``inst_fetch`` read the same internals
 for their own flat hit paths, so a change to any of them changes both.
@@ -79,7 +81,7 @@ _FU_ORDER = ("alu", "mem", "fpu", "branch", "mul", "div", "fpdiv")
 
 #: bump when the generated code's shape or its contract with the
 #: simulator internals changes, so stale cached kernels read as misses
-GENERATOR_VERSION = 4
+GENERATOR_VERSION = 5
 
 
 class KernelUnavailable(RuntimeError):
@@ -410,7 +412,9 @@ tlb = hierarchy.tlb
 tlb_lru = tlb._lru
 tlb_page_bits = tlb.page_bits
 tlb_translate = tlb.translate
+tlb_stats = tlb.stats
 l1d = hierarchy.l1d
+l1d_stats = l1d.stats
 l1d_sets = l1d._sets
 l1d_line = l1d.line_bytes
 l1d_nsets = l1d.num_sets
@@ -434,14 +438,13 @@ def _data_access_block(is_write: bool, pad: str) -> str:
 
     TLB and L1-D hits, and stride-table training, run inline; a TLB miss,
     an L1-D miss, a new prefetcher entry and a prefetch of an absent line
-    call the bound methods.  ``l1d.stats`` is read per access because
-    ``Cache.reset_stats`` rebinds it.
+    call the bound methods.
     """
     dirty = "\n    _mset.dirty[-1] = True" if is_write else ""
     block = f"""
 _mpage = _maddr >> tlb_page_bits
 if _mpage in tlb_lru:
-    tlb.stats.accesses += 1
+    tlb_stats.accesses += 1
     tlb_lru.move_to_end(_mpage)
     _mlat = 0
 else:
@@ -451,12 +454,11 @@ _mset = l1d_sets[_mblk % l1d_nsets]
 _mtags = _mset.tags
 _mtag = _mblk // l1d_nsets
 if _mtag in _mtags:
-    _mst = l1d.stats
-    _mst.accesses += 1
-    _mst.hits += 1
+    l1d_stats.accesses += 1
+    l1d_stats.hits += 1
     if _mblk in l1d_prefetched:
         l1d_prefetched.discard(_mblk)
-        _mst.prefetch_hits += 1
+        l1d_stats.prefetch_hits += 1
     if _mtags[-1] != _mtag:
         _mway = _mtags.index(_mtag)
         _mtags.append(_mtags.pop(_mway))
@@ -1534,6 +1536,11 @@ if cycle - last_progress > 200_000:
         skip.append("    target = next_interrupt")
     skip.append(f"if target > {MAXC + 1}:")
     skip.append(f"    target = {MAXC + 1}")
+    skip.append("if on_cycle is not None:")
+    skip.append("    # stop at the next hook boundary: it runs as a real cycle")
+    skip.append("    _boundary = cycle + interval - cycle % interval")
+    skip.append("    if _boundary < target:")
+    skip.append("        target = _boundary")
     skip.append("skipped = target - cycle - 1")
     skip.append("if skipped <= 0:")
     skip.append("    continue")
@@ -1543,21 +1550,6 @@ if cycle - last_progress > 200_000:
     skip.append("occ_samples += skipped")
     skip.append("fetch_account_idle(cycle + 1, target - 1)")
     skip.append("proc.cycles_skipped += skipped")
-    skip.append("if on_cycle is not None:")
-    skip.append("    first = cycle + interval - (cycle % interval)")
-    skip.append("    for boundary in range(first, target, interval):")
-    skip.append("        proc.cycle = boundary")
-    skip.append(_reindent(_FLUSH, "        "))
-    skip.append("        try:")
-    skip.append("            on_cycle(proc)")
-    skip.append("        finally:")
-    skip.append(_refresh_block(scheme, "            "))
-    skip.append("            n_committed = stats.committed")
-    skip.append("            occ_rob = stats.rob_occupancy_sum")
-    skip.append("            occ_iq = stats.iq_occupancy_sum")
-    skip.append("            occ_free = stats.free_regs_sum")
-    skip.append("            occ_samples = stats.occupancy_samples")
-    skip.append("            last_progress = proc._last_progress")
     skip.append("cycle = target - 1")
     skip.append("proc.cycle = cycle")
     B.append(_reindent("\n".join(skip), "        "))

@@ -162,9 +162,8 @@ def campaign_machine_config(spec: InjectionSpec):
 
 
 def _lockstep(config, program, injector: Optional[Injector], on_commit):
-    """One campaign run: naive cycle loop (injection mutates state between
-    cycles, which the event kernel's quiet-skip must not race), the
-    injector polled every cycle, invariants checked every 8th."""
+    """One campaign run: the injector polled every cycle (so no loop
+    skips a cycle), invariants checked every 8th."""
     from repro.pipeline.debug import check_invariants
     from repro.verify.oracle import lockstep_run
 
@@ -179,7 +178,7 @@ def _lockstep(config, program, injector: Optional[Injector], on_commit):
                 check_invariants(processor)
 
     return lockstep_run(config, program, on_cycle=hook, on_cycle_interval=1,
-                        on_commit=on_commit, naive_loop=True)
+                        on_commit=on_commit)
 
 
 def clean_reference(scheme: str, program_seed: int, program_size: int,

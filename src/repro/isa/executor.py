@@ -100,9 +100,6 @@ class ArchState:
     def clone(self) -> "ArchState":
         return ArchState(list(self.int_regs), list(self.fp_regs), self.mem.copy())
 
-    def regs_equal(self, other: "ArchState") -> bool:
-        return self.int_regs == other.int_regs and self.fp_regs == other.fp_regs
-
     def diff_regs(self, int_regs: list, fp_regs: list) -> list[str]:
         """Registers where this state differs from the given register dump.
 

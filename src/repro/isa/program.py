@@ -31,7 +31,3 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.insts)
-
-    def fetch_address(self, pc: int) -> int:
-        """Byte address of the instruction at ``pc`` (for the I-cache)."""
-        return pc * INST_BYTES

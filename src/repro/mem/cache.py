@@ -127,6 +127,3 @@ class Cache:
     def contains(self, addr: int) -> bool:
         block = addr // self.line_bytes
         return block // self.num_sets in self._sets[block % self.num_sets].tags
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()

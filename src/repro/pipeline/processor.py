@@ -20,7 +20,6 @@ assertion instead of silently skewing results.
 from __future__ import annotations
 
 import heapq
-import os
 from itertools import count
 from typing import Iterable, Optional, Union
 
@@ -75,8 +74,8 @@ class Processor:
         on_halt=None,
         oracle=False,
         keep_trace: bool = False,
-        naive_loop: Optional[bool] = None,
-        kernel: Optional[bool] = None,
+        naive_loop: bool = False,
+        kernel: bool = True,
         recycle=None,
         branch_unit: Optional[BranchUnit] = None,
         hierarchy=None,
@@ -148,12 +147,10 @@ class Processor:
         #: deliberately kept out of SimStats so both loops produce
         #: bit-identical statistics)
         self.cycles_skipped = 0
-        if naive_loop is None:
-            naive_loop = os.environ.get("REPRO_NAIVE_LOOP", "") not in ("", "0")
         self._naive_loop = naive_loop
-        if kernel is None:
-            kernel = os.environ.get("REPRO_NO_KERNEL", "") in ("", "0")
-        self._use_kernel = bool(kernel)
+        # kernel=False pins the event loop; otherwise the choice is
+        # repro.codegen.kernel_for's, which also honours REPRO_NO_KERNEL
+        self._use_kernel = kernel
         #: which cycle loop run() actually used: "naive" | "generated" | "event"
         self.loop_used: Optional[str] = None
         # committed instructions may be returned to a DynInstPool, but only
@@ -225,8 +222,9 @@ class Processor:
         everything in flight is squashed, rename state recovers from the
         retirement map, and the squashed instructions re-fetch in order.
         Used by the squash-storm injector (:mod:`repro.faults.injectors`);
-        only call between cycles (from an ``on_cycle`` hook under the
-        naive loop).  Returns the penalty charged.
+        only call between cycles (from an ``on_cycle`` hook: every loop
+        runs a hook's cycle for real, with its statistics up to date).
+        Returns the penalty charged.
         """
         if penalty is None:
             penalty = self.config.exception_flush_penalty
@@ -259,8 +257,8 @@ class Processor:
         """The reference cycle loop: every stage, every cycle.
 
         Kept verbatim as the differential baseline for the event-driven
-        kernel (select with ``REPRO_NAIVE_LOOP=1`` or ``naive_loop=True``);
-        both loops must produce bit-identical :class:`SimStats`.
+        kernel (select with ``naive_loop=True``); both loops must produce
+        bit-identical :class:`SimStats`.
         """
         interrupt_interval = self.config.interrupt_interval
         next_interrupt = interrupt_interval if interrupt_interval else None
@@ -334,11 +332,12 @@ class Processor:
         when no stage can possibly make progress the loop jumps
         ``self.cycle`` straight to the next event — the earliest
         completion-heap entry, the fetch unit's wake-up cycle
-        (redirect/I-cache stall expiry), the next interrupt, the cycle
-        budget, or the deadlock watchdog bound — bulk-accounting the
-        occupancy statistics and I-cache stall counters the skipped
-        cycles would have accumulated.  See docs/ARCHITECTURE.md
-        ("Cycle-loop internals") for the quiet-cycle conditions.
+        (redirect/I-cache stall expiry), the next interrupt, the next
+        ``on_cycle`` boundary, the cycle budget, or the deadlock watchdog
+        bound — bulk-accounting the occupancy statistics and I-cache stall
+        counters the skipped cycles would have accumulated.  See
+        docs/ARCHITECTURE.md ("Cycle-loop internals") for the quiet-cycle
+        conditions.
         """
         config = self.config
         interrupt_interval = config.interrupt_interval
@@ -416,6 +415,12 @@ class Processor:
                 target = next_interrupt
             if target > max_cycles + 1:
                 target = max_cycles + 1
+            if on_cycle is not None:
+                # stop at the next hook boundary: it runs as a real cycle,
+                # so the hook sees the state the naive loop would show it
+                boundary = cycle + interval - cycle % interval
+                if boundary < target:
+                    target = boundary
             skipped = target - cycle - 1
             if skipped <= 0:
                 continue
@@ -425,13 +430,6 @@ class Processor:
             stats.occupancy_samples += skipped
             fetch.account_idle(cycle + 1, target - 1)
             self.cycles_skipped += skipped
-            if on_cycle is not None:
-                # fire the hook at every interval boundary inside the skip,
-                # with self.cycle set as the naive loop would have it
-                first = cycle + interval - (cycle % interval)
-                for boundary in range(first, target, interval):
-                    self.cycle = boundary
-                    on_cycle(self)
             self.cycle = target - 1
 
     def _done(self, max_insts: Optional[int]) -> bool:
@@ -750,7 +748,6 @@ def simulate(
     program_budget: int = 10_000_000,
     oracle: bool = False,
     pool=None,
-    naive_loop: Optional[bool] = None,
     sampling=None,
     sampling_seed: int = 1,
 ) -> SimStats:
@@ -787,7 +784,7 @@ def simulate(
         return sampled_simulate(
             config, workload, schedule=as_schedule(sampling, seed=sampling_seed),
             total_insts=max_insts, fault_model=fault_model,
-            program_budget=program_budget, pool=pool, naive_loop=naive_loop)
+            program_budget=program_budget, pool=pool)
     checker = False
     if isinstance(workload, Program):
         if pool is None and not oracle:
@@ -809,6 +806,5 @@ def simulate(
         source = IterSource(workload)
         checker = oracle
     processor = Processor(config, source, fault_model=fault_model,
-                          oracle=checker, recycle=pool,
-                          naive_loop=naive_loop)
+                          oracle=checker, recycle=pool)
     return processor.run(max_insts=max_insts)

@@ -206,15 +206,6 @@ class SimStats:
         }
         return stats
 
-    @property
-    def total_rename_stalls(self) -> int:
-        return (
-            self.rename_stall_regs
-            + self.rename_stall_rob
-            + self.rename_stall_iq
-            + self.rename_stall_lsq
-        )
-
     def detailed_report(self) -> str:
         """gem5-style full statistics dump."""
         lines = [self.summary(), ""]

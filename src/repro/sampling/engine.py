@@ -247,7 +247,6 @@ def sampled_simulate(
     fault_model=None,
     program_budget: int = 10_000_000,
     pool=None,
-    naive_loop: Optional[bool] = None,
     warm_zone: int = DEFAULT_WARM_ZONE,
 ) -> SampledStats:
     """Run one interval-sampled simulation; returns a :class:`SampledStats`.
@@ -286,8 +285,8 @@ def sampled_simulate(
 
     def window_processor() -> Processor:
         return Processor(config, source, fault_model=fault_model,
-                         recycle=pool, naive_loop=naive_loop,
-                         branch_unit=branch_unit, hierarchy=hierarchy)
+                         recycle=pool, branch_unit=branch_unit,
+                         hierarchy=hierarchy)
 
     # --- degenerate schedule: stream shorter than one period -----------------
     if total_insts is not None and total_insts < schedule.period:

@@ -128,61 +128,15 @@ class FunctionalWarmer:
                 else:
                     self._warm_columns(cols, lo, hi)
             return hi - lo
-        if self.track:
-            observe = self.observe
-            consumed = 0
-            take_batch = getattr(source, "take_batch", None)
-            if take_batch is not None:
-                while consumed < count:
-                    batch = take_batch(min(count - consumed, _BATCH))
-                    if not batch:
-                        break
-                    consumed += len(batch)
-                    for dyn in batch:
-                        observe(dyn)
-                return consumed
-            take = source.take
-            for _ in range(count):
-                dyn = take()
-                if dyn is None:
-                    break
-                observe(dyn)
-                consumed += 1
-            return consumed
-        # untracked schemes: branch + memory warming only, inlined
-        branch_observe = self.branch_unit.observe
-        hierarchy = self.hierarchy
-        line_bytes = self._line_bytes
+        observe = self.observe
         consumed = 0
-        take_batch = getattr(source, "take_batch", None)
         while consumed < count:
-            if take_batch is not None:
-                batch = take_batch(min(count - consumed, _BATCH))
-            else:
-                take = source.take
-                batch = []
-                for _ in range(count - consumed):
-                    dyn = take()
-                    if dyn is None:
-                        break
-                    batch.append(dyn)
+            batch = source.take_batch(min(count - consumed, _BATCH))
             if not batch:
                 break
             consumed += len(batch)
             for dyn in batch:
-                info = dyn.info
-                if info.is_branch:
-                    branch_observe(dyn)
-                if hierarchy is None:
-                    continue
-                line = dyn.pc // line_bytes
-                if line != self._last_fetch_line:
-                    self._last_fetch_line = line
-                    hierarchy.inst_fetch(dyn.pc, False, 0)
-                if dyn.mem_addr is not None \
-                        and (info.is_load or info.is_store):
-                    hierarchy.data_access(dyn.pc, dyn.mem_addr,
-                                          info.is_store, 0)
+                observe(dyn)
         return consumed
 
     def skim(self, source, count: int) -> int:
@@ -203,28 +157,16 @@ class FunctionalWarmer:
             if consumed:
                 self._skim_columns(cols, lo, hi)
         else:
-            branch_unit = self.branch_unit
+            observe = self.branch_unit.observe
             consumed = 0
-            take_batch = getattr(source, "take_batch", None)
-            if take_batch is not None:
-                observe = branch_unit.observe
-                while consumed < count:
-                    batch = take_batch(min(count - consumed, _BATCH))
-                    if not batch:
-                        break
-                    consumed += len(batch)
-                    for dyn in batch:
-                        if dyn.info.is_branch:
-                            observe(dyn)
-            else:
-                take = source.take
-                for _ in range(count):
-                    dyn = take()
-                    if dyn is None:
-                        break
+            while consumed < count:
+                batch = source.take_batch(min(count - consumed, _BATCH))
+                if not batch:
+                    break
+                consumed += len(batch)
+                for dyn in batch:
                     if dyn.info.is_branch:
-                        branch_unit.observe(dyn)
-                    consumed += 1
+                        observe(dyn)
         if consumed and self.track:
             # def-use records refer to values the skim skipped over
             self.live.clear()
@@ -327,31 +269,26 @@ class FunctionalWarmer:
 
     def observe(self, dyn: DynInst) -> None:
         """Warm the predictors with one architecturally executed inst."""
-        self.observe_fields(dyn.info, dyn.pc, dyn.taken, dyn.next_pc,
-                            dyn.mem_addr, dyn.srcs, dyn.dest)
-
-    def observe_fields(self, info, pc: int, taken, next_pc: int,
-                       mem_addr, srcs, dest) -> None:
-        """:meth:`observe` on unpacked fields — shared by the per-inst
-        and columnar warming paths, so their predictor-training sequences
-        are identical by construction."""
+        info = dyn.info
+        pc = dyn.pc
         if info.is_branch:
-            self.branch_unit.observe_packed(info, pc, taken, next_pc)
+            self.branch_unit.observe(dyn)
         hierarchy = self.hierarchy
         if hierarchy is not None:
             line = pc // self._line_bytes
             if line != self._last_fetch_line:
                 self._last_fetch_line = line
                 hierarchy.inst_fetch(pc, False, 0)
+            mem_addr = dyn.mem_addr
             if mem_addr is not None and (info.is_load or info.is_store):
                 hierarchy.data_access(pc, mem_addr, info.is_store, 0)
         if self.track:
-            self._track_fields(pc, srcs, dest)
+            self._track_fields(pc, dyn.srcs, dyn.dest)
 
     def _track_fields(self, pc: int, srcs, dest) -> None:
         """One instruction's def-use tracking (type/single-use predictor
-        training) — the tracking half of :meth:`observe_fields`, shared
-        by the per-inst and columnar paths."""
+        training) — the tracking half of :meth:`observe`, shared by the
+        per-inst and columnar paths."""
         if dest is None and not srcs:
             return
         live = self.live

@@ -299,7 +299,6 @@ def lockstep_run(
     on_cycle=None,
     on_cycle_interval: int = 16,
     on_commit=None,
-    naive_loop: Optional[bool] = None,
 ):
     """Run ``program`` through the pipeline with the oracle attached.
 
@@ -322,7 +321,6 @@ def lockstep_run(
     processor = Processor(
         config, IterSource(stream), fault_model=fault_model,
         on_cycle=on_cycle, on_cycle_interval=on_cycle_interval,
-        on_commit=on_commit, naive_loop=naive_loop,
-        oracle=oracle,
+        on_commit=on_commit, oracle=oracle,
     )
     return processor.run(max_insts=max_insts)

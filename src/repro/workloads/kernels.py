@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.isa import Program, assemble
-from repro.isa.program import DATA_BASE
 
 
 @dataclass
@@ -113,12 +112,6 @@ def gmm_kernel(n_components: int = 4, dim: int = 8, seed: int = 7) -> Kernel:
     return Kernel("gmm", source, program, expected)
 
 
-def gmm_addresses(n_components: int, dim: int) -> dict:
-    """Data-section addresses of the GMM kernel's outputs."""
-    scores = DATA_BASE + (dim + 2 * n_components * dim) * 8
-    return {"scores": scores, "best": scores + n_components * 8}
-
-
 # --------------------------------------------------------------------- DNN
 def dnn_kernel(in_dim: int = 12, out_dim: int = 8, seed: int = 11) -> Kernel:
     """One fully-connected DNN layer with ReLU: y = relu(W x + b)."""
@@ -176,10 +169,6 @@ def dnn_kernel(in_dim: int = 12, out_dim: int = 8, seed: int = 11) -> Kernel:
 
     program = assemble(source)
     return Kernel("dnn", source, program, expected)
-
-
-def dnn_addresses(in_dim: int, out_dim: int) -> dict:
-    return {"y": DATA_BASE + (in_dim + out_dim * in_dim + out_dim) * 8}
 
 
 # --------------------------------------------------------------------- DCT

@@ -5,11 +5,14 @@ accounting) and the code-generated per-config kernels must both be
 *invisible* optimisations: for any program, scheme and variant, the
 SimStats and the committed-instruction stream must be bit-for-bit
 identical across all three loops — the naive one-iteration-per-cycle
-loop kept as the ``REPRO_NAIVE_LOOP=1`` fallback, the event loop, and
-the generated kernel.
+reference loop (``naive_loop=True``), the event loop, and the generated
+kernel.  An ``on_cycle`` hook must see the same state on every loop too:
+a skip stops at the hook's next boundary, which then runs as a real
+cycle.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -28,48 +31,86 @@ def kernel_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("kernels")
 
 
-def _run(program, cfg, variant, loop: str):
+def _record(seen):
+    """An ``on_cycle`` hook that records what it sees."""
+    def hook(proc):
+        stats = proc.stats
+        seen.append((proc.cycle, stats.committed, stats.occupancy_samples,
+                     stats.rob_occupancy_sum, stats.iq_occupancy_sum,
+                     stats.free_regs_sum))
+    return hook
+
+
+def _run(program, cfg, variant, loop: str, hook_interval=None):
     commits = []
     fault_model = FirstTouchFaults(limit=4) if variant == "faults" else None
     executor = FunctionalExecutor(program, fault_model=fault_model)
+    seen = []
+    hooks = {}
+    if hook_interval is not None:
+        hooks = {"on_cycle": _record(seen), "on_cycle_interval": hook_interval}
     processor = Processor(
         cfg, IterSource(executor.run(10_000_000)),
         fault_model=fault_model,
         on_commit=lambda _p, d: commits.append((d.seq, d.pc, d.op, d.result)),
         naive_loop=(loop == "naive"),
         kernel=(loop == "generated"),
+        **hooks,
     )
     processor.run()
-    return dataclasses.asdict(processor.stats), commits, processor
+    # the hook's calls ride with the commit stream: both must match
+    return dataclasses.asdict(processor.stats), (commits, seen), processor
 
 
 @pytest.mark.parametrize("seed", range(PROGRAMS))
 def test_loops_match(seed, kernel_dir, monkeypatch):
+    """Each program runs unhooked and with a recording hook every 7
+    cycles; the hook's calls must match across the loops too."""
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(kernel_dir))
     fuzz_program = generate(seed, size=SIZE)
     program = fuzz_program.build()
-    for scheme in schemes_for(fuzz_program.variant):
+    for scheme, hook_interval in itertools.product(
+            schemes_for(fuzz_program.variant), (None, 7)):
         cfg = fuzz_config(scheme, fuzz_program.variant)
         naive_stats, naive_commits, _ = _run(
-            program, cfg, fuzz_program.variant, loop="naive")
+            program, cfg, fuzz_program.variant, "naive", hook_interval)
         event_stats, event_commits, proc = _run(
-            program, cfg, fuzz_program.variant, loop="event")
+            program, cfg, fuzz_program.variant, "event", hook_interval)
         generated_stats, generated_commits, gen_proc = _run(
-            program, cfg, fuzz_program.variant, loop="generated")
-        context = (f"seed={seed} scheme={scheme} "
+            program, cfg, fuzz_program.variant, "generated", hook_interval)
+        context = (f"seed={seed} scheme={scheme} hook={hook_interval} "
                    f"variant={fuzz_program.variant}")
         assert event_stats == naive_stats, f"SimStats diverged for {context}"
         assert event_commits == naive_commits, (
-            f"commit stream diverged for {context}")
+            f"commit stream or hook calls diverged for {context}")
         assert gen_proc.loop_used == "generated", (
             f"kernel did not engage for {context}")
         assert generated_stats == event_stats, (
             f"generated-kernel SimStats diverged for {context}")
         assert generated_commits == event_commits, (
-            f"generated-kernel commit stream diverged for {context}")
+            f"generated-kernel commit stream or hook calls diverged "
+            f"for {context}")
         # the skip counter is observability, not simulated state
         assert proc.cycles_skipped >= 0
         assert "cycles_skipped" not in event_stats
+
+
+@pytest.mark.parametrize("loop", ["event", "generated"])
+def test_hook_every_cycle_skips_nothing(loop, kernel_dir, monkeypatch):
+    """A hook at interval 1 makes every cycle a hook boundary, so no loop
+    skips one (the fault campaign relies on this)."""
+    monkeypatch.setenv("REPRO_KERNEL_DIR", str(kernel_dir))
+    fuzz_program = generate(0, size=SIZE)
+    cfg = fuzz_config("sharing", fuzz_program.variant)
+    _, (_, seen), proc = _run(fuzz_program.build(), cfg,
+                              fuzz_program.variant, loop, hook_interval=1)
+    assert proc.loop_used == loop
+    assert proc.cycles_skipped == 0
+    assert [call[0] for call in seen] == list(range(1, proc.cycle + 1))
+    # unhooked, the same run does skip: the hook is what stops it
+    _, _, unhooked = _run(fuzz_program.build(), cfg,
+                          fuzz_program.variant, loop)
+    assert unhooked.cycles_skipped > 0
 
 
 @pytest.mark.parametrize("port_scheme", ["bypass_filter", "banked_arbiter"])
@@ -99,19 +140,3 @@ def test_loops_match_port_schemes(seed, port_scheme, kernel_dir, monkeypatch):
             f"generated-kernel SimStats diverged for {context}")
         assert generated_commits == event_commits, (
             f"generated-kernel commit stream diverged for {context}")
-
-
-def test_env_var_selects_naive_loop(monkeypatch):
-    monkeypatch.setenv("REPRO_NAIVE_LOOP", "1")
-    fuzz_program = generate(0, size=SIZE)
-    cfg = fuzz_config("conventional", fuzz_program.variant)
-    executor = FunctionalExecutor(fuzz_program.build())
-    processor = Processor(cfg, IterSource(executor.run(10_000_000)))
-    assert processor._naive_loop is True
-    processor.run()
-    assert processor.cycles_skipped == 0
-
-    monkeypatch.setenv("REPRO_NAIVE_LOOP", "0")
-    executor = FunctionalExecutor(fuzz_program.build())
-    processor = Processor(cfg, IterSource(executor.run(10_000_000)))
-    assert processor._naive_loop is False

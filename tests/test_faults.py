@@ -232,6 +232,6 @@ def test_flush_at_arbitrary_cycle_restores_precise_state(seed, cycle, scheme):
         check_invariants(processor)
 
     lockstep_run(fuzz_config(scheme, "plain"), program, on_cycle=hook,
-                 on_cycle_interval=1, naive_loop=True)
+                 on_cycle_interval=1)
     # programs that halt before `cycle` never flush — that's fine, the
     # interesting cases fire constantly across examples

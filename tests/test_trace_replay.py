@@ -33,8 +33,7 @@ INSTS = 1500
 def _hermetic(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
-    for env in ("REPRO_NO_TRACE_CACHE", "REPRO_NO_KERNEL",
-                "REPRO_NAIVE_LOOP"):
+    for env in ("REPRO_NO_TRACE_CACHE", "REPRO_NO_KERNEL"):
         monkeypatch.delenv(env, raising=False)
     reset_trace_memo()
     yield
