@@ -28,12 +28,12 @@ bench-full:
 sampling-smoke:
 	$(PYTHON) tools/sampling_smoke.py
 
-# code-generated cycle kernels: every scheme bit-identical to the event
-# loop, sharing kernel >= 2x faster (same process, same machine)
+# code-generated cycle kernels: every scheme bit-identical to the naive
+# loop, sharing kernel >= 2.4x faster (same process, same machine)
 kernel-smoke:
 	$(PYTHON) tools/kernel_smoke.py
 
-# read-port-reduction schemes: both schemes on two profiles, three-way
+# read-port-reduction schemes: both schemes on two profiles, kernel/naive
 # loop identity + commit-time oracle, port counters exercised
 ports-smoke:
 	$(PYTHON) tools/ports_smoke.py

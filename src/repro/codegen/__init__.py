@@ -14,7 +14,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "generate_kernel_source": ".generator",
     "kernel_fingerprint": ".fingerprint",
     "kernel_for": ".cache",
-    "kernels_enabled": ".cache",
     "load_kernel": ".cache",
 })
 
@@ -26,6 +25,5 @@ __all__ = [
     "generate_kernel_source",
     "kernel_fingerprint",
     "kernel_for",
-    "kernels_enabled",
     "load_kernel",
 ]

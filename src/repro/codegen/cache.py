@@ -36,11 +36,6 @@ FOOTER_PREFIX = "# repro-kernel-end "
 _KERNEL_MEMO: dict[str, Callable] = {}
 
 
-def kernels_enabled() -> bool:
-    """Kill switch: ``REPRO_NO_KERNEL=1`` disables generated kernels."""
-    return os.environ.get("REPRO_NO_KERNEL", "") in ("", "0")
-
-
 def default_kernel_dir() -> Path:
     env = os.environ.get("REPRO_KERNEL_DIR")
     if env:
@@ -164,26 +159,23 @@ def _stock_hierarchy(hierarchy) -> bool:
 
 
 def kernel_for(config, renamer, hierarchy=None) -> Optional[Callable]:
-    """Kernel entry point for a live processor, or None to use the event loop.
+    """Kernel entry point for a live processor, or None to use the naive loop.
 
     ``renamer`` is the live renamer instance (or, for capability probes,
     its class); ``hierarchy`` is the live memory hierarchy (None for
-    capability probes).  Returns None when kernels are disabled, when the
-    renamer is not the exact class the scheme's kernel was generated
-    against (``codegen_id`` must be declared in the class's own
-    ``__dict__`` — subclasses such as test oracles fall back to the event
-    loop, whose virtual dispatch honours their overrides), when the
-    renamer *instance* shadows a class method in its ``__dict__``
-    (monkeypatched hooks like ``renamer.write = spy`` would be bypassed by
-    the kernel's inlined fast paths), or when the hierarchy is not exactly
-    :class:`repro.mem.MemoryHierarchy` with exact ``TLB``/``Cache``/
-    ``StridePrefetcher`` members free of instance-shadowed methods (the
-    kernel inlines ``data_access`` and reads their internals).  Generation
-    and compile errors propagate: a broken generator must fail loudly,
-    not silently halve simulation speed.
+    capability probes).  Returns None when the renamer is not the exact
+    class the scheme's kernel was generated against (``codegen_id`` must
+    be declared in the class's own ``__dict__`` — subclasses such as test
+    oracles fall back to the naive loop, whose virtual dispatch honours
+    their overrides), when the renamer *instance* shadows a class method
+    in its ``__dict__`` (monkeypatched hooks like ``renamer.write = spy``
+    would be bypassed by the kernel's inlined fast paths), or when the
+    hierarchy is not exactly :class:`repro.mem.MemoryHierarchy` with exact
+    ``TLB``/``Cache``/``StridePrefetcher`` members free of
+    instance-shadowed methods (the kernel inlines ``data_access`` and
+    reads their internals).  Generation and compile errors propagate: a
+    broken generator must fail loudly, not silently slow simulation down.
     """
-    if not kernels_enabled():
-        return None
     renamer_cls = renamer if isinstance(renamer, type) else type(renamer)
     if renamer_cls.__dict__.get("codegen_id") != config.scheme:
         return None

@@ -2,7 +2,8 @@
 
 :func:`generate_kernel_source` emits one flattened Python module per
 configuration: a single ``run_kernel(proc, max_insts)`` function that
-replays :meth:`repro.pipeline.processor.Processor._run_event` with
+runs :meth:`repro.pipeline.processor.Processor._run_naive`'s stage order
+with
 
 * machine constants (widths, structure sizes, cycle budgets, the PRT
   version-counter saturation point) inlined as literals,
@@ -18,9 +19,11 @@ replays :meth:`repro.pipeline.processor.Processor._run_event` with
 * config-dead code (interrupt delivery, register-file port limits,
   operand verification, wrong-path squash) dropped entirely when the
   config disables it,
-* the quiet-cycle skip logic specialized to the config's structure sizes.
+* per-stage early-outs and a cycle skip that jumps over quiet cycles and
+  busy-stall windows, bulk-accounting what those cycles would have added
+  (specialized to the config's structure sizes).
 
-The generated kernel must be *bit-identical* to ``_run_event`` — same
+The generated kernel must be *bit-identical* to ``_run_naive`` — same
 SimStats, same commit stream, same exception behaviour.  Three invariants
 make that safe:
 
@@ -38,7 +41,7 @@ make that safe:
   external can observe them (``on_cycle`` hooks, the slow-path
   ``_commit`` with its oracle/on_commit hooks, watchdog aborts) and
   unconditionally in a ``finally`` block, so even a propagating
-  simulation error leaves the processor's stats exactly as the event
+  simulation error leaves the processor's stats exactly as the naive
   loop would have.  After any delegated call that may mutate them they
   are re-read.
 * **slow-path delegation**: anything cold or stateful-in-a-subtle-way
@@ -148,7 +151,7 @@ def _fu_chain(config, pad: str) -> str:
                 f'    latency = {latency}'
             )
     # unknown kind: defer to the pool so the failure mode (KeyError)
-    # matches the event loop exactly
+    # matches the naive loop exactly
     parts.append(
         'else:\n'
         '    latency = fus.try_issue(fu, cycle)\n'
@@ -1044,7 +1047,7 @@ def generate_kernel_source(config) -> str:
     L.append("")
     L.append("Machine-generated by repro.codegen.generator — do not edit;")
     L.append("regenerated whenever the MachineConfig or the simulator source")
-    L.append('fingerprint changes.  Must stay bit-identical to _run_event."""')
+    L.append('fingerprint changes.  Must stay bit-identical to _run_naive."""')
     L.append("import heapq")
     L.append("")
     L.append("from repro.isa.opcodes import OPCODES, Op")
@@ -1119,7 +1122,7 @@ last_progress = proc._last_progress
     if PS != "none":
         # read-port-reduction scheme active: the whole issue stage is
         # delegated to the bound method (one implementation of the port
-        # plan/commit protocol, shared with the event and naive loops)
+        # plan/commit protocol, shared with the naive loop)
         L.append("    proc_issue = proc._issue")
     if PS == "bypass_filter":
         L.append("    ports_note_write = proc.read_ports.note_writeback")

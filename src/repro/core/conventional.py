@@ -44,7 +44,7 @@ class ConventionalRenamer(BaseRenamer):
 
     #: generated cycle kernels inline this exact class's hot path; the
     #: id lives in the class's own __dict__ so subclasses (which may
-    #: override rename/commit) fall back to the event loop
+    #: override rename/commit) fall back to the naive loop
     codegen_id = "conventional"
 
     def __init__(self, int_regs: int, fp_regs: int) -> None:

@@ -37,8 +37,8 @@ when its intrinsic demand exceeds the delay window — combined with the
 oldest-first ready list this guarantees the head instruction issues, so
 a port conflict can only defer work, never wedge the pipeline.  The same
 rule means a cycle in which *nothing* issues charges no port stalls,
-which keeps the event loop's quiet-cycle skip and the generated kernels'
-busy-stall skip bit-identical to the naive reference loop.
+which keeps the generated kernels' quiet-cycle and busy-stall skips
+bit-identical to the naive reference loop.
 """
 
 from __future__ import annotations

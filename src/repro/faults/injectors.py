@@ -2,11 +2,11 @@
 
 Each injector is armed with a fully pre-drawn :class:`InjectionSpec` and
 attached to the pipeline's ``on_cycle`` hook (``on_cycle_interval=1``,
-naive cycle loop — the event-driven kernel's quiet-cycle skip assumes no
-outside agent mutates state between events, which is exactly what an
-injector does).  An injector fires **once**, at the first cycle at or
-after ``trigger_cycle`` where an eligible target exists; what it corrupted
-is recorded in ``details`` for the campaign report.
+so the generated kernel runs every cycle for real and skips none: its
+cycle skips stop at the next hook boundary).  An injector fires **once**,
+at the first cycle at or after ``trigger_cycle`` where an eligible target
+exists; what it corrupted is recorded in ``details`` for the campaign
+report.
 
 The PRF flip injectors pick their victim from
 :meth:`~repro.core.renamer.BaseRenamer.fault_targets`, which classifies

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Optional, Protocol
 
 from repro.frontend.branch_predictor import BranchUnit
 from repro.isa.dyninst import DynInst
+from repro.isa.program import INST_BYTES
 
 
 class InstSource(Protocol):
@@ -46,7 +47,6 @@ class FetchUnit:
         queue_size: int = 32,
         mispredict_penalty: int = 15,
         line_bytes: int = 64,
-        inst_bytes: int = 4,
         wrong_path=None,
     ) -> None:
         self.source = source
@@ -56,7 +56,6 @@ class FetchUnit:
         self.queue_size = queue_size
         self.mispredict_penalty = mispredict_penalty
         self.line_bytes = line_bytes
-        self.inst_bytes = inst_bytes
         #: WrongPathGenerator, or None for the stall-on-mispredict model
         self.wrong_path = wrong_path
         self._wrong_branch: Optional[DynInst] = None
@@ -120,7 +119,7 @@ class FetchUnit:
                 return
 
             # I-cache: charge latency when crossing into a new line
-            addr = dyn.pc * self.inst_bytes
+            addr = dyn.pc * INST_BYTES
             line = addr // self.line_bytes
             if line != self._last_line:
                 latency = self.icache.access(addr, False, cycle) if self.icache else 1
@@ -155,7 +154,7 @@ class FetchUnit:
         Returns None when fetch cannot wake on its own — stalled on an
         unresolved branch (an external ``branch_resolved`` call restarts
         it) or the source is exhausted with nothing buffered.  Used by the
-        event-driven cycle loop to bound quiet-cycle skips.
+        generated kernel to bound quiet-cycle skips.
         """
         if self._waiting_branch_seq is not None:
             return None

@@ -261,7 +261,7 @@ class WorkloadBroadcast:
     def publish(self, points: list, pending: list[int]) -> None:
         """Warm the parent's trace and kernel memos for ``pending``.  A
         failure here is left for the point's own run to report."""
-        from repro.codegen import kernels_enabled, load_kernel
+        from repro.codegen import load_kernel
         from repro.codegen.fingerprint import kernel_fingerprint
         from repro.harness.cache import cached_stream
         from repro.harness.runner import make_config
@@ -272,8 +272,6 @@ class WorkloadBroadcast:
                 cached_stream(*wkey)
             except Exception:
                 continue
-        if not kernels_enabled():
-            return
         loaded: set[str] = set()
         for point in tasks:
             try:

@@ -75,7 +75,6 @@ class Processor:
         oracle=False,
         keep_trace: bool = False,
         naive_loop: bool = False,
-        kernel: bool = True,
         recycle=None,
         branch_unit: Optional[BranchUnit] = None,
         hierarchy=None,
@@ -143,15 +142,12 @@ class Processor:
         self.cycle = 0
         self._halted = False
         self._last_progress = 0
-        #: quiet cycles elided by the event-driven loop (observability only;
+        #: quiet cycles elided by the generated kernel (observability only;
         #: deliberately kept out of SimStats so both loops produce
         #: bit-identical statistics)
         self.cycles_skipped = 0
         self._naive_loop = naive_loop
-        # kernel=False pins the event loop; otherwise the choice is
-        # repro.codegen.kernel_for's, which also honours REPRO_NO_KERNEL
-        self._use_kernel = kernel
-        #: which cycle loop run() actually used: "naive" | "generated" | "event"
+        #: which cycle loop run() actually used: "naive" | "generated"
         self.loop_used: Optional[str] = None
         # committed instructions may be returned to a DynInstPool, but only
         # when nothing downstream can still hold a reference to them
@@ -232,14 +228,20 @@ class Processor:
 
     # ------------------------------------------------------------------ main loop
     def run(self, max_insts: Optional[int] = None) -> SimStats:
-        if self._naive_loop:
+        kernel = None
+        if not self._naive_loop:
+            # None for kernel_for's documented refusals (a renamer
+            # subclass, a shadowed method, a memory hierarchy other than
+            # the stock MemoryHierarchy); generation errors propagate
+            from repro.codegen import kernel_for
+
+            kernel = kernel_for(self.config, self.renamer, self.hierarchy)
+        if kernel is None:
             self.loop_used = "naive"
             self._run_naive(max_insts)
-        elif self._use_kernel:
-            self._run_generated(max_insts)
         else:
-            self.loop_used = "event"
-            self._run_event(max_insts)
+            self.loop_used = "generated"
+            self._run_generated(kernel, max_insts)
         self._finalize()
         # final unconditional invariant check: the interval hook only fires
         # every on_cycle_interval cycles, so corruption in the trailing
@@ -256,9 +258,10 @@ class Processor:
     def _run_naive(self, max_insts: Optional[int]) -> None:
         """The reference cycle loop: every stage, every cycle.
 
-        Kept verbatim as the differential baseline for the event-driven
-        kernel (select with ``naive_loop=True``); both loops must produce
-        bit-identical :class:`SimStats`.
+        The differential baseline for the generated kernel (select it with
+        ``naive_loop=True``) and the fallback whenever
+        :func:`repro.codegen.kernel_for` refuses one; both loops must
+        produce bit-identical :class:`SimStats`.
         """
         interrupt_interval = self.config.interrupt_interval
         next_interrupt = interrupt_interval if interrupt_interval else None
@@ -289,23 +292,13 @@ class Processor:
                     f"pipeline deadlock: no progress for "
                     f"{self.cycle - self._last_progress} cycles")
 
-    def _run_generated(self, max_insts: Optional[int]) -> None:
+    def _run_generated(self, kernel, max_insts: Optional[int]) -> None:
         """Run the code-generated kernel for this (scheme, config) pair.
 
-        Falls back to the event loop — same semantics, just slower — only
-        for the documented reasons :func:`repro.codegen.kernel_for` gives
-        (kernels disabled, a renamer subclass, a shadowed method, a
-        memory hierarchy other than the stock ``MemoryHierarchy``).
-        Generation and compile errors propagate, and so do exceptions
-        raised while a kernel is *running*: simulated state may be
-        mid-cycle, so retrying on a different loop would be wrong.
+        Exceptions raised while a kernel is running propagate: simulated
+        state may be mid-cycle, so retrying on the naive loop would be
+        wrong.
         """
-        kernel = self._load_kernel()
-        if kernel is None:
-            self.loop_used = "event"
-            self._run_event(max_insts)
-            return
-        self.loop_used = "generated"
         # the kernel allocates heavily but creates no reference cycles on
         # its hot paths; pausing the cyclic collector is worth a few
         # percent and cannot change simulated behavior
@@ -318,119 +311,6 @@ class Processor:
         finally:
             if was_enabled:
                 gc.enable()
-
-    def _load_kernel(self):
-        from repro.codegen import kernel_for
-
-        return kernel_for(self.config, self.renamer, self.hierarchy)
-
-    def _run_event(self, max_insts: Optional[int]) -> None:
-        """Event-driven cycle loop: skip runs of provably-quiet cycles.
-
-        Active cycles evaluate the same stages in the same order as
-        :meth:`_run_naive` (with the per-stage O(1) early-outs inlined);
-        when no stage can possibly make progress the loop jumps
-        ``self.cycle`` straight to the next event — the earliest
-        completion-heap entry, the fetch unit's wake-up cycle
-        (redirect/I-cache stall expiry), the next interrupt, the next
-        ``on_cycle`` boundary, the cycle budget, or the deadlock watchdog
-        bound — bulk-accounting the occupancy statistics and I-cache stall
-        counters the skipped cycles would have accumulated.  See
-        docs/ARCHITECTURE.md ("Cycle-loop internals") for the quiet-cycle
-        conditions.
-        """
-        config = self.config
-        interrupt_interval = config.interrupt_interval
-        next_interrupt = interrupt_interval if interrupt_interval else None
-        max_cycles = config.max_cycles
-        stats = self.stats
-        fetch = self.fetch
-        fetch_queue = fetch.queue  # stable: FetchUnit mutates it in place
-        fetch_tick = fetch.tick
-        iq = self.iq
-        rob_entries = self.rob._entries  # stable: ReorderBuffer clears in place
-        completion = self.completion
-        free_registers = self.renamer.free_registers
-        int_cls = RegClass.INT
-        on_cycle = self.on_cycle
-        interval = self.on_cycle_interval
-        commit = self._commit
-        writeback = self._writeback
-        issue = self._issue
-        rename = self._rename
-        while not self._done(max_insts):
-            cycle = self.cycle + 1
-            self.cycle = cycle
-            if next_interrupt is not None and cycle >= next_interrupt:
-                penalty = self._handle_interrupt()
-                next_interrupt = cycle + interrupt_interval + penalty
-            if rob_entries and rob_entries[0].completed:
-                commit()
-            if completion and completion[0][0] <= cycle:
-                writeback()
-            if iq._ready:
-                issue()
-            if fetch_queue:
-                rename()
-            fetch_tick(cycle)
-            stats.rob_occupancy_sum += len(rob_entries)
-            stats.iq_occupancy_sum += iq._size
-            stats.free_regs_sum += free_registers(int_cls)
-            stats.occupancy_samples += 1
-            if on_cycle is not None and cycle % interval == 0:
-                on_cycle(self)
-            if cycle > max_cycles:
-                self.cycle = cycle
-                self._watchdog_abort(
-                    f"cycle budget ({max_cycles}) exceeded")
-            if cycle - self._last_progress > 200_000:
-                self.cycle = cycle
-                self._watchdog_abort(
-                    f"pipeline deadlock: no progress for "
-                    f"{cycle - self._last_progress} cycles")
-
-            # ---- quiet-cycle skip ----------------------------------------
-            # A cycle is quiet when every stage is provably idle: nothing
-            # renameable (fetch queue empty), nothing issueable (ready list
-            # empty), nothing completing (no due completion-heap entry),
-            # nothing committable (ROB head incomplete) and fetch is
-            # stalled or exhausted.  State is then constant until the next
-            # event, so intermediate cycles only need bulk accounting.
-            if fetch_queue or self._halted:
-                continue
-            if rob_entries and rob_entries[0].completed:
-                continue
-            if iq._ready and iq.ready_entries():
-                continue
-            if self._done(max_insts):
-                continue  # let the loop condition exit at the true cycle
-            target = completion[0][0] if completion else None
-            wake = fetch.next_active_cycle(cycle)
-            if wake is not None and (target is None or wake < target):
-                target = wake
-            limit = self._last_progress + 200_001
-            if target is None or target > limit:
-                target = limit  # run into the deadlock watchdog
-            if next_interrupt is not None and next_interrupt < target:
-                target = next_interrupt
-            if target > max_cycles + 1:
-                target = max_cycles + 1
-            if on_cycle is not None:
-                # stop at the next hook boundary: it runs as a real cycle,
-                # so the hook sees the state the naive loop would show it
-                boundary = cycle + interval - cycle % interval
-                if boundary < target:
-                    target = boundary
-            skipped = target - cycle - 1
-            if skipped <= 0:
-                continue
-            stats.rob_occupancy_sum += skipped * len(rob_entries)
-            stats.iq_occupancy_sum += skipped * iq._size
-            stats.free_regs_sum += skipped * free_registers(int_cls)
-            stats.occupancy_samples += skipped
-            fetch.account_idle(cycle + 1, target - 1)
-            self.cycles_skipped += skipped
-            self.cycle = target - 1
 
     def _done(self, max_insts: Optional[int]) -> bool:
         if self._halted:

@@ -13,7 +13,6 @@ import random
 from typing import Callable
 
 from repro.isa import assemble
-from repro.isa.program import DATA_BASE
 from repro.workloads.kernels import KERNELS, Kernel, _fmt
 
 

@@ -1,11 +1,11 @@
-"""Kernel cache lifecycle: fingerprints, corruption, kill switches.
+"""Kernel cache lifecycle: fingerprints, corruption, fallback.
 
 The correctness of the generated kernels themselves is covered by the
-three-way oracle in ``test_event_loop.py`` and by ``tools/kernel_smoke``;
+naive-loop oracle in ``test_event_loop.py`` and by ``tools/kernel_smoke``;
 this module tests the machinery *around* them — that the fingerprint
 tracks everything a kernel depends on, that a damaged cache entry is a
-miss rather than a crash, and that every opt-out path really lands on
-the event loop — plus an oracle for the inlined register-pressure check,
+miss rather than a crash, and that every refusal really lands on the
+naive loop — plus an oracle for the inlined register-pressure check,
 L1-D/TLB/prefetcher path and operand verification, whose delegated cold
 paths the streams below are sized to reach.
 """
@@ -19,7 +19,6 @@ from repro.codegen import (
     default_kernel_dir,
     kernel_fingerprint,
     kernel_for,
-    kernels_enabled,
     load_kernel,
 )
 from repro.codegen.cache import _KERNEL_MEMO
@@ -37,7 +36,6 @@ from repro.workloads.generator import SyntheticWorkload
 def isolated_cache(tmp_path, monkeypatch):
     """Every test gets a private on-disk cache and a cold memo."""
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
-    monkeypatch.delenv("REPRO_NO_KERNEL", raising=False)
     saved = dict(_KERNEL_MEMO)
     _KERNEL_MEMO.clear()
     yield
@@ -140,21 +138,7 @@ def test_default_kernel_dir_honours_env(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# kill switches and fallback
-
-def test_no_kernel_env_var_forces_event_loop(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_KERNEL", "1")
-    assert not kernels_enabled()
-    proc = _processor("sharing")
-    proc.run()
-    assert proc.loop_used == "event"
-
-
-def test_kernel_false_param_forces_event_loop():
-    proc = _processor("sharing", kernel=False)
-    proc.run()
-    assert proc.loop_used == "event"
-
+# fallback
 
 def test_kernel_runs_by_default():
     proc = _processor("sharing")
@@ -188,7 +172,7 @@ def test_monkeypatched_renamer_method_falls_back_to_event_loop():
 
     proc.renamer.write = spy
     proc.run()
-    assert proc.loop_used == "event"
+    assert proc.loop_used == "naive"
     assert seen, "the patched write hook must actually be exercised"
 
 
@@ -217,13 +201,13 @@ def test_foreign_memory_hierarchy_falls_back_to_event_loop():
     proc = _processor("conventional",
                       hierarchy=CountingHierarchy(config.hierarchy))
     proc.run()
-    assert proc.loop_used == "event"
+    assert proc.loop_used == "naive"
 
 
 def test_generator_error_propagates(monkeypatch):
-    """Only the documented reasons fall back to the event loop; a broken
-    generator must fail the simulation instead of silently halving its
-    speed."""
+    """Only the documented reasons fall back to the naive loop; a broken
+    generator must fail the simulation instead of silently slowing it
+    down."""
     import repro.codegen.cache as codegen_cache
     from repro.pipeline.processor import simulate
 
@@ -239,18 +223,18 @@ def test_generator_error_propagates(monkeypatch):
 
 def test_generated_matches_event_without_hooks():
     """No on_commit hook => the kernel takes its inline fast-commit path;
-    it must still report identical stats to the event loop."""
-    event = _processor("sharing", seed=3, kernel=False)
-    event.run()
+    it must still report identical stats to the naive loop."""
+    naive = _processor("sharing", seed=3, naive_loop=True)
+    naive.run()
     gen = _processor("sharing", seed=3)
     gen.run()
     assert gen.loop_used == "generated"
-    assert dataclasses.asdict(gen.stats) == dataclasses.asdict(event.stats)
-    assert gen.renamer.stats == event.renamer.stats
+    assert dataclasses.asdict(gen.stats) == dataclasses.asdict(naive.stats)
+    assert gen.renamer.stats == naive.renamer.stats
 
 
 # --------------------------------------------------------------------------
-# inlined hot paths vs the event loop
+# inlined hot paths vs the naive loop
 
 def _synthetic(profile, insts=3000):
     return list(SyntheticWorkload(BENCHMARKS[profile], total_insts=insts,
@@ -283,20 +267,20 @@ def test_inlined_paths_match_event_loop(scheme, counter_bits, verify,
                                         profile):
     """No hooks (the inline store-commit path runs) and 48 registers (the
     register-pressure check runs): full SimStats, cache stats, renamer and
-    predictor stats and prefetch counts must match the event loop, and the
+    predictor stats and prefetch counts must match the naive loop, and the
     stream must reach every delegated cold path."""
     config = MachineConfig(scheme=scheme, int_regs=48, verify_values=verify,
                            counter_bits=counter_bits)
-    event = Processor(config, IterSource(iter(_synthetic(profile))),
-                      kernel=False)
-    event.run()
+    naive = Processor(config, IterSource(iter(_synthetic(profile))),
+                      naive_loop=True)
+    naive.run()
     gen = Processor(config, IterSource(iter(_synthetic(profile))))
     gen.run()
     assert gen.loop_used == "generated"
-    assert _full_snapshot(gen) == _full_snapshot(event)
+    assert _full_snapshot(gen) == _full_snapshot(naive)
 
-    caches = event.stats.cache_stats
-    assert event.stats.rename_stall_regs > 0
+    caches = naive.stats.cache_stats
+    assert naive.stats.rename_stall_regs > 0
     assert caches["tlb"].misses > 0
     assert caches["l1d"].writebacks > 0
     assert caches["l1d"].prefetch_hits > 0
@@ -317,12 +301,12 @@ def test_operand_mismatch_raises_same_error_in_both_loops():
     Processor._verify_operands, so the error and its message are shared."""
     config = MachineConfig(scheme="sharing", verify_values=True)
     messages = {}
-    for kernel in (False, True):
+    for naive_loop in (True, False):
         proc = Processor(config, IterSource(iter(_corrupted_stream())),
-                         kernel=kernel)
+                         naive_loop=naive_loop)
         with pytest.raises(VerificationError) as info:
             proc.run()
         messages[proc.loop_used] = str(info.value)
-    assert set(messages) == {"event", "generated"}
+    assert set(messages) == {"naive", "generated"}
     assert "operand mismatch" in messages["generated"]
-    assert messages["generated"] == messages["event"]
+    assert messages["generated"] == messages["naive"]

@@ -235,7 +235,7 @@ class _FetchRecorder(MemoryHierarchy):
 
 @pytest.mark.xfail(strict=True, reason=(
     "fast-forward warms the L1-I at the instruction index (pc), while "
-    "detailed fetch requests byte address pc * inst_bytes; fixing it "
+    "detailed fetch requests byte address pc * INST_BYTES; fixing it "
     "changes the sampled figures"))
 def test_warmer_fetches_the_lines_detailed_fetch_fetches():
     profile = BENCHMARKS["h264ref"]

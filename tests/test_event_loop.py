@@ -1,14 +1,12 @@
-"""Cycle-loop oracle: generated kernel vs event loop vs naive loop.
+"""Cycle-loop oracle: generated kernel vs naive loop.
 
-The processor's event-driven kernel (quiet-cycle skipping, bulk idle
-accounting) and the code-generated per-config kernels must both be
-*invisible* optimisations: for any program, scheme and variant, the
-SimStats and the committed-instruction stream must be bit-for-bit
-identical across all three loops — the naive one-iteration-per-cycle
-reference loop (``naive_loop=True``), the event loop, and the generated
-kernel.  An ``on_cycle`` hook must see the same state on every loop too:
-a skip stops at the hook's next boundary, which then runs as a real
-cycle.
+The code-generated per-config kernels (per-stage early-outs, quiet-cycle
+skipping, bulk idle accounting) must be an *invisible* optimisation: for
+any program, scheme and variant, the SimStats and the
+committed-instruction stream must be bit-for-bit identical to the naive
+one-iteration-per-cycle reference loop (``naive_loop=True``).  An
+``on_cycle`` hook must see the same state on both loops too: a skip
+stops at the hook's next boundary, which then runs as a real cycle.
 """
 
 import dataclasses
@@ -54,10 +52,10 @@ def _run(program, cfg, variant, loop: str, hook_interval=None):
         fault_model=fault_model,
         on_commit=lambda _p, d: commits.append((d.seq, d.pc, d.op, d.result)),
         naive_loop=(loop == "naive"),
-        kernel=(loop == "generated"),
         **hooks,
     )
     processor.run()
+    assert processor.loop_used in ("naive", "generated")
     # the hook's calls ride with the commit stream: both must match
     return dataclasses.asdict(processor.stats), (commits, seen), processor
 
@@ -74,31 +72,26 @@ def test_loops_match(seed, kernel_dir, monkeypatch):
         cfg = fuzz_config(scheme, fuzz_program.variant)
         naive_stats, naive_commits, _ = _run(
             program, cfg, fuzz_program.variant, "naive", hook_interval)
-        event_stats, event_commits, proc = _run(
-            program, cfg, fuzz_program.variant, "event", hook_interval)
         generated_stats, generated_commits, gen_proc = _run(
             program, cfg, fuzz_program.variant, "generated", hook_interval)
         context = (f"seed={seed} scheme={scheme} hook={hook_interval} "
                    f"variant={fuzz_program.variant}")
-        assert event_stats == naive_stats, f"SimStats diverged for {context}"
-        assert event_commits == naive_commits, (
-            f"commit stream or hook calls diverged for {context}")
         assert gen_proc.loop_used == "generated", (
             f"kernel did not engage for {context}")
-        assert generated_stats == event_stats, (
+        assert generated_stats == naive_stats, (
             f"generated-kernel SimStats diverged for {context}")
-        assert generated_commits == event_commits, (
+        assert generated_commits == naive_commits, (
             f"generated-kernel commit stream or hook calls diverged "
             f"for {context}")
         # the skip counter is observability, not simulated state
-        assert proc.cycles_skipped >= 0
-        assert "cycles_skipped" not in event_stats
+        assert gen_proc.cycles_skipped >= 0
+        assert "cycles_skipped" not in generated_stats
 
 
-@pytest.mark.parametrize("loop", ["event", "generated"])
+@pytest.mark.parametrize("loop", ["generated"])
 def test_hook_every_cycle_skips_nothing(loop, kernel_dir, monkeypatch):
-    """A hook at interval 1 makes every cycle a hook boundary, so no loop
-    skips one (the fault campaign relies on this)."""
+    """A hook at interval 1 makes every cycle a hook boundary, so the
+    kernel skips none (the fault campaign relies on this)."""
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(kernel_dir))
     fuzz_program = generate(0, size=SIZE)
     cfg = fuzz_config("sharing", fuzz_program.variant)
@@ -116,8 +109,8 @@ def test_hook_every_cycle_skips_nothing(loop, kernel_dir, monkeypatch):
 @pytest.mark.parametrize("port_scheme", ["bypass_filter", "banked_arbiter"])
 @pytest.mark.parametrize("seed", range(4))
 def test_loops_match_port_schemes(seed, port_scheme, kernel_dir, monkeypatch):
-    """The three-way identity holds with a read-port scheme active, for
-    every renamer scheme the variant admits (repro.core.read_ports)."""
+    """The identity holds with a read-port scheme active, for every
+    renamer scheme the variant admits (repro.core.read_ports)."""
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(kernel_dir))
     fuzz_program = generate(seed, size=SIZE)
     program = fuzz_program.build()
@@ -125,18 +118,13 @@ def test_loops_match_port_schemes(seed, port_scheme, kernel_dir, monkeypatch):
         cfg = fuzz_config(scheme, fuzz_program.variant, port_scheme)
         naive_stats, naive_commits, _ = _run(
             program, cfg, fuzz_program.variant, loop="naive")
-        event_stats, event_commits, _ = _run(
-            program, cfg, fuzz_program.variant, loop="event")
         generated_stats, generated_commits, gen_proc = _run(
             program, cfg, fuzz_program.variant, loop="generated")
         context = (f"seed={seed} scheme={scheme} ports={port_scheme} "
                    f"variant={fuzz_program.variant}")
-        assert event_stats == naive_stats, f"SimStats diverged for {context}"
-        assert event_commits == naive_commits, (
-            f"commit stream diverged for {context}")
         assert gen_proc.loop_used == "generated", (
             f"kernel did not engage for {context}")
-        assert generated_stats == event_stats, (
+        assert generated_stats == naive_stats, (
             f"generated-kernel SimStats diverged for {context}")
-        assert generated_commits == event_commits, (
+        assert generated_commits == naive_commits, (
             f"generated-kernel commit stream diverged for {context}")

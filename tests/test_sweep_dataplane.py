@@ -135,8 +135,7 @@ def _warm_runner(point):
 def test_fleet_workers_start_warm(tmp_path, monkeypatch, jobs, timeout):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
-    for env in ("REPRO_NO_TRACE_CACHE", "REPRO_NO_KERNEL"):
-        monkeypatch.delenv(env, raising=False)
+    monkeypatch.delenv("REPRO_NO_TRACE_CACHE", raising=False)
     points = (_points(2, insts=800) + _points(2, insts=800, scheme="sharing")
               + _points(1, profile="adpcm", insts=800))
     reset_trace_memo()

@@ -33,8 +33,7 @@ INSTS = 1500
 def _hermetic(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
-    for env in ("REPRO_NO_TRACE_CACHE", "REPRO_NO_KERNEL"):
-        monkeypatch.delenv(env, raising=False)
+    monkeypatch.delenv("REPRO_NO_TRACE_CACHE", raising=False)
     reset_trace_memo()
     yield
     reset_trace_memo()
@@ -57,8 +56,7 @@ def _faulting_columns():
 
 def _run(config, insts, loop):
     processor = Processor(config, IterSource(iter(insts)),
-                          naive_loop=(loop == "naive"),
-                          kernel=(loop == "generated"))
+                          naive_loop=(loop == "naive"))
     stats = processor.run()
     assert processor.loop_used == loop
     return stats
@@ -76,7 +74,7 @@ _CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("loop", ["generated", "event", "naive"])
+@pytest.mark.parametrize("loop", ["generated", "naive"])
 @pytest.mark.parametrize("variant", [*_CONFIGS, "faults"])
 def test_rewind_equals_a_fresh_decode(variant, loop):
     if variant == "faults":

@@ -2,12 +2,12 @@
 """CI smoke test for the read-port-reduction schemes.
 
 For both port schemes (``bypass_filter``, ``banked_arbiter``) on two
-benchmark profiles, runs the same workload through the generated kernel,
-the event loop and the naive loop and asserts
+benchmark profiles, runs the same workload through the generated kernel
+and the naive loop and asserts
 
-* three-way bit-identity: SimStats, renamer stats, architectural state
-  and the committed-instruction stream agree across all loops (and the
-  kernel actually engaged — ``loop_used == "generated"``),
+* bit-identity: SimStats, renamer stats, architectural state and the
+  committed-instruction stream agree across both loops (and the kernel
+  actually engaged — ``loop_used == "generated"``),
 * the commit-time oracle accepts a verified run of the same point
   (``simulate(..., oracle=True)`` matches the unverified stats),
 * the scheme is actually exercising its machinery: the port counters
@@ -51,7 +51,6 @@ def _run(config, profile_name, loop):
     commits = []
     proc = Processor(config, IterSource(_stream(profile_name)),
                      naive_loop=(loop == "naive"),
-                     kernel=(loop == "generated"),
                      on_commit=lambda _p, d: commits.append(
                          (d.seq, d.pc, d.op, d.result)))
     proc.run()
@@ -72,7 +71,6 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-ports-smoke-") as tmp:
         os.environ["REPRO_KERNEL_DIR"] = str(pathlib.Path(tmp) / "kernels")
-        os.environ.pop("REPRO_NO_KERNEL", None)
         from repro.harness.runner import make_config
         from repro.pipeline.processor import simulate
         from repro.workloads import BENCHMARKS
@@ -93,24 +91,19 @@ def main() -> int:
                     print(f"FAIL: {label}: kernel did not engage "
                           f"(loop_used={gen_proc.loop_used!r})")
                     return 1
-                ev_proc, ev_commits = _run(config, profile_name, "event")
                 nv_proc, nv_commits = _run(config, profile_name, "naive")
 
-                gen_snap = _snapshot(gen_proc)
-                for other_name, other_proc, other_commits in (
-                        ("event", ev_proc, ev_commits),
-                        ("naive", nv_proc, nv_commits)):
-                    other_snap = _snapshot(other_proc)
-                    if gen_snap != other_snap:
-                        diverged = [k for k in gen_snap
-                                    if gen_snap[k] != other_snap[k]]
-                        print(f"FAIL: {label}: generated kernel diverged "
-                              f"from the {other_name} loop in {diverged}")
-                        return 1
-                    if gen_commits != other_commits:
-                        print(f"FAIL: {label}: commit stream diverged from "
-                              f"the {other_name} loop")
-                        return 1
+                gen_snap, nv_snap = _snapshot(gen_proc), _snapshot(nv_proc)
+                if gen_snap != nv_snap:
+                    diverged = [k for k in gen_snap
+                                if gen_snap[k] != nv_snap[k]]
+                    print(f"FAIL: {label}: generated kernel diverged "
+                          f"from the naive loop in {diverged}")
+                    return 1
+                if gen_commits != nv_commits:
+                    print(f"FAIL: {label}: commit stream diverged from "
+                          f"the naive loop")
+                    return 1
 
                 # commit-time oracle on the identical point
                 workload = shared_workload(profile, INSTS, SEED)
@@ -149,7 +142,7 @@ def main() -> int:
                     "rf_delayed_reads": stats.rf_delayed_reads,
                     "rf_delay_cycles": stats.rf_delay_cycles,
                 }
-                print(f"ok: {label:24s} three-way identical + oracle over "
+                print(f"ok: {label:24s} identical + oracle over "
                       f"{len(gen_commits)} commits / {stats.cycles} cycles "
                       f"(stalls={stats.rf_port_stalls}, "
                       f"reads={stats.rf_port_reads})")
