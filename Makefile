@@ -28,8 +28,9 @@ bench-full:
 sampling-smoke:
 	$(PYTHON) tools/sampling_smoke.py
 
-# code-generated cycle kernels: every scheme bit-identical to the naive
-# loop, sharing kernel >= 2.4x faster (same process, same machine)
+# code-generated cycle kernels: conventional and sharing kernels
+# bit-identical to the naive loop, sharing kernel >= 2.4x faster (same
+# process, same machine)
 kernel-smoke:
 	$(PYTHON) tools/kernel_smoke.py
 

@@ -118,7 +118,7 @@ def load_kernel(config, cache: Optional[KernelCache] = None) -> Callable:
     Compiles at most once per fingerprint per process; a corrupt cached
     module is unlinked and regenerated.  Raises
     :class:`repro.codegen.generator.KernelUnavailable` for schemes the
-    generator does not support.
+    generator does not flatten (early, hinted).
     """
     key = kernel_fingerprint(config)
     fn = _KERNEL_MEMO.get(key)
@@ -167,10 +167,13 @@ def kernel_for(config, renamer, hierarchy=None) -> Optional[Callable]:
     class the scheme's kernel was generated against (``codegen_id`` must
     be declared in the class's own ``__dict__`` — subclasses such as test
     oracles fall back to the naive loop, whose virtual dispatch honours
-    their overrides), when the renamer *instance* shadows a class method
-    in its ``__dict__`` (monkeypatched hooks like ``renamer.write = spy``
-    would be bypassed by the kernel's inlined fast paths), or when the
-    hierarchy is not exactly :class:`repro.mem.MemoryHierarchy` with exact
+    their overrides), when the scheme has no kernel at all (only
+    conventional and sharing are generated; the early and hinted renamers
+    declare no ``codegen_id``), when the renamer *instance* shadows a
+    class method in its ``__dict__`` (monkeypatched hooks like
+    ``renamer.write = spy`` would be bypassed by the kernel's inlined fast
+    paths), or when the hierarchy is not exactly
+    :class:`repro.mem.MemoryHierarchy` with exact
     ``TLB``/``Cache``/``StridePrefetcher`` members free of
     instance-shadowed methods (the kernel inlines ``data_access`` and
     reads their internals).  Generation and compile errors propagate: a

@@ -29,7 +29,7 @@ make that safe:
 
 * **hoisted-local freshness**: locals bound to containers that recovery
   rebinds (the scoreboard dict, rename-map entry lists, the
-  conventional/early free deques, the sharing refcount lists) are
+  conventional free deques, the sharing refcount lists) are
   re-hoisted after every call that can trigger a flush — exception and
   interrupt handlers, ``on_cycle`` hooks, the slow-path ``_commit``.
   Containers only ever mutated in place (ROB deque, completion heap,
@@ -77,7 +77,7 @@ for their own flat hit paths, so a change to any of them changes both.
 from __future__ import annotations
 
 #: schemes the generator knows how to flatten
-KNOWN_SCHEMES = ("conventional", "early", "sharing", "hinted")
+KNOWN_SCHEMES = ("conventional", "sharing")
 
 #: FU dispatch chain order, hottest kinds first (measured on hmmer)
 _FU_ORDER = ("alu", "mem", "fpu", "branch", "mul", "div", "fpdiv")
@@ -164,14 +164,14 @@ def _fu_chain(config, pad: str) -> str:
 def _refresh_block(scheme: str, pad: str) -> str:
     """Re-hoist every local that a flush/recovery can rebind."""
     lines = ["scoreboard = proc.scoreboard"]
-    if scheme in ("conventional", "early"):
+    if scheme == "conventional":
         lines += [
             "int_free = _dom_int.free",
             "fp_free = _dom_fp.free",
             "int_map = _dom_int.map.entries",
             "fp_map = _dom_fp.map.entries",
         ]
-    else:  # sharing / hinted
+    else:  # sharing
         lines += [
             "int_map = _dom_int.map.entries",
             "fp_map = _dom_fp.map.entries",
@@ -195,17 +195,12 @@ def _scheme_hoists(scheme: str, pad: str) -> str:
         "int_caps = _dom_int.rf._capacity\n"
         "fp_caps = _dom_fp.rf._capacity\n"
     )
-    if scheme in ("conventional", "early"):
+    if scheme == "conventional":
         block = common + (
             "int_free = _dom_int.free\n"
             "fp_free = _dom_fp.free\n"
         )
-        if scheme == "early":
-            block += (
-                "int_states = _dom_int.state\n"
-                "fp_states = _dom_fp.state\n"
-            )
-    else:  # sharing / hinted
+    else:  # sharing
         block = common + (
             "int_flist = _dom_int.free\n"
             "fp_flist = _dom_fp.free\n"
@@ -254,26 +249,7 @@ if dest is not None and dt is not None:
         _free_sel.append(_old[0])
         ren_stats.releases += 1
 """
-    elif scheme == "early":
-        block = """
-dest = head.dest
-dt = head.dest_tag
-if dest is not None and dt is not None:
-    if dt[0] == 0:
-        _retire = int_retire; _free_sel = int_free; _states = int_states
-    else:
-        _retire = fp_retire; _free_sel = fp_free; _states = fp_states
-    _retire[dest[1]] = (dt[1], dt[2])
-    _old_phys, _old_gen = head.prev_map
-    _st = _states[_old_phys]
-    if (_old_phys != dt[1] and not _st.released
-            and _st.generation == _old_gen):
-        _st.released = True
-        _free_sel.append(_old_phys)
-        renamer.commit_releases += 1
-        ren_stats.releases += 1
-"""
-    else:  # sharing / hinted
+    else:  # sharing
         # the release path is fully inlined (consumers-log training, bank
         # predictor on_release, register-file drop, free-list push, PRT
         # reset); it must mirror SharingRenamer._release exactly
@@ -356,37 +332,8 @@ if head.dest is not None and dt is not None:
 
 
 # --------------------------------------------------------------------- writeback write
-def _writeback_write_block(scheme: str, pad: str) -> str:
-    """Inline of ``renamer.write(dest_tag, result)``."""
-    if scheme == "early":
-        block = """
-if dt[0] == 0:
-    _rfv = int_rfv; _caps = int_caps; _states = int_states
-    _free_sel = int_free
-else:
-    _rfv = fp_rfv; _caps = fp_caps; _states = fp_states
-    _free_sel = fp_free
-_ph = dt[1]
-_ver = dt[2]
-if _ph >= 0 and _ver >= _caps[_ph]:
-    raise AssertionError(
-        "write of version " + str(_ver) + " exceeds capacity "
-        + str(_caps[_ph]) + " of p" + str(_ph))
-_vers = _rfv.get(_ph)
-if _vers is None:
-    _rfv[_ph] = {_ver: _result}
-else:
-    _vers[_ver] = _result
-_st = _states[_ph]
-_st.produced = True
-if _st.unmapped and _st.pending_reads == 0 and not _st.released:
-    _st.released = True
-    _free_sel.append(_ph)
-    renamer.early_releases += 1
-    ren_stats.releases += 1
-"""
-    else:
-        block = """
+#: inline of ``renamer.write(dest_tag, result)``
+_RF_WRITE = """
 if dt[0] == 0:
     _rfv = int_rfv; _caps = int_caps
 else:
@@ -403,7 +350,6 @@ if _vers is None:
 else:
     _vers[_ver] = _result
 """
-    return _reindent(block, pad)
 
 
 # --------------------------------------------------------------------- memory access
@@ -519,61 +465,6 @@ if not dyn.wrong_path:
 
 
 # --------------------------------------------------------------------- rename bodies
-def _sharing_single_use_pred(scheme: str, pad: str) -> str:
-    if scheme == "hinted":
-        block = """
-_hints = dyn.hint_src_single_use
-_pred = bool(_hints[_i]) if _i < len(_hints) else False
-"""
-    else:
-        block = """
-su_stats.predictions += 1
-_pred = su_table[(_pc ^ (_pc >> 9)) & su_mask] >= 2
-if _pred:
-    su_stats.predicted_yes += 1
-"""
-    return _reindent(block, pad)
-
-
-def _sharing_single_use_dry(scheme: str, pad: str) -> str:
-    """``_single_use_prediction(dry_run=True)``: ``continue`` on a no."""
-    if scheme == "hinted":
-        block = """
-_hints = dyn.hint_src_single_use
-if _i >= len(_hints) or not _hints[_i]:
-    continue
-"""
-    else:
-        block = """
-_pc = dyn.pc
-if su_table[(_pc ^ (_pc >> 9)) & su_mask] < 2:
-    continue
-"""
-    return _reindent(block, pad)
-
-
-def _sharing_bank_pred(scheme: str, pad: str) -> str:
-    if scheme == "hinted":
-        block = """
-_pi = (_pc ^ (_pc >> 9)) & tp_mask
-if dyn.hint_dest_single_use:
-    _pb = dyn.hint_reuse_depth
-    if _pb < 1:
-        _pb = 1
-    elif _pb > 3:
-        _pb = 3
-else:
-    _pb = 0
-"""
-    else:
-        block = """
-_pi = (_pc ^ (_pc >> 9)) & tp_mask
-tp_stats.predictions += 1
-_pb = tp_table[_pi]
-"""
-    return _reindent(block, pad)
-
-
 def _rename_body(config, pad: str) -> str:
     """The fused rename/dispatch stage for the configured scheme.
 
@@ -592,7 +483,7 @@ if not fetch_queue:
 dyn = fetch_queue[0]
 _srcs = dyn.srcs
 """
-    if scheme in ("sharing", "hinted"):
+    if scheme == "sharing":
         # one staleness scan per instruction, shared by the slot check,
         # the register-pressure check and the repair delegation below
         head += """
@@ -614,7 +505,7 @@ if {ROB} - len(rob_entries) >= 7 and {IQS} - iq._size >= 7:
     pass
 else:
 """
-    if scheme in ("conventional", "early"):
+    if scheme == "conventional":
         head += """
     if len(rob_entries) >= {ROB}:
         stats.rename_stall_rob += 1
@@ -659,7 +550,7 @@ elif _is_store:
 dest = dyn.dest
 """
 
-    if scheme in ("conventional", "early"):
+    if scheme == "conventional":
         can_rename = """
 if dest is not None:
     if not (int_free if dest[0] is _RC_INT else fp_free):
@@ -700,7 +591,9 @@ elif dest is not None and (int_flist if dest[0] is _RC_INT
         if _e.version != _t[1] or _e.read_bit:
             continue
         if _s != dest:
-$SINGLE_USE_DRY
+            _pc = dyn.pc
+            if su_table[(_pc ^ (_pc >> 9)) & su_mask] < 2:
+                continue
         if _t[1] < $MAXV and _t[1] < _shadow[_t[0]]:
             break
     else:
@@ -709,8 +602,6 @@ $SINGLE_USE_DRY
         break
 fetch_queue.popleft()
 """
-        can_rename = can_rename.replace(
-            "$SINGLE_USE_DRY", _sharing_single_use_dry(scheme, " " * 12))
         can_rename = can_rename.replace("$MAXV", str(MAXV))
 
     if scheme == "conventional":
@@ -751,59 +642,7 @@ if dest is not None:
     ren_stats.allocations += 1
     ren_stats.allocations_per_bank[0] += 1
 """
-    elif scheme == "early":
-        rename_core = """
-src_tags = []
-for _s in _srcs:
-    if _s[0] is _RC_INT:
-        _cv = 0; _map = int_map; _states = int_states
-    else:
-        _cv = 1; _map = fp_map; _states = fp_states
-    _t = _map[_s[1]]
-    if _t is None:
-        raise AssertionError(
-            "logical register " + str(_s[1]) + " unmapped")
-    _ph = _t[0]
-    _states[_ph].pending_reads += 1
-    src_tags.append((_cv, _ph, 0))
-dyn.src_tags = src_tags
-if dest is not None:
-    ren_stats.dest_insts += 1
-    if dest[0] is _RC_INT:
-        _cv = 0; _map = int_map; _states = int_states
-        _free_sel = int_free
-    else:
-        _cv = 1; _map = fp_map; _states = fp_states
-        _free_sel = fp_free
-    if not _free_sel:
-        raise AssertionError("rename called without a free register")
-    _ph = _free_sel.popleft()
-    _st = _states[_ph]
-    _st.pending_reads = 0
-    _st.produced = False
-    _st.unmapped = False
-    _st.released = False
-    _st.generation += 1
-    _prev = _map[dest[1]]
-    if _prev is None:
-        raise AssertionError(
-            "logical register " + str(dest[1]) + " unmapped")
-    _pp = _prev[0]
-    _pst = _states[_pp]
-    dyn.prev_map = (_pp, _pst.generation)
-    dyn.allocated_new = True
-    _map[dest[1]] = (_ph, 0)
-    dyn.dest_tag = (_cv, _ph, 0)
-    ren_stats.allocations += 1
-    ren_stats.allocations_per_bank[0] += 1
-    _pst.unmapped = True
-    if _pst.produced and _pst.pending_reads == 0 and not _pst.released:
-        _pst.released = True
-        _free_sel.append(_pp)
-        renamer.early_releases += 1
-        ren_stats.releases += 1
-"""
-    else:  # sharing / hinted
+    else:  # sharing
         # a stale source needs repair µops (predictor training + extra
         # allocations): delegate the whole instruction to the bound
         # rename() *before* any inline mutation, so nothing double-applies
@@ -888,7 +727,10 @@ if dest is not None:
                 ren_stats.lost_reuse_not_first_use += 1
             continue
         if _s != dest:
-$SINGLE_USE_PRED
+            su_stats.predictions += 1
+            _pred = su_table[(_pc ^ (_pc >> 9)) & su_mask] >= 2
+            if _pred:
+                su_stats.predicted_yes += 1
             if not _pred and _flist._count > 0:
                 _e.lost_reuse += 1
                 _log = _e.consumers_log
@@ -927,7 +769,9 @@ $SINGLE_USE_PRED
         _reused = True
         break
     if not _reused:
-$BANK_PRED
+        _pi = (_pc ^ (_pc >> 9)) & tp_mask
+        tp_stats.predictions += 1
+        _pb = tp_table[_pi]
         _bank = _pb if _pb < _last_bank else _last_bank
         _dq = _flist._free[_bank]
         if _dq:
@@ -960,11 +804,6 @@ $BANK_PRED
         ren_stats.allocations += 1
         ren_stats.allocations_per_bank[_ab] += 1
 """
-        rename_core = rename_core.replace(
-            "$SINGLE_USE_PRED",
-            _sharing_single_use_pred(scheme, " " * 12))
-        rename_core = rename_core.replace(
-            "$BANK_PRED", _sharing_bank_pred(scheme, " " * 8))
         rename_core = rename_core.replace("$MAXV", str(MAXV))
 
     dispatch_tail = f"""
@@ -1037,7 +876,6 @@ def generate_kernel_source(config) -> str:
     PS = config.rf_port_scheme
     VV = config.verify_values
     MWP = config.model_wrong_path
-    track_reads = scheme == "early"
 
     unpipelined = [k for k, (_c, _l, piped) in config.fu_config.items()
                    if not piped]
@@ -1248,7 +1086,7 @@ if rob_entries and rob_entries[0].completed:
     wb.append("        if dt is not None:")
     wb.append("            _result = dyn.result")
     wb.append("            if _result is not None:")
-    wb.append(_writeback_write_block(scheme, "                "))
+    wb.append(_reindent(_RF_WRITE, "                "))
     wb.append("            scoreboard[dt] = True")
     if PS == "bypass_filter":
         wb.append("            ports_note_write(dt, cycle)")
@@ -1365,25 +1203,6 @@ if rob_entries and rob_entries[0].completed:
     iss.append("                total = latency")
     if VV:
         iss.append(_reindent(_VERIFY, "            "))
-    if track_reads:
-        iss.append("            for _tag in dyn.src_tags:")
-        iss.append("                if _tag[0] == 0:")
-        iss.append("                    _states = int_states")
-        iss.append("                    _free_sel = int_free")
-        iss.append("                else:")
-        iss.append("                    _states = fp_states")
-        iss.append("                    _free_sel = fp_free")
-        iss.append("                _st = _states[_tag[1]]")
-        iss.append("                _st.pending_reads -= 1")
-        iss.append("                assert _st.pending_reads >= 0, "
-                   '"pending-read underflow"')
-        iss.append("                if (_st.unmapped and _st.produced")
-        iss.append("                        and _st.pending_reads == 0")
-        iss.append("                        and not _st.released):")
-        iss.append("                    _st.released = True")
-        iss.append("                    _free_sel.append(_tag[1])")
-        iss.append("                    renamer.early_releases += 1")
-        iss.append("                    ren_stats.releases += 1")
     iss.append("            _entry = iq_by_dyn.pop(id(dyn), None)")
     iss.append("            if _entry is None:")
     iss.append('                raise AssertionError("instruction not in issue queue")')
@@ -1423,7 +1242,7 @@ if iq._ready:
     B.append(_reindent("\n".join(ren), "        "))
 
     # ---- fetch + accounting + hooks + watchdogs ------------------------
-    free_expr = ("int_flist._count" if scheme in ("sharing", "hinted")
+    free_expr = ("int_flist._count" if scheme == "sharing"
                  else "len(int_free)")
     B.append(_reindent(f"""
 fetch_tick(cycle)

@@ -73,10 +73,10 @@ class _Domain:
 
 
 class EarlyReleaseRenamer(BaseRenamer):
-    """Release-on-last-read renaming (no precise exceptions)."""
+    """Release-on-last-read renaming (no precise exceptions).
 
-    #: see ConventionalRenamer.codegen_id (exact-class kernel dispatch)
-    codegen_id = "early"
+    Declares no ``codegen_id``: it always runs on the naive cycle loop.
+    """
 
     tracks_operand_reads = True
 

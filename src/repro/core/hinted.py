@@ -29,10 +29,11 @@ from repro.isa.dyninst import DynInst
 
 class HintedSharingRenamer(SharingRenamer):
     """Sharing renamer driven by static single-use hints instead of the
-    hardware predictors."""
+    hardware predictors.
 
-    #: see ConventionalRenamer.codegen_id (exact-class kernel dispatch)
-    codegen_id = "hinted"
+    Declares no ``codegen_id`` of its own (the kernel check reads the
+    class's own ``__dict__``), so it always runs on the naive cycle loop.
+    """
 
     def _single_use_prediction(self, dyn: DynInst, src_index: int,
                                dry_run: bool = False) -> bool:

@@ -517,13 +517,7 @@ def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,
     returns a stream decoded from the serialized bytes — never the raw
     generator — so jobs=1, warm-worker and cold-worker runs all consume
     byte-identical streams.
-    Set ``REPRO_NO_TRACE_CACHE=1`` to bypass the cache and use the
-    in-memory generator directly.
     """
-    if os.environ.get("REPRO_NO_TRACE_CACHE"):
-        from repro.workloads.generator import shared_workload
-
-        return shared_workload(profile, insts, seed, body_iters)
     trace_cache = cache if cache is not None else TraceCache()
     memo_key = (profile, insts, seed, body_iters)
     stream = TRACE_MEMO.get(memo_key)

@@ -157,7 +157,7 @@ def simulate_point(point: SweepPoint):
     points of one workload materialize it once.
     """
     # imported here to avoid an import cycle
-    from repro.harness.cache import TraceStream, cached_stream
+    from repro.harness.cache import cached_stream
     from repro.harness.runner import make_config
     from repro.pipeline.processor import simulate
 
@@ -171,9 +171,7 @@ def simulate_point(point: SweepPoint):
         # and only materializes DynInsts for warm zones and windows.
         return simulate(config, workload, max_insts=point.insts,
                         sampling=point.sampling, sampling_seed=point.seed)
-    if isinstance(workload, TraceStream):
-        return simulate(config, workload.replay())
-    return simulate(config, iter(workload))  # REPRO_NO_TRACE_CACHE
+    return simulate(config, workload.replay())
 
 
 #: the function workers run for each point — a module-level indirection so

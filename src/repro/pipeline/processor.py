@@ -230,9 +230,10 @@ class Processor:
     def run(self, max_insts: Optional[int] = None) -> SimStats:
         kernel = None
         if not self._naive_loop:
-            # None for kernel_for's documented refusals (a renamer
-            # subclass, a shadowed method, a memory hierarchy other than
-            # the stock MemoryHierarchy); generation errors propagate
+            # None for kernel_for's documented refusals (a scheme the
+            # generator does not flatten, a renamer subclass, a shadowed
+            # method, a memory hierarchy other than the stock
+            # MemoryHierarchy); generation errors propagate
             from repro.codegen import kernel_for
 
             kernel = kernel_for(self.config, self.renamer, self.hierarchy)

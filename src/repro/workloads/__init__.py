@@ -37,7 +37,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "COGNITIVE": ".profiles",
     "suite": ".profiles",
     "SyntheticWorkload": ".generator",
-    "shared_workload": ".generator",
 })
 
 __all__ = [
@@ -60,5 +59,4 @@ __all__ = [
     "COGNITIVE",
     "suite",
     "SyntheticWorkload",
-    "shared_workload",
 ]

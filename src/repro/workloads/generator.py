@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -416,11 +415,11 @@ class SyntheticWorkload:
     def __iter__(self) -> Iterator[DynInst]:
         """Stream the instructions one :class:`DynInst` at a time.
 
-        The streaming producer for uncached runs (``repro bench``,
-        ``REPRO_NO_TRACE_CACHE``, the analysis figures); the trace cache
-        uses :meth:`trace_bytes`, which must stay byte-identical to
-        encoding this stream (``tests/test_workload_generator.py`` pins
-        the two loops together).  The benchmark's traced run wraps this
+        The streaming producer for uncached runs (``repro bench``, the
+        analysis figures); the trace cache uses :meth:`trace_bytes`,
+        which must stay byte-identical to encoding this stream
+        (``tests/test_workload_generator.py`` pins the two loops
+        together).  The benchmark's traced run wraps this
         method by name."""
         rng = random.Random(self.seed ^ 0x5EED)
         reg_values: dict[RegRef, object] = {}
@@ -617,33 +616,3 @@ class SyntheticWorkload:
             _kind, base, stride = slot.mem
             return (base + stream_iter * stride) % self.profile.working_set
         return rng.randrange(0, self.profile.working_set, 8)
-
-
-# ---------------------------------------------------------------- shared workloads
-#: memoized workloads keyed by (profile name, insts, seed, body_iters);
-#: bounded so long full-scale sweeps don't accumulate skeletons forever
-_SHARED_LIMIT = 64
-_shared_workloads: "OrderedDict[tuple, SyntheticWorkload]" = OrderedDict()
-
-
-def shared_workload(profile: WorkloadProfile, total_insts: int, seed: int = 1,
-                    body_iters: int = 50) -> SyntheticWorkload:
-    """One :class:`SyntheticWorkload` per (profile, insts, seed).
-
-    ``__iter__`` reseeds from scratch, so every iteration of the shared
-    instance yields the identical dynamic stream — baseline and proposed
-    runs of a sweep point provably see the same instructions, and the
-    skeleton (the expensive part of construction) is built once.  Profiles
-    are keyed by content, so a same-name variant is its own workload.
-    """
-    key = (profile, total_insts, seed, body_iters)
-    workload = _shared_workloads.get(key)
-    if workload is not None:
-        _shared_workloads.move_to_end(key)
-        return workload
-    workload = SyntheticWorkload(profile, total_insts=total_insts, seed=seed,
-                                 body_iters=body_iters)
-    _shared_workloads[key] = workload
-    if len(_shared_workloads) > _SHARED_LIMIT:
-        _shared_workloads.popitem(last=False)
-    return workload

@@ -16,7 +16,9 @@ import pytest
 
 from repro.codegen import (
     KernelCache,
+    KernelUnavailable,
     default_kernel_dir,
+    generate_kernel_source,
     kernel_fingerprint,
     kernel_for,
     load_kernel,
@@ -158,6 +160,21 @@ def test_subclassed_renamer_falls_back_to_event_loop():
     assert kernel_for(config, InstrumentedRenamer) is None
 
 
+@pytest.mark.parametrize("scheme", ["early", "hinted"])
+def test_unflattened_scheme_runs_on_naive_loop(scheme):
+    """Only conventional and sharing get generated kernels; the early and
+    hinted renamers declare no codegen_id, so they run the naive loop."""
+    proc = _processor(scheme)
+    config = proc.config
+    assert kernel_for(config, proc.renamer, proc.hierarchy) is None
+    assert kernel_for(config, type(proc.renamer)) is None
+    with pytest.raises(KernelUnavailable, match=scheme):
+        generate_kernel_source(config)
+    proc.run()
+    assert proc.loop_used == "naive"
+    assert proc.stats.committed > 0
+
+
 def test_monkeypatched_renamer_method_falls_back_to_event_loop():
     """Instance-level method overrides (oracle tests spy on .write) would
     be bypassed by the kernel's inlined fast paths, so the exact-class
@@ -258,7 +275,7 @@ def _full_snapshot(proc):
 @pytest.mark.parametrize("profile", ["mcf", "h264ref"])
 @pytest.mark.parametrize("verify", [True, False])
 @pytest.mark.parametrize("scheme,counter_bits", [
-    ("sharing", 2), ("hinted", 2), ("conventional", 2),
+    ("sharing", 2), ("conventional", 2),
     # 1-bit counters saturate below the shadow-cell count, so the
     # pressure check's counter bound is the one that denies reuse
     ("sharing", 1),

@@ -14,7 +14,7 @@ from repro.harness.parallel import SweepPoint, run_points
 from repro.harness.runner import Scale, make_config
 from repro.pipeline.processor import simulate
 from repro.workloads import BENCHMARKS
-from repro.workloads.generator import shared_workload
+from repro.workloads.generator import SyntheticWorkload
 
 _SCALE = Scale.quick()
 
@@ -49,9 +49,10 @@ def test_sweep_engine_matches_oracle_checked_run(figure, point):
     [result] = run_points([point], jobs=1, cache=None)
     assert result.ok, result.error
 
-    # same config, same workload (shared_workload re-seeds per iteration,
-    # so this enumerates the identical dynamic stream), oracle attached
-    workload = shared_workload(point.profile, point.insts, point.seed)
+    # same config, same workload (the trace cache stores exactly this
+    # generator's stream), oracle attached
+    workload = SyntheticWorkload(point.profile, total_insts=point.insts,
+                                 seed=point.seed)
     oracle_stats = simulate(make_config(point.profile, point.scheme,
                                         point.size,
                                         port_scheme=point.port_scheme),

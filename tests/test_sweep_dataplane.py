@@ -135,7 +135,6 @@ def _warm_runner(point):
 def test_fleet_workers_start_warm(tmp_path, monkeypatch, jobs, timeout):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
-    monkeypatch.delenv("REPRO_NO_TRACE_CACHE", raising=False)
     points = (_points(2, insts=800) + _points(2, insts=800, scheme="sharing")
               + _points(1, profile="adpcm", insts=800))
     reset_trace_memo()
@@ -175,7 +174,6 @@ def _decode_once_runner(point):
 def test_fleet_workers_decode_once(tmp_path, monkeypatch, jobs, timeout):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
-    monkeypatch.delenv("REPRO_NO_TRACE_CACHE", raising=False)
     # several points per workload, workloads interleaved in the grid
     points = [SweepPoint(BENCHMARKS[profile], scheme, 48, 800, seed)
               for seed in (1, 2) for scheme in ("sharing", "conventional")
@@ -208,7 +206,6 @@ def test_results_identical_across_data_plane_configs(
 
     def run(jobs, subdir):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / subdir))
-        monkeypatch.delenv("REPRO_NO_TRACE_CACHE", raising=False)
         reset_trace_memo()
         results = run_points(points, jobs=jobs)
         assert all(r.ok for r in results)

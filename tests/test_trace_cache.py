@@ -7,7 +7,7 @@ from repro.harness.cache import (TraceCache, TraceMemo, TraceStream,
                                  cached_stream)
 from repro.harness.runner import make_config
 from repro.pipeline.processor import simulate
-from repro.workloads.generator import SyntheticWorkload, shared_workload
+from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import BENCHMARKS
 
 PROFILE = BENCHMARKS["gsm"]
@@ -129,15 +129,6 @@ def test_jsonl_entry_is_neither_served_nor_counted(tmp_path):
     assert cache.hits == 0 and cache.misses == 1
     assert cache._path(key).is_file()
     assert len(cache) == 1
-
-
-def test_env_kill_switch_bypasses_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_TRACE_CACHE", "1")
-    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-    stream = cached_stream(PROFILE, 200, seed=1)
-    assert not isinstance(stream, TraceStream)
-    assert stream is shared_workload(PROFILE, 200, 1, 50)
-    assert len(TraceCache(tmp_path)) == 0
 
 
 def test_memo_serves_repeat_lookups_without_disk(tmp_path):

@@ -33,7 +33,6 @@ INSTS = 1500
 def _hermetic(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
-    monkeypatch.delenv("REPRO_NO_TRACE_CACHE", raising=False)
     reset_trace_memo()
     yield
     reset_trace_memo()

@@ -12,7 +12,6 @@ from repro.workloads import (
     SPECFP,
     SPECINT,
     SyntheticWorkload,
-    shared_workload,
     suite,
 )
 
@@ -154,25 +153,13 @@ def _stream_signature(workload):
     ]
 
 
-def test_shared_workload_returns_one_instance():
-    profile = BENCHMARKS["gsm"]
-    a = shared_workload(profile, 1000, seed=3)
-    b = shared_workload(profile, 1000, seed=3)
-    assert a is b
-    assert shared_workload(profile, 1000, seed=4) is not a
-    assert shared_workload(BENCHMARKS["mcf"], 1000, seed=3) is not a
-
-
-def test_shared_workload_iterations_are_identical():
-    """Baseline and proposed runs of a sweep point iterate the same shared
-    instance; every iteration must yield the identical dynamic stream."""
-    workload = shared_workload(BENCHMARKS["gcc"], 2000, seed=1)
+def test_workload_iterations_are_identical():
+    """``__iter__`` reseeds from scratch: every iteration of one workload
+    yields the identical dynamic stream."""
+    workload = SyntheticWorkload(BENCHMARKS["gcc"], total_insts=2000, seed=1)
     first = _stream_signature(workload)
     second = _stream_signature(workload)
     assert first == second
-    # and the shared instance matches a freshly built workload
-    fresh = SyntheticWorkload(BENCHMARKS["gcc"], total_insts=2000, seed=1)
-    assert _stream_signature(fresh) == first
 
 
 def test_conventional_sharing_pair_sees_identical_streams():

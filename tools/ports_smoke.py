@@ -74,7 +74,6 @@ def main() -> int:
         from repro.harness.runner import make_config
         from repro.pipeline.processor import simulate
         from repro.workloads import BENCHMARKS
-        from repro.workloads.generator import shared_workload
 
         report = {"insts": INSTS, "seed": SEED, "size": SIZE, "points": {}}
 
@@ -106,8 +105,8 @@ def main() -> int:
                     return 1
 
                 # commit-time oracle on the identical point
-                workload = shared_workload(profile, INSTS, SEED)
-                oracle_stats = simulate(config, iter(workload), oracle=True)
+                oracle_stats = simulate(config, _stream(profile_name),
+                                        oracle=True)
                 if oracle_stats.to_dict() != dataclasses.asdict(
                         gen_proc.stats):
                     print(f"FAIL: {label}: oracle-checked run disagrees "
