@@ -82,10 +82,6 @@ KNOWN_SCHEMES = ("conventional", "sharing")
 #: FU dispatch chain order, hottest kinds first (measured on hmmer)
 _FU_ORDER = ("alu", "mem", "fpu", "branch", "mul", "div", "fpdiv")
 
-#: bump when the generated code's shape or its contract with the
-#: simulator internals changes, so stale cached kernels read as misses
-GENERATOR_VERSION = 5
-
 
 class KernelUnavailable(RuntimeError):
     """No kernel can be generated for this configuration."""

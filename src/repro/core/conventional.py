@@ -10,7 +10,6 @@ register is released when the redefining instruction commits.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.core.map_table import MapTable
 from repro.core.register_file import BankedRegisterFile, RegisterFileConfig

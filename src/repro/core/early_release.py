@@ -21,7 +21,6 @@ aggressive-release upper bound).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.core.map_table import MapTable
 from repro.core.register_file import BankedRegisterFile, RegisterFileConfig

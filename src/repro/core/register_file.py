@@ -16,8 +16,8 @@ by the renamer at rename time, mirroring the hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 Value = Union[int, float]
 

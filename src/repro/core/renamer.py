@@ -8,7 +8,7 @@ version)``; the conventional scheme always uses version 0.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from repro.isa.dyninst import DynInst
 from repro.isa.registers import RegClass

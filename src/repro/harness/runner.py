@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from repro.harness.parallel import SweepPoint, collect_stats, run_points
@@ -46,8 +46,10 @@ class Scale:
 
     @staticmethod
     def from_env() -> "Scale":
-        scale = Scale.full() if os.environ.get("REPRO_SCALE") == "full" \
-            else Scale.quick()
+        name = os.environ.get("REPRO_SCALE", "").strip() or "quick"
+        if name not in ("quick", "full"):
+            raise ValueError(f"REPRO_SCALE={name!r} is not 'quick' or 'full'")
+        scale = Scale.full() if name == "full" else Scale.quick()
         sampling = os.environ.get("REPRO_SAMPLING", "").strip()
         if sampling:
             from repro.sampling import parse_schedule

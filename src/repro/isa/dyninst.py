@@ -129,10 +129,11 @@ class DynInstPool:
 
     Long streaming runs allocate one DynInst per dynamic instruction; with
     ``__slots__`` the objects are small but the allocator churn still
-    dominates quiet workloads.  Producers (the functional executor, the
-    synthetic workload generator) acquire instances here and the processor
-    releases committed heads back — but only when no trace/oracle/hook can
-    still hold a reference (the :class:`Processor` guards this).  Squashed
+    dominates quiet workloads.  The functional executor acquires
+    instances here (the synthetic workload generator does not) and the
+    processor releases committed heads back — but only when no
+    trace/oracle/hook can still hold a reference (the :class:`Processor`
+    guards this).  Squashed
     wrong-path instructions are never released: the completion heap may
     still reference them.
     """

@@ -11,7 +11,7 @@ functional-unit class.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.isa.registers import RegClass

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.core.conventional import ConventionalRenamer
 from repro.core.early_release import EarlyReleaseRenamer
 from repro.core.sharing import SharingRenamer
-from repro.isa.registers import RegClass
 
 
 class InvariantViolation(AssertionError):

@@ -47,7 +47,6 @@ from typing import Optional
 
 from repro.isa.dyninst import DynInst
 from repro.isa.executor import ArchState, FunctionalExecutor, NoFaults
-from repro.isa.opcodes import Op
 from repro.isa.program import Program
 
 

@@ -12,8 +12,8 @@ import json
 from typing import IO, Iterable, Iterator
 
 from repro.isa.dyninst import DynInst
-from repro.isa.opcodes import MNEMONICS, Op
-from repro.isa.registers import RegRef, reg
+from repro.isa.opcodes import MNEMONICS
+from repro.isa.registers import reg
 
 _FIELDS = ("seq", "pc", "imm", "taken", "target", "next_pc", "mem_addr",
            "store_value", "result", "faults")

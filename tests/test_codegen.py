@@ -1,11 +1,11 @@
-"""Kernel cache lifecycle: fingerprints, corruption, fallback.
+"""Kernel memo lifecycle: fingerprints, no disk writes, fallback.
 
 The correctness of the generated kernels themselves is covered by the
 naive-loop oracle in ``test_event_loop.py`` and by ``tools/kernel_smoke``;
 this module tests the machinery *around* them — that the fingerprint
-tracks everything a kernel depends on, that a damaged cache entry is a
-miss rather than a crash, and that every refusal really lands on the
-naive loop — plus an oracle for the inlined register-pressure check,
+tracks everything a kernel depends on, that loading a kernel writes
+nothing to disk, and that every refusal really lands on the naive loop —
+plus an oracle for the inlined register-pressure check,
 L1-D/TLB/prefetcher path and operand verification, whose delegated cold
 paths the streams below are sized to reach.
 """
@@ -15,13 +15,10 @@ import dataclasses
 import pytest
 
 from repro.codegen import (
-    KernelCache,
     KernelUnavailable,
-    default_kernel_dir,
     generate_kernel_source,
     kernel_fingerprint,
     kernel_for,
-    load_kernel,
 )
 from repro.codegen.cache import _KERNEL_MEMO
 from repro.core.conventional import ConventionalRenamer
@@ -35,9 +32,8 @@ from repro.workloads.generator import SyntheticWorkload
 
 
 @pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    """Every test gets a private on-disk cache and a cold memo."""
-    monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
+def cold_memo():
+    """Every test starts with a cold kernel memo."""
     saved = dict(_KERNEL_MEMO)
     _KERNEL_MEMO.clear()
     yield
@@ -73,70 +69,19 @@ def test_fingerprint_tracks_scheme_and_config():
     assert len(keys) == 4, "scheme/config changes must change the kernel key"
 
 
-def test_fingerprint_tracks_simulator_source(monkeypatch):
-    """Editing any repro module must invalidate cached kernels.
-
-    The fingerprint is memoised per config instance (the source cannot
-    change under a running process — ``code_fingerprint`` is itself
-    cached for the process lifetime), so the post-edit world is a fresh
-    process: simulate it with a fresh config instance.
-    """
-    import repro.harness.cache as harness_cache
-
-    before = kernel_fingerprint(MachineConfig(scheme="sharing"))
-    monkeypatch.setattr(harness_cache, "code_fingerprint",
-                        lambda: "deadbeef-post-edit")
-    assert kernel_fingerprint(MachineConfig(scheme="sharing")) != before
-
-
 # --------------------------------------------------------------------------
-# on-disk cache
+# no disk cache
 
-def test_kernel_cache_roundtrip():
-    config = MachineConfig(scheme="conventional", verify_values=False)
-    cache = KernelCache()
-    load_kernel(config, cache=cache)
-    key = kernel_fingerprint(config)
-    assert cache.path_for(key).exists()
-    assert cache.misses == 1 and cache.hits == 0
-
-    # a fresh process (cleared memo) reloads from disk without regenerating
-    _KERNEL_MEMO.clear()
-    reload_cache = KernelCache()
-    load_kernel(config, cache=reload_cache)
-    assert reload_cache.hits == 1 and reload_cache.misses == 0
-
-
-@pytest.mark.parametrize("damage", ["truncate", "no_header", "garbage"])
-def test_corrupt_cache_entry_is_a_miss(damage):
-    config = MachineConfig(scheme="conventional", verify_values=False)
-    cache = KernelCache()
-    load_kernel(config, cache=cache)
-    key = kernel_fingerprint(config)
-    path = cache.path_for(key)
-    text = path.read_text()
-    if damage == "truncate":
-        path.write_text(text[: len(text) // 2])
-    elif damage == "no_header":
-        path.write_text("\n".join(text.splitlines()[1:]) + "\n")
-    else:
-        path.write_text("this is not python {{{\n")
-
-    _KERNEL_MEMO.clear()
-    fresh = KernelCache()
-    assert fresh.load_source(key) is None, "damaged entry must read as a miss"
-    assert not path.exists(), "damaged entry must be unlinked"
-
-    # and load_kernel regenerates a working kernel straight through it
-    _KERNEL_MEMO.clear()
-    fn = load_kernel(config, cache=KernelCache())
-    assert callable(fn)
-    assert path.exists()
-
-
-def test_default_kernel_dir_honours_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "elsewhere"))
-    assert default_kernel_dir() == tmp_path / "elsewhere"
+def test_kernel_load_writes_nothing(tmp_path, monkeypatch):
+    """Kernels are compiled in memory only: generating, compiling and
+    running one leaves the cache roots untouched."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    proc = _processor("sharing")
+    proc.run()
+    assert proc.loop_used == "generated"
+    assert kernel_fingerprint(proc.config) in _KERNEL_MEMO
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------

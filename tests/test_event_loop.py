@@ -25,13 +25,6 @@ SIZE = 40
 KERNEL_SCHEMES = ("conventional", "sharing")
 
 
-@pytest.fixture(scope="module")
-def kernel_dir(tmp_path_factory):
-    """One kernel cache for the whole module: each distinct fuzz config
-    generates its kernel once, later tests reload it from disk."""
-    return tmp_path_factory.mktemp("kernels")
-
-
 def _record(seen):
     """An ``on_cycle`` hook that records what it sees."""
     def hook(proc):
@@ -63,40 +56,48 @@ def _run(program, cfg, variant, loop: str, hook_interval=None):
     return dataclasses.asdict(processor.stats), (commits, seen), processor
 
 
+def _check_loops(program, cfg, variant, context, hook_interval=None):
+    """Run ``cfg`` on the default loop; a kernel scheme must match the
+    naive loop, any other scheme must have run the naive loop itself."""
+    stats, commits, proc = _run(program, cfg, variant, "generated",
+                                hook_interval)
+    if cfg.scheme not in KERNEL_SCHEMES:
+        assert proc.loop_used == "naive", (
+            f"expected the naive loop for {context}")
+        return
+    assert proc.loop_used == "generated", (
+        f"expected the generated loop for {context}")
+    naive_stats, naive_commits, _ = _run(program, cfg, variant, "naive",
+                                         hook_interval)
+    assert stats == naive_stats, (
+        f"generated-kernel SimStats diverged for {context}")
+    assert commits == naive_commits, (
+        f"generated-kernel commit stream or hook calls diverged "
+        f"for {context}")
+    # the skip counter is observability, not simulated state
+    assert proc.cycles_skipped >= 0
+    assert "cycles_skipped" not in stats
+
+
 @pytest.mark.parametrize("seed", range(PROGRAMS))
-def test_loops_match(seed, kernel_dir, monkeypatch):
+def test_loops_match(seed):
     """Each program runs unhooked and with a recording hook every 7
     cycles; the hook's calls must match across the loops too."""
-    monkeypatch.setenv("REPRO_KERNEL_DIR", str(kernel_dir))
     fuzz_program = generate(seed, size=SIZE)
     program = fuzz_program.build()
     for scheme, hook_interval in itertools.product(
             schemes_for(fuzz_program.variant), (None, 7)):
         cfg = fuzz_config(scheme, fuzz_program.variant)
-        naive_stats, naive_commits, _ = _run(
-            program, cfg, fuzz_program.variant, "naive", hook_interval)
-        generated_stats, generated_commits, gen_proc = _run(
-            program, cfg, fuzz_program.variant, "generated", hook_interval)
         context = (f"seed={seed} scheme={scheme} hook={hook_interval} "
                    f"variant={fuzz_program.variant}")
-        expected = "generated" if scheme in KERNEL_SCHEMES else "naive"
-        assert gen_proc.loop_used == expected, (
-            f"expected the {expected} loop for {context}")
-        assert generated_stats == naive_stats, (
-            f"generated-kernel SimStats diverged for {context}")
-        assert generated_commits == naive_commits, (
-            f"generated-kernel commit stream or hook calls diverged "
-            f"for {context}")
-        # the skip counter is observability, not simulated state
-        assert gen_proc.cycles_skipped >= 0
-        assert "cycles_skipped" not in generated_stats
+        _check_loops(program, cfg, fuzz_program.variant, context,
+                     hook_interval)
 
 
 @pytest.mark.parametrize("loop", ["generated"])
-def test_hook_every_cycle_skips_nothing(loop, kernel_dir, monkeypatch):
+def test_hook_every_cycle_skips_nothing(loop):
     """A hook at interval 1 makes every cycle a hook boundary, so the
     kernel skips none (the fault campaign relies on this)."""
-    monkeypatch.setenv("REPRO_KERNEL_DIR", str(kernel_dir))
     fuzz_program = generate(0, size=SIZE)
     cfg = fuzz_config("sharing", fuzz_program.variant)
     _, (_, seen), proc = _run(fuzz_program.build(), cfg,
@@ -112,24 +113,13 @@ def test_hook_every_cycle_skips_nothing(loop, kernel_dir, monkeypatch):
 
 @pytest.mark.parametrize("port_scheme", ["bypass_filter", "banked_arbiter"])
 @pytest.mark.parametrize("seed", range(4))
-def test_loops_match_port_schemes(seed, port_scheme, kernel_dir, monkeypatch):
+def test_loops_match_port_schemes(seed, port_scheme):
     """The identity holds with a read-port scheme active, for every
     renamer scheme the variant admits (repro.core.read_ports)."""
-    monkeypatch.setenv("REPRO_KERNEL_DIR", str(kernel_dir))
     fuzz_program = generate(seed, size=SIZE)
     program = fuzz_program.build()
     for scheme in schemes_for(fuzz_program.variant):
         cfg = fuzz_config(scheme, fuzz_program.variant, port_scheme)
-        naive_stats, naive_commits, _ = _run(
-            program, cfg, fuzz_program.variant, loop="naive")
-        generated_stats, generated_commits, gen_proc = _run(
-            program, cfg, fuzz_program.variant, loop="generated")
         context = (f"seed={seed} scheme={scheme} ports={port_scheme} "
                    f"variant={fuzz_program.variant}")
-        expected = "generated" if scheme in KERNEL_SCHEMES else "naive"
-        assert gen_proc.loop_used == expected, (
-            f"expected the {expected} loop for {context}")
-        assert generated_stats == naive_stats, (
-            f"generated-kernel SimStats diverged for {context}")
-        assert generated_commits == naive_commits, (
-            f"generated-kernel commit stream diverged for {context}")
+        _check_loops(program, cfg, fuzz_program.variant, context)

@@ -55,6 +55,16 @@ def test_scale_from_env(monkeypatch):
     assert Scale.from_env().benchmarks_per_suite is not None
     monkeypatch.setenv("REPRO_SCALE", "full")
     assert Scale.from_env().benchmarks_per_suite is None
+    monkeypatch.setenv("REPRO_SCALE", "quick")
+    assert Scale.from_env() == Scale.quick()
+
+
+@pytest.mark.parametrize("value", ["Full", "ful", "paper"])
+def test_scale_from_env_rejects_unknown_names(monkeypatch, value):
+    """A typo must not silently run the quick job in place of the full one."""
+    monkeypatch.setenv("REPRO_SCALE", value)
+    with pytest.raises(ValueError, match="REPRO_SCALE"):
+        Scale.from_env()
 
 
 # ------------------------------------------------------------------ runner

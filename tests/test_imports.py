@@ -55,7 +55,7 @@ print(cache.hits, cache.misses)
 """
 
 
-def _run(code: str, tmp_path: Path) -> tuple[list[str], set[str]]:
+def _run(code: str) -> tuple[list[str], set[str]]:
     """Run ``code`` in a fresh interpreter: ``(its stdout lines, the
     repro modules loaded when it ended)``."""
     probe = code + (
@@ -65,7 +65,6 @@ def _run(code: str, tmp_path: Path) -> tuple[list[str], set[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env["REPRO_KERNEL_DIR"] = str(tmp_path / "kernels")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -84,50 +83,47 @@ def _sim_stats() -> SimStats:
 
 
 # ------------------------------------------------------------ import budget
-def test_importing_the_harness_loads_no_simulator(tmp_path):
+def test_importing_the_harness_loads_no_simulator():
     _, modules = _run(
         "import repro\n"
         "import repro.harness\n"
-        "from repro.harness import ResultCache, figure10, figure11, headline\n",
-        tmp_path)
+        "from repro.harness import ResultCache, figure10, figure11, headline\n")
     assert "repro.harness.figures" in modules
     _assert_no_simulator(modules)
 
 
-def test_every_harness_export_loads_no_simulator(tmp_path):
+def test_every_harness_export_loads_no_simulator():
     # what ``repro figures`` imports, the area tables included
-    _, modules = _run("from repro.harness import *\n", tmp_path)
+    _, modules = _run("from repro.harness import *\n")
     assert "repro.harness.tables" in modules
     _assert_no_simulator(modules)
 
 
 def test_warm_figure_run_loads_no_simulator(tmp_path):
     code = WARM_FIGURE.format(root=str(tmp_path / "results"))
-    cold_lines, cold_modules = _run(code, tmp_path)
+    cold_lines, cold_modules = _run(code)
     assert cold_lines == ["0 4"]
     # the probe sees the simulator when a run does simulate
     assert "repro.pipeline.processor" in cold_modules
 
-    warm_lines, warm_modules = _run(code, tmp_path)
+    warm_lines, warm_modules = _run(code)
     assert warm_lines == ["4 0"]
     _assert_no_simulator(warm_modules)
 
 
-def test_cli_parser_loads_no_simulator(tmp_path):
+def test_cli_parser_loads_no_simulator():
     _, modules = _run(
         "import repro.cli\n"
-        "repro.cli.build_parser().parse_args(['figures', 'fig10', 'fig11'])\n",
-        tmp_path)
+        "repro.cli.build_parser().parse_args(['figures', 'fig10', 'fig11'])\n")
     _assert_no_simulator(modules)
 
 
-def test_streaming_run_loads_no_trace_codec(tmp_path):
+def test_streaming_run_loads_no_trace_codec():
     # ``repro bench`` streams the generator straight into the simulator;
     # the trace codec is for cached traces only
     lines, modules = _run(
         "from repro.cli import main\n"
-        "main(['bench', 'gsm', '--scheme', 'sharing', '--insts', '300'])\n",
-        tmp_path)
+        "main(['bench', 'gsm', '--scheme', 'sharing', '--insts', '300'])\n")
     assert lines and lines[0].startswith("cycles")
     assert "repro.workloads.generator" in modules
     assert "repro.workloads.trace_codec" not in modules
@@ -144,8 +140,7 @@ def test_rebuilding_stats_loads_no_simulator(tmp_path):
         f"payload = json.loads(open({str(path)!r}).read())\n"
         "stats = SimStats.from_dict(payload)\n"
         "print(stats.to_dict() == payload, "
-        "stats.cache_stats['l1d'].miss_rate >= 0)\n",
-        tmp_path)
+        "stats.cache_stats['l1d'].miss_rate >= 0)\n")
     assert lines == ["True True"]
     assert modules <= {"repro", "repro._lazy", "repro.pipeline",
                        "repro.pipeline.stats"}
@@ -195,13 +190,13 @@ def test_exports_are_the_defining_modules_objects():
     assert repro.workloads.ALL_KERNELS == {**KERNELS, **EXTRA_KERNELS}
 
 
-def test_export_named_like_its_submodule_survives_importing_it(tmp_path):
+def test_export_named_like_its_submodule_survives_importing_it():
     # ``headline`` is a function of ``repro.harness`` and the module that
     # defines it; importing the module first must not shadow the function
     lines, _ = _run(
         "import repro.harness.headline\n"
         "from repro.harness import headline\n"
-        "print(callable(headline), headline.__module__)\n", tmp_path)
+        "print(callable(headline), headline.__module__)\n")
     assert lines == ["True repro.harness.headline"]
 
 

@@ -134,7 +134,6 @@ def _warm_runner(point):
                          ids=["jobs2", "jobs1-timeout"])
 def test_fleet_workers_start_warm(tmp_path, monkeypatch, jobs, timeout):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-    monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
     points = (_points(2, insts=800) + _points(2, insts=800, scheme="sharing")
               + _points(1, profile="adpcm", insts=800))
     reset_trace_memo()
@@ -173,7 +172,6 @@ def _decode_once_runner(point):
                          ids=["jobs2", "jobs1-timeout"])
 def test_fleet_workers_decode_once(tmp_path, monkeypatch, jobs, timeout):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-    monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
     # several points per workload, workloads interleaved in the grid
     points = [SweepPoint(BENCHMARKS[profile], scheme, 48, 800, seed)
               for seed in (1, 2) for scheme in ("sharing", "conventional")

@@ -32,7 +32,6 @@ INSTS = 1500
 @pytest.fixture(autouse=True)
 def _hermetic(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-    monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path / "kernels"))
     reset_trace_memo()
     yield
     reset_trace_memo()

@@ -27,10 +27,8 @@ diagnostic on violation.
 
 import dataclasses
 import json
-import os
 import pathlib
 import sys
-import tempfile
 import time
 
 try:
@@ -87,81 +85,79 @@ def main() -> int:
     out_path = pathlib.Path(sys.argv[1] if len(sys.argv) > 1
                             else "kernel-smoke.json")
 
-    with tempfile.TemporaryDirectory(prefix="repro-kernel-smoke-") as tmp:
-        os.environ["REPRO_KERNEL_DIR"] = str(pathlib.Path(tmp) / "kernels")
-        from repro.codegen import kernel_fingerprint
-        from repro.pipeline.config import MachineConfig
+    from repro.codegen import kernel_fingerprint
+    from repro.pipeline.config import MachineConfig
 
-        report = {"insts": INSTS, "profile": PROFILE, "seed": SEED,
-                  "speedup_floor": SPEEDUP_FLOOR, "schemes": {}}
+    report = {"insts": INSTS, "profile": PROFILE, "seed": SEED,
+              "speedup_floor": SPEEDUP_FLOOR, "schemes": {}}
 
-        for scheme in SCHEMES:
-            identical = {}
-            for label, overrides in VARIANTS.items():
-                config = MachineConfig(scheme=scheme, **{
-                    "verify_values": False, **overrides})
-                gen_proc, gen_commits, _ = _run(config, naive_loop=False)
-                if gen_proc.loop_used != "generated":
-                    print(f"FAIL: {scheme}/{label}: kernel did not engage "
-                          f"(loop_used={gen_proc.loop_used!r})")
-                    return 1
-                nv_proc, nv_commits, _ = _run(config, naive_loop=True)
+    for scheme in SCHEMES:
+        identical = {}
+        for label, overrides in VARIANTS.items():
+            config = MachineConfig(scheme=scheme, **{
+                "verify_values": False, **overrides})
+            gen_proc, gen_commits, _ = _run(config, naive_loop=False)
+            if gen_proc.loop_used != "generated":
+                print(f"FAIL: {scheme}/{label}: kernel did not engage "
+                      f"(loop_used={gen_proc.loop_used!r})")
+                return 1
+            nv_proc, nv_commits, _ = _run(config, naive_loop=True)
 
-                gen_snap, nv_snap = _snapshot(gen_proc), _snapshot(nv_proc)
-                if gen_snap != nv_snap:
-                    diverged = [k for k in gen_snap
-                                if gen_snap[k] != nv_snap[k]]
-                    print(f"FAIL: {scheme}/{label}: generated kernel "
-                          f"diverged from the naive loop in {diverged}")
-                    return 1
-                if gen_commits != nv_commits:
-                    print(f"FAIL: {scheme}/{label}: commit streams diverged "
-                          f"({len(gen_commits)} vs {len(nv_commits)} "
-                          f"commits)")
-                    return 1
-                identical[label] = {
-                    "commits": len(gen_commits),
-                    "cycles": gen_snap["cycles"],
-                    "cycles_skipped": gen_proc.cycles_skipped,
-                }
-                print(f"ok: {scheme:12s} {label:8s} identical over "
-                      f"{len(gen_commits)} commits / {gen_snap['cycles']} "
-                      f"cycles")
-
-            config = MachineConfig(scheme=scheme, verify_values=False)
-            # timing pass: no hooks, so the kernel takes its fast-commit
-            # path (the configuration `Processor.run` uses by default)
-            gen_best = nv_best = float("inf")
-            rep_speedups = []
-            for _ in range(REPS):
-                _, _, gen_cpu = _run(config, naive_loop=False,
-                                     collect_commits=False)
-                _, _, nv_cpu = _run(config, naive_loop=True,
-                                    collect_commits=False)
-                gen_best = min(gen_best, gen_cpu)
-                nv_best = min(nv_best, nv_cpu)
-                rep_speedups.append(round(nv_cpu / gen_cpu, 2))
-            speedup = nv_best / gen_best
-
-            report["schemes"][scheme] = {
-                "identical": identical,
-                "kernel": kernel_fingerprint(config),
-                "generated_insts_per_sec": round(INSTS / gen_best, 1),
-                "naive_insts_per_sec": round(INSTS / nv_best, 1),
-                "speedup": round(speedup, 2),
-                "rep_speedups": rep_speedups,
+            gen_snap, nv_snap = _snapshot(gen_proc), _snapshot(nv_proc)
+            if gen_snap != nv_snap:
+                diverged = [k for k in gen_snap
+                            if gen_snap[k] != nv_snap[k]]
+                print(f"FAIL: {scheme}/{label}: generated kernel "
+                      f"diverged from the naive loop in {diverged}")
+                return 1
+            if gen_commits != nv_commits:
+                print(f"FAIL: {scheme}/{label}: commit streams diverged "
+                      f"({len(gen_commits)} vs {len(nv_commits)} "
+                      f"commits)")
+                return 1
+            identical[label] = {
+                "commits": len(gen_commits),
+                "cycles": gen_snap["cycles"],
+                "cycles_skipped": gen_proc.cycles_skipped,
             }
-            print(f"ok: {scheme:12s} kernel {speedup:.2f}x naive loop "
-                  f"(reps: {', '.join(f'{r:.2f}' for r in rep_speedups)})")
+            print(f"ok: {scheme:12s} {label:8s} identical over "
+                  f"{len(gen_commits)} commits / {gen_snap['cycles']} "
+                  f"cycles")
 
-        sharing = report["schemes"]["sharing"]["speedup"]
-        if sharing < SPEEDUP_FLOOR:
-            print(f"FAIL: sharing kernel speedup {sharing:.2f}x is below "
-                  f"the floor {SPEEDUP_FLOOR:.1f}x: the generated kernel "
-                  f"no longer pays for itself")
-            return 1
-        print(f"ok: sharing kernel speedup {sharing:.2f}x >= "
-              f"floor {SPEEDUP_FLOOR:.1f}x")
+        config = MachineConfig(scheme=scheme, verify_values=False)
+        # timing pass: no hooks, so the kernel takes its fast-commit
+        # path (the configuration `Processor.run` uses by default)
+        gen_best = nv_best = float("inf")
+        rep_speedups = []
+        for _ in range(REPS):
+            _, _, gen_cpu = _run(config, naive_loop=False,
+                                 collect_commits=False)
+            _, _, nv_cpu = _run(config, naive_loop=True,
+                                collect_commits=False)
+            gen_best = min(gen_best, gen_cpu)
+            nv_best = min(nv_best, nv_cpu)
+            rep_speedups.append(round(nv_cpu / gen_cpu, 2))
+        speedup = nv_best / gen_best
+
+        report["schemes"][scheme] = {
+            "identical": identical,
+            "kernel": kernel_fingerprint(config),
+            "generated_insts_per_sec": round(INSTS / gen_best, 1),
+            "naive_insts_per_sec": round(INSTS / nv_best, 1),
+            "speedup": round(speedup, 2),
+            "rep_speedups": rep_speedups,
+        }
+        print(f"ok: {scheme:12s} kernel {speedup:.2f}x naive loop "
+              f"(reps: {', '.join(f'{r:.2f}' for r in rep_speedups)})")
+
+    sharing = report["schemes"]["sharing"]["speedup"]
+    if sharing < SPEEDUP_FLOOR:
+        print(f"FAIL: sharing kernel speedup {sharing:.2f}x is below "
+              f"the floor {SPEEDUP_FLOOR:.1f}x: the generated kernel "
+              f"no longer pays for itself")
+        return 1
+    print(f"ok: sharing kernel speedup {sharing:.2f}x >= "
+          f"floor {SPEEDUP_FLOOR:.1f}x")
 
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}")

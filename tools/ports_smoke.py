@@ -20,10 +20,8 @@ on violation.
 
 import dataclasses
 import json
-import os
 import pathlib
 import sys
-import tempfile
 
 try:
     import repro  # noqa: F401  (installed package)
@@ -69,82 +67,80 @@ def main() -> int:
     out_path = pathlib.Path(sys.argv[1] if len(sys.argv) > 1
                             else "ports-smoke.json")
 
-    with tempfile.TemporaryDirectory(prefix="repro-ports-smoke-") as tmp:
-        os.environ["REPRO_KERNEL_DIR"] = str(pathlib.Path(tmp) / "kernels")
-        from repro.harness.runner import make_config
-        from repro.pipeline.processor import simulate
-        from repro.workloads import BENCHMARKS
+    from repro.harness.runner import make_config
+    from repro.pipeline.processor import simulate
+    from repro.workloads import BENCHMARKS
 
-        report = {"insts": INSTS, "seed": SEED, "size": SIZE, "points": {}}
+    report = {"insts": INSTS, "seed": SEED, "size": SIZE, "points": {}}
 
-        for port_scheme in PORT_SCHEMES:
-            for profile_name in PROFILES:
-                label = f"{profile_name}/{port_scheme}"
-                profile = BENCHMARKS[profile_name]
-                config = make_config(profile, "conventional", SIZE,
-                                     port_scheme=port_scheme)
+    for port_scheme in PORT_SCHEMES:
+        for profile_name in PROFILES:
+            label = f"{profile_name}/{port_scheme}"
+            profile = BENCHMARKS[profile_name]
+            config = make_config(profile, "conventional", SIZE,
+                                 port_scheme=port_scheme)
 
-                gen_proc, gen_commits = _run(config, profile_name,
-                                             "generated")
-                if gen_proc.loop_used != "generated":
-                    print(f"FAIL: {label}: kernel did not engage "
-                          f"(loop_used={gen_proc.loop_used!r})")
-                    return 1
-                nv_proc, nv_commits = _run(config, profile_name, "naive")
+            gen_proc, gen_commits = _run(config, profile_name,
+                                         "generated")
+            if gen_proc.loop_used != "generated":
+                print(f"FAIL: {label}: kernel did not engage "
+                      f"(loop_used={gen_proc.loop_used!r})")
+                return 1
+            nv_proc, nv_commits = _run(config, profile_name, "naive")
 
-                gen_snap, nv_snap = _snapshot(gen_proc), _snapshot(nv_proc)
-                if gen_snap != nv_snap:
-                    diverged = [k for k in gen_snap
-                                if gen_snap[k] != nv_snap[k]]
-                    print(f"FAIL: {label}: generated kernel diverged "
-                          f"from the naive loop in {diverged}")
-                    return 1
-                if gen_commits != nv_commits:
-                    print(f"FAIL: {label}: commit stream diverged from "
-                          f"the naive loop")
-                    return 1
+            gen_snap, nv_snap = _snapshot(gen_proc), _snapshot(nv_proc)
+            if gen_snap != nv_snap:
+                diverged = [k for k in gen_snap
+                            if gen_snap[k] != nv_snap[k]]
+                print(f"FAIL: {label}: generated kernel diverged "
+                      f"from the naive loop in {diverged}")
+                return 1
+            if gen_commits != nv_commits:
+                print(f"FAIL: {label}: commit stream diverged from "
+                      f"the naive loop")
+                return 1
 
-                # commit-time oracle on the identical point
-                oracle_stats = simulate(config, _stream(profile_name),
-                                        oracle=True)
-                if oracle_stats.to_dict() != dataclasses.asdict(
-                        gen_proc.stats):
-                    print(f"FAIL: {label}: oracle-checked run disagrees "
-                          f"with the kernel run")
-                    return 1
+            # commit-time oracle on the identical point
+            oracle_stats = simulate(config, _stream(profile_name),
+                                    oracle=True)
+            if oracle_stats.to_dict() != dataclasses.asdict(
+                    gen_proc.stats):
+                print(f"FAIL: {label}: oracle-checked run disagrees "
+                      f"with the kernel run")
+                return 1
 
-                stats = gen_proc.stats
-                exercised = stats.rf_port_reads > 0 and (
-                    stats.rf_bypass_reads > 0
-                    if port_scheme == "bypass_filter"
-                    else stats.rf_delay_cycles > 0
-                    or stats.rf_port_stalls > 0)
-                if not exercised:
-                    print(f"FAIL: {label}: port counters are zero — the "
-                          f"scheme never engaged "
-                          f"(reads={stats.rf_port_reads}, "
-                          f"bypass={stats.rf_bypass_reads}, "
-                          f"delay={stats.rf_delay_cycles})")
-                    return 1
+            stats = gen_proc.stats
+            exercised = stats.rf_port_reads > 0 and (
+                stats.rf_bypass_reads > 0
+                if port_scheme == "bypass_filter"
+                else stats.rf_delay_cycles > 0
+                or stats.rf_port_stalls > 0)
+            if not exercised:
+                print(f"FAIL: {label}: port counters are zero — the "
+                      f"scheme never engaged "
+                      f"(reads={stats.rf_port_reads}, "
+                      f"bypass={stats.rf_bypass_reads}, "
+                      f"delay={stats.rf_delay_cycles})")
+                return 1
 
-                report["points"][label] = {
-                    "identical": True,
-                    "oracle_verified": True,
-                    "commits": len(gen_commits),
-                    "cycles": stats.cycles,
-                    "ipc": round(stats.ipc, 4),
-                    "int_regs": config.int_regs,
-                    "fp_regs": config.fp_regs,
-                    "rf_port_stalls": stats.rf_port_stalls,
-                    "rf_port_reads": stats.rf_port_reads,
-                    "rf_bypass_reads": stats.rf_bypass_reads,
-                    "rf_delayed_reads": stats.rf_delayed_reads,
-                    "rf_delay_cycles": stats.rf_delay_cycles,
-                }
-                print(f"ok: {label:24s} identical + oracle over "
-                      f"{len(gen_commits)} commits / {stats.cycles} cycles "
-                      f"(stalls={stats.rf_port_stalls}, "
-                      f"reads={stats.rf_port_reads})")
+            report["points"][label] = {
+                "identical": True,
+                "oracle_verified": True,
+                "commits": len(gen_commits),
+                "cycles": stats.cycles,
+                "ipc": round(stats.ipc, 4),
+                "int_regs": config.int_regs,
+                "fp_regs": config.fp_regs,
+                "rf_port_stalls": stats.rf_port_stalls,
+                "rf_port_reads": stats.rf_port_reads,
+                "rf_bypass_reads": stats.rf_bypass_reads,
+                "rf_delayed_reads": stats.rf_delayed_reads,
+                "rf_delay_cycles": stats.rf_delay_cycles,
+            }
+            print(f"ok: {label:24s} identical + oracle over "
+                  f"{len(gen_commits)} commits / {stats.cycles} cycles "
+                  f"(stalls={stats.rf_port_stalls}, "
+                  f"reads={stats.rf_port_reads})")
 
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
