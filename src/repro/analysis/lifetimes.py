@@ -67,13 +67,6 @@ class LifetimeAnalysis:
                    if lt.live_interval is not None)
         return dead / live if live else 0.0
 
-    def percentile_dead(self, fraction: float) -> int:
-        values = sorted(lt.dead_interval for lt in self.lifetimes
-                        if lt.dead_interval is not None)
-        if not values:
-            return 0
-        return values[min(len(values) - 1, int(fraction * len(values)))]
-
 
 def analyze_lifetimes(trace: Iterable[DynInst]) -> LifetimeAnalysis:
     """Reconstruct value lifetimes from a committed pipeline trace.

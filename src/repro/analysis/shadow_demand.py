@@ -34,12 +34,6 @@ class ShadowDemand:
         index = min(len(data) - 1, int(coverage * len(data)))
         return data[index]
 
-    def coverage_table(self, coverages=(0.5, 0.75, 0.9, 0.95, 0.99)) -> dict:
-        return {
-            k: {c: self.registers_needed(k, c) for c in coverages}
-            for k in (1, 2, 3)
-        }
-
 
 def measure_shadow_demand(
     workload: Iterable[DynInst],

@@ -580,11 +580,7 @@ def cmd_faults(args) -> int:
                   f"-> {record.outcome}"
                   + ("" if record.expected else "  UNEXPECTED"))
 
-    try:
-        report = run_campaign(progress=progress, **overrides)
-    except ValueError as exc:  # e.g. an unknown scheme name
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_campaign(progress=progress, **overrides)
     for line in report.summary_lines():
         print(line)
     if args.out:
@@ -748,7 +744,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # a bad value the parser could not check: a REPRO_* switch, a
+        # sampling spec, an unknown scheme name
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ def kernel_fingerprint(config) -> str:
     sampling engine constructs one short-lived window
     processor per measured window, and recomputing the JSON + SHA-256 per
     ``run()`` call was a measurable slice of sampled wall time.  Same
-    pattern as :meth:`MachineConfig.opcode_table`.
+    pattern as :meth:`MachineConfig.canonical_json`.
     """
     cached = getattr(config, "_kernel_fp", None)
     if cached is not None:

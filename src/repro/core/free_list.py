@@ -41,9 +41,6 @@ class BankedFreeList:
             return self._count
         return len(self._free[bank])
 
-    def has_any(self) -> bool:
-        return any(self._free)
-
     def fallback_order(self, bank: int) -> list[int]:
         """Banks to try, preferred first."""
         banks = range(self.config.num_banks)

@@ -35,9 +35,6 @@ class MapTable:
     def copy_from(self, other: "MapTable") -> None:
         self.entries = list(other.entries)
 
-    def snapshot(self) -> list[Optional[PhysTag]]:
-        return list(self.entries)
-
     def physical_regs(self) -> set[int]:
         return {tag[0] for tag in self.entries if tag is not None}
 

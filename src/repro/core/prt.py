@@ -66,13 +66,6 @@ class PhysicalRegisterTable:
         entry.consumers_log = []
         entry.multi_use_versions = set()
 
-    def mark_read(self, phys: int) -> bool:
-        """Set the Read bit; returns its previous value."""
-        entry = self.entries[phys]
-        previous = entry.read_bit
-        entry.read_bit = True
-        return previous
-
     def reuse(self, phys: int) -> int:
         """Advance to the next version (a reuse); returns the new version.
 

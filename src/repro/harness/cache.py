@@ -23,21 +23,18 @@ hashes only the workload-generation modules, so simulator changes do not
 invalidate traces.  Entries are stored in the binary columnar codec
 (:mod:`repro.workloads.trace_codec`, ``.rtc`` files) under
 ``REPRO_TRACE_DIR``, else ``REPRO_CACHE_DIR``/traces, else
-``~/.cache/repro/traces``; the gzipped JSON-lines format of
-:mod:`repro.workloads.trace_io` is the human-readable interchange, not a
-storage format.  :func:`cached_stream` is the harness entry point: sweep
-workers find a trace in the memo they inherit from the parent, which
-warms it before forking (:mod:`repro.harness.parallel`), or decode it
-from disk, instead of re-running the generator; a process-local LRU
-(:class:`TraceMemo`, 32 entries) keeps the parsed columns of recently
-used workloads, and one resident instruction list per process
-(:meth:`TraceStream.replay`) lets repeat points of a workload rewind its
-instructions instead of materializing them again.
+``~/.cache/repro/traces``.  :func:`cached_stream` is the harness entry
+point: sweep workers find a trace in the memo they inherit from the
+parent, which warms it before forking (:mod:`repro.harness.parallel`),
+or decode it from disk, instead of re-running the generator; a
+process-local LRU (:class:`TraceMemo`, 32 entries) keeps the parsed
+columns of recently used workloads, and one resident instruction list
+per process (:meth:`TraceStream.replay`) lets repeat points of a
+workload rewind its instructions instead of materializing them again.
 
 Corrupted or truncated entries are treated as misses (and removed), never
-as errors.  There is no automatic eviction — result entries are a few KB
-each — but :meth:`ResultCache.prune` drops the oldest entries past a
-bound, and deleting either directory is always safe.
+as errors.  There is no eviction — result entries are a few KB each — and
+deleting either directory is always safe.
 """
 
 from __future__ import annotations
@@ -194,9 +191,6 @@ class ResultCache:
     def _file(self, key: str) -> str:
         return f"{self._root}/{key[:2]}/{key}.json"
 
-    def _path(self, key: str) -> Path:
-        return Path(self._file(key))
-
     # ------------------------------------------------------------------ access
     def get(self, key: str) -> Optional[Union[SimStats, SampledStats]]:
         path = self._file(key)
@@ -234,17 +228,6 @@ class ResultCache:
             _unlink_quietly(path)
         return len(entries)
 
-    def prune(self, max_entries: int = 50_000) -> int:
-        """Drop the oldest entries (by mtime) beyond ``max_entries``."""
-        entries = self._entries()
-        excess = len(entries) - max_entries
-        if excess <= 0:
-            return 0
-        entries.sort(key=lambda path: path.stat().st_mtime)
-        for path in entries[:excess]:
-            _unlink_quietly(path)
-        return excess
-
 
 # ---------------------------------------------------------------------- traces
 def default_trace_dir() -> Path:
@@ -262,13 +245,13 @@ def generator_fingerprint() -> str:
     """Hash of only the workload-generation source.
 
     Deliberately narrower than :func:`code_fingerprint`: a pregenerated
-    trace depends on the generator, the profiles and the serialization
-    formats — not on the simulator.  Pipeline changes keep traces valid.
+    trace depends on the generator, the profiles and the codec — not on
+    the simulator.  Pipeline changes keep traces valid.
     """
-    from repro.workloads import generator, profiles, trace_codec, trace_io
+    from repro.workloads import generator, profiles, trace_codec
 
     digest = hashlib.sha256()
-    for module in (generator, profiles, trace_codec, trace_io):
+    for module in (generator, profiles, trace_codec):
         path = Path(module.__file__)
         digest.update(path.name.encode())
         digest.update(b"\0")
@@ -369,9 +352,6 @@ class TraceCache:
 
     def _file(self, key: str) -> str:
         return f"{self._root}/{key[:2]}/{key}.rtc"
-
-    def _path(self, key: str) -> Path:
-        return Path(self._file(key))
 
     def get_blob(self, key: str) -> Optional[bytes]:
         """The stored binary trace blob, or ``None`` on a miss.

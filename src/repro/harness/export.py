@@ -39,28 +39,3 @@ def export_results(results: dict[str, Any], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
 
-
-def load_results(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def compare_speedup_exports(old: dict, new: dict, tolerance: float = 0.05):
-    """Regression check between two exported Figure-10 results.
-
-    Returns a list of (benchmark, size, old speedup, new speedup) rows
-    whose speedups moved by more than ``tolerance``.
-    """
-    regressions = []
-    old_rows = {row["benchmark"]: row["speedups"] for row in old.get("rows", [])}
-    for row in new.get("rows", []):
-        benchmark = row["benchmark"]
-        if benchmark not in old_rows:
-            continue
-        for size, new_speedup in row["speedups"].items():
-            old_speedup = old_rows[benchmark].get(size)
-            if old_speedup is None:
-                continue
-            if abs(new_speedup - old_speedup) > tolerance:
-                regressions.append((benchmark, size, old_speedup, new_speedup))
-    return regressions

@@ -188,26 +188,22 @@ class Figure9Result:
 
 
 def figure9(scale: Scale | None = None) -> Figure9Result:
-    from repro.analysis import measure_shadow_demand
+    from repro.analysis import ShadowDemand, measure_shadow_demand
     from repro.workloads.generator import SyntheticWorkload
 
     scale = scale or Scale.from_env()
     profiles = scale.profiles("specfp")[:4]
-    merged = {1: [], 2: [], 3: []}
+    merged = ShadowDemand()
     for profile in profiles:
         workload = list(SyntheticWorkload(profile, scale.insts, scale.seed))
         demand = measure_shadow_demand(workload, total_regs=192)
         for k in (1, 2, 3):
-            merged[k].extend(demand.samples[k])
-    result = Figure9Result()
+            merged.samples[k].extend(demand.samples[k])
     coverages = (0.5, 0.75, 0.9, 0.95, 0.99)
-    for k in (1, 2, 3):
-        data = sorted(merged[k])
-        result.coverage[k] = {
-            c: (data[min(len(data) - 1, int(c * len(data)))] if data else 0)
-            for c in coverages
-        }
-    return result
+    return Figure9Result({
+        k: {c: merged.registers_needed(k, c) for c in coverages}
+        for k in (1, 2, 3)
+    })
 
 
 # ====================================================================== Fig 10

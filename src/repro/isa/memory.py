@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Union
 
 Value = Union[int, float]
 
@@ -33,15 +33,6 @@ class SparseMemory:
 
     def store(self, addr: int, value: Value) -> None:
         self._words[self._align(addr)] = value
-
-    def load_block(self, addr: int, count: int) -> list[Value]:
-        base = self._align(addr)
-        return [self.load(base + 8 * i) for i in range(count)]
-
-    def store_block(self, addr: int, values: Iterable[Value]) -> None:
-        base = self._align(addr)
-        for i, value in enumerate(values):
-            self.store(base + 8 * i, value)
 
     def copy(self) -> "SparseMemory":
         clone = SparseMemory()

@@ -77,8 +77,7 @@ class MachineConfig:
 
     Frozen: edits go through ``dataclasses.replace`` (or
     :meth:`with_scheme`), which builds a new instance, so the per-instance
-    memos (:meth:`opcode_table`, :meth:`canonical_json`, the kernel
-    fingerprint) can never describe a stale configuration and one
+    memos (:meth:`canonical_json`, the kernel fingerprint) can never describe a stale configuration and one
     instance can be shared by every sweep point that uses it.
     """
 
@@ -168,28 +167,7 @@ class MachineConfig:
     # safety valve for the cycle loop
     max_cycles: int = 50_000_000
 
-    # ------------------------------------------------------------------ tables
-    def opcode_table(self) -> dict:
-        """Per-opcode decode table: Op -> (fu kind, latency, pipelined).
-
-        Joins the static opcode metadata with this machine's functional-unit
-        configuration once, so consumers (the bench harness, custom
-        reporting) never re-derive latency per instruction.  Cached on the
-        instance; invalidated implicitly by ``dataclasses.replace`` because
-        that builds a new instance.
-        """
-        table = getattr(self, "_opcode_table", None)
-        if table is None:
-            from repro.isa.opcodes import OPCODES  # avoid import cycle
-
-            table = {
-                op: (info.fu, self.fu_config[info.fu][1],
-                     self.fu_config[info.fu][2])
-                for op, info in OPCODES.items()
-            }
-            object.__setattr__(self, "_opcode_table", table)
-        return table
-
+    # ------------------------------------------------------------------ identity
     def canonical_json(self) -> str:
         """Sorted-key JSON of every field, nested hierarchy included: the
         configuration's identity in result-cache keys and kernel

@@ -409,14 +409,6 @@ class SampledStats:
         """Half-width of the 95% confidence interval (normal approx)."""
         return 1.96 * self.stderr(metric)
 
-    def ci_report(self) -> dict:
-        """{metric: {"mean", "stderr", "ci95"}} for every sampled metric."""
-        return {
-            metric: {"mean": self.mean(metric), "stderr": self.stderr(metric),
-                     "ci95": self.ci95(metric)}
-            for metric in self._METRICS
-        }
-
     @property
     def detail_fraction(self) -> float:
         """Fraction of the stream simulated in detailed mode."""

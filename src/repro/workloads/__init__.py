@@ -23,12 +23,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "EXTRA_KERNELS": ".kernels_extra",
     "ALL_KERNELS": ".kernels_extra",
     "MICROBENCHES": ".microbench",
-    "PROGRAMS": ".programs",
     "annotate_hints": ".lookahead",
-    "save_trace": ".trace_io",
-    "load_trace": ".trace_io",
-    "save_trace_file": ".trace_io",
-    "load_trace_file": ".trace_io",
     "WorkloadProfile": ".profiles",
     "BENCHMARKS": ".profiles",
     "SPECINT": ".profiles",
@@ -45,12 +40,7 @@ __all__ = [
     "EXTRA_KERNELS",
     "ALL_KERNELS",
     "MICROBENCHES",
-    "PROGRAMS",
     "annotate_hints",
-    "save_trace",
-    "load_trace",
-    "save_trace_file",
-    "load_trace_file",
     "WorkloadProfile",
     "BENCHMARKS",
     "SPECINT",

@@ -1,15 +1,13 @@
 """Binary columnar trace codec (the :class:`TraceCache` storage format).
 
-:mod:`repro.workloads.trace_io` (JSON lines) remains the human-readable
-interchange format; this module is the *fast* one.  A trace is stored as
-a versioned, checksummed block of fixed-width columns — one array per
-DynInst field — instead of one JSON object per instruction, so decoding
-a workload is a handful of C-level ``struct.unpack`` calls plus one
-tight materialization loop, rather than per-line ``json.loads`` + dict
-lookups + register-name parsing.  Measured on the synthetic benchmark
-traces this decodes >5x faster than gzipped JSON lines, and the parsed
-columns can be kept and re-materialized per pass, which is another ~3x
-on top.  The pipeline mutates instructions in place, so a pass needs
+A trace is stored as a versioned, checksummed block of fixed-width
+columns — one array per DynInst field — instead of one JSON object per
+instruction, so decoding a workload is a handful of C-level
+``struct.unpack`` calls plus one tight materialization loop, rather than
+per-line ``json.loads`` + dict lookups + register-name parsing.
+Measured on the synthetic benchmark traces this decodes >5x faster than
+the gzipped JSON lines it replaced, and the parsed columns can be kept
+and re-materialized per pass, which is another ~3x on top.  The pipeline mutates instructions in place, so a pass needs
 either fresh :class:`~repro.isa.dyninst.DynInst` objects or a list put
 back to its just-decoded state (:meth:`TraceColumns.rewind`, which
 builds no objects).

@@ -1,9 +1,12 @@
-"""Dynamic-instruction trace serialization (JSON lines).
+"""JSON-lines trace serialization: the test oracle of the trace codec.
 
-Lets workload traces be captured once and replayed (e.g. to compare
-schemes on byte-identical inputs, or to ship a workload without its
-generator).  Each line is one DynInst; architectural facts only — pipeline
-bookkeeping is not serialized.
+Each line is one DynInst; architectural facts only — pipeline
+bookkeeping is not serialized.  No command reads or writes these lines:
+the trace cache stores the binary columns of
+:mod:`repro.workloads.trace_codec`, whose ``decode(encode(insts))`` is
+defined to equal a :func:`save_trace`/:func:`load_trace` round trip.
+``tests/test_trace_codec.py`` and ``tests/test_columnar_ff.py`` hold the
+codec and the columnar fast-forward against this module.
 """
 
 from __future__ import annotations
@@ -85,13 +88,3 @@ def load_trace(handle: IO[str]) -> Iterator[DynInst]:
         line = line.strip()
         if line:
             yield _decode(json.loads(line))
-
-
-def save_trace_file(insts: Iterable[DynInst], path: str) -> int:
-    with open(path, "w") as handle:
-        return save_trace(insts, handle)
-
-
-def load_trace_file(path: str) -> list[DynInst]:
-    with open(path) as handle:
-        return list(load_trace(handle))

@@ -76,6 +76,23 @@ def test_motivation_command(capsys):
     assert "reuse chains" in out
 
 
+@pytest.mark.parametrize("switch, value, command", [
+    ("REPRO_SCALE", "Full", ["figures", "fig12"]),
+    ("REPRO_JOBS", "banana", ["compare", "gsm", "--sizes", "48",
+                              "--insts", "500"]),
+    ("REPRO_SAMPLING", "banana", ["compare", "gsm", "--sizes", "48",
+                                  "--insts", "500"]),
+])
+def test_bad_environment_switch_is_a_usage_error(switch, value, command,
+                                                 monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv(switch, value)
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and value in err
+    assert "Traceback" not in err
+
+
 def test_scheme_choices_enforced():
     with pytest.raises(SystemExit):
         main(["bench", "gcc", "--scheme", "bogus"])

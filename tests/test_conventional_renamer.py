@@ -66,7 +66,7 @@ def test_recover_restores_map_and_free_list():
     assert diff == 4
     assert renamer.free_registers(RegClass.INT) == free0
     domain = renamer.domains[RegClass.INT]
-    assert domain.map.snapshot() == domain.retire_map.snapshot()
+    assert domain.map.entries == domain.retire_map.entries
 
 
 def test_values_follow_tags():

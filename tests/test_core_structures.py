@@ -117,14 +117,14 @@ def test_free_list_exhaustion():
     fl = BankedFreeList(cfg)
     assert fl.allocate(0) is not None
     assert fl.allocate(0) is None
-    assert not fl.has_any()
+    assert fl.free_count() == 0
 
 
 # ----------------------------------------------------------------- PRT
 def test_prt_read_bit_and_reuse():
     prt = PhysicalRegisterTable(4, counter_bits=2)
-    assert not prt.mark_read(1)  # first consumer sees clear bit
-    assert prt.mark_read(1)  # second consumer sees set bit
+    assert not prt[1].read_bit  # first consumer sees clear bit
+    prt[1].read_bit = True  # ...and sets it
     version = prt.reuse(1)
     assert version == 1
     assert not prt[1].read_bit  # new version unconsumed

@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.harness.export import (
-    compare_speedup_exports,
-    export_results,
-    load_results,
-    result_to_dict,
-)
+from repro.harness.export import export_results, result_to_dict
 from repro.harness.figures import figure2, figure3
 from repro.harness.runner import Scale
 
@@ -21,7 +16,8 @@ def test_result_roundtrip(tmp_path):
     fig3 = figure3(SCALE)
     path = tmp_path / "results.json"
     export_results({"figure2": fig2, "figure3": fig3}, str(path))
-    loaded = load_results(str(path))
+    with open(path) as handle:
+        loaded = json.load(handle)
     assert loaded["figure2"]["_type"] == "Figure2Result"
     assert loaded["figure3"]["_type"] == "Figure3Result"
     histogram = loaded["figure2"]["histograms"]["specfp"]
@@ -39,12 +35,3 @@ def test_result_to_dict_rejects_non_dataclass():
     with pytest.raises(TypeError):
         result_to_dict(42)
 
-
-def test_speedup_regression_comparison():
-    old = {"rows": [{"benchmark": "x", "speedups": {"48": 1.05, "96": 1.00}}]}
-    same = {"rows": [{"benchmark": "x", "speedups": {"48": 1.06, "96": 1.01}}]}
-    moved = {"rows": [{"benchmark": "x", "speedups": {"48": 0.90, "96": 1.00}}]}
-    assert compare_speedup_exports(old, same) == []
-    regressions = compare_speedup_exports(old, moved)
-    assert len(regressions) == 1
-    assert regressions[0][0] == "x" and regressions[0][1] == "48"

@@ -71,12 +71,6 @@ def test_sharing_shrinks_dead_interval():
     assert shar.mean_dead_interval < conv.mean_dead_interval
 
 
-def test_percentile_monotone():
-    processor = traced_run(PROGRAM, "conventional", int_regs=64, fp_regs=64)
-    analysis = analyze_lifetimes(processor.trace)
-    assert analysis.percentile_dead(0.5) <= analysis.percentile_dead(0.9)
-
-
 def test_unread_values_anchor_at_definition():
     text = """
     main: movi x1, 1     # never read

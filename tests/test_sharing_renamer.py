@@ -339,7 +339,7 @@ def test_can_rename_true_when_reuse_possible_despite_exhaustion():
     i1 = make_inst(Op.MOVI, "x1", (), pc=1)
     renamer.rename(i1, never_ready)
     # drain the free list
-    while renamer.domains[RegClass.INT].free.has_any():
+    while renamer.domains[RegClass.INT].free.free_count():
         renamer.domains[RegClass.INT].free.allocate(0)
     # x1's new register may be reusable if it landed in a shadow bank
     i2 = make_inst(Op.ADD, "x1", ("x1", "x9"), pc=2)

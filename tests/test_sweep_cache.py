@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -110,7 +111,7 @@ def test_corrupted_entry_is_a_miss_not_a_crash(cache):
     key = cache.key_for(config, PROFILE, TINY.insts, 1)
     cache.put(key, _stats())
 
-    path = cache._path(key)
+    path = Path(cache._file(key))
     path.write_text("{ not json at all")
     assert cache.get(key) is None
     assert not path.exists()  # corrupt entry dropped
@@ -121,14 +122,12 @@ def test_corrupted_entry_is_a_miss_not_a_crash(cache):
     assert cache.get(key) is None
 
 
-def test_clear_and_prune(cache):
+def test_clear(cache):
     config = make_config(PROFILE, "sharing", 48)
     for seed in range(5):
         cache.put(cache.key_for(config, PROFILE, TINY.insts, seed), _stats())
     assert len(cache) == 5
-    assert cache.prune(max_entries=2) == 3
-    assert len(cache) == 2
-    assert cache.clear() == 2
+    assert cache.clear() == 5
     assert len(cache) == 0
 
 

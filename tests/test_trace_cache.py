@@ -1,5 +1,7 @@
 """Tests for the on-disk pregenerated-trace cache (repro.harness.cache)."""
 
+from pathlib import Path
+
 import pytest
 
 import repro.harness.cache as cache_mod
@@ -87,7 +89,7 @@ def test_corrupt_binary_entry_is_a_miss_and_removed(tmp_path):
     cache = TraceCache(tmp_path, fingerprint="fp")
     key = cache.key_for(PROFILE, 400, 1)
     cached_stream(PROFILE, 400, seed=1, cache=cache)
-    path = cache._path(key)
+    path = Path(cache._file(key))
     assert path.suffix == ".rtc" and path.is_file()
 
     path.write_bytes(b"not a trace blob")
@@ -111,7 +113,7 @@ def test_truncated_body_is_a_miss(tmp_path):
     # a torn write that kept the header but lost part of the payload
     cache.put_blob(key, blob[:len(blob) // 2])
     assert cache.get_blob(key) is None
-    assert not cache._path(key).exists()
+    assert not Path(cache._file(key)).exists()
 
 
 def test_jsonl_entry_is_neither_served_nor_counted(tmp_path):
@@ -127,7 +129,7 @@ def test_jsonl_entry_is_neither_served_nor_counted(tmp_path):
     stream = cached_stream(PROFILE, 300, seed=1, cache=cache)
     assert isinstance(stream, TraceStream)
     assert cache.hits == 0 and cache.misses == 1
-    assert cache._path(key).is_file()
+    assert Path(cache._file(key)).is_file()
     assert len(cache) == 1
 
 

@@ -14,6 +14,7 @@ as misses, never as errors.
 
 import io
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,7 +178,7 @@ def test_version_skew_is_loud():
 def test_bad_blobs_read_as_cache_misses(tmp_path, blob):
     cache = TraceCache(tmp_path, fingerprint="fp")
     key = cache.key_for(BENCHMARKS["gsm"], 16, 1)
-    path = cache._path(key)
+    path = Path(cache._file(key))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(blob)
     assert cache.get_blob(key) is None

@@ -5,15 +5,10 @@ import io
 from repro import MachineConfig, assemble
 from repro.frontend.fetch import IterSource
 from repro.isa.executor import FunctionalExecutor
-from repro.pipeline.processor import Processor, simulate
+from repro.pipeline.processor import Processor
 from repro.pipeline.trace import reuse_annotations, trace_gantt, trace_table
 from repro.workloads import BENCHMARKS, SyntheticWorkload
-from repro.workloads.trace_io import (
-    load_trace,
-    load_trace_file,
-    save_trace,
-    save_trace_file,
-)
+from repro.workloads.trace_io import load_trace, save_trace
 
 PROGRAM = """
 main: movi x1, 4
@@ -90,18 +85,3 @@ def test_trace_roundtrip():
         assert a.result == b.result
         assert (a.taken, a.target, a.next_pc) == (b.taken, b.target, b.next_pc)
         assert a.mem_addr == b.mem_addr
-
-
-def test_trace_file_roundtrip_and_simulation(tmp_path):
-    """A saved trace replays through the pipeline identically."""
-    insts = list(SyntheticWorkload(BENCHMARKS["gsm"], total_insts=2_000))
-    path = tmp_path / "trace.jsonl"
-    save_trace_file(insts, str(path))
-
-    config = MachineConfig(scheme="sharing", int_regs=64, fp_regs=64)
-    direct = simulate(config, iter(insts))
-    config = MachineConfig(scheme="sharing", int_regs=64, fp_regs=64)
-    replayed = simulate(config, iter(load_trace_file(str(path))))
-    assert replayed.cycles == direct.cycles
-    assert replayed.committed == direct.committed
-    assert replayed.renamer_stats.reuses == direct.renamer_stats.reuses

@@ -60,7 +60,7 @@ def test_sharing_walkback_restores_map_and_versions():
     i1 = make_inst(Op.ADD, "x1", ("x2", "x3"), pc=1)
     renamer.rename(i1, never_ready)
     renamer.write(i1.dest_tag, 41)
-    map_before = renamer.domains[i1.dest.cls].map.snapshot()
+    map_before = renamer.domains[i1.dest.cls].map.entries.copy()
     prt = renamer.domains[i1.dest.cls].prt
 
     # wrong path: a chain reusing x1's register twice + a fresh allocation
@@ -77,7 +77,7 @@ def test_sharing_walkback_restores_map_and_versions():
     restores = renamer.squash_to([w3, w2, w1])  # youngest first
     assert restores == 2  # two reuses rolled back
     assert prt[phys].version == 0
-    assert renamer.domains[i1.dest.cls].map.snapshot() == map_before
+    assert renamer.domains[i1.dest.cls].map.entries.copy() == map_before
     assert renamer.domains[i1.dest.cls].free.free_count() == free_before + 1
     # the shadow-cell copy of the original value is current again
     assert renamer.read(i1.dest_tag) == 41
