@@ -33,13 +33,12 @@ schemes and shrinks failures to on-disk reproducers.
 sweep engine: ``--jobs N`` (default: ``REPRO_JOBS`` env, else 1) fans the
 points out over N worker processes, and results are served from the
 persistent result cache (``REPRO_CACHE_DIR``, default
-``~/.cache/repro/sweeps``) unless ``--no-cache`` is given.  The engine is
-resilient on demand: ``--timeout`` bounds each point's wall clock (the
-straggler's worker is killed and the point requeued), ``--retries``
-grants bounded re-execution with exponential backoff.  Every finished
-point is published to the result cache crash-safely, so rerunning an
-interrupted sweep resumes where it stopped; a ``--no-cache`` sweep does
-not resume (docs/RESILIENCE.md).
+``~/.cache/repro/sweeps``) unless ``--no-cache`` is given.  Each point
+runs once: a crash or a dead worker fails that point and the rest of the
+sweep carries on.  Every finished point is published to the result cache
+crash-safely, so rerunning an interrupted or partly failed sweep
+simulates only what is missing; a ``--no-cache`` sweep does not resume
+(docs/RESILIENCE.md).
 
 ``faults`` runs the seeded fault-injection campaign
 (:mod:`repro.faults`): transient PRF bit flips, PRT metadata corruption,
@@ -117,17 +116,6 @@ def _sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache (the "
                              "sweep then does not resume)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-point wall-clock budget; a straggler's "
-                             "worker is killed and the point requeued")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="re-execution attempts per point after a "
-                             "crash, worker death or timeout (default 0)")
-    parser.add_argument("--retry-delay", type=float, default=0.25,
-                        metavar="SECONDS",
-                        help="base backoff between retry attempts "
-                             "(exponential with jitter; default 0.25)")
 
 
 def _config(args) -> MachineConfig:
@@ -376,15 +364,8 @@ def _sweep_cache(args):
 
 def _sweep_engine(args) -> dict:
     """Keyword arguments for run_points / the figure helpers, resolved
-    from the shared --jobs/--no-cache/--timeout/--retries/--retry-delay
-    options."""
-    return {
-        "jobs": args.jobs,
-        "cache": _sweep_cache(args),
-        "timeout": getattr(args, "timeout", None),
-        "retries": getattr(args, "retries", 0),
-        "retry_delay": getattr(args, "retry_delay", 0.25),
-    }
+    from the shared --jobs/--no-cache options."""
+    return {"jobs": args.jobs, "cache": _sweep_cache(args)}
 
 
 def cmd_compare(args) -> int:

@@ -221,13 +221,6 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries())
 
-    def clear(self) -> int:
-        """Remove every entry; returns how many were removed."""
-        entries = self._entries()
-        for path in entries:
-            _unlink_quietly(path)
-        return len(entries)
-
 
 # ---------------------------------------------------------------------- traces
 def default_trace_dir() -> Path:
@@ -412,12 +405,6 @@ class TraceCache:
     def __len__(self) -> int:
         return len(self._entries())
 
-    def clear(self) -> int:
-        entries = self._entries()
-        for path in entries:
-            _unlink_quietly(path)
-        return len(entries)
-
 
 class TraceMemo:
     """Process-local LRU of decoded trace streams.
@@ -458,18 +445,11 @@ class TraceMemo:
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
-
-    def stats(self) -> dict:
-        return {"limit": self.limit, "entries": len(self._entries),
-                "hits": self.hits, "misses": self.misses}
 
 
 #: process-wide memo instance; replace via :func:`reset_trace_memo`

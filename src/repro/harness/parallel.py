@@ -1,26 +1,23 @@
-"""Parallel sweep execution engine with fault-tolerant workers.
+"""Parallel sweep execution engine.
 
 Every paper figure is a grid of fully independent simulations.  This
 module turns that grid into data: a sweep is a list of
 :class:`SweepPoint` values (benchmark profile x scheme x register-file
 size x instruction count x seed) which :func:`run_points` executes by
-one of two routes, picked from its arguments:
+one of two routes, picked by ``jobs``:
 
-* **in-process serial** for ``jobs=1`` without a ``timeout``;
-* the **pipe fleet** (:func:`_run_fleet`) for ``jobs > 1`` or any
-  ``timeout``: forked workers fed over pipes, a wall-clock deadline per
-  in-flight point, kill-and-requeue for stragglers, respawn for dead
-  workers, bounded retries with exponential backoff.
+* **in-process serial** (:func:`_run_serial`) for ``jobs=1``;
+* the **pipe fleet** (:func:`_run_fleet`) for ``jobs > 1``: forked
+  workers fed one point at a time over pipes, a dead worker respawned
+  for the rest of the sweep.
 
-Both drive one scheduler core (:class:`_Scheduler`) whose slots are
-this process or forked pipe workers: one requeue rule (retry with
-backoff, or fail with a bounded error) and first-wins resolution.  A
-worker death consumes one attempt, like a crash.
-
-Results cross the process boundary as plain
+Each point runs once.  Results cross the process boundary as plain
 :meth:`~repro.pipeline.stats.SimStats.to_dict` dicts (cheap to pickle); a
-crashed simulation is captured as a per-point error — with its full
-worker-side traceback — instead of killing the sweep.
+crashed simulation is captured as a per-point error — with its bounded
+worker-side traceback — and a worker that dies fails the point it was
+running; either way the rest of the sweep carries on.  A runaway point
+is stopped by the simulator itself (``PipelineHang``: a cycle budget and
+a no-progress check), so the engine sets no wall-clock bound of its own.
 
 Persistence is one cache-backed store: an optional
 :class:`~repro.harness.cache.ResultCache` serves previously computed
@@ -28,8 +25,9 @@ points without re-simulating, and every fresh success is published to it
 crash-safely (temp file, fsync, atomic rename) before ``progress`` fires
 for that point.  A sweep killed mid-flight (SIGKILL, OOM, power) is
 resumed by rerunning it against the same cache: finished points are
-served as hits and only incomplete points are re-simulated.  A sweep
-without a cache (``--no-cache``) does not resume.
+served as hits and only incomplete points are re-simulated — the one
+recovery path, for a killed sweep and for a failed point alike.  A
+sweep without a cache (``--no-cache``) does not resume.
 
 The sweep data plane is fork itself: before the pipe fleet forks, the
 parent warms its trace memo with every distinct pending workload and its
@@ -43,16 +41,14 @@ rewinding them between points instead of materializing them again.
 Determinism: a point's result does not depend on how it was executed —
 serial, the pipe fleet or the cached path, its trace from the memo or
 from disk — all reproduce bit-identical counters, which the tests
-assert.  Retries, backoff jitter, warming and affinity only affect
-*when and where* a point runs, never its result.
+assert.  Warming and affinity only affect *when and where* a point
+runs, never its result.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import random
-import time
 import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -106,9 +102,6 @@ class PointResult:
     error: Optional[str] = None
     #: served from the result cache (a warm or resumed sweep)
     cached: bool = False
-    #: execution attempts this result took (1 = first try; 0 = not run,
-    #: i.e. a cache hit)
-    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -180,18 +173,18 @@ def simulate_point(point: SweepPoint):
 _POINT_RUNNER: Callable = simulate_point
 
 
-def _worker(payload: tuple[int, SweepPoint]) -> tuple[int, Optional[dict], Optional[str]]:
-    """Worker entry point: never raises, ships results as dicts.
+def _worker(point: SweepPoint) -> tuple[Optional[dict], Optional[str]]:
+    """Run one point: ``(stats dict, None)`` or ``(None, error)``; never
+    raises.
 
     Failures carry the full traceback, not just ``repr(exc)`` — a sweep
     failure must be debuggable from the parent process alone, without
     re-running the point under a debugger.
     """
-    index, point = payload
     try:
-        return index, _POINT_RUNNER(point).to_dict(), None
+        return _POINT_RUNNER(point).to_dict(), None
     except Exception as exc:
-        return index, None, _bound_error(
+        return None, _bound_error(
             f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
 
 
@@ -215,19 +208,6 @@ def _bound_error(text: Optional[str]) -> Optional[str]:
     return (f"{text[:head]}\n"
             f"... [{dropped} characters truncated] ...\n"
             f"{text[-tail:]}")
-
-
-def _backoff(base: float, attempt: int, salt: int) -> float:
-    """Exponential backoff with deterministic jitter.
-
-    Jitter decorrelates retry bursts across points without introducing
-    nondeterminism into tests: the jitter is a pure function of
-    (point index, attempt).
-    """
-    if base <= 0:
-        return 0.0
-    jitter = random.Random((salt << 8) | attempt).uniform(0.0, base / 2)
-    return base * (2 ** (attempt - 1)) + jitter
 
 
 # ------------------------------------------------------------------ warm-up
@@ -291,7 +271,7 @@ class _AffinityQueue:
     are parsed lazily in each process (``TraceStream.columns()``) and a
     process keeps one workload's instructions resident
     (``TraceStream.replay()``), so a worker that stays on one workload
-    parses and materializes it once.  Tasks are grouped
+    parses and materializes it once.  Points are grouped
     by workload key; ``pop`` prefers the worker's last workload, then the
     largest group no other busy worker currently owns (spreads distinct
     workloads across the fleet), then the largest group outright.  Ties
@@ -299,21 +279,23 @@ class _AffinityQueue:
     fleet state.
     """
 
-    def __init__(self, points: list) -> None:
+    def __init__(self, points: list, pending: Iterable[int] = ()) -> None:
         self._points = points
-        #: wkey -> FIFO list of (index, attempt); dicts keep insertion order
-        self._groups: dict[tuple, list[tuple[int, int]]] = {}
+        #: wkey -> FIFO list of point indices; dicts keep insertion order
+        self._groups: dict[tuple, list[int]] = {}
+        for index in pending:
+            self.push(index)
 
-    def push(self, index: int, attempt: int) -> None:
+    def push(self, index: int) -> None:
         self._groups.setdefault(_workload_key(self._points[index]),
-                                []).append((index, attempt))
+                                []).append(index)
 
     def __len__(self) -> int:
         return sum(map(len, self._groups.values()))
 
     def pop(self, last: Optional[tuple] = None,
-            owned: frozenset = frozenset()) -> Optional[tuple[int, int]]:
-        """Next (index, attempt) for a worker whose previous task ran
+            owned: frozenset = frozenset()) -> Optional[int]:
+        """Next point index for a worker whose previous point ran
         workload ``last``; ``owned`` holds workload keys other busy
         workers are executing right now."""
         if not self._groups:
@@ -322,132 +304,11 @@ class _AffinityQueue:
             last = max([wkey for wkey in self._groups if wkey not in owned]
                        or self._groups,
                        key=lambda wkey: len(self._groups[wkey]))
-        tasks = self._groups[last]
-        task = tasks.pop(0)
-        if not tasks:
+        group = self._groups[last]
+        index = group.pop(0)
+        if not group:
             del self._groups[last]
-        return task
-
-
-# ---------------------------------------------------------------- scheduler
-@dataclass(frozen=True)
-class _Lease:
-    """One in-flight execution of a point."""
-
-    key: str
-    index: int
-    attempt: int
-    #: who runs it: a pipe-fleet slot position, or None for the serial
-    #: route's in-process run
-    worker: Optional[int]
-    #: monotonic wall-clock bound, fixed at lease time; None means
-    #: unbounded
-    deadline: Optional[float] = None
-
-
-class _Scheduler:
-    """The queue/retry core behind both sweep routes.
-
-    Owns the workload-affine ready queue, the backoff-delayed retries,
-    the in-flight leases and the unresolved set.  A route leases points
-    to its slots — this process in :func:`_run_serial`, forked pipe
-    workers in :func:`_run_fleet` — and reports every attempt's outcome
-    through :meth:`settle`; ``finish`` fires exactly once per point.
-    Not thread-safe.
-    """
-
-    def __init__(self, points: list, pending: list[int],
-                 finish: Callable[[int, PointResult], None],
-                 retries: int, retry_delay: float) -> None:
-        self.points = points
-        self.retries = retries
-        self.retry_delay = retry_delay
-        self.queue = _AffinityQueue(points)
-        for index in pending:
-            self.queue.push(index, 1)
-        #: (ready-at monotonic time, index, attempt) backing off
-        self.delayed: list[tuple[float, int, int]] = []
-        self.leases: dict[str, _Lease] = {}
-        self.unresolved = set(pending)
-        self._finish = finish
-        self._seq = 0
-        #: worker -> workload key of its latest lease, kept across
-        #: completions (and respawns: affinity is only a hint)
-        self._last: dict[Optional[int], tuple] = {}
-
-    def lease(self, worker: Optional[int],
-              ttl: Optional[float]) -> Optional[_Lease]:
-        """Lease the best ready point to ``worker`` for ``ttl`` seconds
-        (None: unbounded); returns None when nothing is ready."""
-        now = time.monotonic()
-        if self.delayed:
-            ready = sorted(entry for entry in self.delayed if entry[0] <= now)
-            if ready:
-                self.delayed = [e for e in self.delayed if e[0] > now]
-                for _, index, attempt in ready:
-                    self.queue.push(index, attempt)
-        owned = frozenset(_workload_key(self.points[lease.index])
-                          for lease in self.leases.values()
-                          if lease.worker != worker)
-        task = self.queue.pop(self._last.get(worker), owned)
-        if task is None:
-            return None
-        index, attempt = task
-        self._last[worker] = _workload_key(self.points[index])
-        self._seq += 1
-        lease = _Lease(f"L{self._seq}-{index}.{attempt}", index, attempt,
-                       worker, None if ttl is None else now + ttl)
-        self.leases[lease.key] = lease
-        return lease
-
-    def settle(self, lease: _Lease, stats=None,
-               error: Optional[str] = None) -> bool:
-        """Report a leased attempt's outcome: ``stats`` commits the
-        point, ``error`` requeues it.  Returns True when a retry was
-        granted."""
-        self.leases.pop(lease.key, None)
-        if error is not None:
-            return self.requeue(lease.index, lease.attempt, error)
-        self.resolve(lease.index, PointResult(
-            self.points[lease.index], stats=stats, attempts=lease.attempt))
-        return False
-
-    def expire(self, now: float) -> list[_Lease]:
-        """Release and return every lease past its deadline."""
-        expired = [lease for lease in self.leases.values()
-                   if lease.deadline is not None and now >= lease.deadline]
-        for lease in expired:
-            del self.leases[lease.key]
-        return expired
-
-    def next_wake(self) -> Optional[float]:
-        """The soonest lease deadline or backoff expiry, or None."""
-        return min([lease.deadline for lease in self.leases.values()
-                    if lease.deadline is not None]
-                   + [entry[0] for entry in self.delayed], default=None)
-
-    def requeue(self, index: int, attempt: int, error: str) -> bool:
-        """An attempt failed (crash, worker death, timeout): schedule a
-        retry after backoff and return True, or — retries spent —
-        resolve the point as failed (with the bounded error) and return
-        False."""
-        if attempt > self.retries:
-            self.resolve(index, PointResult(self.points[index],
-                                            error=_bound_error(error),
-                                            attempts=attempt))
-            return False
-        delay = _backoff(self.retry_delay, attempt, index)
-        self.delayed.append((time.monotonic() + delay, index, attempt + 1))
-        return True
-
-    def resolve(self, index: int, result: PointResult) -> bool:
-        """Commit ``result`` unless the point already resolved (first
-        resolution wins; later duplicates are stale)."""
-        if index not in self.unresolved:
-            return False
-        self.unresolved.discard(index)
-        self._finish(index, result)
-        return True
+        return index
 
 
 # ------------------------------------------------------------------ execution
@@ -456,10 +317,6 @@ def run_points(
     jobs: Optional[int] = None,
     cache=None,
     progress: Optional[Callable[[int, int, PointResult], None]] = None,
-    *,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    retry_delay: float = 0.25,
 ) -> list[PointResult]:
     """Execute a sweep; returns one :class:`PointResult` per point, in order.
 
@@ -470,16 +327,9 @@ def run_points(
     completed point.  ``progress(done, total, result)`` fires once per
     resolved point.
 
-    ``jobs=1`` without a ``timeout`` runs in-process; ``jobs > 1`` or a
-    ``timeout`` runs the pipe fleet of ``min(jobs, pending)`` forked
-    workers.  Resilience knobs (all off by default):
-
-    * ``timeout`` — per-point wall-clock seconds; a straggler's worker is
-      killed and the point requeued (consuming a retry) until ``retries``
-      is exhausted, then reported as a per-point failure.
-    * ``retries`` — re-executions granted per point after a crash, a
-      worker death, or a timeout; waits ``retry_delay * 2**(attempt-1)``
-      plus deterministic jitter between attempts.
+    ``jobs=1`` runs in-process; ``jobs > 1`` runs the pipe fleet of
+    ``min(jobs, pending)`` forked workers.  Each point runs once: a
+    crash or a dead worker fails that point and the sweep carries on.
     """
     points = list(points)
     total = len(points)
@@ -501,8 +351,7 @@ def run_points(
         cached = cache.get(cache.key_for_point(point)) if cache is not None \
             else None
         if cached is not None:
-            finish(index, PointResult(point, stats=cached, cached=True,
-                                      attempts=0))
+            finish(index, PointResult(point, stats=cached, cached=True))
         else:
             pending.append(index)
 
@@ -514,87 +363,39 @@ def run_points(
     import repro.pipeline.processor  # noqa: F401
     if any(points[index].sampling is not None for index in pending):
         import repro.sampling.engine  # noqa: F401
-    if jobs == 1 and timeout is None:
-        _run_serial(points, pending, finish, retries, retry_delay)
+    if jobs == 1:
+        _run_serial(points, pending, finish)
     else:
-        # a wall-clock bound needs killable workers, even for jobs=1.
-        # Warm every workload and kernel before the fork, so each worker
+        # warm every workload and kernel before the fork, so each worker
         # inherits them instead of loading its own
         WorkloadBroadcast().publish(points, pending)
-        _run_fleet(points, pending, finish, min(jobs, len(pending)),
-                   timeout, retries, retry_delay)
+        _run_fleet(points, pending, finish, min(jobs, len(pending)))
     return results  # type: ignore[return-value]
 
 
-def _alarm_usable() -> bool:
-    """Whether the SIGALRM watchdog can run here (POSIX, main thread)."""
-    import signal
-    import threading
-
-    return hasattr(signal, "SIGALRM") \
-        and threading.current_thread() is threading.main_thread()
+def _result(point: SweepPoint, stats: Optional[dict],
+            error: Optional[str]) -> PointResult:
+    """A :func:`_worker` outcome as the point's :class:`PointResult`."""
+    return PointResult(point, error=error,
+                       stats=None if stats is None else stats_from_dict(stats))
 
 
-def _run_local(index: int, point: SweepPoint, timeout: Optional[float]):
-    """Run one point in this process: ``(stats, error)``.
-
-    In-process execution is the serial route and the degrade path of a
-    pipe fleet that cannot fork, so it must honour ``timeout`` too: a
-    SIGALRM itimer interrupts the point in-process.  A ``timeout`` is
-    only passed where :func:`_alarm_usable` holds.
-    """
-    if timeout is None:
-        _, stats, error = _worker((index, point))
-    else:
-        import signal
-
-        armed = [True]
-
-        def _alarm(signum, frame):
-            if armed[0]:
-                raise TimeoutError(
-                    f"point exceeded the {timeout}s wall-clock budget "
-                    f"(serial watchdog)")
-
-        previous = signal.signal(signal.SIGALRM, _alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-        try:
-            _, stats, error = _worker((index, point))
-        except TimeoutError as exc:  # fired outside _worker's own handler
-            stats, error = None, f"TimeoutError: {exc}"
-        finally:
-            armed[0] = False
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-    return (None if stats is None else stats_from_dict(stats)), error
-
-
-def _run_serial(points, pending, finish, retries: int,
-                retry_delay: float, timeout: Optional[float] = None) -> None:
-    """In-process execution: the :class:`_Scheduler` core with this
-    process as its only slot (bounded retries, backoff, workload order).
-    Workloads and kernels load lazily, at their first point.
-
-    ``timeout`` keeps the per-point wall-clock bound alive on the
-    degrade path of a pipe fleet that cannot fork — enforced by
-    :func:`_run_local`, never silently dropped.
-    """
-    core = _Scheduler(points, pending, finish, retries, retry_delay)
-    while core.unresolved:
-        lease = core.lease(None, None)
-        if lease is None:  # only backoff-delayed retries remain
-            time.sleep(max(0.0, core.next_wake() - time.monotonic()))
-            continue
-        core.settle(lease, *_run_local(lease.index, points[lease.index],
-                                       timeout))
+def _run_serial(points, pending, finish) -> None:
+    """In-process execution in workload order (:class:`_AffinityQueue`
+    with this process as its only worker).  Workloads and kernels load
+    lazily, at their first point."""
+    queue = _AffinityQueue(points, pending)
+    last = None
+    while (index := queue.pop(last)) is not None:
+        last = _workload_key(points[index])
+        finish(index, _result(points[index], *_worker(points[index])))
 
 
 def _fleet_child(conn) -> None:
-    """Fleet worker main: execute tasks from the pipe until the sentinel.
+    """Fleet worker main: execute points from the pipe until the sentinel.
 
     Runs :func:`_worker` (which never raises), so the only exits are the
-    ``None`` sentinel, a closed pipe, or being killed by the parent's
-    timeout watchdog.
+    ``None`` sentinel, a closed pipe, or the process dying.
 
     The heap inherited from the parent (modules, kernels, the trace
     memo) is frozen on entry: the worker's garbage collections then skip
@@ -603,40 +404,34 @@ def _fleet_child(conn) -> None:
     gc.freeze()
     try:
         while True:
-            task = conn.recv()
-            if task is None:
+            point = conn.recv()
+            if point is None:
                 return
-            conn.send(_worker(task))
+            conn.send(_worker(point))
     except (EOFError, OSError, KeyboardInterrupt):
         return
 
 
 @dataclass
 class _Slot:
-    """One fleet worker: a process, its pipe, and its current lease."""
+    """One fleet worker: a process, its pipe, and its in-flight point."""
 
     process: object
     conn: object
-    lease: Optional[_Lease] = None  # None while idle
+    index: Optional[int] = None  # None while idle
 
 
-def _run_fleet(points, pending, finish, workers: int,
-               timeout: Optional[float], retries: int,
-               retry_delay: float) -> None:
-    """Self-healing worker fleet: the :class:`_Scheduler` core with
-    forked pipe workers as its slots.
+def _run_fleet(points, pending, finish, workers: int) -> None:
+    """Forked pipe workers, fed one point at a time.
 
-    Each dispatched point is a lease whose deadline is ``timeout`` after
-    dispatch; a straggler past it is killed and requeued, and a worker
-    that dies (pipe EOF) is respawned and its point requeued — either
-    way the attempt is consumed, and :meth:`_Scheduler.requeue` retries
-    with backoff or fails the point.  Workers start warm: they inherit
-    the trace and kernel memos :meth:`WorkloadBroadcast.publish` filled
-    before the fork.  Dispatch is workload-affine, so a freed worker
-    preferentially receives a point of its previous workload, whose
-    trace columns it has already parsed and whose instructions are
-    still resident.  Scheduling never affects
-    results — a point is a pure function of itself — only wall-clock.
+    A worker that dies (pipe EOF) fails the point it was running and is
+    respawned for the rest of the sweep.  Workers start warm: they
+    inherit the trace and kernel memos :meth:`WorkloadBroadcast.publish`
+    filled before the fork.  Dispatch is workload-affine, so a freed
+    worker preferentially receives a point of its previous workload,
+    whose trace columns it has already parsed and whose instructions are
+    still resident.  Scheduling never affects results — a point is a
+    pure function of itself — only wall-clock.
 
     Workers are forked (where available) so test doubles installed on
     :data:`_POINT_RUNNER` propagate; each worker owns a dedicated duplex
@@ -673,33 +468,18 @@ def _run_fleet(points, pending, finish, workers: int,
             slots.append(spawn())
     except OSError:
         pass  # fork refused (rlimit, memory): run with what we got
-    if not slots:
-        # cannot fork at all: degrade to in-process serial execution.  A
-        # wall-clock bound then needs SIGALRM; off the main thread there
-        # is no watchdog left, so the points fail rather than run
-        # unbounded
-        if timeout is None or _alarm_usable():
-            _run_serial(points, pending, finish, retries, retry_delay,
-                        timeout=timeout)
-            return
-        for index in pending:
-            finish(index, PointResult(points[index], attempts=0, error=(
-                f"RuntimeError: cannot enforce the {timeout}s wall-clock "
-                f"budget: fork was refused and SIGALRM is unavailable off "
-                f"the main thread")))
+    if not slots:  # cannot fork at all: run in-process
+        _run_serial(points, pending, finish)
         return
 
-    # finished points commit (cache put, progress callback)
-    # only after the freed workers have been sent their next point, so
-    # the commit overlaps simulation instead of idling the fleet
+    queue = _AffinityQueue(points, pending)
+    #: slot position -> workload key of its latest point, kept across
+    #: respawns (affinity is only a hint)
+    last: dict[int, tuple] = {}
+    # finished points commit (cache put, progress callback) only after
+    # the freed workers have been sent their next point, so the commit
+    # overlaps simulation instead of idling the fleet
     resolved: list[tuple[int, PointResult]] = []
-    core = _Scheduler(points, pending,
-                      lambda index, result: resolved.append((index, result)),
-                      retries, retry_delay)
-
-    def commit() -> None:
-        while resolved:
-            finish(*resolved.pop(0))
 
     def replace(position: int) -> None:
         """Kill the worker in ``position`` and start a cold one there."""
@@ -707,62 +487,49 @@ def _run_fleet(points, pending, finish, workers: int,
         slots[position] = spawn()
 
     try:
-        while core.unresolved:
-            # dispatch ready points to idle slots, best-affinity first
+        while True:
+            # dispatch to idle slots, best-affinity first
             for position, slot in enumerate(slots):
-                if slot.lease is not None:
+                if slot.index is not None:
                     continue
-                lease = core.lease(position, timeout)
-                if lease is None:
+                owned = frozenset(_workload_key(points[other.index])
+                                  for other in slots if other.index is not None)
+                index = queue.pop(last.get(position), owned)
+                if index is None:
                     break
-                slot.lease = lease
+                last[position] = _workload_key(points[index])
                 try:
-                    slot.conn.send((lease.index, points[lease.index]))
-                except OSError:
-                    # worker died between tasks: respawn and requeue
+                    slot.conn.send(points[index])
+                    slot.index = index
+                except OSError:  # the worker died between points
                     replace(position)
-                    core.settle(lease, error="worker process died before "
-                                             "accepting the point")
-            commit()
+                    resolved.append((index, PointResult(
+                        points[index], error="worker process died before "
+                                             "accepting the point")))
+            while resolved:
+                finish(*resolved.pop(0))
 
-            busy = [position for position, slot in enumerate(slots)
-                    if slot.lease is not None]
-            wake = core.next_wake()  # a deadline or a backoff expiry
+            busy = [slot.conn for slot in slots if slot.index is not None]
             if not busy:
-                if wake is None:
-                    break  # nothing in flight or backing off
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-            ready = conn_wait([slots[position].conn for position in busy],
-                              timeout=None if wake is None
-                              else max(0.0, wake - time.monotonic()))
-
-            for position in busy:
-                slot = slots[position]
-                if slot.conn not in ready:
+                if not queue:
+                    break
+                continue  # every send failed: dispatch to the respawns
+            ready = conn_wait(busy)
+            for position, slot in enumerate(slots):
+                if slot.index is None or slot.conn not in ready:
                     continue
-                lease, slot.lease = slot.lease, None
+                index, slot.index = slot.index, None
                 try:
-                    _, stats, error = slot.conn.recv()
+                    outcome = slot.conn.recv()
                 except (EOFError, OSError):
                     # the worker died mid-point (segfault, OOM kill)
                     replace(position)
-                    core.settle(lease, error="worker process died while "
-                                             "running the point")
-                    continue
-                core.settle(lease, None if stats is None
-                            else stats_from_dict(stats), error)
-
-            # timeout watchdog: kill stragglers past their deadline
-            for lease in core.expire(time.monotonic()):
-                replace(lease.worker)
-                core.settle(lease, error=f"TimeoutError: point exceeded the "
-                                         f"{timeout}s wall-clock budget "
-                                         f"(attempt {lease.attempt})")
-        commit()
+                    outcome = (None, "worker process died while running "
+                                     "the point")
+                resolved.append((index, _result(points[index], *outcome)))
     finally:
         for slot in slots:
-            if slot.lease is None:
+            if slot.index is None:
                 try:
                     slot.conn.send(None)
                 except OSError:

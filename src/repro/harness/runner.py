@@ -128,12 +128,11 @@ def enumerate_pair_points(profiles, scale: Scale) -> list[SweepPoint]:
 
 
 def sweep_speedups(profiles, scale: Scale, *, jobs: int | None = None,
-                   cache=None, progress=None, **engine) -> list[SpeedupRow]:
+                   cache=None, progress=None) -> list[SpeedupRow]:
     """Speedup rows for Figure 10-style sweeps, via the sweep engine.
 
-    ``jobs``/``cache``/``progress`` — and any further resilience knobs
-    (``timeout``, ``retries``, ``retry_delay``) — are
-    forwarded to :func:`repro.harness.parallel.run_points`; the default
+    ``jobs``/``cache``/``progress`` are forwarded to
+    :func:`repro.harness.parallel.run_points`; the default
     (``jobs=None``, no cache) resolves ``REPRO_JOBS`` and simulates
     in-process, producing bit-identical results to any parallel/cached/
     resumed execution.
@@ -141,8 +140,7 @@ def sweep_speedups(profiles, scale: Scale, *, jobs: int | None = None,
     profiles = list(profiles)
     points = enumerate_pair_points(profiles, scale)
     stats = collect_stats(
-        run_points(points, jobs=jobs, cache=cache, progress=progress,
-                   **engine))
+        run_points(points, jobs=jobs, cache=cache, progress=progress))
     rows = []
     for profile in profiles:
         speedups = {}

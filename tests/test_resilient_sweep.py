@@ -1,22 +1,20 @@
-"""Resilient sweep execution: timeouts, retries, resume from the cache.
+"""Resilient sweep execution: failure capture, worker death, resume
+from the cache.
 
 Worker behaviour is controlled by monkeypatching
 :data:`repro.harness.parallel._POINT_RUNNER`; on Linux the fleet forks
 its workers, so the patched runner propagates into children.
-Cross-process side effects (crash-once counters) go through files, the
-only channel that survives the process boundary.
 """
 
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.harness import parallel
 from repro.harness.cache import ResultCache, atomic_write_text
-from repro.harness.parallel import (PointResult, SweepError,
-                                    SweepPoint, collect_stats, run_points)
+from repro.harness.parallel import (SweepError, SweepPoint, collect_stats,
+                                    run_points)
 from repro.workloads.profiles import BENCHMARKS
 
 TINY = dict(size=48, insts=1500)
@@ -74,113 +72,6 @@ def test_parallel_failure_also_carries_traceback(runner):
     assert all("Traceback" in r.error for r in results)
 
 
-# ------------------------------------------------------------- retries
-def _flaky_runner(marker: Path, fail_times: int):
-    """Fails the first ``fail_times`` calls (counted via a file, so the
-    count is shared across worker processes), then succeeds."""
-
-    def flaky(point):
-        count = int(marker.read_text()) if marker.exists() else 0
-        marker.write_text(str(count + 1))
-        if count < fail_times:
-            raise RuntimeError(f"transient failure #{count}")
-        return parallel.simulate_point(point)
-
-    return flaky
-
-
-def test_serial_retry_recovers_from_transient_failures(tmp_path, runner):
-    runner(_flaky_runner(tmp_path / "count", 2))
-    baseline = parallel.simulate_point(_points(1)[0])
-    results = run_points(_points(1), jobs=1, retries=3, retry_delay=0.01)
-    assert results[0].ok
-    assert results[0].attempts == 3
-    assert results[0].stats.to_dict() == baseline.to_dict()
-
-
-def test_serial_retry_exhaustion_reports_last_error(tmp_path, runner):
-    runner(_flaky_runner(tmp_path / "count", 99))
-    results = run_points(_points(1), jobs=1, retries=2, retry_delay=0.01)
-    assert not results[0].ok
-    assert results[0].attempts == 3  # 1 try + 2 retries
-    assert "transient failure" in results[0].error
-
-
-def test_fleet_retry_recovers_from_transient_failures(tmp_path, runner):
-    runner(_flaky_runner(tmp_path / "count", 1))
-    baseline = parallel.simulate_point(_points(1)[0])
-    results = run_points(_points(1), jobs=2, retries=2, retry_delay=0.01)
-    assert results[0].ok
-    assert results[0].attempts == 2
-    assert results[0].stats.to_dict() == baseline.to_dict()
-
-
-def test_backoff_is_deterministic_and_grows():
-    first = parallel._backoff(0.25, 1, salt=3)
-    again = parallel._backoff(0.25, 1, salt=3)
-    assert first == again
-    assert parallel._backoff(0.25, 3, salt=3) > parallel._backoff(0.25, 1, 3)
-    assert parallel._backoff(0.0, 5, salt=1) == 0.0
-
-
-# ------------------------------------------------------------- timeouts
-def test_timeout_kills_straggler_and_reports_failure(runner):
-    def hang(point):
-        time.sleep(60)
-
-    runner(hang)
-    start = time.monotonic()
-    results = run_points(_points(2), jobs=2, timeout=0.5, retries=0)
-    elapsed = time.monotonic() - start
-    assert elapsed < 30  # nowhere near the 60 s sleep
-    assert all(not r.ok for r in results)
-    assert all("wall-clock" in r.error for r in results)
-
-
-def test_timeout_retry_succeeds_once_point_runs_fast(tmp_path, runner):
-    marker = tmp_path / "slow-once"
-
-    def slow_once(point):
-        if not marker.exists():
-            marker.write_text("x")
-            time.sleep(60)
-        return parallel.simulate_point(point)
-
-    runner(slow_once)
-    baseline = parallel.simulate_point(_points(1)[0])
-    results = run_points(_points(1), jobs=1, timeout=1.0, retries=1,
-                         retry_delay=0.01)
-    assert results[0].ok
-    assert results[0].attempts == 2
-    assert results[0].stats.to_dict() == baseline.to_dict()
-
-
-def test_serial_watchdog_sigalrm_on_main_thread(runner):
-    def hang(point):
-        time.sleep(60)
-
-    runner(hang)
-    collected = {}
-    start = time.monotonic()
-    parallel._run_serial(_points(1), [0], collected.__setitem__,
-                         retries=0, retry_delay=0.01, timeout=0.3)
-    assert time.monotonic() - start < 30
-    assert not collected[0].ok
-    assert "wall-clock budget" in collected[0].error
-
-
-def test_serial_watchdog_clears_after_fast_point():
-    # the itimer must be disarmed once the point returns: a fast point
-    # followed by a slow stretch of non-point work must not blow up
-    import signal
-
-    collected = {}
-    parallel._run_serial(_points(1), [0], collected.__setitem__,
-                         retries=0, retry_delay=0.01, timeout=5.0)
-    assert collected[0].ok
-    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-
-
 @pytest.fixture()
 def no_fork(monkeypatch):
     """Make every fleet spawn fail as if fork were refused."""
@@ -202,41 +93,23 @@ def no_fork(monkeypatch):
                         lambda kind=None: _NoForkCtx(real("fork")))
 
 
-def test_fleet_spawn_failure_degrades_serial_with_timeout(runner, no_fork):
-    # fork refused entirely: the fleet degrades to in-process serial
-    # execution and the wall-clock bound must survive the degrade
-    def hang(point):
-        time.sleep(60)
+def test_fleet_spawn_failure_degrades_to_serial(runner, no_fork):
+    # fork refused entirely: the fleet runs the points in this process
+    pids = []
 
-    runner(hang)
+    def recording(point):
+        pids.append(os.getpid())
+        return parallel.simulate_point(point)
+
+    runner(recording)
+    points = _points(2)
     collected = {}
-    start = time.monotonic()
-    parallel._run_fleet(_points(1), [0], collected.__setitem__,
-                        workers=2, timeout=0.3, retries=0,
-                        retry_delay=0.01)
-    assert time.monotonic() - start < 30
-    assert not collected[0].ok
-    assert "wall-clock budget" in collected[0].error
-
-
-def test_fleet_spawn_failure_off_main_thread_fails_clearly(runner, no_fork):
-    # off the main thread the serial degrade has no SIGALRM, so no
-    # watchdog is left: the point must fail with a clear error, not run
-    # unbounded
-    import threading
-
-    calls = []
-    runner(lambda point: calls.append(point))
-    collected = {}
-    worker = threading.Thread(target=lambda: parallel._run_fleet(
-        _points(1), [0], collected.__setitem__, workers=1, timeout=5.0,
-        retries=0, retry_delay=0.01))
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive()
-    assert not calls  # never executed unbounded
-    assert not collected[0].ok
-    assert "fork was refused" in collected[0].error
+    parallel._run_fleet(points, [0, 1], collected.__setitem__, workers=2)
+    assert pids == [os.getpid()] * 2
+    for index, point in enumerate(points):
+        assert collected[index].ok
+        assert (collected[index].stats.to_dict()
+                == parallel.simulate_point(point).to_dict())
 
 
 # ------------------------------------------------------- bounded errors
@@ -273,47 +146,55 @@ def test_pathological_failure_message_is_bounded(runner):
 
 
 # ------------------------------------------------------------- worker death
-def test_worker_death_is_requeued_and_recovered(tmp_path, runner):
-    marker = tmp_path / "die-once"
+_PYTEST_PID = os.getpid()
 
-    def die_once(point):
-        if not marker.exists():
-            marker.write_text("x")
-            os._exit(17)  # hard exit: no exception, no cleanup
-        return parallel.simulate_point(point)
 
-    runner(die_once)
-    baseline = parallel.simulate_point(_points(1)[0])
-    results = run_points(_points(1), jobs=2, retries=1, retry_delay=0.01)
-    assert results[0].ok
-    assert results[0].stats.to_dict() == baseline.to_dict()
+def _die_on_seed_one(point):
+    """Hard-exit the worker (no exception, no cleanup) on seed 1; only
+    ever in a fleet worker, never in the pytest process."""
+    if point.seed == 1 and os.getpid() != _PYTEST_PID:
+        os._exit(17)
+    return parallel.simulate_point(point)
+
+
+def test_worker_death_consumes_one_attempt_on_the_plain_path(runner):
+    # a point runs once: a dead worker fails the point it was running
+    # while the rest of the sweep runs on respawned workers
+    runner(_die_on_seed_one)
+    results = run_points(_points(3), jobs=2)
+    assert not results[0].ok and "died" in results[0].error
+    assert results[1].ok and results[2].ok
 
 
 def test_worker_death_without_retries_fails_the_point(runner):
-    def die(point):
-        os._exit(17)
-
-    runner(die)
-    results = run_points(_points(1), jobs=2, retries=0, timeout=30.0)
+    # nothing reruns a point: a lone point whose worker dies is failed
+    runner(_die_on_seed_one)
+    results = run_points(_points(1), jobs=2)
     assert not results[0].ok
     assert "died" in results[0].error
 
 
-def test_worker_death_consumes_one_attempt_on_the_plain_path(runner):
-    # no timeout, no retries: a dead worker fails its point (one attempt
-    # consumed) while the rest of the sweep runs on respawned workers
-    marker = os.getpid()
+def test_worker_death_is_requeued_and_recovered(tmp_path, runner):
+    # the result cache is the recovery path: a rerun against it requeues
+    # only the point whose worker died, and gets a clean run's stats
+    points = _points(3)
+    runner(_die_on_seed_one)
+    first = run_points(points, jobs=2, cache=ResultCache(root=tmp_path))
+    assert [r.ok for r in first] == [False, True, True]
 
-    def die_on_seed_one(point):
-        if point.seed == 1 and os.getpid() != marker:
-            os._exit(17)  # only ever in a fleet worker, never in pytest
+    calls = []
+
+    def counting(point):
+        calls.append(point.seed)
         return parallel.simulate_point(point)
 
-    runner(die_on_seed_one)
-    results = run_points(_points(3), jobs=2)
-    assert not results[0].ok and "died" in results[0].error
-    assert results[0].attempts == 1
-    assert results[1].ok and results[2].ok
+    runner(counting)
+    rerun = run_points(points, jobs=1, cache=ResultCache(root=tmp_path))
+    assert calls == [1]
+    assert [r.cached for r in rerun] == [False, True, True]
+    clean = run_points(points, jobs=1)
+    for a, b in zip(rerun, clean):
+        assert a.ok and a.stats.to_dict() == b.stats.to_dict()
 
 
 # ------------------------------------------------------------- routing
@@ -321,15 +202,15 @@ def test_plain_parallel_sweep_runs_the_pipe_fleet(monkeypatch):
     calls = []
     real = parallel._run_fleet
 
-    def spy(points, pending, finish, workers, *args):
+    def spy(points, pending, finish, workers):
         calls.append(workers)
-        return real(points, pending, finish, workers, *args)
+        return real(points, pending, finish, workers)
 
     monkeypatch.setattr(parallel, "_run_fleet", spy)
     results = run_points(_points(3), jobs=2)
     assert all(r.ok for r in results)
     assert calls == [2]
-    run_points(_points(1), jobs=1)  # jobs=1 without a timeout: in-process
+    run_points(_points(1), jobs=1)  # jobs=1: in-process
     assert calls == [2]
 
 
@@ -337,11 +218,10 @@ def test_plain_parallel_sweep_runs_the_pipe_fleet(monkeypatch):
 def test_fleet_results_bit_identical_to_serial():
     points = _points(3)
     serial = run_points(points, jobs=1)
-    fleet = run_points(points, jobs=2, timeout=120.0, retries=2)
-    plain = run_points(points, jobs=2)
-    for a, b, c in zip(serial, fleet, plain):
-        assert a.ok and b.ok and c.ok
-        assert a.stats.to_dict() == b.stats.to_dict() == c.stats.to_dict()
+    fleet = run_points(points, jobs=2)
+    for a, b in zip(serial, fleet):
+        assert a.ok and b.ok
+        assert a.stats.to_dict() == b.stats.to_dict()
 
 
 # ------------------------------------------------------------- resume
@@ -360,7 +240,6 @@ def test_rerun_resumes_from_the_result_cache(tmp_path, runner):
     resumed = run_points(points, jobs=1, cache=ResultCache(root=tmp_path))
     assert calls == [3]  # only the incomplete point re-simulated
     assert [r.cached for r in resumed] == [True, True, False]
-    assert [r.attempts for r in resumed] == [0, 0, 1]
     for a, b in zip(first, resumed):
         assert a.stats.to_dict() == b.stats.to_dict()
 
@@ -401,6 +280,18 @@ def test_cli_rejects_retired_fleet_flag(command, capsys):
         main([*command, f"--{flag}", "H:P"])
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: --{flag} H:P" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--timeout 5", "--retries 1",
+                                  "--retry-delay 0.1"])
+@pytest.mark.parametrize("command", [["compare", "gsm"], ["figures", "fig12"]])
+def test_cli_rejects_retired_resilience_flags(command, flag, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, *flag.split()])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_cli_rejects_retired_fleet_command(capsys):

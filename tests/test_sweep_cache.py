@@ -122,15 +122,6 @@ def test_corrupted_entry_is_a_miss_not_a_crash(cache):
     assert cache.get(key) is None
 
 
-def test_clear(cache):
-    config = make_config(PROFILE, "sharing", 48)
-    for seed in range(5):
-        cache.put(cache.key_for(config, PROFILE, TINY.insts, seed), _stats())
-    assert len(cache) == 5
-    assert cache.clear() == 5
-    assert len(cache) == 0
-
-
 def test_cache_dir_from_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
     cache = ResultCache(fingerprint="fp")

@@ -10,7 +10,6 @@ identity is also covered by ``tools/sweep_smoke.py``; wall-clock by the
 
 import gc
 import os
-import time
 
 import pytest
 
@@ -19,8 +18,7 @@ from repro.codegen.fingerprint import kernel_fingerprint
 from repro.harness import cache as cache_mod
 from repro.harness import parallel
 from repro.harness.cache import reset_trace_memo
-from repro.harness.parallel import (PointResult, SweepPoint, run_points,
-                                    simulate_point)
+from repro.harness.parallel import SweepPoint, run_points, simulate_point
 from repro.harness.runner import make_config
 from repro.workloads.profiles import BENCHMARKS
 from repro.workloads.trace_codec import TraceColumns
@@ -50,18 +48,18 @@ def test_affinity_queue_prefers_same_workload():
 
     queue = parallel._AffinityQueue(points)
     for index in range(5):
-        queue.push(index, attempt=0)
+        queue.push(index)
     assert len(queue) == 5
 
     # same workload beats global FIFO order, FIFO within the workload
-    assert queue.pop(gsm) == (0, 0)
-    assert queue.pop(gsm) == (2, 0)
+    assert queue.pop(gsm) == 0
+    assert queue.pop(gsm) == 2
     # cold worker avoids workloads other busy workers own
-    assert queue.pop(None, owned=frozenset({gsm})) == (1, 0)
+    assert queue.pop(None, owned=frozenset({gsm})) == 1
     # all remaining workloads owned: the largest group, first on a tie
-    assert queue.pop(None, owned=frozenset({gsm, adpcm})) == (3, 0)
+    assert queue.pop(None, owned=frozenset({gsm, adpcm})) == 3
     # the last workload is drained: fall through to what is left
-    assert queue.pop(gsm) == (4, 0)
+    assert queue.pop(gsm) == 4
     assert queue.pop() is None and len(queue) == 0
 
 
@@ -72,49 +70,13 @@ def test_affinity_queue_spreads_distinct_workloads():
 
     queue = parallel._AffinityQueue(points)
     for index in range(5):
-        queue.push(index, attempt=0)
-    # first cold worker takes the largest group (gsm: 3 tasks)
-    index, _ = queue.pop()
+        queue.push(index)
+    # first cold worker takes the largest group (gsm: 3 points)
+    index = queue.pop()
     assert parallel._workload_key(points[index]) == gsm
     # second cold worker is steered off the owned workload
-    index, _ = queue.pop(None, owned=frozenset({gsm}))
+    index = queue.pop(None, owned=frozenset({gsm}))
     assert parallel._workload_key(points[index]) == adpcm
-
-
-def test_scheduler_core_retries_expires_and_resolves_once():
-    points = _mixed_points()[:2]  # gsm/sharing, adpcm/sharing
-    finished = []
-    core = parallel._Scheduler(points, [0, 1],
-                               lambda i, r: finished.append((i, r)),
-                               retries=1, retry_delay=0.0)
-    first = core.lease("w0", ttl=None)
-    second = core.lease("w1", ttl=0.0)  # steered off w0's workload
-    assert (first.index, first.attempt, second.index) == (0, 1, 1)
-    assert core.lease("w2", ttl=None) is None  # nothing ready
-
-    assert core.expire(time.monotonic()) == [second]  # only bounded leases
-    assert core.settle(first, error="crash")  # retry granted
-    retry = core.lease("w0", ttl=None)
-    assert (retry.index, retry.attempt) == (0, 2)
-    huge = "x" * (4 * parallel.ERROR_LIMIT)
-    assert not core.settle(retry, error=huge)  # retries spent
-    (index, failed), = finished
-    assert index == 0 and failed.attempts == 2
-    assert len(failed.error) <= parallel.ERROR_LIMIT
-    assert not core.leases
-
-    assert not core.resolve(0, PointResult(points[0]))  # first wins
-    assert core.resolve(1, PointResult(points[1]))
-    assert not core.unresolved and len(finished) == 2
-
-
-def test_affinity_queue_carries_retry_attempts():
-    points = _mixed_points()
-    queue = parallel._AffinityQueue(points)
-    queue.push(0, attempt=0)
-    queue.pop()
-    queue.push(0, attempt=1)  # requeued after a timeout
-    assert queue.pop() == (0, 1)
 
 
 # ------------------------------------------------------------- warm workers
@@ -130,9 +92,8 @@ def _warm_runner(point):
     return simulate_point(point)
 
 
-@pytest.mark.parametrize("jobs,timeout", [(2, None), (1, 300.0)],
-                         ids=["jobs2", "jobs1-timeout"])
-def test_fleet_workers_start_warm(tmp_path, monkeypatch, jobs, timeout):
+@pytest.mark.parametrize("jobs", [2], ids=["jobs2"])
+def test_fleet_workers_start_warm(tmp_path, monkeypatch, jobs):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     points = (_points(2, insts=800) + _points(2, insts=800, scheme="sharing")
               + _points(1, profile="adpcm", insts=800))
@@ -144,7 +105,7 @@ def test_fleet_workers_start_warm(tmp_path, monkeypatch, jobs, timeout):
     reset_trace_memo()
     monkeypatch.setattr(codegen_cache, "_KERNEL_MEMO", {})
     monkeypatch.setattr(parallel, "_POINT_RUNNER", _warm_runner)
-    results = run_points(points, jobs=jobs, timeout=timeout)
+    results = run_points(points, jobs=jobs)
     assert [r.error for r in results] == [None] * len(points)
     assert [r.stats.to_dict() for r in results] == reference
     reset_trace_memo()
@@ -168,9 +129,8 @@ def _decode_once_runner(point):
     return stats
 
 
-@pytest.mark.parametrize("jobs,timeout", [(2, None), (1, 300.0)],
-                         ids=["jobs2", "jobs1-timeout"])
-def test_fleet_workers_decode_once(tmp_path, monkeypatch, jobs, timeout):
+@pytest.mark.parametrize("jobs", [2], ids=["jobs2"])
+def test_fleet_workers_decode_once(tmp_path, monkeypatch, jobs):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     # several points per workload, workloads interleaved in the grid
     points = [SweepPoint(BENCHMARKS[profile], scheme, 48, 800, seed)
@@ -190,7 +150,7 @@ def test_fleet_workers_decode_once(tmp_path, monkeypatch, jobs, timeout):
     _MATERIALIZED.clear()
     monkeypatch.setattr(TraceColumns, "materialize_range", counted)
     monkeypatch.setattr(parallel, "_POINT_RUNNER", _decode_once_runner)
-    results = run_points(points, jobs=jobs, timeout=timeout)
+    results = run_points(points, jobs=jobs)
     assert [r.error for r in results] == [None] * len(points)
     assert [r.stats.to_dict() for r in results] == reference
     reset_trace_memo()

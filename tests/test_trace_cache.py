@@ -6,7 +6,7 @@ import pytest
 
 import repro.harness.cache as cache_mod
 from repro.harness.cache import (TraceCache, TraceMemo, TraceStream,
-                                 cached_stream)
+                                 cached_stream, reset_trace_memo)
 from repro.harness.runner import make_config
 from repro.pipeline.processor import simulate
 from repro.workloads.generator import SyntheticWorkload
@@ -29,7 +29,7 @@ def test_cold_generates_warm_hits(tmp_path):
     assert cache.misses == 1 and cache.hits == 0
     assert len(cache) == 1
 
-    cache_mod.TRACE_MEMO.clear()
+    reset_trace_memo()
     warm = cached_stream(PROFILE, 500, seed=1, cache=cache)
     assert cache.hits == 1
     assert [d.pc for d in warm] == [d.pc for d in stream]
@@ -97,7 +97,7 @@ def test_corrupt_binary_entry_is_a_miss_and_removed(tmp_path):
     assert not path.exists()  # corrupt entry evicted
 
     # regenerating repopulates the entry transparently
-    cache_mod.TRACE_MEMO.clear()
+    reset_trace_memo()
     stream = cached_stream(PROFILE, 400, seed=1, cache=cache)
     assert path.is_file()
     assert sum(1 for _ in stream) == 400
@@ -151,7 +151,7 @@ def test_memo_is_a_bounded_lru():
     memo.put(("c",), "C")
     assert ("b",) not in memo and ("a",) in memo and ("c",) in memo
     assert len(memo) == 2
-    assert memo.stats()["hits"] == 1
+    assert memo.hits == 1
 
     assert TraceMemo().limit == TraceMemo.DEFAULT_LIMIT
     with pytest.raises(ValueError):
