@@ -6,7 +6,7 @@ JOBS ?= 4
 .PHONY: install test bench bench-parallel bench-full repro examples \
 	sampling-smoke kernel-smoke ports-smoke sweep-smoke \
 	verify fuzz fuzz-smoke faults-smoke faults importtime \
-	golden lint-goldens clean
+	golden clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -86,8 +86,6 @@ examples:
 # regenerate tests/golden_stats.json after an *intended* timing change
 golden:
 	PYTHONPATH=src $(PYTHON) tests/test_golden.py regen
-
-lint-goldens: golden
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

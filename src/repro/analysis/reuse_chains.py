@@ -73,7 +73,6 @@ def analyze_chains(stream: Iterable[DynInst]) -> ReuseChainAnalysis:
     result = ReuseChainAnalysis()
     producer_of.clear()
     chain_depth: dict[int, int] = {}  # producer seq -> depth of its register
-    consumed_so_far: dict[int, int] = {}
     for dyn in insts:
         reuse_from = None
         seen = set()
@@ -84,7 +83,6 @@ def analyze_chains(stream: Iterable[DynInst]) -> ReuseChainAnalysis:
             producer = producer_of.get(src)
             if producer is None:
                 continue
-            consumed_so_far[producer] = consumed_so_far.get(producer, 0) + 1
             if (
                 dyn.dest is not None
                 and src.cls is dyn.dest.cls

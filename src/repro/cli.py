@@ -152,25 +152,6 @@ def _print_stats(stats, detailed: bool = False) -> None:
         print(f"branch accuracy   {100 * stats.branch_stats.accuracy:.1f}%")
 
 
-def _simulate_program(args, program, budget=10_000_000, max_insts=None,
-                      sampling=None, sampling_seed=1):
-    """Run a program; the hinted scheme gets lookahead hint annotation."""
-    from repro.pipeline.processor import simulate
-
-    if args.scheme == "hinted":
-        from repro.frontend.fetch import IterSource
-        from repro.isa.executor import FunctionalExecutor
-        from repro.workloads.lookahead import annotate_hints
-
-        executor = FunctionalExecutor(program)
-        source = IterSource(annotate_hints(executor.run(budget)))
-        return simulate(_config(args), source, max_insts=max_insts,
-                        sampling=sampling, sampling_seed=sampling_seed)
-    return simulate(_config(args), program, max_insts=max_insts,
-                    program_budget=budget, sampling=sampling,
-                    sampling_seed=sampling_seed)
-
-
 def _profiled(args, fn):
     """Run ``fn`` under cProfile when ``--profile PATH`` was given: dump the
     pstats file and print the top-15 functions by cumulative time."""
@@ -192,13 +173,14 @@ def _profiled(args, fn):
 
 def cmd_run(args) -> int:
     from repro.isa.assembler import assemble
+    from repro.pipeline.processor import simulate
 
     with open(args.program) as handle:
         program = assemble(handle.read())
     sampling = _resolve_sampling(args)
     stats = _profiled(
-        args, lambda: _simulate_program(args, program, max_insts=args.insts,
-                                        sampling=sampling))
+        args, lambda: simulate(_config(args), program, max_insts=args.insts,
+                               sampling=sampling))
     _print_stats(stats, args.detailed)
     return 0
 
@@ -442,6 +424,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_kernels(args) -> int:
+    from repro.pipeline.processor import simulate
     from repro.workloads import ALL_KERNELS as KERNELS
 
     if args.list or not args.name:
@@ -451,7 +434,7 @@ def cmd_kernels(args) -> int:
         print(f"unknown kernel {args.name!r}", file=sys.stderr)
         return 1
     kernel = KERNELS[args.name]()
-    stats = _simulate_program(args, kernel.program, budget=2_000_000)
+    stats = simulate(_config(args), kernel.program, program_budget=2_000_000)
     print(f"kernel {kernel.name}: ", end="")
     _print_stats(stats, args.detailed)
     return 0

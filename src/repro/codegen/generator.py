@@ -940,7 +940,6 @@ interval = proc.on_cycle_interval
 slow_commit = (proc.oracle is not None or proc.on_commit is not None
                or proc.trace is not None)
 proc_commit = proc._commit
-recycle = proc._recycle
 is_ready = proc.is_ready
 scoreboard = proc.scoreboard
 n_committed = stats.committed
@@ -1049,8 +1048,6 @@ if rob_entries and rob_entries[0].completed:
             if head.op is _OP_HALT:
                 proc._halted = True
                 break
-            if recycle is not None:
-                recycle.release(head)
             _committed += 1
             last_progress = cycle
 """, "        "))

@@ -18,7 +18,7 @@ one-JSON-file-per-entry under the cache root:
 * ``~/.cache/repro/sweeps``.
 
 **Trace cache** — pregenerated synthetic-workload traces, keyed by
-(profile, insts, seed, body_iters) plus a *generator fingerprint* that
+(profile, insts, seed) plus a *generator fingerprint* that
 hashes only the workload-generation modules, so simulator changes do not
 invalidate traces.  Entries are stored in the binary columnar codec
 (:mod:`repro.workloads.trace_codec`, ``.rtc`` files) under
@@ -254,11 +254,10 @@ def generator_fingerprint() -> str:
 
 
 def trace_key(profile: WorkloadProfile, insts: int, seed: int,
-              body_iters: int = 50,
               fingerprint: Optional[str] = None) -> str:
     """Stable content hash of one pregenerated trace's inputs."""
     blob = payload_json(
-        {"insts": insts, "seed": seed, "body_iters": body_iters,
+        {"insts": insts, "seed": seed,
          "generator": fingerprint if fingerprint is not None
          else generator_fingerprint()},
         profile=profile.canonical_json())
@@ -297,9 +296,9 @@ class TraceStream:
 
     def columns(self):
         if self._columns is None:
-            from repro.workloads.trace_codec import decode_columns
+            from repro.workloads.trace_codec import TraceColumns
 
-            self._columns = decode_columns(self.blob)
+            self._columns = TraceColumns(self.blob)
         return self._columns
 
     def __iter__(self):
@@ -339,9 +338,8 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
 
-    def key_for(self, profile: WorkloadProfile, insts: int, seed: int,
-                body_iters: int = 50) -> str:
-        return trace_key(profile, insts, seed, body_iters, self.fingerprint)
+    def key_for(self, profile: WorkloadProfile, insts: int, seed: int) -> str:
+        return trace_key(profile, insts, seed, self.fingerprint)
 
     def _file(self, key: str) -> str:
         return f"{self._root}/{key[:2]}/{key}.rtc"
@@ -409,7 +407,7 @@ class TraceCache:
 class TraceMemo:
     """Process-local LRU of decoded trace streams.
 
-    Keyed by (profile, insts, seed, body_iters) — the profile itself, which
+    Keyed by (profile, insts, seed) — the profile itself, which
     hashes and compares by content, not its name; bounded by ``limit``
     entries (default 32, 0 disables).  Holding the stream object — not
     just its bytes — keeps a binary stream's parsed columns warm: a
@@ -465,7 +463,7 @@ def reset_trace_memo(limit: int = TraceMemo.DEFAULT_LIMIT) -> TraceMemo:
 
 
 def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,
-                  body_iters: int = 50, cache: Optional[TraceCache] = None):
+                  cache: Optional[TraceCache] = None):
     """The workload stream for one sweep point, via the trace cache.
 
     Resolution order: process-local :class:`TraceMemo` -> on-disk trace
@@ -479,16 +477,16 @@ def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,
     byte-identical streams.
     """
     trace_cache = cache if cache is not None else TraceCache()
-    memo_key = (profile, insts, seed, body_iters)
+    memo_key = (profile, insts, seed)
     stream = TRACE_MEMO.get(memo_key)
     if stream is None:
-        key = trace_cache.key_for(profile, insts, seed, body_iters)
+        key = trace_cache.key_for(profile, insts, seed)
         stream = trace_cache.get_stream(key, insts)
         if stream is None:
             from repro.workloads.generator import SyntheticWorkload
 
-            blob = SyntheticWorkload(profile, total_insts=insts, seed=seed,
-                                     body_iters=body_iters).trace_bytes()
+            blob = SyntheticWorkload(profile, total_insts=insts,
+                                     seed=seed).trace_bytes()
             trace_cache.put_blob(key, blob)
             stream = TraceStream(blob, insts)
         TRACE_MEMO.put(memo_key, stream)

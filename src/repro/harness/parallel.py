@@ -216,7 +216,7 @@ def _workload_key(point: SweepPoint) -> tuple:
     :func:`~repro.harness.cache.cached_stream` arguments, which are also
     its trace-memo key.  The profile enters by content, so a same-name
     variant of a benchmark is a different workload."""
-    return (point.profile, point.insts, point.seed, 50)
+    return (point.profile, point.insts, point.seed)
 
 
 class WorkloadBroadcast:

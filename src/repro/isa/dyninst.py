@@ -123,88 +123,3 @@ class DynInst:
         dest = f" {self.dest}<-" if self.dest is not None else " "
         return f"[{self.seq}@{self.pc}] {self.op.value}{dest}{','.join(map(str, self.srcs))}"
 
-
-class DynInstPool:
-    """Free-pool recycler for :class:`DynInst` objects.
-
-    Long streaming runs allocate one DynInst per dynamic instruction; with
-    ``__slots__`` the objects are small but the allocator churn still
-    dominates quiet workloads.  The functional executor acquires
-    instances here (the synthetic workload generator does not) and the
-    processor releases committed heads back — but only when no
-    trace/oracle/hook can still hold a reference (the :class:`Processor`
-    guards this).  Squashed
-    wrong-path instructions are never released: the completion heap may
-    still reference them.
-    """
-
-    __slots__ = ("_free", "allocated", "recycled")
-
-    def __init__(self) -> None:
-        self._free: list[DynInst] = []
-        self.allocated = 0
-        self.recycled = 0
-
-    def acquire(
-        self,
-        seq: int,
-        pc: int,
-        op: Op,
-        dest: Optional[RegRef] = None,
-        srcs: tuple = (),
-        imm: Union[int, float, None] = None,
-        src_values: tuple = (),
-        hint_src_single_use: tuple = (),
-        hint_dest_single_use: bool = False,
-    ) -> DynInst:
-        free = self._free
-        if not free:
-            self.allocated += 1
-            return DynInst(seq=seq, pc=pc, op=op, dest=dest, srcs=srcs,
-                           imm=imm, src_values=src_values,
-                           hint_src_single_use=hint_src_single_use,
-                           hint_dest_single_use=hint_dest_single_use)
-        self.recycled += 1
-        dyn = free.pop()
-        dyn.seq = seq
-        dyn.pc = pc
-        dyn.op = op
-        dyn.dest = dest
-        dyn.srcs = srcs
-        dyn.imm = imm
-        dyn.src_values = src_values
-        dyn.hint_src_single_use = hint_src_single_use
-        dyn.hint_dest_single_use = hint_dest_single_use
-        # reset every remaining field to its dataclass default
-        dyn.taken = False
-        dyn.target = None
-        dyn.next_pc = 0
-        dyn.mem_addr = None
-        dyn.store_value = None
-        dyn.result = None
-        dyn.faults = False
-        dyn.micro_op = False
-        dyn.pre_renamed = False
-        dyn.wrong_path = False
-        dyn.squashed = False
-        dyn.hint_reuse_depth = 0
-        dyn.dest_tag = None
-        dyn.src_tags = []
-        dyn.prev_map = None
-        dyn.allocated_new = False
-        dyn.reused_src = None
-        dyn.alloc_bank = None
-        dyn.completed = False
-        dyn.exception_raised = False
-        dyn.mispredicted = False
-        dyn.fetch_cycle = -1
-        dyn.rename_cycle = -1
-        dyn.issue_cycle = -1
-        dyn.complete_cycle = -1
-        dyn.commit_cycle = -1
-        dyn._info = OPCODES[op]
-        dyn.lsq_entry = None
-        return dyn
-
-    def release(self, dyn: DynInst) -> None:
-        self._free.append(dyn)

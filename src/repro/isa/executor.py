@@ -193,7 +193,6 @@ class FunctionalExecutor:
         program: Program,
         mem: Optional[SparseMemory] = None,
         fault_model: Optional[FaultModel] = None,
-        pool=None,
     ) -> None:
         self.program = program
         self.state = ArchState(mem=mem if mem is not None else SparseMemory(program.data))
@@ -201,9 +200,6 @@ class FunctionalExecutor:
         self.pc = program.entry
         self.seq = 0
         self.halted = False
-        #: optional DynInstPool; recycles committed instructions the
-        #: processor hands back instead of allocating fresh ones
-        self.pool = pool
 
     # -------------------------------------------------------------- stepping
     def step(self) -> Optional[DynInst]:
@@ -217,26 +213,15 @@ class FunctionalExecutor:
         state = self.state
 
         src_values = tuple(state.read(s) for s in static.srcs)
-        if self.pool is not None:
-            dyn = self.pool.acquire(
-                seq=self.seq,
-                pc=self.pc,
-                op=static.op,
-                dest=static.dest,
-                srcs=static.srcs,
-                imm=static.imm,
-                src_values=src_values,
-            )
-        else:
-            dyn = DynInst(
-                seq=self.seq,
-                pc=self.pc,
-                op=static.op,
-                dest=static.dest,
-                srcs=static.srcs,
-                imm=static.imm,
-                src_values=src_values,
-            )
+        dyn = DynInst(
+            seq=self.seq,
+            pc=self.pc,
+            op=static.op,
+            dest=static.dest,
+            srcs=static.srcs,
+            imm=static.imm,
+            src_values=src_values,
+        )
         self.seq += 1
         next_pc = self.pc + 1
         op = static.op

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.core.read_ports import make_port_scheme
 from repro.core.renamer import BaseRenamer, Tag
@@ -75,7 +75,6 @@ class Processor:
         oracle=False,
         keep_trace: bool = False,
         naive_loop: bool = False,
-        recycle=None,
         branch_unit: Optional[BranchUnit] = None,
         hierarchy=None,
     ) -> None:
@@ -149,12 +148,6 @@ class Processor:
         self._naive_loop = naive_loop
         #: which cycle loop run() actually used: "naive" | "generated"
         self.loop_used: Optional[str] = None
-        # committed instructions may be returned to a DynInstPool, but only
-        # when nothing downstream can still hold a reference to them
-        self._recycle = recycle if (
-            recycle is not None and self.oracle is None
-            and on_commit is None and not keep_trace
-        ) else None
 
         for tag, value in self.renamer.initial_tags():
             self.scoreboard[tag] = True
@@ -372,8 +365,6 @@ class Processor:
             if head.op is Op.HALT:
                 self._halted = True
                 return
-            if self._recycle is not None:
-                self._recycle.release(head)
             committed += 1
             self._last_progress = self.cycle
 
@@ -621,32 +612,51 @@ class Processor:
             self._last_progress = self.cycle
 
 
+def program_stream(
+    config: MachineConfig,
+    program: Program,
+    fault_model: Optional[FaultModel] = None,
+    budget: int = 10_000_000,
+) -> tuple[Iterator[DynInst], FunctionalExecutor]:
+    """The dynamic instruction stream of ``program``, and its executor.
+
+    This is the one way a :class:`Program` becomes pipeline input: the
+    functional executor runs it (at most ``budget`` instructions), and
+    under the ``hinted`` scheme the stream carries the lookahead hints of
+    :func:`~repro.workloads.lookahead.annotate_hints`.  The executor's
+    ``state`` is what a program-mode oracle compares the final memory
+    image against.
+    """
+    executor = FunctionalExecutor(program, fault_model=fault_model)
+    stream = executor.run(budget)
+    if config.scheme == "hinted":
+        from repro.workloads.lookahead import annotate_hints
+
+        stream = annotate_hints(stream)
+    return stream, executor
+
+
 def simulate(
     config: MachineConfig,
-    workload: Union[Program, InstSource, Iterable[DynInst]],
+    workload: Union[Program, Iterable[DynInst]],
     fault_model: Optional[FaultModel] = None,
     max_insts: Optional[int] = None,
     program_budget: int = 10_000_000,
     oracle: bool = False,
-    pool=None,
     sampling=None,
     sampling_seed: int = 1,
 ) -> SimStats:
     """Run one simulation and return its statistics.
 
-    ``workload`` may be an assembled :class:`Program` (executed
-    functionally), an :class:`InstSource`, or any iterable of
-    :class:`DynInst` (e.g. a workload generator).
+    ``workload`` may be an assembled :class:`Program`, executed
+    functionally by :func:`program_stream` (so a run under the ``hinted``
+    scheme gets lookahead hints), or any iterable of :class:`DynInst`
+    (e.g. a workload generator).
 
     With ``oracle=True`` the commit-time differential oracle
     (:mod:`repro.verify.oracle`) is attached: program workloads get the
     full lockstep golden-model comparison, other workloads the stream-mode
     checks.
-
-    ``pool`` is an optional :class:`~repro.isa.dyninst.DynInstPool`; for
-    program workloads one is created automatically when no oracle is
-    attached, so committed instructions are recycled instead of
-    re-allocated.
 
     ``sampling`` selects interval-sampled simulation: a
     :class:`~repro.sampling.SamplingSchedule` or a ``"P:W:U"`` spec
@@ -656,36 +666,25 @@ def simulate(
     phase offset.  Sampled runs cannot attach the oracle (measurement
     windows start from warm, unverifiable microarchitectural state).
     """
-    if sampling is not None:
+    if sampling is not None and oracle:
+        raise ValueError(
+            "sampled simulation cannot attach the oracle; use exact mode")
+    checker = oracle
+    if isinstance(workload, Program):
+        program = workload
+        workload, executor = program_stream(config, program, fault_model,
+                                            program_budget)
         if oracle:
-            raise ValueError(
-                "sampled simulation cannot attach the oracle; use exact mode")
+            from repro.verify.oracle import OracleChecker
+
+            checker = OracleChecker(program=program,
+                                    source_state=executor.state)
+    if sampling is not None:
         from repro.sampling import as_schedule, sampled_simulate
 
         return sampled_simulate(
             config, workload, schedule=as_schedule(sampling, seed=sampling_seed),
-            total_insts=max_insts, fault_model=fault_model,
-            program_budget=program_budget, pool=pool)
-    checker = False
-    if isinstance(workload, Program):
-        if pool is None and not oracle:
-            from repro.isa.dyninst import DynInstPool
-
-            pool = DynInstPool()
-        executor = FunctionalExecutor(workload, fault_model=fault_model,
-                                      pool=pool)
-        source: InstSource = IterSource(executor.run(program_budget))
-        if oracle:
-            from repro.verify.oracle import OracleChecker
-
-            checker = OracleChecker(program=workload,
-                                    source_state=executor.state)
-    elif hasattr(workload, "next_inst"):
-        source = workload  # type: ignore[assignment]
-        checker = oracle
-    else:
-        source = IterSource(workload)
-        checker = oracle
-    processor = Processor(config, source, fault_model=fault_model,
-                          oracle=checker, recycle=pool)
+            total_insts=max_insts, fault_model=fault_model)
+    processor = Processor(config, IterSource(workload),
+                          fault_model=fault_model, oracle=checker)
     return processor.run(max_insts=max_insts)

@@ -28,12 +28,10 @@ verification runs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.frontend.branch_predictor import BranchUnit
 from repro.isa.dyninst import DynInst
-from repro.isa.executor import FunctionalExecutor
-from repro.isa.program import Program
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import (SampledStats, SimStats, add_counters,
@@ -178,21 +176,6 @@ class _ColumnarSource:
         self.consumed = consumed + 1
         return dyn
 
-    def take_batch(self, n: int) -> list:
-        if self.exhausted or n <= 0:
-            return []
-        lo = self.consumed
-        avail = self.limit - lo
-        if avail <= 0:
-            self.exhausted = True
-            return []
-        cap = n if n <= avail else avail
-        out = self.cols.materialize_range(lo, lo + cap)
-        self.consumed = lo + cap
-        if cap < n:
-            self.exhausted = True
-        return out
-
     # InstSource protocol (window processors fetch through the same counter)
     next_inst = take
 
@@ -241,12 +224,10 @@ DEFAULT_WARM_ZONE = 3000
 
 def sampled_simulate(
     config: MachineConfig,
-    workload: Union[Program, Iterable[DynInst]],
+    workload: Iterable[DynInst],
     schedule: SamplingSchedule,
     total_insts: Optional[int] = None,
     fault_model=None,
-    program_budget: int = 10_000_000,
-    pool=None,
     warm_zone: int = DEFAULT_WARM_ZONE,
 ) -> SampledStats:
     """Run one interval-sampled simulation; returns a :class:`SampledStats`.
@@ -259,21 +240,12 @@ def sampled_simulate(
     if config.verify_values:
         config = dataclasses.replace(config, verify_values=False)
 
-    if isinstance(workload, Program):
-        executor = FunctionalExecutor(workload, fault_model=fault_model,
-                                      pool=pool)
-        it = executor.run(program_budget)
-        source = _SampledSource(lambda: next(it, None), limit=total_insts)
-    elif hasattr(workload, "next_inst"):
-        source = _SampledSource(workload.next_inst, limit=total_insts)
+    cols = _trace_columns(workload)
+    if cols is not None:
+        source = _ColumnarSource(cols, limit=total_insts)
     else:
-        cols = _trace_columns(workload)
-        if cols is not None:
-            source = _ColumnarSource(cols, limit=total_insts)
-        else:
-            it = iter(workload)
-            source = _SampledSource(lambda: next(it, None),
-                                    limit=total_insts)
+        it = iter(workload)
+        source = _SampledSource(lambda: next(it, None), limit=total_insts)
 
     branch_unit = BranchUnit(kind=config.branch_predictor,
                              table_size=config.predictor_table,
@@ -285,8 +257,7 @@ def sampled_simulate(
 
     def window_processor() -> Processor:
         return Processor(config, source, fault_model=fault_model,
-                         recycle=pool, branch_unit=branch_unit,
-                         hierarchy=hierarchy)
+                         branch_unit=branch_unit, hierarchy=hierarchy)
 
     # --- degenerate schedule: stream shorter than one period -----------------
     if total_insts is not None and total_insts < schedule.period:

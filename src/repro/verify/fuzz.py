@@ -391,21 +391,14 @@ def run_case(fp: FuzzProgram, schemes=ALL_SCHEMES) -> dict:
 
         try:
             from repro.frontend.fetch import IterSource
-            from repro.isa.executor import FunctionalExecutor
-            from repro.pipeline.processor import Processor
+            from repro.pipeline.processor import Processor, program_stream
             from repro.verify.oracle import OracleChecker
 
-            executor = FunctionalExecutor(
-                program,
-                fault_model=FirstTouchFaults() if fault else None,
-            )
-            source = executor.run(100_000)
-            if scheme == "hinted":
-                from repro.workloads.lookahead import annotate_hints
-
-                source = annotate_hints(source)
+            stream, executor = program_stream(
+                config, program, FirstTouchFaults() if fault else None,
+                100_000)
             processor = Processor(
-                config, IterSource(source),
+                config, IterSource(stream),
                 fault_model=FirstTouchFaults() if fault else None,
                 on_cycle=check_invariants, on_cycle_interval=8,
                 on_commit=record,

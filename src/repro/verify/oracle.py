@@ -301,21 +301,17 @@ def lockstep_run(
 ):
     """Run ``program`` through the pipeline with the oracle attached.
 
-    Builds the functional source (with hint annotation for the hinted
-    scheme), wires up a program-mode :class:`OracleChecker` plus an
-    optional ``on_cycle`` hook (e.g. ``check_invariants``), runs to
-    completion and returns the stats.  Raises :class:`DivergenceError` on
+    Builds the functional source with
+    :func:`~repro.pipeline.processor.program_stream`, wires up a
+    program-mode :class:`OracleChecker` plus an optional ``on_cycle`` hook
+    (e.g. ``check_invariants``), runs to completion and returns the stats.  Raises :class:`DivergenceError` on
     the first architectural mismatch.
     """
     from repro.frontend.fetch import IterSource
-    from repro.pipeline.processor import Processor
+    from repro.pipeline.processor import Processor, program_stream
 
-    executor = FunctionalExecutor(program, fault_model=fault_model)
-    stream = executor.run(program_budget)
-    if config.scheme == "hinted":
-        from repro.workloads.lookahead import annotate_hints
-
-        stream = annotate_hints(stream)
+    stream, executor = program_stream(config, program, fault_model,
+                                      program_budget)
     oracle = OracleChecker(program=program, source_state=executor.state)
     processor = Processor(
         config, IterSource(stream), fault_model=fault_model,

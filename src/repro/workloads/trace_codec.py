@@ -48,8 +48,8 @@ silently wrong stream.
 Encoding is defined to be *semantically identical* to a JSON-lines round
 trip: fields whose value is ``None`` (or a ``False`` flag) are elided the
 same way :func:`repro.workloads.trace_io._encode` elides them, so
-``decode(encode(insts))`` equals what ``trace_io`` would have
-reconstructed, bit for bit — the hypothesis property in
+``TraceColumns(encode(insts)).materialize()`` equals what ``trace_io``
+would have reconstructed, bit for bit — the hypothesis property in
 ``tests/test_trace_codec.py`` pins this over fuzzer-generated programs.
 """
 
@@ -761,12 +761,3 @@ class TraceColumns:
     def __iter__(self) -> Iterator[DynInst]:
         return iter(self.materialize())
 
-
-def decode_columns(data: bytes) -> TraceColumns:
-    """Parse and validate a blob into reusable columns."""
-    return TraceColumns(data)
-
-
-def decode(data: bytes) -> List[DynInst]:
-    """Blob -> fresh DynInst list (parse + materialize in one step)."""
-    return TraceColumns(data).materialize()

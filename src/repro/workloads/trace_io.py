@@ -3,7 +3,7 @@
 Each line is one DynInst; architectural facts only — pipeline
 bookkeeping is not serialized.  No command reads or writes these lines:
 the trace cache stores the binary columns of
-:mod:`repro.workloads.trace_codec`, whose ``decode(encode(insts))`` is
+:mod:`repro.workloads.trace_codec`, whose decoded ``encode(insts)`` is
 defined to equal a :func:`save_trace`/:func:`load_trace` round trip.
 ``tests/test_trace_codec.py`` and ``tests/test_columnar_ff.py`` hold the
 codec and the columnar fast-forward against this module.

@@ -98,7 +98,7 @@ def _make_warmer(profile, scheme, with_hierarchy=True):
 def _trace(profile_name: str, n: int, seed: int):
     insts = list(SyntheticWorkload(BENCHMARKS[profile_name], total_insts=n,
                                    seed=seed))
-    return trace_codec.decode_columns(trace_codec.encode(insts))
+    return trace_codec.TraceColumns(trace_codec.encode(insts))
 
 
 # ------------------------------------------- warming interleaving property
@@ -205,7 +205,7 @@ def test_codec_loads_no_numpy():
         "from repro.workloads.generator import SyntheticWorkload\n"
         "from repro.workloads.profiles import BENCHMARKS\n"
         "w = SyntheticWorkload(BENCHMARKS['hmmer'], total_insts=800, seed=7)\n"
-        "cols = trace_codec.decode_columns(w.trace_bytes())\n"
+        "cols = trace_codec.TraceColumns(w.trace_bytes())\n"
         "cols.branch_indices(); cols.mem_indices()\n"
         "cols.fetch_line_starts(64); cols.rewind(cols.materialize())\n"
         "print('numpy' in sys.modules)\n")
@@ -260,36 +260,25 @@ def test_warmer_fetches_the_lines_detailed_fetch_fetches():
        st.lists(st.integers(0, 40), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_take_batch_matches_take_loop(n, limit, batch_sizes):
-    cols = _trace("gsm", n, 1)
-    insts = cols.materialize()
+    insts = _trace("gsm", n, 1).materialize()
 
-    for make in (lambda: _ColumnarSource(cols, limit=limit),
-                 lambda: (lambda it: _SampledSource(
-                     lambda: next(it, None), limit=limit))(iter(insts))):
-        batched = make()
-        looped = make()
-        for size in batch_sizes:
-            got = batched.take_batch(size)
-            want = []
-            for _ in range(size):
-                dyn = looped.take()
-                if dyn is None:
-                    break
-                want.append(dyn)
-            assert [d.seq for d in got] == [d.seq for d in want]
-            assert batched.consumed == looped.consumed
-            assert batched.exhausted == looped.exhausted
+    def make():
+        it = iter(insts)
+        return _SampledSource(lambda: next(it, None), limit=limit)
 
-
-def test_take_batch_exhaustion_is_strictly_past_the_end():
-    cols = _trace("gsm", 10, 1)
-    source = _ColumnarSource(cols, limit=10)
-    assert len(source.take_batch(10)) == 10
-    # landing exactly on the limit must NOT set the flag ...
-    assert not source.exhausted
-    # ... reading past it must
-    assert source.take_batch(1) == []
-    assert source.exhausted
+    batched = make()
+    looped = make()
+    for size in batch_sizes:
+        got = batched.take_batch(size)
+        want = []
+        for _ in range(size):
+            dyn = looped.take()
+            if dyn is None:
+                break
+            want.append(dyn)
+        assert [d.seq for d in got] == [d.seq for d in want]
+        assert batched.consumed == looped.consumed
+        assert batched.exhausted == looped.exhausted
 
 
 def test_advance_exhaustion_is_strictly_past_the_end():

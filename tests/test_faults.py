@@ -192,7 +192,8 @@ def test_diagnostic_snapshot_names_every_structure():
 def test_cycle_budget_watchdog_raises_pipeline_hang_with_snapshot():
     config = MachineConfig(scheme="sharing", max_cycles=50)
     with pytest.raises(PipelineHang) as excinfo:
-        simulate(config, _stream())
+        simulate(config, iter(SyntheticWorkload(BENCHMARKS["gsm"],
+                                                total_insts=4000, seed=1)))
     message = str(excinfo.value)
     assert "cycle budget" in message
     assert "rob" in message and "free regs" in message

@@ -70,8 +70,8 @@ def regenerate() -> None:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden(case):
-    if not GOLDEN_PATH.exists():
-        pytest.skip("golden_stats.json not generated yet")
+    assert GOLDEN_PATH.exists(), (
+        f"{GOLDEN_PATH.name} is missing; regenerate it with `make golden`")
     golden = json.loads(GOLDEN_PATH.read_text())
     assert case in golden, (
         f"golden pin missing for {case!r}; regenerate with `make golden`")

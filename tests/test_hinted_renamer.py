@@ -68,3 +68,18 @@ def test_hinted_guaranteed_path_still_works_without_hints():
     renamer = stats.renamer_stats
     assert renamer.reuses_predicted == 0
     assert renamer.reuses_guaranteed >= 0  # chains may still reuse via banks
+
+
+def test_simulate_annotates_program_hints_like_lockstep_run():
+    """A Program reaches the pipeline one way: ``simulate`` gives the
+    hinted scheme the same lookahead-hinted stream ``lockstep_run`` (the
+    ``repro verify`` path) does, so both report the same statistics."""
+    from repro.verify import lockstep_run
+    from repro.workloads import ALL_KERNELS
+
+    program = ALL_KERNELS["fir"]().program
+    config = MachineConfig(scheme="hinted", int_regs=64, fp_regs=64)
+    plain = simulate(config, program)
+    checked = lockstep_run(config, program)
+    assert plain.to_dict() == checked.to_dict()
+    assert plain.renamer_stats.reuses > 1000

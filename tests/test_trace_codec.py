@@ -1,7 +1,7 @@
 """Property tests for the binary columnar trace codec.
 
 The codec's contract is *semantic identity with the JSON-lines codec*:
-for any instruction stream, ``decode(encode(insts))`` must reconstruct
+for any instruction stream, the decoded ``encode(insts)`` must reconstruct
 exactly what a :mod:`repro.workloads.trace_io` round trip would have —
 same values, same types (int vs float vs bool), same elisions (``None``
 and ``False`` fields drop out identically).  Hypothesis fuzzes that
@@ -95,7 +95,8 @@ def _dyninsts(draw) -> DynInst:
 @given(st.lists(_dyninsts(), max_size=25))
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_is_bit_identical_with_json_codec(insts):
-    binary = trace_codec.decode(trace_codec.encode(insts))
+    binary = trace_codec.TraceColumns(
+        trace_codec.encode(insts)).materialize()
     via_json = _json_roundtrip(insts)
     assert [_fingerprint(d) for d in binary] == \
         [_fingerprint(d) for d in via_json]
@@ -104,7 +105,7 @@ def test_roundtrip_is_bit_identical_with_json_codec(insts):
 @given(st.lists(_dyninsts(), min_size=1, max_size=10))
 @settings(max_examples=50, deadline=None)
 def test_materialize_yields_fresh_objects_per_pass(insts):
-    columns = trace_codec.decode_columns(trace_codec.encode(insts))
+    columns = trace_codec.TraceColumns(trace_codec.encode(insts))
     first, second = columns.materialize(), columns.materialize()
     assert [_fingerprint(d) for d in first] == \
         [_fingerprint(d) for d in second]
@@ -115,7 +116,8 @@ def test_materialize_yields_fresh_objects_per_pass(insts):
 def test_synthetic_workloads_roundtrip(profile):
     insts = list(SyntheticWorkload(BENCHMARKS[profile], total_insts=800,
                                    seed=1))
-    binary = trace_codec.decode(trace_codec.encode(insts))
+    binary = trace_codec.TraceColumns(
+        trace_codec.encode(insts)).materialize()
     via_json = _json_roundtrip(insts)
     assert [_fingerprint(d) for d in binary] == \
         [_fingerprint(d) for d in via_json]
@@ -149,14 +151,14 @@ def test_any_single_byte_corruption_is_loud(pos, delta):
     corrupted = bytearray(_BASE_BLOB)
     corrupted[pos] ^= delta
     with pytest.raises(TraceCodecError):
-        trace_codec.decode(bytes(corrupted))
+        trace_codec.TraceColumns(bytes(corrupted)).materialize()
 
 
 @given(st.integers(0, len(_BASE_BLOB) - 1))
 @settings(max_examples=100, deadline=None)
 def test_any_truncation_is_loud(length):
     with pytest.raises(TraceCodecError):
-        trace_codec.decode(_BASE_BLOB[:length])
+        trace_codec.TraceColumns(_BASE_BLOB[:length]).materialize()
 
 
 def _skewed_blob() -> bytes:
@@ -168,7 +170,7 @@ def _skewed_blob() -> bytes:
 
 def test_version_skew_is_loud():
     with pytest.raises(TraceCodecError, match="version skew"):
-        trace_codec.decode(_skewed_blob())
+        trace_codec.TraceColumns(_skewed_blob()).materialize()
 
 
 @pytest.mark.parametrize("blob", [

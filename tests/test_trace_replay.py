@@ -49,7 +49,7 @@ def _faulting_columns():
     loads = [dyn for dyn in insts if OPCODES[dyn.op].is_load]
     for dyn in loads[::97]:
         dyn.faults = True
-    return trace_codec.decode_columns(trace_codec.encode(insts))
+    return trace_codec.TraceColumns(trace_codec.encode(insts))
 
 
 def _run(config, insts, loop):
