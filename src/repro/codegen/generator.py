@@ -867,8 +867,6 @@ def generate_kernel_source(config) -> str:
     CW = config.commit_width
     MAXC = config.max_cycles
     II = config.interrupt_interval
-    RP = config.rf_read_ports
-    WP = config.rf_write_ports
     PS = config.rf_port_scheme
     VV = config.verify_values
     MWP = config.model_wrong_path
@@ -1055,25 +1053,12 @@ if rob_entries and rob_entries[0].completed:
     # ---- writeback -----------------------------------------------------
     wb: list[str] = []
     wb.append("if completion and completion[0][0] <= cycle:")
-    if WP is not None:
-        wb.append("    _wu0 = 0")
-        wb.append("    _wu1 = 0")
     wb.append("    while completion and completion[0][0] <= cycle:")
     wb.append("        _item = _heappop(completion)")
     wb.append("        dyn = _item[2]")
     wb.append("        if dyn.squashed:")
     wb.append("            continue")
     wb.append("        dt = dyn.dest_tag")
-    if WP is not None:
-        wb.append("        if dt is not None:")
-        wb.append(f"            if (_wu0 if dt[0] == 0 else _wu1) >= {WP}:")
-        wb.append("                _heappush(completion,")
-        wb.append("                          (cycle + 1, next(ticket), dyn))")
-        wb.append("                break")
-        wb.append("            if dt[0] == 0:")
-        wb.append("                _wu0 += 1")
-        wb.append("            else:")
-        wb.append("                _wu1 += 1")
     wb.append("        dyn.completed = True")
     wb.append("        dyn.complete_cycle = cycle")
     wb.append("        if dt is not None:")
@@ -1136,9 +1121,6 @@ if rob_entries and rob_entries[0].completed:
     iss.append("        iq._ready_view = ready")
     iss.append("    if ready:")
     iss.append("        issued = 0")
-    if RP is not None:
-        iss.append("        _ru0 = 0")
-        iss.append("        _ru1 = 0")
     iss.append("        for dyn in ready:")
     iss.append(f"            if issued >= {IW}:")
     iss.append("                break")
@@ -1153,24 +1135,11 @@ if rob_entries and rob_entries[0].completed:
     iss.append('                    raise AssertionError("instruction not in LSQ")')
     iss.append("                if _le.blockers != 0:")
     iss.append("                    continue")
-    if RP is not None:
-        iss.append("            _n0 = 0")
-        iss.append("            _n1 = 0")
-        iss.append("            for _tag in dyn.src_tags:")
-        iss.append("                if _tag[0] == 0:")
-        iss.append("                    _n0 += 1")
-        iss.append("                else:")
-        iss.append("                    _n1 += 1")
-        iss.append(f"            if _ru0 + _n0 > {RP} or _ru1 + _n1 > {RP}:")
-        iss.append("                continue")
     iss.append("            fu = info.fu")
     iss.append("            if fus._cycle != cycle:")
     iss.append("                fus._cycle = cycle")
     iss.append("                fus_used.clear()")
     iss.append(_fu_chain(config, "            "))
-    if RP is not None:
-        iss.append("            _ru0 += _n0")
-        iss.append("            _ru1 += _n1")
     iss.append("            if dyn.faults:")
     iss.append("                total = latency")
     iss.append("                dyn.exception_raised = True")

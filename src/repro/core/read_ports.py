@@ -166,10 +166,11 @@ class BypassFilterPorts:
     """``rf_port_scheme="bypass_filter"``: bypass-aware port filtering.
 
     Operands on the bypass network read nothing; the rest contend for
-    the flat ``rf_read_ports`` budget per register class per cycle (the
-    same accounting the raw ``rf_read_ports`` knob applies, minus the
-    bypassed reads — which is exactly what lets the area model halve the
-    port count).
+    the flat ``rf_read_ports`` budget per register class per cycle
+    (``None`` = unlimited).  Serving the bypassed reads for free is what
+    lets the area model halve the port count.  With
+    ``rf_bypass_depth=0`` nothing is bypassed, so every operand contends:
+    a plain flat read-port limit.
     """
 
     scheme = "bypass_filter"

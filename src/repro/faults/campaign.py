@@ -181,38 +181,39 @@ def _lockstep(config, program, injector: Optional[Injector], on_commit):
                         on_commit=on_commit)
 
 
+def _clean_run(scheme: str, program) -> CleanRun:
+    """The fault-free run of ``program`` that injections are classified
+    against."""
+    from repro.verify.fuzz import fuzz_config
+    from repro.verify.oracle import CommitRecorder
+
+    recorder = CommitRecorder()
+    stats = _lockstep(fuzz_config(scheme, "plain"), program, None, recorder)
+    return CleanRun(cycles=stats.cycles, committed=stats.committed,
+                    signature=recorder.signature())
+
+
 def clean_reference(scheme: str, program_seed: int, program_size: int,
                     cache: Optional[dict] = None) -> CleanRun:
     """Fault-free reference run (memoised on ``cache`` when given)."""
-    from repro.verify.fuzz import fuzz_config, generate
-    from repro.verify.oracle import CommitRecorder
+    from repro.verify.fuzz import generate
 
     key = (scheme, program_seed, program_size)
     if cache is not None and key in cache:
         return cache[key]
-    program = generate(program_seed, size=program_size,
-                       variant="plain").build()
-    recorder = CommitRecorder()
-    stats = _lockstep(fuzz_config(scheme, "plain"), program, None, recorder)
-    clean = CleanRun(cycles=stats.cycles, committed=stats.committed,
-                     signature=recorder.signature())
+    clean = _clean_run(scheme, generate(program_seed, size=program_size,
+                                        variant="plain").build())
     if cache is not None:
         cache[key] = clean
     return clean
 
 
-def run_injection(spec: InjectionSpec, clean: Optional[CleanRun] = None,
-                  index: int = 0,
-                  clean_cache: Optional[dict] = None) -> InjectionRecord:
-    """Run and classify one injection (see module docstring taxonomy)."""
-    from repro.verify.fuzz import generate
+def _classify_injection(spec: InjectionSpec, program, clean: CleanRun,
+                        index: int) -> InjectionRecord:
+    """Run ``program`` with ``spec``'s fault injected and classify the
+    outcome against its clean run (see module docstring taxonomy)."""
     from repro.verify.oracle import CommitRecorder
 
-    if clean is None:
-        clean = clean_reference(spec.scheme, spec.program_seed,
-                                spec.program_size, clean_cache)
-    program = generate(spec.program_seed, size=spec.program_size,
-                       variant="plain").build()
     injector = make_injector(spec)
     recorder = CommitRecorder()
     record = InjectionRecord(index=index, spec=spec, outcome="error",
@@ -241,6 +242,20 @@ def run_injection(spec: InjectionSpec, clean: Optional[CleanRun] = None,
     record.expected = (record.outcome == "skipped"
                        or record.outcome in EXPECTED_OUTCOMES[spec.kind])
     return record
+
+
+def run_injection(spec: InjectionSpec, clean: Optional[CleanRun] = None,
+                  index: int = 0,
+                  clean_cache: Optional[dict] = None) -> InjectionRecord:
+    """Run and classify one injection of a campaign."""
+    from repro.verify.fuzz import generate
+
+    if clean is None:
+        clean = clean_reference(spec.scheme, spec.program_seed,
+                                spec.program_size, clean_cache)
+    program = generate(spec.program_seed, size=spec.program_size,
+                       variant="plain").build()
+    return _classify_injection(spec, program, clean, index)
 
 
 def draw_spec(campaign_seed: int, index: int, schemes: tuple,
@@ -307,45 +322,13 @@ def shrink_reproducer(record: InjectionRecord) -> Optional[dict]:
 
 def _replay_on(spec: InjectionSpec, fp) -> InjectionRecord:
     """Replay ``spec`` against an explicit (possibly shrunk) program."""
-    from repro.verify.fuzz import fuzz_config
-    from repro.verify.oracle import CommitRecorder
-
     program = fp.build()
-    recorder = CommitRecorder()
     try:
-        stats = _lockstep(fuzz_config(spec.scheme, "plain"), program,
-                          None, recorder)
+        clean = _clean_run(spec.scheme, program)
     except Exception:  # noqa: BLE001 - clean run of a shrunk candidate broke
         return InjectionRecord(index=-1, spec=spec, outcome="error",
                                expected=False)
-    clean = CleanRun(cycles=stats.cycles, committed=stats.committed,
-                     signature=recorder.signature())
-
-    injector = make_injector(spec)
-    recorder = CommitRecorder()
-    record = InjectionRecord(index=-1, spec=spec, outcome="error",
-                             expected=False)
-    try:
-        stats = _lockstep(campaign_machine_config(spec), program,
-                          injector, recorder)
-    except Exception as exc:  # noqa: BLE001 - classification boundary
-        record.outcome, record.detector = _classify_exception(exc)
-        record.error = f"{type(exc).__name__}: {exc}"[:800]
-    else:
-        if isinstance(injector, InterruptFloodInjector):
-            injector.record_stats(stats)
-        if not injector.injected:
-            record.outcome = "skipped"
-        elif (recorder.signature() != clean.signature
-                or stats.committed != clean.committed):
-            record.outcome = "silent"
-        elif stats.renamer_stats.recoveries > 0:
-            record.outcome = "recovered"
-        else:
-            record.outcome = "masked"
-    record.expected = (record.outcome == "skipped"
-                       or record.outcome in EXPECTED_OUTCOMES[spec.kind])
-    return record
+    return _classify_injection(spec, program, clean, index=-1)
 
 
 def run_campaign(

@@ -144,17 +144,15 @@ class MachineConfig:
     # memory hierarchy
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
 
-    # register-file port limits per class per cycle (None = unlimited;
-    # the area model assumes 8R/4W — set 8/4 to model port contention)
-    rf_read_ports: Optional[int] = None
-    rf_write_ports: Optional[int] = None
-
     # read-port-reduction scheme on the register file (arXiv 2502.00147,
     # repro.core.read_ports): 'none' | 'bypass_filter' | 'banked_arbiter'.
-    # bypass_filter exempts bypass-network operands from the rf_read_ports
-    # budget; banked_arbiter arbitrates rf_read_banks banks of
+    # 'none' models unlimited ports.  bypass_filter exempts bypass-network
+    # operands and caps the rest at rf_read_ports reads per class per
+    # cycle (None = unlimited; apply_port_scheme sets 4, half the area
+    # model's 8R); banked_arbiter arbitrates rf_read_banks banks of
     # rf_bank_read_ports reads each, charging up to rf_max_read_delay
     # extra cycles before stalling issue.
+    rf_read_ports: Optional[int] = None
     rf_port_scheme: str = "none"
     rf_read_banks: int = 4
     rf_bank_read_ports: int = 2

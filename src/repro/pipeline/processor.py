@@ -71,8 +71,7 @@ class Processor:
         on_cycle=None,
         on_cycle_interval: int = 128,
         on_commit=None,
-        on_halt=None,
-        oracle=False,
+        oracle=None,
         keep_trace: bool = False,
         naive_loop: bool = False,
         branch_unit: Optional[BranchUnit] = None,
@@ -85,16 +84,9 @@ class Processor:
         #: per-commit hook: called as on_commit(processor, dyn) for every
         #: committed ROB head (including micro-ops and HALT)
         self.on_commit = on_commit
-        #: end-of-run hook: called as on_halt(processor) after _finalize()
-        self.on_halt = on_halt
-        if oracle is True:
-            # convenience: stream-mode differential oracle (checks commit
-            # order and PRF values against the functionally recorded stream)
-            from repro.verify.oracle import OracleChecker
-
-            oracle = OracleChecker()
-        #: commit-time differential oracle (repro.verify.oracle), or None
-        self.oracle = oracle or None
+        #: commit-time differential oracle (repro.verify.oracle), or None;
+        #: repro.verify.oracle.lockstep_run attaches it
+        self.oracle = oracle
         #: committed instructions in commit order (when keep_trace is set)
         self.trace: Optional[list[DynInst]] = [] if keep_trace else None
         # externally provided hierarchy / branch unit let the sampling
@@ -245,8 +237,6 @@ class Processor:
         if self.oracle is not None:
             complete = self._halted or (self.fetch.eof and len(self.rob) == 0)
             self.oracle.on_halt(self, complete=complete)
-        if self.on_halt is not None:
-            self.on_halt(self)
         return self.stats
 
     def _run_naive(self, max_insts: Optional[int]) -> None:
@@ -449,21 +439,11 @@ class Processor:
         completion = self.completion
         if not completion or completion[0][0] > self.cycle:
             return  # nothing completes this cycle: stay allocation-free
-        write_ports = self.config.rf_write_ports
         ports = self.read_ports
-        writes_used = [0, 0]  # per register class
         while self.completion and self.completion[0][0] <= self.cycle:
             _, _, dyn = heapq.heappop(self.completion)
             if dyn.squashed:
                 continue
-            if (write_ports is not None and dyn.dest_tag is not None
-                    and writes_used[dyn.dest_tag[0]] >= write_ports):
-                # out of register-file write ports: retry next cycle
-                heapq.heappush(self.completion,
-                               (self.cycle + 1, next(self._ticket), dyn))
-                break
-            if dyn.dest_tag is not None:
-                writes_used[dyn.dest_tag[0]] += 1
             dyn.completed = True
             dyn.complete_cycle = self.cycle
             if dyn.dest_tag is not None:
@@ -493,13 +473,7 @@ class Processor:
         issue_width = self.config.issue_width
         ports = self.read_ports
         if ports is not None:
-            # port-reduction scheme active: it subsumes the flat
-            # rf_read_ports accounting (repro.core.read_ports)
             ports.begin_cycle(self.cycle)
-            read_ports = None
-        else:
-            read_ports = self.config.rf_read_ports
-        reads_used = [0, 0] if read_ports is not None else None
         for dyn in ready:
             if issued >= issue_width:
                 break
@@ -511,20 +485,11 @@ class Processor:
                 if plan is None:
                     self.stats.rf_port_stalls += 1
                     continue  # bank/port conflict beyond the delay window
-            elif read_ports is not None:
-                needed = [0, 0]
-                for tag in dyn.src_tags:
-                    needed[tag[0]] += 1
-                if any(reads_used[c] + needed[c] > read_ports for c in (0, 1)):
-                    continue  # out of register-file read ports this cycle
             latency = self.fus.try_issue(info.fu, self.cycle)
             if latency is None:
                 continue
             if ports is not None:
                 port_delay = ports.commit(plan, self.stats)
-            elif read_ports is not None:
-                reads_used[0] += needed[0]
-                reads_used[1] += needed[1]
 
             if dyn.faults:
                 total = latency
@@ -642,7 +607,6 @@ def simulate(
     fault_model: Optional[FaultModel] = None,
     max_insts: Optional[int] = None,
     program_budget: int = 10_000_000,
-    oracle: bool = False,
     sampling=None,
     sampling_seed: int = 1,
 ) -> SimStats:
@@ -651,34 +615,20 @@ def simulate(
     ``workload`` may be an assembled :class:`Program`, executed
     functionally by :func:`program_stream` (so a run under the ``hinted``
     scheme gets lookahead hints), or any iterable of :class:`DynInst`
-    (e.g. a workload generator).
-
-    With ``oracle=True`` the commit-time differential oracle
-    (:mod:`repro.verify.oracle`) is attached: program workloads get the
-    full lockstep golden-model comparison, other workloads the stream-mode
-    checks.
+    (e.g. a workload generator).  The run is unchecked; for the same run
+    with the commit-time differential oracle attached use
+    :func:`repro.verify.oracle.lockstep_run`.
 
     ``sampling`` selects interval-sampled simulation: a
     :class:`~repro.sampling.SamplingSchedule` or a ``"P:W:U"`` spec
     string.  The run then returns a
     :class:`~repro.pipeline.stats.SampledStats` estimate instead of exact
     :class:`SimStats`; ``sampling_seed`` seeds the schedule's random
-    phase offset.  Sampled runs cannot attach the oracle (measurement
-    windows start from warm, unverifiable microarchitectural state).
+    phase offset.
     """
-    if sampling is not None and oracle:
-        raise ValueError(
-            "sampled simulation cannot attach the oracle; use exact mode")
-    checker = oracle
     if isinstance(workload, Program):
-        program = workload
-        workload, executor = program_stream(config, program, fault_model,
-                                            program_budget)
-        if oracle:
-            from repro.verify.oracle import OracleChecker
-
-            checker = OracleChecker(program=program,
-                                    source_state=executor.state)
+        workload, _ = program_stream(config, workload, fault_model,
+                                     program_budget)
     if sampling is not None:
         from repro.sampling import as_schedule, sampled_simulate
 
@@ -686,5 +636,5 @@ def simulate(
             config, workload, schedule=as_schedule(sampling, seed=sampling_seed),
             total_insts=max_insts, fault_model=fault_model)
     processor = Processor(config, IterSource(workload),
-                          fault_model=fault_model, oracle=checker)
+                          fault_model=fault_model)
     return processor.run(max_insts=max_insts)

@@ -228,7 +228,6 @@ def sampled_simulate(
     schedule: SamplingSchedule,
     total_insts: Optional[int] = None,
     fault_model=None,
-    warm_zone: int = DEFAULT_WARM_ZONE,
 ) -> SampledStats:
     """Run one interval-sampled simulation; returns a :class:`SampledStats`.
 
@@ -301,8 +300,8 @@ def sampled_simulate(
         next_detail = k * schedule.period + schedule.window_offset(k)
         k += 1
         gap = next_detail - source.consumed
-        if gap > warm_zone:
-            warmer.skim(source, gap - warm_zone)
+        if gap > DEFAULT_WARM_ZONE:
+            warmer.skim(source, gap - DEFAULT_WARM_ZONE)
             gap = next_detail - source.consumed
         if gap > 0:
             warmer.fast_forward(source, gap)

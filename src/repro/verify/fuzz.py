@@ -379,7 +379,7 @@ def run_case(fp: FuzzProgram, schemes=ALL_SCHEMES) -> dict:
     :class:`FuzzFailure` on the first failing scheme or stream mismatch.
     """
     from repro.pipeline.debug import check_invariants
-    from repro.verify.oracle import CommitRecorder
+    from repro.verify.oracle import CommitRecorder, lockstep_run
 
     program = fp.build()
     fault = fp.variant == "faults"
@@ -388,24 +388,13 @@ def run_case(fp: FuzzProgram, schemes=ALL_SCHEMES) -> dict:
     for scheme in schemes_for(fp.variant, schemes):
         config = fuzz_config(scheme, fp.variant, fp.port_scheme)
         record = CommitRecorder()
-
         try:
-            from repro.frontend.fetch import IterSource
-            from repro.pipeline.processor import Processor, program_stream
-            from repro.verify.oracle import OracleChecker
-
-            stream, executor = program_stream(
-                config, program, FirstTouchFaults() if fault else None,
-                100_000)
-            processor = Processor(
-                config, IterSource(stream),
+            stats = lockstep_run(
+                config, program,
                 fault_model=FirstTouchFaults() if fault else None,
+                program_budget=100_000,
                 on_cycle=check_invariants, on_cycle_interval=8,
-                on_commit=record,
-                oracle=OracleChecker(program=program,
-                                     source_state=executor.state),
-            )
-            stats = processor.run()
+                on_commit=record)
         except Exception as exc:
             raise FuzzFailure(fp, scheme,
                               f"{type(exc).__name__}: {exc}") from exc

@@ -21,16 +21,18 @@ it.
 
 Two modes:
 
-**program mode** (``OracleChecker(program=...)``) — the oracle owns a fresh
-:class:`FunctionalExecutor` over the same program with ``NoFaults`` and its
-own memory.  Faults and interrupts are architecturally invisible (a
-faulting access is serviced and replayed, committing exactly once), so the
-committed non-micro-op stream must match the clean in-order execution 1:1.
+**program mode** (:func:`lockstep_run` given a :class:`Program`) — the
+oracle owns a fresh :class:`FunctionalExecutor` over the same program with
+``NoFaults`` and its own memory.  Faults and interrupts are
+architecturally invisible (a faulting access is serviced and replayed,
+committing exactly once), so the committed non-micro-op stream must match
+the clean in-order execution 1:1.
 
-**stream mode** (no program) — for synthetic workloads with no re-executable
-program, the oracle checks commit order (strictly increasing ``seq``) and
-that the value standing in the physical register file at commit equals the
-functionally recorded result carried by the :class:`DynInst` itself.
+**stream mode** (:func:`lockstep_run` given an iterable of :class:`DynInst`)
+— for synthetic workloads with no re-executable program, the oracle checks
+commit order (strictly increasing ``seq``) and that the value standing in
+the physical register file at commit equals the functionally recorded
+result carried by the :class:`DynInst` itself.
 
 Renamers that release registers before their redefiner commits declare
 ``commit_time_value_stable = False`` (early release): for those the
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 from repro.isa.dyninst import DynInst
 from repro.isa.executor import ArchState, FunctionalExecutor, NoFaults
@@ -151,10 +153,10 @@ class DivergenceError(AssertionError):
 class OracleChecker:
     """Differential commit-time checker (see module docstring).
 
-    Attach via ``Processor(..., oracle=OracleChecker(program=p))`` or the
-    ``Processor(..., oracle=True)`` convenience (stream mode); the pipeline
-    calls :meth:`on_commit` for every retired instruction and
-    :meth:`on_halt` when the run ends.
+    :func:`lockstep_run` builds and attaches one (program mode for a
+    :class:`Program`, stream mode otherwise); the pipeline calls
+    :meth:`on_commit` for every retired instruction and :meth:`on_halt`
+    when the run ends.
     """
 
     def __init__(
@@ -291,7 +293,7 @@ class OracleChecker:
 
 def lockstep_run(
     config,
-    program: Program,
+    workload: Union[Program, Iterable[DynInst]],
     fault_model=None,
     max_insts: Optional[int] = None,
     program_budget: int = 10_000_000,
@@ -299,20 +301,27 @@ def lockstep_run(
     on_cycle_interval: int = 16,
     on_commit=None,
 ):
-    """Run ``program`` through the pipeline with the oracle attached.
+    """Run ``workload`` through the pipeline with the oracle attached.
 
-    Builds the functional source with
-    :func:`~repro.pipeline.processor.program_stream`, wires up a
-    program-mode :class:`OracleChecker` plus an optional ``on_cycle`` hook
-    (e.g. ``check_invariants``), runs to completion and returns the stats.  Raises :class:`DivergenceError` on
-    the first architectural mismatch.
+    The one way a checked run is built.  A :class:`Program` is executed
+    by :func:`~repro.pipeline.processor.program_stream` (sharing
+    ``fault_model`` with the pipeline, so a serviced fault stays serviced)
+    and checked by a program-mode :class:`OracleChecker`; any other
+    iterable of :class:`DynInst` gets a stream-mode one.  ``on_cycle``
+    (e.g. ``check_invariants``) and ``on_commit`` hooks pass through to
+    the :class:`~repro.pipeline.processor.Processor`.  Runs to completion
+    and returns the stats; raises :class:`DivergenceError` on the first
+    architectural mismatch.
     """
     from repro.frontend.fetch import IterSource
     from repro.pipeline.processor import Processor, program_stream
 
-    stream, executor = program_stream(config, program, fault_model,
-                                      program_budget)
-    oracle = OracleChecker(program=program, source_state=executor.state)
+    if isinstance(workload, Program):
+        stream, executor = program_stream(config, workload, fault_model,
+                                          program_budget)
+        oracle = OracleChecker(program=workload, source_state=executor.state)
+    else:
+        stream, oracle = workload, OracleChecker()
     processor = Processor(
         config, IterSource(stream), fault_model=fault_model,
         on_cycle=on_cycle, on_cycle_interval=on_cycle_interval,

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from repro.faults import (EXPECTED_OUTCOMES, KINDS, InjectionSpec, flip_value,
                           kinds_for, make_injector, run_campaign,
                           run_injection)
-from repro.faults.campaign import _classify_exception, clean_reference
+from repro.faults.campaign import (_classify_exception, _replay_on,
+                                   clean_reference, draw_spec)
 from repro.faults.injectors import flip_float, flip_int
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.debug import InvariantViolation
@@ -172,6 +173,29 @@ def test_campaign_summary_mentions_every_drawn_kind():
     text = "\n".join(report.summary_lines())
     for kind in report.counts:
         assert kind in text
+
+
+def test_replay_on_classifies_like_run_injection():
+    """The shrinker's replay path and the campaign path classify a spec
+    alike: one drawn spec of every kind each scheme allows."""
+    from repro.verify.fuzz import generate
+
+    cache: dict = {}
+    for scheme in ("conventional", "sharing", "early"):
+        wanted = set(kinds_for(scheme))
+        for index in range(100):
+            spec = draw_spec(0, index, (scheme,), (20,), cache)
+            if spec.kind not in wanted:
+                continue
+            wanted.discard(spec.kind)
+            fp = generate(spec.program_seed, size=spec.program_size,
+                          variant="plain")
+            replayed = _replay_on(spec, fp)
+            assert replayed.outcome == run_injection(
+                spec, clean_cache=cache).outcome, spec
+            if not wanted:
+                break
+        assert not wanted, (scheme, wanted)
 
 
 # ------------------------------------------------------------- diagnostics

@@ -105,6 +105,27 @@ def test_run_case_detects_cross_scheme_stream_divergence():
     assert len(counts) == len(ALL_SCHEMES)
 
 
+def test_run_case_shares_one_fault_model_per_scheme(monkeypatch):
+    """The executor feeding the pipeline and the pipeline consult one
+    FirstTouchFaults per scheme: a second copy is never serviced, so it
+    would fault on every memory access."""
+    import repro.verify.fuzz as fuzz_module
+    from repro.isa.executor import FirstTouchFaults
+
+    built = []
+
+    class CountingFaults(FirstTouchFaults):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(fuzz_module, "FirstTouchFaults", CountingFaults)
+    counts = run_case(generate(0, size=20, variant="faults"))
+    assert set(counts) == set(schemes_for("faults"))
+    assert len(built) == len(counts)
+    assert all(model.fault_count > 0 for model in built)
+
+
 # --------------------------------------------------------------------- shrink
 def test_shrink_reaches_small_reproducer():
     """Shrinking against a simple predicate (program still contains a store)

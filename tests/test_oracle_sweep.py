@@ -12,7 +12,7 @@ import pytest
 
 from repro.harness.parallel import SweepPoint, run_points
 from repro.harness.runner import Scale, make_config
-from repro.pipeline.processor import simulate
+from repro.verify.oracle import lockstep_run
 from repro.workloads import BENCHMARKS
 from repro.workloads.generator import SyntheticWorkload
 
@@ -53,8 +53,8 @@ def test_sweep_engine_matches_oracle_checked_run(figure, point):
     # generator's stream), oracle attached
     workload = SyntheticWorkload(point.profile, total_insts=point.insts,
                                  seed=point.seed)
-    oracle_stats = simulate(make_config(point.profile, point.scheme,
-                                        point.size,
-                                        port_scheme=point.port_scheme),
-                            iter(workload), oracle=True)
+    oracle_stats = lockstep_run(make_config(point.profile, point.scheme,
+                                            point.size,
+                                            port_scheme=point.port_scheme),
+                                iter(workload))
     assert oracle_stats.to_dict() == result.stats.to_dict()

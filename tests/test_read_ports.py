@@ -28,16 +28,26 @@ loop: add  x5, x1, x2
 """
 
 
+def flat_ports(config, read_ports):
+    """``config`` with a flat limit of ``read_ports`` register-file reads
+    per class per cycle (None = unlimited): the bypass filter with
+    nothing bypassed."""
+    if read_ports is None:
+        return config
+    return dataclasses.replace(config, rf_port_scheme="bypass_filter",
+                               rf_bypass_depth=0, rf_read_ports=read_ports)
+
+
 def run(read_ports, scheme="conventional"):
     config = MachineConfig(scheme=scheme, int_regs=96, fp_regs=96,
-                           rf_read_ports=read_ports, issue_width=6,
+                           issue_width=6,
                            fu_config={
                                "alu": (6, 1, True), "mul": (1, 3, True),
                                "div": (1, 12, False), "fpu": (2, 4, True),
                                "fpdiv": (1, 16, False), "branch": (1, 1, True),
                                "mem": (2, 1, True),
                            })
-    return simulate(config, assemble(WIDE))
+    return simulate(flat_ports(config, read_ports), assemble(WIDE))
 
 
 def test_unlimited_ports_fastest():
@@ -58,8 +68,8 @@ def test_correctness_preserved_under_port_pressure():
 
     reference = run_to_completion(assemble(WIDE))
     for scheme in ("conventional", "sharing"):
-        config = MachineConfig(scheme=scheme, int_regs=64, fp_regs=64,
-                               rf_read_ports=3)
+        config = flat_ports(
+            MachineConfig(scheme=scheme, int_regs=64, fp_regs=64), 3)
         executor = FunctionalExecutor(assemble(WIDE))
         processor = Processor(config, IterSource(executor.run(100_000)))
         processor.run()
@@ -73,44 +83,10 @@ def test_ample_ports_equal_unlimited():
 
 def test_synthetic_workload_with_ports():
     workload = SyntheticWorkload(BENCHMARKS["hmmer"], total_insts=3000)
-    config = MachineConfig(scheme="sharing", int_regs=64, fp_regs=64,
-                           rf_read_ports=8)
+    config = flat_ports(
+        MachineConfig(scheme="sharing", int_regs=64, fp_regs=64), 8)
     stats = simulate(config, iter(workload))
     assert stats.committed == 3000
-
-
-def test_write_port_limit_slows_wide_writeback():
-    limited = MachineConfig(scheme="conventional", int_regs=96, fp_regs=96,
-                            rf_write_ports=1, issue_width=6,
-                            fu_config={
-                                "alu": (6, 1, True), "mul": (1, 3, True),
-                                "div": (1, 12, False), "fpu": (2, 4, True),
-                                "fpdiv": (1, 16, False), "branch": (1, 1, True),
-                                "mem": (2, 1, True),
-                            })
-    free = MachineConfig(scheme="conventional", int_regs=96, fp_regs=96,
-                         rf_write_ports=None, issue_width=6,
-                         fu_config=dict(limited.fu_config))
-    slow = simulate(limited, assemble(WIDE))
-    fast = simulate(free, assemble(WIDE))
-    assert slow.cycles > fast.cycles
-    assert slow.committed == fast.committed
-
-
-def test_write_port_correctness():
-    from repro.frontend.fetch import IterSource
-    from repro.isa.executor import FunctionalExecutor
-    from repro.pipeline.processor import Processor
-
-    reference = run_to_completion(assemble(WIDE))
-    for scheme in ("conventional", "sharing"):
-        config = MachineConfig(scheme=scheme, int_regs=64, fp_regs=64,
-                               rf_write_ports=2)
-        executor = FunctionalExecutor(assemble(WIDE))
-        processor = Processor(config, IterSource(executor.run(100_000)))
-        processor.run()
-        int_regs, _ = processor.architectural_state()
-        assert int_regs == reference.int_regs, scheme
 
 
 # ------------------------------------------- port-reduction schemes
@@ -158,13 +134,14 @@ def test_bypass_filter_beats_plain_halved_ports():
 
 
 def test_bypass_depth_zero_is_inert():
-    """Depth 0 disables the bypass exemption: timing must equal the flat
-    rf_read_ports model at the same budget (only the counters differ)."""
+    """Depth 0 disables the bypass exemption: every operand the filter
+    served from the bypass network claims a port instead."""
     inert = run_scheme("bypass_filter", rf_bypass_depth=0)
-    flat = run(4)
-    assert inert.cycles == flat.cycles
-    assert inert.committed == flat.committed
+    filtered = run_scheme("bypass_filter")
+    assert inert.committed == filtered.committed
     assert inert.rf_bypass_reads == 0
+    assert inert.rf_port_reads == (filtered.rf_port_reads
+                                   + filtered.rf_bypass_reads)
 
 
 def test_banked_arbiter_monotone_in_ports():

@@ -130,15 +130,6 @@ def test_exact_path_unchanged_by_sampling_machinery():
     assert plain.to_dict() == routed.to_dict()
 
 
-def test_sampling_rejects_oracle():
-    profile = BENCHMARKS["gsm"]
-    config = make_config(profile, "sharing", 48)
-    with pytest.raises(ValueError):
-        simulate(config,
-                 iter(SyntheticWorkload(profile, total_insts=2000, seed=1)),
-                 oracle=True, sampling="500:100:50")
-
-
 # ------------------------------------------------------------------ determinism
 def _sampled_points():
     return [SweepPoint(profile=BENCHMARKS[name], scheme=scheme, size=48,

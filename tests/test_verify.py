@@ -113,7 +113,7 @@ def test_oracle_catches_value_corruption_program_mode():
 
 def test_oracle_catches_value_corruption_stream_mode():
     with pytest.raises(DivergenceError):
-        _run_with_corrupted_write(True)  # Processor builds a stream-mode oracle
+        _run_with_corrupted_write(OracleChecker())  # no program: stream mode
 
 
 def test_oracle_catches_final_state_corruption():
@@ -144,25 +144,20 @@ def test_oracle_catches_out_of_order_commit():
                                       seed=3))
     workload[50].seq, workload[51].seq = workload[51].seq, workload[50].seq
     with pytest.raises(DivergenceError, match="commit order"):
-        simulate(_config("conventional"), iter(workload), oracle=True)
+        lockstep_run(_config("conventional"), iter(workload))
 
 
 # ------------------------------------------------------------- oracle plumbing
-def test_simulate_program_oracle_convenience():
-    stats = simulate(_config("sharing"), assemble(PROGRAM), oracle=True)
-    assert stats.committed > 0
-
-
 def test_stream_mode_oracle_on_synthetic_workload():
     workload = SyntheticWorkload(BENCHMARKS["hmmer"], total_insts=2000, seed=1)
-    stats = simulate(_config("sharing"), iter(workload), oracle=True)
+    stats = lockstep_run(_config("sharing"), iter(workload))
     assert stats.committed == 2000
 
 
 def test_oracle_does_not_perturb_timing():
     program = assemble(PROGRAM)
     plain = simulate(_config("sharing"), program)
-    checked = simulate(_config("sharing"), program, oracle=True)
+    checked = lockstep_run(_config("sharing"), program)
     assert checked.to_dict() == plain.to_dict()
 
 

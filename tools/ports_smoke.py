@@ -9,7 +9,7 @@ and the naive loop and asserts
   committed-instruction stream agree across both loops (and the kernel
   actually engaged — ``loop_used == "generated"``),
 * the commit-time oracle accepts a verified run of the same point
-  (``simulate(..., oracle=True)`` matches the unverified stats),
+  (``lockstep_run`` on the same stream matches the unverified stats),
 * the scheme is actually exercising its machinery: the port counters
   (``rf_port_reads`` plus ``rf_bypass_reads`` or ``rf_delay_cycles``)
   are non-zero.
@@ -68,7 +68,7 @@ def main() -> int:
                             else "ports-smoke.json")
 
     from repro.harness.runner import make_config
-    from repro.pipeline.processor import simulate
+    from repro.verify.oracle import lockstep_run
     from repro.workloads import BENCHMARKS
 
     report = {"insts": INSTS, "seed": SEED, "size": SIZE, "points": {}}
@@ -101,8 +101,7 @@ def main() -> int:
                 return 1
 
             # commit-time oracle on the identical point
-            oracle_stats = simulate(config, _stream(profile_name),
-                                    oracle=True)
+            oracle_stats = lockstep_run(config, _stream(profile_name))
             if oracle_stats.to_dict() != dataclasses.asdict(
                     gen_proc.stats):
                 print(f"FAIL: {label}: oracle-checked run disagrees "
