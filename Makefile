@@ -4,8 +4,7 @@ PYTHON ?= python
 JOBS ?= 4
 
 .PHONY: install test bench bench-parallel bench-full repro examples \
-	sampling-smoke kernel-smoke ports-smoke sweep-smoke \
-	verify fuzz fuzz-smoke faults-smoke faults importtime \
+	kernel-smoke verify fuzz fuzz-smoke faults-smoke faults importtime \
 	golden clean
 
 install:
@@ -24,26 +23,11 @@ bench-parallel:
 bench-full:
 	REPRO_SCALE=full $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# interval-sampling engine: sampled sweep determinism, CI fields, trace cache
-sampling-smoke:
-	$(PYTHON) tools/sampling_smoke.py
-
-# code-generated cycle kernels: conventional and sharing kernels
-# bit-identical to the naive loop, sharing kernel >= 2.4x faster (same
-# process, same machine)
+# code-generated cycle kernels: the conventional and sharing kernels
+# engage, and the sharing kernel is >= 2.4x faster than the naive loop
+# (same process, same machine); loop identity is in tests/
 kernel-smoke:
 	$(PYTHON) tools/kernel_smoke.py
-
-# read-port-reduction schemes: both schemes on two profiles, kernel/naive
-# loop identity + commit-time oracle, port counters exercised
-ports-smoke:
-	$(PYTHON) tools/ports_smoke.py
-
-# sweep data plane: small grid bit-identical across serial and 2-job fleet
-# runs; fleet workers start warm (no trace generated or read from disk)
-# and materialize each workload at most once
-sweep-smoke:
-	$(PYTHON) tools/sweep_smoke.py
 
 # oracle-checked kernel battery: every scheme, lockstep vs the golden model
 verify:
@@ -59,10 +43,12 @@ FUZZ_SEED ?= 0
 fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --count $(FUZZ_COUNT) --seed $(FUZZ_SEED)
 
-# fault-injection gate: 200 seeded injections fully classified with zero
-# silent corruption, plus the SIGKILL-and-resume result-cache check
+# fault-injection gate: 200 seeded injections, each inside its kind's
+# expected outcomes (exit 1 otherwise), plus the SIGKILL-and-resume
+# result-cache check
 faults-smoke:
-	$(PYTHON) tools/faults_smoke.py
+	PYTHONPATH=src $(PYTHON) -m repro faults --injections 200 --seed 0 --out faults-smoke.json
+	$(PYTHON) tools/faults_smoke.py resume-smoke.json
 
 # longer local fault campaign (FAULT_COUNT and FAULT_SEED are overridable)
 FAULT_COUNT ?= 1000

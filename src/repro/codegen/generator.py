@@ -1224,6 +1224,9 @@ if on_cycle is not None and cycle % interval == 0:
         occ_free = stats.free_regs_sum
         occ_samples = stats.occupancy_samples
         last_progress = proc._last_progress
+        # the hook may have changed what rename sees: no busy-stall skip
+        # until a real cycle observes the stall again
+        rename_stall = 0
 if cycle > {MAXC}:
 {_reindent(_FLUSH, "    ")}
     proc._watchdog_abort(
@@ -1254,11 +1257,7 @@ if cycle - last_progress > 200_000:
     skip.append("    # while blocked on an unresolved branch).  Every cycle until")
     skip.append("    # the next completion or unpipelined-unit release replays")
     skip.append("    # identically: same stall counter bump, no state change.")
-    skip.append("    # Bulk-apply those cycles.  Hooked runs take the")
-    skip.append("    # cycle-by-cycle path (hooks may mutate anything).")
-    skip.append("    if on_cycle is not None or rename_stall == 0:")
-    skip.append("        continue")
-    skip.append("    if last_progress == cycle:")
+    skip.append("    if rename_stall == 0 or last_progress == cycle:")
     skip.append("        continue")
     if PS != "none":
         # a ready entry denied a port grant charges rf_port_stalls every
@@ -1276,42 +1275,18 @@ if cycle - last_progress > 200_000:
         skip.append(f"    for _v in fus_slots_{kind}:")
         skip.append("        if _v > cycle and (target is None or _v < target):")
         skip.append("            target = _v")
-    skip.append("    limit = last_progress + 200_001")
-    skip.append("    if target is None or target > limit:")
-    skip.append("        target = limit")
-    if II:
-        skip.append("    if next_interrupt < target:")
-        skip.append("        target = next_interrupt")
-    skip.append(f"    if target > {MAXC + 1}:")
-    skip.append(f"        target = {MAXC + 1}")
-    skip.append("    skipped = target - cycle - 1")
-    skip.append("    if skipped <= 0:")
+    skip.append("else:")
+    skip.append("    # quiet window: nothing to rename, issue or commit until")
+    skip.append("    # the next completion or fetch wake-up")
+    skip.append("    if iq._ready and iq_ready_entries():")
     skip.append("        continue")
-    skip.append("    if rename_stall == 1:")
-    skip.append("        stats.rename_stall_rob += skipped")
-    skip.append("    elif rename_stall == 2:")
-    skip.append("        stats.rename_stall_iq += skipped")
-    skip.append("    elif rename_stall == 3:")
-    skip.append("        stats.rename_stall_lsq += skipped")
-    skip.append("    else:")
-    skip.append("        stats.rename_stall_regs += skipped")
-    skip.append("    occ_rob += skipped * len(rob_entries)")
-    skip.append("    occ_iq += skipped * iq._size")
-    skip.append(f"    occ_free += skipped * {free_expr}")
-    skip.append("    occ_samples += skipped")
-    skip.append("    proc.cycles_skipped += skipped")
-    skip.append("    cycle = target - 1")
-    skip.append("    proc.cycle = cycle")
-    skip.append("    continue")
-    skip.append("if iq._ready and iq_ready_entries():")
-    skip.append("    continue")
-    skip.append("if (not rob_entries and fetch._eof")
-    skip.append("        and fetch._pending is None and not fetch.replay):")
-    skip.append("    continue")
-    skip.append("target = completion[0][0] if completion else None")
-    skip.append("wake = fetch_next_active(cycle)")
-    skip.append("if wake is not None and (target is None or wake < target):")
-    skip.append("    target = wake")
+    skip.append("    if (not rob_entries and fetch._eof")
+    skip.append("            and fetch._pending is None and not fetch.replay):")
+    skip.append("        continue")
+    skip.append("    target = completion[0][0] if completion else None")
+    skip.append("    wake = fetch_next_active(cycle)")
+    skip.append("    if wake is not None and (target is None or wake < target):")
+    skip.append("        target = wake")
     skip.append("limit = last_progress + 200_001")
     skip.append("if target is None or target > limit:")
     skip.append("    target = limit")
@@ -1328,11 +1303,20 @@ if cycle - last_progress > 200_000:
     skip.append("skipped = target - cycle - 1")
     skip.append("if skipped <= 0:")
     skip.append("    continue")
+    skip.append("if not fetch_queue:")
+    skip.append("    fetch_account_idle(cycle + 1, target - 1)")
+    skip.append("elif rename_stall == 1:")
+    skip.append("    stats.rename_stall_rob += skipped")
+    skip.append("elif rename_stall == 2:")
+    skip.append("    stats.rename_stall_iq += skipped")
+    skip.append("elif rename_stall == 3:")
+    skip.append("    stats.rename_stall_lsq += skipped")
+    skip.append("else:")
+    skip.append("    stats.rename_stall_regs += skipped")
     skip.append("occ_rob += skipped * len(rob_entries)")
     skip.append("occ_iq += skipped * iq._size")
     skip.append(f"occ_free += skipped * {free_expr}")
     skip.append("occ_samples += skipped")
-    skip.append("fetch_account_idle(cycle + 1, target - 1)")
     skip.append("proc.cycles_skipped += skipped")
     skip.append("cycle = target - 1")
     skip.append("proc.cycle = cycle")

@@ -384,10 +384,10 @@ class TraceCache:
         cannot represent raises
         :class:`~repro.workloads.trace_codec.TraceCodecError`.
 
-        :func:`cached_stream` no longer calls this (it stores the
-        workload's :meth:`~repro.workloads.generator.SyntheticWorkload.
-        trace_bytes`); it stays for callers holding instruction objects
-        and because the benchmark's traced run wraps it by name."""
+        Nothing in the package calls this (:func:`cached_stream` stores
+        the workload's :meth:`~repro.workloads.generator.SyntheticWorkload.
+        trace_bytes`); it stays only because the benchmark's traced run
+        (``bench/spans.py``) hooks it by name."""
         from repro.workloads.trace_codec import encode
 
         blob = encode(insts_list)
@@ -450,16 +450,8 @@ class TraceMemo:
         return key in self._entries
 
 
-#: process-wide memo instance; replace via :func:`reset_trace_memo`
+#: process-wide memo instance
 TRACE_MEMO = TraceMemo()
-
-
-def reset_trace_memo(limit: int = TraceMemo.DEFAULT_LIMIT) -> TraceMemo:
-    """Install a fresh :class:`TraceMemo` and return it.  Used by tests
-    to start from a cold memo."""
-    global TRACE_MEMO
-    TRACE_MEMO = TraceMemo(limit)
-    return TRACE_MEMO
 
 
 def cached_stream(profile: WorkloadProfile, insts: int, seed: int = 1,

@@ -230,12 +230,10 @@ class Figure10Result:
 
 
 def figure10(suite: str, scale: Scale | None = None, *,
-             jobs: int | None = None, cache=None,
-             progress=None) -> Figure10Result:
+             jobs: int | None = None, cache=None) -> Figure10Result:
     scale = scale or Scale.from_env()
     profiles = _suite_profiles(scale, suite)
-    rows = sweep_speedups(profiles, scale, jobs=jobs, cache=cache,
-                          progress=progress)
+    rows = sweep_speedups(profiles, scale, jobs=jobs, cache=cache)
     return Figure10Result(suite=suite, sizes=scale.sizes, rows=rows)
 
 
@@ -273,7 +271,7 @@ class Figure11Result:
 
 
 def figure11(scale: Scale | None = None, *, jobs: int | None = None,
-             cache=None, progress=None) -> Figure11Result:
+             cache=None) -> Figure11Result:
     scale = scale or Scale.from_env()
     profiles = scale.profiles("specint") + scale.profiles("specfp")
     points = [
@@ -284,8 +282,7 @@ def figure11(scale: Scale | None = None, *, jobs: int | None = None,
         for profile in profiles
         for scheme in ("conventional", "sharing")
     ]
-    stats = collect_stats(
-        run_points(points, jobs=jobs, cache=cache, progress=progress))
+    stats = collect_stats(run_points(points, jobs=jobs, cache=cache))
     result = Figure11Result(sizes=scale.sizes)
     for size in scale.sizes:
         base = [stats[(p.name, "conventional", size, scale.seed)].ipc
@@ -375,7 +372,7 @@ class FigurePortsResult:
 
 
 def figure_ports(scale: Scale | None = None, *, jobs: int | None = None,
-                 cache=None, progress=None) -> FigurePortsResult:
+                 cache=None) -> FigurePortsResult:
     """Does register sharing still win when the conventional baseline also
     spends its area on port reduction?  Sweeps every PORT_CONFIGS column
     over the specint+specfp profiles and the equal-area size axis."""
@@ -391,7 +388,7 @@ def figure_ports(scale: Scale | None = None, *, jobs: int | None = None,
         for profile in profiles
         for scheme, port_scheme in PORT_CONFIGS
     ]
-    results = run_points(points, jobs=jobs, cache=cache, progress=progress)
+    results = run_points(points, jobs=jobs, cache=cache)
     failures = [r for r in results if not r.ok]
     if failures:
         raise SweepError(failures)
@@ -443,8 +440,7 @@ class Figure12Result:
 
 
 def figure12(scale: Scale | None = None, size: int = 64, *,
-             jobs: int | None = None, cache=None,
-             progress=None) -> Figure12Result:
+             jobs: int | None = None, cache=None) -> Figure12Result:
     scale = scale or Scale.from_env()
     result = Figure12Result()
     all_profiles = [profile for suite in ("specint", "specfp")
@@ -453,8 +449,7 @@ def figure12(scale: Scale | None = None, size: int = 64, *,
                          insts=scale.insts, seed=scale.seed,
                          sampling=scale.sampling)
               for profile in all_profiles]
-    by_key = collect_stats(
-        run_points(points, jobs=jobs, cache=cache, progress=progress))
+    by_key = collect_stats(run_points(points, jobs=jobs, cache=cache))
     for suite in ("specint", "specfp"):
         totals = {"reuse correct": 0, "reuse incorrect": 0,
                   "no reuse correct": 0, "no reuse incorrect": 0,

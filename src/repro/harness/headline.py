@@ -32,10 +32,10 @@ class HeadlineResult:
 
 
 def headline(scale: Scale | None = None, *, jobs: int | None = None,
-             cache=None, progress=None) -> HeadlineResult:
+             cache=None) -> HeadlineResult:
     scale = scale or Scale.from_env()
-    fp = figure10("specfp", scale, jobs=jobs, cache=cache, progress=progress)
-    si = figure10("specint", scale, jobs=jobs, cache=cache, progress=progress)
+    fp = figure10("specfp", scale, jobs=jobs, cache=cache)
+    si = figure10("specint", scale, jobs=jobs, cache=cache)
     per_size = {}
     for size in scale.sizes:
         per_size[size] = geomean([fp.average(size), si.average(size)])
@@ -43,7 +43,6 @@ def headline(scale: Scale | None = None, *, jobs: int | None = None,
     # range (gains vanish for very large files by construction)
     pressured = [per_size[s] for s in scale.sizes if s <= 80]
     average = geomean(pressured)
-    saving = figure11(scale, jobs=jobs, cache=cache,
-                      progress=progress).iso_ipc_saving()
+    saving = figure11(scale, jobs=jobs, cache=cache).iso_ipc_saving()
     return HeadlineResult(average_speedup=average, iso_ipc_saving=saving,
                           per_size=per_size)

@@ -22,12 +22,12 @@ a no-progress check), so the engine sets no wall-clock bound of its own.
 Persistence is one cache-backed store: an optional
 :class:`~repro.harness.cache.ResultCache` serves previously computed
 points without re-simulating, and every fresh success is published to it
-crash-safely (temp file, fsync, atomic rename) before ``progress`` fires
-for that point.  A sweep killed mid-flight (SIGKILL, OOM, power) is
-resumed by rerunning it against the same cache: finished points are
-served as hits and only incomplete points are re-simulated — the one
-recovery path, for a killed sweep and for a failed point alike.  A
-sweep without a cache (``--no-cache``) does not resume.
+crash-safely (temp file, fsync, atomic rename) as it resolves.  A sweep
+killed mid-flight (SIGKILL, OOM, power) is resumed by rerunning it
+against the same cache: finished points are served as hits and only
+incomplete points are re-simulated — the one recovery path, for a
+killed sweep and for a failed point alike.  A sweep without a cache
+(``--no-cache``) does not resume.
 
 The sweep data plane is fork itself: before the pipe fleet forks, the
 parent warms its trace memo with every distinct pending workload and its
@@ -316,35 +316,26 @@ def run_points(
     points: Iterable[SweepPoint],
     jobs: Optional[int] = None,
     cache=None,
-    progress: Optional[Callable[[int, int, PointResult], None]] = None,
 ) -> list[PointResult]:
     """Execute a sweep; returns one :class:`PointResult` per point, in order.
 
     ``cache`` is a :class:`~repro.harness.cache.ResultCache` (or None);
     cached points are served without simulating and every fresh success
-    is written back before its ``progress`` call — kill the process at
-    any moment and a rerun with the same cache resumes from the last
-    completed point.  ``progress(done, total, result)`` fires once per
-    resolved point.
+    is written back as it resolves — kill the process at any moment and
+    a rerun with the same cache resumes from the last completed point.
 
     ``jobs=1`` runs in-process; ``jobs > 1`` runs the pipe fleet of
     ``min(jobs, pending)`` forked workers.  Each point runs once: a
     crash or a dead worker fails that point and the sweep carries on.
     """
     points = list(points)
-    total = len(points)
     jobs = resolve_jobs(jobs)
-    results: list[Optional[PointResult]] = [None] * total
-    done = 0
+    results: list[Optional[PointResult]] = [None] * len(points)
 
     def finish(index: int, result: PointResult) -> None:
-        nonlocal done
         results[index] = result
-        done += 1
         if result.ok and not result.cached and cache is not None:
             cache.put(cache.key_for_point(result.point), result.stats)
-        if progress is not None:
-            progress(done, total, result)
 
     pending: list[int] = []
     for index, point in enumerate(points):
@@ -476,9 +467,9 @@ def _run_fleet(points, pending, finish, workers: int) -> None:
     #: slot position -> workload key of its latest point, kept across
     #: respawns (affinity is only a hint)
     last: dict[int, tuple] = {}
-    # finished points commit (cache put, progress callback) only after
-    # the freed workers have been sent their next point, so the commit
-    # overlaps simulation instead of idling the fleet
+    # finished points commit (cache put) only after the freed workers
+    # have been sent their next point, so the commit overlaps simulation
+    # instead of idling the fleet
     resolved: list[tuple[int, PointResult]] = []
 
     def replace(position: int) -> None:

@@ -128,10 +128,10 @@ def enumerate_pair_points(profiles, scale: Scale) -> list[SweepPoint]:
 
 
 def sweep_speedups(profiles, scale: Scale, *, jobs: int | None = None,
-                   cache=None, progress=None) -> list[SpeedupRow]:
+                   cache=None) -> list[SpeedupRow]:
     """Speedup rows for Figure 10-style sweeps, via the sweep engine.
 
-    ``jobs``/``cache``/``progress`` are forwarded to
+    ``jobs``/``cache`` are forwarded to
     :func:`repro.harness.parallel.run_points`; the default
     (``jobs=None``, no cache) resolves ``REPRO_JOBS`` and simulates
     in-process, producing bit-identical results to any parallel/cached/
@@ -139,8 +139,7 @@ def sweep_speedups(profiles, scale: Scale, *, jobs: int | None = None,
     """
     profiles = list(profiles)
     points = enumerate_pair_points(profiles, scale)
-    stats = collect_stats(
-        run_points(points, jobs=jobs, cache=cache, progress=progress))
+    stats = collect_stats(run_points(points, jobs=jobs, cache=cache))
     rows = []
     for profile in profiles:
         speedups = {}

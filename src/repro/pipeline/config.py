@@ -12,6 +12,7 @@ from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 if TYPE_CHECKING:
     from repro.core.register_file import RegisterFileConfig
     from repro.core.renamer import BaseRenamer
+    from repro.frontend.branch_predictor import BranchUnit
 
 #: Paper Table I, kept verbatim for the Table I bench.
 TABLE_I: dict[str, dict[str, str]] = {
@@ -179,8 +180,6 @@ class MachineConfig:
 
     # ------------------------------------------------------------------ factories
     def make_renamer(self) -> BaseRenamer:
-        from repro.core.register_file import RegisterFileConfig
-
         if self.scheme == "conventional":
             from repro.core.conventional import ConventionalRenamer
 
@@ -189,46 +188,41 @@ class MachineConfig:
             from repro.core.early_release import EarlyReleaseRenamer
 
             return EarlyReleaseRenamer(self.int_regs, self.fp_regs)
-        if self.scheme == "hinted":
-            from repro.core.hinted import HintedSharingRenamer
+        if self.scheme not in ("sharing", "hinted"):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+        from repro.core.register_file import RegisterFileConfig
 
-            int_cfg = (
-                RegisterFileConfig(bank_sizes=tuple(self.int_banks))
-                if self.int_banks
-                else rf_config_for(self.int_regs)
-            )
-            fp_cfg = (
-                RegisterFileConfig(bank_sizes=tuple(self.fp_banks))
-                if self.fp_banks
-                else rf_config_for(self.fp_regs, bits=128)
-            )
-            return HintedSharingRenamer(
-                int_cfg, fp_cfg, counter_bits=self.counter_bits,
-                predictor_entries=self.type_predictor_entries,
-            )
         if self.scheme == "sharing":
-            from repro.core.sharing import SharingRenamer
-
-            int_cfg = (
-                RegisterFileConfig(bank_sizes=tuple(self.int_banks))
-                if self.int_banks
-                else rf_config_for(self.int_regs)
-            )
-            fp_cfg = (
-                RegisterFileConfig(bank_sizes=tuple(self.fp_banks))
-                if self.fp_banks
-                else rf_config_for(self.fp_regs, bits=128)
-            )
-            return SharingRenamer(
-                int_cfg,
-                fp_cfg,
-                counter_bits=self.counter_bits,
-                predictor_entries=self.type_predictor_entries,
-            )
-        raise ValueError(f"unknown scheme {self.scheme!r}")
+            from repro.core.sharing import SharingRenamer as renamer_class
+        else:
+            from repro.core.hinted import HintedSharingRenamer as renamer_class
+        int_cfg = (
+            RegisterFileConfig(bank_sizes=tuple(self.int_banks))
+            if self.int_banks
+            else rf_config_for(self.int_regs)
+        )
+        fp_cfg = (
+            RegisterFileConfig(bank_sizes=tuple(self.fp_banks))
+            if self.fp_banks
+            else rf_config_for(self.fp_regs, bits=128)
+        )
+        return renamer_class(
+            int_cfg,
+            fp_cfg,
+            counter_bits=self.counter_bits,
+            predictor_entries=self.type_predictor_entries,
+        )
 
     def make_hierarchy(self) -> MemoryHierarchy:
         return MemoryHierarchy(self.hierarchy)
+
+    def make_branch_unit(self) -> BranchUnit:
+        from repro.frontend.branch_predictor import BranchUnit
+
+        return BranchUnit(kind=self.branch_predictor,
+                          table_size=self.predictor_table,
+                          btb_entries=self.btb_entries,
+                          ras_depth=self.ras_depth)
 
     def with_scheme(self, scheme: str, **overrides) -> "MachineConfig":
         return replace(self, scheme=scheme, **overrides)

@@ -93,12 +93,8 @@ class Processor:
         # engine keep warmed caches and predictors alive across windows
         self.hierarchy = hierarchy if hierarchy is not None \
             else config.make_hierarchy()
-        self.branch_unit = branch_unit if branch_unit is not None else BranchUnit(
-            kind=config.branch_predictor,
-            table_size=config.predictor_table,
-            btb_entries=config.btb_entries,
-            ras_depth=config.ras_depth,
-        )
+        self.branch_unit = branch_unit if branch_unit is not None \
+            else config.make_branch_unit()
         wrong_path = None
         if config.model_wrong_path:
             if config.scheme == "early":

@@ -30,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Optional
 
-from repro.frontend.branch_predictor import BranchUnit
 from repro.isa.dyninst import DynInst
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
@@ -246,10 +245,7 @@ def sampled_simulate(
         it = iter(workload)
         source = _SampledSource(lambda: next(it, None), limit=total_insts)
 
-    branch_unit = BranchUnit(kind=config.branch_predictor,
-                             table_size=config.predictor_table,
-                             btb_entries=config.btb_entries,
-                             ras_depth=config.ras_depth)
+    branch_unit = config.make_branch_unit()
     # one memory hierarchy for the whole run: the warmer touches it during
     # fast-forward, so windows start with realistic cache/TLB contents
     hierarchy = config.make_hierarchy()

@@ -13,13 +13,13 @@ back to its just-decoded state (:meth:`TraceColumns.rewind`, which
 builds no objects).
 
 Who writes ``.rtc`` bytes: :class:`ColumnWriter` is the one place the
-payload layout is written, and two producers fill it.
-:func:`encode` walks instruction objects (functional-mode programs,
-tests, tools); the synthetic workload generator's column emitter
+payload layout is written, and two producers fill it.  The synthetic
+workload generator's column emitter
 (:meth:`~repro.workloads.generator.SyntheticWorkload.trace_bytes`)
-appends straight from its loop bodies without building any, and is what
-the trace cache stores on a miss.  Both produce identical bytes for the
-same stream.
+appends straight from its loop bodies without building any instruction
+objects, and is what the trace cache stores on a miss.  :func:`encode`
+walks instruction objects; it is the test oracle of ``trace_bytes``
+(both produce identical bytes for the same stream).
 
 Layout (all little-endian)::
 

@@ -1,13 +1,13 @@
 """Kernel memo lifecycle: fingerprints, no disk writes, fallback.
 
 The correctness of the generated kernels themselves is covered by the
-naive-loop oracle in ``test_event_loop.py`` and by ``tools/kernel_smoke``;
-this module tests the machinery *around* them — that the fingerprint
-tracks everything a kernel depends on, that loading a kernel writes
-nothing to disk, and that every refusal really lands on the naive loop —
-plus an oracle for the inlined register-pressure check,
-L1-D/TLB/prefetcher path and operand verification, whose delegated cold
-paths the streams below are sized to reach.
+naive-loop oracle in ``test_event_loop.py``; this module tests the
+machinery *around* them — that the fingerprint tracks everything a
+kernel depends on, that loading a kernel writes nothing to disk, and
+that every refusal really lands on the naive loop — plus an oracle for
+the inlined register-pressure check, L1-D/TLB/prefetcher path, read-port
+grants and operand verification, whose delegated cold paths the streams
+below are sized to reach.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ from repro.codegen import (
 )
 from repro.codegen.cache import _KERNEL_MEMO
 from repro.core.conventional import ConventionalRenamer
+from repro.core.read_ports import apply_port_scheme
 from repro.isa.executor import FunctionalExecutor
 from repro.mem import Cache, MemoryHierarchy
 from repro.pipeline.config import MachineConfig
@@ -185,14 +186,17 @@ def test_generator_error_propagates(monkeypatch):
 
 def test_generated_matches_event_without_hooks():
     """No on_commit hook => the kernel takes its inline fast-commit path;
-    it must still report identical stats to the naive loop."""
-    naive = _processor("sharing", seed=3, naive_loop=True)
-    naive.run()
-    gen = _processor("sharing", seed=3)
-    gen.run()
-    assert gen.loop_used == "generated"
-    assert dataclasses.asdict(gen.stats) == dataclasses.asdict(naive.stats)
-    assert gen.renamer.stats == naive.renamer.stats
+    in the default configuration it must still report identical stats to
+    the naive loop."""
+    for scheme in ("sharing", "conventional"):
+        naive = _processor(scheme, seed=3, naive_loop=True)
+        naive.run()
+        gen = _processor(scheme, seed=3)
+        gen.run()
+        assert gen.loop_used == "generated"
+        assert dataclasses.asdict(gen.stats) == \
+            dataclasses.asdict(naive.stats), scheme
+        assert gen.renamer.stats == naive.renamer.stats, scheme
 
 
 # --------------------------------------------------------------------------
@@ -219,33 +223,47 @@ def _full_snapshot(proc):
 
 @pytest.mark.parametrize("profile", ["mcf", "h264ref"])
 @pytest.mark.parametrize("verify", [True, False])
-@pytest.mark.parametrize("scheme,counter_bits", [
-    ("sharing", 2), ("conventional", 2),
+@pytest.mark.parametrize("scheme,counter_bits,port_scheme", [
+    pytest.param("sharing", 2, "none", id="sharing-2"),
+    pytest.param("conventional", 2, "none", id="conventional-2"),
     # 1-bit counters saturate below the shadow-cell count, so the
     # pressure check's counter bound is the one that denies reuse
-    ("sharing", 1),
+    pytest.param("sharing", 1, "none", id="sharing-1"),
+    # the read-port schemes: the kernel's port bookkeeping around the
+    # delegated issue stage (repro.core.read_ports)
+    ("conventional", 2, "bypass_filter"),
+    ("conventional", 2, "banked_arbiter"),
 ])
-def test_inlined_paths_match_event_loop(scheme, counter_bits, verify,
-                                        profile):
+def test_inlined_paths_match_event_loop(scheme, counter_bits, port_scheme,
+                                        verify, profile):
     """No hooks (the inline store-commit path runs) and 48 registers (the
     register-pressure check runs): full SimStats, cache stats, renamer and
-    predictor stats and prefetch counts must match the naive loop, and the
-    stream must reach every delegated cold path."""
-    config = MachineConfig(scheme=scheme, int_regs=48, verify_values=verify,
-                           counter_bits=counter_bits)
-    naive = Processor(config, IterSource(iter(_synthetic(profile))),
+    predictor stats, prefetch counts and every instruction's pipeline
+    record (rename tags, stage and commit cycles) must match the naive
+    loop, and the stream must reach every delegated cold path."""
+    config = apply_port_scheme(
+        MachineConfig(scheme=scheme, int_regs=48, verify_values=verify,
+                      counter_bits=counter_bits), port_scheme)
+    naive_stream, gen_stream = _synthetic(profile), _synthetic(profile)
+    naive = Processor(config, IterSource(iter(naive_stream)),
                       naive_loop=True)
     naive.run()
-    gen = Processor(config, IterSource(iter(_synthetic(profile))))
+    gen = Processor(config, IterSource(iter(gen_stream)))
     gen.run()
     assert gen.loop_used == "generated"
     assert _full_snapshot(gen) == _full_snapshot(naive)
+    assert gen_stream == naive_stream
 
-    caches = naive.stats.cache_stats
-    assert naive.stats.rename_stall_regs > 0
+    stats = naive.stats
+    caches = stats.cache_stats
+    assert stats.rename_stall_regs > 0
     assert caches["tlb"].misses > 0
     assert caches["l1d"].writebacks > 0
     assert caches["l1d"].prefetch_hits > 0
+    if port_scheme == "bypass_filter":
+        assert stats.rf_port_reads > 0 and stats.rf_bypass_reads > 0
+    elif port_scheme == "banked_arbiter":
+        assert stats.rf_port_reads > 0 and stats.rf_delay_cycles > 0
 
 
 def _corrupted_stream():

@@ -15,8 +15,11 @@ import itertools
 import pytest
 
 from repro.isa.executor import FirstTouchFaults, FunctionalExecutor
+from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import IterSource, Processor
 from repro.verify.fuzz import generate, fuzz_config, schemes_for
+from repro.workloads import BENCHMARKS
+from repro.workloads.generator import SyntheticWorkload
 
 PROGRAMS = 20
 SIZE = 40
@@ -109,6 +112,47 @@ def test_hook_every_cycle_skips_nothing(loop):
     _, _, unhooked = _run(fuzz_program.build(), cfg,
                           fuzz_program.variant, loop)
     assert unhooked.cycles_skipped > 0
+
+
+def test_hooked_run_skips_busy_stall_windows():
+    """Rename stalled behind mcf's long misses: a hooked run bulk-skips
+    those busy-stall windows up to the hook's next boundary, as it does
+    quiet windows.  A hook that never fires leaves the unhooked skip
+    count.  A hook every 50 cycles that also flips a PRT Read bit, so
+    that what rename sees changes under a stall, sees what it sees on the
+    naive loop."""
+    config = MachineConfig(scheme="sharing", int_regs=48,
+                           verify_values=False)
+
+    def run(naive_loop=False, hook_interval=None):
+        seen = []
+        record = _record(seen)
+        flips = itertools.count()
+
+        def hook(proc):
+            record(proc)
+            domain = next(iter(proc.renamer.domains.values()))
+            phys = next(flips) % domain.config.total_regs
+            domain.prt.corrupt(phys, read_bit=not domain.prt[phys].read_bit)
+
+        hooks = {}
+        if hook_interval is not None:
+            hooks = {"on_cycle": hook, "on_cycle_interval": hook_interval}
+        stream = SyntheticWorkload(BENCHMARKS["mcf"], total_insts=3000,
+                                   seed=1)
+        proc = Processor(config, IterSource(iter(list(stream))),
+                         naive_loop=naive_loop, **hooks)
+        proc.run()
+        return proc, seen
+
+    unhooked, _ = run()
+    never_fires, _ = run(hook_interval=10**9)
+    assert never_fires.cycles_skipped == unhooked.cycles_skipped > 0
+    hooked, seen = run(hook_interval=50)
+    naive, naive_seen = run(naive_loop=True, hook_interval=50)
+    assert hooked.loop_used == "generated"
+    assert seen == naive_seen
+    assert dataclasses.asdict(hooked.stats) == dataclasses.asdict(naive.stats)
 
 
 @pytest.mark.parametrize("port_scheme", ["bypass_filter", "banked_arbiter"])

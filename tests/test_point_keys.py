@@ -20,13 +20,13 @@ from pathlib import Path
 import pytest
 
 from repro.harness import figures, runner
-from repro.harness.cache import (ResultCache, point_key, reset_trace_memo,
-                                 trace_key)
+from repro.harness.cache import ResultCache, point_key, trace_key
 from repro.harness.figures import figure10, figure11, figure_ports
 from repro.harness.headline import headline
 from repro.harness.parallel import SweepPoint, run_points, simulate_point
 from repro.harness.runner import Scale, make_config
 from repro.workloads.profiles import BENCHMARKS
+from tests.util import fresh_trace_memo
 
 FP = "testfp"
 PROFILE = BENCHMARKS["mcf"]
@@ -165,13 +165,13 @@ def test_same_name_variant_simulates_its_own_trace(jobs, tmp_path,
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     points = [SweepPoint(profile, "sharing", 48, 2_000, 1)
               for profile in (PROFILE, VARIANT)]
-    reset_trace_memo()
+    fresh_trace_memo(monkeypatch)
     cache = ResultCache(tmp_path / "results", fingerprint=FP)
     swept = [r.stats.to_dict() for r in run_points(points, jobs=jobs,
                                                    cache=cache)]
     alone = []
     for point in points:
-        reset_trace_memo()
+        fresh_trace_memo(monkeypatch)
         alone.append(simulate_point(point).to_dict())
     assert swept == alone
     assert swept[0]["cycles"] != swept[1]["cycles"]

@@ -244,22 +244,6 @@ def test_rerun_resumes_from_the_result_cache(tmp_path, runner):
         assert a.stats.to_dict() == b.stats.to_dict()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cache_entry_is_published_before_progress_fires(tmp_path, jobs):
-    # a kill right after a progress report must never lose that point
-    points = _points(2)
-    cache = ResultCache(root=tmp_path)
-    seen = []
-
-    def check(done, total, result):
-        key = cache.key_for_point(result.point)
-        assert Path(cache._file(key)).is_file()
-        seen.append(len(cache))
-
-    run_points(points, jobs=jobs, cache=cache, progress=check)
-    assert seen == [1, 2]
-
-
 @pytest.mark.parametrize("flag", ["journal", "resume"])
 @pytest.mark.parametrize("command", [["compare", "gsm"], ["figures", "fig12"]])
 def test_cli_rejects_retired_journal_flags(command, flag, capsys):

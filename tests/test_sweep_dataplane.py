@@ -3,8 +3,7 @@
 These pin the mechanisms behind the sweep data plane — the pre-fork
 warm step every fleet worker inherits, the workload-affine dispatch
 queue and the workload each worker keeps resident — plus a pytest-level
-bit-identity matrix across jobs.  End-to-end
-identity is also covered by ``tools/sweep_smoke.py``; wall-clock by the
+bit-identity matrix across jobs.  Wall-clock is covered by the
 ``bench/`` suite.
 """
 
@@ -17,11 +16,11 @@ from repro.codegen import cache as codegen_cache
 from repro.codegen.fingerprint import kernel_fingerprint
 from repro.harness import cache as cache_mod
 from repro.harness import parallel
-from repro.harness.cache import reset_trace_memo
 from repro.harness.parallel import SweepPoint, run_points, simulate_point
 from repro.harness.runner import make_config
 from repro.workloads.profiles import BENCHMARKS
 from repro.workloads.trace_codec import TraceColumns
+from tests.util import fresh_trace_memo
 
 
 def _points(count=3, profile="gsm", scheme="conventional", insts=1500):
@@ -97,18 +96,17 @@ def test_fleet_workers_start_warm(tmp_path, monkeypatch, jobs):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
     points = (_points(2, insts=800) + _points(2, insts=800, scheme="sharing")
               + _points(1, profile="adpcm", insts=800))
-    reset_trace_memo()
+    fresh_trace_memo(monkeypatch)
     reference = [r.stats.to_dict() for r in run_points(points, jobs=1)]
 
     # the parent starts cold: only the pre-fork warm step can fill the
     # memos the workers check
-    reset_trace_memo()
+    fresh_trace_memo(monkeypatch)
     monkeypatch.setattr(codegen_cache, "_KERNEL_MEMO", {})
     monkeypatch.setattr(parallel, "_POINT_RUNNER", _warm_runner)
     results = run_points(points, jobs=jobs)
     assert [r.error for r in results] == [None] * len(points)
     assert [r.stats.to_dict() for r in results] == reference
-    reset_trace_memo()
 
 
 # ------------------------------------------------------ resident workloads
@@ -136,7 +134,7 @@ def test_fleet_workers_decode_once(tmp_path, monkeypatch, jobs):
     points = [SweepPoint(BENCHMARKS[profile], scheme, 48, 800, seed)
               for seed in (1, 2) for scheme in ("sharing", "conventional")
               for profile in ("gsm", "adpcm")]
-    reset_trace_memo()
+    fresh_trace_memo(monkeypatch)
     reference = [r.stats.to_dict() for r in run_points(points, jobs=1)]
 
     original = vars(TraceColumns)["materialize_range"]
@@ -146,14 +144,13 @@ def test_fleet_workers_decode_once(tmp_path, monkeypatch, jobs):
         _MATERIALIZED[key] = _MATERIALIZED.get(key, 0) + 1
         return original(self, lo, hi)
 
-    reset_trace_memo()
+    fresh_trace_memo(monkeypatch)
     _MATERIALIZED.clear()
     monkeypatch.setattr(TraceColumns, "materialize_range", counted)
     monkeypatch.setattr(parallel, "_POINT_RUNNER", _decode_once_runner)
     results = run_points(points, jobs=jobs)
     assert [r.error for r in results] == [None] * len(points)
     assert [r.stats.to_dict() for r in results] == reference
-    reset_trace_memo()
 
 
 # ------------------------------------------------------- end-to-end identity
@@ -164,7 +161,7 @@ def test_results_identical_across_data_plane_configs(
 
     def run(jobs, subdir):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / subdir))
-        reset_trace_memo()
+        fresh_trace_memo(monkeypatch)
         results = run_points(points, jobs=jobs)
         assert all(r.ok for r in results)
         return [r.stats.to_dict() for r in results]

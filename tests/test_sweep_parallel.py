@@ -117,11 +117,3 @@ def test_failed_points_are_not_cached(tmp_path):
                      insts=300, seed=1)
     run_points([bad], jobs=1, cache=cache)
     assert len(cache) == 0
-
-
-# ------------------------------------------------------------------ progress
-def test_progress_callback_fires_per_point():
-    seen = []
-    results = run_points(_points(), jobs=1,
-                         progress=lambda done, total, r: seen.append((done, total)))
-    assert seen == [(i + 1, len(results)) for i in range(len(results))]

@@ -6,11 +6,12 @@ import pytest
 
 import repro.harness.cache as cache_mod
 from repro.harness.cache import (TraceCache, TraceMemo, TraceStream,
-                                 cached_stream, reset_trace_memo)
+                                 cached_stream)
 from repro.harness.runner import make_config
 from repro.pipeline.processor import simulate
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import BENCHMARKS
+from tests.util import fresh_trace_memo
 
 PROFILE = BENCHMARKS["gsm"]
 
@@ -19,17 +20,17 @@ PROFILE = BENCHMARKS["gsm"]
 def _fresh_memo(monkeypatch):
     """Each test sees an empty process-local memo, so hits/misses observed
     on the TraceCache reflect the on-disk behaviour under test."""
-    monkeypatch.setattr(cache_mod, "TRACE_MEMO", TraceMemo())
+    fresh_trace_memo(monkeypatch)
 
 
-def test_cold_generates_warm_hits(tmp_path):
+def test_cold_generates_warm_hits(tmp_path, monkeypatch):
     cache = TraceCache(tmp_path, fingerprint="fp")
     stream = cached_stream(PROFILE, 500, seed=1, cache=cache)
     assert isinstance(stream, TraceStream)
     assert cache.misses == 1 and cache.hits == 0
     assert len(cache) == 1
 
-    reset_trace_memo()
+    fresh_trace_memo(monkeypatch)
     warm = cached_stream(PROFILE, 500, seed=1, cache=cache)
     assert cache.hits == 1
     assert [d.pc for d in warm] == [d.pc for d in stream]
@@ -85,7 +86,7 @@ def test_roundtrip_simulation_is_bit_identical(tmp_path):
     assert via_trace.to_dict() == via_generator.to_dict()
 
 
-def test_corrupt_binary_entry_is_a_miss_and_removed(tmp_path):
+def test_corrupt_binary_entry_is_a_miss_and_removed(tmp_path, monkeypatch):
     cache = TraceCache(tmp_path, fingerprint="fp")
     key = cache.key_for(PROFILE, 400, 1)
     cached_stream(PROFILE, 400, seed=1, cache=cache)
@@ -97,7 +98,7 @@ def test_corrupt_binary_entry_is_a_miss_and_removed(tmp_path):
     assert not path.exists()  # corrupt entry evicted
 
     # regenerating repopulates the entry transparently
-    reset_trace_memo()
+    fresh_trace_memo(monkeypatch)
     stream = cached_stream(PROFILE, 400, seed=1, cache=cache)
     assert path.is_file()
     assert sum(1 for _ in stream) == 400

@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from repro.harness import cache as cache_mod
-from repro.harness.cache import cached_stream, reset_trace_memo
+from repro.harness.cache import cached_stream
 from repro.harness.parallel import SweepPoint, simulate_point
 from repro.harness.runner import make_config
 from repro.isa.opcodes import OPCODES
@@ -25,6 +25,7 @@ from repro.pipeline.processor import IterSource, Processor
 from repro.workloads import trace_codec
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import BENCHMARKS
+from tests.util import fresh_trace_memo
 
 INSTS = 1500
 
@@ -32,9 +33,7 @@ INSTS = 1500
 @pytest.fixture(autouse=True)
 def _hermetic(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
-    reset_trace_memo()
-    yield
-    reset_trace_memo()
+    fresh_trace_memo(monkeypatch)
 
 
 def _columns(profile: str = "hmmer"):
@@ -107,7 +106,7 @@ def test_replay_order_does_not_matter(monkeypatch):
 
     cold = {}
     for point in dict.fromkeys(order):
-        reset_trace_memo()  # a new stream: materialized, never rewound
+        fresh_trace_memo(monkeypatch)  # a new stream: never rewound
         cold[point] = simulate_point(point).to_dict()
 
     materialized = []
@@ -119,7 +118,7 @@ def test_replay_order_does_not_matter(monkeypatch):
 
     monkeypatch.setattr(trace_codec.TraceColumns, "materialize_range",
                         counted)
-    reset_trace_memo()
+    fresh_trace_memo(monkeypatch)
     previous = None
     for point in order:
         assert simulate_point(point).to_dict() == cold[point], point.label()

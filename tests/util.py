@@ -12,6 +12,13 @@ from repro.isa.registers import RegRef, freg, reg, xreg
 _seq = count()
 
 
+def fresh_trace_memo(monkeypatch) -> None:
+    """Swap in an empty process-wide trace memo; undone at teardown."""
+    from repro.harness import cache
+
+    monkeypatch.setattr(cache, "TRACE_MEMO", cache.TraceMemo())
+
+
 def make_inst(
     op: Op,
     dest: Optional[str] = None,

@@ -1,22 +1,16 @@
 #!/usr/bin/env python
-"""CI smoke test for the fault-injection campaign + resilient sweep fleet.
+"""CI smoke test for resuming an interrupted sweep from the result cache.
 
-Two independent gates:
+A sweep against a fresh result cache is started in a child process and
+SIGKILLed mid-flight; re-running with the same cache must re-simulate
+only the points the cache does not hold, serve the rest as cache hits,
+and be bit-identical to an uninterrupted serial run.  (The seeded
+fault-injection campaign is its own CI step: ``python -m repro faults
+--injections 200 --seed 0``, whose exit status fails on any outcome
+outside its kind's expected set.)
 
-* **Campaign gate** — a seeded 200-injection campaign across the
-  conventional, sharing and early-release schemes must classify every
-  injection, land every outcome inside its kind's expected set, and
-  report zero silent data corruption (an injection that completes with a
-  commit stream differing from the fault-free reference).
-
-* **Resume gate** — a sweep against a fresh result cache is started in a
-  child process and SIGKILLed mid-flight; re-running with the same cache
-  must re-simulate only the points the cache does not hold, serve the
-  rest as cache hits, and be bit-identical to an uninterrupted serial
-  run.
-
-Writes a JSON artifact (outcome counts, resume accounting) for CI upload;
-exits non-zero with a diagnostic on violation.
+Writes a JSON artifact (resume accounting) for CI upload; exits non-zero
+with a diagnostic on violation.
 """
 
 import json
@@ -32,9 +26,6 @@ try:
     import repro  # noqa: F401  (installed package)
 except ImportError:  # fall back to a source checkout
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-INJECTIONS = 200
-CAMPAIGN_SEED = 0
 
 #: sweep grid for the SIGKILL/resume gate — big enough that the child is
 #: reliably mid-flight when killed, small enough to finish quickly
@@ -53,45 +44,6 @@ points = [SweepPoint(profile=BENCHMARKS["gsm"], scheme="conventional",
           for seed in range({count})]
 run_points(points, jobs=1, cache=ResultCache({root!r}))
 """
-
-
-def run_campaign_gate(artifact: dict) -> int:
-    from repro.faults import run_campaign
-
-    started = time.monotonic()
-    report = run_campaign(injections=INJECTIONS, seed=CAMPAIGN_SEED)
-    elapsed = time.monotonic() - started
-
-    if report.classified != INJECTIONS:
-        print(f"FAIL: {report.classified}/{INJECTIONS} injections classified")
-        return 1
-    if report.total("silent"):
-        print(f"FAIL: {report.total('silent')} silent-data-corruption "
-              f"outcome(s) — the checkers let corrupted state commit")
-        return 1
-    if report.total("error"):
-        print(f"FAIL: {report.total('error')} injection(s) crashed the "
-              f"harness outside any checker")
-        return 1
-    if not report.clean:
-        print(f"FAIL: {len(report.unexpected)} injection(s) outside their "
-              f"expected outcome set "
-              f"({len(report.reproducers)} shrunk reproducer(s)):")
-        for raw in report.unexpected[:5]:
-            print(f"  {raw['spec']['kind']}/{raw['spec']['scheme']} "
-                  f"-> {raw['outcome']}")
-        return 1
-
-    artifact["campaign"] = {
-        "seed": CAMPAIGN_SEED,
-        "injections": INJECTIONS,
-        "seconds": round(elapsed, 2),
-        "counts": report.counts,
-        "clean": report.clean,
-    }
-    for line in report.summary_lines():
-        print(line)
-    return 0
 
 
 def run_resume_gate(tmp: pathlib.Path, artifact: dict) -> int:
@@ -179,20 +131,16 @@ def run_resume_gate(tmp: pathlib.Path, artifact: dict) -> int:
 
 def main() -> int:
     out_path = pathlib.Path(sys.argv[1] if len(sys.argv) > 1
-                            else "faults-smoke.json")
+                            else "resume-smoke.json")
     artifact: dict = {}
     with tempfile.TemporaryDirectory(prefix="repro-faults-smoke-") as tmp:
         tmp = pathlib.Path(tmp)
         os.environ["REPRO_TRACE_DIR"] = str(tmp / "traces")
-        status = run_campaign_gate(artifact)
-        if status:
-            return status
         status = run_resume_gate(tmp, artifact)
         if status:
             return status
     out_path.write_text(json.dumps(artifact, indent=2) + "\n")
-    print(f"faults smoke OK: {INJECTIONS} injections clean, SIGKILL resume "
-          f"exact; artifact at {out_path}")
+    print(f"faults smoke OK: SIGKILL resume exact; artifact at {out_path}")
     return 0
 
 
