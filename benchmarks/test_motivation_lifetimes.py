@@ -19,9 +19,10 @@ def traced(scheme, name, scale):
     workload = SyntheticWorkload(BENCHMARKS[name], total_insts=scale.insts)
     config = MachineConfig(scheme=scheme, int_regs=64, fp_regs=64,
                            verify_values=False)
-    processor = Processor(config, IterSource(iter(workload)), keep_trace=True)
-    processor.run()
-    return analyze_lifetimes(processor.trace)
+    trace = []
+    Processor(config, IterSource(iter(workload)),
+              on_commit=lambda _p, dyn: trace.append(dyn)).run()
+    return analyze_lifetimes(trace)
 
 
 def test_dead_interval_motivation(benchmark, scale):

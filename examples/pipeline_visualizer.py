@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Pipeline visualiser: watch physical register sharing happen.
 
-Runs a short chain-heavy kernel with trace collection and prints
-(a) the stage-timeline table, (b) an ASCII Gantt chart, (c) the reuse
-annotations showing which instructions shared a physical register, and
-(d) the register-lifetime summary that motivates the whole paper.
+Runs a short chain-heavy kernel, collects its committed instructions
+with an ``on_commit`` hook and prints (a) the stage-timeline table,
+(b) an ASCII Gantt chart, (c) the reuse annotations showing which
+instructions shared a physical register, and (d) the register-lifetime
+summary that motivates the whole paper.
 
 Run:  python examples/pipeline_visualizer.py [conventional|sharing]
 """
@@ -14,8 +15,7 @@ import sys
 from repro import MachineConfig, assemble
 from repro.analysis import analyze_lifetimes
 from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor
-from repro.pipeline.processor import Processor
+from repro.pipeline.processor import Processor, program_stream
 from repro.pipeline.trace import reuse_annotations, trace_gantt, trace_table
 
 PROGRAM = """
@@ -37,23 +37,23 @@ main: movi x2, 3
 
 def main() -> None:
     scheme = sys.argv[1] if len(sys.argv) > 1 else "sharing"
-    program = assemble(PROGRAM)
     config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(program)
-    processor = Processor(config, IterSource(executor.run(10_000)),
-                          keep_trace=True)
+    stream, _ = program_stream(config, assemble(PROGRAM))
+    trace = []
+    processor = Processor(config, IterSource(stream),
+                          on_commit=lambda _p, dyn: trace.append(dyn))
     stats = processor.run()
 
     print(f"=== {scheme} scheme: {stats.committed} instructions, "
           f"{stats.cycles} cycles ===\n")
-    print(trace_table(processor.trace))
+    print(trace_table(trace))
     print("\n--- pipeline occupancy (F fetch, R rename, I issue, "
           "W writeback, C commit) ---")
-    print(trace_gantt(processor.trace))
+    print(trace_gantt(trace))
     print("\n--- register reuse ---")
-    print(reuse_annotations(processor.trace))
+    print(reuse_annotations(trace))
 
-    analysis = analyze_lifetimes(processor.trace)
+    analysis = analyze_lifetimes(trace)
     if analysis.lifetimes:
         print(f"\n--- lifetimes: mean dead interval "
               f"{analysis.mean_dead_interval:.1f} cycles "

@@ -13,8 +13,8 @@ Run:  python examples/precise_exceptions.py
 from repro import MachineConfig, assemble
 from repro.frontend.fetch import IterSource
 from repro.isa import FirstTouchFaults
-from repro.isa.executor import FunctionalExecutor, run_to_completion
-from repro.pipeline.processor import Processor
+from repro.isa.executor import run_to_completion
+from repro.pipeline.processor import Processor, program_stream
 
 PROGRAM = """
 # I2-style faulting load with a younger reuse chain (paper Figure 4 + IV-B)
@@ -34,12 +34,10 @@ main:   movi x1, v
 
 
 def run(scheme: str):
-    program = assemble(PROGRAM)
-    faults = FirstTouchFaults()
     config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(program, fault_model=faults)
-    processor = Processor(config, IterSource(executor.run(10_000)),
-                          fault_model=faults)
+    # each page faults on its first access in program order
+    stream, _ = program_stream(config, assemble(PROGRAM), FirstTouchFaults())
+    processor = Processor(config, IterSource(stream))
     stats = processor.run()
     return processor, stats
 

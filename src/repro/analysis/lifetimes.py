@@ -4,8 +4,8 @@ Conventional renaming releases a physical register only when the
 redefining instruction commits, so "many cycles may happen between the
 last read of the register and its release, leading to suboptimal
 utilization".  This analysis quantifies that: from a committed pipeline
-trace (``Processor(..., keep_trace=True)``) it reconstructs, for every
-produced value,
+trace (the instructions a ``Processor`` ``on_commit`` hook collects, in
+commit order) it reconstructs, for every produced value,
 
 * ``definition``   — the producer's writeback cycle,
 * ``last_read``    — the last consumer's issue cycle,

@@ -39,7 +39,7 @@ make that safe:
   four occupancy accumulators, ``proc._last_progress``) live in plain
   locals; they are flushed back to the processor before anything
   external can observe them (``on_cycle`` hooks, the slow-path
-  ``_commit`` with its oracle/on_commit hooks, watchdog aborts) and
+  ``_commit`` with its ``on_commit`` hook, watchdog aborts) and
   unconditionally in a ``finally`` block, so even a propagating
   simulation error leaves the processor's stats exactly as the naive
   loop would have.  After any delegated call that may mutate them they
@@ -935,8 +935,7 @@ completion = proc.completion
 ticket = proc._ticket
 on_cycle = proc.on_cycle
 interval = proc.on_cycle_interval
-slow_commit = (proc.oracle is not None or proc.on_commit is not None
-               or proc.trace is not None)
+slow_commit = proc.on_commit is not None
 proc_commit = proc._commit
 is_ready = proc.is_ready
 scoreboard = proc.scoreboard
@@ -1251,7 +1250,8 @@ if cycle - last_progress > 200_000:
     skip.append("    # busy-stall window: rename is structurally stalled, this")
     skip.append("    # cycle made zero progress (nothing committed, wrote back,")
     skip.append("    # issued or renamed — ready entries, if any, are pinned by")
-    skip.append("    # load blockers or an unpipelined unit), the ROB head is")
+    skip.append("    # load blockers or an unpipelined unit: a port denial needs")
+    skip.append("    # an issue in the same cycle), the ROB head is")
     skip.append("    # incomplete and fetch is quiescent (tick is a pure no-op on")
     skip.append("    # a full queue with no redirect/I-cache stall pending, or")
     skip.append("    # while blocked on an unresolved branch).  Every cycle until")
@@ -1259,12 +1259,6 @@ if cycle - last_progress > 200_000:
     skip.append("    # identically: same stall counter bump, no state change.")
     skip.append("    if rename_stall == 0 or last_progress == cycle:")
     skip.append("        continue")
-    if PS != "none":
-        # a ready entry denied a port grant charges rf_port_stalls every
-        # cycle it retries; bulk-skipping such a window would miss those
-        # increments, so under a port scheme only entry-free windows skip
-        skip.append("    if iq._ready and iq_ready_entries():")
-        skip.append("        continue")
     skip.append("    if not (fetch._waiting_branch_seq is not None")
     skip.append(f"            or (len(fetch_queue) >= {QS}")
     skip.append("                and fetch._resume_at is None")

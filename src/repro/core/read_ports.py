@@ -31,14 +31,16 @@ writeback stage) and ``flush()`` (pipeline squash).  ``plan`` never
 mutates state, so a rejected or FU-stalled instruction leaves no trace;
 ``commit`` does all accounting (``SimStats.rf_port_*`` counters).
 
-Deadlock freedom: the arbiter always grants an instruction whose
-demanded banks are all *fresh* (no reads committed this cycle), even
-when its intrinsic demand exceeds the delay window — combined with the
-oldest-first ready list this guarantees the head instruction issues, so
-a port conflict can only defer work, never wedge the pipeline.  The same
-rule means a cycle in which *nothing* issues charges no port stalls,
-which keeps the generated kernels' quiet-cycle and busy-stall skips
-bit-identical to the naive reference loop.
+Deadlock freedom: both schemes always grant an instruction whose
+demanded banks (or, for the flat filter, register classes) are *fresh*
+(no reads committed this cycle), even when its intrinsic demand exceeds
+the delay window or the port budget — combined with the oldest-first
+ready list this guarantees the head instruction issues, so a port
+conflict can only defer work, never wedge the pipeline.  The same rule
+means a port denial needs a read committed earlier in the same cycle,
+that is an instruction that issued: a cycle in which *nothing* issues
+charges no port stalls, which keeps the generated kernels' quiet-cycle
+and busy-stall skips bit-identical to the naive reference loop.
 """
 
 from __future__ import annotations
@@ -167,8 +169,9 @@ class BypassFilterPorts:
 
     Operands on the bypass network read nothing; the rest contend for
     the flat ``rf_read_ports`` budget per register class per cycle
-    (``None`` = unlimited).  Serving the bypassed reads for free is what
-    lets the area model halve the port count.  With
+    (``None`` = unlimited); a class with no reads yet this cycle grants
+    any demand.  Serving the bypassed reads for free is what lets the
+    area model halve the port count.  With
     ``rf_bypass_depth=0`` nothing is bypassed, so every operand contends:
     a plain flat read-port limit.
     """
@@ -199,7 +202,8 @@ class BypassFilterPorts:
         read_ports = self.read_ports
         if read_ports is not None:
             used = self._used
-            if used[0] + n0 > read_ports or used[1] + n1 > read_ports:
+            if (used[0] and used[0] + n0 > read_ports) \
+                    or (used[1] and used[1] + n1 > read_ports):
                 return None
         return (n0, n1, bypassed)
 

@@ -31,8 +31,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "SparseMemory": ".memory",
     "FunctionalExecutor": ".executor",
     "ArchState": ".executor",
-    "FaultModel": ".executor",
-    "NoFaults": ".executor",
     "FirstTouchFaults": ".executor",
 })
 
@@ -55,7 +53,5 @@ __all__ = [
     "SparseMemory",
     "FunctionalExecutor",
     "ArchState",
-    "FaultModel",
-    "NoFaults",
     "FirstTouchFaults",
 ]

@@ -32,51 +32,31 @@ def wrap_i64(value: int) -> int:
     return value - (1 << 64) if value & _I64_SIGN else value
 
 
-class FaultModel:
-    """Decides which dynamic memory accesses raise precise exceptions."""
+class FirstTouchFaults:
+    """The first access to each page, in program order, raises a page fault.
 
-    def should_fault(self, addr: int, seq: int) -> bool:
-        raise NotImplementedError
-
-    def service(self, addr: int) -> None:
-        """Called when the exception handler 'fixes' the fault."""
-
-
-class NoFaults(FaultModel):
-    """Never fault."""
-
-    def should_fault(self, addr: int, seq: int) -> bool:
-        return False
-
-
-class FirstTouchFaults(FaultModel):
-    """The first access to each page raises a page fault (cold faults).
-
-    After the handler services the page, subsequent accesses hit.  This is
-    the synthetic stand-in for the paper's TLB-miss / page-fault example
-    (Section IV-B): it creates exceptions that arrive while younger
-    instructions have already overwritten shared physical registers.
+    A page counts as touched from its first access on, so every later
+    access to it hits, however far the executor runs ahead of the
+    pipeline that replays the faulting instruction: the fault pattern is
+    a function of the program alone, the same under every renaming
+    scheme.  ``limit`` caps the number of faults.  This is the synthetic
+    stand-in for the paper's TLB-miss / page-fault example (Section
+    IV-B): it creates exceptions that arrive while younger instructions
+    have already overwritten shared physical registers.
     """
 
-    def __init__(self, page_bits: int = 12, limit: Optional[int] = None) -> None:
-        self.page_bits = page_bits
+    def __init__(self, limit: Optional[int] = None) -> None:
         self.limit = limit
-        self.serviced: set[int] = set()
+        self.touched: set[int] = set()
         self.fault_count = 0
 
-    def _page(self, addr: int) -> int:
-        return addr >> self.page_bits
-
-    def should_fault(self, addr: int, seq: int) -> bool:
-        if self.limit is not None and self.fault_count >= self.limit:
+    def should_fault(self, addr: int) -> bool:
+        page = addr >> 12  # 4 KiB pages
+        if page in self.touched or self.fault_count == self.limit:
             return False
-        if self._page(addr) in self.serviced:
-            return False
+        self.touched.add(page)
         self.fault_count += 1
         return True
-
-    def service(self, addr: int) -> None:
-        self.serviced.add(self._page(addr))
 
 
 @dataclass
@@ -192,11 +172,12 @@ class FunctionalExecutor:
         self,
         program: Program,
         mem: Optional[SparseMemory] = None,
-        fault_model: Optional[FaultModel] = None,
+        fault_model: Optional[FirstTouchFaults] = None,
     ) -> None:
         self.program = program
         self.state = ArchState(mem=mem if mem is not None else SparseMemory(program.data))
-        self.fault_model = fault_model or NoFaults()
+        #: decides which accesses fault; None means none do
+        self.fault_model = fault_model
         self.pc = program.entry
         self.seq = 0
         self.halted = False
@@ -259,14 +240,16 @@ class FunctionalExecutor:
         elif info.is_load:
             addr = wrap_i64(src_values[0] + static.imm)
             dyn.mem_addr = addr
-            dyn.faults = self.fault_model.should_fault(addr, dyn.seq)
+            if self.fault_model is not None:
+                dyn.faults = self.fault_model.should_fault(addr)
             value = state.mem.load(addr)
             dyn.result = value if op is Op.FLD else wrap_i64(int(value))
         elif info.is_store:
             addr = wrap_i64(src_values[1] + static.imm)
             dyn.mem_addr = addr
             dyn.store_value = src_values[0]
-            dyn.faults = self.fault_model.should_fault(addr, dyn.seq)
+            if self.fault_model is not None:
+                dyn.faults = self.fault_model.should_fault(addr)
             state.mem.store(addr, src_values[0])
         elif info.is_branch:
             dyn.target = static.target
@@ -313,13 +296,10 @@ class FunctionalExecutor:
         raise ProgramError(f"instruction budget exceeded ({max_insts})")
 
 
-def run_to_completion(
-    program: Program,
-    max_insts: int = 1_000_000,
-    fault_model: Optional[FaultModel] = None,
-) -> ArchState:
+def run_to_completion(program: Program,
+                      max_insts: int = 1_000_000) -> ArchState:
     """Convenience: run a program architecturally and return the final state."""
-    executor = FunctionalExecutor(program, fault_model=fault_model)
+    executor = FunctionalExecutor(program)
     for _ in executor.run(max_insts):
         pass
     return executor.state

@@ -29,7 +29,7 @@ from repro.core.sharing import SharingRenamer
 from repro.frontend.branch_predictor import BranchUnit
 from repro.frontend.fetch import FetchUnit, InstSource, IterSource
 from repro.isa.dyninst import DynInst
-from repro.isa.executor import FaultModel, FunctionalExecutor
+from repro.isa.executor import FirstTouchFaults, FunctionalExecutor
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
 from repro.isa.registers import FP_REGS, INT_REGS, RegClass, RegRef
@@ -67,28 +67,20 @@ class Processor:
         self,
         config: MachineConfig,
         source: InstSource,
-        fault_model: Optional[FaultModel] = None,
         on_cycle=None,
         on_cycle_interval: int = 128,
         on_commit=None,
-        oracle=None,
-        keep_trace: bool = False,
         naive_loop: bool = False,
         branch_unit: Optional[BranchUnit] = None,
         hierarchy=None,
     ) -> None:
         self.config = config
-        self.fault_model = fault_model
         self.on_cycle = on_cycle
         self.on_cycle_interval = on_cycle_interval
         #: per-commit hook: called as on_commit(processor, dyn) for every
-        #: committed ROB head (including micro-ops and HALT)
+        #: committed ROB head (including micro-ops and HALT); the
+        #: commit-time oracle and trace recorders attach here
         self.on_commit = on_commit
-        #: commit-time differential oracle (repro.verify.oracle), or None;
-        #: repro.verify.oracle.lockstep_run attaches it
-        self.oracle = oracle
-        #: committed instructions in commit order (when keep_trace is set)
-        self.trace: Optional[list[DynInst]] = [] if keep_trace else None
         # externally provided hierarchy / branch unit let the sampling
         # engine keep warmed caches and predictors alive across windows
         self.hierarchy = hierarchy if hierarchy is not None \
@@ -230,9 +222,6 @@ class Processor:
         # (interval - 1) cycles would otherwise escape unchecked
         if self.on_cycle is not None and self.cycle % self.on_cycle_interval != 0:
             self.on_cycle(self)
-        if self.oracle is not None:
-            complete = self._halted or (self.fetch.eof and len(self.rob) == 0)
-            self.oracle.on_halt(self, complete=complete)
         return self.stats
 
     def _run_naive(self, max_insts: Optional[int]) -> None:
@@ -338,14 +327,10 @@ class Processor:
                 self.lsq.retire(head)
                 self.stats.loads += 1
             self.renamer.commit(head)
-            if self.trace is not None:
-                self.trace.append(head)
             if head.micro_op:
                 self.stats.committed_uops += 1
             else:
                 self.stats.committed += 1
-            if self.oracle is not None:
-                self.oracle.on_commit(self, head)
             if self.on_commit is not None:
                 self.on_commit(self, head)
             if head.op is Op.HALT:
@@ -385,9 +370,7 @@ class Processor:
 
     def _handle_exception(self, head: DynInst) -> None:
         self.stats.exceptions += 1
-        # service the fault so the replayed instruction succeeds
-        if self.fault_model is not None and head.mem_addr is not None:
-            self.fault_model.service(head.mem_addr)
+        # the handler services the fault: the replayed instruction succeeds
         head.faults = False
         self._flush_and_replay(self.config.exception_flush_penalty)
 
@@ -576,7 +559,7 @@ class Processor:
 def program_stream(
     config: MachineConfig,
     program: Program,
-    fault_model: Optional[FaultModel] = None,
+    fault_model: Optional[FirstTouchFaults] = None,
     budget: int = 10_000_000,
 ) -> tuple[Iterator[DynInst], FunctionalExecutor]:
     """The dynamic instruction stream of ``program``, and its executor.
@@ -600,7 +583,6 @@ def program_stream(
 def simulate(
     config: MachineConfig,
     workload: Union[Program, Iterable[DynInst]],
-    fault_model: Optional[FaultModel] = None,
     max_insts: Optional[int] = None,
     program_budget: int = 10_000_000,
     sampling=None,
@@ -623,14 +605,11 @@ def simulate(
     phase offset.
     """
     if isinstance(workload, Program):
-        workload, _ = program_stream(config, workload, fault_model,
-                                     program_budget)
+        workload, _ = program_stream(config, workload, budget=program_budget)
     if sampling is not None:
         from repro.sampling import as_schedule, sampled_simulate
 
         return sampled_simulate(
             config, workload, schedule=as_schedule(sampling, seed=sampling_seed),
-            total_insts=max_insts, fault_model=fault_model)
-    processor = Processor(config, IterSource(workload),
-                          fault_model=fault_model)
-    return processor.run(max_insts=max_insts)
+            total_insts=max_insts)
+    return Processor(config, IterSource(workload)).run(max_insts=max_insts)

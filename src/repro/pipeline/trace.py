@@ -1,9 +1,11 @@
 """Pipeline trace rendering: per-instruction stage timeline.
 
-Run a :class:`~repro.pipeline.processor.Processor` with ``keep_trace=True``
-and render the committed instructions as a classic pipeline diagram —
-useful for debugging renaming behaviour (reuses show up as instructions
-whose destination tag shares a physical register with an older one).
+Collect the committed instructions of a
+:class:`~repro.pipeline.processor.Processor` run with an ``on_commit`` hook
+(``on_commit=lambda _p, dyn: trace.append(dyn)``) and render them as a
+classic pipeline diagram — useful for debugging renaming behaviour
+(reuses show up as instructions whose destination tag shares a physical
+register with an older one).
 
 ::
 

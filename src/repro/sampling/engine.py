@@ -226,7 +226,6 @@ def sampled_simulate(
     workload: Iterable[DynInst],
     schedule: SamplingSchedule,
     total_insts: Optional[int] = None,
-    fault_model=None,
 ) -> SampledStats:
     """Run one interval-sampled simulation; returns a :class:`SampledStats`.
 
@@ -251,8 +250,8 @@ def sampled_simulate(
     hierarchy = config.make_hierarchy()
 
     def window_processor() -> Processor:
-        return Processor(config, source, fault_model=fault_model,
-                         branch_unit=branch_unit, hierarchy=hierarchy)
+        return Processor(config, source, branch_unit=branch_unit,
+                         hierarchy=hierarchy)
 
     # --- degenerate schedule: stream shorter than one period -----------------
     if total_insts is not None and total_insts < schedule.period:

@@ -22,11 +22,11 @@ it.
 Two modes:
 
 **program mode** (:func:`lockstep_run` given a :class:`Program`) — the
-oracle owns a fresh :class:`FunctionalExecutor` over the same program with
-``NoFaults`` and its own memory.  Faults and interrupts are
-architecturally invisible (a faulting access is serviced and replayed,
-committing exactly once), so the committed non-micro-op stream must match
-the clean in-order execution 1:1.
+oracle owns a fresh :class:`FunctionalExecutor` over the same program,
+with no fault model and its own memory.  Faults and interrupts are
+architecturally invisible (a faulting access is replayed and commits
+exactly once), so the committed non-micro-op stream must match the clean
+in-order execution 1:1.
 
 **stream mode** (:func:`lockstep_run` given an iterable of :class:`DynInst`)
 — for synthetic workloads with no re-executable program, the oracle checks
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from repro.isa.dyninst import DynInst
-from repro.isa.executor import ArchState, FunctionalExecutor, NoFaults
+from repro.isa.executor import ArchState, FunctionalExecutor
 from repro.isa.program import Program
 
 
@@ -153,10 +153,9 @@ class DivergenceError(AssertionError):
 class OracleChecker:
     """Differential commit-time checker (see module docstring).
 
-    :func:`lockstep_run` builds and attaches one (program mode for a
-    :class:`Program`, stream mode otherwise); the pipeline calls
-    :meth:`on_commit` for every retired instruction and :meth:`on_halt`
-    when the run ends.
+    :func:`lockstep_run` builds one (program mode for a :class:`Program`,
+    stream mode otherwise), attaches :meth:`on_commit` as the pipeline's
+    per-commit hook and calls :meth:`on_halt` when the run ends.
     """
 
     def __init__(
@@ -168,9 +167,7 @@ class OracleChecker:
         #: in-order golden model (program mode only); runs fault-free on its
         #: own memory — faults/interrupts must be architecturally invisible
         self.reference: Optional[FunctionalExecutor] = (
-            FunctionalExecutor(program, fault_model=NoFaults())
-            if program is not None else None
-        )
+            FunctionalExecutor(program) if program is not None else None)
         #: state of the executor feeding the pipeline, for the final memory
         #: comparison (program mode; optional)
         self.source_state = source_state
@@ -304,14 +301,15 @@ def lockstep_run(
     """Run ``workload`` through the pipeline with the oracle attached.
 
     The one way a checked run is built.  A :class:`Program` is executed
-    by :func:`~repro.pipeline.processor.program_stream` (sharing
-    ``fault_model`` with the pipeline, so a serviced fault stays serviced)
-    and checked by a program-mode :class:`OracleChecker`; any other
-    iterable of :class:`DynInst` gets a stream-mode one.  ``on_cycle``
-    (e.g. ``check_invariants``) and ``on_commit`` hooks pass through to
-    the :class:`~repro.pipeline.processor.Processor`.  Runs to completion
-    and returns the stats; raises :class:`DivergenceError` on the first
-    architectural mismatch.
+    by :func:`~repro.pipeline.processor.program_stream` (with
+    ``fault_model`` deciding which of its accesses fault) and checked by
+    a program-mode :class:`OracleChecker`; any other iterable of
+    :class:`DynInst` gets a stream-mode one.  The oracle is the
+    :class:`~repro.pipeline.processor.Processor`'s ``on_commit`` hook,
+    running before the caller's own ``on_commit``; ``on_cycle`` (e.g.
+    ``check_invariants``) passes through.  Runs to completion and returns
+    the stats; raises :class:`DivergenceError` on the first architectural
+    mismatch.
     """
     from repro.frontend.fetch import IterSource
     from repro.pipeline.processor import Processor, program_stream
@@ -322,9 +320,16 @@ def lockstep_run(
         oracle = OracleChecker(program=workload, source_state=executor.state)
     else:
         stream, oracle = workload, OracleChecker()
+    if on_commit is None:
+        hook = oracle.on_commit
+    else:
+        def hook(processor, dyn):
+            oracle.on_commit(processor, dyn)
+            on_commit(processor, dyn)
     processor = Processor(
-        config, IterSource(stream), fault_model=fault_model,
-        on_cycle=on_cycle, on_cycle_interval=on_cycle_interval,
-        on_commit=on_commit, oracle=oracle,
-    )
-    return processor.run(max_insts=max_insts)
+        config, IterSource(stream), on_cycle=on_cycle,
+        on_cycle_interval=on_cycle_interval, on_commit=hook)
+    stats = processor.run(max_insts=max_insts)
+    # complete: the program ran to its end, not to max_insts
+    oracle.on_halt(processor, complete=processor._done(None))
+    return stats

@@ -45,12 +45,13 @@ layer treats as a miss.  The trailing crc32 covers the whole payload, so
 corruption and truncation are likewise loud, immediate errors — never a
 silently wrong stream.
 
-Encoding is defined to be *semantically identical* to a JSON-lines round
-trip: fields whose value is ``None`` (or a ``False`` flag) are elided the
-same way :func:`repro.workloads.trace_io._encode` elides them, so
-``TraceColumns(encode(insts)).materialize()`` equals what ``trace_io``
-would have reconstructed, bit for bit — the hypothesis property in
-``tests/test_trace_codec.py`` pins this over fuzzer-generated programs.
+Encoding is defined to be *semantically identical* to a round trip
+through the JSON-lines reference format in ``tests/trace_io.py``: fields
+whose value is ``None`` (or a ``False`` flag) are elided the same way its
+``_encode`` elides them, so ``TraceColumns(encode(insts)).materialize()``
+equals what that format would have reconstructed, bit for bit — the
+hypothesis property in ``tests/test_trace_codec.py`` pins this over
+fuzzer-generated programs.
 """
 
 from __future__ import annotations
@@ -350,7 +351,8 @@ def encode(insts: Iterable[DynInst]) -> bytes:
             flag |= _F_TARGET
             targets.append(dyn.target)
         hints = dyn.hint_src_single_use
-        # trace_io semantics: the column exists only when some hint is set
+        # as in tests/trace_io.py: the column exists only when some hint
+        # is set
         if hints and any(hints):
             if len(hints) > 8:
                 raise TraceCodecError("more than 8 source hints")
@@ -374,7 +376,8 @@ def encode(insts: Iterable[DynInst]) -> bytes:
                 src_regs.append(_REG_INDEX[ref])
             except (KeyError, TypeError):
                 raise TraceCodecError(f"unencodable register {ref!r}")
-        # value fields follow trace_io's "None or False is elided" rule
+        # value fields follow tests/trace_io.py's "None or False is
+        # elided" rule
         for value, column in zip((dyn.imm, dyn.mem_addr, dyn.store_value,
                                   dyn.result), value_columns):
             if value is None or value is False:

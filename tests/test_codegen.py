@@ -23,13 +23,14 @@ from repro.codegen import (
 from repro.codegen.cache import _KERNEL_MEMO
 from repro.core.conventional import ConventionalRenamer
 from repro.core.read_ports import apply_port_scheme
-from repro.isa.executor import FunctionalExecutor
 from repro.mem import Cache, MemoryHierarchy
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import IterSource, Processor, VerificationError
 from repro.verify.fuzz import generate
 from repro.workloads import BENCHMARKS
 from repro.workloads.generator import SyntheticWorkload
+
+from tests.util import program_processor
 
 
 @pytest.fixture(autouse=True)
@@ -43,10 +44,9 @@ def cold_memo():
 
 
 def _processor(scheme="conventional", seed=0, **kwargs):
-    program = generate(seed, size=30).build()
-    executor = FunctionalExecutor(program)
     config = MachineConfig(scheme=scheme, verify_values=False)
-    return Processor(config, IterSource(executor.run(10_000_000)), **kwargs)
+    return program_processor(config, generate(seed, size=30).build(),
+                             **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_generator_error_propagates(monkeypatch):
         simulate(config, program)
 
 
-def test_generated_matches_event_without_hooks():
+def test_generated_matches_naive_without_hooks():
     """No on_commit hook => the kernel takes its inline fast-commit path;
     in the default configuration it must still report identical stats to
     the naive loop."""

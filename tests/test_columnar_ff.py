@@ -37,7 +37,8 @@ from repro.sampling.warmer import FunctionalWarmer
 from repro.workloads import trace_codec
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import BENCHMARKS
-from repro.workloads.trace_io import load_trace, save_trace
+
+from tests.trace_io import load_trace, save_trace
 
 _SCHEMES = ("conventional", "early", "sharing", "hinted")
 

@@ -2,16 +2,14 @@
 
 import pytest
 
-from repro import MachineConfig, assemble
+from repro import MachineConfig, assemble, simulate
 from repro.core.early_release import EarlyReleaseRenamer, PreciseStateUnavailable
-from repro.frontend.fetch import IterSource
 from repro.isa import FirstTouchFaults
-from repro.isa.executor import FunctionalExecutor, run_to_completion
+from repro.isa.executor import run_to_completion
 from repro.isa.opcodes import Op
 from repro.isa.registers import RegClass
-from repro.pipeline.processor import Processor
 
-from tests.util import make_inst, never_ready
+from tests.util import make_inst, never_ready, program_processor
 
 
 def test_release_on_last_read():
@@ -101,8 +99,7 @@ loop: ld   x4, 0(x1)
 def test_pipeline_correct_without_faults():
     program = assemble(PROGRAM)
     config = MachineConfig(scheme="early", int_regs=40, fp_regs=40)
-    executor = FunctionalExecutor(program)
-    processor = Processor(config, IterSource(executor.run(100_000)))
+    processor = program_processor(config, program)
     processor.run()
     reference = run_to_completion(program)
     int_regs, _ = processor.architectural_state()
@@ -110,12 +107,9 @@ def test_pipeline_correct_without_faults():
 
 
 def test_pipeline_faults_raise():
-    program = assemble(PROGRAM)
-    faults = FirstTouchFaults()
     config = MachineConfig(scheme="early", int_regs=40, fp_regs=40)
-    executor = FunctionalExecutor(program, fault_model=faults)
-    processor = Processor(config, IterSource(executor.run(100_000)),
-                          fault_model=faults)
+    processor = program_processor(config, assemble(PROGRAM),
+                                  FirstTouchFaults())
     with pytest.raises(PreciseStateUnavailable):
         processor.run()
 
@@ -127,10 +121,7 @@ def test_early_release_relieves_pressure_vs_conventional():
     results = {}
     for scheme in ("conventional", "early"):
         config = MachineConfig(scheme=scheme, int_regs=36, fp_regs=36)
-        executor = FunctionalExecutor(program)
-        processor = Processor(config, IterSource(executor.run(100_000)))
-        stats = processor.run()
-        results[scheme] = stats
+        results[scheme] = simulate(config, program)
     assert results["early"].rename_stall_regs <= \
         results["conventional"].rename_stall_regs
     assert results["early"].ipc >= results["conventional"].ipc * 0.999

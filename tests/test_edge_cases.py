@@ -6,14 +6,12 @@ from repro import MachineConfig, assemble, simulate
 from repro.core.prt import LOG_CAP
 from repro.core.register_file import RegisterFileConfig
 from repro.core.sharing import SharingRenamer
-from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor, run_to_completion
+from repro.isa.executor import run_to_completion
 from repro.isa.opcodes import Op
 from repro.pipeline.lsq import LoadStoreQueue
-from repro.pipeline.processor import Processor
 from repro.pipeline.trace import trace_gantt, trace_table
 
-from tests.util import make_inst, never_ready
+from tests.util import make_inst, never_ready, program_processor
 
 
 # ------------------------------------------------------------- trace render
@@ -101,8 +99,7 @@ def test_nested_calls_returns():
     assert reference.int_regs[1] == 22
     for scheme in ("conventional", "sharing"):
         config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48)
-        executor = FunctionalExecutor(program)
-        processor = Processor(config, IterSource(executor.run(10_000)))
+        processor = program_processor(config, program)
         stats = processor.run()
         int_regs, _ = processor.architectural_state()
         assert int_regs == reference.int_regs
@@ -147,8 +144,7 @@ def test_counter_bits_one_in_pipeline():
         """
     )
     reference = run_to_completion(program)
-    executor = FunctionalExecutor(program)
-    processor = Processor(config, IterSource(executor.run(10_000)))
+    processor = program_processor(config, program)
     processor.run()
     int_regs, _ = processor.architectural_state()
     assert int_regs == reference.int_regs

@@ -14,12 +14,14 @@ import itertools
 
 import pytest
 
-from repro.isa.executor import FirstTouchFaults, FunctionalExecutor
+from repro.isa.executor import FirstTouchFaults
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import IterSource, Processor
 from repro.verify.fuzz import generate, fuzz_config, schemes_for
 from repro.workloads import BENCHMARKS
 from repro.workloads.generator import SyntheticWorkload
+
+from tests.util import program_processor
 
 PROGRAMS = 20
 SIZE = 40
@@ -41,14 +43,12 @@ def _record(seen):
 def _run(program, cfg, variant, loop: str, hook_interval=None):
     commits = []
     fault_model = FirstTouchFaults(limit=4) if variant == "faults" else None
-    executor = FunctionalExecutor(program, fault_model=fault_model)
     seen = []
     hooks = {}
     if hook_interval is not None:
         hooks = {"on_cycle": _record(seen), "on_cycle_interval": hook_interval}
-    processor = Processor(
-        cfg, IterSource(executor.run(10_000_000)),
-        fault_model=fault_model,
+    processor = program_processor(
+        cfg, program, fault_model,
         on_commit=lambda _p, d: commits.append((d.seq, d.pc, d.op, d.result)),
         naive_loop=(loop == "naive"),
         **hooks,

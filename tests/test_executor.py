@@ -9,8 +9,8 @@ from repro.isa.executor import run_to_completion, wrap_i64, ProgramError
 from repro.isa.opcodes import Op
 
 
-def run(text, max_insts=100_000, fault_model=None):
-    return run_to_completion(assemble(text), max_insts, fault_model)
+def run(text, max_insts=100_000):
+    return run_to_completion(assemble(text), max_insts)
 
 
 def test_wrap_i64():
@@ -229,18 +229,10 @@ def test_first_touch_faults():
     insts = list(executor.run())
     loads = [i for i in insts if i.op is Op.LD]
     assert loads[0].faults
-    # generation runs ahead of servicing: the same unserviced page faults
-    # again (the pipeline services it at the first load's commit and the
-    # replayed instructions then carry faults=False)
-    assert loads[1].faults
-    assert fm.fault_count == 2
-
-
-def test_first_touch_fault_service():
-    fm = FirstTouchFaults()
-    assert fm.should_fault(0x2000, 0)
-    fm.service(0x2000)
-    assert not fm.should_fault(0x2008, 1)  # same page now serviced
+    # the page counts as touched from its first access on, however far
+    # the executor runs ahead of the pipeline that takes the fault
+    assert not loads[1].faults
+    assert fm.fault_count == 1
 
 
 def test_dyninst_records_values():

@@ -3,9 +3,9 @@
 import pytest
 
 from repro import MachineConfig, assemble, simulate
-from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor, run_to_completion
-from repro.pipeline.processor import Processor
+from repro.isa.executor import run_to_completion
+
+from tests.util import program_processor
 
 
 def test_fmadd_semantics():
@@ -66,8 +66,7 @@ def test_fma_dot_product_through_pipeline(scheme):
         sum(a * b for a, b in zip([1, 2, 3, 4, 5, 6],
                                   [0.5, 1.5, 2.5, 3.5, 4.5, 5.5])))
     config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(program)
-    processor = Processor(config, IterSource(executor.run(100_000)))
+    processor = program_processor(config, program)
     processor.run()
     _, fp_regs = processor.architectural_state()
     assert fp_regs == reference.fp_regs
@@ -120,8 +119,7 @@ def test_csel_through_pipeline_branchless():
     reference = run_to_completion(program)
     for scheme in ("conventional", "sharing"):
         config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48)
-        executor = FunctionalExecutor(program)
-        processor = Processor(config, IterSource(executor.run(100_000)))
+        processor = program_processor(config, program)
         stats = processor.run()
         int_regs, _ = processor.architectural_state()
         assert int_regs == reference.int_regs

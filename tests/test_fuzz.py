@@ -105,25 +105,29 @@ def test_run_case_detects_cross_scheme_stream_divergence():
     assert len(counts) == len(ALL_SCHEMES)
 
 
-def test_run_case_shares_one_fault_model_per_scheme(monkeypatch):
-    """The executor feeding the pipeline and the pipeline consult one
-    FirstTouchFaults per scheme: a second copy is never serviced, so it
-    would fault on every memory access."""
-    import repro.verify.fuzz as fuzz_module
+def test_every_scheme_takes_the_same_faults():
+    """A page faults on its first touch in program order, so the fault
+    pattern is a function of the program: however far each scheme's
+    stream runs ahead of its pipeline (hinted's lookahead runs far
+    ahead), every scheme takes the same faults and exceptions."""
     from repro.isa.executor import FirstTouchFaults
+    from repro.verify.fuzz import fuzz_config
+    from repro.verify.oracle import lockstep_run
 
-    built = []
-
-    class CountingFaults(FirstTouchFaults):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(fuzz_module, "FirstTouchFaults", CountingFaults)
-    counts = run_case(generate(0, size=20, variant="faults"))
-    assert set(counts) == set(schemes_for("faults"))
-    assert len(built) == len(counts)
-    assert all(model.fault_count > 0 for model in built)
+    totals = {}
+    for scheme in ("conventional", "sharing", "hinted"):
+        faults = exceptions = 0
+        for seed in range(10):
+            fp = generate(seed, variant="faults")
+            model = FirstTouchFaults()
+            stats = lockstep_run(
+                fuzz_config(scheme, "faults", fp.port_scheme), fp.build(),
+                fault_model=model, program_budget=100_000)
+            faults += model.fault_count
+            exceptions += stats.exceptions
+        totals[scheme] = (faults, exceptions)
+    assert len(set(totals.values())) == 1, totals
+    assert totals["conventional"][0] > 0
 
 
 # --------------------------------------------------------------------- shrink

@@ -5,9 +5,11 @@ import pytest
 from repro import MachineConfig, assemble
 from repro.core.early_release import PreciseStateUnavailable
 from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor, run_to_completion
+from repro.isa.executor import run_to_completion
 from repro.pipeline.processor import Processor
 from repro.workloads import BENCHMARKS, SyntheticWorkload
+
+from tests.util import program_processor
 
 PROGRAM = """
 .data
@@ -32,8 +34,7 @@ def run(scheme, interval, **cfg):
     program = assemble(PROGRAM)
     config = MachineConfig(scheme=scheme, interrupt_interval=interval,
                            int_regs=48, fp_regs=48, **cfg)
-    executor = FunctionalExecutor(program)
-    processor = Processor(config, IterSource(executor.run(100_000)))
+    processor = program_processor(config, program)
     stats = processor.run()
     return processor, stats
 

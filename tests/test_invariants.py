@@ -5,22 +5,22 @@ import pytest
 from repro import MachineConfig, assemble
 from repro.frontend.fetch import IterSource
 from repro.isa import FirstTouchFaults
-from repro.isa.executor import FunctionalExecutor
 from repro.pipeline.debug import InvariantViolation, check_invariants
 from repro.pipeline.processor import Processor
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
+from tests.util import program_processor
+
 
 def run_checked(workload_or_text, scheme, fault_model=None, **cfg):
     config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48, **cfg)
+    hooks = {"on_cycle": check_invariants, "on_cycle_interval": 16}
     if isinstance(workload_or_text, str):
-        executor = FunctionalExecutor(assemble(workload_or_text),
-                                      fault_model=fault_model)
-        source = IterSource(executor.run(200_000))
+        processor = program_processor(config, assemble(workload_or_text),
+                                      fault_model, **hooks)
     else:
-        source = IterSource(iter(workload_or_text))
-    processor = Processor(config, source, fault_model=fault_model,
-                          on_cycle=check_invariants, on_cycle_interval=16)
+        processor = Processor(config, IterSource(iter(workload_or_text)),
+                              **hooks)
     return processor.run()
 
 
@@ -71,8 +71,7 @@ def test_invariants_hold_under_pressure():
 def test_invariant_checker_detects_corruption():
     """Deliberately corrupt the free list and check the checker fires."""
     config = MachineConfig(scheme="sharing", int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(assemble(PROGRAM))
-    processor = Processor(config, IterSource(executor.run(200_000)))
+    processor = program_processor(config, assemble(PROGRAM))
     # corrupt: force a mapped register onto its free list
     from repro.isa.registers import RegClass
 
@@ -85,8 +84,7 @@ def test_invariant_checker_detects_corruption():
 
 def test_invariant_checker_detects_early_release_corruption():
     config = MachineConfig(scheme="early", int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(assemble(PROGRAM))
-    processor = Processor(config, IterSource(executor.run(200_000)))
+    processor = program_processor(config, assemble(PROGRAM))
     from repro.isa.registers import RegClass
 
     domain = processor.renamer.domains[RegClass.INT]
@@ -101,10 +99,9 @@ def _run_recording_cycles(interval):
     """Run PROGRAM with an on_cycle hook that records its firing cycles."""
     calls = []
     config = MachineConfig(scheme="sharing", int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(assemble(PROGRAM))
-    processor = Processor(config, IterSource(executor.run(200_000)),
-                          on_cycle=lambda p: calls.append(p.cycle),
-                          on_cycle_interval=interval)
+    processor = program_processor(config, assemble(PROGRAM),
+                                  on_cycle=lambda p: calls.append(p.cycle),
+                                  on_cycle_interval=interval)
     processor.run()
     return calls, processor.cycle
 

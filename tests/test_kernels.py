@@ -5,10 +5,8 @@ import math
 import pytest
 
 from repro import MachineConfig, simulate
-from repro.isa.executor import FunctionalExecutor, run_to_completion
+from repro.isa.executor import run_to_completion
 from repro.isa.program import DATA_BASE
-from repro.frontend.fetch import IterSource
-from repro.pipeline.processor import Processor
 from repro.workloads.kernels import (
     KERNELS,
     adpcm_kernel,
@@ -18,6 +16,8 @@ from repro.workloads.kernels import (
     gmm_kernel,
     matmul_kernel,
 )
+
+from tests.util import program_processor
 
 
 def mem_words(mem, addr, count):
@@ -94,8 +94,7 @@ def test_kernels_through_pipeline(name, scheme):
     and commits the same architectural state as the reference executor."""
     kernel = KERNELS[name]()
     config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(kernel.program)
-    processor = Processor(config, IterSource(executor.run(500_000)))
+    processor = program_processor(config, kernel.program)
     stats = processor.run()
     reference = run_to_completion(kernel.program, 500_000)
     int_regs, fp_regs = processor.architectural_state()

@@ -3,10 +3,8 @@
 import pytest
 
 from repro import MachineConfig
-from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor, run_to_completion
+from repro.isa.executor import run_to_completion
 from repro.isa.program import DATA_BASE
-from repro.pipeline.processor import Processor
 from repro.workloads.kernels_extra import (
     EXTRA_KERNELS,
     checksum_kernel,
@@ -15,6 +13,8 @@ from repro.workloads.kernels_extra import (
     sad_kernel,
     sort_kernel,
 )
+
+from tests.util import program_processor
 
 
 def mem_words(mem, addr, count):
@@ -71,8 +71,7 @@ def test_sort_produces_sorted_array():
 def test_extra_kernels_through_pipeline(name, scheme):
     kernel = EXTRA_KERNELS[name]()
     config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(kernel.program)
-    processor = Processor(config, IterSource(executor.run(500_000)))
+    processor = program_processor(config, kernel.program)
     processor.run()
     reference = run_to_completion(kernel.program, 500_000)
     int_regs, fp_regs = processor.architectural_state()
@@ -103,7 +102,6 @@ def test_store_to_load_forwarding_fires():
         """
     )
     config = MachineConfig(scheme="conventional", int_regs=64, fp_regs=64)
-    executor = FunctionalExecutor(program)
-    processor = Processor(config, IterSource(executor.run(5_000)))
+    processor = program_processor(config, program)
     stats = processor.run()
     assert stats.store_forwards > 0

@@ -5,21 +5,23 @@ import pytest
 from repro import MachineConfig, assemble
 from repro.analysis import analyze_lifetimes
 from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor
 from repro.pipeline.processor import Processor
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
+from tests.util import program_processor
+
 
 def traced_run(workload, scheme, **cfg):
+    """The committed instructions of ``workload``, in commit order."""
     config = MachineConfig(scheme=scheme, **cfg)
+    trace = []
+    hook = {"on_commit": lambda _p, dyn: trace.append(dyn)}
     if isinstance(workload, str):
-        executor = FunctionalExecutor(assemble(workload))
-        source = IterSource(executor.run(100_000))
+        processor = program_processor(config, assemble(workload), **hook)
     else:
-        source = IterSource(iter(workload))
-    processor = Processor(config, source, keep_trace=True)
+        processor = Processor(config, IterSource(iter(workload)), **hook)
     processor.run()
-    return processor
+    return trace
 
 
 PROGRAM = """
@@ -36,8 +38,8 @@ loop: add  x3, x1, x1     # x3's value: read once, released much later
 
 
 def test_lifetimes_reconstructed():
-    processor = traced_run(PROGRAM, "conventional", int_regs=64, fp_regs=64)
-    analysis = analyze_lifetimes(processor.trace)
+    trace = traced_run(PROGRAM, "conventional", int_regs=64, fp_regs=64)
+    analysis = analyze_lifetimes(trace)
     assert len(analysis.lifetimes) > 30
     for lt in analysis.lifetimes:
         if lt.released is not None:
@@ -49,8 +51,8 @@ def test_lifetimes_reconstructed():
 def test_conventional_has_dead_interval():
     """The paper's motivation: registers stay allocated long after their
     last read under release-on-commit."""
-    processor = traced_run(PROGRAM, "conventional", int_regs=64, fp_regs=64)
-    analysis = analyze_lifetimes(processor.trace)
+    trace = traced_run(PROGRAM, "conventional", int_regs=64, fp_regs=64)
+    analysis = analyze_lifetimes(trace)
     assert analysis.mean_dead_interval > 1.0
     assert analysis.dead_fraction > 0.05
 
@@ -59,12 +61,12 @@ def test_sharing_shrinks_dead_interval():
     workload = list(SyntheticWorkload(BENCHMARKS["bwaves"], total_insts=6000))
     conventional = traced_run(list(workload), "conventional",
                               int_regs=64, fp_regs=64, verify_values=False)
-    conv = analyze_lifetimes(conventional.trace)
+    conv = analyze_lifetimes(conventional)
 
     workload2 = list(SyntheticWorkload(BENCHMARKS["bwaves"], total_insts=6000))
     sharing = traced_run(workload2, "sharing",
                          int_regs=64, fp_regs=64, verify_values=False)
-    shar = analyze_lifetimes(sharing.trace)
+    shar = analyze_lifetimes(sharing)
 
     # reused values are released at the consumer's rename, so the average
     # dead interval shrinks under the sharing scheme
@@ -78,8 +80,8 @@ def test_unread_values_anchor_at_definition():
           add  x2, x1, x1
           halt
     """
-    processor = traced_run(text, "conventional", int_regs=64, fp_regs=64)
-    analysis = analyze_lifetimes(processor.trace)
+    trace = traced_run(text, "conventional", int_regs=64, fp_regs=64)
+    analysis = analyze_lifetimes(trace)
     assert analysis.lifetimes
     first = analysis.lifetimes[0]
     assert first.last_read is None

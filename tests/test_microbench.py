@@ -3,10 +3,10 @@
 import pytest
 
 from repro import MachineConfig, simulate
-from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor, run_to_completion
-from repro.pipeline.processor import Processor
+from repro.isa.executor import run_to_completion
 from repro.workloads.microbench import MICROBENCHES, build
+
+from tests.util import program_processor
 
 
 def run(name, scheme, size=48, **cfg):
@@ -21,8 +21,7 @@ def test_microbenches_correct(name, scheme):
     program = build(name)
     reference = run_to_completion(program, 2_000_000)
     config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(program)
-    processor = Processor(config, IterSource(executor.run(2_000_000)))
+    processor = program_processor(config, program)
     processor.run()
     int_regs, _ = processor.architectural_state()
     assert int_regs == reference.int_regs

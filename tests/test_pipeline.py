@@ -11,18 +11,14 @@ import pytest
 from repro import MachineConfig, assemble, simulate
 from repro.isa import FirstTouchFaults, FunctionalExecutor
 from repro.isa.executor import run_to_completion
-from repro.frontend.fetch import IterSource
-from repro.pipeline.processor import Processor
+from tests.util import program_processor
 
 SCHEMES = ["conventional", "sharing"]
 
 
 def run_program(text, scheme, fault_model=None, **cfg_kw):
-    program = assemble(text)
     config = MachineConfig(scheme=scheme, **cfg_kw)
-    executor = FunctionalExecutor(program, fault_model=fault_model)
-    processor = Processor(config, IterSource(executor.run(1_000_000)),
-                          fault_model=fault_model)
+    processor = program_processor(config, assemble(text), fault_model)
     stats = processor.run()
     return processor, stats
 
@@ -203,12 +199,13 @@ def test_exception_recovery_charges_cycles_for_sharing():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_repeated_faults_all_recovered(scheme):
-    # instructions fetched before the first fault is serviced may carry the
-    # fault mark too; each one triggers its own precise recovery
+    # the loads and the stores touch two pages: each page faults once, on
+    # its first access in program order, and each fault recovers precisely
+    two_pages = MIXED.replace("out:", "pad: .zero 512\nout:")
     fault_model = FirstTouchFaults()
-    processor, stats = run_program(MIXED, scheme, fault_model=fault_model)
-    assert stats.exceptions >= 1
-    reference = run_to_completion(assemble(MIXED))
+    processor, stats = run_program(two_pages, scheme, fault_model=fault_model)
+    assert stats.exceptions == fault_model.fault_count == 2
+    reference = run_to_completion(assemble(two_pages))
     int_regs, _fp = processor.architectural_state()
     assert int_regs == reference.int_regs
 

@@ -22,10 +22,9 @@ from repro.core.read_ports import (
     apply_port_scheme,
     make_port_scheme,
 )
-from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor
-from repro.pipeline.processor import Processor
 from repro.verify.fuzz import fuzz_config, generate
+
+from tests.util import program_processor
 
 
 def _tag(cls: int, phys: int):
@@ -177,8 +176,7 @@ def test_port_stall_conservation(seed, port_scheme):
     fuzz_program = generate(seed, size=30)
     program = fuzz_program.build()
     cfg = fuzz_config("conventional", fuzz_program.variant, port_scheme)
-    executor = FunctionalExecutor(program)
-    processor = Processor(cfg, IterSource(executor.run(10_000_000)))
+    processor = program_processor(cfg, program)
     counting = _CountingPorts(processor.read_ports)
     processor.read_ports = counting
     stats = processor.run()

@@ -14,16 +14,16 @@ from repro.core.free_list import BankedFreeList
 from repro.core.map_table import MapTable
 from repro.core.prt import PhysicalRegisterTable
 from repro.core.register_file import RegisterFileConfig
-from repro.frontend.fetch import IterSource
 from repro.isa import FirstTouchFaults
 from repro.isa.dyninst import DynInst
-from repro.isa.executor import FunctionalExecutor, run_to_completion
+from repro.isa.executor import run_to_completion
 from repro.isa.instruction import Instruction
 from repro.isa.memory import SparseMemory
 from repro.isa.opcodes import Op
 from repro.isa.program import DATA_BASE, Program
 from repro.isa.registers import freg, xreg
-from repro.pipeline.processor import Processor
+
+from tests.util import program_processor
 
 
 # ----------------------------------------------------------------- free list
@@ -296,10 +296,7 @@ def random_program(draw):
 
 def _run_pipeline(program, scheme, fault_model=None, **kw):
     config = MachineConfig(scheme=scheme, int_regs=40, fp_regs=40, **kw)
-    executor = FunctionalExecutor(
-        program, fault_model=fault_model or FirstTouchFaults(limit=0))
-    processor = Processor(config, IterSource(executor.run(50_000)),
-                          fault_model=fault_model)
+    processor = program_processor(config, program, fault_model)
     processor.run()
     return processor.architectural_state()
 

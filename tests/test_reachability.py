@@ -11,9 +11,7 @@ in the tests or nowhere.  Two AST scans keep it out:
   ``NAME`` or, through the package's ``lazy_exports`` map, the module
   that defines ``NAME``.  A ``repro.x.y`` path in a string literal that
   is not a docstring (a monkeypatch target, say) counts as an import.
-  Every module of ``src/repro`` must be reached, or be allowlisted with
-  its reason; an allowlisted module's defs are exempt from the next
-  check.
+  Every module of ``src/repro`` must be reached.
 * **defs** — every function, class and method defined in ``src/repro``
   must be named somewhere in ``src/``, ``bench/``, ``tools/``,
   ``examples/`` or ``benchmarks/``: as an identifier, an attribute, an
@@ -35,13 +33,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ENTRY_DIRS = ("bench", "tools", "examples", "benchmarks")
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
-
-#: modules no entry point reaches that stay anyway, each with its reason
-UNREACHED_ALLOWED = {
-    # the per-instruction trace format that tests/test_trace_codec.py and
-    # tests/test_columnar_ff.py hold the columnar codec against
-    "repro.workloads.trace_io",
-}
 
 _MODULE_PATH = re.compile(r"\brepro(?:\.\w+)+")
 _WORD = re.compile(r"[A-Za-z_]\w*")
@@ -165,7 +156,7 @@ def unnamed_defs() -> list[str]:
         used |= _names_used(_parse(path), path.name == "__init__.py")
     return sorted(
         f"{path.relative_to(SRC)}:{node.lineno}: {node.name}"
-        for module, path in MODULES.items() if module not in UNREACHED_ALLOWED
+        for path in MODULES.values()
         for node in ast.walk(_parse(path))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef))
@@ -174,11 +165,9 @@ def unnamed_defs() -> list[str]:
 
 
 def test_every_module_is_reached_from_an_entry_point():
-    reached = reached_modules()
-    unreached = sorted(MODULES.keys() - reached - UNREACHED_ALLOWED)
+    unreached = sorted(MODULES.keys() - reached_modules())
     assert unreached == [], (
         "modules no entry point imports:\n" + "\n".join(unreached))
-    assert not UNREACHED_ALLOWED & reached, "allowlisted but reached"
 
 
 def test_every_def_is_named_outside_tests():

@@ -9,6 +9,8 @@ from repro.core.read_ports import apply_port_scheme
 from repro.isa.executor import run_to_completion
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
+from tests.util import program_processor
+
 # wide independent ALU work: issue wants many reads per cycle
 WIDE = """
 main: movi x1, 1
@@ -62,19 +64,58 @@ def test_port_limit_monotone():
 
 
 def test_correctness_preserved_under_port_pressure():
-    from repro.frontend.fetch import IterSource
-    from repro.isa.executor import FunctionalExecutor
-    from repro.pipeline.processor import Processor
-
     reference = run_to_completion(assemble(WIDE))
     for scheme in ("conventional", "sharing"):
         config = flat_ports(
             MachineConfig(scheme=scheme, int_regs=64, fp_regs=64), 3)
-        executor = FunctionalExecutor(assemble(WIDE))
-        processor = Processor(config, IterSource(executor.run(100_000)))
+        processor = program_processor(config, assemble(WIDE))
         processor.run()
         int_regs, _ = processor.architectural_state()
         assert int_regs == reference.int_regs, scheme
+
+
+# csel reads three registers: more than a flat budget of one or two
+CSEL_LOOP = """
+.data
+v: .word 5
+.text
+main: movi x1, 1
+      movi x2, 2
+      movi x3, 3
+      movi x6, v
+      movi x9, 20
+loop: ld   x7, 0(x6)
+      div  x8, x7, x2
+      csel x4, x1, x2, x3
+      add  x5, x4, x8
+      subi x9, x9, 1
+      bnez x9, loop
+      halt
+"""
+
+
+@pytest.mark.parametrize("read_ports", [1, 2])
+@pytest.mark.parametrize("scheme", ["conventional", "sharing"])
+def test_flat_budget_below_an_instructions_reads_defers(scheme, read_ports):
+    """A class with no reads yet this cycle grants any demand, so csel
+    issues under a budget below its three reads instead of wedging the
+    pipeline.  A denial then always follows an issue in the same cycle,
+    which disarms the kernel's busy-stall skip: with 40 registers rename
+    stalls, the kernel skips cycles, and its stats equal the naive
+    loop's, port stalls included."""
+    config = flat_ports(MachineConfig(scheme=scheme, int_regs=40,
+                                      max_cycles=20_000), read_ports)
+    program = assemble(CSEL_LOOP)
+    naive = program_processor(config, program, naive_loop=True)
+    naive.run()
+    gen = program_processor(config, program)
+    gen.run()
+    assert gen.loop_used == "generated" and gen.cycles_skipped > 0
+    assert naive.stats.rf_port_stalls > 0
+    assert naive.stats.rename_stall_regs > 0
+    assert dataclasses.asdict(gen.stats) == dataclasses.asdict(naive.stats)
+    int_regs, _ = gen.architectural_state()
+    assert int_regs == run_to_completion(program).int_regs
 
 
 def test_ample_ports_equal_unlimited():
@@ -107,17 +148,12 @@ def run_scheme(port_scheme, scheme="conventional", **overrides):
 
 @pytest.mark.parametrize("port_scheme", ["bypass_filter", "banked_arbiter"])
 def test_port_scheme_correctness(port_scheme):
-    from repro.frontend.fetch import IterSource
-    from repro.isa.executor import FunctionalExecutor
-    from repro.pipeline.processor import Processor
-
     reference = run_to_completion(assemble(WIDE))
     for scheme in ("conventional", "sharing"):
         config = apply_port_scheme(
             MachineConfig(scheme=scheme, int_regs=64, fp_regs=64),
             port_scheme)
-        executor = FunctionalExecutor(assemble(WIDE))
-        processor = Processor(config, IterSource(executor.run(100_000)))
+        processor = program_processor(config, assemble(WIDE))
         processor.run()
         int_regs, _ = processor.architectural_state()
         assert int_regs == reference.int_regs, (scheme, port_scheme)

@@ -2,7 +2,7 @@
 
 The codec's contract is *semantic identity with the JSON-lines codec*:
 for any instruction stream, the decoded ``encode(insts)`` must reconstruct
-exactly what a :mod:`repro.workloads.trace_io` round trip would have —
+exactly what a :mod:`tests.trace_io` round trip would have —
 same values, same types (int vs float vs bool), same elisions (``None``
 and ``False`` fields drop out identically).  Hypothesis fuzzes that
 contract over adversarial streams (hint fields, faults, zero-valued
@@ -27,7 +27,7 @@ from repro.workloads import trace_codec
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import BENCHMARKS
 from repro.workloads.trace_codec import TraceCodecError
-from repro.workloads.trace_io import load_trace, save_trace
+from tests.trace_io import load_trace, save_trace
 
 #: every field the codecs serialize (pipeline bookkeeping is excluded)
 _FIELDS = ("seq", "pc", "op", "dest", "srcs", "imm", "taken", "target",

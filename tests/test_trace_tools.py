@@ -3,12 +3,11 @@
 import io
 
 from repro import MachineConfig, assemble
-from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor
-from repro.pipeline.processor import Processor
 from repro.pipeline.trace import reuse_annotations, trace_gantt, trace_table
 from repro.workloads import BENCHMARKS, SyntheticWorkload
-from repro.workloads.trace_io import load_trace, save_trace
+
+from tests.trace_io import load_trace, save_trace
+from tests.util import program_processor
 
 PROGRAM = """
 main: movi x1, 4
@@ -22,20 +21,18 @@ loop: add  x2, x2, x1
 
 
 def traced_run(scheme="sharing"):
-    program = assemble(PROGRAM)
+    """The committed instructions of PROGRAM, in commit order."""
     config = MachineConfig(scheme=scheme, int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(program)
-    processor = Processor(config, IterSource(executor.run(10_000)),
-                          keep_trace=True)
-    processor.run()
-    return processor
+    trace = []
+    program_processor(config, assemble(PROGRAM),
+                      on_commit=lambda _p, dyn: trace.append(dyn)).run()
+    return trace
 
 
 # --------------------------------------------------------------- trace viewer
 def test_trace_collects_commit_order():
-    processor = traced_run()
-    trace = processor.trace
-    assert trace is not None and len(trace) > 10
+    trace = traced_run()
+    assert len(trace) > 10
     seqs = [d.seq for d in trace if not d.micro_op]
     assert seqs == sorted(seqs)
     for dyn in trace:
@@ -43,16 +40,16 @@ def test_trace_collects_commit_order():
 
 
 def test_trace_table_renders():
-    processor = traced_run()
-    text = trace_table(processor.trace, limit=10)
+    trace = traced_run()
+    text = trace_table(trace, limit=10)
     assert "instruction" in text
     assert "movi" in text
     assert "..." in text  # truncation marker
 
 
 def test_trace_gantt_renders():
-    processor = traced_run()
-    text = trace_gantt(processor.trace, limit=8)
+    trace = traced_run()
+    text = trace_gantt(trace, limit=8)
     lines = text.splitlines()
     assert len(lines) == 8
     assert all("|" in line for line in lines)
@@ -60,14 +57,14 @@ def test_trace_gantt_renders():
 
 
 def test_reuse_annotations_show_shared_registers():
-    processor = traced_run("sharing")
-    text = reuse_annotations(processor.trace)
+    trace = traced_run("sharing")
+    text = reuse_annotations(trace)
     assert "reused" in text  # the x2 accumulator chain shares registers
 
 
 def test_reuse_annotations_empty_for_conventional():
-    processor = traced_run("conventional")
-    assert reuse_annotations(processor.trace) == "(no reuses)"
+    trace = traced_run("conventional")
+    assert reuse_annotations(trace) == "(no reuses)"
 
 
 # --------------------------------------------------------------- trace io

@@ -7,13 +7,14 @@ import pytest
 from repro import MachineConfig, assemble
 from repro.core.early_release import EarlyReleaseRenamer
 from repro.core.renamer import BaseRenamer
-from repro.frontend.fetch import IterSource
 from repro.isa import FirstTouchFaults
-from repro.isa.executor import ArchState, FunctionalExecutor
+from repro.isa.executor import ArchState
 from repro.pipeline.debug import check_invariants
-from repro.pipeline.processor import Processor, simulate
+from repro.pipeline.processor import simulate
 from repro.verify import CommitRecord, DivergenceError, OracleChecker, lockstep_run
 from repro.workloads import BENCHMARKS, SyntheticWorkload
+
+from tests.util import program_processor
 
 ALL_SCHEMES = ["conventional", "sharing", "hinted", "early"]
 PRECISE_SCHEMES = ["conventional", "sharing", "hinted"]
@@ -81,9 +82,8 @@ def _run_with_corrupted_write(oracle, corrupt_at=30):
 
     Operand verification is off so only the attached checker can notice."""
     config = _config("sharing", verify_values=False)
-    executor = FunctionalExecutor(assemble(PROGRAM))
-    processor = Processor(config, IterSource(executor.run(200_000)),
-                          oracle=oracle)
+    processor = program_processor(config, assemble(PROGRAM),
+                                  on_commit=oracle.on_commit)
     real_write = processor.renamer.write
     count = 0
 
@@ -118,13 +118,10 @@ def test_oracle_catches_value_corruption_stream_mode():
 
 def test_oracle_catches_final_state_corruption():
     """Corruption that lands *after* the victim's last commit check is only
-    visible in the end-of-program comparison — make sure on_halt fires."""
+    visible in the end-of-program comparison — make sure on_halt fires.
+    The caller's ``on_commit`` runs after the oracle's, so the HALT commit
+    itself checks clean."""
     from repro.isa.registers import xreg
-
-    config = _config("sharing", verify_values=False)
-    program = assemble(PROGRAM)
-    executor = FunctionalExecutor(program)
-    oracle = OracleChecker(program=program, source_state=executor.state)
 
     def corrupt_on_halt(processor, dyn):
         from repro.isa.opcodes import Op
@@ -132,10 +129,9 @@ def test_oracle_catches_final_state_corruption():
             tag = processor.renamer.committed_tag(xreg(2))
             processor.renamer.write(tag, -12345)
 
-    processor = Processor(config, IterSource(executor.run(200_000)),
-                          oracle=oracle, on_commit=corrupt_on_halt)
     with pytest.raises(DivergenceError, match="final architectural register"):
-        processor.run()
+        lockstep_run(_config("sharing", verify_values=False),
+                     assemble(PROGRAM), on_commit=corrupt_on_halt)
 
 
 def test_oracle_catches_out_of_order_commit():

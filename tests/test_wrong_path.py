@@ -10,16 +10,16 @@ verification enabled.
 
 import pytest
 
-from repro import MachineConfig, assemble
+from repro import MachineConfig, assemble, simulate
 from repro.core.register_file import RegisterFileConfig
 from repro.core.sharing import SharingRenamer
 from repro.frontend.fetch import IterSource
-from repro.isa.executor import FunctionalExecutor, run_to_completion
+from repro.isa.executor import run_to_completion
 from repro.isa.opcodes import Op
 from repro.pipeline.processor import Processor
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
-from tests.util import make_inst, never_ready
+from tests.util import make_inst, never_ready, program_processor
 
 # data-dependent branches -> guaranteed mispredictions
 BRANCHY = """
@@ -43,12 +43,10 @@ next: addi x1, x1, 8
 """
 
 
-def run(scheme, text=BRANCHY, **cfg):
-    program = assemble(text)
+def run(scheme, text=BRANCHY, fault_model=None, **cfg):
     config = MachineConfig(scheme=scheme, model_wrong_path=True,
                            int_regs=48, fp_regs=48, **cfg)
-    executor = FunctionalExecutor(program)
-    processor = Processor(config, IterSource(executor.run(100_000)))
+    processor = program_processor(config, assemble(text), fault_model)
     stats = processor.run()
     return processor, stats
 
@@ -124,14 +122,7 @@ def test_wrong_path_reuses_shared_registers_and_recovers():
 def test_wrong_path_with_exceptions_combined():
     from repro.isa import FirstTouchFaults
 
-    program = assemble(BRANCHY)
-    faults = FirstTouchFaults()
-    config = MachineConfig(scheme="sharing", model_wrong_path=True,
-                           int_regs=48, fp_regs=48)
-    executor = FunctionalExecutor(program, fault_model=faults)
-    processor = Processor(config, IterSource(executor.run(100_000)),
-                          fault_model=faults)
-    stats = processor.run()
+    processor, stats = run("sharing", fault_model=FirstTouchFaults())
     assert stats.exceptions >= 1
     reference = run_to_completion(assemble(BRANCHY))
     int_regs, _ = processor.architectural_state()
@@ -144,10 +135,7 @@ def test_wrong_path_pollutes_cache():
     for wrong_path in (False, True):
         config = MachineConfig(scheme="conventional", int_regs=64, fp_regs=64,
                                model_wrong_path=wrong_path)
-        executor = FunctionalExecutor(program)
-        processor = Processor(config, IterSource(executor.run(100_000)))
-        stats = processor.run()
-        results[wrong_path] = stats
+        results[wrong_path] = simulate(config, program)
     # wrong-path loads add demand accesses to the data cache
     assert results[True].cache_stats["l1d"].accesses >= \
         results[False].cache_stats["l1d"].accesses

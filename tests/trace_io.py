@@ -5,8 +5,8 @@ bookkeeping is not serialized.  No command reads or writes these lines:
 the trace cache stores the binary columns of
 :mod:`repro.workloads.trace_codec`, whose decoded ``encode(insts)`` is
 defined to equal a :func:`save_trace`/:func:`load_trace` round trip.
-``tests/test_trace_codec.py`` and ``tests/test_columnar_ff.py`` hold the
-codec and the columnar fast-forward against this module.
+``test_trace_codec.py`` and ``test_columnar_ff.py`` hold the codec and
+the columnar fast-forward against this module.
 """
 
 from __future__ import annotations

@@ -12,6 +12,16 @@ from repro.isa.registers import RegRef, freg, reg, xreg
 _seq = count()
 
 
+def program_processor(config, program, fault_model=None, **kwargs):
+    """A :class:`Processor` fed ``program`` the way ``simulate`` feeds it
+    (through ``program_stream``); ``kwargs`` go to the processor."""
+    from repro.frontend.fetch import IterSource
+    from repro.pipeline.processor import Processor, program_stream
+
+    stream, _ = program_stream(config, program, fault_model)
+    return Processor(config, IterSource(stream), **kwargs)
+
+
 def fresh_trace_memo(monkeypatch) -> None:
     """Swap in an empty process-wide trace memo; undone at teardown."""
     from repro.harness import cache
