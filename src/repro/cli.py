@@ -4,8 +4,7 @@ Usage::
 
     python -m repro run PROGRAM.s [--scheme sharing] [--int-regs 64] ...
     python -m repro bench NAME [--scheme ...] [--insts 20000] ...
-    python -m repro profile sharing:hmmer:10000 [--top 15] [--out p.pstats]
-    python -m repro profile sharing:hmmer:20000 --sampled  # phase breakdown
+    python -m repro bench NAME --no-verify [--sampling P:W:U] --profile PATH
     python -m repro compare NAME [--sizes 48,64,96] [--insts 10000]
     python -m repro figures [fig1 fig2 ... | all]
     python -m repro kernels [--list | NAME]
@@ -20,8 +19,11 @@ runs one synthetic benchmark profile (the performance benchmark of the
 paper-figure job lives in the repository's ``bench/`` directory);
 ``compare`` sweeps register-file sizes for baseline vs proposed;
 ``figures`` regenerates the paper's tables/figures; ``motivation``
-prints the dataflow analysis; ``profile`` wraps one simulation point in
-cProfile (``run`` and ``verify`` also take ``--profile PATH``).
+prints the dataflow analysis.  ``run``, ``bench`` and ``verify`` take
+``--profile PATH``: the command runs under cProfile, dumps the pstats
+file to PATH and prints the top functions; ``run`` and ``bench`` add the
+cycle loop their config gets and, for a sampled run, the time of each
+sampling phase.
 
 ``verify`` runs every kernel through the pipeline in lockstep with the
 in-order golden model (the commit-time differential oracle,
@@ -79,6 +81,12 @@ def _machine_args(parser: argparse.ArgumentParser) -> None:
                         help="print the full statistics report")
     parser.add_argument("--wrong-path", action="store_true",
                         help="model wrong-path speculation")
+
+
+def _profile_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--profile", default=None, metavar="PATH",
+                        help="cProfile the command; dump pstats to PATH and "
+                             "print the top-15 cumulative functions")
 
 
 def _sampling_args(parser: argparse.ArgumentParser) -> None:
@@ -152,9 +160,11 @@ def _print_stats(stats, detailed: bool = False) -> None:
         print(f"branch accuracy   {100 * stats.branch_stats.accuracy:.1f}%")
 
 
-def _profiled(args, fn):
+def _profiled(args, fn, config=None, sampled: bool = False):
     """Run ``fn`` under cProfile when ``--profile PATH`` was given: dump the
-    pstats file and print the top-15 functions by cumulative time."""
+    pstats file and print the top-15 functions by cumulative time.  For a
+    ``sampled`` run, also print the time of each sampling phase; given the
+    run's ``config``, the cycle loop that config gets."""
     if not getattr(args, "profile", None):
         return fn()
     import cProfile
@@ -163,12 +173,54 @@ def _profiled(args, fn):
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        return fn()
+        result = fn()
     finally:
         profiler.disable()
         profiler.dump_stats(args.profile)
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(15)
+        stats = pstats.Stats(profiler)
+        stats.sort_stats("cumulative").print_stats(15)
         print(f"profile written to {args.profile}", file=sys.stderr)
+    if sampled:
+        from repro.sampling.engine import window_config
+
+        _print_phases(stats)
+        config = window_config(config)
+    if config is not None:
+        from repro.codegen import kernel_fingerprint, kernel_for
+
+        if kernel_for(config) is None:
+            print("loop=naive")
+        else:
+            print(f"loop=generated kernel={kernel_fingerprint(config)}")
+    return result
+
+
+def _print_phases(stats) -> None:
+    """A sampled run's phases, read from its profile: the cumulative time
+    and calls of skim, fast-forward and the detailed windows, and the
+    rest of the profiled time."""
+    from repro.pipeline.processor import Processor
+    from repro.sampling.warmer import FunctionalWarmer
+
+    total = stats.total_tt
+    other = total
+    print(f"sampled phases of {total * 1e3:.1f}ms profiled:")
+    for name, fn in (("skim", FunctionalWarmer.skim),
+                     ("fast_forward", FunctionalWarmer.fast_forward),
+                     ("window", Processor.run)):
+        code = fn.__code__
+        _, calls, _, cumulative, _ = stats.stats.get(
+            (code.co_filename, code.co_firstlineno, code.co_name),
+            (0, 0, 0.0, 0.0, None))
+        other -= cumulative
+        print(f"  {name:14s} {cumulative * 1e3:8.1f}ms  "
+              f"{_percent(cumulative, total)}  ({calls} calls)")
+    print(f"  {'other':14s} {other * 1e3:8.1f}ms  "
+          f"{_percent(other, total)}  (setup, materialize, scaling)")
+
+
+def _percent(part: float, total: float) -> str:
+    return f"{100.0 * part / total if total else 0.0:5.1f}%"
 
 
 def cmd_run(args) -> int:
@@ -178,9 +230,11 @@ def cmd_run(args) -> int:
     with open(args.program) as handle:
         program = assemble(handle.read())
     sampling = _resolve_sampling(args)
+    config = _config(args)
     stats = _profiled(
-        args, lambda: simulate(_config(args), program, max_insts=args.insts,
-                               sampling=sampling))
+        args, lambda: simulate(config, program, max_insts=args.insts,
+                               sampling=sampling),
+        config, sampled=sampling is not None)
     _print_stats(stats, args.detailed)
     return 0
 
@@ -197,141 +251,22 @@ def cmd_bench(args) -> int:
     workload = SyntheticWorkload(BENCHMARKS[args.name],
                                  total_insts=args.insts, seed=args.seed)
     sampling = _resolve_sampling(args)
-    stats = simulate(_config(args), iter(workload),
-                     max_insts=args.insts if sampling else None,
-                     sampling=sampling, sampling_seed=args.seed)
+    config = _config(args)
+    if sampling:
+        from repro.harness.cache import TraceStream
+
+        # the packed columns a sweep point fast-forwards over
+        stream = TraceStream(workload.trace_bytes(), args.insts)
+    else:
+        # streamed: decoding a whole trace up front costs seconds and
+        # ~150 MB at 200k instructions
+        stream = iter(workload)
+    stats = _profiled(
+        args, lambda: simulate(config, stream,
+                               max_insts=args.insts if sampling else None,
+                               sampling=sampling, sampling_seed=args.seed),
+        config, sampled=sampling is not None)
     _print_stats(stats, args.detailed)
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """``repro profile SCHEME[:PROFILE[:INSTS]]``: cProfile one simulation
-    point and report the top-N functions by cumulative time."""
-    import cProfile
-    import pstats
-
-    from repro.workloads.profiles import BENCHMARKS
-
-    parts = args.point.split(":")
-    scheme = parts[0]
-    profile_name = parts[1] if len(parts) > 1 else "hmmer"
-    insts = int(parts[2]) if len(parts) > 2 else 10_000
-    if scheme not in ("conventional", "sharing", "hinted", "early"):
-        print(f"unknown scheme {scheme!r}", file=sys.stderr)
-        return 1
-    if profile_name not in BENCHMARKS:
-        print(f"unknown benchmark {profile_name!r}; use one of: "
-              f"{', '.join(sorted(BENCHMARKS))}", file=sys.stderr)
-        return 1
-    if args.sampled is not None:
-        return _cmd_profile_sampled(args, scheme, profile_name, insts)
-
-    from repro.pipeline.config import MachineConfig
-    from repro.pipeline.processor import IterSource, Processor
-    from repro.workloads.generator import SyntheticWorkload
-
-    stream = list(SyntheticWorkload(BENCHMARKS[profile_name],
-                                    total_insts=insts, seed=args.seed))
-    config = MachineConfig(scheme=scheme, verify_values=False)
-    processor = Processor(config, IterSource(iter(stream)))
-    profiler = cProfile.Profile()
-    profiler.enable()
-    processor.run()
-    profiler.disable()
-    if args.out:
-        profiler.dump_stats(args.out)
-        print(f"profile written to {args.out}", file=sys.stderr)
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative").print_stats(args.top)
-    loop = processor.loop_used
-    label = f"loop={loop}"
-    if loop == "generated":
-        try:
-            from repro.codegen import kernel_fingerprint
-            label += f" kernel={kernel_fingerprint(config)}"
-        except Exception:
-            pass
-    print(f"{scheme}:{profile_name}:{insts}  {label}  "
-          f"cycles={processor.stats.cycles}  "
-          f"skipped={processor.cycles_skipped}")
-    return 0
-
-
-def _cmd_profile_sampled(args, scheme: str, profile_name: str,
-                         insts: int) -> int:
-    """``repro profile --sampled``: cProfile one interval-sampled point
-    and attribute its wall time to the engine's phases — skim,
-    fast-forward (warming) and detailed windows — before the usual
-    top-N function listing."""
-    import cProfile
-    import pstats
-    import time
-
-    from repro.harness.cache import TraceStream
-    from repro.pipeline.config import MachineConfig
-    from repro.pipeline.processor import Processor
-    from repro.sampling import as_schedule, sampled_simulate
-    from repro.sampling.warmer import FunctionalWarmer
-    from repro.workloads.generator import SyntheticWorkload
-    from repro.workloads.profiles import BENCHMARKS
-
-    stream = TraceStream(SyntheticWorkload(BENCHMARKS[profile_name],
-                                           total_insts=insts,
-                                           seed=args.seed).trace_bytes(),
-                         insts)
-    stream.columns()  # parse outside the profiled region
-    config = MachineConfig(scheme=scheme, verify_values=False)
-
-    phases = {"skim": 0.0, "fast_forward": 0.0, "window": 0.0}
-    calls = {"skim": 0, "fast_forward": 0, "window": 0}
-    originals = (("skim", FunctionalWarmer, "skim"),
-                 ("fast_forward", FunctionalWarmer, "fast_forward"),
-                 ("window", Processor, "run"))
-
-    def attributed(name, fn):
-        def wrapper(*wargs, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*wargs, **kwargs)
-            finally:
-                phases[name] += time.perf_counter() - start
-                calls[name] += 1
-        return wrapper
-
-    saved = [(cls, attr, getattr(cls, attr)) for _, cls, attr in originals]
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    try:
-        for name, cls, attr in originals:
-            setattr(cls, attr, attributed(name, getattr(cls, attr)))
-        profiler.enable()
-        stats = sampled_simulate(
-            config, stream, schedule=as_schedule(args.sampled,
-                                                 seed=args.seed),
-            total_insts=insts)
-        profiler.disable()
-    finally:
-        for cls, attr, fn in saved:
-            setattr(cls, attr, fn)
-    total = time.perf_counter() - start
-
-    other = total - sum(phases.values())
-    print(f"{scheme}:{profile_name}:{insts}  sampled [{args.sampled}]  "
-          f"windows={stats.windows}  "
-          f"fast-forwarded={stats.insts_fast_forwarded}  "
-          f"total {total * 1e3:.1f}ms")
-    for name in ("skim", "fast_forward", "window"):
-        share = 100.0 * phases[name] / total if total else 0.0
-        print(f"  {name:14s} {phases[name] * 1e3:8.1f}ms  {share:5.1f}%  "
-              f"({calls[name]} calls)")
-    print(f"  {'other':14s} {other * 1e3:8.1f}ms  "
-          f"{100.0 * other / total if total else 0.0:5.1f}%  "
-          f"(setup, materialize, scaling)")
-
-    if args.out:
-        profiler.dump_stats(args.out)
-        print(f"profile written to {args.out}", file=sys.stderr)
-    pstats.Stats(profiler).sort_stats("cumulative").print_stats(args.top)
     return 0
 
 
@@ -589,9 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate an assembly file")
     p_run.add_argument("program")
     p_run.add_argument("--insts", type=int, default=None)
-    p_run.add_argument("--profile", default=None, metavar="PATH",
-                       help="cProfile the run; dump pstats to PATH and "
-                            "print the top-15 cumulative functions")
+    _profile_arg(p_run)
     _machine_args(p_run)
     _sampling_args(p_run)
     p_run.set_defaults(fn=cmd_run)
@@ -600,26 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("name")
     p_bench.add_argument("--insts", type=int, default=20_000)
     p_bench.add_argument("--seed", type=int, default=1)
+    _profile_arg(p_bench)
     _machine_args(p_bench)
     _sampling_args(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
-
-    p_prof = sub.add_parser(
-        "profile", help="cProfile one simulation point "
-        "(SCHEME[:PROFILE[:INSTS]], e.g. sharing:hmmer:10000)")
-    p_prof.add_argument("point")
-    p_prof.add_argument("--top", type=int, default=15,
-                        help="functions to print (default 15)")
-    p_prof.add_argument("--seed", type=int, default=1)
-    p_prof.add_argument("--out", default=None, metavar="PATH",
-                        help="also dump the raw pstats file to PATH")
-    p_prof.add_argument("--sampled", nargs="?", const="2000:150:100",
-                        default=None, metavar="P:W:U",
-                        help="profile the interval-sampled engine instead "
-                             "of the exact cycle loop, attributing time "
-                             "to the skim / fast-forward / window phases "
-                             "(optional schedule, default 2000:150:100)")
-    p_prof.set_defaults(fn=cmd_profile)
 
     p_cmp = sub.add_parser("compare", help="baseline vs proposed sweep")
     p_cmp.add_argument("name")
@@ -656,9 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also run a periodic-interrupt variant")
     p_ver.add_argument("--check-interval", type=int, default=16,
                        help="invariant-check interval in cycles")
-    p_ver.add_argument("--profile", default=None, metavar="PATH",
-                       help="cProfile the battery; dump pstats to PATH and "
-                            "print the top-15 cumulative functions")
+    _profile_arg(p_ver)
     _machine_args(p_ver)
     p_ver.set_defaults(fn=cmd_verify)
 

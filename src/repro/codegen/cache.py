@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.codegen.fingerprint import kernel_fingerprint
-from repro.codegen.generator import generate_kernel_source
-from repro.mem import Cache, MemoryHierarchy, StridePrefetcher, TLB
+from repro.codegen.generator import KNOWN_SCHEMES, generate_kernel_source
 
 #: fingerprint -> compiled ``run_kernel`` entry point (per process)
 _KERNEL_MEMO: dict[str, Callable] = {}
@@ -40,49 +39,15 @@ def load_kernel(config) -> Callable:
     return fn
 
 
-def _shadows_method(obj) -> bool:
-    """Does ``obj``'s instance ``__dict__`` shadow a method of its class?"""
-    cls = type(obj)
-    return any(callable(getattr(cls, name, None)) for name in vars(obj))
+def kernel_for(config) -> Optional[Callable]:
+    """The kernel for ``config``, or None when its scheme has none.
 
-
-def _stock_hierarchy(hierarchy) -> bool:
-    """Is ``hierarchy`` exactly the stock ``MemoryHierarchy`` whose TLB,
-    L1-D and prefetcher internals the kernel's inlined data access reads?"""
-    parts = [(hierarchy, MemoryHierarchy), (hierarchy.tlb, TLB),
-             (hierarchy.l1d, Cache)]
-    if hierarchy.prefetcher is not None:
-        parts.append((hierarchy.prefetcher, StridePrefetcher))
-    return all(type(obj) is cls and not _shadows_method(obj)
-               for obj, cls in parts)
-
-
-def kernel_for(config, renamer, hierarchy=None) -> Optional[Callable]:
-    """Kernel entry point for a live processor, or None to use the naive loop.
-
-    ``renamer`` is the live renamer instance (or, for capability probes,
-    its class); ``hierarchy`` is the live memory hierarchy (None for
-    capability probes).  Returns None when the renamer is not the exact
-    class the scheme's kernel was generated against (``codegen_id`` must
-    be declared in the class's own ``__dict__`` — subclasses such as test
-    oracles fall back to the naive loop, whose virtual dispatch honours
-    their overrides), when the scheme has no kernel at all (only
-    conventional and sharing are generated; the early and hinted renamers
-    declare no ``codegen_id``), when the renamer *instance* shadows a
-    class method in its ``__dict__`` (monkeypatched hooks like
-    ``renamer.write = spy`` would be bypassed by the kernel's inlined fast
-    paths), or when the hierarchy is not exactly
-    :class:`repro.mem.MemoryHierarchy` with exact
-    ``TLB``/``Cache``/``StridePrefetcher`` members free of
-    instance-shadowed methods (the kernel inlines ``data_access`` and
-    reads their internals).  Generation and compile errors propagate: a
-    broken generator must fail loudly, not silently slow simulation down.
+    Only the schemes in :data:`~repro.codegen.generator.KNOWN_SCHEMES`
+    (conventional and sharing) get a kernel; early and hinted run the
+    naive loop.  The choice depends on the config alone.  Generation and
+    compile errors propagate: a broken generator must fail loudly, not
+    silently slow simulation down.
     """
-    renamer_cls = renamer if isinstance(renamer, type) else type(renamer)
-    if renamer_cls.__dict__.get("codegen_id") != config.scheme:
-        return None
-    if not isinstance(renamer, type) and _shadows_method(renamer):
-        return None
-    if hierarchy is not None and not _stock_hierarchy(hierarchy):
+    if config.scheme not in KNOWN_SCHEMES:
         return None
     return load_kernel(config)

@@ -51,14 +51,13 @@ make that safe:
   bound method, so there is exactly one implementation of the tricky
   parts.
 
-Renamer subclasses that override hot-path methods (e.g. ad-hoc oracle
-renamers in tests) are rejected at dispatch time by the exact-class
-``codegen_id`` check in :func:`repro.codegen.kernel_for` — the generated
-code inlines *this* scheme's methods, so only the class that declares the
-matching ``codegen_id`` in its own ``__dict__`` may run it.
+:func:`repro.codegen.kernel_for` picks the kernel from the config alone.
+The generated code inlines the stock renamer's and memory hierarchy's
+methods, so a processor whose renamer or hierarchy overrides one of them
+(a test double) must run with ``naive_loop=True``, whose virtual
+dispatch honours the override.
 
-The inlined data access reads these ``repro.mem`` internals, so
-``kernel_for`` also admits only the exact stock hierarchy classes:
+The inlined data access reads these ``repro.mem`` internals:
 
 * ``TLB._lru`` (the LRU ``OrderedDict``), ``TLB.page_bits``, ``TLB.stats``;
 * ``Cache._sets`` (each ``_Set``'s ``tags``/``dirty`` lists, MRU last),
@@ -349,8 +348,8 @@ else:
 
 
 # --------------------------------------------------------------------- memory access
-#: hoists for the inlined MemoryHierarchy.data_access (kernel_for only
-#: admits the exact mem/ classes whose internals these read)
+#: hoists for the inlined MemoryHierarchy.data_access (they read the
+#: stock mem/ classes' internals)
 _MEM_HOISTS = """
 hierarchy = proc.hierarchy
 tlb = hierarchy.tlb

@@ -41,11 +41,6 @@ class _Domain:
 class ConventionalRenamer(BaseRenamer):
     """The conventional merged-RF renaming scheme."""
 
-    #: generated cycle kernels inline this exact class's hot path; the
-    #: id lives in the class's own __dict__ so subclasses (which may
-    #: override rename/commit) fall back to the naive loop
-    codegen_id = "conventional"
-
     def __init__(self, int_regs: int, fp_regs: int) -> None:
         self.domains = {
             RegClass.INT: _Domain(INT_REGS, int_regs),

@@ -74,7 +74,8 @@ class _Domain:
 class EarlyReleaseRenamer(BaseRenamer):
     """Release-on-last-read renaming (no precise exceptions).
 
-    Declares no ``codegen_id``: it always runs on the naive cycle loop.
+    The ``early`` scheme has no generated kernel: it always runs on the
+    naive cycle loop.
     """
 
     tracks_operand_reads = True

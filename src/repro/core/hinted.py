@@ -31,8 +31,8 @@ class HintedSharingRenamer(SharingRenamer):
     """Sharing renamer driven by static single-use hints instead of the
     hardware predictors.
 
-    Declares no ``codegen_id`` of its own (the kernel check reads the
-    class's own ``__dict__``), so it always runs on the naive cycle loop.
+    The ``hinted`` scheme has no generated kernel, so it always runs on
+    the naive cycle loop.
     """
 
     def _single_use_prediction(self, dyn: DynInst, src_index: int,

@@ -91,9 +91,6 @@ class _Domain:
 class SharingRenamer(BaseRenamer):
     """Register renaming with physical register sharing."""
 
-    #: see ConventionalRenamer.codegen_id (exact-class kernel dispatch)
-    codegen_id = "sharing"
-
     def __init__(
         self,
         int_config: RegisterFileConfig,

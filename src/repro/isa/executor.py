@@ -39,20 +39,19 @@ class FirstTouchFaults:
     access to it hits, however far the executor runs ahead of the
     pipeline that replays the faulting instruction: the fault pattern is
     a function of the program alone, the same under every renaming
-    scheme.  ``limit`` caps the number of faults.  This is the synthetic
-    stand-in for the paper's TLB-miss / page-fault example (Section
-    IV-B): it creates exceptions that arrive while younger instructions
-    have already overwritten shared physical registers.
+    scheme.  This is the synthetic stand-in for the paper's TLB-miss /
+    page-fault example (Section IV-B): it creates exceptions that arrive
+    while younger instructions have already overwritten shared physical
+    registers.
     """
 
-    def __init__(self, limit: Optional[int] = None) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
         self.touched: set[int] = set()
         self.fault_count = 0
 
     def should_fault(self, addr: int) -> bool:
         page = addr >> 12  # 4 KiB pages
-        if page in self.touched or self.fault_count == self.limit:
+        if page in self.touched:
             return False
         self.touched.add(page)
         self.fault_count += 1

@@ -203,13 +203,11 @@ class Processor:
     def run(self, max_insts: Optional[int] = None) -> SimStats:
         kernel = None
         if not self._naive_loop:
-            # None for kernel_for's documented refusals (a scheme the
-            # generator does not flatten, a renamer subclass, a shadowed
-            # method, a memory hierarchy other than the stock
-            # MemoryHierarchy); generation errors propagate
+            # None only for a scheme without a kernel (early, hinted);
+            # generation errors propagate
             from repro.codegen import kernel_for
 
-            kernel = kernel_for(self.config, self.renamer, self.hierarchy)
+            kernel = kernel_for(self.config)
         if kernel is None:
             self.loop_used = "naive"
             self._run_naive(max_insts)
@@ -228,9 +226,9 @@ class Processor:
         """The reference cycle loop: every stage, every cycle.
 
         The differential baseline for the generated kernel (select it with
-        ``naive_loop=True``) and the fallback whenever
-        :func:`repro.codegen.kernel_for` refuses one; both loops must
-        produce bit-identical :class:`SimStats`.
+        ``naive_loop=True``) and the loop of the schemes that have no
+        kernel (:func:`repro.codegen.kernel_for` returns None); both loops
+        must produce bit-identical :class:`SimStats`.
         """
         interrupt_interval = self.config.interrupt_interval
         next_interrupt = interrupt_interval if interrupt_interval else None

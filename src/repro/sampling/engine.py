@@ -72,39 +72,6 @@ class _SampledSource:
         self.consumed += 1
         return dyn
 
-    def take_batch(self, n: int) -> list:
-        """Up to ``n`` instructions in one call.
-
-        The fast-forward paths consume the stream through this instead of
-        paying a Python-level :meth:`take` call per skimmed instruction.
-        Exhaustion semantics mirror a ``take()`` loop exactly: the flag is
-        set only when the request reaches *past* the limit or the stream
-        end, never when it merely lands on it.
-        """
-        if self.exhausted or n <= 0:
-            return []
-        cap = n
-        if self.limit is not None:
-            remaining = self.limit - self.consumed
-            if remaining <= 0:
-                self.exhausted = True
-                return []
-            if remaining < cap:
-                cap = remaining
-        take = self._take
-        out: list = []
-        append = out.append
-        for _ in range(cap):
-            dyn = take()
-            if dyn is None:
-                self.exhausted = True
-                break
-            append(dyn)
-        self.consumed += len(out)
-        if cap < n:
-            self.exhausted = True
-        return out
-
     # InstSource protocol (window processors fetch through the same counter)
     def next_inst(self) -> Optional[DynInst]:
         return self.take()
@@ -221,6 +188,14 @@ def _shadow_occupancy(renamer) -> float:
 DEFAULT_WARM_ZONE = 3000
 
 
+def window_config(config: MachineConfig) -> MachineConfig:
+    """The config a sampled run simulates: ``config`` without operand
+    verification (see the module docstring)."""
+    if config.verify_values:
+        return dataclasses.replace(config, verify_values=False)
+    return config
+
+
 def sampled_simulate(
     config: MachineConfig,
     workload: Iterable[DynInst],
@@ -234,9 +209,7 @@ def sampled_simulate(
     Streams shorter than one period degrade gracefully to a single
     whole-stream detailed window (an exact measurement).
     """
-    if config.verify_values:
-        config = dataclasses.replace(config, verify_values=False)
-
+    config = window_config(config)
     cols = _trace_columns(workload)
     if cols is not None:
         source = _ColumnarSource(cols, limit=total_insts)

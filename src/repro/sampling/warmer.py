@@ -31,9 +31,6 @@ from repro.isa.dyninst import DynInst
 from repro.pipeline.config import MachineConfig
 from repro.workloads.trace_codec import F_TAKEN, OP_INFO_TABLE
 
-#: per-inst fallback batch size (one Python call per this many insts)
-_BATCH = 1024
-
 
 class _LiveValue:
     """One live logical-register value and its backing reuse chain."""
@@ -116,8 +113,8 @@ class FunctionalWarmer:
 
         Columnar sources (:class:`~repro.sampling.engine._ColumnarSource`)
         are warmed straight from the packed trace columns without ever
-        materializing a :class:`DynInst`; everything else falls back to
-        batched per-instruction consumption.
+        materializing a :class:`DynInst`; everything else is consumed one
+        :meth:`take` at a time.
         """
         cols = getattr(source, "cols", None)
         if cols is not None:
@@ -129,14 +126,14 @@ class FunctionalWarmer:
                     self._warm_columns(cols, lo, hi)
             return hi - lo
         observe = self.observe
+        take = source.take
         consumed = 0
         while consumed < count:
-            batch = source.take_batch(min(count - consumed, _BATCH))
-            if not batch:
+            dyn = take()
+            if dyn is None:
                 break
-            consumed += len(batch)
-            for dyn in batch:
-                observe(dyn)
+            observe(dyn)
+            consumed += 1
         return consumed
 
     def skim(self, source, count: int) -> int:
@@ -158,15 +155,15 @@ class FunctionalWarmer:
                 self._skim_columns(cols, lo, hi)
         else:
             observe = self.branch_unit.observe
+            take = source.take
             consumed = 0
             while consumed < count:
-                batch = source.take_batch(min(count - consumed, _BATCH))
-                if not batch:
+                dyn = take()
+                if dyn is None:
                     break
-                consumed += len(batch)
-                for dyn in batch:
-                    if dyn.info.is_branch:
-                        observe(dyn)
+                consumed += 1
+                if dyn.info.is_branch:
+                    observe(dyn)
         if consumed and self.track:
             # def-use records refer to values the skim skipped over
             self.live.clear()

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import pstats
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.codegen import kernel_fingerprint
+from repro.pipeline.config import MachineConfig
 
 
 def test_bench_command(capsys):
@@ -121,3 +126,47 @@ def test_wrong_path_flag(capsys):
     assert main(["bench", "gobmk", "--insts", "1500", "--no-verify",
                  "--wrong-path", "--detailed"]) == 0
     assert "wrong-path squashed" in capsys.readouterr().out
+
+
+def _profiled_bench(tmp_path, capsys, *extra):
+    """Run ``repro bench`` under ``--profile``; returns its stdout after
+    checking the pstats file loads and the listing printed."""
+    path = tmp_path / "bench.pstats"
+    assert main(["bench", "gsm", "--insts", "3000", "--profile", str(path),
+                 *extra]) == 0
+    out = capsys.readouterr().out
+    assert pstats.Stats(str(path)).total_calls > 0
+    assert "Ordered by: cumulative time" in out
+    return out
+
+
+@pytest.mark.parametrize("scheme, loop", [("sharing", "generated"),
+                                          ("early", "naive")])
+def test_bench_profile_exact(scheme, loop, tmp_path, capsys):
+    out = _profiled_bench(tmp_path, capsys, "--scheme", scheme)
+    config = MachineConfig(scheme=scheme, int_regs=64, fp_regs=64)
+    want = (f"loop=generated kernel={kernel_fingerprint(config)}"
+            if loop == "generated" else "loop=naive")
+    assert want in out.splitlines()
+    assert "IPC" in out
+
+
+def test_bench_profile_sampled(tmp_path, capsys):
+    # a period longer than the warm zone, so the engine also skims
+    out = _profiled_bench(tmp_path, capsys, "--insts", "12000",
+                          "--sampling", "5000:150:100")
+    calls = {}
+    for line in out.splitlines():
+        match = re.match(r"  (\w+) +[\d.]+ms +[\d.]+%  \((\d+) calls\)$",
+                         line)
+        if match:
+            calls[match[1]] = int(match[2])
+    assert list(calls) == ["skim", "fast_forward", "window"]
+    assert all(calls.values()), calls
+    assert re.search(r"^  other +-?[\d.]+ms", out, re.M)
+    # windows run unverified: the loop line names the kernel they got
+    config = MachineConfig(scheme="sharing", int_regs=64, fp_regs=64,
+                           verify_values=False)
+    assert f"loop=generated kernel={kernel_fingerprint(config)}" in \
+        out.splitlines()
+    assert "IPC estimate" in out

@@ -1,10 +1,10 @@
-"""Kernel memo lifecycle: fingerprints, no disk writes, fallback.
+"""Kernel memo lifecycle: fingerprints, no disk writes, loop choice.
 
 The correctness of the generated kernels themselves is covered by the
 naive-loop oracle in ``test_event_loop.py``; this module tests the
 machinery *around* them — that the fingerprint tracks everything a
 kernel depends on, that loading a kernel writes nothing to disk, and
-that every refusal really lands on the naive loop — plus an oracle for
+that the scheme alone picks the loop — plus an oracle for
 the inlined register-pressure check, L1-D/TLB/prefetcher path, read-port
 grants and operand verification, whose delegated cold paths the streams
 below are sized to reach.
@@ -21,9 +21,7 @@ from repro.codegen import (
     kernel_for,
 )
 from repro.codegen.cache import _KERNEL_MEMO
-from repro.core.conventional import ConventionalRenamer
 from repro.core.read_ports import apply_port_scheme
-from repro.mem import Cache, MemoryHierarchy
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import IterSource, Processor, VerificationError
 from repro.verify.fuzz import generate
@@ -86,7 +84,7 @@ def test_kernel_load_writes_nothing(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# fallback
+# loop choice
 
 def test_kernel_runs_by_default():
     proc = _processor("sharing")
@@ -94,83 +92,24 @@ def test_kernel_runs_by_default():
     assert proc.loop_used == "generated"
 
 
-def test_subclassed_renamer_falls_back_to_event_loop():
-    """A renamer subclass may override hooks the kernel inlined away, so
-    exact-class dispatch must refuse it even though isinstance passes."""
-
-    class InstrumentedRenamer(ConventionalRenamer):
-        pass
-
-    config = MachineConfig(scheme="conventional", verify_values=False)
-    assert kernel_for(config, ConventionalRenamer) is not None
-    assert kernel_for(config, InstrumentedRenamer) is None
-
-
-@pytest.mark.parametrize("scheme", ["early", "hinted"])
-def test_unflattened_scheme_runs_on_naive_loop(scheme):
-    """Only conventional and sharing get generated kernels; the early and
-    hinted renamers declare no codegen_id, so they run the naive loop."""
-    proc = _processor(scheme)
-    config = proc.config
-    assert kernel_for(config, proc.renamer, proc.hierarchy) is None
-    assert kernel_for(config, type(proc.renamer)) is None
-    with pytest.raises(KernelUnavailable, match=scheme):
-        generate_kernel_source(config)
-    proc.run()
-    assert proc.loop_used == "naive"
-    assert proc.stats.committed > 0
-
-
-def test_monkeypatched_renamer_method_falls_back_to_event_loop():
-    """Instance-level method overrides (oracle tests spy on .write) would
-    be bypassed by the kernel's inlined fast paths, so the exact-class
-    check extends to the instance __dict__."""
-    proc = _processor("conventional")
-    real_write = proc.renamer.write
-    seen = []
-
-    def spy(tag, value):
-        seen.append(tag)
-        real_write(tag, value)
-
-    proc.renamer.write = spy
-    proc.run()
-    assert proc.loop_used == "naive"
-    assert seen, "the patched write hook must actually be exercised"
-
-
-def test_foreign_memory_hierarchy_falls_back_to_event_loop():
-    """The kernel inlines data_access and reads TLB/L1-D/prefetcher
-    internals, so only the exact stock classes may run it."""
-
-    class CountingHierarchy(MemoryHierarchy):
-        pass
-
-    class CountingCache(Cache):
-        pass
-
-    config = MachineConfig(scheme="conventional", verify_values=False)
-    assert kernel_for(config, ConventionalRenamer,
-                      config.make_hierarchy()) is not None
-    assert kernel_for(config, ConventionalRenamer,
-                      CountingHierarchy(config.hierarchy)) is None
-    subclassed_l1d = config.make_hierarchy()
-    subclassed_l1d.l1d = CountingCache("L1D", 32 * 1024, 2, 64, 1)
-    assert kernel_for(config, ConventionalRenamer, subclassed_l1d) is None
-    patched_tlb = config.make_hierarchy()
-    patched_tlb.tlb.translate = lambda addr: 0
-    assert kernel_for(config, ConventionalRenamer, patched_tlb) is None
-
-    proc = _processor("conventional",
-                      hierarchy=CountingHierarchy(config.hierarchy))
-    proc.run()
-    assert proc.loop_used == "naive"
+def test_scheme_alone_picks_the_loop():
+    """Conventional and sharing get a generated kernel; the generator
+    cannot flatten early and hinted, so they run the naive loop."""
+    for scheme in ("conventional", "sharing", "early", "hinted"):
+        proc = _processor(scheme)
+        has_kernel = scheme in ("conventional", "sharing")
+        assert (kernel_for(proc.config) is not None) == has_kernel, scheme
+        if not has_kernel:
+            with pytest.raises(KernelUnavailable, match=scheme):
+                generate_kernel_source(proc.config)
+        proc.run()
+        assert proc.loop_used == ("generated" if has_kernel else "naive")
+        assert proc.stats.committed > 0, scheme
 
 
 def test_generator_error_propagates(monkeypatch):
-    """Only the documented reasons fall back to the naive loop; a broken
-    generator must fail the simulation instead of silently slowing it
-    down."""
+    """A broken generator must fail the simulation instead of silently
+    slowing it down on the naive loop."""
     import repro.codegen.cache as codegen_cache
     from repro.pipeline.processor import simulate
 

@@ -256,32 +256,7 @@ def test_warmer_fetches_the_lines_detailed_fetch_fetches():
         {a // line for a in detailed.fetched}
 
 
-# ----------------------------------------------------------- source batching
-@given(st.integers(1, 80), st.none() | st.integers(0, 100),
-       st.lists(st.integers(0, 40), min_size=1, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_take_batch_matches_take_loop(n, limit, batch_sizes):
-    insts = _trace("gsm", n, 1).materialize()
-
-    def make():
-        it = iter(insts)
-        return _SampledSource(lambda: next(it, None), limit=limit)
-
-    batched = make()
-    looped = make()
-    for size in batch_sizes:
-        got = batched.take_batch(size)
-        want = []
-        for _ in range(size):
-            dyn = looped.take()
-            if dyn is None:
-                break
-            want.append(dyn)
-        assert [d.seq for d in got] == [d.seq for d in want]
-        assert batched.consumed == looped.consumed
-        assert batched.exhausted == looped.exhausted
-
-
+# ------------------------------------------------------------ exhaustion
 def test_advance_exhaustion_is_strictly_past_the_end():
     cols = _trace("gsm", 10, 1)
     source = _ColumnarSource(cols, limit=10)

@@ -42,7 +42,7 @@ def _record(seen):
 
 def _run(program, cfg, variant, loop: str, hook_interval=None):
     commits = []
-    fault_model = FirstTouchFaults(limit=4) if variant == "faults" else None
+    fault_model = FirstTouchFaults() if variant == "faults" else None
     seen = []
     hooks = {}
     if hook_interval is not None:

@@ -80,10 +80,12 @@ def test_lockstep_wrong_path_commits_clean_stream():
 def _run_with_corrupted_write(oracle, corrupt_at=30):
     """Run PROGRAM under sharing with the Nth register-file write corrupted.
 
-    Operand verification is off so only the attached checker can notice."""
+    Operand verification is off so only the attached checker can notice.
+    The generated kernel inlines ``write``, so the patched one needs the
+    naive loop."""
     config = _config("sharing", verify_values=False)
     processor = program_processor(config, assemble(PROGRAM),
-                                  on_commit=oracle.on_commit)
+                                  on_commit=oracle.on_commit, naive_loop=True)
     real_write = processor.renamer.write
     count = 0
 
