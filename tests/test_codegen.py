@@ -92,19 +92,28 @@ def test_kernel_runs_by_default():
     assert proc.loop_used == "generated"
 
 
-def test_scheme_alone_picks_the_loop():
-    """Conventional and sharing get a generated kernel; the generator
-    cannot flatten early and hinted, so they run the naive loop."""
-    for scheme in ("conventional", "sharing", "early", "hinted"):
-        proc = _processor(scheme)
-        has_kernel = scheme in ("conventional", "sharing")
-        assert (kernel_for(proc.config) is not None) == has_kernel, scheme
-        if not has_kernel:
-            with pytest.raises(KernelUnavailable, match=scheme):
-                generate_kernel_source(proc.config)
-        proc.run()
-        assert proc.loop_used == ("generated" if has_kernel else "naive")
-        assert proc.stats.committed > 0, scheme
+@pytest.mark.parametrize("scheme", ["conventional", "sharing"])
+def test_flattened_scheme_runs_generated_kernel(scheme):
+    """Conventional and sharing get a generated kernel from the config
+    alone."""
+    proc = _processor(scheme)
+    assert kernel_for(proc.config) is not None
+    proc.run()
+    assert proc.loop_used == "generated"
+    assert proc.stats.committed > 0
+
+
+@pytest.mark.parametrize("scheme", ["early", "hinted"])
+def test_unflattened_scheme_runs_on_naive_loop(scheme):
+    """The generator cannot flatten early and hinted, so they run the
+    naive loop."""
+    proc = _processor(scheme)
+    assert kernel_for(proc.config) is None
+    with pytest.raises(KernelUnavailable, match=scheme):
+        generate_kernel_source(proc.config)
+    proc.run()
+    assert proc.loop_used == "naive"
+    assert proc.stats.committed > 0
 
 
 def test_generator_error_propagates(monkeypatch):
