@@ -1,8 +1,8 @@
-"""Dataflow analyses reproducing the paper's motivation study (Figs 1-3)
-and the shadow-cell demand study (Fig 9)."""
+"""Dataflow analyses reproducing the paper's motivation study (Figs 1-3,
+one def-use pass in :mod:`repro.analysis.consumers`) and the shadow-cell
+demand study (Fig 9)."""
 
 from repro.analysis.consumers import ConsumerAnalysis, analyze_stream
-from repro.analysis.reuse_chains import ReuseChainAnalysis, analyze_chains
 from repro.analysis.shadow_demand import ShadowDemand, measure_shadow_demand
 from repro.analysis.lifetimes import (
     LifetimeAnalysis,
@@ -13,8 +13,6 @@ from repro.analysis.lifetimes import (
 __all__ = [
     "ConsumerAnalysis",
     "analyze_stream",
-    "ReuseChainAnalysis",
-    "analyze_chains",
     "ShadowDemand",
     "measure_shadow_demand",
     "LifetimeAnalysis",

@@ -489,7 +489,7 @@ def cmd_faults(args) -> int:
 
 
 def cmd_motivation(args) -> int:
-    from repro.analysis import analyze_chains, analyze_stream
+    from repro.analysis import analyze_stream
     from repro.workloads.generator import SyntheticWorkload
     from repro.workloads.profiles import BENCHMARKS
 
@@ -497,11 +497,9 @@ def cmd_motivation(args) -> int:
         print(f"unknown benchmark {args.name!r}", file=sys.stderr)
         return 1
     profile = BENCHMARKS[args.name]
-    stream = list(SyntheticWorkload(profile, total_insts=args.insts,
-                                    seed=args.seed))
-    consumers = analyze_stream(iter(stream))
-    chains = analyze_chains(iter(stream))
-    series = chains.figure3_series()
+    consumers = analyze_stream(iter(SyntheticWorkload(
+        profile, total_insts=args.insts, seed=args.seed)))
+    series = consumers.figure3_series()
     print(f"{args.name} ({profile.suite}), {args.insts} instructions")
     print(f"single-consumer values (Fig 2):        "
           f"{100 * consumers.single_use_value_fraction:.1f}%")

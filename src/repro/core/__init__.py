@@ -11,8 +11,12 @@ This package implements both renaming schemes evaluated in the paper:
   carry 0/1/2/3 shadow cells, a PC-indexed register-type predictor, and
   repair micro-ops for single-use mispredictions.
 
-Both expose the same interface to the pipeline (:class:`~repro.core.renamer.BaseRenamer`),
-so the processor is scheme-agnostic.
+Both derive from one base (:class:`~repro.core.renamer.BaseRenamer`), which
+holds the per-class domains and the register-file value access every scheme
+shares, so the processor is scheme-agnostic.  The Section VII comparators
+build on them: :class:`~repro.core.early_release.EarlyReleaseRenamer`
+extends the conventional scheme and
+:class:`~repro.core.hinted.HintedSharingRenamer` the sharing one.
 """
 
 from repro._lazy import lazy_exports

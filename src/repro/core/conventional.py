@@ -13,9 +13,9 @@ from collections import deque
 
 from repro.core.map_table import MapTable
 from repro.core.register_file import BankedRegisterFile, RegisterFileConfig
-from repro.core.renamer import BaseRenamer, ReadyFn, RenameStats, Tag, Value
+from repro.core.renamer import BaseRenamer, ReadyFn, Tag
 from repro.isa.dyninst import DynInst
-from repro.isa.registers import FP_REGS, INT_REGS, RegClass, RegRef
+from repro.isa.registers import FP_REGS, INT_REGS, RegClass
 
 
 class _Domain:
@@ -42,16 +42,7 @@ class ConventionalRenamer(BaseRenamer):
     """The conventional merged-RF renaming scheme."""
 
     def __init__(self, int_regs: int, fp_regs: int) -> None:
-        self.domains = {
-            RegClass.INT: _Domain(INT_REGS, int_regs),
-            RegClass.FP: _Domain(FP_REGS, fp_regs),
-        }
-        #: domains indexed by RegClass.value (avoids the enum-hash dict
-        #: lookup on the write/read hot path)
-        self._domains_by_value = (
-            self.domains[RegClass.INT], self.domains[RegClass.FP],
-        )
-        self.stats = RenameStats()
+        super().__init__(_Domain(INT_REGS, int_regs), _Domain(FP_REGS, fp_regs))
 
     # ------------------------------------------------------------------ capacity
     def can_rename(self, dyn: DynInst) -> bool:
@@ -122,34 +113,7 @@ class ConventionalRenamer(BaseRenamer):
         self.stats.recovered_map_entries += diff
         return diff
 
-    # ------------------------------------------------------------------ values
-    def write(self, tag: Tag, value: Value) -> None:
-        self._domains_by_value[tag[0]].rf.write(tag[1], tag[2], value)
-
-    def read(self, tag: Tag) -> Value:
-        return self._domains_by_value[tag[0]].rf.read(tag[1], tag[2])
-
-    # ------------------------------------------------------------------ sampling warmup
-    def export_predictor_state(self) -> dict:
-        # no PC-indexed predictors: nothing carries across sampling windows
-        return {}
-
-    def import_predictor_state(self, state: dict) -> None:
-        pass
-
     # ------------------------------------------------------------------ setup
-    def initial_tags(self) -> list[tuple[Tag, Value]]:
-        pairs: list[tuple[Tag, Value]] = []
-        for cls, domain in self.domains.items():
-            zero: Value = 0 if cls is RegClass.INT else 0.0
-            for logical in range(domain.num_logical):
-                phys, version = domain.retire_map.get(logical)
-                pairs.append(((cls.value, phys, version), zero))
-        return pairs
-
-    def committed_tag(self, ref: RegRef) -> Tag:
-        return (ref.cls.value, *self.domains[ref.cls].retire_map.get(ref.idx))
-
     def free_registers(self, cls: RegClass) -> int:
         return len(self.domains[cls].free)
 

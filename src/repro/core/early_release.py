@@ -20,13 +20,9 @@ aggressive-release upper bound).
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.core.map_table import MapTable
-from repro.core.register_file import BankedRegisterFile, RegisterFileConfig
-from repro.core.renamer import BaseRenamer, ReadyFn, RenameStats, Tag, Value
+from repro.core.conventional import ConventionalRenamer
+from repro.core.renamer import BaseRenamer, ReadyFn, Tag, Value
 from repro.isa.dyninst import DynInst
-from repro.isa.registers import FP_REGS, INT_REGS, RegClass, RegRef
 
 
 class PreciseStateUnavailable(RuntimeError):
@@ -51,31 +47,13 @@ class _PhysState:
         self.generation += 1
 
 
-class _Domain:
-    def __init__(self, num_logical: int, num_phys: int) -> None:
-        if num_phys < num_logical + 1:
-            raise ValueError(
-                f"need at least {num_logical + 1} physical registers, got {num_phys}"
-            )
-        self.num_logical = num_logical
-        self.config = RegisterFileConfig.flat(num_phys)
-        self.rf = BankedRegisterFile(self.config)
-        self.map = MapTable(num_logical)
-        self.retire_map = MapTable(num_logical)
-        # FIFO free list: deque so allocation (popleft) is O(1)
-        self.free: deque[int] = deque(range(num_logical, num_phys))
-        self.state = [_PhysState() for _ in range(num_phys)]
-        for logical in range(num_logical):
-            self.map.set(logical, (logical, 0))
-            self.retire_map.set(logical, (logical, 0))
-            self.state[logical].produced = True
-
-
-class EarlyReleaseRenamer(BaseRenamer):
+class EarlyReleaseRenamer(ConventionalRenamer):
     """Release-on-last-read renaming (no precise exceptions).
 
-    The ``early`` scheme has no generated kernel: it always runs on the
-    naive cycle loop.
+    Extends the conventional scheme: same flat register file, free list
+    and allocation, plus per-register release state.  The ``early``
+    scheme has no generated kernel: it always runs on the naive cycle
+    loop.
     """
 
     tracks_operand_reads = True
@@ -86,21 +64,20 @@ class EarlyReleaseRenamer(BaseRenamer):
     #: (retirement map == rename map) is safe to inspect
     commit_time_value_stable = False
 
+    #: released registers are gone: no walk-back to a branch's point
+    squash_to = BaseRenamer.squash_to
+
     def __init__(self, int_regs: int, fp_regs: int) -> None:
-        self.domains = {
-            RegClass.INT: _Domain(INT_REGS, int_regs),
-            RegClass.FP: _Domain(FP_REGS, fp_regs),
-        }
-        #: domains indexed by RegClass.value (hot-path tag dispatch)
-        self._domains_by_value = (
-            self.domains[RegClass.INT], self.domains[RegClass.FP],
-        )
-        self.stats = RenameStats()
+        super().__init__(int_regs, fp_regs)
+        for domain in self.domains.values():
+            domain.state = [_PhysState() for _ in range(domain.config.total_regs)]
+            for logical in range(domain.num_logical):
+                domain.state[logical].produced = True
         self.early_releases = 0
         self.commit_releases = 0
 
     # ------------------------------------------------------------------ release
-    def _try_release(self, domain: _Domain, phys: int) -> None:
+    def _try_release(self, domain, phys: int) -> None:
         state = domain.state[phys]
         if (state.unmapped and state.produced and state.pending_reads == 0
                 and not state.released):
@@ -108,12 +85,6 @@ class EarlyReleaseRenamer(BaseRenamer):
             domain.free.append(phys)
             self.early_releases += 1
             self.stats.releases += 1
-
-    # ------------------------------------------------------------------ capacity
-    def can_rename(self, dyn: DynInst) -> bool:
-        if dyn.dest is None:
-            return True
-        return bool(self.domains[dyn.dest.cls].free)
 
     # ------------------------------------------------------------------ rename
     def rename(self, dyn: DynInst, is_ready: ReadyFn) -> list[DynInst]:
@@ -190,34 +161,6 @@ class EarlyReleaseRenamer(BaseRenamer):
         state = domain.state[tag[1]]
         state.produced = True
         self._try_release(domain, tag[1])
-
-    def read(self, tag: Tag) -> Value:
-        return self._domains_by_value[tag[0]].rf.read(tag[1], tag[2])
-
-    # ------------------------------------------------------------------ sampling warmup
-    def export_predictor_state(self) -> dict:
-        # releases are driven by read tracking, not PC-indexed prediction:
-        # no predictor state to hand across sampling windows
-        return {}
-
-    def import_predictor_state(self, state: dict) -> None:
-        pass
-
-    # ------------------------------------------------------------------ setup
-    def initial_tags(self) -> list[tuple[Tag, Value]]:
-        pairs: list[tuple[Tag, Value]] = []
-        for cls, domain in self.domains.items():
-            zero: Value = 0 if cls is RegClass.INT else 0.0
-            for logical in range(domain.num_logical):
-                phys, version = domain.retire_map.get(logical)
-                pairs.append(((cls.value, phys, version), zero))
-        return pairs
-
-    def committed_tag(self, ref: RegRef) -> Tag:
-        return (ref.cls.value, *self.domains[ref.cls].retire_map.get(ref.idx))
-
-    def free_registers(self, cls: RegClass) -> int:
-        return len(self.domains[cls].free)
 
     # ------------------------------------------------------------------ fault injection
     def fault_targets(self) -> dict[str, list[Tag]]:

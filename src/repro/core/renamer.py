@@ -1,9 +1,15 @@
-"""Common renamer interface and statistics.
+"""The shared base of every renaming scheme.
 
 The pipeline is scheme-agnostic: it talks to a :class:`BaseRenamer` for
 renaming, commit-time release, precise-state recovery and register-file
 value access.  Rename tags are ``(register class, physical register id,
 version)``; the conventional scheme always uses version 0.
+
+The base is more than an interface: it owns the per-class domains (each
+with a register file ``rf``, a retirement map ``retire_map`` and its
+``num_logical`` count) and implements, once for every scheme, the
+register-file value access and the committed-state queries that read
+them.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Union
 
 from repro.isa.dyninst import DynInst
-from repro.isa.registers import RegClass
+from repro.isa.registers import RegClass, RegRef
 from repro.pipeline.stats import RenameStats
 
 #: Global rename tag: (register class value, physical register id, version).
@@ -24,9 +30,14 @@ ReadyFn = Callable[[Tag], bool]
 
 
 class BaseRenamer:
-    """Interface implemented by all renaming schemes."""
+    """Base class of all renaming schemes."""
 
-    stats: RenameStats
+    def __init__(self, int_domain, fp_domain) -> None:
+        self.domains = {RegClass.INT: int_domain, RegClass.FP: fp_domain}
+        #: domains indexed by RegClass.value (avoids the enum-hash dict
+        #: lookup on the write/read hot path)
+        self._domains_by_value = (int_domain, fp_domain)
+        self.stats = RenameStats()
 
     #: set by schemes that need per-operand read notifications (the
     #: early-release comparator tracks pending reads)
@@ -81,10 +92,10 @@ class BaseRenamer:
 
     # --- register file values ------------------------------------------------------
     def write(self, tag: Tag, value: Value) -> None:
-        raise NotImplementedError
+        self._domains_by_value[tag[0]].rf.write(tag[1], tag[2], value)
 
     def read(self, tag: Tag) -> Value:
-        raise NotImplementedError
+        return self._domains_by_value[tag[0]].rf.read(tag[1], tag[2])
 
     # --- sampling warmup handoff ------------------------------------------------------
     def export_predictor_state(self) -> dict:
@@ -107,11 +118,17 @@ class BaseRenamer:
     # --- setup / introspection --------------------------------------------------------
     def initial_tags(self) -> list[tuple[Tag, Value]]:
         """Initial (tag, value) pairs for the committed architectural state."""
-        raise NotImplementedError
+        pairs: list[tuple[Tag, Value]] = []
+        for cls, domain in self.domains.items():
+            zero: Value = 0 if cls is RegClass.INT else 0.0
+            for logical in range(domain.num_logical):
+                phys, version = domain.retire_map.get(logical)
+                pairs.append(((cls.value, phys, version), zero))
+        return pairs
 
-    def committed_tag(self, ref) -> Tag:
+    def committed_tag(self, ref: RegRef) -> Tag:
         """Retirement-map tag of a logical register (for state verification)."""
-        raise NotImplementedError
+        return (ref.cls.value, *self.domains[ref.cls].retire_map.get(ref.idx))
 
     def free_registers(self, cls: RegClass) -> int:
         raise NotImplementedError

@@ -36,7 +36,7 @@ from typing import Optional
 from repro.core.free_list import BankedFreeList
 from repro.core.map_table import MapTable
 from repro.core.register_file import BankedRegisterFile, RegisterFileConfig
-from repro.core.renamer import BaseRenamer, ReadyFn, RenameStats, Tag, Value
+from repro.core.renamer import BaseRenamer, ReadyFn, Tag
 from repro.core.prt import LOG_CAP, PhysicalRegisterTable
 from repro.core.type_predictor import RegisterTypePredictor, SingleUsePredictor
 from repro.isa.dyninst import DynInst
@@ -99,21 +99,14 @@ class SharingRenamer(BaseRenamer):
         predictor_entries: int = 512,
         predictor: Optional[RegisterTypePredictor] = None,
     ) -> None:
+        super().__init__(_Domain(INT_REGS, int_config, counter_bits),
+                         _Domain(FP_REGS, fp_config, counter_bits))
         self.counter_bits = counter_bits
-        self.domains = {
-            RegClass.INT: _Domain(INT_REGS, int_config, counter_bits),
-            RegClass.FP: _Domain(FP_REGS, fp_config, counter_bits),
-        }
-        #: domains indexed by RegClass.value (hot-path tag dispatch)
-        self._domains_by_value = (
-            self.domains[RegClass.INT], self.domains[RegClass.FP],
-        )
         max_banks = max(int_config.num_banks, fp_config.num_banks)
         self.predictor = predictor or RegisterTypePredictor(
             predictor_entries, num_banks=max_banks
         )
         self.single_use = SingleUsePredictor(predictor_entries)
-        self.stats = RenameStats()
 
     # ====================================================================== helpers
     def _single_use_prediction(self, dyn: DynInst, src_index: int,
@@ -546,13 +539,6 @@ class SharingRenamer(BaseRenamer):
         self.stats.recovered_map_entries += diff
         return diff
 
-    # ====================================================================== values
-    def write(self, tag: Tag, value: Value) -> None:
-        self._domains_by_value[tag[0]].rf.write(tag[1], tag[2], value)
-
-    def read(self, tag: Tag) -> Value:
-        return self._domains_by_value[tag[0]].rf.read(tag[1], tag[2])
-
     # ====================================================================== sampling warmup
     def export_predictor_state(self) -> dict:
         return {
@@ -569,18 +555,6 @@ class SharingRenamer(BaseRenamer):
             self.single_use.table = list(table)
 
     # ====================================================================== setup
-    def initial_tags(self) -> list[tuple[Tag, Value]]:
-        pairs: list[tuple[Tag, Value]] = []
-        for cls, domain in self.domains.items():
-            zero: Value = 0 if cls is RegClass.INT else 0.0
-            for logical in range(domain.num_logical):
-                phys, version = domain.retire_map.get(logical)
-                pairs.append(((cls.value, phys, version), zero))
-        return pairs
-
-    def committed_tag(self, ref: RegRef) -> Tag:
-        return (ref.cls.value, *self.domains[ref.cls].retire_map.get(ref.idx))
-
     def free_registers(self, cls: RegClass) -> int:
         return self.domains[cls].free.free_count()
 

@@ -154,7 +154,7 @@ class Figure3Result:
 
 
 def figure3(scale: Scale | None = None) -> Figure3Result:
-    from repro.analysis import analyze_chains
+    from repro.analysis import analyze_stream
     from repro.workloads.generator import SyntheticWorkload
 
     scale = scale or Scale.from_env()
@@ -162,9 +162,9 @@ def figure3(scale: Scale | None = None) -> Figure3Result:
     for suite in ("specint", "specfp", "media+cog"):
         rows = []
         for profile in _suite_profiles(scale, suite):
-            chains = analyze_chains(
+            analysis = analyze_stream(
                 iter(SyntheticWorkload(profile, scale.insts, scale.seed)))
-            rows.append((profile.name, chains.figure3_series()))
+            rows.append((profile.name, analysis.figure3_series()))
         result.series[suite] = rows
     return result
 

@@ -97,9 +97,7 @@ class MachineConfig:
 
     # branch handling
     branch_predictor: str = "gshare"
-    predictor_table: int = 4096
     btb_entries: int = 2048
-    ras_depth: int = 16
     mispredict_penalty: int = 15
 
     # functional units: kind -> (count, latency, pipelined)
@@ -124,10 +122,6 @@ class MachineConfig:
     counter_bits: int = 2
     type_predictor_entries: int = 512
 
-    # precise exceptions
-    exception_flush_penalty: int = 20  # pipeline flush + handler redirect
-    recovery_cycles_per_entry: int = 1  # shadow-cell recover commands
-
     # wrong-path speculation: when set, mispredicted branches keep
     # fetching synthetic wrong-path instructions that are renamed and
     # executed speculatively, then squashed by a rename walk-back when the
@@ -140,7 +134,6 @@ class MachineConfig:
     # precise state (shadow cells under the sharing scheme) and replays —
     # the Section IV-B "interrupts" case.
     interrupt_interval: Optional[int] = None
-    interrupt_handler_cycles: int = 50  # time spent in the handler
 
     # memory hierarchy
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
@@ -220,9 +213,7 @@ class MachineConfig:
         from repro.frontend.branch_predictor import BranchUnit
 
         return BranchUnit(kind=self.branch_predictor,
-                          table_size=self.predictor_table,
-                          btb_entries=self.btb_entries,
-                          ras_depth=self.ras_depth)
+                          btb_entries=self.btb_entries)
 
     def with_scheme(self, scheme: str, **overrides) -> "MachineConfig":
         return replace(self, scheme=scheme, **overrides)

@@ -67,14 +67,23 @@ def check_sharing_renamer(renamer: SharingRenamer) -> None:
                          f"shadow capacity {capacity}")
 
 
+def _check_free_list_and_rename_map(cls, domain) -> set:
+    """Checks shared by the flat-file renamers: no register is on the free
+    list twice and no rename-map entry points at a free register.
+    Returns the free set."""
+    free = set(domain.free)
+    _require(len(free) == len(domain.free),
+             f"{cls}: duplicate entries in free list")
+    for logical, tag in enumerate(domain.map.entries):
+        _require(tag is not None, f"{cls}: unmapped logical {logical}")
+        _require(tag[0] not in free,
+                 f"{cls}: rename map x{logical} -> freed p{tag[0]}")
+    return free
+
+
 def check_conventional_renamer(renamer: ConventionalRenamer) -> None:
     for cls, domain in renamer.domains.items():
-        free = set(domain.free)
-        _require(len(free) == len(domain.free),
-                 f"{cls}: duplicate entries in free list")
-        for logical, tag in enumerate(domain.map.entries):
-            _require(tag is not None and tag[0] not in free,
-                     f"{cls}: rename map x{logical} -> freed register")
+        free = _check_free_list_and_rename_map(cls, domain)
         for logical, tag in enumerate(domain.retire_map.entries):
             _require(tag is not None and tag[0] not in free,
                      f"{cls}: retirement map x{logical} -> freed register")
@@ -88,13 +97,7 @@ def check_early_renamer(renamer: EarlyReleaseRenamer) -> None:
     scheme's defining (and precision-breaking) behaviour.
     """
     for cls, domain in renamer.domains.items():
-        free = set(domain.free)
-        _require(len(free) == len(domain.free),
-                 f"{cls}: duplicate entries in free list")
-        for logical, tag in enumerate(domain.map.entries):
-            _require(tag is not None, f"{cls}: unmapped logical {logical}")
-            _require(tag[0] not in free,
-                     f"{cls}: rename map x{logical} -> freed p{tag[0]}")
+        free = _check_free_list_and_rename_map(cls, domain)
         for phys, state in enumerate(domain.state):
             if state.released:
                 _require(phys in free,
@@ -116,10 +119,12 @@ def check_invariants(processor) -> None:
     renamer = processor.renamer
     if isinstance(renamer, SharingRenamer):
         check_sharing_renamer(renamer)
+    elif isinstance(renamer, EarlyReleaseRenamer):
+        # before the conventional check: early release subclasses it but
+        # may free registers its retirement map still references
+        check_early_renamer(renamer)
     elif isinstance(renamer, ConventionalRenamer):
         check_conventional_renamer(renamer)
-    elif isinstance(renamer, EarlyReleaseRenamer):
-        check_early_renamer(renamer)
 
     # queue occupancy within bounds
     _require(0 <= len(processor.rob) <= processor.config.rob_size,

@@ -40,6 +40,13 @@ from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stats import SimStats
 
+#: cycles to flush the pipeline and redirect fetch to the handler
+EXCEPTION_FLUSH_PENALTY = 20
+#: cycles per shadow-cell recover command (one per restored map entry)
+RECOVERY_CYCLES_PER_ENTRY = 1
+#: cycles an asynchronous interrupt spends in its handler
+INTERRUPT_HANDLER_CYCLES = 50
+
 
 class VerificationError(AssertionError):
     """A renaming/dataflow verification check failed."""
@@ -196,7 +203,7 @@ class Processor:
         Returns the penalty charged.
         """
         if penalty is None:
-            penalty = self.config.exception_flush_penalty
+            penalty = EXCEPTION_FLUSH_PENALTY
         return self._flush_and_replay(penalty)
 
     # ------------------------------------------------------------------ main loop
@@ -352,7 +359,7 @@ class Processor:
         diff = self.renamer.recover()
         penalty = base_penalty
         if self._shadow_recovery:
-            penalty += diff * self.config.recovery_cycles_per_entry
+            penalty += diff * RECOVERY_CYCLES_PER_ENTRY
         self.stats.recovery_cycles += penalty
 
         self.iq.flush()
@@ -370,7 +377,7 @@ class Processor:
         self.stats.exceptions += 1
         # the handler services the fault: the replayed instruction succeeds
         head.faults = False
-        self._flush_and_replay(self.config.exception_flush_penalty)
+        self._flush_and_replay(EXCEPTION_FLUSH_PENALTY)
 
     def _squash_wrong_path(self, branch: DynInst) -> int:
         """The mispredicted branch resolved: walk back everything younger.
@@ -388,7 +395,7 @@ class Processor:
             if dyn.dest_tag is not None:
                 self.scoreboard.pop(dyn.dest_tag, None)
         restores = self.renamer.squash_to(squashed)
-        extra = restores * self.config.recovery_cycles_per_entry
+        extra = restores * RECOVERY_CYCLES_PER_ENTRY
         self.stats.recovery_cycles += extra
         self.stats.wrong_path_squashed += len(squashed)
         self._last_progress = self.cycle
@@ -398,9 +405,7 @@ class Processor:
         """Asynchronous interrupt at the commit boundary (Section IV-B)."""
         self.stats.interrupts += 1
         return self._flush_and_replay(
-            self.config.exception_flush_penalty
-            + self.config.interrupt_handler_cycles
-        )
+            EXCEPTION_FLUSH_PENALTY + INTERRUPT_HANDLER_CYCLES)
 
     def _rebuild_scoreboard(self) -> None:
         self.scoreboard = {}

@@ -3,7 +3,7 @@ streams with exactly known answers."""
 
 import pytest
 
-from repro.analysis import analyze_chains, analyze_stream, measure_shadow_demand
+from repro.analysis import analyze_stream, measure_shadow_demand
 from repro.isa.opcodes import Op
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
@@ -85,7 +85,7 @@ def test_chain_depths():
         make_inst(Op.ADD, "x2", ("x1", "x9")),  # depth 4 -> "more"
         make_inst(Op.ST, None, ("x2", "x9"), mem_addr=0),
     ])
-    result = analyze_chains(insts)
+    result = analyze_stream(insts)
     assert result.depth_histogram == {1: 1, 2: 1, 3: 1, 4: 1}
     assert result.reuse_fraction(1) == pytest.approx(1 / 5)
     assert result.reuse_fraction(3) == pytest.approx(3 / 5)
@@ -98,12 +98,12 @@ def test_chain_broken_by_second_consumer():
         make_inst(Op.ADD, "x2", ("x1", "x9")),
         make_inst(Op.ADD, "x3", ("x1", "x9")),  # x1's value used twice: no reuse
     ])
-    result = analyze_chains(insts)
+    result = analyze_stream(insts)
     assert result.depth_histogram == {}
 
 
 def test_figure3_series_keys():
-    result = analyze_chains(iter(SyntheticWorkload(BENCHMARKS["gsm"], 4000)))
+    result = analyze_stream(iter(SyntheticWorkload(BENCHMARKS["gsm"], 4000)))
     series = result.figure3_series()
     assert set(series) == {"one", "two", "three", "more"}
     assert all(0.0 <= v <= 1.0 for v in series.values())
@@ -114,7 +114,7 @@ def test_cross_class_sources_not_reused():
         make_inst(Op.FCVT, "f1", ("x1",)),   # int -> fp
         make_inst(Op.FTOI, "x2", ("f1",)),   # fp value, int dest: class mismatch
     ])
-    result = analyze_chains(insts)
+    result = analyze_stream(insts)
     assert result.depth_histogram == {}
 
 

@@ -88,10 +88,7 @@ def _warmer_state(w: FunctionalWarmer) -> tuple:
 
 def _make_warmer(profile, scheme, with_hierarchy=True):
     config = make_config(profile, scheme, 64)
-    branch_unit = BranchUnit(kind=config.branch_predictor,
-                             table_size=config.predictor_table,
-                             btb_entries=config.btb_entries,
-                             ras_depth=config.ras_depth)
+    branch_unit = config.make_branch_unit()
     hierarchy = config.make_hierarchy() if with_hierarchy else None
     return FunctionalWarmer(config, branch_unit, hierarchy=hierarchy)
 

@@ -79,6 +79,16 @@ def test_recover_refuses():
         renamer.recover()
 
 
+def test_squash_to_refuses():
+    """Early release does not inherit the conventional walk-back: a
+    register released before its redefiner committed cannot be restored."""
+    renamer = EarlyReleaseRenamer(40, 40)
+    redefiner = make_inst(Op.MOVI, "x1", ())
+    renamer.rename(redefiner, never_ready)
+    with pytest.raises(NotImplementedError):
+        renamer.squash_to([redefiner])
+
+
 PROGRAM = """
 .data
 arr: .word 5 6 7 8

@@ -5,11 +5,16 @@ import pytest
 from repro import MachineConfig, assemble
 from repro.frontend.fetch import IterSource
 from repro.isa import FirstTouchFaults
-from repro.pipeline.debug import InvariantViolation, check_invariants
+from repro.isa.opcodes import Op
+from repro.pipeline.debug import (
+    InvariantViolation,
+    check_conventional_renamer,
+    check_invariants,
+)
 from repro.pipeline.processor import Processor
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
-from tests.util import program_processor
+from tests.util import make_inst, never_ready, program_processor
 
 
 def run_checked(workload_or_text, scheme, fault_model=None, **cfg):
@@ -92,6 +97,26 @@ def test_invariant_checker_detects_early_release_corruption():
     domain.free.append(mapped_phys)
     with pytest.raises(InvariantViolation):
         check_invariants(processor)
+
+
+def test_invariant_checker_accepts_retirement_map_to_early_released():
+    """Early release frees a register the retirement map still names; the
+    checker allows it for the early renamer, not for the conventional one
+    it subclasses."""
+    config = MachineConfig(scheme="early", int_regs=48, fp_regs=48)
+    processor = program_processor(config, assemble(PROGRAM))
+    from repro.isa.registers import RegClass
+
+    renamer = processor.renamer
+    domain = renamer.domains[RegClass.INT]
+    committed_phys = domain.retire_map.get(1)[0]
+    # redefining x1 releases its produced, never-read initial register
+    renamer.rename(make_inst(Op.MOVI, "x1", ()), never_ready)
+    assert committed_phys in domain.free
+    assert domain.retire_map.get(1)[0] == committed_phys
+    check_invariants(processor)
+    with pytest.raises(InvariantViolation):
+        check_conventional_renamer(renamer)
 
 
 # ------------------------------------------------------- on_cycle scheduling

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import MachineConfig, simulate
-from repro.analysis import analyze_chains, analyze_stream
+from repro.analysis import analyze_stream
 from repro.isa.opcodes import Op, OPCODES
 from repro.workloads import (
     BENCHMARKS,
@@ -121,7 +121,7 @@ def test_specfp_single_use_exceeds_specint():
 
 def test_figure3_ordering_one_ge_two_ge_three():
     for name in ("gcc", "bwaves", "jpeg", "gmm"):
-        chains = analyze_chains(iter(SyntheticWorkload(BENCHMARKS[name], 10000)))
+        chains = analyze_stream(iter(SyntheticWorkload(BENCHMARKS[name], 10000)))
         series = chains.figure3_series()
         assert series["one"] > series["two"] > series["three"]
 
