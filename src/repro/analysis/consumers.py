@@ -33,7 +33,6 @@ class ConsumerAnalysis:
 
     total_insts: int = 0
     dest_insts: int = 0
-    values_produced: int = 0
     #: histogram over consumer counts; key 6 means "six or more", key 0 =
     #: values never consumed inside the analysis window
     consumer_histogram: dict = field(default_factory=dict)
@@ -144,7 +143,7 @@ def analyze_stream(stream: Iterable[DynInst]) -> ConsumerAnalysis:
             reuse_links.append(linked)
 
     result.total_insts = position + 1
-    result.dest_insts = result.values_produced = len(uses)
+    result.dest_insts = len(uses)
 
     histogram = result.consumer_histogram
     sole_consumers: dict[int, bool] = {}  # consumer position -> redefines_same

@@ -21,6 +21,12 @@ against Table II's overhead rows.  All areas are in mm².
 
 from __future__ import annotations
 
+from repro.core.read_ports import (
+    BANK_READ_PORTS,
+    BYPASS_DEPTH,
+    BYPASS_FILTER_READ_PORTS,
+    READ_BANKS,
+)
 from repro.core.register_file import RegisterFileConfig
 
 #: Default register-file port counts for the 3-wide core (2 reads + 1 write
@@ -83,52 +89,31 @@ def banked_rf_area(
 
 
 # ---- read-port-reduction schemes (arXiv 2502.00147) -------------------------
-#: flat read ports modelled for the bypass-filter scheme (half of the
-#: conventional 8: most operands arrive on the bypass network)
-BYPASS_FILTER_READ_PORTS = READ_PORTS // 2
-
-
-def bypass_filter_overhead_area(
-    iq_entries: int = 40,
-    bypass_depth: int = 1,
-    tag_bits: int = 10,
-) -> float:
+# Each scheme's port geometry comes from repro.core.read_ports, the same
+# constants the pipeline simulates.
+def bypass_filter_overhead_area(iq_entries: int = 40, tag_bits: int = 10) -> float:
     """Bypass-filter control overhead, in mm².
 
     Each issue slot compares up to three source tags against the last
-    ``bypass_depth`` cycles of writeback tags (CAM match against the
+    ``BYPASS_DEPTH`` cycles of writeback tags (CAM match against the
     bypass bus), deciding per operand whether a physical read port is
     needed.
     """
-    bits = iq_entries * 3 * tag_bits * max(bypass_depth, 1)
+    bits = iq_entries * 3 * tag_bits * BYPASS_DEPTH
     return bits * _CAM_BIT / _UM2_PER_MM2
 
 
-def banked_arbiter_overhead_area(
-    banks: int = 4,
-    ports_per_bank: int = 2,
-    iq_entries: int = 40,
-) -> float:
+def banked_arbiter_overhead_area(iq_entries: int = 40) -> float:
     """Banked-read arbiter overhead, in mm².
 
     Per-bank demand counters plus grant/select logic, and a small delay
     field per issue-queue entry for the scheduled read slot.
     """
-    bits = banks * (8 + 4 * ports_per_bank) + iq_entries * 4
+    bits = READ_BANKS * (8 + 4 * BANK_READ_PORTS) + iq_entries * 4
     return bits * _SRAM_BIT / _UM2_PER_MM2
 
 
-def port_scheme_rf_area(
-    scheme: str,
-    num_regs: int,
-    bits: int = 64,
-    *,
-    banks: int = 4,
-    ports_per_bank: int = 2,
-    bypass_depth: int = 1,
-    iq_entries: int = 40,
-    write_ports: int = WRITE_PORTS,
-) -> float:
+def port_scheme_rf_area(scheme: str, num_regs: int, bits: int = 64) -> float:
     """Register file + control overhead under a port-reduction scheme, mm².
 
     ``bypass_filter`` keeps a flat file at half the read ports;
@@ -138,16 +123,13 @@ def port_scheme_rf_area(
     treat every scheme uniformly.
     """
     if scheme == "none":
-        return register_file_area(num_regs, bits, READ_PORTS, write_ports)
+        return register_file_area(num_regs, bits)
     if scheme == "bypass_filter":
-        return (register_file_area(num_regs, bits,
-                                   BYPASS_FILTER_READ_PORTS, write_ports)
-                + bypass_filter_overhead_area(iq_entries, bypass_depth))
+        return (register_file_area(num_regs, bits, BYPASS_FILTER_READ_PORTS)
+                + bypass_filter_overhead_area())
     if scheme == "banked_arbiter":
-        return (register_file_area(num_regs, bits,
-                                   ports_per_bank, write_ports)
-                + banked_arbiter_overhead_area(banks, ports_per_bank,
-                                               iq_entries))
+        return (register_file_area(num_regs, bits, BANK_READ_PORTS)
+                + banked_arbiter_overhead_area())
     raise ValueError(f"unknown port scheme {scheme!r}")
 
 

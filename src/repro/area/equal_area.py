@@ -75,12 +75,7 @@ def equal_area_banks(baseline_regs: int, bits: int = 64) -> tuple[int, int, int,
     return (n0, s, s, s)
 
 
-def equal_area_regs(
-    baseline_regs: int,
-    scheme: str,
-    bits: int = 64,
-    **scheme_kwargs,
-) -> int:
+def equal_area_regs(baseline_regs: int, scheme: str, bits: int = 64) -> int:
     """Largest register count a port-reduced file can hold at equal area.
 
     A port-reduction scheme (``repro.core.read_ports``) shrinks every bit
@@ -94,11 +89,11 @@ def equal_area_regs(
     if scheme == "none":
         return baseline_regs
     budget = baseline_area(baseline_regs, bits)
-    if port_scheme_rf_area(scheme, baseline_regs, bits, **scheme_kwargs) > budget:
+    if port_scheme_rf_area(scheme, baseline_regs, bits) > budget:
         # degenerate calibration (overheads dominate): never shrink
         return baseline_regs
     n = baseline_regs
-    while port_scheme_rf_area(scheme, n + 1, bits, **scheme_kwargs) <= budget:
+    while port_scheme_rf_area(scheme, n + 1, bits) <= budget:
         n += 1
     return n
 

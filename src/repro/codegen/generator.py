@@ -75,6 +75,8 @@ for their own flat hit paths, so a change to any of them changes both.
 
 from __future__ import annotations
 
+from repro.pipeline.lsq import LQ_SIZE, SQ_SIZE
+
 #: schemes the generator knows how to flatten
 KNOWN_SCHEMES = ("conventional", "sharing")
 
@@ -468,8 +470,6 @@ def _rename_body(config, pad: str) -> str:
     scheme = config.scheme
     ROB = config.rob_size
     IQS = config.iq_size
-    LQ = config.lq_size
-    SQ = config.sq_size
     MAXV = (1 << config.counter_bits) - 1
 
     head = """
@@ -533,12 +533,12 @@ if info is None:
 _is_load = info.is_load
 _is_store = info.is_store
 if _is_load:
-    if lsq._loads >= {LQ}:
+    if lsq._loads >= {LQ_SIZE}:
         stats.rename_stall_lsq += 1
         rename_stall = 3
         break
 elif _is_store:
-    if lsq._stores >= {SQ}:
+    if lsq._stores >= {SQ_SIZE}:
         stats.rename_stall_lsq += 1
         rename_stall = 3
         break

@@ -123,15 +123,24 @@ class ConventionalRenamer(BaseRenamer):
 
         The merged register file has no shadow cells: every stored value on
         an allocated register is potentially readable (by the maps or an
-        in-flight consumer tag), so it classifies as *live*.
+        in-flight consumer tag), so it classifies as *live*.  So does a free
+        register that either map still references: under early release
+        (the subclass) a *released* register may still be named by the
+        retirement map until its redefiner commits (the paper's Section VII
+        hazard), and the final-state check reads it, so a flip there is
+        expected to be detected, not masked.  Under conventional renaming no
+        mapped register is free, so the extra rule changes nothing there.
         """
         targets: dict[str, list[Tag]] = {"live": [], "shadow": [], "free": []}
         for cls, domain in self.domains.items():
             free = set(domain.free)
+            referenced = {tag[0] for tag in domain.map.entries}
+            referenced |= {tag[0] for tag in domain.retire_map.entries}
             for phys, version, _value in domain.rf.cells():
-                kind = "free" if phys in free else "live"
+                kind = "free" if phys in free and phys not in referenced \
+                    else "live"
                 targets[kind].append((cls.value, phys, version))
             for phys in free:
-                if not domain.rf.has(phys, 0):
+                if phys not in referenced and not domain.rf.has(phys, 0):
                     targets["free"].append((cls.value, phys, 0))
         return targets

@@ -161,27 +161,3 @@ class EarlyReleaseRenamer(ConventionalRenamer):
         state = domain.state[tag[1]]
         state.produced = True
         self._try_release(domain, tag[1])
-
-    # ------------------------------------------------------------------ fault injection
-    def fault_targets(self) -> dict[str, list[Tag]]:
-        """See :meth:`BaseRenamer.fault_targets`.
-
-        No shadow cells, but one early-release subtlety: a *released*
-        register may still be referenced by the retirement map (the paper's
-        Section VII hazard — the redefiner that unmapped it has not
-        committed).  Such cells classify as *live*: the final-state check
-        reads them, so a flip there is expected to be detected, not masked.
-        """
-        targets: dict[str, list[Tag]] = {"live": [], "shadow": [], "free": []}
-        for cls, domain in self.domains.items():
-            free = set(domain.free)
-            referenced = {tag[0] for tag in domain.map.entries}
-            referenced |= {tag[0] for tag in domain.retire_map.entries}
-            for phys, version, _value in domain.rf.cells():
-                kind = "free" if phys in free and phys not in referenced \
-                    else "live"
-                targets[kind].append((cls.value, phys, version))
-            for phys in free:
-                if phys not in referenced and not domain.rf.has(phys, 0):
-                    targets["free"].append((cls.value, phys, 0))
-        return targets

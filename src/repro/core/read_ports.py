@@ -10,15 +10,20 @@ This module implements both levers as an issue-stage layer the pipeline
 composes with :class:`~repro.core.register_file.BankedRegisterFile`:
 
 * ``bypass_filter`` — operands whose producer wrote back within the
-  last ``rf_bypass_depth`` cycles are satisfied from the bypass network
+  last :data:`BYPASS_DEPTH` cycles are satisfied from the bypass network
   and never claim a physical read port; the remaining reads contend for
-  a *halved* flat port budget (``rf_read_ports``).
+  a *halved* flat port budget (:data:`BYPASS_FILTER_READ_PORTS`).
 * ``banked_arbiter`` — the register file is split into
-  ``rf_read_banks`` banks of ``rf_bank_read_ports`` read ports each
+  :data:`READ_BANKS` banks of :data:`BANK_READ_PORTS` read ports each
   (bank = physical register number modulo bank count, per class).  A
   cycle-accurate arbiter spreads each instruction's reads over up to
-  ``rf_max_read_delay`` extra cycles; demand that cannot be scheduled
+  :data:`MAX_READ_DELAY` extra cycles; demand that cannot be scheduled
   within that window stalls the instruction in the issue queue.
+
+Each scheme's geometry is named once, by the module constants below:
+:func:`make_port_scheme` simulates it and the area model
+(:func:`repro.area.cacti_lite.port_scheme_rf_area`) prices it, so
+``MachineConfig.rf_port_scheme`` alone decides both.
 
 Both schemes expose one interface to the issue stage::
 
@@ -49,6 +54,19 @@ from typing import Optional
 
 #: the recognised values of ``MachineConfig.rf_port_scheme``
 PORT_SCHEMES = ("none", "bypass_filter", "banked_arbiter")
+
+# ---- port geometry: simulated here, priced by repro.area.cacti_lite ---------
+#: ``bypass_filter``: flat read ports per register class per cycle, half
+#: the conventional file's 8 (most operands arrive on the bypass network)
+BYPASS_FILTER_READ_PORTS = 4
+#: ``bypass_filter``: writeback cycles a value stays on the bypass network
+BYPASS_DEPTH = 1
+#: ``banked_arbiter``: banks per register class
+READ_BANKS = 4
+#: ``banked_arbiter``: read ports per bank
+BANK_READ_PORTS = 2
+#: ``banked_arbiter``: extra read cycles charged before issue stalls
+MAX_READ_DELAY = 1
 
 
 class BypassTracker:
@@ -95,92 +113,23 @@ class BypassTracker:
         self._by_cycle.clear()
 
 
-class BankPortArbiter:
-    """Cycle-accurate read-port arbiter for a banked register file.
-
-    Tracks per-(class, bank) read demand within the current cycle.  For
-    a candidate instruction, :meth:`plan` computes the extra read latency
-    its worst bank would need — demand already committed this cycle plus
-    its own reads, spread over ``ports_per_bank`` reads per cycle::
-
-        delay(bank) = ceil((used + wanted) / ports) - 1
-
-    and denies the grant (returns None) when that exceeds ``max_delay``,
-    *unless* every demanded bank is still fresh this cycle (the
-    head-of-line progress guarantee — see the module docstring).
-    :meth:`commit` claims the ports and returns the charged delay.
-    """
-
-    __slots__ = ("banks", "ports", "max_delay", "_used", "_cycle")
-
-    def __init__(self, banks: int, ports_per_bank: int,
-                 max_delay: int) -> None:
-        if banks < 1 or ports_per_bank < 1:
-            raise ValueError("banked arbiter needs >= 1 bank and port")
-        self.banks = banks
-        self.ports = ports_per_bank
-        self.max_delay = max_delay
-        self._used: dict[tuple, int] = {}
-        self._cycle = -1
-
-    def begin_cycle(self, cycle: int) -> None:
-        if cycle != self._cycle:
-            self._cycle = cycle
-            self._used.clear()
-
-    def plan(self, tags) -> Optional[tuple]:
-        """``(delay, demand)`` for reading ``tags`` this cycle, or None.
-
-        ``demand`` maps (class, bank) -> read count; ``delay`` is the
-        worst bank's extra latency.  Pure — commits nothing.
-        """
-        banks = self.banks
-        demand: dict[tuple, int] = {}
-        for tag in tags:
-            key = (tag[0], tag[1] % banks)
-            demand[key] = demand.get(key, 0) + 1
-        if not demand:
-            return (0, demand)
-        used = self._used
-        ports = self.ports
-        worst = 0
-        fresh = True
-        for key, wanted in demand.items():
-            prior = used.get(key, 0)
-            if prior:
-                fresh = False
-            delay = (prior + wanted + ports - 1) // ports - 1
-            if delay > worst:
-                worst = delay
-        if worst > self.max_delay and not fresh:
-            return None
-        return (worst, demand)
-
-    def commit(self, plan: tuple) -> int:
-        delay, demand = plan
-        used = self._used
-        for key, wanted in demand.items():
-            used[key] = used.get(key, 0) + wanted
-        return delay
-
-
 class BypassFilterPorts:
     """``rf_port_scheme="bypass_filter"``: bypass-aware port filtering.
 
     Operands on the bypass network read nothing; the rest contend for
-    the flat ``rf_read_ports`` budget per register class per cycle
-    (``None`` = unlimited); a class with no reads yet this cycle grants
-    any demand.  Serving the bypassed reads for free is what lets the
-    area model halve the port count.  With
-    ``rf_bypass_depth=0`` nothing is bypassed, so every operand contends:
-    a plain flat read-port limit.
+    the flat ``read_ports`` budget per register class per cycle; a class
+    with no reads yet this cycle grants any demand.  Serving the bypassed
+    reads for free is what lets the area model halve the port count.
+    With ``bypass_depth=0`` nothing is bypassed, so every operand
+    contends: a plain flat read-port limit.
     """
 
     scheme = "bypass_filter"
 
     __slots__ = ("read_ports", "tracker", "_used")
 
-    def __init__(self, read_ports: Optional[int], bypass_depth: int) -> None:
+    def __init__(self, read_ports: int = BYPASS_FILTER_READ_PORTS,
+                 bypass_depth: int = BYPASS_DEPTH) -> None:
         self.read_ports = read_ports
         self.tracker = BypassTracker(bypass_depth)
         self._used = [0, 0]
@@ -200,11 +149,10 @@ class BypassFilterPorts:
             else:
                 n0 += 1
         read_ports = self.read_ports
-        if read_ports is not None:
-            used = self._used
-            if (used[0] and used[0] + n0 > read_ports) \
-                    or (used[1] and used[1] + n1 > read_ports):
-                return None
+        used = self._used
+        if (used[0] and used[0] + n0 > read_ports) \
+                or (used[1] and used[1] + n1 > read_ports):
+            return None
         return (n0, n1, bypassed)
 
     def commit(self, plan: tuple, stats) -> int:
@@ -225,28 +173,77 @@ class BypassFilterPorts:
 
 class BankedArbiterPorts:
     """``rf_port_scheme="banked_arbiter"``: delayed/banked reads behind a
-    cycle-accurate port arbiter (stalls on over-window conflicts, charges
-    the residual delay as extra issue-to-complete latency)."""
+    cycle-accurate read-port arbiter.
+
+    Tracks per-(class, bank) read demand within the current cycle.  For
+    a candidate instruction, :meth:`plan` computes the extra read latency
+    its worst bank would need — demand already committed this cycle plus
+    its own reads, spread over ``ports_per_bank`` reads per cycle::
+
+        delay(bank) = ceil((used + wanted) / ports) - 1
+
+    and denies the grant (returns None: the instruction stalls in the
+    issue queue) when that exceeds ``max_delay``, *unless* every demanded
+    bank is still fresh this cycle (the head-of-line progress guarantee —
+    see the module docstring).  :meth:`commit` claims the ports and
+    returns the charged delay as extra issue-to-complete latency.
+    """
 
     scheme = "banked_arbiter"
 
-    __slots__ = ("arbiter",)
+    __slots__ = ("banks", "ports", "max_delay", "_used", "_cycle")
 
-    def __init__(self, banks: int, ports_per_bank: int,
-                 max_delay: int) -> None:
-        self.arbiter = BankPortArbiter(banks, ports_per_bank, max_delay)
+    def __init__(self, banks: int = READ_BANKS,
+                 ports_per_bank: int = BANK_READ_PORTS,
+                 max_delay: int = MAX_READ_DELAY) -> None:
+        if banks < 1 or ports_per_bank < 1:
+            raise ValueError("banked arbiter needs >= 1 bank and port")
+        self.banks = banks
+        self.ports = ports_per_bank
+        self.max_delay = max_delay
+        self._used: dict[tuple, int] = {}
+        self._cycle = -1
 
     def begin_cycle(self, cycle: int) -> None:
-        self.arbiter.begin_cycle(cycle)
+        if cycle != self._cycle:
+            self._cycle = cycle
+            self._used.clear()
 
     def plan(self, dyn, cycle: int) -> Optional[tuple]:
-        return self.arbiter.plan(dyn.src_tags)
+        """``(delay, demand)`` for reading ``dyn``'s sources this cycle,
+        or None.
+
+        ``demand`` maps (class, bank) -> read count; ``delay`` is the
+        worst bank's extra latency.  Pure — commits nothing.
+        """
+        banks = self.banks
+        demand: dict[tuple, int] = {}
+        for tag in dyn.src_tags:
+            key = (tag[0], tag[1] % banks)
+            demand[key] = demand.get(key, 0) + 1
+        if not demand:
+            return (0, demand)
+        used = self._used
+        ports = self.ports
+        worst = 0
+        fresh = True
+        for key, wanted in demand.items():
+            prior = used.get(key, 0)
+            if prior:
+                fresh = False
+            delay = (prior + wanted + ports - 1) // ports - 1
+            if delay > worst:
+                worst = delay
+        if worst > self.max_delay and not fresh:
+            return None
+        return (worst, demand)
 
     def commit(self, plan: tuple, stats) -> int:
-        delay = self.arbiter.commit(plan)
-        _, demand = plan
+        delay, demand = plan
+        used = self._used
         reads = 0
-        for wanted in demand.values():
+        for key, wanted in demand.items():
+            used[key] = used.get(key, 0) + wanted
             reads += wanted
         stats.rf_port_reads += reads
         if delay:
@@ -267,33 +264,8 @@ def make_port_scheme(config):
     if scheme == "none":
         return None
     if scheme == "bypass_filter":
-        return BypassFilterPorts(config.rf_read_ports,
-                                 config.rf_bypass_depth)
+        return BypassFilterPorts()
     if scheme == "banked_arbiter":
-        return BankedArbiterPorts(config.rf_read_banks,
-                                  config.rf_bank_read_ports,
-                                  config.rf_max_read_delay)
+        return BankedArbiterPorts()
     raise ValueError(f"unknown rf_port_scheme {scheme!r}; "
-                     f"expected one of {PORT_SCHEMES}")
-
-
-def apply_port_scheme(config, port_scheme: str):
-    """A copy of ``config`` running under ``port_scheme``.
-
-    This is the canonical experiment parameterisation: the bypass filter
-    halves the flat read-port budget (8 -> 4, matching the halved-port
-    area model in :mod:`repro.area.cacti_lite`); the banked arbiter uses
-    the config's bank/port/delay defaults (4 banks x 2 ports, one cycle
-    of slack).  ``"none"`` returns ``config`` unchanged.
-    """
-    from dataclasses import replace
-
-    if port_scheme == "none":
-        return config
-    if port_scheme == "bypass_filter":
-        return replace(config, rf_port_scheme="bypass_filter",
-                       rf_read_ports=4)
-    if port_scheme == "banked_arbiter":
-        return replace(config, rf_port_scheme="banked_arbiter")
-    raise ValueError(f"unknown rf_port_scheme {port_scheme!r}; "
                      f"expected one of {PORT_SCHEMES}")

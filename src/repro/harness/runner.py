@@ -100,13 +100,8 @@ def _sweep_config(scheme: str, int_regs: int, fp_regs: int,
 
         int_regs = equal_area_regs(int_regs, port_scheme, bits=64)
         fp_regs = equal_area_regs(fp_regs, port_scheme, bits=128)
-    config = MachineConfig(scheme=scheme, int_regs=int_regs, fp_regs=fp_regs,
-                           verify_values=False)
-    if port_scheme != "none":
-        from repro.core.read_ports import apply_port_scheme
-
-        config = apply_port_scheme(config, port_scheme)
-    return config
+    return MachineConfig(scheme=scheme, int_regs=int_regs, fp_regs=fp_regs,
+                         rf_port_scheme=port_scheme, verify_values=False)
 
 
 @dataclass

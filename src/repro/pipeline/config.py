@@ -7,7 +7,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.mem.hierarchy import MemoryHierarchy
 
 if TYPE_CHECKING:
     from repro.core.register_file import RegisterFileConfig
@@ -92,8 +92,6 @@ class MachineConfig:
     rob_size: int = 128
     iq_size: int = 40
     fetch_queue: int = 32
-    lq_size: int = 32
-    sq_size: int = 32
 
     # branch handling
     branch_predictor: str = "gshare"
@@ -135,23 +133,11 @@ class MachineConfig:
     # the Section IV-B "interrupts" case.
     interrupt_interval: Optional[int] = None
 
-    # memory hierarchy
-    hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
-
-    # read-port-reduction scheme on the register file (arXiv 2502.00147,
-    # repro.core.read_ports): 'none' | 'bypass_filter' | 'banked_arbiter'.
-    # 'none' models unlimited ports.  bypass_filter exempts bypass-network
-    # operands and caps the rest at rf_read_ports reads per class per
-    # cycle (None = unlimited; apply_port_scheme sets 4, half the area
-    # model's 8R); banked_arbiter arbitrates rf_read_banks banks of
-    # rf_bank_read_ports reads each, charging up to rf_max_read_delay
-    # extra cycles before stalling issue.
-    rf_read_ports: Optional[int] = None
+    # read-port-reduction scheme on the register file (arXiv 2502.00147):
+    # 'none' | 'bypass_filter' | 'banked_arbiter'.  'none' models unlimited
+    # ports; each other scheme's port geometry is fixed by the constants in
+    # repro.core.read_ports, which the area model prices too.
     rf_port_scheme: str = "none"
-    rf_read_banks: int = 4
-    rf_bank_read_ports: int = 2
-    rf_max_read_delay: int = 1
-    rf_bypass_depth: int = 1
 
     # verification of dataflow values at issue/writeback (disable for speed)
     verify_values: bool = True
@@ -161,7 +147,7 @@ class MachineConfig:
 
     # ------------------------------------------------------------------ identity
     def canonical_json(self) -> str:
-        """Sorted-key JSON of every field, nested hierarchy included: the
+        """Sorted-key JSON of every field, nested ``fu_config`` included: the
         configuration's identity in result-cache keys and kernel
         fingerprints, so any field edit changes both.  Cached on the
         instance."""
@@ -207,7 +193,7 @@ class MachineConfig:
         )
 
     def make_hierarchy(self) -> MemoryHierarchy:
-        return MemoryHierarchy(self.hierarchy)
+        return MemoryHierarchy()
 
     def make_branch_unit(self) -> BranchUnit:
         from repro.frontend.branch_predictor import BranchUnit

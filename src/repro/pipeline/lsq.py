@@ -18,6 +18,10 @@ from typing import Optional
 
 from repro.isa.dyninst import DynInst
 
+#: load- and store-queue entries (the Table I core's split LSQ)
+LQ_SIZE = 32
+SQ_SIZE = 32
+
 
 class _MemEntry:
     __slots__ = ("dyn", "issued", "is_store", "blockers")

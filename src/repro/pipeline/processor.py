@@ -36,7 +36,7 @@ from repro.isa.registers import FP_REGS, INT_REGS, RegClass, RegRef
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.functional_units import FUPool
 from repro.pipeline.issue_queue import IssueQueue
-from repro.pipeline.lsq import LoadStoreQueue
+from repro.pipeline.lsq import LQ_SIZE, SQ_SIZE, LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stats import SimStats
 
@@ -110,14 +110,14 @@ class Processor:
             fetch_width=config.fetch_width,
             queue_size=config.fetch_queue,
             mispredict_penalty=config.mispredict_penalty,
-            line_bytes=config.hierarchy.line_bytes,
+            line_bytes=self.hierarchy.config.line_bytes,
             wrong_path=wrong_path,
         )
         self.renamer: BaseRenamer = config.make_renamer()
         self._track_reads = self.renamer.tracks_operand_reads
         self.rob = ReorderBuffer(config.rob_size)
         self.iq = IssueQueue(config.iq_size)
-        self.lsq = LoadStoreQueue(config.lq_size, config.sq_size)
+        self.lsq = LoadStoreQueue(LQ_SIZE, SQ_SIZE)
         self.fus = FUPool(config.fu_config)
         #: read-port-reduction scheme (repro.core.read_ports), or None
         self.read_ports = make_port_scheme(config)

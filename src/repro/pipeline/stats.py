@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -289,37 +290,25 @@ class SimStats:
 
 
 # ====================================================================== counter arithmetic
-def delta_counters(end, start):
-    """Recursive ``end - start`` over :meth:`SimStats.to_dict` snapshots.
+def combine_counters(a, b, op=operator.add):
+    """Recursive ``op(a, b)`` over :meth:`SimStats.to_dict` snapshots.
 
-    Numbers subtract, dicts/lists recurse elementwise, everything else
-    (None components, strings) keeps the ``end`` value.  Used by the
-    sampling engine to isolate one measurement window's counters from a
-    processor's cumulative statistics.
+    Numbers combine (a ``b`` that is not a number counts as 0), dicts and
+    lists recurse elementwise, everything else (None components, strings)
+    keeps the ``a`` value.  The sampling engine subtracts
+    (``operator.sub``) to isolate one measurement window's counters from a
+    processor's cumulative statistics, and adds to sum the windows.
     """
-    if isinstance(end, dict):
-        start = start if isinstance(start, dict) else {}
-        return {key: delta_counters(value, start.get(key))
-                for key, value in end.items()}
-    if isinstance(end, list):
-        start = start if isinstance(start, list) else [0] * len(end)
-        return [delta_counters(value, before)
-                for value, before in zip(end, start)]
-    if isinstance(end, (int, float)) and not isinstance(end, bool):
-        return end - (start if isinstance(start, (int, float)) else 0)
-    return end
-
-
-def add_counters(a, b):
-    """Recursive ``a + b`` over snapshot dicts (inverse of deltas)."""
     if isinstance(a, dict):
         b = b if isinstance(b, dict) else {}
-        return {key: add_counters(value, b.get(key)) for key, value in a.items()}
+        return {key: combine_counters(value, b.get(key), op)
+                for key, value in a.items()}
     if isinstance(a, list):
         b = b if isinstance(b, list) else [0] * len(a)
-        return [add_counters(value, other) for value, other in zip(a, b)]
+        return [combine_counters(value, other, op)
+                for value, other in zip(a, b)]
     if isinstance(a, (int, float)) and not isinstance(a, bool):
-        return a + (b if isinstance(b, (int, float)) else 0)
+        return op(a, b if isinstance(b, (int, float)) else 0)
     return a
 
 

@@ -28,13 +28,14 @@ verification runs.
 from __future__ import annotations
 
 import dataclasses
+from operator import sub
 from typing import Iterable, Optional
 
 from repro.isa.dyninst import DynInst
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
-from repro.pipeline.stats import (SampledStats, SimStats, add_counters,
-                                  delta_counters, scale_counters)
+from repro.pipeline.stats import (SampledStats, SimStats, combine_counters,
+                                  scale_counters)
 from repro.sampling.schedule import SamplingSchedule
 from repro.sampling.warmer import FunctionalWarmer
 
@@ -285,7 +286,7 @@ def sampled_simulate(
             start = None
         proc.run(max_insts=schedule.detail)
         end = proc.stats.to_dict()
-        delta = delta_counters(end, start) if start is not None else end
+        delta = combine_counters(end, start, sub) if start is not None else end
 
         committed, cycles, ipc, reuse_rate, alloc_saved = \
             _window_metrics(delta)
@@ -309,7 +310,7 @@ def sampled_simulate(
     if deltas:
         summed = deltas[0]
         for delta in deltas[1:]:
-            summed = add_counters(summed, delta)
+            summed = combine_counters(summed, delta)
         ratio = total / insts_sampled if insts_sampled else 1.0
         payload = scale_counters(summed, ratio)
         payload["committed"] = total

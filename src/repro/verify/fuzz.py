@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.core.read_ports import PORT_SCHEMES
 from repro.isa.executor import FirstTouchFaults
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
@@ -43,10 +44,6 @@ from repro.isa.registers import RegRef, freg, reg, xreg
 
 #: All rename schemes the fuzzer exercises.
 ALL_SCHEMES = ("conventional", "sharing", "hinted", "early")
-
-#: Read-port schemes the fuzzer draws for each program (weighted toward
-#: 'none' so most of the corpus still stresses the rename schemes alone).
-PORT_SCHEMES = ("none", "bypass_filter", "banked_arbiter")
 
 #: Run variants: ``plain`` exercises every scheme; the others need precise
 #: state recovery (or wrong-path walk-back) and exclude early release.
@@ -327,7 +324,9 @@ def generate(seed: int, size: int = 40,
     items = [_random_item(rng, allow_trap=variant != "plain")
              for _ in range(size)]
     # drawn *after* the items so every pre-existing seed still generates
-    # the identical program body (rng stream compatibility)
+    # the identical program body (rng stream compatibility); weighted
+    # toward 'none' so most of the corpus stresses the rename schemes
+    # alone, and PORT_SCHEMES' order fixes which scheme each draw picks
     port_scheme = rng.choices(PORT_SCHEMES, weights=(2, 1, 1))[0]
     return FuzzProgram(seed=seed, variant=variant, items=items,
                        port_scheme=port_scheme)
@@ -354,10 +353,9 @@ def fuzz_config(scheme: str, variant: str, port_scheme: str = "none"):
     budget makes genuine failures (deadlock, livelock) fail fast so the
     shrinker stays quick.
     """
-    from repro.core.read_ports import apply_port_scheme
     from repro.pipeline.config import MachineConfig
 
-    config = MachineConfig(
+    return MachineConfig(
         scheme=scheme,
         int_regs=48,
         fp_regs=48,
@@ -365,9 +363,9 @@ def fuzz_config(scheme: str, variant: str, port_scheme: str = "none"):
         verify_values=True,
         model_wrong_path=(variant == "wrong_path"),
         interrupt_interval=300 if variant == "interrupts" else None,
+        rf_port_scheme=port_scheme,
         max_cycles=60_000,
     )
-    return apply_port_scheme(config, port_scheme)
 
 
 def run_case(fp: FuzzProgram, schemes=ALL_SCHEMES) -> dict:

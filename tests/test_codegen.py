@@ -21,7 +21,6 @@ from repro.codegen import (
     kernel_for,
 )
 from repro.codegen.cache import _KERNEL_MEMO
-from repro.core.read_ports import apply_port_scheme
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import IterSource, Processor, VerificationError
 from repro.verify.fuzz import generate
@@ -189,9 +188,9 @@ def test_inlined_paths_match_event_loop(scheme, counter_bits, port_scheme,
     predictor stats, prefetch counts and every instruction's pipeline
     record (rename tags, stage and commit cycles) must match the naive
     loop, and the stream must reach every delegated cold path."""
-    config = apply_port_scheme(
-        MachineConfig(scheme=scheme, int_regs=48, verify_values=verify,
-                      counter_bits=counter_bits), port_scheme)
+    config = MachineConfig(scheme=scheme, int_regs=48, verify_values=verify,
+                           counter_bits=counter_bits,
+                           rf_port_scheme=port_scheme)
     naive_stream, gen_stream = _synthetic(profile), _synthetic(profile)
     naive = Processor(config, IterSource(iter(naive_stream)),
                       naive_loop=True)

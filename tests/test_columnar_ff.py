@@ -220,8 +220,8 @@ def test_codec_loads_no_numpy():
 class _FetchRecorder(MemoryHierarchy):
     """Stock hierarchy that records every L1-I address it is asked for."""
 
-    def __init__(self, config):
-        super().__init__(config)
+    def __init__(self):
+        super().__init__()
         self.fetched = []
 
     def inst_fetch(self, addr, is_write, cycle):
@@ -240,14 +240,14 @@ def test_warmer_fetches_the_lines_detailed_fetch_fetches():
     cols = _trace("h264ref", 3000, 1)
     config = make_config(profile, "conventional", 64)
 
-    detailed = _FetchRecorder(config.hierarchy)
+    detailed = _FetchRecorder()
     Processor(config, IterSource(iter(cols.materialize())),
               hierarchy=detailed).run()
     warmer = _make_warmer(profile, "conventional", with_hierarchy=False)
-    warmer.hierarchy = warmed = _FetchRecorder(config.hierarchy)
+    warmer.hierarchy = warmed = _FetchRecorder()
     warmer.fast_forward(_ColumnarSource(cols), cols.count)
 
-    line = config.hierarchy.line_bytes
+    line = detailed.config.line_bytes
     assert warmed.fetched and detailed.fetched
     assert {a // line for a in warmed.fetched} == \
         {a // line for a in detailed.fetched}

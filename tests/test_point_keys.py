@@ -120,7 +120,8 @@ def test_keys_do_not_depend_on_the_hash_seed():
 def test_keys_change_with_nested_and_replaced_fields():
     config = make_config(PROFILE, "sharing", 48)
     base = point_key(config, PROFILE, 800, 1, FP)
-    deeper = replace(config, hierarchy=replace(config.hierarchy, l2_size=1 << 19))
+    deeper = replace(config, fu_config={**config.fu_config,
+                                        "alu": (2, 1, True)})
     assert point_key(deeper, PROFILE, 800, 1, FP) != base
     assert point_key(replace(config, iq_size=32), PROFILE, 800, 1, FP) != base
     skewed = replace(PROFILE, consumer_dist={**PROFILE.consumer_dist, 1: 0.3})
@@ -135,8 +136,6 @@ def test_machine_config_is_frozen_and_shared():
     config = make_config(PROFILE, "sharing", 48)
     with pytest.raises(FrozenInstanceError):
         config.int_regs = 64
-    with pytest.raises(FrozenInstanceError):
-        config.hierarchy.l2_size = 1
     assert make_config(PROFILE, "sharing", 48) is config
     # mcf and gcc are both integer profiles: one config at each size
     assert make_config(BENCHMARKS["gcc"], "sharing", 48) is config

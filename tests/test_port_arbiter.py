@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the bank-port arbiter.
 
-The arbiter (:class:`repro.core.read_ports.BankPortArbiter`) hands out
+The arbiter (:class:`repro.core.read_ports.BankedArbiterPorts`) hands out
 per-bank read slots cycle by cycle.  Three properties must hold for any
 demand sequence:
 
@@ -14,14 +14,17 @@ demand sequence:
   denials equals ``SimStats.rf_port_stalls`` exactly.
 """
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.read_ports import (
-    BankPortArbiter,
+    BankedArbiterPorts,
     BypassTracker,
-    apply_port_scheme,
     make_port_scheme,
 )
+from repro.pipeline.stats import SimStats
 from repro.verify.fuzz import fuzz_config, generate
 
 from tests.util import program_processor
@@ -29,6 +32,11 @@ from tests.util import program_processor
 
 def _tag(cls: int, phys: int):
     return (cls, phys, 0)
+
+
+def _reads(tags):
+    """An instruction reading ``tags``, as the arbiter's plan sees it."""
+    return SimpleNamespace(src_tags=tags)
 
 
 @st.composite
@@ -50,13 +58,14 @@ def test_arbiter_capacity_and_delay_accounting(case):
     delay always covers the bank's oversubscription, so no more than
     ``ports`` reads land in any single future read slot."""
     banks, ports, max_delay, requests = case
-    arbiter = BankPortArbiter(banks=banks, ports_per_bank=ports, max_delay=max_delay)
+    arbiter = BankedArbiterPorts(banks=banks, ports_per_bank=ports,
+                                 max_delay=max_delay)
     cycle = 0
     arbiter.begin_cycle(cycle)
     used: dict = {}
     for srcs in requests:
         tags = [_tag(cls, phys) for cls, phys in srcs]
-        plan = arbiter.plan(tags)
+        plan = arbiter.plan(_reads(tags), cycle)
         if plan is None:
             # denial implies some demanded bank is genuinely oversubscribed
             # beyond the delay window, and the bank is not fresh
@@ -70,7 +79,7 @@ def test_arbiter_capacity_and_delay_accounting(case):
             assert any(used.get(key, 0) > 0 for key in demand)
             continue
         delay, demand = plan
-        granted = arbiter.commit(plan)
+        granted = arbiter.commit(plan, SimStats())
         assert granted == delay
         for key, wanted in demand.items():
             used[key] = used.get(key, 0) + wanted
@@ -91,15 +100,16 @@ def test_arbiter_never_starves_fresh_cycle(case):
     be denied twice in a row with no intervening progress (deadlock
     freedom for the issue stage)."""
     banks, ports, max_delay, requests = case
-    arbiter = BankPortArbiter(banks=banks, ports_per_bank=ports, max_delay=max_delay)
+    arbiter = BankedArbiterPorts(banks=banks, ports_per_bank=ports,
+                                 max_delay=max_delay)
     for cycle, srcs in enumerate(requests):
         arbiter.begin_cycle(cycle)  # new cycle: per-bank state resets
         tags = [_tag(cls, phys) for cls, phys in srcs]
-        plan = arbiter.plan(tags)
+        plan = arbiter.plan(_reads(tags), cycle)
         assert plan is not None, (
             f"fresh-cycle demand {tags} denied (banks={banks}, "
             f"ports={ports}, max_delay={max_delay})")
-        arbiter.commit(plan)
+        arbiter.commit(plan, SimStats())
 
 
 @given(demand_sequences())
@@ -108,17 +118,18 @@ def test_arbiter_bank_slot_capacity(case):
     """Reconstruct the per-bank schedule: within one cycle, the reads
     granted to a bank never exceed ``ports * (max granted delay + 1)``."""
     banks, ports, max_delay, requests = case
-    arbiter = BankPortArbiter(banks=banks, ports_per_bank=ports, max_delay=max_delay)
+    arbiter = BankedArbiterPorts(banks=banks, ports_per_bank=ports,
+                                 max_delay=max_delay)
     arbiter.begin_cycle(0)
     totals: dict = {}
     worst_delay = 0
     for srcs in requests:
         tags = [_tag(cls, phys) for cls, phys in srcs]
-        plan = arbiter.plan(tags)
+        plan = arbiter.plan(_reads(tags), 0)
         if plan is None:
             continue
         delay, demand = plan
-        arbiter.commit(plan)
+        arbiter.commit(plan, SimStats())
         worst_delay = max(worst_delay, delay)
         for key, wanted in demand.items():
             totals[key] = totals.get(key, 0) + wanted
@@ -186,7 +197,7 @@ def test_port_stall_conservation(seed, port_scheme):
 def test_make_port_scheme_dispatch():
     cfg = fuzz_config("conventional", "plain")
     assert make_port_scheme(cfg) is None
-    bypass = make_port_scheme(apply_port_scheme(cfg, "bypass_filter"))
+    bypass = make_port_scheme(replace(cfg, rf_port_scheme="bypass_filter"))
     assert bypass.scheme == "bypass_filter"
-    banked = make_port_scheme(apply_port_scheme(cfg, "banked_arbiter"))
+    banked = make_port_scheme(replace(cfg, rf_port_scheme="banked_arbiter"))
     assert banked.scheme == "banked_arbiter"

@@ -1,12 +1,23 @@
 """Tests for register-file read-port contention modeling."""
 
 import dataclasses
+from dataclasses import asdict
 
 import pytest
 
 from repro import MachineConfig, assemble, simulate
-from repro.core.read_ports import apply_port_scheme
+from repro.core.read_ports import (
+    BANK_READ_PORTS,
+    BYPASS_DEPTH,
+    BYPASS_FILTER_READ_PORTS,
+    MAX_READ_DELAY,
+    READ_BANKS,
+    BankedArbiterPorts,
+    BypassFilterPorts,
+)
+from repro.frontend.fetch import IterSource
 from repro.isa.executor import run_to_completion
+from repro.pipeline.processor import Processor
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
 from tests.util import program_processor
@@ -30,26 +41,45 @@ loop: add  x5, x1, x2
 """
 
 
-def flat_ports(config, read_ports):
-    """``config`` with a flat limit of ``read_ports`` register-file reads
-    per class per cycle (None = unlimited): the bypass filter with
-    nothing bypassed."""
+# A config names a port scheme, never its geometry (repro.core.read_ports
+# fixes that, for the timing and the area model alike).  The cases below
+# that sweep a geometry build the scheme object themselves and put it in
+# place of the one the config names.
+def ported(config, ports, program=None, source=None, **kwargs):
+    """A processor whose register file runs the port-scheme object
+    ``ports`` (None = unlimited reads), fed ``program`` (``WIDE`` by
+    default) or the instruction iterator ``source``."""
+    if ports is not None:
+        config = dataclasses.replace(config, rf_port_scheme=ports.scheme)
+    if source is not None:
+        processor = Processor(config, IterSource(source), **kwargs)
+    else:
+        processor = program_processor(config, program or assemble(WIDE),
+                                      **kwargs)
+    if ports is not None:
+        processor.read_ports = ports
+    return processor
+
+
+def flat(read_ports):
+    """A flat limit of ``read_ports`` register-file reads per class per
+    cycle (None = unlimited): the bypass filter with nothing bypassed."""
     if read_ports is None:
-        return config
-    return dataclasses.replace(config, rf_port_scheme="bypass_filter",
-                               rf_bypass_depth=0, rf_read_ports=read_ports)
+        return None
+    return BypassFilterPorts(read_ports, bypass_depth=0)
 
 
-def run(read_ports, scheme="conventional"):
-    config = MachineConfig(scheme=scheme, int_regs=96, fp_regs=96,
-                           issue_width=6,
-                           fu_config={
-                               "alu": (6, 1, True), "mul": (1, 3, True),
-                               "div": (1, 12, False), "fpu": (2, 4, True),
-                               "fpdiv": (1, 16, False), "branch": (1, 1, True),
-                               "mem": (2, 1, True),
-                           })
-    return simulate(flat_ports(config, read_ports), assemble(WIDE))
+WIDE_CONFIG = MachineConfig(int_regs=96, fp_regs=96, issue_width=6,
+                            fu_config={
+                                "alu": (6, 1, True), "mul": (1, 3, True),
+                                "div": (1, 12, False), "fpu": (2, 4, True),
+                                "fpdiv": (1, 16, False),
+                                "branch": (1, 1, True), "mem": (2, 1, True),
+                            })
+
+
+def run(read_ports):
+    return ported(WIDE_CONFIG, flat(read_ports)).run()
 
 
 def test_unlimited_ports_fastest():
@@ -66,9 +96,8 @@ def test_port_limit_monotone():
 def test_correctness_preserved_under_port_pressure():
     reference = run_to_completion(assemble(WIDE))
     for scheme in ("conventional", "sharing"):
-        config = flat_ports(
-            MachineConfig(scheme=scheme, int_regs=64, fp_regs=64), 3)
-        processor = program_processor(config, assemble(WIDE))
+        processor = ported(
+            MachineConfig(scheme=scheme, int_regs=64, fp_regs=64), flat(3))
         processor.run()
         int_regs, _ = processor.architectural_state()
         assert int_regs == reference.int_regs, scheme
@@ -103,12 +132,11 @@ def test_flat_budget_below_an_instructions_reads_defers(scheme, read_ports):
     which disarms the kernel's busy-stall skip: with 40 registers rename
     stalls, the kernel skips cycles, and its stats equal the naive
     loop's, port stalls included."""
-    config = flat_ports(MachineConfig(scheme=scheme, int_regs=40,
-                                      max_cycles=20_000), read_ports)
+    config = MachineConfig(scheme=scheme, int_regs=40, max_cycles=20_000)
     program = assemble(CSEL_LOOP)
-    naive = program_processor(config, program, naive_loop=True)
+    naive = ported(config, flat(read_ports), program, naive_loop=True)
     naive.run()
-    gen = program_processor(config, program)
+    gen = ported(config, flat(read_ports), program)
     gen.run()
     assert gen.loop_used == "generated" and gen.cycles_skipped > 0
     assert naive.stats.rf_port_stalls > 0
@@ -124,35 +152,38 @@ def test_ample_ports_equal_unlimited():
 
 def test_synthetic_workload_with_ports():
     workload = SyntheticWorkload(BENCHMARKS["hmmer"], total_insts=3000)
-    config = flat_ports(
-        MachineConfig(scheme="sharing", int_regs=64, fp_regs=64), 8)
-    stats = simulate(config, iter(workload))
+    config = MachineConfig(scheme="sharing", int_regs=64, fp_regs=64)
+    stats = ported(config, flat(8), source=iter(workload)).run()
     assert stats.committed == 3000
 
 
 # ------------------------------------------- port-reduction schemes
-def run_scheme(port_scheme, scheme="conventional", **overrides):
-    config = MachineConfig(scheme=scheme, int_regs=96, fp_regs=96,
-                           issue_width=6,
-                           fu_config={
-                               "alu": (6, 1, True), "mul": (1, 3, True),
-                               "div": (1, 12, False), "fpu": (2, 4, True),
-                               "fpdiv": (1, 16, False), "branch": (1, 1, True),
-                               "mem": (2, 1, True),
-                           })
-    config = apply_port_scheme(config, port_scheme)
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+def run_scheme(port_scheme):
+    """WIDE under ``port_scheme`` as a config names it: the scheme's
+    own geometry."""
+    config = dataclasses.replace(WIDE_CONFIG, rf_port_scheme=port_scheme)
     return simulate(config, assemble(WIDE))
+
+
+def test_a_named_scheme_simulates_its_priced_geometry():
+    """Naming a port scheme is enough: the pipeline simulates the port
+    geometry the area model prices, not an unlimited budget."""
+    bypass = ported(WIDE_CONFIG, BypassFilterPorts(BYPASS_FILTER_READ_PORTS,
+                                                   BYPASS_DEPTH)).run()
+    assert bypass.rf_port_stalls > 0
+    assert asdict(run_scheme("bypass_filter")) == asdict(bypass)
+    banked = ported(WIDE_CONFIG, BankedArbiterPorts(
+        READ_BANKS, BANK_READ_PORTS, MAX_READ_DELAY)).run()
+    assert banked.rf_port_stalls > 0 or banked.rf_delay_cycles > 0
+    assert asdict(run_scheme("banked_arbiter")) == asdict(banked)
 
 
 @pytest.mark.parametrize("port_scheme", ["bypass_filter", "banked_arbiter"])
 def test_port_scheme_correctness(port_scheme):
     reference = run_to_completion(assemble(WIDE))
     for scheme in ("conventional", "sharing"):
-        config = apply_port_scheme(
-            MachineConfig(scheme=scheme, int_regs=64, fp_regs=64),
-            port_scheme)
+        config = MachineConfig(scheme=scheme, int_regs=64, fp_regs=64,
+                               rf_port_scheme=port_scheme)
         processor = program_processor(config, assemble(WIDE))
         processor.run()
         int_regs, _ = processor.architectural_state()
@@ -172,7 +203,7 @@ def test_bypass_filter_beats_plain_halved_ports():
 def test_bypass_depth_zero_is_inert():
     """Depth 0 disables the bypass exemption: every operand the filter
     served from the bypass network claims a port instead."""
-    inert = run_scheme("bypass_filter", rf_bypass_depth=0)
+    inert = ported(WIDE_CONFIG, BypassFilterPorts(bypass_depth=0)).run()
     filtered = run_scheme("bypass_filter")
     assert inert.committed == filtered.committed
     assert inert.rf_bypass_reads == 0
@@ -181,24 +212,24 @@ def test_bypass_depth_zero_is_inert():
 
 
 def test_banked_arbiter_monotone_in_ports():
-    cycles = [run_scheme("banked_arbiter", rf_bank_read_ports=p).cycles
-              for p in (1, 2, 4)]
+    cycles = [ported(WIDE_CONFIG, BankedArbiterPorts(ports_per_bank=p))
+              .run().cycles for p in (1, 2, 4)]
     assert cycles == sorted(cycles, reverse=True)
 
 
 def test_banked_arbiter_ample_ports_equal_unlimited():
     """Enough ports per bank to cover the whole issue width makes the
     arbiter inert: identical timing to the unconstrained machine."""
-    ample = run_scheme("banked_arbiter", rf_read_banks=1,
-                       rf_bank_read_ports=32, rf_max_read_delay=0)
+    ample = ported(WIDE_CONFIG, BankedArbiterPorts(
+        banks=1, ports_per_bank=32, max_delay=0)).run()
     assert ample.cycles == run(None).cycles
     assert ample.rf_port_stalls == 0
     assert ample.rf_delay_cycles == 0
 
 
 def test_banked_arbiter_charges_delay_or_stalls():
-    tight = run_scheme("banked_arbiter", rf_read_banks=2,
-                       rf_bank_read_ports=1)
+    tight = ported(WIDE_CONFIG, BankedArbiterPorts(
+        banks=2, ports_per_bank=1)).run()
     assert tight.rf_delay_cycles > 0 or tight.rf_port_stalls > 0
     assert tight.cycles >= run(None).cycles
 
