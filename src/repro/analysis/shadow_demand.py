@@ -10,7 +10,7 @@ k shadow cells are needed to cover X% of execution time?
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.frontend.fetch import IterSource
 from repro.isa.dyninst import DynInst
@@ -39,7 +39,6 @@ def measure_shadow_demand(
     workload: Iterable[DynInst],
     total_regs: int = 256,
     sample_interval: int = 64,
-    config: Optional[MachineConfig] = None,
 ) -> ShadowDemand:
     """Run the sharing scheme with ample 3-shadow registers and sample."""
     demand = ShadowDemand()
@@ -51,12 +50,8 @@ def measure_shadow_demand(
                         if versions >= k + 1)
             demand.samples[k].append(using)
 
-    cfg = config or MachineConfig()
-    cfg = cfg.with_scheme(
-        "sharing",
-        int_banks=(0, 0, 0, total_regs),
-        fp_banks=(0, 0, 0, total_regs),
-    )
+    cfg = MachineConfig(scheme="sharing", int_banks=(0, 0, 0, total_regs),
+                        fp_banks=(0, 0, 0, total_regs))
     processor = Processor(cfg, IterSource(iter(workload)),
                           on_cycle=sample, on_cycle_interval=sample_interval)
     processor.run()

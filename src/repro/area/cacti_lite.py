@@ -34,6 +34,17 @@ from repro.core.register_file import RegisterFileConfig
 READ_PORTS = 8
 WRITE_PORTS = 4
 
+# ---- the priced machine (Table II) ------------------------------------------
+#: issue-queue entries extended with version bits
+IQ_ENTRIES = 40
+#: PRT and issue-queue version-counter width
+COUNTER_BITS = 2
+#: register-type predictor entries and bits per entry
+PREDICTOR_ENTRIES = 512
+PREDICTOR_BITS = 2
+#: physical-register tag width the bypass filter compares
+TAG_BITS = 10
+
 # ---- calibration (see module docstring) -----------------------------------
 _UM2_PER_MM2 = 1e6
 
@@ -77,21 +88,16 @@ def shadow_cells_area(num_copies: int, bits: int = 64) -> float:
     return num_copies * bits * _SHADOW_BIT / _UM2_PER_MM2
 
 
-def banked_rf_area(
-    config: RegisterFileConfig,
-    bits: int = 64,
-    read_ports: int = READ_PORTS,
-    write_ports: int = WRITE_PORTS,
-) -> float:
+def banked_rf_area(config: RegisterFileConfig, bits: int = 64) -> float:
     """Area of the proposed multi-bank register file, in mm²."""
-    main = register_file_area(config.total_regs, bits, read_ports, write_ports)
+    main = register_file_area(config.total_regs, bits)
     return main + shadow_cells_area(config.total_shadow_cells, bits)
 
 
 # ---- read-port-reduction schemes (arXiv 2502.00147) -------------------------
 # Each scheme's port geometry comes from repro.core.read_ports, the same
 # constants the pipeline simulates.
-def bypass_filter_overhead_area(iq_entries: int = 40, tag_bits: int = 10) -> float:
+def bypass_filter_overhead_area() -> float:
     """Bypass-filter control overhead, in mm².
 
     Each issue slot compares up to three source tags against the last
@@ -99,17 +105,17 @@ def bypass_filter_overhead_area(iq_entries: int = 40, tag_bits: int = 10) -> flo
     bypass bus), deciding per operand whether a physical read port is
     needed.
     """
-    bits = iq_entries * 3 * tag_bits * BYPASS_DEPTH
+    bits = IQ_ENTRIES * 3 * TAG_BITS * BYPASS_DEPTH
     return bits * _CAM_BIT / _UM2_PER_MM2
 
 
-def banked_arbiter_overhead_area(iq_entries: int = 40) -> float:
+def banked_arbiter_overhead_area() -> float:
     """Banked-read arbiter overhead, in mm².
 
     Per-bank demand counters plus grant/select logic, and a small delay
     field per issue-queue entry for the scheduled read slot.
     """
-    bits = READ_BANKS * (8 + 4 * BANK_READ_PORTS) + iq_entries * 4
+    bits = READ_BANKS * (8 + 4 * BANK_READ_PORTS) + IQ_ENTRIES * 4
     return bits * _SRAM_BIT / _UM2_PER_MM2
 
 
@@ -134,43 +140,30 @@ def port_scheme_rf_area(scheme: str, num_regs: int, bits: int = 64) -> float:
 
 
 # ---- overhead structures (Table II rows) ------------------------------------
-def prt_area(num_regs: int = 128, counter_bits: int = 2) -> float:
+def prt_area(num_regs: int = 128) -> float:
     """PRT: one Read bit + N-bit counter per physical register, in mm²."""
-    bits = num_regs * (1 + counter_bits)
+    bits = num_regs * (1 + COUNTER_BITS)
     return bits * _SRAM_BIT / _UM2_PER_MM2
 
 
-def issue_queue_overhead_area(iq_entries: int = 40, counter_bits: int = 2) -> float:
+def issue_queue_overhead_area() -> float:
     """Extra version bits in the issue queue (2 per source tag), in mm²."""
-    bits = iq_entries * 2 * counter_bits
+    bits = IQ_ENTRIES * 2 * COUNTER_BITS
     return bits * _CAM_BIT / _UM2_PER_MM2
 
 
-def predictor_area(entries: int = 512, bits_per_entry: int = 2) -> float:
+def predictor_area() -> float:
     """Register-type predictor table, in mm²."""
-    return entries * bits_per_entry * _PRED_BIT / _UM2_PER_MM2
+    return PREDICTOR_ENTRIES * PREDICTOR_BITS * _PRED_BIT / _UM2_PER_MM2
 
 
-def total_overhead_area(
-    num_regs: int = 128,
-    iq_entries: int = 40,
-    predictor_entries: int = 512,
-    counter_bits: int = 2,
-) -> float:
+def total_overhead_area(num_regs: int = 128) -> float:
     """Total added area of the scheme's new/extended structures, in mm²."""
-    return (
-        prt_area(num_regs, counter_bits)
-        + issue_queue_overhead_area(iq_entries, counter_bits)
-        + predictor_area(predictor_entries)
-    )
+    return prt_area(num_regs) + issue_queue_overhead_area() + predictor_area()
 
 
 def access_time_ns(
-    num_regs: int,
-    bits: int = 64,
-    read_ports: int = READ_PORTS,
-    write_ports: int = WRITE_PORTS,
-    shadow_cells_per_reg: float = 0.0,
+    num_regs: int, bits: int = 64, shadow_cells_per_reg: float = 0.0,
 ) -> float:
     """First-order register-file access time, in ns.
 
@@ -182,8 +175,7 @@ def access_time_ns(
     Section IV-C2 claim is that this costs well under 1%, which
     ``benchmarks/test_claim_access_time.py`` checks against this model.
     """
-    ports = read_ports + write_ports
-    pitch = (ports + 1) * 0.14e-3  # track pitch in mm
+    pitch = (READ_PORTS + WRITE_PORTS + 1) * 0.14e-3  # track pitch in mm
     # shadow appendages stretch the word line but hang no gate capacitance
     # on it (they are driven by separate checkpoint/recover signals), so
     # the effective RC penalty per shadow cell is small

@@ -30,19 +30,10 @@ def baseline_area(num_regs: int, bits: int = 64) -> float:
     return register_file_area(num_regs, bits)
 
 
-def proposed_area(
-    banks: tuple[int, ...],
-    bits: int = 64,
-    include_overheads: bool = True,
-    num_regs_for_prt: int | None = None,
-) -> float:
+def proposed_area(banks: tuple[int, ...], bits: int = 64) -> float:
     """Area of the proposed configuration (banked RF + scheme overheads)."""
     config = RegisterFileConfig(bank_sizes=tuple(banks))
-    area = banked_rf_area(config, bits)
-    if include_overheads:
-        prt_regs = num_regs_for_prt if num_regs_for_prt is not None else config.total_regs
-        area += total_overhead_area(num_regs=prt_regs)
-    return area
+    return banked_rf_area(config, bits) + total_overhead_area(config.total_regs)
 
 
 def _shadow_bank_size(baseline_regs: int) -> int:
@@ -98,7 +89,7 @@ def equal_area_regs(baseline_regs: int, scheme: str, bits: int = 64) -> int:
     return n
 
 
-def validate_table3(table3: dict[int, tuple[int, int, int, int]], bits: int = 64):
+def validate_table3(table3: dict[int, tuple[int, int, int, int]]):
     """Check every Table III row fits within the baseline area.
 
     Returns a list of (baseline, banks, baseline_mm2, proposed_mm2,
@@ -106,7 +97,7 @@ def validate_table3(table3: dict[int, tuple[int, int, int, int]], bits: int = 64
     """
     rows = []
     for baseline_regs, banks in sorted(table3.items()):
-        base = baseline_area(baseline_regs, bits)
-        prop = proposed_area(banks, bits)
+        base = baseline_area(baseline_regs)
+        prop = proposed_area(banks)
         rows.append((baseline_regs, banks, base, prop, prop / base))
     return rows

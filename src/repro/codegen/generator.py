@@ -96,9 +96,9 @@ def _reindent(block: str, pad: str) -> str:
     return "\n".join(lines)
 
 
-def _shift(text: str, pad: str = "    ") -> str:
-    """Shift already-indented emitted text deeper by ``pad``."""
-    return "\n".join(pad + line if line.strip() else ""
+def _shift(text: str) -> str:
+    """Shift already-indented emitted text one level deeper."""
+    return "\n".join("    " + line if line.strip() else ""
                      for line in text.splitlines())
 
 
@@ -116,11 +116,12 @@ proc._last_progress = last_progress
 def _fu_chain(config, pad: str) -> str:
     """Unrolled per-kind FU reservation; each miss ``continue``s to the
     next ready instruction (mirrors FUPool.try_issue returning None)."""
-    kinds = [k for k in _FU_ORDER if k in config.fu_config]
-    kinds += [k for k in config.fu_config if k not in kinds]
+    fu_config = dict(config.fu_config)
+    kinds = [k for k in _FU_ORDER if k in fu_config]
+    kinds += [k for k in fu_config if k not in kinds]
     parts = []
     for pos, kind in enumerate(kinds):
-        count, latency, pipelined = config.fu_config[kind]
+        count, latency, pipelined = fu_config[kind]
         kw = "if" if pos == 0 else "elif"
         if pipelined:
             parts.append(
@@ -443,7 +444,7 @@ if pf is not None:
 
 # --------------------------------------------------------------------- operand verification
 #: inline of Processor._verify_operands: register-file reads compared
-#: with _values_equal's NaN rule; a missing version or a mismatch calls
+#: with values_equal's NaN rule; a missing version or a mismatch calls
 #: the bound method, so the error and its message come from one place
 _VERIFY = """
 if not dyn.wrong_path:
@@ -852,10 +853,9 @@ last_progress = cycle
 def generate_kernel_source(config) -> str:
     """Emit the flattened kernel module body for ``config``.
 
-    The returned text defines ``run_kernel(proc, max_insts=None)``; the
-    cache layer adds the fingerprint header/footer before writing it to
-    disk.  Raises :class:`KernelUnavailable` for schemes the generator
-    does not know.
+    The returned text defines ``run_kernel(proc, max_insts=None)`` and is
+    compiled in memory, once per distinct config.  Raises
+    :class:`KernelUnavailable` for schemes the generator does not know.
     """
     scheme = config.scheme
     if scheme not in KNOWN_SCHEMES:
@@ -870,15 +870,14 @@ def generate_kernel_source(config) -> str:
     VV = config.verify_values
     MWP = config.model_wrong_path
 
-    unpipelined = [k for k, (_c, _l, piped) in config.fu_config.items()
-                   if not piped]
+    unpipelined = [k for k, (_c, _l, piped) in config.fu_config if not piped]
 
     L: list[str] = []
     L.append(f'"""Generated cycle kernel (scheme={scheme!r}).')
     L.append("")
-    L.append("Machine-generated by repro.codegen.generator — do not edit;")
-    L.append("regenerated whenever the MachineConfig or the simulator source")
-    L.append('fingerprint changes.  Must stay bit-identical to _run_naive."""')
+    L.append("Machine-generated by repro.codegen.generator from the")
+    L.append("MachineConfig alone and compiled in memory.  Must stay")
+    L.append('bit-identical to _run_naive."""')
     L.append("import heapq")
     L.append("")
     L.append("from repro.isa.opcodes import OPCODES, Op")

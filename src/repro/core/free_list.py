@@ -36,10 +36,8 @@ class BankedFreeList:
         )
 
     # ------------------------------------------------------------------ queries
-    def free_count(self, bank: Optional[int] = None) -> int:
-        if bank is None:
-            return self._count
-        return len(self._free[bank])
+    def free_count(self) -> int:
+        return self._count
 
     def fallback_order(self, bank: int) -> list[int]:
         """Banks to try, preferred first."""

@@ -97,15 +97,13 @@ class SharingRenamer(BaseRenamer):
         fp_config: RegisterFileConfig,
         counter_bits: int = 2,
         predictor_entries: int = 512,
-        predictor: Optional[RegisterTypePredictor] = None,
     ) -> None:
         super().__init__(_Domain(INT_REGS, int_config, counter_bits),
                          _Domain(FP_REGS, fp_config, counter_bits))
         self.counter_bits = counter_bits
         max_banks = max(int_config.num_banks, fp_config.num_banks)
-        self.predictor = predictor or RegisterTypePredictor(
-            predictor_entries, num_banks=max_banks
-        )
+        self.predictor = RegisterTypePredictor(predictor_entries,
+                                               num_banks=max_banks)
         self.single_use = SingleUsePredictor(predictor_entries)
 
     # ====================================================================== helpers

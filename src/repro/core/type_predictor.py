@@ -111,11 +111,11 @@ class SingleUsePredictor:
     not-taken, sites whose values are confirmed single-use saturate up.
     """
 
-    def __init__(self, entries: int = 512, init: int = 2) -> None:
+    def __init__(self, entries: int = 512) -> None:
         if entries & (entries - 1):
             raise ValueError("predictor size must be a power of two")
         self.mask = entries - 1
-        self.table = [init] * entries
+        self.table = [2] * entries
         self.stats = SingleUseStats()
 
     def index_of(self, pc: int) -> int:

@@ -143,23 +143,17 @@ class BranchUnit:
     updates all predictor state with the actual outcome.
     """
 
-    def __init__(
-        self,
-        kind: str = "gshare",
-        table_size: int = 4096,
-        btb_entries: int = 2048,
-        ras_depth: int = 16,
-    ) -> None:
+    def __init__(self, kind: str = "gshare", btb_entries: int = 2048) -> None:
         if kind == "gshare":
-            self.direction = GSharePredictor(table_size)
+            self.direction = GSharePredictor()
         elif kind == "bimodal":
-            self.direction = BimodalPredictor(table_size)
+            self.direction = BimodalPredictor()
         elif kind == "tournament":
-            self.direction = TournamentPredictor(table_size)
+            self.direction = TournamentPredictor()
         else:
             raise ValueError(f"unknown predictor kind {kind!r}")
         self.btb = BranchTargetBuffer(btb_entries)
-        self.ras = ReturnAddressStack(ras_depth)
+        self.ras = ReturnAddressStack()
         self.stats = BranchStats()
 
     def observe(self, dyn: DynInst) -> bool:

@@ -26,16 +26,17 @@ from repro.isa.opcodes import Op
 from repro.isa.registers import xreg
 
 _OPS = (Op.ADD, Op.XOR, Op.SUB, Op.AND, Op.OR)
+#: share of wrong-path instructions that are loads
+_LOAD_FRAC = 0.2
+#: bytes the wrong-path loads spread over
+_WORKING_SET = 8 << 20
 
 
 class WrongPathGenerator:
     """Synthesises the instructions beyond a mispredicted branch."""
 
-    def __init__(self, seed: int = 0xBAD, load_frac: float = 0.2,
-                 working_set: int = 8 << 20) -> None:
-        self.rng = random.Random(seed)
-        self.load_frac = load_frac
-        self.working_set = working_set
+    def __init__(self) -> None:
+        self.rng = random.Random(0xBAD)
         self._seq = 0
         self.generated = 0
 
@@ -45,7 +46,7 @@ class WrongPathGenerator:
         self._seq -= 1
         self.generated += 1
         rng = self.rng
-        if rng.random() < self.load_frac:
+        if rng.random() < _LOAD_FRAC:
             dyn = DynInst(
                 seq=self._seq,
                 pc=pc,
@@ -55,7 +56,7 @@ class WrongPathGenerator:
                 imm=0,
                 wrong_path=True,
             )
-            dyn.mem_addr = rng.randrange(0, self.working_set, 8)
+            dyn.mem_addr = rng.randrange(0, _WORKING_SET, 8)
         else:
             dyn = DynInst(
                 seq=self._seq,

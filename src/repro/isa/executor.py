@@ -32,6 +32,11 @@ def wrap_i64(value: int) -> int:
     return value - (1 << 64) if value & _I64_SIGN else value
 
 
+def values_equal(a: Optional[Value], b: Optional[Value]) -> bool:
+    """Value equality with NaN == NaN (verification semantics)."""
+    return a == b or (a != a and b != b)
+
+
 class FirstTouchFaults:
     """The first access to each page, in program order, raises a page fault.
 
@@ -86,14 +91,11 @@ class ArchState:
         ``"x3: expected 7, got 9"`` (expected = this state); empty when the
         register states agree.
         """
-        def same(a, b) -> bool:
-            return a == b or (a != a and b != b)
-
         diffs = []
         for prefix, mine, theirs in (("x", self.int_regs, int_regs),
                                      ("f", self.fp_regs, fp_regs)):
             for idx, (a, b) in enumerate(zip(mine, theirs)):
-                if not same(a, b):
+                if not values_equal(a, b):
                     diffs.append(f"{prefix}{idx}: expected {a!r}, got {b!r}")
         return diffs
 
@@ -170,11 +172,10 @@ class FunctionalExecutor:
     def __init__(
         self,
         program: Program,
-        mem: Optional[SparseMemory] = None,
         fault_model: Optional[FirstTouchFaults] = None,
     ) -> None:
         self.program = program
-        self.state = ArchState(mem=mem if mem is not None else SparseMemory(program.data))
+        self.state = ArchState(mem=SparseMemory(program.data))
         #: decides which accesses fault; None means none do
         self.fault_model = fault_model
         self.pc = program.entry

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.mem.hierarchy import MemoryHierarchy
@@ -76,10 +76,11 @@ def rf_config_for(baseline_regs: int, bits: int = 64) -> RegisterFileConfig:
 class MachineConfig:
     """Everything the processor model needs; defaults follow Table I.
 
-    Frozen: edits go through ``dataclasses.replace`` (or
-    :meth:`with_scheme`), which builds a new instance, so the per-instance
-    memos (:meth:`canonical_json`, the kernel fingerprint) can never describe a stale configuration and one
-    instance can be shared by every sweep point that uses it.
+    Frozen, ``fu_config`` included: edits go through
+    ``dataclasses.replace``, which builds a new instance, so the
+    per-instance memos (:meth:`canonical_json`, the kernel fingerprint)
+    can never describe a stale configuration and one instance can be
+    shared by every sweep point that uses it.
     """
 
     # widths
@@ -98,17 +99,16 @@ class MachineConfig:
     btb_entries: int = 2048
     mispredict_penalty: int = 15
 
-    # functional units: kind -> (count, latency, pipelined)
-    fu_config: dict = field(
-        default_factory=lambda: {
-            "alu": (3, 1, True),
-            "mul": (1, 3, True),
-            "div": (1, 12, False),
-            "fpu": (2, 4, True),
-            "fpdiv": (1, 16, False),
-            "branch": (1, 1, True),
-            "mem": (2, 1, True),  # latency here = address generation only
-        }
+    # functional units: (kind, (count, latency, pipelined)) pairs; a dict
+    # given here is frozen into pairs by __post_init__
+    fu_config: tuple[tuple[str, tuple[int, int, bool]], ...] = (
+        ("alu", (3, 1, True)),
+        ("mul", (1, 3, True)),
+        ("div", (1, 12, False)),
+        ("fpu", (2, 4, True)),
+        ("fpdiv", (1, 16, False)),
+        ("branch", (1, 1, True)),
+        ("mem", (2, 1, True)),  # latency here = address generation only
     )
 
     # renaming scheme
@@ -144,6 +144,10 @@ class MachineConfig:
 
     # safety valve for the cycle loop
     max_cycles: int = 50_000_000
+
+    def __post_init__(self) -> None:
+        if isinstance(self.fu_config, dict):
+            object.__setattr__(self, "fu_config", tuple(self.fu_config.items()))
 
     # ------------------------------------------------------------------ identity
     def canonical_json(self) -> str:
@@ -200,6 +204,3 @@ class MachineConfig:
 
         return BranchUnit(kind=self.branch_predictor,
                           btb_entries=self.btb_entries)
-
-    def with_scheme(self, scheme: str, **overrides) -> "MachineConfig":
-        return replace(self, scheme=scheme, **overrides)

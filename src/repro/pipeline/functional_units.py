@@ -8,12 +8,14 @@ from typing import Optional
 class FUPool:
     """Tracks per-cycle issue slots and unpipelined-unit occupancy.
 
-    ``fu_config`` maps kind -> (count, latency, pipelined).  Pipelined
+    ``fu_config`` pairs each kind with (count, latency, pipelined).  Pipelined
     units accept one new operation per unit per cycle; unpipelined units
     (dividers) are busy for their full latency.
     """
 
-    def __init__(self, fu_config: dict[str, tuple[int, int, bool]]) -> None:
+    def __init__(
+        self, fu_config: tuple[tuple[str, tuple[int, int, bool]], ...],
+    ) -> None:
         self.config = dict(fu_config)
         self._cycle = -1
         self._used: dict[str, int] = {}

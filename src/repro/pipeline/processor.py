@@ -29,7 +29,11 @@ from repro.core.sharing import SharingRenamer
 from repro.frontend.branch_predictor import BranchUnit
 from repro.frontend.fetch import FetchUnit, InstSource, IterSource
 from repro.isa.dyninst import DynInst
-from repro.isa.executor import FirstTouchFaults, FunctionalExecutor
+from repro.isa.executor import (
+    FirstTouchFaults,
+    FunctionalExecutor,
+    values_equal,
+)
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
 from repro.isa.registers import FP_REGS, INT_REGS, RegClass, RegRef
@@ -59,12 +63,6 @@ class PipelineHang(RuntimeError):
     state, issue-queue occupancy, rename free-list counts — so a hang is
     debuggable from the exception alone (e.g. out of a sweep worker's
     captured traceback)."""
-
-
-def _values_equal(a, b) -> bool:
-    if a == b:
-        return True
-    return a != a and b != b  # NaN == NaN for verification purposes
 
 
 class Processor:
@@ -191,7 +189,7 @@ class Processor:
     def _watchdog_abort(self, reason: str) -> None:
         raise PipelineHang(f"{reason}\n{self.diagnostic_snapshot()}")
 
-    def inject_flush(self, penalty: Optional[int] = None) -> int:
+    def inject_flush(self) -> int:
         """Fault injection: force a precise flush + recovery right now.
 
         Equivalent to an exception arriving at the commit boundary:
@@ -202,9 +200,7 @@ class Processor:
         runs a hook's cycle for real, with its statistics up to date).
         Returns the penalty charged.
         """
-        if penalty is None:
-            penalty = EXCEPTION_FLUSH_PENALTY
-        return self._flush_and_replay(penalty)
+        return self._flush_and_replay(EXCEPTION_FLUSH_PENALTY)
 
     # ------------------------------------------------------------------ main loop
     def run(self, max_insts: Optional[int] = None) -> SimStats:
@@ -514,7 +510,7 @@ class Processor:
             if expected is None:
                 continue
             actual = self.renamer.read(tag)
-            if not _values_equal(actual, expected):
+            if not values_equal(actual, expected):
                 raise VerificationError(
                     f"operand mismatch at {dyn}: {ref} renamed to {tag} "
                     f"reads {actual!r}, expected {expected!r}"

@@ -251,7 +251,7 @@ def sampled_simulate(
             window_shadow_occupancy=[_shadow_occupancy(proc.renamer)],
         )
 
-    warmer = FunctionalWarmer(config, branch_unit, hierarchy=hierarchy)
+    warmer = FunctionalWarmer(config, branch_unit, hierarchy)
     phase = schedule.phase_offset()
 
     deltas: list[dict] = []

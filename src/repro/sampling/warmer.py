@@ -28,6 +28,7 @@ from typing import Optional
 
 from repro.frontend.branch_predictor import BranchUnit
 from repro.isa.dyninst import DynInst
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.pipeline.config import MachineConfig
 from repro.workloads.trace_codec import F_TAKEN, OP_INFO_TABLE
 
@@ -53,13 +54,12 @@ class FunctionalWarmer:
     """Consumes instructions functionally while warming the predictors."""
 
     def __init__(self, config: MachineConfig, branch_unit: BranchUnit,
-                 hierarchy=None) -> None:
+                 hierarchy: MemoryHierarchy) -> None:
         self.branch_unit = branch_unit
         self.hierarchy = hierarchy
         # i-fetch warming is line-grained (as in the detailed fetch unit):
         # consecutive pcs on one line touch the L1-I once
-        self._line_bytes = (hierarchy.config.line_bytes
-                            if hierarchy is not None else 64)
+        self._line_bytes = hierarchy.config.line_bytes
         self._last_fetch_line = -1
         self.track = config.scheme in ("sharing", "hinted")
         self.live: dict = {}  # RegRef -> _LiveValue
@@ -203,8 +203,6 @@ class FunctionalWarmer:
         """
         self._skim_columns(cols, lo, hi)
         hierarchy = self.hierarchy
-        if hierarchy is None:
-            return
         line_bytes = self._line_bytes
         pcs = cols.pcs
         fidx = cols.fetch_line_starts(line_bytes)
@@ -271,14 +269,13 @@ class FunctionalWarmer:
         if info.is_branch:
             self.branch_unit.observe(dyn)
         hierarchy = self.hierarchy
-        if hierarchy is not None:
-            line = pc // self._line_bytes
-            if line != self._last_fetch_line:
-                self._last_fetch_line = line
-                hierarchy.inst_fetch(pc, False, 0)
-            mem_addr = dyn.mem_addr
-            if mem_addr is not None and (info.is_load or info.is_store):
-                hierarchy.data_access(pc, mem_addr, info.is_store, 0)
+        line = pc // self._line_bytes
+        if line != self._last_fetch_line:
+            self._last_fetch_line = line
+            hierarchy.inst_fetch(pc, False, 0)
+        mem_addr = dyn.mem_addr
+        if mem_addr is not None and (info.is_load or info.is_store):
+            hierarchy.data_access(pc, mem_addr, info.is_store, 0)
         if self.track:
             self._track_fields(pc, dyn.srcs, dyn.dest)
 

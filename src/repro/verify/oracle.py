@@ -48,17 +48,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from repro.isa.dyninst import DynInst
-from repro.isa.executor import ArchState, FunctionalExecutor
+from repro.isa.executor import ArchState, FunctionalExecutor, values_equal
 from repro.isa.program import Program
-
-
-def values_equal(a, b) -> bool:
-    """Value equality with NaN == NaN (verification semantics)."""
-    if a is None or b is None:
-        return a is b
-    if a == b:
-        return True
-    return a != a and b != b
 
 
 def canon_value(value):
@@ -162,7 +153,6 @@ class OracleChecker:
         self,
         program: Optional[Program] = None,
         source_state: Optional[ArchState] = None,
-        window: int = 8,
     ) -> None:
         #: in-order golden model (program mode only); runs fault-free on its
         #: own memory — faults/interrupts must be architecturally invisible
@@ -171,7 +161,8 @@ class OracleChecker:
         #: state of the executor feeding the pipeline, for the final memory
         #: comparison (program mode; optional)
         self.source_state = source_state
-        self.window: deque[CommitRecord] = deque(maxlen=window)
+        #: the last commits, reported with a divergence
+        self.window: deque[CommitRecord] = deque(maxlen=8)
         self.commits = 0
         self.last_seq = -1
 
@@ -253,20 +244,9 @@ class OracleChecker:
                        ref.next_pc, dyn.next_pc)
         return ref.result
 
-    def on_halt(self, processor, complete: bool = True) -> None:
-        """End-of-run architectural state comparison.
-
-        ``complete`` is False when the run was cut short (``max_insts``):
-        the reference then simply stops alongside the pipeline.  The
-        committed-register comparison is still valid for renamers with
-        stable commit-time values (retirement state always trails the
-        reference by zero instructions); for early release it is only
-        meaningful at a true program end, when the retirement map has
-        quiesced and its targets can no longer have been recycled.
-        """
+    def on_halt(self, processor) -> None:
+        """End-of-program architectural state comparison (program mode)."""
         if self.reference is None:
-            return
-        if not complete and not processor.renamer.commit_time_value_stable:
             return
         state = self.reference.state
         int_regs, fp_regs = processor.architectural_state()
@@ -278,8 +258,7 @@ class OracleChecker:
                 f"{', '.join(diffs)}",
                 window=tuple(self.window),
             )
-        if complete and self.source_state is not None \
-                and self.source_state.mem != state.mem:
+        if self.source_state is not None and self.source_state.mem != state.mem:
             raise DivergenceError(
                 "final memory image diverged from the fault-free reference "
                 f"after {self.commits} commits (faults/interrupts must be "
@@ -292,7 +271,6 @@ def lockstep_run(
     config,
     workload: Union[Program, Iterable[DynInst]],
     fault_model=None,
-    max_insts: Optional[int] = None,
     program_budget: int = 10_000_000,
     on_cycle=None,
     on_cycle_interval: int = 16,
@@ -329,7 +307,6 @@ def lockstep_run(
     processor = Processor(
         config, IterSource(stream), on_cycle=on_cycle,
         on_cycle_interval=on_cycle_interval, on_commit=hook)
-    stats = processor.run(max_insts=max_insts)
-    # complete: the program ran to its end, not to max_insts
-    oracle.on_halt(processor, complete=processor._done(None))
+    stats = processor.run()
+    oracle.on_halt(processor)
     return stats

@@ -16,8 +16,9 @@ from repro.area import (
     total_overhead_area,
     validate_table3,
 )
+from repro.area.cacti_lite import COUNTER_BITS, IQ_ENTRIES, PREDICTOR_ENTRIES
 from repro.core.register_file import RegisterFileConfig
-from repro.pipeline.config import TABLE_III
+from repro.pipeline.config import TABLE_III, MachineConfig
 
 
 # ------------------------------------------------------------------ Table II
@@ -34,6 +35,12 @@ def test_table2_overheads_calibration():
     assert issue_queue_overhead_area() == pytest.approx(1.48e-3, rel=0.01)
     assert predictor_area() == pytest.approx(3.1e-3, rel=0.01)
     assert total_overhead_area() == pytest.approx(5.085e-3, rel=0.02)
+
+
+def test_priced_machine_is_the_simulated_default():
+    config = MachineConfig()
+    assert (IQ_ENTRIES, COUNTER_BITS, PREDICTOR_ENTRIES) == (
+        config.iq_size, config.counter_bits, config.type_predictor_entries)
 
 
 def test_table2_render():

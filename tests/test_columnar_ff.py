@@ -79,18 +79,14 @@ def _hier_state(h) -> tuple:
 
 
 def _warmer_state(w: FunctionalWarmer) -> tuple:
-    state = [_branch_state(w.branch_unit), w._last_fetch_line]
-    if w.hierarchy is not None:
-        state.append(_hier_state(w.hierarchy))
-    state.append(w.export_predictor_state())
-    return tuple(state)
+    return (_branch_state(w.branch_unit), w._last_fetch_line,
+            _hier_state(w.hierarchy), w.export_predictor_state())
 
 
-def _make_warmer(profile, scheme, with_hierarchy=True):
+def _make_warmer(profile, scheme):
     config = make_config(profile, scheme, 64)
-    branch_unit = config.make_branch_unit()
-    hierarchy = config.make_hierarchy() if with_hierarchy else None
-    return FunctionalWarmer(config, branch_unit, hierarchy=hierarchy)
+    return FunctionalWarmer(config, config.make_branch_unit(),
+                            config.make_hierarchy())
 
 
 def _trace(profile_name: str, n: int, seed: int):
@@ -137,18 +133,6 @@ def test_columnar_warming_is_bit_identical_to_per_inst(case):
         assert ref_source.exhausted == col_source.exhausted
 
     assert _warmer_state(ref_warmer) == _warmer_state(col_warmer)
-
-
-def test_columnar_warming_without_hierarchy():
-    cols = _trace("hmmer", 600, 3)
-    ref = _make_warmer(BENCHMARKS["hmmer"], "conventional",
-                       with_hierarchy=False)
-    col = _make_warmer(BENCHMARKS["hmmer"], "conventional",
-                       with_hierarchy=False)
-    it = iter(cols.materialize())
-    ref.fast_forward(_SampledSource(lambda: next(it, None)), 600)
-    col.fast_forward(_ColumnarSource(cols), 600)
-    assert _warmer_state(ref) == _warmer_state(col)
 
 
 # ------------------------------------------------------- end-to-end pins
@@ -243,8 +227,8 @@ def test_warmer_fetches_the_lines_detailed_fetch_fetches():
     detailed = _FetchRecorder()
     Processor(config, IterSource(iter(cols.materialize())),
               hierarchy=detailed).run()
-    warmer = _make_warmer(profile, "conventional", with_hierarchy=False)
-    warmer.hierarchy = warmed = _FetchRecorder()
+    warmed = _FetchRecorder()
+    warmer = FunctionalWarmer(config, config.make_branch_unit(), warmed)
     warmer.fast_forward(_ColumnarSource(cols), cols.count)
 
     line = detailed.config.line_bytes
@@ -265,8 +249,7 @@ def test_advance_exhaustion_is_strictly_past_the_end():
 
 # ------------------------------------------------------- predictor handoff
 def test_import_predictor_state_rejects_geometry_mismatch():
-    warmer = _make_warmer(BENCHMARKS["hmmer"], "sharing",
-                          with_hierarchy=False)
+    warmer = _make_warmer(BENCHMARKS["hmmer"], "sharing")
     state = warmer.export_predictor_state()
     bad = dict(state)
     bad["type_predictor"] = state["type_predictor"] + [0]

@@ -120,7 +120,7 @@ def test_keys_do_not_depend_on_the_hash_seed():
 def test_keys_change_with_nested_and_replaced_fields():
     config = make_config(PROFILE, "sharing", 48)
     base = point_key(config, PROFILE, 800, 1, FP)
-    deeper = replace(config, fu_config={**config.fu_config,
+    deeper = replace(config, fu_config={**dict(config.fu_config),
                                         "alu": (2, 1, True)})
     assert point_key(deeper, PROFILE, 800, 1, FP) != base
     assert point_key(replace(config, iq_size=32), PROFILE, 800, 1, FP) != base
@@ -140,6 +140,16 @@ def test_machine_config_is_frozen_and_shared():
     # mcf and gcc are both integer profiles: one config at each size
     assert make_config(BENCHMARKS["gcc"], "sharing", 48) is config
     assert make_config(PROFILE, "sharing", 56) is not config
+
+
+def test_machine_config_fu_config_is_read_only():
+    # a shared config's nested units cannot drift from its cache key
+    config = make_config(PROFILE, "sharing", 48)
+    key = config.canonical_json()
+    with pytest.raises(TypeError):
+        config.fu_config["alu"] = (1, 1, True)
+    assert config.canonical_json() == key
+    assert replace(config, fu_config=dict(config.fu_config)) == config
 
 
 def test_profiles_are_identified_by_content():

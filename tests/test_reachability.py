@@ -20,6 +20,17 @@ in the tests or nowhere.  Two AST scans keep it out:
   names them in source templates).  A package root's re-exports (its
   imports, lazy-export keys and ``__all__``) are not uses: a name that
   only its package exports is still unused.  Dunder names are skipped.
+
+A third scan keeps options that nothing sets out of the program:
+
+* **options** — every defaulted parameter of a def in ``src/repro`` must
+  be supplied, by position or by keyword, by some call in ``src/``,
+  ``tests/`` or an entry directory whose callee name matches the def
+  (for ``__init__``, the class).  A call with ``*args`` or ``**kwargs``
+  supplies every parameter.  A def whose name is used as a value (a
+  table of kernels, a base class, a callback) has indirect callers and
+  is skipped; annotations and ``isinstance`` checks are not such uses.
+  Dunder methods other than ``__init__`` are skipped.
 """
 
 from __future__ import annotations
@@ -164,6 +175,102 @@ def unnamed_defs() -> list[str]:
         and node.name not in used)
 
 
+def _caller_files() -> list[Path]:
+    return [*MODULES.values(), *sorted((ROOT / "tests").rglob("*.py")),
+            *_entry_files()]
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _scan_calls() -> tuple[dict[str, tuple[int, set[str], bool]], set[str]]:
+    """Per callee name: (most positional arguments, keywords, whether some
+    call spreads ``*args``/``**kwargs``); and every name used as a value."""
+    supplied: dict[str, tuple[int, set[str], bool]] = {}
+    values: set[str] = set()
+    for path in _caller_files():
+        tree = _parse(path)
+        not_values: set[int] = set()
+        for node in ast.walk(tree):
+            hidden = []
+            if isinstance(node, ast.Call):
+                not_values.add(id(node.func))
+                name = _callee(node)
+                if name in ("isinstance", "issubclass"):
+                    hidden += node.args[1:]
+                if name is not None:
+                    most, keywords, spread = supplied.get(name, (0, set(), False))
+                    supplied[name] = (
+                        max(most, sum(not isinstance(arg, ast.Starred)
+                                      for arg in node.args)),
+                        keywords | {kw.arg for kw in node.keywords if kw.arg},
+                        spread or any(isinstance(arg, ast.Starred)
+                                      for arg in node.args)
+                        or any(kw.arg is None for kw in node.keywords))
+            elif isinstance(node, (ast.arg, ast.AnnAssign)):
+                hidden.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hidden.append(node.returns)
+            not_values |= {id(sub) for expr in hidden if expr is not None
+                           for sub in ast.walk(expr)}
+        for node in ast.walk(tree):
+            if id(node) in not_values:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                values.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                values.add(node.attr)
+    return supplied, values
+
+
+def _defs_by_scope():
+    """(path, def, class name or None, positional offset) for every def of
+    ``src/repro`` directly in a module, class or function body."""
+    for path in MODULES.values():
+        for scope in ast.walk(_parse(path)):
+            if not isinstance(scope, (ast.Module, ast.ClassDef,
+                                      ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            in_class = isinstance(scope, ast.ClassDef)
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+                    yield (path, node, scope.name if in_class else None,
+                           int(in_class and not static))
+
+
+def unset_options() -> list[str]:
+    supplied, values = _scan_calls()
+    unset = []
+    for path, node, cls, offset in _defs_by_scope():
+        name = node.name
+        if name.startswith("__") and name.endswith("__") and name != "__init__":
+            continue
+        callee = cls if name == "__init__" else name
+        if callee in values:
+            continue
+        most, keywords, spread = supplied.get(callee, (0, set(), False))
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        defaulted = [(arg.arg, index - offset) for index, arg in enumerate(
+            positional) if index >= len(positional) - len(args.defaults)]
+        defaulted += [(arg.arg, None) for arg, default in zip(
+            args.kwonlyargs, args.kw_defaults) if default is not None]
+        unset += [(str(path.relative_to(SRC)), node.lineno, callee, param)
+                  for param, index in defaulted
+                  if not (spread or param in keywords
+                          or (index is not None and index < most))]
+    return [f"{path}:{line}: {callee}({param}=)"
+            for path, line, callee, param in sorted(unset)]
+
+
 def test_every_module_is_reached_from_an_entry_point():
     unreached = sorted(MODULES.keys() - reached_modules())
     assert unreached == [], (
@@ -174,3 +281,10 @@ def test_every_def_is_named_outside_tests():
     unnamed = unnamed_defs()
     assert unnamed == [], (
         "defs nothing outside tests/ names:\n" + "\n".join(unnamed))
+
+
+def test_every_option_is_set_somewhere():
+    unset = unset_options()
+    assert unset == [], (
+        "defaulted parameters no call supplies (make them constants):\n"
+        + "\n".join(unset))
