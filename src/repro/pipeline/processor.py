@@ -20,7 +20,7 @@ assertion instead of silently skewing results.
 from __future__ import annotations
 
 import heapq
-from itertools import count
+from itertools import count, islice
 from typing import Iterable, Iterator, Optional, Union
 
 from repro.core.read_ports import make_port_scheme
@@ -601,14 +601,26 @@ def simulate(
     string.  The run then returns a
     :class:`~repro.pipeline.stats.SampledStats` estimate instead of exact
     :class:`SimStats`; ``sampling_seed`` seeds the schedule's random
-    phase offset.
+    phase offset.  A sampled run fast-forwards over trace columns: a
+    :class:`~repro.harness.cache.TraceStream` gives its own, and any
+    other stream (a program's included) is first encoded whole, at most
+    ``max_insts`` instructions of it.  That holds the encoded trace and
+    its columns in memory (about 350 B per instruction) and spends about
+    6 µs per instruction encoding and parsing them.
     """
     if isinstance(workload, Program):
         workload, _ = program_stream(config, workload, budget=program_budget)
     if sampling is not None:
+        from repro.harness.cache import TraceStream
         from repro.sampling import as_schedule, sampled_simulate
 
+        if isinstance(workload, TraceStream):
+            cols = workload.columns()
+        else:
+            from repro.workloads.trace_codec import TraceColumns, encode
+
+            cols = TraceColumns(encode(islice(workload, max_insts)))
         return sampled_simulate(
-            config, workload, schedule=as_schedule(sampling, seed=sampling_seed),
+            config, cols, schedule=as_schedule(sampling, seed=sampling_seed),
             total_insts=max_insts)
     return Processor(config, IterSource(workload)).run(max_insts=max_insts)

@@ -1,12 +1,14 @@
 """Interval-sampled simulation: fast-forward + detailed windows.
 
 The engine alternates between two execution modes over one dynamic
-instruction stream:
+instruction stream, given as parsed trace columns
+(:class:`~repro.workloads.trace_codec.TraceColumns`):
 
 * **functional fast-forward** — the :class:`~repro.sampling.warmer.FunctionalWarmer`
-  consumes instructions at full speed, training the branch predictor and
-  the PC-indexed rename predictors so that long-lived microarchitectural
-  state survives the skipped regions;
+  scans the skipped index ranges straight from the columns, training the
+  branch predictor, the memory hierarchy and the PC-indexed rename
+  predictors so that long-lived microarchitectural state survives the
+  skipped regions;
 * **detailed windows** — a fresh :class:`~repro.pipeline.processor.Processor`
   (sharing the warmed :class:`~repro.frontend.branch_predictor.BranchUnit`
   and importing the warmed predictor tables) runs ``warmup`` instructions
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from operator import sub
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.isa.dyninst import DynInst
 from repro.pipeline.config import MachineConfig
@@ -38,59 +40,25 @@ from repro.pipeline.stats import (SampledStats, SimStats, combine_counters,
                                   scale_counters)
 from repro.sampling.schedule import SamplingSchedule
 from repro.sampling.warmer import FunctionalWarmer
-
-
-class _SampledSource:
-    """Single-pass counting wrapper around the instruction stream.
-
-    Serves both consumers — the warmer (via :meth:`take`) and window
-    processors (via the :class:`~repro.frontend.fetch.InstSource`
-    protocol's ``next_inst``) — so ``consumed`` is the one authoritative
-    stream position.  Windows overshoot their budget by whatever the
-    dropped processor still held in flight (fetch queue + ROB); the
-    absolute-position schedule in :func:`sampled_simulate` absorbs that
-    drift instead of accumulating it.
-    """
-
-    __slots__ = ("_take", "limit", "consumed", "exhausted")
-
-    def __init__(self, take_fn, limit: Optional[int] = None) -> None:
-        self._take = take_fn
-        self.limit = limit
-        self.consumed = 0
-        self.exhausted = False
-
-    def take(self) -> Optional[DynInst]:
-        if self.exhausted:
-            return None
-        if self.limit is not None and self.consumed >= self.limit:
-            self.exhausted = True
-            return None
-        dyn = self._take()
-        if dyn is None:
-            self.exhausted = True
-            return None
-        self.consumed += 1
-        return dyn
-
-    # InstSource protocol (window processors fetch through the same counter)
-    def next_inst(self) -> Optional[DynInst]:
-        return self.take()
+from repro.workloads.trace_codec import TraceColumns
 
 
 class _ColumnarSource:
-    """Zero-materialization counting source over parsed trace columns.
+    """Counting source over parsed trace columns.
 
-    Fast-forward consumes *index ranges* (:meth:`advance`) that the
-    warmer scans straight from the packed columns — skimmed instructions
-    never become Python objects at all.  Only detailed windows (and
-    their in-flight overshoot) materialize :class:`DynInst` objects,
-    chunk-wise, via :meth:`~repro.workloads.trace_codec.TraceColumns.
-    materialize_range`.  Exhaustion semantics mirror
-    :class:`_SampledSource` exactly: the flag is set when a request
-    reaches *past* the stream end or the limit, never when it merely
-    lands on it — the engine's loop structure (and therefore the
-    resulting :class:`SampledStats`) is bit-identical either way.
+    Serves both consumers — the warmer (index ranges via :meth:`advance`)
+    and window processors (the :class:`~repro.frontend.fetch.InstSource`
+    protocol's ``next_inst``) — so ``consumed`` is the one authoritative
+    stream position.  Fast-forward scans the packed columns, so skimmed
+    instructions never become Python objects at all; only detailed
+    windows (and their in-flight overshoot) materialize :class:`DynInst`
+    objects, chunk-wise, via :meth:`~repro.workloads.trace_codec.
+    TraceColumns.materialize_range`.  Windows overshoot their budget by
+    whatever the dropped processor still held in flight (fetch queue +
+    ROB); the absolute-position schedule in :func:`sampled_simulate`
+    absorbs that drift instead of accumulating it.  The exhausted flag
+    is set when a request reaches *past* the stream end or the limit,
+    never when it merely lands on it.
     """
 
     __slots__ = ("cols", "limit", "consumed", "exhausted", "_buf",
@@ -147,23 +115,6 @@ class _ColumnarSource:
     next_inst = take
 
 
-def _trace_columns(workload):
-    """Parsed :class:`TraceColumns` for workloads that carry them.
-
-    Accepts the columns object itself or any lazy handle with a
-    ``columns()`` accessor (:class:`~repro.harness.cache.TraceStream`);
-    returns ``None`` for everything else — those run the per-inst path.
-    """
-    if hasattr(workload, "materialize_range"):
-        return workload
-    columns = getattr(workload, "columns", None)
-    if callable(columns):
-        cols = columns()
-        if hasattr(cols, "materialize_range"):
-            return cols
-    return None
-
-
 def _window_metrics(delta: dict) -> tuple[int, int, float, float, float]:
     """(committed, cycles, ipc, reuse_rate, alloc_saved_rate) of one window."""
     committed = delta.get("committed") or 0
@@ -199,24 +150,20 @@ def window_config(config: MachineConfig) -> MachineConfig:
 
 def sampled_simulate(
     config: MachineConfig,
-    workload: Iterable[DynInst],
+    cols: TraceColumns,
     schedule: SamplingSchedule,
     total_insts: Optional[int] = None,
 ) -> SampledStats:
-    """Run one interval-sampled simulation; returns a :class:`SampledStats`.
+    """Run one interval-sampled simulation of the trace ``cols``; returns
+    a :class:`SampledStats`.
 
     ``total_insts`` caps the stream and anchors the scaling ratio; when
-    ``None`` the stream's own length (it must be finite) is used.
-    Streams shorter than one period degrade gracefully to a single
-    whole-stream detailed window (an exact measurement).
+    ``None`` the trace's own length is used.  Streams shorter than one
+    period degrade gracefully to a single whole-stream detailed window
+    (an exact measurement).
     """
     config = window_config(config)
-    cols = _trace_columns(workload)
-    if cols is not None:
-        source = _ColumnarSource(cols, limit=total_insts)
-    else:
-        it = iter(workload)
-        source = _SampledSource(lambda: next(it, None), limit=total_insts)
+    source = _ColumnarSource(cols, limit=total_insts)
 
     branch_unit = config.make_branch_unit()
     # one memory hierarchy for the whole run: the warmer touches it during

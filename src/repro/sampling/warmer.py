@@ -1,12 +1,16 @@
 """Functional fast-forward with microarchitectural predictor warming.
 
-The fast-forward mode of the sampling engine consumes the dynamic
-instruction stream at full speed — no renaming, no scheduling, no memory
-hierarchy — while still training the predictors whose state must carry
-across measurement windows:
+The fast-forward mode of the sampling engine scans the packed trace
+columns at full speed — no renaming, no scheduling, no instruction
+objects — while still training the state that must carry across
+measurement windows:
 
 * the **branch predictor** (shared :class:`~repro.frontend.branch_predictor.BranchUnit`
   object, also used by the detailed windows) observes every branch;
+* the **memory hierarchy** (the shared
+  :class:`~repro.mem.hierarchy.MemoryHierarchy`, also used by the
+  detailed windows) sees every instruction-fetch line change and every
+  data access;
 * the **register-type predictor** and **single-use predictor** are
   trained against an architectural def-use model of the sharing scheme:
   per logical register the warmer tracks the live value's consumer count,
@@ -27,7 +31,6 @@ from bisect import bisect_left
 from typing import Optional
 
 from repro.frontend.branch_predictor import BranchUnit
-from repro.isa.dyninst import DynInst
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.pipeline.config import MachineConfig
 from repro.workloads.trace_codec import F_TAKEN, OP_INFO_TABLE
@@ -109,32 +112,16 @@ class FunctionalWarmer:
 
     # ------------------------------------------------------------------ fast-forward
     def fast_forward(self, source, count: int) -> int:
-        """Consume up to ``count`` instructions with full warming.
-
-        Columnar sources (:class:`~repro.sampling.engine._ColumnarSource`)
-        are warmed straight from the packed trace columns without ever
-        materializing a :class:`DynInst`; everything else is consumed one
-        :meth:`take` at a time.
-        """
-        cols = getattr(source, "cols", None)
-        if cols is not None:
-            lo, hi = source.advance(count)
-            if hi > lo:
-                if self.track:
-                    self._warm_columns_tracked(cols, lo, hi)
-                else:
-                    self._warm_columns(cols, lo, hi)
-            return hi - lo
-        observe = self.observe
-        take = source.take
-        consumed = 0
-        while consumed < count:
-            dyn = take()
-            if dyn is None:
-                break
-            observe(dyn)
-            consumed += 1
-        return consumed
+        """Consume up to ``count`` instructions of a
+        :class:`~repro.sampling.engine._ColumnarSource` with full
+        warming, straight from the packed trace columns."""
+        lo, hi = source.advance(count)
+        if hi > lo:
+            if self.track:
+                self._warm_columns_tracked(source.cols, lo, hi)
+            else:
+                self._warm_columns(source.cols, lo, hi)
+        return hi - lo
 
     def skim(self, source, count: int) -> int:
         """Consume up to ``count`` instructions warming only the branch
@@ -142,32 +129,17 @@ class FunctionalWarmer:
         cheap to train).  Used far ahead of the next window, where
         cache/def-use warming would be overwritten before it is sampled
         — the engine switches to :meth:`fast_forward` for the warming
-        zone directly preceding each window.
-
-        Over a columnar source this is a branch-index scan: only the
-        branch instructions of the skipped range are ever touched.
+        zone directly preceding each window.  This is a branch-index
+        scan: only the branch instructions of the skipped range are
+        ever touched.
         """
-        cols = getattr(source, "cols", None)
-        if cols is not None:
-            lo, hi = source.advance(count)
-            consumed = hi - lo
-            if consumed:
-                self._skim_columns(cols, lo, hi)
-        else:
-            observe = self.branch_unit.observe
-            take = source.take
-            consumed = 0
-            while consumed < count:
-                dyn = take()
-                if dyn is None:
-                    break
-                consumed += 1
-                if dyn.info.is_branch:
-                    observe(dyn)
-        if consumed and self.track:
-            # def-use records refer to values the skim skipped over
-            self.live.clear()
-        return consumed
+        lo, hi = source.advance(count)
+        if hi > lo:
+            self._skim_columns(source.cols, lo, hi)
+            if self.track:
+                # def-use records refer to values the skim skipped over
+                self.live.clear()
+        return hi - lo
 
     # ------------------------------------------------------------ columnar
     def _skim_columns(self, cols, lo: int, hi: int) -> None:
@@ -195,8 +167,9 @@ class FunctionalWarmer:
         two-way merge of the fetch-line-start and memory event indexes.
         The branch unit and the hierarchy share no state and neither
         reads the other's, so running them as separate passes leaves both
-        bit-identical to the per-inst interleaved order.  Within the
-        hierarchy pass the per-inst order is kept — an instruction's
+        bit-identical to warming one instruction at a time (the
+        reference warmer in ``tests/reference_warmer.py``).  Within the
+        hierarchy pass instruction order is kept — an instruction's
         i-fetch line check before its data access — because the
         hierarchy's LRU, prefetcher and writeback state are
         order-dependent (L1-I and L1-D share the L2).
@@ -229,7 +202,7 @@ class FunctionalWarmer:
                     break
                 # conditional for every event: a run start always differs
                 # from the previous line, so this only ever filters the
-                # synthetic event at lo — exactly the per-inst behaviour
+                # synthetic event at lo — exactly one-at-a-time warming
                 line = pcs[f] // line_bytes
                 if line != last_line:
                     last_line = line
@@ -252,7 +225,7 @@ class FunctionalWarmer:
         (branch unit / caches / fetch-line tracking vs. live set /
         type and single-use predictor tables) and neither reads the
         other's, so the phase split leaves every table bit-identical to
-        the per-inst interleaved order.
+        warming one instruction at a time.
         """
         self._warm_columns(cols, lo, hi)
         track = self._track_fields
@@ -262,27 +235,9 @@ class FunctionalWarmer:
         for i in range(lo, hi):
             track(pcs[i], srcss[i], dests[i])
 
-    def observe(self, dyn: DynInst) -> None:
-        """Warm the predictors with one architecturally executed inst."""
-        info = dyn.info
-        pc = dyn.pc
-        if info.is_branch:
-            self.branch_unit.observe(dyn)
-        hierarchy = self.hierarchy
-        line = pc // self._line_bytes
-        if line != self._last_fetch_line:
-            self._last_fetch_line = line
-            hierarchy.inst_fetch(pc, False, 0)
-        mem_addr = dyn.mem_addr
-        if mem_addr is not None and (info.is_load or info.is_store):
-            hierarchy.data_access(pc, mem_addr, info.is_store, 0)
-        if self.track:
-            self._track_fields(pc, dyn.srcs, dyn.dest)
-
     def _track_fields(self, pc: int, srcs, dest) -> None:
         """One instruction's def-use tracking (type/single-use predictor
-        training) — the tracking half of :meth:`observe`, shared by the
-        per-inst and columnar paths."""
+        training)."""
         if dest is None and not srcs:
             return
         live = self.live

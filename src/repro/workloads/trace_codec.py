@@ -18,8 +18,10 @@ workload generator's column emitter
 (:meth:`~repro.workloads.generator.SyntheticWorkload.trace_bytes`)
 appends straight from its loop bodies without building any instruction
 objects, and is what the trace cache stores on a miss.  :func:`encode`
-walks instruction objects; it is the test oracle of ``trace_bytes``
-(both produce identical bytes for the same stream).
+walks instruction objects: it feeds sampled runs of programs and of any
+other instruction stream
+(:func:`~repro.pipeline.processor.simulate`), and it is the test oracle
+of ``trace_bytes`` (both produce identical bytes for the same stream).
 
 Layout (all little-endian)::
 

@@ -1,6 +1,6 @@
 """Bit-identity properties of the columnar fast-forward path.
 
-The columnar warming paths (:meth:`FunctionalWarmer.skim` /
+The columnar warming passes (:meth:`FunctionalWarmer.skim` /
 :meth:`~FunctionalWarmer.fast_forward` over a
 :class:`~repro.sampling.engine._ColumnarSource`) exist purely for speed:
 their contract is that every piece of warmed state — the shared
@@ -8,12 +8,13 @@ their contract is that every piece of warmed state — the shared
 BTB, RAS, stats), the whole cache hierarchy (per-set LRU order, dirty
 bits, prefetch tags, TLB recency, DRAM open rows, stride-prefetcher
 table) and the rename-predictor tables — finishes **bit-identical** to
-the per-inst reference path, under any interleaving of skim and
-fast-forward calls.  Hypothesis drives random traces and random
-interleavings at that contract; separate pins check
-:class:`~repro.pipeline.stats.SampledStats` equality end-to-end through
-:func:`~repro.sampling.engine.sampled_simulate` for every scheme,
-including a column-less instruction list.
+the one-instruction-at-a-time :class:`~tests.reference_warmer.
+ReferenceWarmer`, under any interleaving of skim and fast-forward calls.
+Hypothesis drives random traces and random interleavings at that
+contract; separate pins check :class:`~repro.pipeline.stats.SampledStats`
+equality end-to-end with the reference warmer put in the engine's place,
+for every scheme over a synthetic trace and over every assembled kernel,
+and that a JSON-lines instruction list samples like its binary trace.
 """
 
 import dataclasses
@@ -30,14 +31,16 @@ from repro.frontend.branch_predictor import BranchUnit
 from repro.harness.cache import TraceStream
 from repro.harness.runner import make_config
 from repro.mem import MemoryHierarchy
-from repro.pipeline.processor import IterSource, Processor
-from repro.sampling import as_schedule, sampled_simulate
-from repro.sampling.engine import _ColumnarSource, _SampledSource
+from repro.pipeline.config import MachineConfig
+from repro.pipeline.processor import IterSource, Processor, simulate
+from repro.sampling import as_schedule, engine, sampled_simulate
+from repro.sampling.engine import _ColumnarSource
 from repro.sampling.warmer import FunctionalWarmer
-from repro.workloads import trace_codec
+from repro.workloads import ALL_KERNELS, trace_codec
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.profiles import BENCHMARKS
 
+from tests.reference_warmer import ReferenceWarmer
 from tests.trace_io import load_trace, save_trace
 
 _SCHEMES = ("conventional", "early", "sharing", "hinted")
@@ -83,10 +86,9 @@ def _warmer_state(w: FunctionalWarmer) -> tuple:
             _hier_state(w.hierarchy), w.export_predictor_state())
 
 
-def _make_warmer(profile, scheme):
+def _make_warmer(profile, scheme, cls=FunctionalWarmer):
     config = make_config(profile, scheme, 64)
-    return FunctionalWarmer(config, config.make_branch_unit(),
-                            config.make_hierarchy())
+    return cls(config, config.make_branch_unit(), config.make_hierarchy())
 
 
 def _trace(profile_name: str, n: int, seed: int):
@@ -117,10 +119,9 @@ def test_columnar_warming_is_bit_identical_to_per_inst(case):
     profile, seed, n, scheme, ops, limit = case
     cols = _trace(profile, n, seed)
 
-    ref_warmer = _make_warmer(BENCHMARKS[profile], scheme)
+    ref_warmer = _make_warmer(BENCHMARKS[profile], scheme, ReferenceWarmer)
     col_warmer = _make_warmer(BENCHMARKS[profile], scheme)
-    it = iter(cols.materialize())
-    ref_source = _SampledSource(lambda: next(it, None), limit=limit)
+    ref_source = _ColumnarSource(cols, limit=limit)
     col_source = _ColumnarSource(cols, limit=limit)
 
     for kind, count in ops:
@@ -137,27 +138,44 @@ def test_columnar_warming_is_bit_identical_to_per_inst(case):
 
 # ------------------------------------------------------- end-to-end pins
 @pytest.mark.parametrize("scheme", _SCHEMES)
-def test_sampled_stats_identical_columnar_vs_per_inst(scheme):
+def test_sampled_stats_identical_columnar_vs_per_inst(scheme, monkeypatch):
     profile = BENCHMARKS["hmmer"]
     n = 6000
-    insts = list(SyntheticWorkload(profile, total_insts=n, seed=1))
-    stream = TraceStream(trace_codec.encode(insts), n)
+    cols = trace_codec.TraceColumns(
+        SyntheticWorkload(profile, total_insts=n, seed=1).trace_bytes())
     schedule = "2000:150:100"
 
-    ref = sampled_simulate(make_config(profile, scheme, 64),
-                           iter(stream.columns().materialize()),
-                           schedule=as_schedule(schedule, seed=1),
-                           total_insts=n)
-    new = sampled_simulate(make_config(profile, scheme, 64), stream,
-                           schedule=as_schedule(schedule, seed=1),
-                           total_insts=n)
-    assert ref.to_dict() == new.to_dict()
+    def run():
+        return sampled_simulate(make_config(profile, scheme, 64), cols,
+                                schedule=as_schedule(schedule, seed=1),
+                                total_insts=n).to_dict()
+
+    new = run()
+    monkeypatch.setattr(engine, "FunctionalWarmer", ReferenceWarmer)
+    assert run() == new
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+@pytest.mark.parametrize("kernel", sorted(ALL_KERNELS))
+def test_program_sampled_stats_identical_columnar_vs_per_inst(
+        kernel, scheme, monkeypatch):
+    """A program's stream is encoded to columns before it is sampled;
+    warming it one instruction at a time gives the same estimate."""
+    program = ALL_KERNELS[kernel]().program
+    config = MachineConfig(scheme=scheme)
+
+    def run():
+        return simulate(config, program, sampling="1000:150:80").to_dict()
+
+    new = run()
+    monkeypatch.setattr(engine, "FunctionalWarmer", ReferenceWarmer)
+    assert run() == new
 
 
 def test_jsonl_fallback_stream_matches_columnar():
     """A plain instruction list (here decoded from the JSON-lines
-    interchange format) has no columns — it must run the per-inst
-    fallback and still produce the identical estimate."""
+    interchange format) is encoded to columns at the ``simulate``
+    boundary and gives the estimate of its binary trace."""
     profile = BENCHMARKS["gsm"]
     n = 5000
     insts = list(SyntheticWorkload(profile, total_insts=n, seed=2))
@@ -168,13 +186,10 @@ def test_jsonl_fallback_stream_matches_columnar():
     binary = TraceStream(trace_codec.encode(insts), n)
 
     config = make_config(profile, "sharing", 64)
-    via_jsonl = sampled_simulate(config, jsonl,
-                                 schedule=as_schedule("2000:150:100", seed=1),
-                                 total_insts=n)
-    via_columns = sampled_simulate(config, binary,
-                                   schedule=as_schedule("2000:150:100",
-                                                        seed=1),
-                                   total_insts=n)
+    via_jsonl = simulate(config, jsonl, max_insts=n,
+                         sampling="2000:150:100", sampling_seed=1)
+    via_columns = simulate(config, binary, max_insts=n,
+                           sampling="2000:150:100", sampling_seed=1)
     assert via_jsonl.to_dict() == via_columns.to_dict()
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.cache import ResultCache
+from repro.harness.cache import ResultCache, TraceStream
 from repro.harness.parallel import SweepPoint, run_points
 from repro.harness.runner import make_config
 from repro.pipeline.processor import simulate
@@ -20,11 +20,12 @@ from repro.workloads.profiles import BENCHMARKS
 def _simulate(name, scheme, size, insts, spec=None, seed=1):
     profile = BENCHMARKS[name]
     config = make_config(profile, scheme, size)
-    stream = SyntheticWorkload(profile, total_insts=insts, seed=seed)
+    workload = SyntheticWorkload(profile, total_insts=insts, seed=seed)
     if spec is None:
-        return simulate(config, iter(stream))
-    return simulate(config, iter(stream), max_insts=insts,
-                    sampling=spec, sampling_seed=seed)
+        return simulate(config, iter(workload))
+    # the binary trace a sweep point samples
+    return simulate(config, TraceStream(workload.trace_bytes(), insts),
+                    max_insts=insts, sampling=spec, sampling_seed=seed)
 
 
 def _reuse_rate(stats) -> float:
