@@ -158,9 +158,9 @@ def sampled_simulate(
     a :class:`SampledStats`.
 
     ``total_insts`` caps the stream and anchors the scaling ratio; when
-    ``None`` the trace's own length is used.  Streams shorter than one
-    period degrade gracefully to a single whole-stream detailed window
-    (an exact measurement).
+    ``None`` the trace's own length is used.  A stream that, capped,
+    is shorter than one period degrades gracefully to a single
+    whole-stream detailed window (an exact measurement).
     """
     config = window_config(config)
     source = _ColumnarSource(cols, limit=total_insts)
@@ -175,7 +175,7 @@ def sampled_simulate(
                          hierarchy=hierarchy)
 
     # --- degenerate schedule: stream shorter than one period -----------------
-    if total_insts is not None and total_insts < schedule.period:
+    if source.limit < schedule.period:
         proc = window_processor()
         stats = proc.run()
         payload = stats.to_dict()
@@ -253,23 +253,16 @@ def sampled_simulate(
         warmer.import_predictor_state(proc.renamer.export_predictor_state())
         warmer.reset_live()
 
+    # the stream holds at least one period, so window 0 committed
     total = source.consumed
-    if deltas:
-        summed = deltas[0]
-        for delta in deltas[1:]:
-            summed = combine_counters(summed, delta)
-        ratio = total / insts_sampled if insts_sampled else 1.0
-        payload = scale_counters(summed, ratio)
-        payload["committed"] = total
-        est = SimStats.from_dict(payload)
-    else:
-        # stream ended inside the first fast-forward stretch: nothing
-        # measured — an all-zero estimate (callers should size total_insts
-        # to cover at least one period, or use exact mode)
-        est = SimStats()
+    summed = deltas[0]
+    for delta in deltas[1:]:
+        summed = combine_counters(summed, delta)
+    payload = scale_counters(summed, total / insts_sampled)
+    payload["committed"] = total
 
     return SampledStats(
-        est=est,
+        est=SimStats.from_dict(payload),
         schedule=(schedule.period, schedule.window, schedule.warmup),
         schedule_seed=schedule.seed,
         phase_offset=phase,

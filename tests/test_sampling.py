@@ -5,6 +5,8 @@ import pytest
 from repro.harness.cache import ResultCache, TraceStream
 from repro.harness.parallel import SweepPoint, run_points
 from repro.harness.runner import make_config
+from repro.isa.assembler import assemble
+from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import simulate
 from repro.pipeline.stats import SampledStats, SimStats, stats_from_dict
 from repro.sampling import (
@@ -129,6 +131,29 @@ def test_exact_path_unchanged_by_sampling_machinery():
         sampling=None)
     assert isinstance(plain, SimStats)
     assert plain.to_dict() == routed.to_dict()
+
+
+_LOOP = """
+main: movi x1, 20
+      movi x2, 0
+loop: add  x2, x2, x1
+      subi x1, x1, 1
+      bnez x1, loop
+      halt
+"""
+
+
+def test_stream_shorter_than_a_period_is_one_exact_window():
+    """An uncapped stream shorter than one period is measured whole, not
+    fast-forwarded past its end into an all-zero estimate."""
+    program = assemble(_LOOP)  # 63 dynamic instructions
+    config = MachineConfig(scheme="sharing", verify_values=False)
+    exact = simulate(config, program)
+    sampled = simulate(config, program, sampling="2000:250:100")
+    assert sampled.windows == 1
+    assert sampled.insts_total == sampled.insts_sampled == 63
+    assert sampled.committed == exact.committed == 63
+    assert sampled.cycles == exact.cycles > 0
 
 
 # ------------------------------------------------------------------ determinism
