@@ -3,8 +3,8 @@
 from conftest import run_once
 
 from repro.harness.tables import table1
-from repro.mem.hierarchy import MemoryHierarchy
 from repro.pipeline.config import MachineConfig, TABLE_I
+from repro.pipeline.processor import IterSource, Processor
 
 
 def test_table1_renders(benchmark):
@@ -16,22 +16,27 @@ def test_table1_renders(benchmark):
 
 
 def test_table1_machine_matches(benchmark):
-    """The default MachineConfig implements Table I."""
+    """The processor the default MachineConfig builds implements Table I."""
 
     def build():
-        return MachineConfig(), MemoryHierarchy()
+        return Processor(MachineConfig(), IterSource(iter(())))
 
-    config, hierarchy = run_once(benchmark, build)
-    assert config.rob_size == 128
-    assert config.iq_size == 40
-    assert config.rename_width == 3
-    assert config.fetch_queue == 32
-    assert config.mispredict_penalty == 15
-    assert config.btb_entries == 2048
-    assert hierarchy.config.l1d_size == 32 * 1024 and hierarchy.config.l1d_assoc == 2
-    assert hierarchy.config.l1i_size == 48 * 1024 and hierarchy.config.l1i_assoc == 3
-    assert hierarchy.config.l2_size == 1024 * 1024 and hierarchy.config.l2_assoc == 16
-    assert hierarchy.config.l1d_latency == 1 and hierarchy.config.l2_latency == 12
+    proc = run_once(benchmark, build)
+    hierarchy = proc.hierarchy
+    assert proc.rob.size == 128
+    assert proc.iq.size == 40
+    assert proc.config.rename_width == 3
+    assert proc.fetch.queue_size == 32
+    assert proc.fetch.mispredict_penalty == 15
+    assert len(proc.branch_unit.btb.tags) == 2048
+    caches = [(c.size_bytes, c.assoc, c.line_bytes, c.hit_latency)
+              for c in (hierarchy.l1d, hierarchy.l1i, hierarchy.l2)]
+    assert caches == [(32 * 1024, 2, 64, 1), (48 * 1024, 3, 64, 1),
+                      (1024 * 1024, 16, 64, 12)]
     assert hierarchy.tlb.entries == 48
-    assert hierarchy.dram.timings.tcas_ns == 13.75
+    assert hierarchy.prefetcher.degree == 1
+    # tCAS = tRCD = tRP = 13.75 ns plus 5 ns of bus, at 2 GHz: a row
+    # conflict, then a hit on the open row
+    assert hierarchy.dram.access(0, False, 0) == round((3 * 13.75 + 5) * 2)
+    assert hierarchy.dram.access(64, False, 1) == round((13.75 + 5) * 2)
     assert TABLE_I["Prefetcher"]["Type"].startswith("Stride")

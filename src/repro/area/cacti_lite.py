@@ -28,6 +28,7 @@ from repro.core.read_ports import (
     READ_BANKS,
 )
 from repro.core.register_file import RegisterFileConfig
+from repro.pipeline.config import IQ_SIZE
 
 #: Default register-file port counts for the 3-wide core (2 reads + 1 write
 #: per issue slot, rounded to the paper-era convention of 8R/4W).
@@ -35,8 +36,6 @@ READ_PORTS = 8
 WRITE_PORTS = 4
 
 # ---- the priced machine (Table II) ------------------------------------------
-#: issue-queue entries extended with version bits
-IQ_ENTRIES = 40
 #: PRT and issue-queue version-counter width
 COUNTER_BITS = 2
 #: register-type predictor entries and bits per entry
@@ -105,7 +104,7 @@ def bypass_filter_overhead_area() -> float:
     bypass bus), deciding per operand whether a physical read port is
     needed.
     """
-    bits = IQ_ENTRIES * 3 * TAG_BITS * BYPASS_DEPTH
+    bits = IQ_SIZE * 3 * TAG_BITS * BYPASS_DEPTH
     return bits * _CAM_BIT / _UM2_PER_MM2
 
 
@@ -115,7 +114,7 @@ def banked_arbiter_overhead_area() -> float:
     Per-bank demand counters plus grant/select logic, and a small delay
     field per issue-queue entry for the scheduled read slot.
     """
-    bits = READ_BANKS * (8 + 4 * BANK_READ_PORTS) + IQ_ENTRIES * 4
+    bits = READ_BANKS * (8 + 4 * BANK_READ_PORTS) + IQ_SIZE * 4
     return bits * _SRAM_BIT / _UM2_PER_MM2
 
 
@@ -148,7 +147,7 @@ def prt_area(num_regs: int = 128) -> float:
 
 def issue_queue_overhead_area() -> float:
     """Extra version bits in the issue queue (2 per source tag), in mm²."""
-    bits = IQ_ENTRIES * 2 * COUNTER_BITS
+    bits = IQ_SIZE * 2 * COUNTER_BITS
     return bits * _CAM_BIT / _UM2_PER_MM2
 
 

@@ -59,15 +59,20 @@ dispatch honours the override.
 
 The inlined data access reads these ``repro.mem`` internals:
 
-* ``TLB._lru`` (the LRU ``OrderedDict``), ``TLB.page_bits``, ``TLB.stats``;
+* ``TLB._lru`` (the LRU ``OrderedDict``), ``TLB.stats``;
 * ``Cache._sets`` (each ``_Set``'s ``tags``/``dirty`` lists, MRU last),
   ``Cache._prefetched``, ``Cache.line_bytes``/``num_sets``/
   ``hit_latency``, ``Cache.stats``;
 * ``StridePrefetcher.table`` (its ``_Entry`` fields), ``mask``,
-  ``threshold``, ``degree``, ``issued``.
+  ``threshold``, ``degree``, ``issued``: every hierarchy has the Table I
+  prefetcher, so every load trains it.
 
-The kernel binds the containers and stats objects among them once, when
-it starts, so none of them may be rebound during a run.
+The page size (``repro.isa.program.PAGE_BITS``), the issue-queue size
+(``repro.pipeline.config.IQ_SIZE``) and the fetch-queue size
+(``repro.frontend.fetch.FETCH_QUEUE``) are constants of the modelled
+machine, inlined as literals like the config's own numbers.  The kernel
+binds the containers and stats objects above once, when it starts, so
+none of them may be rebound during a run.
 
 ``MemoryHierarchy.data_access``/``inst_fetch`` read the same internals
 for their own flat hit paths, so a change to any of them changes both.
@@ -75,6 +80,9 @@ for their own flat hit paths, so a change to any of them changes both.
 
 from __future__ import annotations
 
+from repro.frontend.fetch import FETCH_QUEUE
+from repro.isa.program import PAGE_BITS
+from repro.pipeline.config import IQ_SIZE
 from repro.pipeline.lsq import LQ_SIZE, SQ_SIZE
 
 #: schemes the generator knows how to flatten
@@ -357,7 +365,6 @@ _MEM_HOISTS = """
 hierarchy = proc.hierarchy
 tlb = hierarchy.tlb
 tlb_lru = tlb._lru
-tlb_page_bits = tlb.page_bits
 tlb_translate = tlb.translate
 tlb_stats = tlb.stats
 l1d = hierarchy.l1d
@@ -370,12 +377,11 @@ l1d_prefetched = l1d._prefetched
 l1d_access = l1d.access
 l1d_prefetch = l1d.prefetch
 pf = hierarchy.prefetcher
-if pf is not None:
-    pf_table = pf.table
-    pf_mask = pf.mask
-    pf_threshold = pf.threshold
-    pf_degree = pf.degree
-    pf_observe = pf.observe
+pf_table = pf.table
+pf_mask = pf.mask
+pf_threshold = pf.threshold
+pf_degree = pf.degree
+pf_observe = pf.observe
 """
 
 
@@ -389,7 +395,7 @@ def _data_access_block(is_write: bool, pad: str) -> str:
     """
     dirty = "\n    _mset.dirty[-1] = True" if is_write else ""
     block = f"""
-_mpage = _maddr >> tlb_page_bits
+_mpage = _maddr >> {PAGE_BITS}
 if _mpage in tlb_lru:
     tlb_stats.accesses += 1
     tlb_lru.move_to_end(_mpage)
@@ -417,27 +423,26 @@ else:
 """
     if not is_write:
         block += """
-if pf is not None:
-    _mpe = pf_table.get(_mpc & pf_mask)
-    if _mpe is None:
-        pf_observe(_mpc, _maddr, l1d, cycle)
+_mpe = pf_table.get(_mpc & pf_mask)
+if _mpe is None:
+    pf_observe(_mpc, _maddr, l1d, cycle)
+else:
+    _mstride = _maddr - _mpe.last_addr
+    if _mstride != 0 and _mstride == _mpe.stride:
+        _mconf = _mpe.confidence + 1
+        _mpe.confidence = _mconf if _mconf < 3 else 3
     else:
-        _mstride = _maddr - _mpe.last_addr
-        if _mstride != 0 and _mstride == _mpe.stride:
-            _mconf = _mpe.confidence + 1
-            _mpe.confidence = _mconf if _mconf < 3 else 3
-        else:
-            _mpe.confidence = 0
-            _mpe.stride = _mstride
-        _mpe.last_addr = _maddr
-        if _mpe.confidence >= pf_threshold and _mstride != 0:
-            for _mk in range(1, pf_degree + 1):
-                _mpaddr = _maddr + _mk * _mstride
-                _mblk = _mpaddr // l1d_line
-                _mset = l1d_sets[_mblk % l1d_nsets]
-                if _mblk // l1d_nsets not in _mset.tags:
-                    l1d_prefetch(_mpaddr, cycle)
-                pf.issued += 1
+        _mpe.confidence = 0
+        _mpe.stride = _mstride
+    _mpe.last_addr = _maddr
+    if _mpe.confidence >= pf_threshold and _mstride != 0:
+        for _mk in range(1, pf_degree + 1):
+            _mpaddr = _maddr + _mk * _mstride
+            _mblk = _mpaddr // l1d_line
+            _mset = l1d_sets[_mblk % l1d_nsets]
+            if _mblk // l1d_nsets not in _mset.tags:
+                l1d_prefetch(_mpaddr, cycle)
+            pf.issued += 1
 """
     return _reindent(block, pad)
 
@@ -470,7 +475,7 @@ def _rename_body(config, pad: str) -> str:
     """
     scheme = config.scheme
     ROB = config.rob_size
-    IQS = config.iq_size
+    IQS = IQ_SIZE
     MAXV = (1 << config.counter_bits) - 1
 
     head = """
@@ -896,7 +901,6 @@ def generate_kernel_source(config) -> str:
     guard = (f'config.scheme != "{scheme}" or config.rename_width != {RW} '
              f'or config.issue_width != {IW} or config.commit_width != {CW} '
              f'or config.rob_size != {config.rob_size} '
-             f'or config.iq_size != {config.iq_size} '
              f'or config.max_cycles != {MAXC}')
     L.append(f"    if {guard}:")
     L.append('        raise RuntimeError(')
@@ -1236,7 +1240,7 @@ if cycle - last_progress > 200_000:
 """, "        "))
 
     # ---- cycle-skip: quiet cycles and busy-stall windows ---------------
-    QS = config.fetch_queue
+    QS = FETCH_QUEUE
     skip: list[str] = []
     skip.append("if proc._halted:")
     skip.append("    continue")

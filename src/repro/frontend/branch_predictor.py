@@ -15,6 +15,9 @@ from typing import Optional
 from repro.isa.dyninst import DynInst
 from repro.pipeline.stats import BranchStats
 
+#: BTB entries (Table I: "2K BTB")
+BTB_ENTRIES = 2048
+
 
 class _SaturatingCounterTable:
     """Table of 2-bit saturating counters (0..3, taken when >= 2)."""
@@ -100,7 +103,7 @@ class TournamentPredictor:
 class BranchTargetBuffer:
     """Direct-mapped BTB with tags; holds predicted targets of taken branches."""
 
-    def __init__(self, entries: int = 2048) -> None:
+    def __init__(self, entries: int) -> None:
         if entries & (entries - 1):
             raise ValueError("BTB size must be a power of two")
         self.mask = entries - 1
@@ -143,7 +146,7 @@ class BranchUnit:
     updates all predictor state with the actual outcome.
     """
 
-    def __init__(self, kind: str = "gshare", btb_entries: int = 2048) -> None:
+    def __init__(self, kind: str = "gshare") -> None:
         if kind == "gshare":
             self.direction = GSharePredictor()
         elif kind == "bimodal":
@@ -152,7 +155,7 @@ class BranchUnit:
             self.direction = TournamentPredictor()
         else:
             raise ValueError(f"unknown predictor kind {kind!r}")
-        self.btb = BranchTargetBuffer(btb_entries)
+        self.btb = BranchTargetBuffer(BTB_ENTRIES)
         self.ras = ReturnAddressStack()
         self.stats = BranchStats()
 

@@ -15,6 +15,12 @@ from typing import Iterable, Iterator, Optional, Protocol
 from repro.frontend.branch_predictor import BranchUnit
 from repro.isa.dyninst import DynInst
 from repro.isa.program import INST_BYTES
+from repro.mem.hierarchy import LINE_BYTES
+
+#: fetch-queue entries (Table I)
+FETCH_QUEUE = 32
+#: cycles from a mispredicted branch's resolution to the redirected fetch
+MISPREDICT_PENALTY = 15
 
 
 class InstSource(Protocol):
@@ -44,9 +50,8 @@ class FetchUnit:
         branch_unit: BranchUnit,
         icache,
         fetch_width: int = 3,
-        queue_size: int = 32,
-        mispredict_penalty: int = 15,
-        line_bytes: int = 64,
+        queue_size: int = FETCH_QUEUE,
+        mispredict_penalty: int = MISPREDICT_PENALTY,
         wrong_path=None,
     ) -> None:
         self.source = source
@@ -55,7 +60,6 @@ class FetchUnit:
         self.fetch_width = fetch_width
         self.queue_size = queue_size
         self.mispredict_penalty = mispredict_penalty
-        self.line_bytes = line_bytes
         #: WrongPathGenerator, or None for the stall-on-mispredict model
         self.wrong_path = wrong_path
         self._wrong_branch: Optional[DynInst] = None
@@ -120,9 +124,9 @@ class FetchUnit:
 
             # I-cache: charge latency when crossing into a new line
             addr = dyn.pc * INST_BYTES
-            line = addr // self.line_bytes
+            line = addr // LINE_BYTES
             if line != self._last_line:
-                latency = self.icache.access(addr, False, cycle) if self.icache else 1
+                latency = self.icache.access(addr, False, cycle)
                 self._last_line = line
                 if latency > 1:
                     self._stall_until = cycle + latency - 1

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional, Union
 from repro.isa.dyninst import DynInst
 from repro.isa.memory import SparseMemory
 from repro.isa.opcodes import Op
-from repro.isa.program import Program
+from repro.isa.program import PAGE_BITS, Program
 from repro.isa.registers import FP_REGS, INT_REGS, RegClass, RegRef
 
 Value = Union[int, float]
@@ -55,7 +55,7 @@ class FirstTouchFaults:
         self.fault_count = 0
 
     def should_fault(self, addr: int) -> bool:
-        page = addr >> 12  # 4 KiB pages
+        page = addr >> PAGE_BITS
         if page in self.touched:
             return False
         self.touched.add(page)

@@ -13,6 +13,10 @@ DATA_BASE = 0x1_0000
 #: Instruction size in bytes (used to map instruction index -> fetch address).
 INST_BYTES = 4
 
+#: log2 of the page size (4 KiB pages): the TLB's reach and the
+#: first-touch fault model's granule.
+PAGE_BITS = 12
+
 
 @dataclass
 class Program:

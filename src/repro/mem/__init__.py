@@ -1,7 +1,7 @@
 """Memory-system substrate: caches, TLB, stride prefetcher, DRAM timing."""
 
 from repro.mem.cache import Cache, CacheStats
-from repro.mem.dram import DRAM, DRAMTimings
+from repro.mem.dram import DRAM
 from repro.mem.tlb import TLB
 from repro.mem.prefetcher import StridePrefetcher
 from repro.mem.hierarchy import MemoryHierarchy
@@ -10,7 +10,6 @@ __all__ = [
     "Cache",
     "CacheStats",
     "DRAM",
-    "DRAMTimings",
     "TLB",
     "StridePrefetcher",
     "MemoryHierarchy",

@@ -8,63 +8,38 @@ contention is not modelled (single-core study).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.pipeline.stats import DRAMStats
 
-
-@dataclass(frozen=True)
-class DRAMTimings:
-    """DRAM timing parameters converted to core cycles."""
-
-    core_ghz: float = 2.0
-    tcas_ns: float = 13.75
-    trcd_ns: float = 13.75
-    trp_ns: float = 13.75
-    bus_ns: float = 5.0  # channel/bus transfer + controller overhead
-    ranks: int = 2
-    banks_per_rank: int = 8
-    row_bytes: int = 8192
-
-    def cycles(self, ns: float) -> int:
-        return max(1, round(ns * self.core_ghz))
-
-    @property
-    def row_hit_latency(self) -> int:
-        return self.cycles(self.tcas_ns + self.bus_ns)
-
-    @property
-    def row_miss_latency(self) -> int:
-        return self.cycles(self.trp_ns + self.trcd_ns + self.tcas_ns + self.bus_ns)
+#: core clock the nanosecond timings convert at
+CORE_GHZ = 2.0
+TCAS_NS = TRCD_NS = TRP_NS = 13.75
+#: channel/bus transfer + controller overhead
+BUS_NS = 5.0
+#: open-row hit: tCAS; row conflict: tRP + tRCD + tCAS (core cycles)
+ROW_HIT_LATENCY = round((TCAS_NS + BUS_NS) * CORE_GHZ)
+ROW_MISS_LATENCY = round((TRP_NS + TRCD_NS + TCAS_NS + BUS_NS) * CORE_GHZ)
+#: 2 ranks x 8 banks, one row buffer each
+BANKS = 2 * 8
+ROW_BYTES = 8192
 
 
 class DRAM:
-    """Open-page DRAM with one row buffer per (rank, bank).
+    """Open-page DRAM with one row buffer per (rank, bank)."""
 
-    The timings are frozen, so the two latencies and the bank count are
-    converted once here rather than on every access.
-    """
-
-    def __init__(self, timings: DRAMTimings | None = None) -> None:
-        self.timings = t = timings or DRAMTimings()
-        self._banks = t.ranks * t.banks_per_rank
-        self._row_bytes = t.row_bytes
-        self._hit_latency = t.row_hit_latency
-        self._miss_latency = t.row_miss_latency
-        self._open_rows: list[int | None] = [None] * self._banks
+    def __init__(self) -> None:
+        self._open_rows: list[int | None] = [None] * BANKS
         self.stats = DRAMStats()
 
     def access(self, addr: int, is_write: bool, cycle: int) -> int:
-        row = addr // self._row_bytes
-        banks = self._banks
-        bank = row % banks
-        row //= banks
+        row = addr // ROW_BYTES
+        bank = row % BANKS
+        row //= BANKS
         stats = self.stats
         stats.accesses += 1
         open_rows = self._open_rows
         if open_rows[bank] == row:
             stats.row_hits += 1
-            return self._hit_latency
+            return ROW_HIT_LATENCY
         stats.row_misses += 1
         open_rows[bank] = row
-        return self._miss_latency
+        return ROW_MISS_LATENCY

@@ -8,31 +8,22 @@ degree-1 stride prefetcher that fills into L1-D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from repro.isa.program import PAGE_BITS
 from repro.mem.cache import Cache
-from repro.mem.dram import DRAM, DRAMTimings
+from repro.mem.dram import DRAM
 from repro.mem.prefetcher import StridePrefetcher
 from repro.mem.tlb import TLB
 
-
-@dataclass(frozen=True)
-class HierarchyConfig:
-    line_bytes: int = 64
-    l1i_size: int = 48 * 1024
-    l1i_assoc: int = 3
-    l1i_latency: int = 1
-    l1d_size: int = 32 * 1024
-    l1d_assoc: int = 2
-    l1d_latency: int = 1
-    l2_size: int = 1024 * 1024
-    l2_assoc: int = 16
-    l2_latency: int = 12
-    tlb_entries: int = 48
-    tlb_miss_penalty: int = 30
-    prefetcher_degree: int = 1
-    enable_prefetcher: bool = True
+# ---- the Table I memory system ----------------------------------------------
+#: cache line size of every level
+LINE_BYTES = 64
+L1I_SIZE, L1I_ASSOC, L1I_LATENCY = 48 * 1024, 3, 1
+L1D_SIZE, L1D_ASSOC, L1D_LATENCY = 32 * 1024, 2, 1
+L2_SIZE, L2_ASSOC, L2_LATENCY = 1024 * 1024, 16, 12
+TLB_ENTRIES = 48
+#: page-walk cycles charged on a TLB miss
+TLB_MISS_PENALTY = 30
+PREFETCH_DEGREE = 1
 
 
 class MemoryHierarchy:
@@ -48,24 +39,21 @@ class MemoryHierarchy:
     different memory model replaces the hierarchy, not its members.
     """
 
-    def __init__(self, config: Optional[HierarchyConfig] = None) -> None:
-        self.config = config or HierarchyConfig()
-        cfg = self.config
-        self.dram = DRAM(DRAMTimings())
-        self.l2 = Cache("L2", cfg.l2_size, cfg.l2_assoc, cfg.line_bytes,
-                        cfg.l2_latency, next_level=self.dram)
-        self.l1d = Cache("L1D", cfg.l1d_size, cfg.l1d_assoc, cfg.line_bytes,
-                         cfg.l1d_latency, next_level=self.l2)
-        self.l1i = Cache("L1I", cfg.l1i_size, cfg.l1i_assoc, cfg.line_bytes,
-                         cfg.l1i_latency, next_level=self.l2)
-        self.tlb = TLB(cfg.tlb_entries, miss_penalty=cfg.tlb_miss_penalty)
-        self.prefetcher = StridePrefetcher(degree=cfg.prefetcher_degree) \
-            if cfg.enable_prefetcher else None
+    def __init__(self) -> None:
+        self.dram = DRAM()
+        self.l2 = Cache("L2", L2_SIZE, L2_ASSOC, LINE_BYTES, L2_LATENCY,
+                        next_level=self.dram)
+        self.l1d = Cache("L1D", L1D_SIZE, L1D_ASSOC, LINE_BYTES, L1D_LATENCY,
+                         next_level=self.l2)
+        self.l1i = Cache("L1I", L1I_SIZE, L1I_ASSOC, LINE_BYTES, L1I_LATENCY,
+                         next_level=self.l2)
+        self.tlb = TLB(TLB_ENTRIES, TLB_MISS_PENALTY)
+        self.prefetcher = StridePrefetcher(PREFETCH_DEGREE)
 
     def data_access(self, pc: int, addr: int, is_write: bool, cycle: int) -> int:
         """Latency of a demand data access (TLB + caches)."""
         tlb = self.tlb
-        page = addr >> tlb.page_bits
+        page = addr >> PAGE_BITS
         lru = tlb._lru
         if page in lru:
             tlb.stats.accesses += 1
@@ -99,9 +87,9 @@ class MemoryHierarchy:
             latency += l1d.hit_latency
         else:
             latency += l1d.access(addr, is_write, cycle)
-        pf = self.prefetcher
-        if pf is None or is_write:
+        if is_write:
             return latency
+        pf = self.prefetcher
         entry = pf.table.get(pc & pf.mask)
         if entry is None:
             pf.observe(pc, addr, l1d, cycle)

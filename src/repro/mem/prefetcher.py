@@ -21,7 +21,7 @@ class StridePrefetcher:
     target cache.
     """
 
-    def __init__(self, table_size: int = 256, degree: int = 1, threshold: int = 2) -> None:
+    def __init__(self, degree: int, table_size: int = 256, threshold: int = 2) -> None:
         if table_size & (table_size - 1):
             raise ValueError("prefetcher table size must be a power of two")
         self.mask = table_size - 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.isa.program import PAGE_BITS
 from repro.pipeline.stats import TLBStats
 
 
@@ -16,15 +17,14 @@ class TLB:
     functional executor.
     """
 
-    def __init__(self, entries: int = 48, page_bits: int = 12, miss_penalty: int = 30) -> None:
+    def __init__(self, entries: int, miss_penalty: int) -> None:
         self.entries = entries
-        self.page_bits = page_bits
         self.miss_penalty = miss_penalty
         self._lru: OrderedDict[int, None] = OrderedDict()
         self.stats = TLBStats()
 
     def translate(self, addr: int) -> int:
-        page = addr >> self.page_bits
+        page = addr >> PAGE_BITS
         self.stats.accesses += 1
         if page in self._lru:
             self._lru.move_to_end(page)
@@ -34,6 +34,3 @@ class TLB:
         if len(self._lru) > self.entries:
             self._lru.popitem(last=False)
         return self.miss_penalty
-
-    def flush(self) -> None:
-        self._lru.clear()

@@ -7,8 +7,6 @@ import json
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.mem.hierarchy import MemoryHierarchy
-
 if TYPE_CHECKING:
     from repro.core.register_file import RegisterFileConfig
     from repro.core.renamer import BaseRenamer
@@ -38,6 +36,10 @@ TABLE_I: dict[str, dict[str, str]] = {
         "Timings": "tCAS = tRCD = tRP = 13.75 ns",
     },
 }
+
+#: issue-queue entries (Table I): the pipeline's issue queue, and the
+#: queue whose version bits the area model prices
+IQ_SIZE = 40
 
 #: Paper Table III: baseline register count -> proposed bank sizes
 #: (0-shadow, 1-shadow, 2-shadow, 3-shadow) at equal area.
@@ -89,15 +91,12 @@ class MachineConfig:
     issue_width: int = 4
     commit_width: int = 3
 
-    # structures
+    # structures (the issue queue is IQ_SIZE; the fetch queue, BTB and
+    # misprediction penalty are constants of repro.frontend)
     rob_size: int = 128
-    iq_size: int = 40
-    fetch_queue: int = 32
 
     # branch handling
     branch_predictor: str = "gshare"
-    btb_entries: int = 2048
-    mispredict_penalty: int = 15
 
     # functional units: (kind, (count, latency, pipelined)) pairs; a dict
     # given here is frozen into pairs by __post_init__
@@ -196,11 +195,7 @@ class MachineConfig:
             predictor_entries=self.type_predictor_entries,
         )
 
-    def make_hierarchy(self) -> MemoryHierarchy:
-        return MemoryHierarchy()
-
     def make_branch_unit(self) -> BranchUnit:
         from repro.frontend.branch_predictor import BranchUnit
 
-        return BranchUnit(kind=self.branch_predictor,
-                          btb_entries=self.btb_entries)
+        return BranchUnit(kind=self.branch_predictor)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.core.conventional import ConventionalRenamer
 from repro.core.early_release import EarlyReleaseRenamer
 from repro.core.sharing import SharingRenamer
+from repro.pipeline.config import IQ_SIZE
 
 
 class InvariantViolation(AssertionError):
@@ -129,7 +130,7 @@ def check_invariants(processor) -> None:
     # queue occupancy within bounds
     _require(0 <= len(processor.rob) <= processor.config.rob_size,
              "ROB occupancy out of bounds")
-    _require(0 <= len(processor.iq) <= processor.config.iq_size,
+    _require(0 <= len(processor.iq) <= IQ_SIZE,
              "IQ occupancy out of bounds")
 
     # every in-flight (non-squashed) instruction's source tags that are

@@ -37,7 +37,8 @@ from repro.isa.executor import (
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
 from repro.isa.registers import FP_REGS, INT_REGS, RegClass, RegRef
-from repro.pipeline.config import MachineConfig
+from repro.mem.hierarchy import MemoryHierarchy
+from repro.pipeline.config import IQ_SIZE, MachineConfig
 from repro.pipeline.functional_units import FUPool
 from repro.pipeline.issue_queue import IssueQueue
 from repro.pipeline.lsq import LQ_SIZE, SQ_SIZE, LoadStoreQueue
@@ -89,7 +90,7 @@ class Processor:
         # externally provided hierarchy / branch unit let the sampling
         # engine keep warmed caches and predictors alive across windows
         self.hierarchy = hierarchy if hierarchy is not None \
-            else config.make_hierarchy()
+            else MemoryHierarchy()
         self.branch_unit = branch_unit if branch_unit is not None \
             else config.make_branch_unit()
         wrong_path = None
@@ -106,15 +107,12 @@ class Processor:
             self.branch_unit,
             icache=self.hierarchy,
             fetch_width=config.fetch_width,
-            queue_size=config.fetch_queue,
-            mispredict_penalty=config.mispredict_penalty,
-            line_bytes=self.hierarchy.config.line_bytes,
             wrong_path=wrong_path,
         )
         self.renamer: BaseRenamer = config.make_renamer()
         self._track_reads = self.renamer.tracks_operand_reads
         self.rob = ReorderBuffer(config.rob_size)
-        self.iq = IssueQueue(config.iq_size)
+        self.iq = IssueQueue(IQ_SIZE)
         self.lsq = LoadStoreQueue(LQ_SIZE, SQ_SIZE)
         self.fus = FUPool(config.fu_config)
         #: read-port-reduction scheme (repro.core.read_ports), or None
@@ -177,7 +175,7 @@ class Processor:
             f"last_progress={self._last_progress} halted={self._halted}",
             head_line,
             f"rob: {len(self.rob)}/{self.config.rob_size} occupied",
-            f"iq: {len(self.iq)}/{self.config.iq_size} occupied, "
+            f"iq: {len(self.iq)}/{IQ_SIZE} occupied, "
             f"{len(self.iq.ready_entries())} ready",
             f"fetch: queue={len(self.fetch.queue)} eof={self.fetch.eof}",
             f"free regs: int={self.renamer.free_registers(RegClass.INT)} "

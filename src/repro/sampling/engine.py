@@ -34,6 +34,7 @@ from operator import sub
 from typing import Optional
 
 from repro.isa.dyninst import DynInst
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import (SampledStats, SimStats, combine_counters,
@@ -168,7 +169,7 @@ def sampled_simulate(
     branch_unit = config.make_branch_unit()
     # one memory hierarchy for the whole run: the warmer touches it during
     # fast-forward, so windows start with realistic cache/TLB contents
-    hierarchy = config.make_hierarchy()
+    hierarchy = MemoryHierarchy()
 
     def window_processor() -> Processor:
         return Processor(config, source, branch_unit=branch_unit,

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from typing import Optional
 
 from repro.frontend.branch_predictor import BranchUnit
-from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.hierarchy import LINE_BYTES, MemoryHierarchy
 from repro.pipeline.config import MachineConfig
 from repro.workloads.trace_codec import F_TAKEN, OP_INFO_TABLE
 
@@ -62,7 +62,6 @@ class FunctionalWarmer:
         self.hierarchy = hierarchy
         # i-fetch warming is line-grained (as in the detailed fetch unit):
         # consecutive pcs on one line touch the L1-I once
-        self._line_bytes = hierarchy.config.line_bytes
         self._last_fetch_line = -1
         self.track = config.scheme in ("sharing", "hinted")
         self.live: dict = {}  # RegRef -> _LiveValue
@@ -176,7 +175,7 @@ class FunctionalWarmer:
         """
         self._skim_columns(cols, lo, hi)
         hierarchy = self.hierarchy
-        line_bytes = self._line_bytes
+        line_bytes = LINE_BYTES
         pcs = cols.pcs
         fidx = cols.fetch_line_starts(line_bytes)
         flist = fidx[bisect_left(fidx, lo):bisect_left(fidx, hi)]

@@ -39,7 +39,7 @@ from repro.core.read_ports import PORT_SCHEMES
 from repro.isa.executor import FirstTouchFaults
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.isa.program import DATA_BASE, Program
+from repro.isa.program import DATA_BASE, PAGE_BITS, Program
 from repro.isa.registers import RegRef, freg, reg, xreg
 
 #: All rename schemes the fuzzer exercises.
@@ -49,7 +49,7 @@ ALL_SCHEMES = ("conventional", "sharing", "hinted", "early")
 #: state recovery (or wrong-path walk-back) and exclude early release.
 VARIANTS = ("plain", "faults", "interrupts", "wrong_path")
 
-_PAGE = 4096
+_PAGE = 1 << PAGE_BITS
 _COUNTER = xreg(9)  # reserved loop counter
 
 _INT_DESTS = [f"x{i}" for i in range(1, 7)]

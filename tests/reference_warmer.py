@@ -12,6 +12,7 @@ bit-identical to this class, warmer state and ``SampledStats`` alike.
 from __future__ import annotations
 
 from repro.isa.dyninst import DynInst
+from repro.mem.hierarchy import LINE_BYTES
 from repro.sampling.warmer import FunctionalWarmer
 
 
@@ -53,7 +54,7 @@ class ReferenceWarmer(FunctionalWarmer):
         if info.is_branch:
             self.branch_unit.observe(dyn)
         hierarchy = self.hierarchy
-        line = pc // self._line_bytes
+        line = pc // LINE_BYTES
         if line != self._last_fetch_line:
             self._last_fetch_line = line
             hierarchy.inst_fetch(pc, False, 0)

@@ -16,7 +16,7 @@ from repro.area import (
     total_overhead_area,
     validate_table3,
 )
-from repro.area.cacti_lite import COUNTER_BITS, IQ_ENTRIES, PREDICTOR_ENTRIES
+from repro.area.cacti_lite import COUNTER_BITS, PREDICTOR_ENTRIES
 from repro.core.register_file import RegisterFileConfig
 from repro.pipeline.config import TABLE_III, MachineConfig
 
@@ -39,8 +39,8 @@ def test_table2_overheads_calibration():
 
 def test_priced_machine_is_the_simulated_default():
     config = MachineConfig()
-    assert (IQ_ENTRIES, COUNTER_BITS, PREDICTOR_ENTRIES) == (
-        config.iq_size, config.counter_bits, config.type_predictor_entries)
+    assert (COUNTER_BITS, PREDICTOR_ENTRIES) == (
+        config.counter_bits, config.type_predictor_entries)
 
 
 def test_table2_render():

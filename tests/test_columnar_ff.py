@@ -31,6 +31,7 @@ from repro.frontend.branch_predictor import BranchUnit
 from repro.harness.cache import TraceStream
 from repro.harness.runner import make_config
 from repro.mem import MemoryHierarchy
+from repro.mem.hierarchy import LINE_BYTES
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import IterSource, Processor, simulate
 from repro.sampling import as_schedule, engine, sampled_simulate
@@ -70,15 +71,12 @@ def _hier_state(h) -> tuple:
         return ([(list(s.tags), list(s.dirty)) for s in c._sets],
                 sorted(c._prefetched), dataclasses.asdict(c.stats))
 
-    prefetcher = None
-    if h.prefetcher is not None:
-        prefetcher = ({k: (e.last_addr, e.stride, e.confidence)
-                       for k, e in h.prefetcher.table.items()},
-                      h.prefetcher.issued)
+    pf = h.prefetcher
     return (cache_state(h.l1i), cache_state(h.l1d), cache_state(h.l2),
             list(h.tlb._lru), dataclasses.asdict(h.tlb.stats),
             list(h.dram._open_rows), dataclasses.asdict(h.dram.stats),
-            prefetcher)
+            {k: (e.last_addr, e.stride, e.confidence)
+             for k, e in pf.table.items()}, pf.issued)
 
 
 def _warmer_state(w: FunctionalWarmer) -> tuple:
@@ -88,7 +86,7 @@ def _warmer_state(w: FunctionalWarmer) -> tuple:
 
 def _make_warmer(profile, scheme, cls=FunctionalWarmer):
     config = make_config(profile, scheme, 64)
-    return cls(config, config.make_branch_unit(), config.make_hierarchy())
+    return cls(config, config.make_branch_unit(), MemoryHierarchy())
 
 
 def _trace(profile_name: str, n: int, seed: int):
@@ -246,7 +244,7 @@ def test_warmer_fetches_the_lines_detailed_fetch_fetches():
     warmer = FunctionalWarmer(config, config.make_branch_unit(), warmed)
     warmer.fast_forward(_ColumnarSource(cols), cols.count)
 
-    line = detailed.config.line_bytes
+    line = LINE_BYTES
     assert warmed.fetched and detailed.fetched
     assert {a // line for a in warmed.fetched} == \
         {a // line for a in detailed.fetched}

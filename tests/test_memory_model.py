@@ -8,8 +8,8 @@ import pytest
 
 from repro.isa.memory import SparseMemory
 from repro.mem.cache import Cache
-from repro.mem.dram import DRAM, DRAMTimings
-from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.mem.dram import DRAM, ROW_BYTES, ROW_HIT_LATENCY, ROW_MISS_LATENCY
+from repro.mem.hierarchy import L1D_LATENCY, MemoryHierarchy
 from repro.mem.prefetcher import StridePrefetcher
 from repro.mem.tlb import TLB
 from repro.pipeline.stats import CacheStats, DRAMStats, TLBStats
@@ -96,27 +96,25 @@ def test_cache_prefetch_is_not_a_demand_access():
 
 # --------------------------------------------------------------------- DRAM
 def test_dram_row_buffer():
-    dram = DRAM(DRAMTimings())
+    dram = DRAM()
     first = dram.access(0x0, False, 0)
     second = dram.access(0x40, False, 1)  # same row
-    assert first == dram.timings.row_miss_latency
-    assert second == dram.timings.row_hit_latency
+    assert first == ROW_MISS_LATENCY
+    assert second == ROW_HIT_LATENCY
     assert first > second
     assert dram.stats.row_hits == 1 and dram.stats.row_misses == 1
 
 
 def test_dram_bank_interleaving():
-    timings = DRAMTimings()
-    dram = DRAM(timings)
+    dram = DRAM()
     dram.access(0x0, False, 0)
-    other_bank = timings.row_bytes  # next row maps to the next bank
-    dram.access(other_bank, False, 1)
-    assert dram.access(0x0, False, 2) == timings.row_hit_latency
+    dram.access(ROW_BYTES, False, 1)  # next row maps to the next bank
+    assert dram.access(0x0, False, 2) == ROW_HIT_LATENCY
 
 
 # --------------------------------------------------------------------- TLB
 def test_tlb_hit_miss_and_lru():
-    tlb = TLB(entries=2, page_bits=12, miss_penalty=30)
+    tlb = TLB(entries=2, miss_penalty=30)
     assert tlb.translate(0x0000) == 30
     assert tlb.translate(0x0008) == 0  # same page
     assert tlb.translate(0x1000) == 30
@@ -126,17 +124,10 @@ def test_tlb_hit_miss_and_lru():
     assert tlb.stats.misses == 4
 
 
-def test_tlb_flush():
-    tlb = TLB(entries=4)
-    tlb.translate(0)
-    tlb.flush()
-    assert tlb.translate(0) == tlb.miss_penalty
-
-
 # --------------------------------------------------------------------- prefetcher
 def test_stride_prefetcher_trains_and_issues():
     cache = make_l1()
-    pf = StridePrefetcher(table_size=16, degree=1, threshold=2)
+    pf = StridePrefetcher(degree=1, table_size=16, threshold=2)
     pc = 0x40
     for i in range(4):
         pf.observe(pc, 0x1000 + i * 64, cache, i)
@@ -147,7 +138,7 @@ def test_stride_prefetcher_trains_and_issues():
 
 def test_stride_prefetcher_ignores_irregular():
     cache = make_l1()
-    pf = StridePrefetcher(table_size=16)
+    pf = StridePrefetcher(1, table_size=16)
     addrs = [0x0, 0x1000, 0x40, 0x2000, 0x80]
     for i, addr in enumerate(addrs):
         pf.observe(0x40, addr, cache, i)
@@ -156,12 +147,12 @@ def test_stride_prefetcher_ignores_irregular():
 
 # --------------------------------------------------------------------- hierarchy
 def test_hierarchy_latency_composition():
-    h = MemoryHierarchy(HierarchyConfig(enable_prefetcher=False))
+    h = MemoryHierarchy()
     cold = h.data_access(0, 0x5000, False, 0)
     warm = h.data_access(0, 0x5000, False, 1)
     # cold access: TLB walk + L1 + L2 + DRAM; warm: 1-cycle L1 hit
     assert cold > warm
-    assert warm == h.config.l1d_latency
+    assert warm == L1D_LATENCY
     assert h.tlb.stats.misses == 1
 
 
@@ -207,7 +198,7 @@ class _RefSet:
 
 
 class _RefCache:
-    def __init__(self, size_bytes, assoc, line_bytes, hit_latency,
+    def __init__(self, name, size_bytes, assoc, line_bytes, hit_latency,
                  next_level=None):
         self.assoc = assoc
         self.line_bytes = line_bytes
@@ -264,29 +255,36 @@ class _RefCache:
 
 
 class _RefDRAM:
-    def __init__(self, timings):
-        self.timings = timings
-        self._open_rows = [None] * (timings.ranks * timings.banks_per_rank)
+    """DDR3-1600 at a 2 GHz core: 2 ranks x 8 banks of 8 KB rows; a row
+    hit costs tCAS + 5 ns of bus, a conflict tRP + tRCD + tCAS + bus, with
+    tCAS = tRCD = tRP = 13.75 ns."""
+
+    banks = 2 * 8
+    row_bytes = 8192
+    hit_latency = round((13.75 + 5.0) * 2.0)
+    miss_latency = round((3 * 13.75 + 5.0) * 2.0)
+
+    def __init__(self):
+        self._open_rows = [None] * self.banks
         self.stats = DRAMStats()
 
     def access(self, addr, is_write, cycle):
-        t = self.timings
-        row = addr // t.row_bytes
-        total_banks = t.ranks * t.banks_per_rank
-        bank, row = row % total_banks, row // total_banks
+        row = addr // self.row_bytes
+        bank, row = row % self.banks, row // self.banks
         self.stats.accesses += 1
         if self._open_rows[bank] == row:
             self.stats.row_hits += 1
-            return t.row_hit_latency
+            return self.hit_latency
         self.stats.row_misses += 1
         self._open_rows[bank] = row
-        return t.row_miss_latency
+        return self.miss_latency
 
 
 class _RefTLB:
-    def __init__(self, entries, page_bits=12, miss_penalty=30):
+    page_bits = 12
+
+    def __init__(self, entries, miss_penalty):
         self.entries = entries
-        self.page_bits = page_bits
         self.miss_penalty = miss_penalty
         self._lru = OrderedDict()
         self.stats = TLBStats()
@@ -312,7 +310,7 @@ class _RefEntry:
 
 
 class _RefPrefetcher:
-    def __init__(self, table_size=256, degree=1, threshold=2):
+    def __init__(self, degree, table_size=256, threshold=2):
         self.mask = table_size - 1
         self.degree = degree
         self.threshold = threshold
@@ -339,22 +337,22 @@ class _RefPrefetcher:
 
 
 class _RefHierarchy:
-    def __init__(self, cfg):
-        self.dram = _RefDRAM(DRAMTimings())
-        self.l2 = _RefCache(cfg.l2_size, cfg.l2_assoc, cfg.line_bytes,
-                            cfg.l2_latency, next_level=self.dram)
-        self.l1d = _RefCache(cfg.l1d_size, cfg.l1d_assoc, cfg.line_bytes,
-                             cfg.l1d_latency, next_level=self.l2)
-        self.l1i = _RefCache(cfg.l1i_size, cfg.l1i_assoc, cfg.line_bytes,
-                             cfg.l1i_latency, next_level=self.l2)
-        self.tlb = _RefTLB(cfg.tlb_entries, miss_penalty=cfg.tlb_miss_penalty)
-        self.prefetcher = _RefPrefetcher(degree=cfg.prefetcher_degree) \
-            if cfg.enable_prefetcher else None
+    """Table I's memory system, its numbers written out here rather than
+    read from ``repro.mem``: the reference does not share the model's
+    constants."""
+
+    def __init__(self):
+        self.dram = _RefDRAM()
+        self.l2 = _RefCache("L2", 1024 * 1024, 16, 64, 12, next_level=self.dram)
+        self.l1d = _RefCache("L1D", 32 * 1024, 2, 64, 1, next_level=self.l2)
+        self.l1i = _RefCache("L1I", 48 * 1024, 3, 64, 1, next_level=self.l2)
+        self.tlb = _RefTLB(48, miss_penalty=30)
+        self.prefetcher = _RefPrefetcher(degree=1)
 
     def data_access(self, pc, addr, is_write, cycle):
         latency = self.tlb.translate(addr)
         latency += self.l1d.access(addr, is_write, cycle)
-        if self.prefetcher is not None and not is_write:
+        if not is_write:
             self.prefetcher.observe(pc, addr, self.l1d, cycle)
         return latency
 
@@ -372,9 +370,19 @@ def _full_state(h):
     return (_cache_state(h.l1i), _cache_state(h.l1d), _cache_state(h.l2),
             list(h.tlb._lru), dataclasses.asdict(h.tlb.stats),
             list(h.dram._open_rows), dataclasses.asdict(h.dram.stats),
-            None if pf is None else (
-                {k: (e.last_addr, e.stride, e.confidence)
-                 for k, e in pf.table.items()}, pf.issued))
+            {k: (e.last_addr, e.stride, e.confidence)
+             for k, e in pf.table.items()}, pf.issued)
+
+
+def _shrink(h, cache, tlb, prefetcher):
+    """Swap smaller members into the hierarchy ``h`` (built by the classes
+    given): the same stream then evicts more, misses the TLB more, and
+    prefetches two strides ahead."""
+    h.l2 = cache("L2", 32 * 1024, 4, 64, 12, next_level=h.dram)
+    h.l1d = cache("L1D", 2 * 1024, 2, 64, 1, next_level=h.l2)
+    h.l1i = cache("L1I", 3 * 1024, 3, 64, 1, next_level=h.l2)
+    h.tlb = tlb(8, 30)
+    h.prefetcher = prefetcher(2)
 
 
 def _mixed_stream(seed: int, n: int):
@@ -406,14 +414,17 @@ def _mixed_stream(seed: int, n: int):
                 rng.randrange(40), 0x200000 + rng.randrange(32 * 1024)
 
 
-@pytest.mark.parametrize("cfg", [
-    HierarchyConfig(),
-    HierarchyConfig(l1i_size=3 * 1024, l1d_size=2 * 1024, l2_size=32 * 1024,
-                    l2_assoc=4, tlb_entries=8, prefetcher_degree=2),
-    HierarchyConfig(l2_size=64 * 1024, enable_prefetcher=False),
-], ids=["table1", "small", "no-prefetcher"])
-def test_flat_hierarchy_matches_reference_model(cfg):
-    fast, ref = MemoryHierarchy(cfg), _RefHierarchy(cfg)
+@pytest.mark.parametrize("small", [False, True], ids=["table1", "small"])
+def test_flat_hierarchy_matches_reference_model(small):
+    fast, ref = MemoryHierarchy(), _RefHierarchy()
+    assert _full_state(fast) == _full_state(ref)
+    assert [(c.num_sets, c.assoc, c.hit_latency)
+            for c in (fast.l1i, fast.l1d, fast.l2)] == \
+        [(c.num_sets, c.assoc, c.hit_latency)
+         for c in (ref.l1i, ref.l1d, ref.l2)]
+    if small:
+        _shrink(fast, Cache, TLB, StridePrefetcher)
+        _shrink(ref, _RefCache, _RefTLB, _RefPrefetcher)
     for cycle, (kind, pc, addr) in enumerate(_mixed_stream(11, 20_000)):
         if kind == "fetch":
             got = fast.access(addr, False, cycle)  # the FetchUnit's entry
@@ -429,11 +440,10 @@ def test_flat_hierarchy_matches_reference_model(cfg):
     # the stream reached every slow path it is meant to cover
     assert fast.l2.stats.writebacks > 0 and fast.l1d.stats.writebacks > 0
     assert sum(len(s.tags) == fast.l2.assoc for s in fast.l2._sets) > 0
-    assert fast.tlb.stats.misses > cfg.tlb_entries
+    assert fast.tlb.stats.misses > fast.tlb.entries
     assert fast.dram.stats.row_hits > 0 and fast.dram.stats.row_misses > 0
-    if cfg.enable_prefetcher:
-        assert fast.l1d.stats.prefetch_hits > 0
-        assert len(fast.prefetcher.table) == 256
+    assert fast.l1d.stats.prefetch_hits > 0
+    assert len(fast.prefetcher.table) == 256
 
 
 def test_flat_cache_matches_reference_model():
@@ -442,10 +452,10 @@ def test_flat_cache_matches_reference_model():
     rng = random.Random(5)
     fast = Cache("L1", 1024, 2, 64, 1,
                  next_level=Cache("L2", 4096, 4, 64, 10,
-                                  next_level=DRAM(DRAMTimings())))
-    ref = _RefCache(1024, 2, 64, 1,
-                    next_level=_RefCache(4096, 4, 64, 10,
-                                         next_level=_RefDRAM(DRAMTimings())))
+                                  next_level=DRAM()))
+    ref = _RefCache("L1", 1024, 2, 64, 1,
+                    next_level=_RefCache("L2", 4096, 4, 64, 10,
+                                         next_level=_RefDRAM()))
     for cycle in range(20_000):
         addr = rng.randrange(1 << 16)
         r = rng.random()

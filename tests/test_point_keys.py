@@ -123,7 +123,7 @@ def test_keys_change_with_nested_and_replaced_fields():
     deeper = replace(config, fu_config={**dict(config.fu_config),
                                         "alu": (2, 1, True)})
     assert point_key(deeper, PROFILE, 800, 1, FP) != base
-    assert point_key(replace(config, iq_size=32), PROFILE, 800, 1, FP) != base
+    assert point_key(replace(config, rob_size=96), PROFILE, 800, 1, FP) != base
     skewed = replace(PROFILE, consumer_dist={**PROFILE.consumer_dist, 1: 0.3})
     assert point_key(config, skewed, 800, 1, FP) != base
     assert trace_key(skewed, 800, 1, fingerprint=FP) \

@@ -21,7 +21,7 @@ in the tests or nowhere.  Two AST scans keep it out:
   imports, lazy-export keys and ``__all__``) are not uses: a name that
   only its package exports is still unused.  Dunder names are skipped.
 
-A third scan keeps options that nothing sets out of the program:
+Two more scans keep options that nothing sets out of the program:
 
 * **options** — every defaulted parameter of a def in ``src/repro`` must
   be supplied, by position or by keyword, by some call in ``src/``,
@@ -31,6 +31,13 @@ A third scan keeps options that nothing sets out of the program:
   table of kernels, a base class, a callback) has indirect callers and
   is skipped; annotations and ``isinstance`` checks are not such uses.
   Dunder methods other than ``__init__`` are skipped.
+* **fields** — the same rules for the defaulted fields of every frozen
+  dataclass in ``src/repro``: a field must be supplied by some call of
+  the class, by position or by keyword, or by a keyword of some
+  ``replace(...)`` call.  A ``**`` spread into the class supplies every
+  field, so this scan cannot see ``MachineConfig``:
+  ``benchmarks/test_sensitivity_machine.py`` spreads ``**overrides``
+  into it.
 """
 
 from __future__ import annotations
@@ -271,6 +278,36 @@ def unset_options() -> list[str]:
             for path, line, callee, param in sorted(unset)]
 
 
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and _callee(d) == "dataclass"
+               and any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value is True for kw in d.keywords)
+               for d in node.decorator_list)
+
+
+def unset_fields() -> list[str]:
+    supplied, values = _scan_calls()
+    replaced = supplied.get("replace", (0, set(), False))[1]
+    unset = []
+    for path in MODULES.values():
+        for node in ast.walk(_parse(path)):
+            if not (isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node)
+                    and node.name not in values):
+                continue
+            most, keywords, spread = supplied.get(node.name, (0, set(), False))
+            fields = [stmt for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)]
+            unset += [(str(path.relative_to(SRC)), stmt.lineno, node.name,
+                       stmt.target.id)
+                      for index, stmt in enumerate(fields)
+                      if stmt.value is not None
+                      and not (spread or index < most
+                               or stmt.target.id in keywords | replaced)]
+    return [f"{path}:{line}: {cls}.{name}"
+            for path, line, cls, name in sorted(unset)]
+
+
 def test_every_module_is_reached_from_an_entry_point():
     unreached = sorted(MODULES.keys() - reached_modules())
     assert unreached == [], (
@@ -288,3 +325,10 @@ def test_every_option_is_set_somewhere():
     assert unset == [], (
         "defaulted parameters no call supplies (make them constants):\n"
         + "\n".join(unset))
+
+
+def test_every_field_is_set_somewhere():
+    unset = unset_fields()
+    assert unset == [], (
+        "defaulted dataclass fields no call or replace() supplies (make "
+        "them constants):\n" + "\n".join(unset))

@@ -1,6 +1,7 @@
 """Tests for the tournament predictor and occupancy statistics."""
 
 from repro import MachineConfig, assemble, simulate
+from repro.pipeline.config import IQ_SIZE
 from repro.frontend.branch_predictor import (
     BimodalPredictor,
     GSharePredictor,
@@ -78,7 +79,7 @@ def test_occupancy_statistics_collected():
     stats = simulate(config, iter(workload))
     assert stats.occupancy_samples == stats.cycles
     assert 0 < stats.avg_rob_occupancy <= config.rob_size
-    assert 0 < stats.avg_iq_occupancy <= config.iq_size
+    assert 0 < stats.avg_iq_occupancy <= IQ_SIZE
     assert 0 <= stats.avg_free_regs <= 48
 
 
