@@ -3,7 +3,7 @@
 PYTHON ?= python
 JOBS ?= 4
 
-.PHONY: install test bench bench-parallel bench-full repro examples \
+.PHONY: install test lint bench bench-parallel bench-full repro examples \
 	kernel-smoke verify fuzz fuzz-smoke faults-smoke faults importtime \
 	golden clean
 
@@ -12,6 +12,11 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# the AST lints alone (seconds): every module, def and option of src/repro
+# is reached or set by the program, and no module imports a name unused
+lint:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_reachability.py tests/test_unused_imports.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

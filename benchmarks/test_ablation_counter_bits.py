@@ -3,7 +3,8 @@
 The paper generalises the 2-bit counter to N bits and argues 2 bits are
 the sweet spot: chains longer than four instructions are unusual
 (Figure 3), while wider counters cost PRT and issue-queue bits.  We sweep
-1/2/3 bits at a fixed banked configuration and check the saturation.
+1/2/3 bits at equal area with a 48-register baseline, so each width pays
+for its counters in registers, and check the saturation.
 """
 
 from conftest import run_once
@@ -12,7 +13,8 @@ from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import simulate
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
-BANKS = (33, 4, 4, 4)
+#: baseline register count the equal-area banks are sized from
+REGS = 48
 
 
 def sweep(scale):
@@ -23,7 +25,7 @@ def sweep(scale):
             profile = BENCHMARKS[name]
             workload = SyntheticWorkload(profile, total_insts=scale.insts)
             config = MachineConfig(
-                scheme="sharing", int_banks=BANKS, fp_banks=BANKS,
+                scheme="sharing", int_regs=REGS, fp_regs=REGS,
                 counter_bits=bits, verify_values=False,
             )
             stats = simulate(config, iter(workload))

@@ -2,6 +2,7 @@
 
 from conftest import run_once
 
+from repro.frontend.fetch import FETCH_QUEUE, MISPREDICT_PENALTY
 from repro.harness.tables import table1
 from repro.pipeline.config import MachineConfig, TABLE_I
 from repro.pipeline.processor import IterSource, Processor
@@ -26,8 +27,7 @@ def test_table1_machine_matches(benchmark):
     assert proc.rob.size == 128
     assert proc.iq.size == 40
     assert proc.config.rename_width == 3
-    assert proc.fetch.queue_size == 32
-    assert proc.fetch.mispredict_penalty == 15
+    assert (FETCH_QUEUE, MISPREDICT_PENALTY) == (32, 15)  # FetchUnit reads
     assert len(proc.branch_unit.btb.tags) == 2048
     caches = [(c.size_bytes, c.assoc, c.line_bytes, c.hit_latency)
               for c in (hierarchy.l1d, hierarchy.l1i, hierarchy.l2)]

@@ -17,6 +17,11 @@ from repro.isa.dyninst import DynInst
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 
+#: cycles between two samples of the live-version histogram
+SAMPLE_INTERVAL = 64
+#: 3-shadow registers per class: ample, so no demand goes unmet
+TOTAL_REGS = 192
+
 
 @dataclass
 class ShadowDemand:
@@ -35,11 +40,7 @@ class ShadowDemand:
         return data[index]
 
 
-def measure_shadow_demand(
-    workload: Iterable[DynInst],
-    total_regs: int = 256,
-    sample_interval: int = 64,
-) -> ShadowDemand:
+def measure_shadow_demand(workload: Iterable[DynInst]) -> ShadowDemand:
     """Run the sharing scheme with ample 3-shadow registers and sample."""
     demand = ShadowDemand()
 
@@ -50,9 +51,9 @@ def measure_shadow_demand(
                         if versions >= k + 1)
             demand.samples[k].append(using)
 
-    cfg = MachineConfig(scheme="sharing", int_banks=(0, 0, 0, total_regs),
-                        fp_banks=(0, 0, 0, total_regs))
+    cfg = MachineConfig(scheme="sharing", int_banks=(0, 0, 0, TOTAL_REGS),
+                        fp_banks=(0, 0, 0, TOTAL_REGS))
     processor = Processor(cfg, IterSource(iter(workload)),
-                          on_cycle=sample, on_cycle_interval=sample_interval)
+                          on_cycle=sample, on_cycle_interval=SAMPLE_INTERVAL)
     processor.run()
     return demand

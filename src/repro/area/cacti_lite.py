@@ -36,9 +36,9 @@ READ_PORTS = 8
 WRITE_PORTS = 4
 
 # ---- the priced machine (Table II) ------------------------------------------
-#: PRT and issue-queue version-counter width
+#: PRT and issue-queue version-counter width and register-type predictor
+#: entries (a configuration is priced for its own) and bits per entry
 COUNTER_BITS = 2
-#: register-type predictor entries and bits per entry
 PREDICTOR_ENTRIES = 512
 PREDICTOR_BITS = 2
 #: physical-register tag width the bypass filter compares
@@ -70,10 +70,10 @@ def register_file_area(
     num_regs: int,
     bits: int = 64,
     read_ports: int = READ_PORTS,
-    write_ports: int = WRITE_PORTS,
 ) -> float:
-    """Area of a conventional (no shadow cells) register file, in mm²."""
-    ports = read_ports + write_ports
+    """Area of a conventional (no shadow cells) register file with
+    ``read_ports`` read and :data:`WRITE_PORTS` write ports, in mm²."""
+    ports = read_ports + WRITE_PORTS
     per_reg = bits * bit_cell_area(ports) + _REG_OVERHEAD
     return num_regs * per_reg / _UM2_PER_MM2
 
@@ -139,26 +139,29 @@ def port_scheme_rf_area(scheme: str, num_regs: int, bits: int = 64) -> float:
 
 
 # ---- overhead structures (Table II rows) ------------------------------------
-def prt_area(num_regs: int = 128) -> float:
+def prt_area(num_regs: int = 128, counter_bits: int = COUNTER_BITS) -> float:
     """PRT: one Read bit + N-bit counter per physical register, in mm²."""
-    bits = num_regs * (1 + COUNTER_BITS)
+    bits = num_regs * (1 + counter_bits)
     return bits * _SRAM_BIT / _UM2_PER_MM2
 
 
-def issue_queue_overhead_area() -> float:
+def issue_queue_overhead_area(counter_bits: int = COUNTER_BITS) -> float:
     """Extra version bits in the issue queue (2 per source tag), in mm²."""
-    bits = IQ_SIZE * 2 * COUNTER_BITS
+    bits = IQ_SIZE * 2 * counter_bits
     return bits * _CAM_BIT / _UM2_PER_MM2
 
 
-def predictor_area() -> float:
+def predictor_area(entries: int = PREDICTOR_ENTRIES) -> float:
     """Register-type predictor table, in mm²."""
-    return PREDICTOR_ENTRIES * PREDICTOR_BITS * _PRED_BIT / _UM2_PER_MM2
+    return entries * PREDICTOR_BITS * _PRED_BIT / _UM2_PER_MM2
 
 
-def total_overhead_area(num_regs: int = 128) -> float:
+def total_overhead_area(num_regs: int = 128, counter_bits: int = COUNTER_BITS,
+                        predictor_entries: int = PREDICTOR_ENTRIES) -> float:
     """Total added area of the scheme's new/extended structures, in mm²."""
-    return prt_area(num_regs) + issue_queue_overhead_area() + predictor_area()
+    return (prt_area(num_regs, counter_bits)
+            + issue_queue_overhead_area(counter_bits)
+            + predictor_area(predictor_entries))
 
 
 def access_time_ns(

@@ -7,6 +7,7 @@ registers.  ``equal_area_banks`` derives a bank split for arbitrary
 baseline sizes using the calibrated area model; the paper's own Table III
 rows are kept verbatim in :data:`repro.pipeline.config.TABLE_III` and
 validated (they never exceed the baseline area) by ``validate_table3``.
+A configuration's overheads are priced for its own counters and predictor.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.area.cacti_lite import (
+    COUNTER_BITS,
+    PREDICTOR_ENTRIES,
     banked_rf_area,
     port_scheme_rf_area,
     register_file_area,
     total_overhead_area,
 )
 from repro.core.register_file import RegisterFileConfig
+from repro.pipeline.config import TABLE_III
 
 #: Logical registers per class: bank sizing must leave room for committed state.
 _MIN_TOTAL_REGS = 36
@@ -30,10 +34,14 @@ def baseline_area(num_regs: int, bits: int = 64) -> float:
     return register_file_area(num_regs, bits)
 
 
-def proposed_area(banks: tuple[int, ...], bits: int = 64) -> float:
-    """Area of the proposed configuration (banked RF + scheme overheads)."""
+def proposed_area(banks: tuple[int, ...], bits: int = 64,
+                  counter_bits: int = COUNTER_BITS,
+                  predictor_entries: int = PREDICTOR_ENTRIES) -> float:
+    """Area of the proposed configuration (banked RF + scheme overheads
+    for its version counters and register-type predictor)."""
     config = RegisterFileConfig(bank_sizes=tuple(banks))
-    return banked_rf_area(config, bits) + total_overhead_area(config.total_regs)
+    return banked_rf_area(config, bits) + total_overhead_area(
+        config.total_regs, counter_bits, predictor_entries)
 
 
 def _shadow_bank_size(baseline_regs: int) -> int:
@@ -47,7 +55,9 @@ def _shadow_bank_size(baseline_regs: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def equal_area_banks(baseline_regs: int, bits: int = 64) -> tuple[int, int, int, int]:
+def equal_area_banks(baseline_regs: int, bits: int = 64,
+                     counter_bits: int = COUNTER_BITS,
+                     predictor_entries: int = PREDICTOR_ENTRIES) -> tuple:
     """Largest (n0, s, s, s) configuration whose area fits the baseline's.
 
     Cached: the result is a pure function of its arguments, and the
@@ -56,12 +66,13 @@ def equal_area_banks(baseline_regs: int, bits: int = 64) -> tuple[int, int, int,
     budget = baseline_area(baseline_regs, bits)
     s = _shadow_bank_size(baseline_regs)
     n0 = max(_MIN_TOTAL_REGS - 3 * s, 1)
-    if proposed_area((n0, s, s, s), bits) > budget:
+    priced = (bits, counter_bits, predictor_entries)
+    if proposed_area((n0, s, s, s), *priced) > budget:
         raise ValueError(
             f"baseline of {baseline_regs} registers is too small for an "
             f"equal-area banked configuration"
         )
-    while proposed_area((n0 + 1, s, s, s), bits) <= budget:
+    while proposed_area((n0 + 1, s, s, s), *priced) <= budget:
         n0 += 1
     return (n0, s, s, s)
 
@@ -89,14 +100,15 @@ def equal_area_regs(baseline_regs: int, scheme: str, bits: int = 64) -> int:
     return n
 
 
-def validate_table3(table3: dict[int, tuple[int, int, int, int]]):
-    """Check every Table III row fits within the baseline area.
+def validate_table3():
+    """Check every row of the paper's Table III (:data:`TABLE_III`) fits
+    within the baseline area.
 
     Returns a list of (baseline, banks, baseline_mm2, proposed_mm2,
     utilisation) rows for reporting.
     """
     rows = []
-    for baseline_regs, banks in sorted(table3.items()):
+    for baseline_regs, banks in sorted(TABLE_III.items()):
         base = baseline_area(baseline_regs)
         prop = proposed_area(banks)
         rows.append((baseline_regs, banks, base, prop, prop / base))

@@ -121,9 +121,10 @@ proc._last_progress = last_progress
 """
 
 
-def _fu_chain(config, pad: str) -> str:
+def _fu_chain(config) -> str:
     """Unrolled per-kind FU reservation; each miss ``continue``s to the
-    next ready instruction (mirrors FUPool.try_issue returning None)."""
+    next ready instruction (mirrors FUPool.try_issue returning None).
+    Indented for the issue loop's body."""
     fu_config = dict(config.fu_config)
     kinds = [k for k in _FU_ORDER if k in fu_config]
     kinds += [k for k in fu_config if k not in kinds]
@@ -164,7 +165,7 @@ def _fu_chain(config, pad: str) -> str:
         '    if latency is None:\n'
         '        continue'
     )
-    return _reindent("\n".join(parts), pad)
+    return _reindent("\n".join(parts), "            ")
 
 
 def _refresh_block(scheme: str, pad: str) -> str:
@@ -188,7 +189,8 @@ def _refresh_block(scheme: str, pad: str) -> str:
 
 
 # --------------------------------------------------------------------- scheme hoists
-def _scheme_hoists(scheme: str, pad: str) -> str:
+def _scheme_hoists(scheme: str) -> str:
+    """The kernel's scheme-specific hoisted locals, at function level."""
     common = (
         "_dom_int = renamer._domains_by_value[0]\n"
         "_dom_fp = renamer._domains_by_value[1]\n"
@@ -230,12 +232,13 @@ def _scheme_hoists(scheme: str, pad: str) -> str:
             "renamer_can_rename = renamer.can_rename\n"
             "renamer_uops_needed = renamer.uops_needed\n"
         )
-    return _reindent(block, pad)
+    return _reindent(block, "    ")
 
 
 # --------------------------------------------------------------------- commit bodies
-def _commit_renamer_block(scheme: str, pad: str) -> str:
-    """Inline of ``renamer.commit(head)`` for the fast commit path."""
+def _commit_renamer_block(scheme: str) -> str:
+    """Inline of ``renamer.commit(head)`` for the fast commit path,
+    indented for the commit loop's body."""
     if scheme == "conventional":
         block = """
 dest = head.dest
@@ -334,7 +337,7 @@ if head.dest is not None and dt is not None:
             _pe.multi_use_versions = set()
             ren_stats.releases += 1
 """
-    return _reindent(block, pad)
+    return _reindent(block, "            ")
 
 
 # --------------------------------------------------------------------- writeback write
@@ -468,10 +471,10 @@ if not dyn.wrong_path:
 
 
 # --------------------------------------------------------------------- rename bodies
-def _rename_body(config, pad: str) -> str:
+def _rename_body(config) -> str:
     """The fused rename/dispatch stage for the configured scheme.
 
-    Emitted inside ``while dispatched < RW:`` at indent ``pad``.
+    Emitted inside ``while dispatched < RW:``, indented for its body.
     """
     scheme = config.scheme
     ROB = config.rob_size
@@ -851,7 +854,8 @@ if _is_load or _is_store:
 dispatched += 1
 last_progress = cycle
 """
-    return _reindent(head + can_rename + rename_core + dispatch_tail, pad)
+    return _reindent(head + can_rename + rename_core + dispatch_tail,
+                     "        ")
 
 
 # --------------------------------------------------------------------- generator
@@ -960,7 +964,7 @@ last_progress = proc._last_progress
         L.append("    ports_note_write = proc.read_ports.note_writeback")
     for kind in unpipelined:
         L.append(f'    fus_slots_{kind} = fus._busy_until["{kind}"]')
-    L.append(_scheme_hoists(scheme, "    "))
+    L.append(_scheme_hoists(scheme))
     L.append("    cycle = proc.cycle")
     if II:
         L.append(f"    next_interrupt = {II}")
@@ -1039,7 +1043,7 @@ if rob_entries and rob_entries[0].completed:
             elif info.is_load:
                 lsq_retire(head)
                 stats.loads += 1
-{_commit_renamer_block(scheme, "            ")}
+{_commit_renamer_block(scheme)}
             if head.micro_op:
                 stats.committed_uops += 1
             else:
@@ -1140,7 +1144,7 @@ if rob_entries and rob_entries[0].completed:
     iss.append("            if fus._cycle != cycle:")
     iss.append("                fus._cycle = cycle")
     iss.append("                fus_used.clear()")
-    iss.append(_fu_chain(config, "            "))
+    iss.append(_fu_chain(config))
     iss.append("            if dyn.faults:")
     iss.append("                total = latency")
     iss.append("                dyn.exception_raised = True")
@@ -1201,7 +1205,7 @@ if iq._ready:
     ren.append("if fetch_queue:")
     ren.append("    dispatched = 0")
     ren.append(f"    while dispatched < {RW}:")
-    ren.append(_rename_body(config, "        "))
+    ren.append(_rename_body(config))
     B.append(_reindent("\n".join(ren), "        "))
 
     # ---- fetch + accounting + hooks + watchdogs ------------------------

@@ -73,21 +73,18 @@ class BypassTracker:
     """Recent writeback tags, queryable as "is this operand on the bypass
     network?".
 
-    Keeps one tag set per cycle for the last ``depth`` cycles; stale
-    cycles are pruned lazily when a new cycle's set is created, so
-    skipped quiet windows cost nothing.  ``depth <= 0`` disables
-    bypassing entirely (every read charges a port).
+    Keeps one tag set per cycle for the last :data:`BYPASS_DEPTH`
+    cycles; stale cycles are pruned lazily when a new cycle's set is
+    created, so skipped quiet windows cost nothing.
     """
 
     __slots__ = ("depth", "_by_cycle")
 
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
+    def __init__(self) -> None:
+        self.depth = BYPASS_DEPTH
         self._by_cycle: dict[int, set] = {}
 
     def note_write(self, tag, cycle: int) -> None:
-        if self.depth <= 0:
-            return
         bucket = self._by_cycle.get(cycle)
         if bucket is None:
             bucket = self._by_cycle[cycle] = set()
@@ -100,8 +97,6 @@ class BypassTracker:
         """True when ``tag`` wrote back within ``depth`` cycles of
         ``cycle`` (writeback runs before issue within a cycle, so depth 1
         covers same-cycle forwarding)."""
-        if self.depth <= 0:
-            return False
         by_cycle = self._by_cycle
         for c in range(cycle - self.depth + 1, cycle + 1):
             bucket = by_cycle.get(c)
@@ -117,21 +112,19 @@ class BypassFilterPorts:
     """``rf_port_scheme="bypass_filter"``: bypass-aware port filtering.
 
     Operands on the bypass network read nothing; the rest contend for
-    the flat ``read_ports`` budget per register class per cycle; a class
-    with no reads yet this cycle grants any demand.  Serving the bypassed
-    reads for free is what lets the area model halve the port count.
-    With ``bypass_depth=0`` nothing is bypassed, so every operand
-    contends: a plain flat read-port limit.
+    the flat :data:`BYPASS_FILTER_READ_PORTS` budget per register class
+    per cycle; a class with no reads yet this cycle grants any demand.
+    Serving the bypassed reads for free is what lets the area model halve
+    the port count.
     """
 
     scheme = "bypass_filter"
 
     __slots__ = ("read_ports", "tracker", "_used")
 
-    def __init__(self, read_ports: int = BYPASS_FILTER_READ_PORTS,
-                 bypass_depth: int = BYPASS_DEPTH) -> None:
-        self.read_ports = read_ports
-        self.tracker = BypassTracker(bypass_depth)
+    def __init__(self) -> None:
+        self.read_ports = BYPASS_FILTER_READ_PORTS
+        self.tracker = BypassTracker()
         self._used = [0, 0]
 
     def begin_cycle(self, cycle: int) -> None:
@@ -178,29 +171,27 @@ class BankedArbiterPorts:
     Tracks per-(class, bank) read demand within the current cycle.  For
     a candidate instruction, :meth:`plan` computes the extra read latency
     its worst bank would need — demand already committed this cycle plus
-    its own reads, spread over ``ports_per_bank`` reads per cycle::
+    its own reads, spread over :data:`BANK_READ_PORTS` reads per cycle
+    in each of :data:`READ_BANKS` banks::
 
         delay(bank) = ceil((used + wanted) / ports) - 1
 
     and denies the grant (returns None: the instruction stalls in the
-    issue queue) when that exceeds ``max_delay``, *unless* every demanded
-    bank is still fresh this cycle (the head-of-line progress guarantee —
-    see the module docstring).  :meth:`commit` claims the ports and
-    returns the charged delay as extra issue-to-complete latency.
+    issue queue) when that exceeds :data:`MAX_READ_DELAY`, *unless* every
+    demanded bank is still fresh this cycle (the head-of-line progress
+    guarantee — see the module docstring).  :meth:`commit` claims the
+    ports and returns the charged delay as extra issue-to-complete
+    latency.
     """
 
     scheme = "banked_arbiter"
 
     __slots__ = ("banks", "ports", "max_delay", "_used", "_cycle")
 
-    def __init__(self, banks: int = READ_BANKS,
-                 ports_per_bank: int = BANK_READ_PORTS,
-                 max_delay: int = MAX_READ_DELAY) -> None:
-        if banks < 1 or ports_per_bank < 1:
-            raise ValueError("banked arbiter needs >= 1 bank and port")
-        self.banks = banks
-        self.ports = ports_per_bank
-        self.max_delay = max_delay
+    def __init__(self) -> None:
+        self.banks = READ_BANKS
+        self.ports = BANK_READ_PORTS
+        self.max_delay = MAX_READ_DELAY
         self._used: dict[tuple, int] = {}
         self._cycle = -1
 

@@ -244,15 +244,13 @@ def _classify_injection(spec: InjectionSpec, program, clean: CleanRun,
     return record
 
 
-def run_injection(spec: InjectionSpec, clean: Optional[CleanRun] = None,
-                  index: int = 0,
+def run_injection(spec: InjectionSpec, index: int = 0,
                   clean_cache: Optional[dict] = None) -> InjectionRecord:
     """Run and classify one injection of a campaign."""
     from repro.verify.fuzz import generate
 
-    if clean is None:
-        clean = clean_reference(spec.scheme, spec.program_seed,
-                                spec.program_size, clean_cache)
+    clean = clean_reference(spec.scheme, spec.program_seed,
+                            spec.program_size, clean_cache)
     program = generate(spec.program_seed, size=spec.program_size,
                        variant="plain").build()
     return _classify_injection(spec, program, clean, index)

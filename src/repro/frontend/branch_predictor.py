@@ -17,18 +17,23 @@ from repro.pipeline.stats import BranchStats
 
 #: BTB entries (Table I: "2K BTB")
 BTB_ENTRIES = 2048
+#: counters in each direction-predictor table (bimodal, gshare, chooser)
+TABLE_SIZE = 4096
+#: global-history bits of the gshare component
+HISTORY_BITS = 12
+#: return-address-stack entries
+RAS_DEPTH = 16
 
 
 class _SaturatingCounterTable:
-    """Table of 2-bit saturating counters (0..3, taken when >= 2)."""
+    """Table of :data:`TABLE_SIZE` 2-bit saturating counters (0..3, taken
+    when >= 2)."""
 
     __slots__ = ("entries", "mask")
 
-    def __init__(self, size: int, init: int = 1) -> None:
-        if size & (size - 1):
-            raise ValueError("predictor table size must be a power of two")
-        self.entries = [init] * size
-        self.mask = size - 1
+    def __init__(self, init: int = 1) -> None:
+        self.entries = [init] * TABLE_SIZE
+        self.mask = TABLE_SIZE - 1
 
     def counter(self, index: int) -> int:
         return self.entries[index & self.mask]
@@ -48,8 +53,8 @@ class _SaturatingCounterTable:
 class BimodalPredictor:
     """PC-indexed 2-bit bimodal predictor."""
 
-    def __init__(self, size: int = 4096) -> None:
-        self.table = _SaturatingCounterTable(size)
+    def __init__(self) -> None:
+        self.table = _SaturatingCounterTable()
 
     def predict(self, pc: int) -> bool:
         return self.table.predict(pc)
@@ -61,10 +66,10 @@ class BimodalPredictor:
 class GSharePredictor:
     """Global-history XOR-indexed 2-bit predictor."""
 
-    def __init__(self, size: int = 4096, history_bits: int = 12) -> None:
-        self.table = _SaturatingCounterTable(size)
+    def __init__(self) -> None:
+        self.table = _SaturatingCounterTable()
         self.history = 0
-        self.history_mask = (1 << history_bits) - 1
+        self.history_mask = (1 << HISTORY_BITS) - 1
 
     def _index(self, pc: int) -> int:
         return pc ^ self.history
@@ -81,10 +86,10 @@ class TournamentPredictor:
     """Alpha-21264-style tournament: a chooser selects, per PC, between a
     bimodal (local) and a gshare (global-history) component."""
 
-    def __init__(self, size: int = 4096, history_bits: int = 12) -> None:
-        self.bimodal = BimodalPredictor(size)
-        self.gshare = GSharePredictor(size, history_bits)
-        self.chooser = _SaturatingCounterTable(size, init=2)  # favour gshare
+    def __init__(self) -> None:
+        self.bimodal = BimodalPredictor()
+        self.gshare = GSharePredictor()
+        self.chooser = _SaturatingCounterTable(init=2)  # favour gshare
 
     def predict(self, pc: int) -> bool:
         if self.chooser.predict(pc):
@@ -103,12 +108,10 @@ class TournamentPredictor:
 class BranchTargetBuffer:
     """Direct-mapped BTB with tags; holds predicted targets of taken branches."""
 
-    def __init__(self, entries: int) -> None:
-        if entries & (entries - 1):
-            raise ValueError("BTB size must be a power of two")
-        self.mask = entries - 1
-        self.tags: list[Optional[int]] = [None] * entries
-        self.targets: list[int] = [0] * entries
+    def __init__(self) -> None:
+        self.mask = BTB_ENTRIES - 1
+        self.tags: list[Optional[int]] = [None] * BTB_ENTRIES
+        self.targets: list[int] = [0] * BTB_ENTRIES
 
     def lookup(self, pc: int) -> Optional[int]:
         index = pc & self.mask
@@ -125,12 +128,11 @@ class BranchTargetBuffer:
 class ReturnAddressStack:
     """Fixed-depth return address stack for call/return prediction."""
 
-    def __init__(self, depth: int = 16) -> None:
-        self.depth = depth
+    def __init__(self) -> None:
         self.stack: list[int] = []
 
     def push(self, addr: int) -> None:
-        if len(self.stack) == self.depth:
+        if len(self.stack) == RAS_DEPTH:
             self.stack.pop(0)
         self.stack.append(addr)
 
@@ -155,7 +157,7 @@ class BranchUnit:
             self.direction = TournamentPredictor()
         else:
             raise ValueError(f"unknown predictor kind {kind!r}")
-        self.btb = BranchTargetBuffer(BTB_ENTRIES)
+        self.btb = BranchTargetBuffer()
         self.ras = ReturnAddressStack()
         self.stats = BranchStats()
 

@@ -50,16 +50,12 @@ class FetchUnit:
         branch_unit: BranchUnit,
         icache,
         fetch_width: int = 3,
-        queue_size: int = FETCH_QUEUE,
-        mispredict_penalty: int = MISPREDICT_PENALTY,
         wrong_path=None,
     ) -> None:
         self.source = source
         self.branch_unit = branch_unit
         self.icache = icache
         self.fetch_width = fetch_width
-        self.queue_size = queue_size
-        self.mispredict_penalty = mispredict_penalty
         #: WrongPathGenerator, or None for the stall-on-mispredict model
         self.wrong_path = wrong_path
         self._wrong_branch: Optional[DynInst] = None
@@ -115,7 +111,7 @@ class FetchUnit:
             return
 
         for _ in range(self.fetch_width):
-            if len(self.queue) >= self.queue_size:
+            if len(self.queue) >= FETCH_QUEUE:
                 return
             dyn = self._pending if self._pending is not None else self._next_raw()
             self._pending = None
@@ -194,7 +190,7 @@ class FetchUnit:
         """Called at writeback of a branch; resumes fetch if it was the stalling one."""
         if self._waiting_branch_seq == dyn.seq:
             self._waiting_branch_seq = None
-            self._resume_at = cycle + self.mispredict_penalty + extra_recovery
+            self._resume_at = cycle + MISPREDICT_PENALTY + extra_recovery
         if self._wrong_branch is dyn:
             # discard everything fetched down the wrong path and redirect
             # (rebuilt in place: the processor's hot loop holds a reference
@@ -205,7 +201,7 @@ class FetchUnit:
             kept = [d for d in self.queue if not d.wrong_path]
             self.queue.clear()
             self.queue.extend(kept)
-            self._resume_at = cycle + self.mispredict_penalty + extra_recovery
+            self._resume_at = cycle + MISPREDICT_PENALTY + extra_recovery
             self._last_line = None
 
     def pop(self) -> Optional[DynInst]:

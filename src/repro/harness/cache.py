@@ -404,24 +404,23 @@ class TraceCache:
         return len(self._entries())
 
 
+#: decoded trace streams a process keeps (:class:`TraceMemo`)
+TRACE_MEMO_LIMIT = 32
+
+
 class TraceMemo:
     """Process-local LRU of decoded trace streams.
 
     Keyed by (profile, insts, seed) — the profile itself, which
-    hashes and compares by content, not its name; bounded by ``limit``
-    entries (default 32, 0 disables).  Holding the stream object — not
+    hashes and compares by content, not its name; bounded by
+    :data:`TRACE_MEMO_LIMIT` entries.  Holding the stream object — not
     just its bytes — keeps a binary stream's parsed columns warm: a
     worker revisiting a workload skips the read and the parse, and
     materializes it again only if another workload became resident in
     between (:meth:`TraceStream.replay`).
     """
 
-    DEFAULT_LIMIT = 32
-
-    def __init__(self, limit: int = DEFAULT_LIMIT) -> None:
-        if limit < 0:
-            raise ValueError(f"trace memo limit must be >= 0, got {limit}")
-        self.limit = limit
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[tuple, object]" = OrderedDict()
@@ -436,11 +435,9 @@ class TraceMemo:
         return stream
 
     def put(self, key: tuple, stream) -> None:
-        if self.limit == 0:
-            return
         self._entries[key] = stream
         self._entries.move_to_end(key)
-        while len(self._entries) > self.limit:
+        while len(self._entries) > TRACE_MEMO_LIMIT:
             self._entries.popitem(last=False)
 
     def __len__(self) -> int:

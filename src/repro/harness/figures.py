@@ -196,7 +196,7 @@ def figure9(scale: Scale | None = None) -> Figure9Result:
     merged = ShadowDemand()
     for profile in profiles:
         workload = list(SyntheticWorkload(profile, scale.insts, scale.seed))
-        demand = measure_shadow_demand(workload, total_regs=192)
+        demand = measure_shadow_demand(workload)
         for k in (1, 2, 3):
             merged.samples[k].extend(demand.samples[k])
     coverages = (0.5, 0.75, 0.9, 0.95, 0.99)

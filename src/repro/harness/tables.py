@@ -63,7 +63,7 @@ class Table3Result:
 
 def table3() -> Table3Result:
     result = Table3Result()
-    validation = {row[0]: row for row in validate_table3(TABLE_III)}
+    validation = {row[0]: row for row in validate_table3()}
     from repro.area.equal_area import baseline_area, proposed_area
 
     for baseline in sorted(TABLE_III):

@@ -62,7 +62,8 @@ class DynInst:
     #: squashed by branch-resolution walk-back (ignore pending completions)
     squashed: bool = False
 
-    # --- oracle hints (trace workloads only; used by the oracle renamer) -----
+    # --- single-use hints (synthetic traces carry them, annotate_hints fills
+    # them for programs; read by the hinted renamer, repro.core.hinted) -----
     #: per-source: this instruction is the value's only consumer
     hint_src_single_use: tuple = ()
     #: the value this instruction produces will have exactly one consumer

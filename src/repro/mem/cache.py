@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from repro.pipeline.stats import CacheStats
 
+#: cache line size of every level (Table I)
+LINE_BYTES = 64
+
 
 class _Set:
     """One cache set: parallel tag and dirty-bit lists in LRU order (MRU
@@ -18,7 +21,7 @@ class _Set:
 
 
 class Cache:
-    """A cache level.
+    """A cache level of :data:`LINE_BYTES`-byte lines.
 
     ``access`` returns the total latency (cycles) of the access including
     lower levels on a miss.  ``next_level`` is either another Cache or a
@@ -37,19 +40,18 @@ class Cache:
         name: str,
         size_bytes: int,
         assoc: int,
-        line_bytes: int,
         hit_latency: int,
         next_level=None,
     ) -> None:
-        if size_bytes % (assoc * line_bytes):
+        if size_bytes % (assoc * LINE_BYTES):
             raise ValueError(f"{name}: size not divisible by assoc*line")
         self.name = name
         self.size_bytes = size_bytes
         self.assoc = assoc
-        self.line_bytes = line_bytes
+        self.line_bytes = LINE_BYTES
         self.hit_latency = hit_latency
         self.next_level = next_level
-        self.num_sets = size_bytes // (assoc * line_bytes)
+        self.num_sets = size_bytes // (assoc * LINE_BYTES)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError(f"{name}: number of sets must be a power of two")
         self._sets = [_Set() for _ in range(self.num_sets)]

@@ -9,21 +9,20 @@ degree-1 stride prefetcher that fills into L1-D.
 from __future__ import annotations
 
 from repro.isa.program import PAGE_BITS
-from repro.mem.cache import Cache
+from repro.mem.cache import LINE_BYTES, Cache
 from repro.mem.dram import DRAM
-from repro.mem.prefetcher import StridePrefetcher
-from repro.mem.tlb import TLB
+from repro.mem.prefetcher import PREFETCH_DEGREE, StridePrefetcher
+from repro.mem.tlb import TLB, TLB_ENTRIES, TLB_MISS_PENALTY
 
 # ---- the Table I memory system ----------------------------------------------
-#: cache line size of every level
-LINE_BYTES = 64
+# The line size, TLB and prefetch degree are constants of the units that
+# read them; this module re-exports them beside the geometry it wires up.
 L1I_SIZE, L1I_ASSOC, L1I_LATENCY = 48 * 1024, 3, 1
 L1D_SIZE, L1D_ASSOC, L1D_LATENCY = 32 * 1024, 2, 1
 L2_SIZE, L2_ASSOC, L2_LATENCY = 1024 * 1024, 16, 12
-TLB_ENTRIES = 48
-#: page-walk cycles charged on a TLB miss
-TLB_MISS_PENALTY = 30
-PREFETCH_DEGREE = 1
+
+__all__ = ["LINE_BYTES", "TLB_ENTRIES", "TLB_MISS_PENALTY", "PREFETCH_DEGREE",
+           "MemoryHierarchy"]
 
 
 class MemoryHierarchy:
@@ -41,14 +40,14 @@ class MemoryHierarchy:
 
     def __init__(self) -> None:
         self.dram = DRAM()
-        self.l2 = Cache("L2", L2_SIZE, L2_ASSOC, LINE_BYTES, L2_LATENCY,
+        self.l2 = Cache("L2", L2_SIZE, L2_ASSOC, L2_LATENCY,
                         next_level=self.dram)
-        self.l1d = Cache("L1D", L1D_SIZE, L1D_ASSOC, LINE_BYTES, L1D_LATENCY,
+        self.l1d = Cache("L1D", L1D_SIZE, L1D_ASSOC, L1D_LATENCY,
                          next_level=self.l2)
-        self.l1i = Cache("L1I", L1I_SIZE, L1I_ASSOC, LINE_BYTES, L1I_LATENCY,
+        self.l1i = Cache("L1I", L1I_SIZE, L1I_ASSOC, L1I_LATENCY,
                          next_level=self.l2)
-        self.tlb = TLB(TLB_ENTRIES, TLB_MISS_PENALTY)
-        self.prefetcher = StridePrefetcher(PREFETCH_DEGREE)
+        self.tlb = TLB()
+        self.prefetcher = StridePrefetcher()
 
     def data_access(self, pc: int, addr: int, is_write: bool, cycle: int) -> int:
         """Latency of a demand data access (TLB + caches)."""

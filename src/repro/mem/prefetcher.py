@@ -4,6 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: lines prefetched ahead per trained stride (Table I: degree 1)
+PREFETCH_DEGREE = 1
+#: reference-prediction-table entries, indexed by the load's PC
+PREFETCH_TABLE_SIZE = 256
+#: confidence a stride needs before it prefetches
+PREFETCH_THRESHOLD = 2
+
 
 @dataclass
 class _Entry:
@@ -21,12 +28,10 @@ class StridePrefetcher:
     target cache.
     """
 
-    def __init__(self, degree: int, table_size: int = 256, threshold: int = 2) -> None:
-        if table_size & (table_size - 1):
-            raise ValueError("prefetcher table size must be a power of two")
-        self.mask = table_size - 1
-        self.degree = degree
-        self.threshold = threshold
+    def __init__(self) -> None:
+        self.mask = PREFETCH_TABLE_SIZE - 1
+        self.degree = PREFETCH_DEGREE
+        self.threshold = PREFETCH_THRESHOLD
         self.table: dict[int, _Entry] = {}
         self.issued = 0
 

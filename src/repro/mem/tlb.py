@@ -7,19 +7,24 @@ from collections import OrderedDict
 from repro.isa.program import PAGE_BITS
 from repro.pipeline.stats import TLBStats
 
+#: entries (Table I: "48-entry fully-associative L1 TLB")
+TLB_ENTRIES = 48
+#: page-walk cycles charged on a miss
+TLB_MISS_PENALTY = 30
+
 
 class TLB:
     """Models the paper's 48-entry fully-associative L1 data TLB.
 
     ``translate`` returns the *extra* latency charged on top of the cache
-    access: zero on a hit, ``miss_penalty`` cycles for a page walk on a
-    miss.  Page faults are modelled separately by the fault model in the
-    functional executor.
+    access: zero on a hit, :data:`TLB_MISS_PENALTY` cycles for a page walk
+    on a miss.  Page faults are modelled separately by the fault model in
+    the functional executor.
     """
 
-    def __init__(self, entries: int, miss_penalty: int) -> None:
-        self.entries = entries
-        self.miss_penalty = miss_penalty
+    def __init__(self) -> None:
+        self.entries = TLB_ENTRIES
+        self.miss_penalty = TLB_MISS_PENALTY
         self._lru: OrderedDict[int, None] = OrderedDict()
         self.stats = TLBStats()
 

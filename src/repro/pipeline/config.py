@@ -54,8 +54,10 @@ TABLE_III: dict[int, tuple[int, int, int, int]] = {
 }
 
 
-def rf_config_for(baseline_regs: int, bits: int = 64) -> RegisterFileConfig:
-    """Equal-area banked configuration for a baseline register count.
+def rf_config_for(config: MachineConfig, baseline_regs: int,
+                  bits: int = 64) -> RegisterFileConfig:
+    """Equal-area banked configuration for a baseline register count, the
+    scheme's overheads priced for ``config``'s counters and predictor.
 
     Derived from the calibrated CACTI-lite area model, following the
     paper's methodology ("we adjust the number of registers in the
@@ -71,7 +73,9 @@ def rf_config_for(baseline_regs: int, bits: int = 64) -> RegisterFileConfig:
     from repro.area.equal_area import equal_area_banks
     from repro.core.register_file import RegisterFileConfig
 
-    return RegisterFileConfig(bank_sizes=equal_area_banks(baseline_regs, bits))
+    return RegisterFileConfig(bank_sizes=equal_area_banks(
+        baseline_regs, bits, config.counter_bits,
+        config.type_predictor_entries))
 
 
 @dataclass(frozen=True)
@@ -181,12 +185,12 @@ class MachineConfig:
         int_cfg = (
             RegisterFileConfig(bank_sizes=tuple(self.int_banks))
             if self.int_banks
-            else rf_config_for(self.int_regs)
+            else rf_config_for(self, self.int_regs)
         )
         fp_cfg = (
             RegisterFileConfig(bank_sizes=tuple(self.fp_banks))
             if self.fp_banks
-            else rf_config_for(self.fp_regs, bits=128)
+            else rf_config_for(self, self.fp_regs, bits=128)
         )
         return renamer_class(
             int_cfg,

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 from repro.core.renamer import Tag
 from repro.isa.dyninst import DynInst
+from repro.pipeline.config import IQ_SIZE
 
 
 def _ticket_of(entry: "_Entry") -> int:
@@ -38,15 +39,16 @@ class _Entry:
 
 
 class IssueQueue:
-    """Unified issue queue, oldest-first select.
+    """Unified issue queue of :data:`~repro.pipeline.config.IQ_SIZE`
+    entries, oldest-first select.
 
     The ready list is maintained incrementally and only re-filtered /
     re-sorted / re-materialised when something actually changed since the
     last select — an idle or stalled cycle costs O(1), not O(ready).
     """
 
-    def __init__(self, size: int) -> None:
-        self.size = size
+    def __init__(self) -> None:
+        self.size = IQ_SIZE
         self._size = 0
         self._ticket = count()
         self._by_dyn: dict[int, _Entry] = {}

@@ -34,11 +34,12 @@ class _MemEntry:
 
 
 class LoadStoreQueue:
-    """Split load/store queues, tracked together in program order."""
+    """Split load/store queues of :data:`LQ_SIZE` and :data:`SQ_SIZE`
+    entries, tracked together in program order."""
 
-    def __init__(self, lq_size: int, sq_size: int) -> None:
-        self.lq_size = lq_size
-        self.sq_size = sq_size
+    def __init__(self) -> None:
+        self.lq_size = LQ_SIZE
+        self.sq_size = SQ_SIZE
         self._entries: deque[_MemEntry] = deque()  # program order
         self._by_id: dict[int, _MemEntry] = {}
         self._loads = 0

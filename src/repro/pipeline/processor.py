@@ -41,7 +41,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.pipeline.config import IQ_SIZE, MachineConfig
 from repro.pipeline.functional_units import FUPool
 from repro.pipeline.issue_queue import IssueQueue
-from repro.pipeline.lsq import LQ_SIZE, SQ_SIZE, LoadStoreQueue
+from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stats import SimStats
 
@@ -112,8 +112,8 @@ class Processor:
         self.renamer: BaseRenamer = config.make_renamer()
         self._track_reads = self.renamer.tracks_operand_reads
         self.rob = ReorderBuffer(config.rob_size)
-        self.iq = IssueQueue(IQ_SIZE)
-        self.lsq = LoadStoreQueue(LQ_SIZE, SQ_SIZE)
+        self.iq = IssueQueue()
+        self.lsq = LoadStoreQueue()
         self.fus = FUPool(config.fu_config)
         #: read-port-reduction scheme (repro.core.read_ports), or None
         self.read_ports = make_port_scheme(config)

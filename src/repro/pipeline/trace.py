@@ -18,9 +18,13 @@ Stage letters: F fetch, R rename/dispatch, I issue, W writeback
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.isa.dyninst import DynInst
+
+#: columns of a Gantt chart's timeline, and the instructions it shows
+GANTT_WIDTH = 72
+GANTT_ROWS = 40
 
 
 def _tag_str(tag) -> str:
@@ -31,17 +35,14 @@ def _tag_str(tag) -> str:
     return f"{prefix}{phys}.{version}"
 
 
-def trace_table(insts: Iterable[DynInst], limit: Optional[int] = None) -> str:
+def trace_table(insts: Iterable[DynInst]) -> str:
     """Stage-cycle table for committed instructions."""
     rows = []
     header = (f"{'seq':>5s} {'pc':>5s} {'instruction':24s} "
               f"{'F':>6s} {'R':>6s} {'I':>6s} {'W':>6s} {'C':>6s}  tags")
     rows.append(header)
     rows.append("-" * len(header))
-    for index, dyn in enumerate(insts):
-        if limit is not None and index >= limit:
-            rows.append(f"... ({index}+ instructions)")
-            break
+    for dyn in insts:
         text = str(dyn).split("] ", 1)[-1]
         dest = _tag_str(dyn.dest_tag)
         srcs = ",".join(_tag_str(t) for t in dyn.src_tags)
@@ -55,16 +56,17 @@ def trace_table(insts: Iterable[DynInst], limit: Optional[int] = None) -> str:
     return "\n".join(rows)
 
 
-def trace_gantt(insts: Iterable[DynInst], width: int = 72,
-                limit: int = 40) -> str:
-    """ASCII Gantt chart of the pipeline occupancy of each instruction."""
-    insts = list(insts)[:limit]
+def trace_gantt(insts: Iterable[DynInst]) -> str:
+    """ASCII Gantt chart of the pipeline occupancy of the first
+    :data:`GANTT_ROWS` instructions, at most :data:`GANTT_WIDTH` columns
+    wide."""
+    insts = list(insts)[:GANTT_ROWS]
     if not insts:
         return "(empty trace)"
     start = min(d.fetch_cycle for d in insts if d.fetch_cycle >= 0)
     end = max(d.commit_cycle for d in insts)
     span = max(1, end - start + 1)
-    scale = min(1.0, width / span)
+    scale = min(1.0, GANTT_WIDTH / span)
 
     def col(cycle: int) -> int:
         return int((cycle - start) * scale)

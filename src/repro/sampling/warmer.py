@@ -177,7 +177,7 @@ class FunctionalWarmer:
         hierarchy = self.hierarchy
         line_bytes = LINE_BYTES
         pcs = cols.pcs
-        fidx = cols.fetch_line_starts(line_bytes)
+        fidx = cols.fetch_line_starts()
         flist = fidx[bisect_left(fidx, lo):bisect_left(fidx, hi)]
         if not flist or flist[0] != lo:
             # the range may start mid-run: index lo still needs its line

@@ -20,19 +20,21 @@ from typing import Iterable, Iterator, Optional
 from repro.isa.dyninst import DynInst
 from repro.isa.registers import RegRef
 
+#: instructions of lookahead past the one being annotated
+HINT_WINDOW = 64
+
 
 class _Window:
     """Lookahead buffer with positional value-lifetime queries."""
 
-    def __init__(self, stream: Iterable[DynInst], size: int) -> None:
+    def __init__(self, stream: Iterable[DynInst]) -> None:
         self._iter = iter(stream)
-        self._size = size
         self.buffer: deque[DynInst] = deque()
         self._exhausted = False
         self.fill()
 
     def fill(self) -> None:
-        while not self._exhausted and len(self.buffer) <= self._size:
+        while not self._exhausted and len(self.buffer) <= HINT_WINDOW:
             nxt = next(self._iter, None)
             if nxt is None:
                 self._exhausted = True
@@ -67,10 +69,11 @@ class _Window:
         return None
 
 
-def annotate_hints(stream: Iterable[DynInst], window: int = 64) -> Iterator[DynInst]:
+def annotate_hints(stream: Iterable[DynInst]) -> Iterator[DynInst]:
     """Yield the stream with ``hint_src_single_use`` / ``hint_dest_single_use``
-    / ``hint_reuse_depth`` filled from a ``window``-instruction lookahead."""
-    win = _Window(stream, window)
+    / ``hint_reuse_depth`` filled from a :data:`HINT_WINDOW`-instruction
+    lookahead."""
+    win = _Window(stream)
     while True:
         dyn = win.pop()
         if dyn is None:

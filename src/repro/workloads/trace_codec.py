@@ -66,6 +66,7 @@ from typing import Iterable, Iterator, List, Optional
 from repro.isa.dyninst import DynInst
 from repro.isa.opcodes import OPCODES, Op
 from repro.isa.registers import INT_REGS, RegClass, RegRef
+from repro.mem.cache import LINE_BYTES
 
 MAGIC = b"RTRC"
 FORMAT_VERSION = 1
@@ -514,7 +515,7 @@ class TraceColumns:
                  "next_pcs", "dests", "srcss", "targets", "hsrcs",
                  "hdepths", "imms", "mem_addrs", "store_values", "results",
                  "src_valuess", "_branch_idx", "_mem_idx",
-                 "_fetch_runs", "_flag_mark_cache")
+                 "_fetch_starts", "_flag_mark_cache")
 
     def __init__(self, data: bytes) -> None:
         count, offset = _check_header(data)
@@ -532,7 +533,7 @@ class TraceColumns:
         # range-scan caches, built lazily on first query
         self._branch_idx: Optional[list] = None
         self._mem_idx: Optional[list] = None
-        self._fetch_runs: dict = {}
+        self._fetch_starts: Optional[list] = None
         self._flag_mark_cache: dict = {}
         self.next_pcs = reader.array("I", count, 4)
         dest_table = _DEST_TABLE
@@ -634,27 +635,27 @@ class TraceColumns:
                 if mem_addrs[i] is not None]
         return idx
 
-    def fetch_line_starts(self, line_bytes: int) -> list:
-        """Sorted indices where the i-fetch line changes (cached per size).
+    def fetch_line_starts(self) -> list:
+        """Sorted indices where the i-fetch line changes (cached).
 
         Index 0 is always a start; a consumer resuming mid-stream must
         still compare its first event against its own line tracking,
         because a range can begin inside a run.
         """
-        starts = self._fetch_runs.get(line_bytes)
+        starts = self._fetch_starts
         if starts is not None:
             return starts
         count = self.count
         starts = [0] if count else []
         append = starts.append
         pcs = self.pcs
-        last = pcs[0] // line_bytes if count else 0
+        last = pcs[0] // LINE_BYTES if count else 0
         for i in range(1, count):
-            line = pcs[i] // line_bytes
+            line = pcs[i] // LINE_BYTES
             if line != last:
                 last = line
                 append(i)
-        self._fetch_runs[line_bytes] = starts
+        self._fetch_starts = starts
         return starts
 
     def flag_count_before(self, flag: int, lo: int) -> int:

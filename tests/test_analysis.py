@@ -121,8 +121,7 @@ def test_cross_class_sources_not_reused():
 # --------------------------------------------------------------- Figure 9
 def test_shadow_demand_measurement():
     workload = SyntheticWorkload(BENCHMARKS["milc"], total_insts=5000)
-    demand = measure_shadow_demand(list(workload), total_regs=192,
-                                   sample_interval=32)
+    demand = measure_shadow_demand(list(workload))
     assert demand.samples[1], "no samples collected"
     table = {k: {c: demand.registers_needed(k, c) for c in (0.5, 0.9, 0.99)}
              for k in (1, 2, 3)}

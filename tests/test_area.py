@@ -16,9 +16,13 @@ from repro.area import (
     total_overhead_area,
     validate_table3,
 )
-from repro.area.cacti_lite import COUNTER_BITS, PREDICTOR_ENTRIES
+from repro.area.cacti_lite import (
+    COUNTER_BITS,
+    PREDICTOR_ENTRIES,
+    bit_cell_area,
+)
 from repro.core.register_file import RegisterFileConfig
-from repro.pipeline.config import TABLE_III, MachineConfig
+from repro.pipeline.config import MachineConfig
 
 
 # ------------------------------------------------------------------ Table II
@@ -52,9 +56,11 @@ def test_table2_render():
 
 # ------------------------------------------------------------------ model shape
 def test_area_scales_with_ports_quadratically():
-    few = register_file_area(64, 64, read_ports=2, write_ports=1)
-    many = register_file_area(64, 64, read_ports=8, write_ports=4)
-    assert many > few * 3
+    assert bit_cell_area(12) == pytest.approx(bit_cell_area(3) * (13 / 4) ** 2)
+    # the per-register periphery does not scale, and the write ports stay
+    few = register_file_area(64, 64, read_ports=2)
+    many = register_file_area(64, 64, read_ports=8)
+    assert many > few * 2
 
 
 def test_shadow_cells_port_independent_and_cheap():
@@ -98,10 +104,24 @@ def test_equal_area_too_small_baseline_rejected():
         equal_area_banks(30)
 
 
+def test_equal_area_prices_the_simulated_predictor_and_counters():
+    """A configuration pays, at equal area, for the predictor and the
+    version counters it simulates, not for Table II's."""
+    def int_banks(**fields):
+        renamer = MachineConfig(scheme="sharing", **fields).make_renamer()
+        return renamer.domains[0].config.bank_sizes
+
+    assert int_banks(int_regs=64) == equal_area_banks(64) == (42, 6, 6, 6)
+    assert int_banks(int_regs=64, type_predictor_entries=2048) == (38, 6, 6, 6)
+    assert int_banks(int_regs=48, counter_bits=3) == (32, 4, 4, 4)
+    with pytest.raises(ValueError):
+        int_banks(int_regs=48, type_predictor_entries=4096)
+
+
 def test_paper_table3_is_conservative():
     """The paper's Table III rows never exceed the baseline area under our
     calibrated model (they under-use the budget; see EXPERIMENTS.md)."""
-    rows = validate_table3(TABLE_III)
+    rows = validate_table3()
     assert len(rows) == 7
     for _baseline, _banks, base_mm2, prop_mm2, utilisation in rows:
         assert prop_mm2 <= base_mm2

@@ -1,6 +1,8 @@
 """Unit tests for branch direction/target prediction."""
 
 from repro.frontend.branch_predictor import (
+    BTB_ENTRIES,
+    RAS_DEPTH,
     BimodalPredictor,
     BranchTargetBuffer,
     BranchUnit,
@@ -12,7 +14,7 @@ from repro.isa.opcodes import Op
 
 
 def test_bimodal_learns_bias():
-    predictor = BimodalPredictor(64)
+    predictor = BimodalPredictor()
     for _ in range(4):
         predictor.update(5, True)
     assert predictor.predict(5)
@@ -22,7 +24,7 @@ def test_bimodal_learns_bias():
 
 
 def test_bimodal_hysteresis():
-    predictor = BimodalPredictor(64)
+    predictor = BimodalPredictor()
     for _ in range(4):
         predictor.update(5, True)
     predictor.update(5, False)  # one not-taken shouldn't flip a saturated entry
@@ -30,7 +32,7 @@ def test_bimodal_hysteresis():
 
 
 def test_gshare_separates_histories():
-    predictor = GSharePredictor(256, history_bits=4)
+    predictor = GSharePredictor()
     # alternating pattern: global history disambiguates
     for _ in range(64):
         predictor.update(9, predictor.history & 1 == 0)
@@ -43,21 +45,20 @@ def test_gshare_separates_histories():
 
 
 def test_btb_tag_match():
-    btb = BranchTargetBuffer(16)
+    btb = BranchTargetBuffer()
     assert btb.lookup(3) is None
     btb.update(3, 77)
     assert btb.lookup(3) == 77
     # aliasing index with different tag misses
-    assert btb.lookup(3 + 16) is None
+    assert btb.lookup(3 + BTB_ENTRIES) is None
 
 
 def test_ras_push_pop_depth():
-    ras = ReturnAddressStack(2)
-    ras.push(1)
-    ras.push(2)
-    ras.push(3)  # overflows: oldest dropped
-    assert ras.pop() == 3
-    assert ras.pop() == 2
+    ras = ReturnAddressStack()
+    for addr in range(RAS_DEPTH + 1):  # overflows: oldest dropped
+        ras.push(addr)
+    for addr in range(RAS_DEPTH, 0, -1):
+        assert ras.pop() == addr
     assert ras.pop() is None
 
 

@@ -202,7 +202,7 @@ def test_codec_loads_no_numpy():
         "w = SyntheticWorkload(BENCHMARKS['hmmer'], total_insts=800, seed=7)\n"
         "cols = trace_codec.TraceColumns(w.trace_bytes())\n"
         "cols.branch_indices(); cols.mem_indices()\n"
-        "cols.fetch_line_starts(64); cols.rewind(cols.materialize())\n"
+        "cols.fetch_line_starts(); cols.rewind(cols.materialize())\n"
         "print('numpy' in sys.modules)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

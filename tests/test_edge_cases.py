@@ -28,13 +28,13 @@ def test_trace_gantt_wide_span_scales():
     a = make_inst(Op.NOP)
     a.fetch_cycle, a.rename_cycle, a.issue_cycle = 0, 1, 2
     a.complete_cycle, a.commit_cycle = 3, 10_000
-    text = trace_gantt([a], width=40)
+    text = trace_gantt([a])
     assert len(text.splitlines()[0]) < 100  # compressed to the width budget
 
 
 # ------------------------------------------------------------- LSQ squash
 def test_lsq_recount_after_unissued_store_squash():
-    lsq = LoadStoreQueue(8, 8)
+    lsq = LoadStoreQueue()
     s1 = make_inst(Op.ST, None, ("x1", "x2"), mem_addr=0)
     s2 = make_inst(Op.ST, None, ("x1", "x2"), mem_addr=8)
     load = make_inst(Op.LD, "x3", ("x2",), mem_addr=16)
@@ -48,7 +48,7 @@ def test_lsq_recount_after_unissued_store_squash():
 
 
 def test_lsq_discard_issued_store_keeps_counts():
-    lsq = LoadStoreQueue(8, 8)
+    lsq = LoadStoreQueue()
     store = make_inst(Op.ST, None, ("x1", "x2"), mem_addr=0)
     load = make_inst(Op.LD, "x3", ("x2",), mem_addr=0)
     lsq.insert(store)

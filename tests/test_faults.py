@@ -104,12 +104,13 @@ def test_classify_exception_orders_checkers_before_bare_assert():
 # ------------------------------------------------------------- taxonomy
 def test_live_cell_flip_is_detected():
     """Corrupting a value a consumer will read must trip a checker."""
-    clean = clean_reference("conventional", 11, 20)
+    cache: dict = {}
+    clean = clean_reference("conventional", 11, 20, cache)
     spec = InjectionSpec(kind="flip_live", scheme="conventional",
                          program_seed=11, program_size=20,
                          trigger_cycle=max(2, clean.cycles // 4),
                          target_index=0, bit=0)
-    record = run_injection(spec, clean=clean)
+    record = run_injection(spec, clean_cache=cache)
     assert record.outcome == "detected"
     assert record.detector == "operand_verify"
     assert record.details["tag"]  # the injector recorded its victim
@@ -117,34 +118,37 @@ def test_live_cell_flip_is_detected():
 
 def test_shadow_cell_flip_on_superseded_version_is_masked():
     """A stale shadow version nobody will read again absorbs the upset."""
-    clean = clean_reference("sharing", 42, 30)
+    cache: dict = {}
+    clean = clean_reference("sharing", 42, 30, cache)
     spec = InjectionSpec(kind="flip_shadow", scheme="sharing",
                          program_seed=42, program_size=30,
                          trigger_cycle=max(2, clean.cycles // 3),
                          target_index=0, bit=7)
-    record = run_injection(spec, clean=clean)
+    record = run_injection(spec, clean_cache=cache)
     assert record.outcome == "masked"
     assert record.details["planted"] is False
 
 
 def test_shadow_cell_flip_can_also_be_detected():
-    clean = clean_reference("sharing", 11, 30)
+    cache: dict = {}
+    clean = clean_reference("sharing", 11, 30, cache)
     spec = InjectionSpec(kind="flip_shadow", scheme="sharing",
                          program_seed=11, program_size=30,
                          trigger_cycle=max(2, clean.cycles // 3),
                          target_index=0, bit=7)
-    record = run_injection(spec, clean=clean)
+    record = run_injection(spec, clean_cache=cache)
     assert record.outcome == "detected"
     assert record.detector == "oracle"
 
 
 def test_squash_storm_classifies_recovered():
-    clean = clean_reference("sharing", 11, 30)
+    cache: dict = {}
+    clean = clean_reference("sharing", 11, 30, cache)
     spec = InjectionSpec(kind="squash_storm", scheme="sharing",
                          program_seed=11, program_size=30,
                          trigger_cycle=max(2, clean.cycles // 4),
                          flush_count=2, flush_gap=20)
-    record = run_injection(spec, clean=clean)
+    record = run_injection(spec, clean_cache=cache)
     assert record.outcome == "recovered"
     assert len(record.details["flushes"]) == 2
 

@@ -8,12 +8,12 @@ from repro.isa.executor import FunctionalExecutor, run_to_completion
 from repro.isa.opcodes import Op
 from repro.pipeline.processor import Processor
 from repro.workloads.kernels import gmm_kernel
-from repro.workloads.lookahead import annotate_hints
+from repro.workloads.lookahead import HINT_WINDOW, annotate_hints
 
 
-def annotated(text, window=64):
+def annotated(text):
     executor = FunctionalExecutor(assemble(text))
-    return list(annotate_hints(executor.run(100_000), window=window))
+    return list(annotate_hints(executor.run(100_000)))
 
 
 def test_single_use_chain_hinted():
@@ -63,20 +63,20 @@ def test_unknown_fate_is_conservative():
 
 
 def test_window_bounds_lookahead():
-    filler = "\n".join("      nop" for _ in range(80))
-    text = f"""
+    def gap(nops):
+        filler = "\n".join("      nop" for _ in range(nops))
+        return annotated(f"""
     main: movi x1, 5
 {filler}
           add  x2, x1, x1
           movi x1, 0
           halt
-    """
-    wide = annotated(text, window=128)
-    narrow = annotated(text, window=16)
+    """)
+
     # one consuming instruction, redefinition visible: single use
-    assert wide[0].hint_dest_single_use
-    # fate unknown within 16 instructions: conservative multi-use
-    assert not narrow[0].hint_dest_single_use
+    assert gap(HINT_WINDOW - 16)[0].hint_dest_single_use
+    # fate unknown within the window: conservative multi-use
+    assert not gap(HINT_WINDOW + 16)[0].hint_dest_single_use
 
 
 def test_hinted_scheme_on_real_kernel():
@@ -86,7 +86,7 @@ def test_hinted_scheme_on_real_kernel():
     reference = run_to_completion(kernel.program, 2_000_000)
 
     executor = FunctionalExecutor(kernel.program)
-    source = IterSource(annotate_hints(executor.run(2_000_000), window=48))
+    source = IterSource(annotate_hints(executor.run(2_000_000)))
     config = MachineConfig(scheme="hinted", int_regs=56, fp_regs=56)
     processor = Processor(config, source)
     stats = processor.run()

@@ -11,7 +11,7 @@ from repro.mem.cache import Cache
 from repro.mem.dram import DRAM, ROW_BYTES, ROW_HIT_LATENCY, ROW_MISS_LATENCY
 from repro.mem.hierarchy import L1D_LATENCY, MemoryHierarchy
 from repro.mem.prefetcher import StridePrefetcher
-from repro.mem.tlb import TLB
+from repro.mem.tlb import TLB, TLB_MISS_PENALTY
 from repro.pipeline.stats import CacheStats, DRAMStats, TLBStats
 
 
@@ -38,8 +38,8 @@ def test_sparse_memory_blocks_and_copy():
 
 # --------------------------------------------------------------------- caches
 def make_l1(next_level=None):
-    return Cache("L1", size_bytes=1024, assoc=2, line_bytes=64,
-                 hit_latency=1, next_level=next_level)
+    return Cache("L1", size_bytes=1024, assoc=2, hit_latency=1,
+                 next_level=next_level)
 
 
 def test_cache_hit_after_miss():
@@ -52,7 +52,7 @@ def test_cache_hit_after_miss():
 
 
 def test_cache_miss_goes_to_next_level():
-    l2 = Cache("L2", 4096, 4, 64, hit_latency=10)
+    l2 = Cache("L2", 4096, 4, hit_latency=10)
     l1 = make_l1(next_level=l2)
     latency = l1.access(0x0, False, 0)
     assert latency == 1 + 10
@@ -75,7 +75,7 @@ def test_cache_lru_eviction():
 
 
 def test_cache_writeback_of_dirty_victim():
-    l2 = Cache("L2", 4096, 4, 64, hit_latency=10)
+    l2 = Cache("L2", 4096, 4, hit_latency=10)
     l1 = make_l1(next_level=l2)
     set_stride = 64 * 8
     l1.access(0, True, 0)  # dirty
@@ -114,20 +114,22 @@ def test_dram_bank_interleaving():
 
 # --------------------------------------------------------------------- TLB
 def test_tlb_hit_miss_and_lru():
-    tlb = TLB(entries=2, miss_penalty=30)
-    assert tlb.translate(0x0000) == 30
+    tlb = TLB()
+    tlb.entries = 2  # a two-entry TLB, substituted after construction
+    walk = TLB_MISS_PENALTY
+    assert tlb.translate(0x0000) == walk
     assert tlb.translate(0x0008) == 0  # same page
-    assert tlb.translate(0x1000) == 30
+    assert tlb.translate(0x1000) == walk
     assert tlb.translate(0x0000) == 0  # still resident
-    assert tlb.translate(0x2000) == 30  # evicts LRU (0x1000's page)
-    assert tlb.translate(0x1000) == 30
+    assert tlb.translate(0x2000) == walk  # evicts LRU (0x1000's page)
+    assert tlb.translate(0x1000) == walk
     assert tlb.stats.misses == 4
 
 
 # --------------------------------------------------------------------- prefetcher
 def test_stride_prefetcher_trains_and_issues():
     cache = make_l1()
-    pf = StridePrefetcher(degree=1, table_size=16, threshold=2)
+    pf = StridePrefetcher()
     pc = 0x40
     for i in range(4):
         pf.observe(pc, 0x1000 + i * 64, cache, i)
@@ -138,7 +140,7 @@ def test_stride_prefetcher_trains_and_issues():
 
 def test_stride_prefetcher_ignores_irregular():
     cache = make_l1()
-    pf = StridePrefetcher(1, table_size=16)
+    pf = StridePrefetcher()
     addrs = [0x0, 0x1000, 0x40, 0x2000, 0x80]
     for i, addr in enumerate(addrs):
         pf.observe(0x40, addr, cache, i)
@@ -198,13 +200,13 @@ class _RefSet:
 
 
 class _RefCache:
-    def __init__(self, name, size_bytes, assoc, line_bytes, hit_latency,
-                 next_level=None):
+    line_bytes = 64  # Table I
+
+    def __init__(self, name, size_bytes, assoc, hit_latency, next_level=None):
         self.assoc = assoc
-        self.line_bytes = line_bytes
         self.hit_latency = hit_latency
         self.next_level = next_level
-        self.num_sets = size_bytes // (assoc * line_bytes)
+        self.num_sets = size_bytes // (assoc * self.line_bytes)
         self._sets = [_RefSet() for _ in range(self.num_sets)]
         self.stats = CacheStats()
         self._prefetched = set()
@@ -343,9 +345,9 @@ class _RefHierarchy:
 
     def __init__(self):
         self.dram = _RefDRAM()
-        self.l2 = _RefCache("L2", 1024 * 1024, 16, 64, 12, next_level=self.dram)
-        self.l1d = _RefCache("L1D", 32 * 1024, 2, 64, 1, next_level=self.l2)
-        self.l1i = _RefCache("L1I", 48 * 1024, 3, 64, 1, next_level=self.l2)
+        self.l2 = _RefCache("L2", 1024 * 1024, 16, 12, next_level=self.dram)
+        self.l1d = _RefCache("L1D", 32 * 1024, 2, 1, next_level=self.l2)
+        self.l1i = _RefCache("L1I", 48 * 1024, 3, 1, next_level=self.l2)
         self.tlb = _RefTLB(48, miss_penalty=30)
         self.prefetcher = _RefPrefetcher(degree=1)
 
@@ -374,15 +376,16 @@ def _full_state(h):
              for k, e in pf.table.items()}, pf.issued)
 
 
-def _shrink(h, cache, tlb, prefetcher):
-    """Swap smaller members into the hierarchy ``h`` (built by the classes
-    given): the same stream then evicts more, misses the TLB more, and
-    prefetches two strides ahead."""
-    h.l2 = cache("L2", 32 * 1024, 4, 64, 12, next_level=h.dram)
-    h.l1d = cache("L1D", 2 * 1024, 2, 64, 1, next_level=h.l2)
-    h.l1i = cache("L1I", 3 * 1024, 3, 64, 1, next_level=h.l2)
-    h.tlb = tlb(8, 30)
-    h.prefetcher = prefetcher(2)
+def _shrink(h, cache):
+    """Swap smaller caches (built by the class ``cache``) into the fresh
+    hierarchy ``h`` and shrink its TLB and widen its prefetches in place:
+    the same stream then evicts more, misses the TLB more, and prefetches
+    two strides ahead."""
+    h.l2 = cache("L2", 32 * 1024, 4, 12, next_level=h.dram)
+    h.l1d = cache("L1D", 2 * 1024, 2, 1, next_level=h.l2)
+    h.l1i = cache("L1I", 3 * 1024, 3, 1, next_level=h.l2)
+    h.tlb.entries = 8
+    h.prefetcher.degree = 2
 
 
 def _mixed_stream(seed: int, n: int):
@@ -423,8 +426,8 @@ def test_flat_hierarchy_matches_reference_model(small):
         [(c.num_sets, c.assoc, c.hit_latency)
          for c in (ref.l1i, ref.l1d, ref.l2)]
     if small:
-        _shrink(fast, Cache, TLB, StridePrefetcher)
-        _shrink(ref, _RefCache, _RefTLB, _RefPrefetcher)
+        _shrink(fast, Cache)
+        _shrink(ref, _RefCache)
     for cycle, (kind, pc, addr) in enumerate(_mixed_stream(11, 20_000)):
         if kind == "fetch":
             got = fast.access(addr, False, cycle)  # the FetchUnit's entry
@@ -450,11 +453,11 @@ def test_flat_cache_matches_reference_model():
     """A bare two-level ``Cache`` stack (no hierarchy in front) and its
     ``prefetch``/``contains`` against the reference."""
     rng = random.Random(5)
-    fast = Cache("L1", 1024, 2, 64, 1,
-                 next_level=Cache("L2", 4096, 4, 64, 10,
+    fast = Cache("L1", 1024, 2, 1,
+                 next_level=Cache("L2", 4096, 4, 10,
                                   next_level=DRAM()))
-    ref = _RefCache("L1", 1024, 2, 64, 1,
-                    next_level=_RefCache("L2", 4096, 4, 64, 10,
+    ref = _RefCache("L1", 1024, 2, 1,
+                    next_level=_RefCache("L2", 4096, 4, 10,
                                          next_level=_RefDRAM()))
     for cycle in range(20_000):
         addr = rng.randrange(1 << 16)

@@ -4,7 +4,12 @@ functional units and the fetch engine."""
 import pytest
 
 from repro.frontend.branch_predictor import BranchUnit
-from repro.frontend.fetch import FetchUnit, IterSource
+from repro.frontend.fetch import (
+    FETCH_QUEUE,
+    MISPREDICT_PENALTY,
+    FetchUnit,
+    IterSource,
+)
 from repro.isa.opcodes import Op
 from repro.pipeline.functional_units import FUPool
 from repro.pipeline.issue_queue import IssueQueue
@@ -49,7 +54,7 @@ def ready_set(ready_tags):
 
 
 def test_iq_wakeup_on_exact_version():
-    iq = IssueQueue(8)
+    iq = IssueQueue()
     consumer_v1 = make_inst(Op.ADD, "x1", ("x2", "x3"))
     consumer_v1.src_tags = [(0, 5, 1), (0, 6, 0)]
     consumer_v2 = make_inst(Op.ADD, "x4", ("x2", "x3"))
@@ -65,7 +70,7 @@ def test_iq_wakeup_on_exact_version():
 
 
 def test_iq_ready_at_insert():
-    iq = IssueQueue(4)
+    iq = IssueQueue()
     dyn = make_inst(Op.ADD, "x1", ("x2", "x3"))
     dyn.src_tags = [(0, 1, 0), (0, 2, 0)]
     iq.insert(dyn, ready_set({(0, 1, 0), (0, 2, 0)}))
@@ -73,7 +78,7 @@ def test_iq_ready_at_insert():
 
 
 def test_iq_oldest_first_and_remove():
-    iq = IssueQueue(4)
+    iq = IssueQueue()
     a = make_inst(Op.NOP)
     b = make_inst(Op.NOP)
     a.src_tags = b.src_tags = []
@@ -87,7 +92,8 @@ def test_iq_oldest_first_and_remove():
 
 
 def test_iq_capacity():
-    iq = IssueQueue(1)
+    iq = IssueQueue()
+    iq.size = 1  # a one-entry queue, substituted after construction
     a = make_inst(Op.NOP)
     a.src_tags = []
     iq.insert(a, ready_set(set()))
@@ -106,7 +112,7 @@ def mem_inst(op, addr, **kw):
 
 
 def test_lsq_load_waits_for_older_store_addresses():
-    lsq = LoadStoreQueue(4, 4)
+    lsq = LoadStoreQueue()
     store = mem_inst(Op.ST, 0x100)
     load = mem_inst(Op.LD, 0x200)
     lsq.insert(store)
@@ -117,7 +123,7 @@ def test_lsq_load_waits_for_older_store_addresses():
 
 
 def test_lsq_forwarding_from_youngest_matching_store():
-    lsq = LoadStoreQueue(4, 4)
+    lsq = LoadStoreQueue()
     old = mem_inst(Op.ST, 0x100)
     new = mem_inst(Op.ST, 0x100)
     other = mem_inst(Op.ST, 0x180)
@@ -130,7 +136,7 @@ def test_lsq_forwarding_from_youngest_matching_store():
 
 
 def test_lsq_no_forwarding_across_words():
-    lsq = LoadStoreQueue(4, 4)
+    lsq = LoadStoreQueue()
     store = mem_inst(Op.ST, 0x100)
     load = mem_inst(Op.LD, 0x108)
     lsq.insert(store)
@@ -140,7 +146,8 @@ def test_lsq_no_forwarding_across_words():
 
 
 def test_lsq_capacity_split():
-    lsq = LoadStoreQueue(1, 2)
+    lsq = LoadStoreQueue()
+    lsq.lq_size, lsq.sq_size = 1, 2  # substituted after construction
     load = mem_inst(Op.LD, 0)
     lsq.insert(load)
     assert not lsq.can_insert(mem_inst(Op.LD, 8))
@@ -150,7 +157,7 @@ def test_lsq_capacity_split():
 
 
 def test_lsq_flush():
-    lsq = LoadStoreQueue(4, 4)
+    lsq = LoadStoreQueue()
     lsq.insert(mem_inst(Op.LD, 0))
     lsq.flush()
     assert len(lsq) == 0
@@ -198,22 +205,22 @@ def linear_insts(n, start_seq=0):
     return out
 
 
-def make_fetch(insts, width=3, queue=8):
+def make_fetch(insts, width=3):
     return FetchUnit(IterSource(iter(insts)), BranchUnit(), _NoICache(),
-                     fetch_width=width, queue_size=queue,
-                     mispredict_penalty=5)
+                     fetch_width=width)
 
 
 def test_fetch_width_and_queue_bound():
-    fetch = make_fetch(linear_insts(20), width=3, queue=4)
+    fetch = make_fetch(linear_insts(FETCH_QUEUE + 10), width=3)
     fetch.tick(1)
     assert len(fetch.queue) == 3
-    fetch.tick(2)
-    assert len(fetch.queue) == 4  # queue bound
+    for cycle in range(2, FETCH_QUEUE):
+        fetch.tick(cycle)
+    assert len(fetch.queue) == FETCH_QUEUE  # queue bound
     fetch.pop()
     fetch.pop()
-    fetch.tick(3)
-    assert len(fetch.queue) == 4
+    fetch.tick(FETCH_QUEUE)
+    assert len(fetch.queue) == FETCH_QUEUE
 
 
 def test_fetch_stalls_on_mispredicted_branch_until_resolved():
@@ -233,7 +240,7 @@ def test_fetch_stalls_on_mispredicted_branch_until_resolved():
     fetch.branch_resolved(branch, 4)
     fetch.tick(5)
     assert len(fetch.queue) == before  # still inside redirect penalty
-    fetch.tick(4 + 5)
+    fetch.tick(4 + MISPREDICT_PENALTY)
     assert after in fetch.queue
 
 
@@ -249,7 +256,7 @@ def test_fetch_eof():
 
 def test_fetch_replay_order_preserved():
     insts = linear_insts(6)
-    fetch = make_fetch(insts, width=6, queue=10)
+    fetch = make_fetch(insts, width=6)
     fetch.tick(1)
     fetched = [fetch.pop() for _ in range(3)]
     # exception: replay the three popped plus whatever remains queued
@@ -271,7 +278,7 @@ def test_fetch_replay_preserves_pending_slot():
 
     insts = linear_insts(40)
     fetch = FetchUnit(IterSource(iter(insts)), BranchUnit(), SlowICache(),
-                      fetch_width=3, queue_size=8, mispredict_penalty=5)
+                      fetch_width=3)
     fetch.tick(1)  # first inst stalls in the pending slot
     assert len(fetch.queue) == 0
     fetch.inject_replay([], cycle=1, redirect_penalty=0)

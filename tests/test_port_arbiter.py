@@ -19,15 +19,11 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.read_ports import (
-    BankedArbiterPorts,
-    BypassTracker,
-    make_port_scheme,
-)
+from repro.core.read_ports import BypassTracker, make_port_scheme
 from repro.pipeline.stats import SimStats
 from repro.verify.fuzz import fuzz_config, generate
 
-from tests.util import program_processor
+from tests.util import banked_arbiter, program_processor
 
 
 def _tag(cls: int, phys: int):
@@ -58,8 +54,7 @@ def test_arbiter_capacity_and_delay_accounting(case):
     delay always covers the bank's oversubscription, so no more than
     ``ports`` reads land in any single future read slot."""
     banks, ports, max_delay, requests = case
-    arbiter = BankedArbiterPorts(banks=banks, ports_per_bank=ports,
-                                 max_delay=max_delay)
+    arbiter = banked_arbiter(banks, ports, max_delay)
     cycle = 0
     arbiter.begin_cycle(cycle)
     used: dict = {}
@@ -100,8 +95,7 @@ def test_arbiter_never_starves_fresh_cycle(case):
     be denied twice in a row with no intervening progress (deadlock
     freedom for the issue stage)."""
     banks, ports, max_delay, requests = case
-    arbiter = BankedArbiterPorts(banks=banks, ports_per_bank=ports,
-                                 max_delay=max_delay)
+    arbiter = banked_arbiter(banks, ports, max_delay)
     for cycle, srcs in enumerate(requests):
         arbiter.begin_cycle(cycle)  # new cycle: per-bank state resets
         tags = [_tag(cls, phys) for cls, phys in srcs]
@@ -118,8 +112,7 @@ def test_arbiter_bank_slot_capacity(case):
     """Reconstruct the per-bank schedule: within one cycle, the reads
     granted to a bank never exceed ``ports * (max granted delay + 1)``."""
     banks, ports, max_delay, requests = case
-    arbiter = BankedArbiterPorts(banks=banks, ports_per_bank=ports,
-                                 max_delay=max_delay)
+    arbiter = banked_arbiter(banks, ports, max_delay)
     arbiter.begin_cycle(0)
     totals: dict = {}
     worst_delay = 0
@@ -139,15 +132,16 @@ def test_arbiter_bank_slot_capacity(case):
         assert slots - 1 <= max(worst_delay, max_delay) or total <= ports
 
 
-@given(st.integers(0, 200), st.integers(0, 3))
+@given(st.integers(0, 200), st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_bypass_tracker_window(seed, depth):
     """is_bypassed is true exactly within the depth-cycle window."""
-    tracker = BypassTracker(depth=depth)
+    tracker = BypassTracker()
+    tracker.depth = depth
     tag = _tag(seed % 2, seed % 48)
     tracker.note_write(tag, 100)
     for cycle in range(100, 110):
-        expected = depth > 0 and cycle - 100 < depth
+        expected = cycle - 100 < depth
         assert tracker.is_bypassed(tag, cycle) == expected, (depth, cycle)
 
 

@@ -21,19 +21,26 @@ in the tests or nowhere.  Two AST scans keep it out:
   imports, lazy-export keys and ``__all__``) are not uses: a name that
   only its package exports is still unused.  Dunder names are skipped.
 
-Two more scans keep options that nothing sets out of the program:
+Three more scans keep options the program does not vary out of it.
+Their callers are the program's files, ``src/`` and the entry
+directories, not ``tests/``: a value only a test sets is a constant, and
+a test that needs another substitutes it after construction.
 
 * **options** — every defaulted parameter of a def in ``src/repro`` must
-  be supplied, by position or by keyword, by some call in ``src/``,
-  ``tests/`` or an entry directory whose callee name matches the def
-  (for ``__init__``, the class).  A call with ``*args`` or ``**kwargs``
-  supplies every parameter.  A def whose name is used as a value (a
-  table of kernels, a base class, a callback) has indirect callers and
-  is skipped; annotations and ``isinstance`` checks are not such uses.
-  Dunder methods other than ``__init__`` are skipped.
-* **fields** — the same rules for the defaulted fields of every frozen
-  dataclass in ``src/repro``: a field must be supplied by some call of
-  the class, by position or by keyword, or by a keyword of some
+  be supplied, by position or by keyword, by some program call whose
+  callee name matches the def (for ``__init__``, the class).  A call
+  with ``*args`` or ``**kwargs`` supplies every parameter.  A def whose
+  name is used as a value (a table of kernels, a base class, a callback)
+  has indirect callers and is skipped; annotations and ``isinstance``
+  checks are not such uses.  Dunder methods other than ``__init__`` are
+  skipped.
+* **constants** — by the same rules, no required parameter may receive
+  one and the same constant, a literal or an ALL_CAPS name, from every
+  program call of its def.  A constant passed through a local name
+  escapes it.
+* **fields** — the option rules for the defaulted fields of every frozen
+  dataclass in ``src/repro``: a field must be supplied by some program
+  call of the class, by position or by keyword, or by a keyword of some
   ``replace(...)`` call.  A ``**`` spread into the class supplies every
   field, so this scan cannot see ``MachineConfig``:
   ``benchmarks/test_sensitivity_machine.py`` spreads ``**overrides``
@@ -170,7 +177,7 @@ def _names_used(tree: ast.Module, reexports: bool) -> set[str]:
 
 def unnamed_defs() -> list[str]:
     used: set[str] = set()
-    for path in [*MODULES.values(), *_entry_files()]:
+    for path in _program_files():
         used |= _names_used(_parse(path), path.name == "__init__.py")
     return sorted(
         f"{path.relative_to(SRC)}:{node.lineno}: {node.name}"
@@ -182,9 +189,9 @@ def unnamed_defs() -> list[str]:
         and node.name not in used)
 
 
-def _caller_files() -> list[Path]:
-    return [*MODULES.values(), *sorted((ROOT / "tests").rglob("*.py")),
-            *_entry_files()]
+def _program_files() -> list[Path]:
+    """The program callers: ``src/repro`` and the entry directories."""
+    return [*MODULES.values(), *_entry_files()]
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -196,12 +203,18 @@ def _callee(call: ast.Call) -> str | None:
     return None
 
 
-def _scan_calls() -> tuple[dict[str, tuple[int, set[str], bool]], set[str]]:
-    """Per callee name: (most positional arguments, keywords, whether some
-    call spreads ``*args``/``**kwargs``); and every name used as a value."""
-    supplied: dict[str, tuple[int, set[str], bool]] = {}
+def _spreads(call: ast.Call) -> bool:
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords))
+
+
+@cache
+def _scan_calls() -> tuple[dict[str, list[ast.Call]], set[str]]:
+    """Per callee name, every program call of it; and every name the
+    program uses as a value."""
+    calls: dict[str, list[ast.Call]] = {}
     values: set[str] = set()
-    for path in _caller_files():
+    for path in _program_files():
         tree = _parse(path)
         not_values: set[int] = set()
         for node in ast.walk(tree):
@@ -212,14 +225,7 @@ def _scan_calls() -> tuple[dict[str, tuple[int, set[str], bool]], set[str]]:
                 if name in ("isinstance", "issubclass"):
                     hidden += node.args[1:]
                 if name is not None:
-                    most, keywords, spread = supplied.get(name, (0, set(), False))
-                    supplied[name] = (
-                        max(most, sum(not isinstance(arg, ast.Starred)
-                                      for arg in node.args)),
-                        keywords | {kw.arg for kw in node.keywords if kw.arg},
-                        spread or any(isinstance(arg, ast.Starred)
-                                      for arg in node.args)
-                        or any(kw.arg is None for kw in node.keywords))
+                    calls.setdefault(name, []).append(node)
             elif isinstance(node, (ast.arg, ast.AnnAssign)):
                 hidden.append(node.annotation)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -233,7 +239,11 @@ def _scan_calls() -> tuple[dict[str, tuple[int, set[str], bool]], set[str]]:
                 values.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 values.add(node.attr)
-    return supplied, values
+    return calls, values
+
+
+def _keywords(calls: list[ast.Call]) -> set[str]:
+    return {kw.arg for call in calls for kw in call.keywords if kw.arg}
 
 
 def _defs_by_scope():
@@ -253,29 +263,74 @@ def _defs_by_scope():
                            int(in_class and not static))
 
 
-def unset_options() -> list[str]:
-    supplied, values = _scan_calls()
-    unset = []
+def _called_defs():
+    """(path, def, callee name, parameters, program calls) for every def
+    whose callers are all visible: dunder methods other than ``__init__``,
+    defs used as values and defs some call spreads into are skipped.  A
+    parameter is (name, position in a call or None, has a default)."""
+    calls, values = _scan_calls()
     for path, node, cls, offset in _defs_by_scope():
         name = node.name
         if name.startswith("__") and name.endswith("__") and name != "__init__":
             continue
         callee = cls if name == "__init__" else name
-        if callee in values:
+        sites = calls.get(callee, [])
+        if callee in values or any(_spreads(call) for call in sites):
             continue
-        most, keywords, spread = supplied.get(callee, (0, set(), False))
         args = node.args
         positional = [*args.posonlyargs, *args.args]
-        defaulted = [(arg.arg, index - offset) for index, arg in enumerate(
-            positional) if index >= len(positional) - len(args.defaults)]
-        defaulted += [(arg.arg, None) for arg, default in zip(
-            args.kwonlyargs, args.kw_defaults) if default is not None]
-        unset += [(str(path.relative_to(SRC)), node.lineno, callee, param)
-                  for param, index in defaulted
-                  if not (spread or param in keywords
-                          or (index is not None and index < most))]
+        first_default = len(positional) - len(args.defaults)
+        params = [(arg.arg, index - offset, index >= first_default)
+                  for index, arg in enumerate(positional) if index >= offset]
+        params += [(arg.arg, None, default is not None)
+                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)]
+        yield str(path.relative_to(SRC)), node, callee, params, sites
+
+
+def unset_options() -> list[str]:
+    unset = []
+    for path, node, callee, params, sites in _called_defs():
+        most = max((len(call.args) for call in sites), default=0)
+        keywords = _keywords(sites)
+        unset += [(path, node.lineno, callee, param)
+                  for param, index, defaulted in params
+                  if defaulted and param not in keywords
+                  and not (index is not None and index < most)]
     return [f"{path}:{line}: {callee}({param}=)"
             for path, line, callee, param in sorted(unset)]
+
+
+def _argument(call: ast.Call, param: str, index: int | None):
+    """The expression ``call`` passes to ``param``, or None."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+    if index is not None and index < len(call.args):
+        return call.args[index]
+    return None
+
+
+def _is_constant(expr) -> bool:
+    """A literal, or an ALL_CAPS name or attribute."""
+    if isinstance(expr, ast.Constant):
+        return True
+    name = (expr.id if isinstance(expr, ast.Name)
+            else expr.attr if isinstance(expr, ast.Attribute) else None)
+    return name is not None and name.isupper()
+
+
+def constant_parameters() -> list[str]:
+    found = []
+    for path, node, callee, params, sites in _called_defs():
+        for param, index, defaulted in params:
+            passed = [_argument(call, param, index) for call in sites]
+            if (sites and not defaulted
+                    and all(arg is not None and _is_constant(arg)
+                            for arg in passed)
+                    and len({ast.dump(arg) for arg in passed}) == 1):
+                found.append((path, node.lineno, callee, param))
+    return [f"{path}:{line}: {callee}({param})"
+            for path, line, callee, param in sorted(found)]
 
 
 def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
@@ -286,15 +341,19 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
 
 
 def unset_fields() -> list[str]:
-    supplied, values = _scan_calls()
-    replaced = supplied.get("replace", (0, set(), False))[1]
+    calls, values = _scan_calls()
+    replaced = _keywords(calls.get("replace", []))
     unset = []
     for path in MODULES.values():
         for node in ast.walk(_parse(path)):
             if not (isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node)
                     and node.name not in values):
                 continue
-            most, keywords, spread = supplied.get(node.name, (0, set(), False))
+            sites = calls.get(node.name, [])
+            if any(_spreads(call) for call in sites):
+                continue
+            most = max((len(call.args) for call in sites), default=0)
+            keywords = _keywords(sites) | replaced
             fields = [stmt for stmt in node.body
                       if isinstance(stmt, ast.AnnAssign)
                       and isinstance(stmt.target, ast.Name)]
@@ -302,8 +361,7 @@ def unset_fields() -> list[str]:
                        stmt.target.id)
                       for index, stmt in enumerate(fields)
                       if stmt.value is not None
-                      and not (spread or index < most
-                               or stmt.target.id in keywords | replaced)]
+                      and not (index < most or stmt.target.id in keywords)]
     return [f"{path}:{line}: {cls}.{name}"
             for path, line, cls, name in sorted(unset)]
 
@@ -323,12 +381,19 @@ def test_every_def_is_named_outside_tests():
 def test_every_option_is_set_somewhere():
     unset = unset_options()
     assert unset == [], (
-        "defaulted parameters no call supplies (make them constants):\n"
-        + "\n".join(unset))
+        "defaulted parameters no program call supplies (make them "
+        "constants):\n" + "\n".join(unset))
 
 
 def test_every_field_is_set_somewhere():
     unset = unset_fields()
     assert unset == [], (
-        "defaulted dataclass fields no call or replace() supplies (make "
-        "them constants):\n" + "\n".join(unset))
+        "defaulted dataclass fields no program call or replace() supplies "
+        "(make them constants):\n" + "\n".join(unset))
+
+
+def test_no_required_parameter_is_a_constant():
+    constant = constant_parameters()
+    assert constant == [], (
+        "required parameters every program call passes the same constant "
+        "(make them constants):\n" + "\n".join(constant))

@@ -7,8 +7,6 @@ import pytest
 
 from repro import MachineConfig, assemble, simulate
 from repro.core.read_ports import (
-    BANK_READ_PORTS,
-    BYPASS_DEPTH,
     BYPASS_FILTER_READ_PORTS,
     MAX_READ_DELAY,
     READ_BANKS,
@@ -20,7 +18,7 @@ from repro.isa.executor import run_to_completion
 from repro.pipeline.processor import Processor
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
-from tests.util import program_processor
+from tests.util import banked_arbiter, program_processor
 
 # wide independent ALU work: issue wants many reads per cycle
 WIDE = """
@@ -61,12 +59,28 @@ def ported(config, ports, program=None, source=None, **kwargs):
     return processor
 
 
+class _NoBypass:
+    """A bypass tracker that never bypasses: every operand claims a port."""
+
+    def note_write(self, tag, cycle):
+        pass
+
+    def is_bypassed(self, tag, cycle):
+        return False
+
+    def flush(self):
+        pass
+
+
 def flat(read_ports):
     """A flat limit of ``read_ports`` register-file reads per class per
     cycle (None = unlimited): the bypass filter with nothing bypassed."""
     if read_ports is None:
         return None
-    return BypassFilterPorts(read_ports, bypass_depth=0)
+    ports = BypassFilterPorts()
+    ports.read_ports = read_ports
+    ports.tracker = _NoBypass()
+    return ports
 
 
 WIDE_CONFIG = MachineConfig(int_regs=96, fp_regs=96, issue_width=6,
@@ -168,12 +182,10 @@ def run_scheme(port_scheme):
 def test_a_named_scheme_simulates_its_priced_geometry():
     """Naming a port scheme is enough: the pipeline simulates the port
     geometry the area model prices, not an unlimited budget."""
-    bypass = ported(WIDE_CONFIG, BypassFilterPorts(BYPASS_FILTER_READ_PORTS,
-                                                   BYPASS_DEPTH)).run()
+    bypass = ported(WIDE_CONFIG, BypassFilterPorts()).run()
     assert bypass.rf_port_stalls > 0
     assert asdict(run_scheme("bypass_filter")) == asdict(bypass)
-    banked = ported(WIDE_CONFIG, BankedArbiterPorts(
-        READ_BANKS, BANK_READ_PORTS, MAX_READ_DELAY)).run()
+    banked = ported(WIDE_CONFIG, BankedArbiterPorts()).run()
     assert banked.rf_port_stalls > 0 or banked.rf_delay_cycles > 0
     assert asdict(run_scheme("banked_arbiter")) == asdict(banked)
 
@@ -201,9 +213,9 @@ def test_bypass_filter_beats_plain_halved_ports():
 
 
 def test_bypass_depth_zero_is_inert():
-    """Depth 0 disables the bypass exemption: every operand the filter
-    served from the bypass network claims a port instead."""
-    inert = ported(WIDE_CONFIG, BypassFilterPorts(bypass_depth=0)).run()
+    """With nothing bypassed, every operand the filter served from the
+    bypass network claims a port instead."""
+    inert = ported(WIDE_CONFIG, flat(BYPASS_FILTER_READ_PORTS)).run()
     filtered = run_scheme("bypass_filter")
     assert inert.committed == filtered.committed
     assert inert.rf_bypass_reads == 0
@@ -212,7 +224,8 @@ def test_bypass_depth_zero_is_inert():
 
 
 def test_banked_arbiter_monotone_in_ports():
-    cycles = [ported(WIDE_CONFIG, BankedArbiterPorts(ports_per_bank=p))
+    cycles = [ported(WIDE_CONFIG,
+                     banked_arbiter(READ_BANKS, p, MAX_READ_DELAY))
               .run().cycles for p in (1, 2, 4)]
     assert cycles == sorted(cycles, reverse=True)
 
@@ -220,16 +233,14 @@ def test_banked_arbiter_monotone_in_ports():
 def test_banked_arbiter_ample_ports_equal_unlimited():
     """Enough ports per bank to cover the whole issue width makes the
     arbiter inert: identical timing to the unconstrained machine."""
-    ample = ported(WIDE_CONFIG, BankedArbiterPorts(
-        banks=1, ports_per_bank=32, max_delay=0)).run()
+    ample = ported(WIDE_CONFIG, banked_arbiter(1, 32, 0)).run()
     assert ample.cycles == run(None).cycles
     assert ample.rf_port_stalls == 0
     assert ample.rf_delay_cycles == 0
 
 
 def test_banked_arbiter_charges_delay_or_stalls():
-    tight = ported(WIDE_CONFIG, BankedArbiterPorts(
-        banks=2, ports_per_bank=1)).run()
+    tight = ported(WIDE_CONFIG, banked_arbiter(2, 1, MAX_READ_DELAY)).run()
     assert tight.rf_delay_cycles > 0 or tight.rf_port_stalls > 0
     assert tight.cycles >= run(None).cycles
 

@@ -71,7 +71,7 @@ def lsq_script(draw):
 @settings(max_examples=60, deadline=None)
 def test_lsq_matches_naive_model(script):
     inserts, actions = script
-    real = LoadStoreQueue(64, 64)
+    real = LoadStoreQueue()
     naive = NaiveLSQ()
     insts = []
     for _op, is_store, addr in inserts:
@@ -151,7 +151,7 @@ def iq_script(draw):
 @settings(max_examples=60, deadline=None)
 def test_iq_matches_naive_model(script):
     inserts, initially_ready, actions = script
-    real = IssueQueue(64)
+    real = IssueQueue()
     naive = NaiveIQ()
     is_ready = lambda tag: tag in initially_ready
 

@@ -24,15 +24,15 @@ def train(predictor, pattern, pc=7, repeats=50):
 
 def test_tournament_matches_bimodal_on_biased_branch():
     pattern = [True] * 15 + [False]
-    tournament = train(TournamentPredictor(256), pattern)
-    bimodal = train(BimodalPredictor(256), pattern)
+    tournament = train(TournamentPredictor(), pattern)
+    bimodal = train(BimodalPredictor(), pattern)
     assert tournament >= bimodal - 0.05
 
 
 def test_tournament_matches_gshare_on_patterned_branch():
     pattern = [True, False, True, True, False, False]
-    tournament = train(TournamentPredictor(1024, history_bits=6), pattern)
-    gshare = train(GSharePredictor(1024, history_bits=6), pattern)
+    tournament = train(TournamentPredictor(), pattern)
+    gshare = train(GSharePredictor(), pattern)
     assert tournament >= gshare - 0.05
 
 
@@ -53,8 +53,8 @@ def test_tournament_beats_each_component_on_mixed_workload():
                     predictor.update(pc, t)
         return correct / total
 
-    tournament = mixed_accuracy(lambda: TournamentPredictor(1024, history_bits=5))
-    bimodal = mixed_accuracy(lambda: BimodalPredictor(1024))
+    tournament = mixed_accuracy(lambda: TournamentPredictor())
+    bimodal = mixed_accuracy(lambda: BimodalPredictor())
     assert tournament >= bimodal - 0.02
 
 

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 import repro.harness.cache as cache_mod
-from repro.harness.cache import (TraceCache, TraceMemo, TraceStream,
-                                 cached_stream)
+from repro.harness.cache import (TRACE_MEMO_LIMIT, TraceCache, TraceMemo,
+                                 TraceStream, cached_stream)
 from repro.harness.runner import make_config
 from repro.pipeline.processor import simulate
 from repro.workloads.generator import SyntheticWorkload
@@ -145,24 +145,11 @@ def test_memo_serves_repeat_lookups_without_disk(tmp_path):
 
 
 def test_memo_is_a_bounded_lru():
-    memo = TraceMemo(limit=2)
-    memo.put(("a",), "A")
-    memo.put(("b",), "B")
-    assert memo.get(("a",)) == "A"  # refresh "a": now "b" is the LRU tail
-    memo.put(("c",), "C")
-    assert ("b",) not in memo and ("a",) in memo and ("c",) in memo
-    assert len(memo) == 2
+    memo = TraceMemo()
+    for index in range(TRACE_MEMO_LIMIT):
+        memo.put((index,), index)
+    assert memo.get((0,)) == 0  # refresh 0: now 1 is the LRU tail
+    memo.put(("new",), "N")
+    assert (1,) not in memo and (0,) in memo and ("new",) in memo
+    assert len(memo) == TRACE_MEMO_LIMIT
     assert memo.hits == 1
-
-    assert TraceMemo().limit == TraceMemo.DEFAULT_LIMIT
-    with pytest.raises(ValueError):
-        TraceMemo(limit=-1)
-
-
-def test_memo_limit_zero_disables(monkeypatch, tmp_path):
-    monkeypatch.setattr(cache_mod, "TRACE_MEMO", TraceMemo(limit=0))
-    cache = TraceCache(tmp_path, fingerprint="fp")
-    cached_stream(PROFILE, 250, seed=1, cache=cache)
-    cached_stream(PROFILE, 250, seed=1, cache=cache)
-    assert len(cache_mod.TRACE_MEMO) == 0
-    assert cache.hits == 1  # every lookup goes to disk

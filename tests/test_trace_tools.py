@@ -3,7 +3,12 @@
 import io
 
 from repro import MachineConfig, assemble
-from repro.pipeline.trace import reuse_annotations, trace_gantt, trace_table
+from repro.pipeline.trace import (
+    GANTT_ROWS,
+    reuse_annotations,
+    trace_gantt,
+    trace_table,
+)
 from repro.workloads import BENCHMARKS, SyntheticWorkload
 
 from tests.trace_io import load_trace, save_trace
@@ -41,17 +46,17 @@ def test_trace_collects_commit_order():
 
 def test_trace_table_renders():
     trace = traced_run()
-    text = trace_table(trace, limit=10)
+    text = trace_table(trace)
     assert "instruction" in text
     assert "movi" in text
-    assert "..." in text  # truncation marker
+    assert len(text.splitlines()) == len(trace) + 2  # header, rule, rows
 
 
 def test_trace_gantt_renders():
     trace = traced_run()
-    text = trace_gantt(trace, limit=8)
+    text = trace_gantt(trace)
     lines = text.splitlines()
-    assert len(lines) == 8
+    assert len(lines) == min(len(trace), GANTT_ROWS)
     assert all("|" in line for line in lines)
     assert "F" in text and "C" in text
 

@@ -29,6 +29,18 @@ def fresh_trace_memo(monkeypatch) -> None:
     monkeypatch.setattr(cache, "TRACE_MEMO", cache.TraceMemo())
 
 
+def banked_arbiter(banks: int, ports_per_bank: int, max_delay: int):
+    """A banked read-port arbiter with another geometry than the one
+    ``repro.core.read_ports`` fixes, substituted after construction."""
+    from repro.core.read_ports import BankedArbiterPorts
+
+    arbiter = BankedArbiterPorts()
+    arbiter.banks = banks
+    arbiter.ports = ports_per_bank
+    arbiter.max_delay = max_delay
+    return arbiter
+
+
 def make_inst(
     op: Op,
     dest: Optional[str] = None,
