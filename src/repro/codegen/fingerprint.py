@@ -1,10 +1,12 @@
 """Fingerprints for generated kernels.
 
-A kernel is valid only for the exact ``(scheme, MachineConfig)`` pair it
-was generated from, so its key is a hash of
-:meth:`MachineConfig.canonical_json` (which includes the scheme).  Kernels
-live only in the process that compiled them, so the key need not track
-the simulator source.
+The fingerprint names a config's entry in the kernel memo: a hash of
+:meth:`MachineConfig.canonical_json` (which includes the scheme), so a
+repeat load of the same config skips source generation.  It does not
+name the compiled code: configs whose generated sources are identical
+share one kernel (:mod:`repro.codegen.cache` keys compiles by the
+source's digest).  Kernels live only in the process that compiled them,
+so the key need not track the simulator source.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 
 
 def kernel_fingerprint(config) -> str:
-    """Stable hex key identifying the kernel for ``config``.
+    """Stable hex key of ``config``'s entry in the kernel memo.
 
     Memoised on the config instance (``MachineConfig`` is frozen — edits
     go through ``dataclasses.replace``, which builds a new instance): the

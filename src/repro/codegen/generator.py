@@ -5,8 +5,11 @@ configuration: a single ``run_kernel(proc, max_insts)`` function that
 runs :meth:`repro.pipeline.processor.Processor._run_naive`'s stage order
 with
 
-* machine constants (widths, structure sizes, cycle budgets, the PRT
-  version-counter saturation point) inlined as literals,
+* machine constants (widths, the ROB and load/store queue sizes, cycle
+  budgets, the PRT version-counter saturation point) inlined as
+  literals; register-file sizes and banks are read from the processor
+  at run time, so configs that differ only there generate the same
+  source and share one compiled kernel (:mod:`repro.codegen.cache`),
 * the functional-unit dispatch table resolved into a per-kind unrolled
   ``if/elif`` chain with literal counts and latencies,
 * the renamer hot path — ``can_rename`` (including the sharing
@@ -863,7 +866,8 @@ def generate_kernel_source(config) -> str:
     """Emit the flattened kernel module body for ``config``.
 
     The returned text defines ``run_kernel(proc, max_insts=None)`` and is
-    compiled in memory, once per distinct config.  Raises
+    compiled in memory, once per distinct source: configs that differ
+    only in register-file sizes or banks share it.  Raises
     :class:`KernelUnavailable` for schemes the generator does not know.
     """
     scheme = config.scheme

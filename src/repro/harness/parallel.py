@@ -227,11 +227,13 @@ class WorkloadBroadcast:
     resolves each distinct pending workload once through
     :func:`~repro.harness.cache.cached_stream` (a cold trace goes from
     the generator's column emitter straight to its ``.rtc`` file, with no
-    instruction objects built) and loads each distinct cycle kernel
-    into the kernel memo, so every forked worker inherits both memos and
-    starts warm.  A sweep with more distinct workloads than the trace
-    memo holds (32) keeps the most recent ones; workers read the rest
-    from the ``.rtc`` files just written.  Stateless: the class only
+    instruction objects built) and loads each distinct config's cycle
+    kernel into the kernel memo, so every forked worker inherits both
+    memos and starts warm.  Configs whose generated source is the same
+    share one compile (:mod:`repro.codegen.cache`): the quick figure
+    grid's 20 configs compile 2 kernels.  A sweep with more distinct
+    workloads than the trace memo holds (32) keeps the most recent ones;
+    workers read the rest from the ``.rtc`` files just written.  Stateless: the class only
     gives the step a stable name to time, and the benchmark's traced run
     wraps :meth:`publish` by that name, so both stay.
     """

@@ -3,14 +3,16 @@
 The correctness of the generated kernels themselves is covered by the
 naive-loop oracle in ``test_event_loop.py``; this module tests the
 machinery *around* them — that the fingerprint tracks everything a
-kernel depends on, that loading a kernel writes nothing to disk, and
-that the scheme alone picks the loop — plus an oracle for
+kernel depends on, that configs with one generated source share one
+compile, that loading a kernel writes nothing to disk, and that the
+scheme alone picks the loop — plus an oracle for
 the inlined register-pressure check, L1-D/TLB/prefetcher path, read-port
 grants and operand verification, whose delegated cold paths the streams
 below are sized to reach.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -20,7 +22,8 @@ from repro.codegen import (
     kernel_fingerprint,
     kernel_for,
 )
-from repro.codegen.cache import _KERNEL_MEMO
+from repro.codegen.cache import _KERNEL_MEMO, _SOURCE_MEMO, load_kernel
+from repro.harness.runner import Scale, enumerate_pair_points, make_config
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import IterSource, Processor, VerificationError
 from repro.verify.fuzz import generate
@@ -32,12 +35,14 @@ from tests.util import program_processor
 
 @pytest.fixture(autouse=True)
 def cold_memo():
-    """Every test starts with a cold kernel memo."""
-    saved = dict(_KERNEL_MEMO)
-    _KERNEL_MEMO.clear()
+    """Every test starts with cold kernel memos."""
+    saved = [(memo, dict(memo)) for memo in (_KERNEL_MEMO, _SOURCE_MEMO)]
+    for memo, _ in saved:
+        memo.clear()
     yield
-    _KERNEL_MEMO.clear()
-    _KERNEL_MEMO.update(saved)
+    for memo, entries in saved:
+        memo.clear()
+        memo.update(entries)
 
 
 def _processor(scheme="conventional", seed=0, **kwargs):
@@ -65,6 +70,50 @@ def test_fingerprint_tracks_scheme_and_config():
         kernel_fingerprint(MachineConfig(scheme="sharing", fetch_width=2)),
     }
     assert len(keys) == 4, "scheme/config changes must change the kernel key"
+
+
+# --------------------------------------------------------------------------
+# one compile per distinct source
+
+def _figure_grid_configs():
+    """The quick figure grid's configs by (scheme, size, profile), built
+    as the figure job builds its points: Fig. 10's three suites over
+    every swept size."""
+    scale = Scale.quick()
+    points = [point
+              for suite in ("specfp", "specint", "mediabench", "cognitive")
+              for point in enumerate_pair_points(scale.profiles(suite), scale)]
+    return {(p.scheme, p.size, p.profile.name):
+            make_config(p.profile, p.scheme, p.size,
+                        port_scheme=p.port_scheme) for p in points}
+
+
+def test_figure_grid_compiles_one_kernel_per_source():
+    """The grid's 20 configs (2 schemes x 5 sizes x int/fp profiles)
+    generate 2 distinct sources, so they share 2 compiled kernels; a
+    config whose source differs gets its own."""
+    configs = _figure_grid_configs()
+    kernels = {kernel_fingerprint(c): load_kernel(c)
+               for c in configs.values()}
+    assert len(kernels) == len(_KERNEL_MEMO) == 20
+    assert len({id(fn) for fn in kernels.values()}) == len(_SOURCE_MEMO) == 2
+
+    small, large = (configs["sharing", size, "mcf"] for size in (48, 96))
+    assert small.int_regs == 48 and large.int_regs == 96
+    assert load_kernel(small) is load_kernel(large)
+    for change in ({"rob_size": 64}, {"verify_values": True}):
+        other = load_kernel(dataclasses.replace(small, **change))
+        assert other is not load_kernel(small), change
+    assert len(_SOURCE_MEMO) == 4
+
+
+def test_code_object_is_named_by_source_digest():
+    """A profile names the compiled source, not the config that happened
+    to compile it first."""
+    for config in _figure_grid_configs().values():
+        digest = hashlib.sha256(generate_kernel_source(config).encode())
+        assert load_kernel(config).__code__.co_filename == \
+            f"<repro-kernel {digest.hexdigest()[:24]}>"
 
 
 # --------------------------------------------------------------------------

@@ -167,3 +167,36 @@ def test_loops_match_port_schemes(seed, port_scheme):
         context = (f"seed={seed} scheme={scheme} ports={port_scheme} "
                    f"variant={fuzz_program.variant}")
         _check_loops(program, cfg, fuzz_program.variant, context)
+
+
+def test_shared_kernel_matches_at_every_size(monkeypatch):
+    """Sharing configs that differ only in register-file size generate
+    one source, so the second size runs the kernel compiled for the first
+    (repro.codegen.cache).  The kernel reads the sizes at run time and
+    must match the naive loop at both: this program stalls on free
+    registers at 48 and never at 96, so the two runs take different
+    paths through the one kernel."""
+    import repro.codegen.cache as codegen_cache
+
+    monkeypatch.setattr(codegen_cache, "_KERNEL_MEMO", {})
+    monkeypatch.setattr(codegen_cache, "_SOURCE_MEMO", {})
+    fuzz_program = generate(4, size=SIZE)
+    program = fuzz_program.build()
+    small = fuzz_config("sharing", fuzz_program.variant)
+    large = dataclasses.replace(small, int_regs=96, fp_regs=96)
+    stalls = []
+    for cfg in (small, large):
+        stats, commits, proc = _run(program, cfg, fuzz_program.variant,
+                                    "generated")
+        naive_stats, naive_commits, naive = _run(
+            program, cfg, fuzz_program.variant, "naive")
+        assert proc.loop_used == "generated"
+        assert stats == naive_stats, f"SimStats diverged at {cfg.int_regs}"
+        assert commits == naive_commits, \
+            f"commit stream diverged at {cfg.int_regs}"
+        assert proc.renamer.stats == naive.renamer.stats, \
+            f"renamer stats diverged at {cfg.int_regs}"
+        stalls.append(stats["rename_stall_regs"])
+    assert len(codegen_cache._KERNEL_MEMO) == 2
+    assert len(codegen_cache._SOURCE_MEMO) == 1, "the sizes must share a kernel"
+    assert stalls[0] > 0 == stalls[1]
